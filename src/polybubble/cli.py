@@ -79,7 +79,10 @@ def cmd_bubble_check(cfg: RunConfig) -> int:
     k_max = int(p.get("k_max", 4))
     n_max = int(p.get("n_max", 12))
     single = p.get("n"), p.get("k")
-    cases = ([(int(single[0]), int(single[1]))] if all(v is not None for v in single)
+    if (single[0] is None) != (single[1] is None):
+        print("give both --n and --k, or neither", file=sys.stderr)
+        return EXIT_USAGE
+    cases = ([(int(single[0]), int(single[1]))] if single[0] is not None
              else [(n, k) for k in range(1, k_max + 1)
                    for n in range(2 * k + 1, n_max + 1)])
     failures = []
@@ -296,8 +299,6 @@ def _build_parser():
     ap.add_argument("--config", help="JSON run configuration (flags override)")
     ap.add_argument("--out", help="output directory")
     ap.add_argument("--seed", type=int, help="base RNG seed")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel suites")
-    ap.add_argument("--tol", type=float, help="accuracy target override")
     sub = ap.add_subparsers(dest="command")
     bc = sub.add_parser("bubble-check")
     bc.add_argument("--n", type=int)
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
             print(f"bad config: {e}", file=sys.stderr)
             return EXIT_USAGE
     for key, val in vars(ns).items():
-        if key in ("config", "command", "jobs") or val is None:
+        if key in ("config", "command") or val is None:
             continue
         params[key.replace("-", "_")] = val
     out = params.pop("out", None) or os.environ.get("POLYBUBBLE_OUT", "runs")

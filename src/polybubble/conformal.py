@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import fd_laplacian_iter
 from .quadrature import Ball, TruncatedSpace, integrate_axisymmetric
 
 __all__ = [
@@ -145,22 +146,6 @@ def _fd_gradient_sq(value, pts, h):
     return tot
 
 
-def _fd_laplacian_vec(value, pts, h):
-    n = pts.shape[1]
-    tot = -2.0 * n * value(pts)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        tot += value(pts + e) + value(pts - e)
-    return tot / h**2
-
-
-def _fd_lap_iter_vec(value, pts, k, h):
-    if k == 0:
-        return value(pts)
-    return -_fd_laplacian_vec(lambda q: _fd_lap_iter_vec(value, q, k - 1, h), pts, h)
-
-
 def check_norm_invariance(u, n: int, k: int, tol: float = 1e-5,
                           seed: int = 0) -> dict:
     """Both invariances of the Cayley transform for a decaying profile u:
@@ -211,14 +196,14 @@ def check_norm_invariance(u, n: int, k: int, tol: float = 1e-5,
             m = (k - 1) // 2
 
             def vmid(q):
-                return _fd_lap_iter_vec(value, q, m, h0)
+                return fd_laplacian_iter(value, q, m, h0)
 
             g1 = _fd_gradient_sq(vmid, pts, h0)
             g2 = _fd_gradient_sq(vmid, pts, h0 / 2)
             return (4 * g2 - g1) / 3
         m = k // 2
-        l1 = _fd_lap_iter_vec(value, pts, m, h0)
-        l2 = _fd_lap_iter_vec(value, pts, m, h0 / 2)
+        l1 = fd_laplacian_iter(value, pts, m, h0)
+        l2 = fd_laplacian_iter(value, pts, m, h0 / 2)
         return ((4 * l2 - l1) / 3) ** 2
 
     h_ball, h_half = 2e-3, 2e-3
@@ -257,8 +242,8 @@ def check_laplacian_conjugation(v, y, k: int, h: float | None = None) -> dict:
     fac = np.linalg.norm(y + cm.e1) ** (-(n + 2 * k))
 
     def both(hh):
-        lhs = _fd_lap_iter_vec(ustar, y[None, :], k, hh)[0]
-        rhs = fac * _fd_lap_iter_vec(v.value, x[None, :], k, hh)[0]
+        lhs = fd_laplacian_iter(ustar, y, k, hh)
+        rhs = fac * fd_laplacian_iter(v.value, x, k, hh)
         return lhs, rhs
 
     (l1, r1) = both(h)

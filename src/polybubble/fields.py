@@ -20,7 +20,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .jets import Jet, multiset_multiplicity, multisets
+from .jets import Jet
 from .radial import RadialFunction, radial_derivative
 
 __all__ = [
@@ -329,16 +329,7 @@ class RadialTermField:
 
     def tensor_norm(self, l: int, points):
         """Frobenius norm of the order-l derivative tensor, vectorized."""
-        pts = np.atleast_2d(np.asarray(points, float))
-        tot = np.zeros(len(pts))
-        for alpha in multisets(self.n, l):
-            tot += multiset_multiplicity(alpha) * self.partial(alpha, pts) ** 2
-        return np.sqrt(tot)
+        return Jet(self, np.atleast_2d(points), l).tensor_norm(l)
 
     def jet(self, x, order: int) -> Jet:
-        x = np.asarray(x, float)
-        table = {}
-        for l in range(order + 1):
-            for alpha in multisets(self.n, l):
-                table[alpha] = float(self.partial(alpha, x[None, :])[0])
-        return Jet(x, self.n, order, table)
+        return Jet(self, x, order)

@@ -1,17 +1,19 @@
-"""Jets: tables of partial derivatives at a point, plus finite-difference
-oracles used throughout the test suite.
+"""Jets: lazily computed partial derivatives of a field at one point or a
+batch of points, plus finite-difference oracles used throughout the test
+suite.
 
-A jet stores one entry per *multiset* of coordinate indices, so symmetry of
-mixed partials is structural rather than checked entry-by-entry.  Accessors
-derive Laplacian iterates and their gradients/Hessians from the raw table.
+A jet caches one entry per *multiset* of coordinate indices, so symmetry of
+mixed partials is structural rather than checked entry-by-entry.  Each entry
+is one vectorized call of the field's partial over all points, made on first
+use.  Accessors derive Laplacian iterates and their gradients/Hessians from
+these entries.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -38,90 +40,89 @@ def multiset_multiplicity(alpha: tuple[int, ...]) -> int:
     return m
 
 
-def _alpha_to_exponents(alpha, n):
-    ex = [0] * n
-    for i in alpha:
-        ex[i] += 1
-    return tuple(ex)
+@lru_cache(maxsize=None)
+def _lap_terms(n: int, i: int):
+    """Delta^i = sum_m w_m d^{2m}: (index tuple of d^{2m}, multinomial w_m)
+    over the multi-indices m with |m| = i."""
+    return tuple((tuple(c for c in alpha for _ in range(2)),
+                  multiset_multiplicity(alpha))
+                 for alpha in combinations_with_replacement(range(n), i))
 
 
-@dataclass
 class Jet:
-    """All partial derivatives of a function at a point up to a fixed order.
+    """Partial derivatives up to a fixed order of a field at x, where x is
+    one point (n,) or a batch (m, n).
 
-    table maps a sorted index tuple to the value of that partial derivative;
-    the empty tuple holds the function value.
+    field.partial(alpha, points) must accept an (m, n) batch.  Every accessor
+    returns an array shaped like x without its last axis (a scalar for one
+    point), followed by the tensor axes of the quantity.
     """
 
-    x: np.ndarray
-    n: int
-    order: int
-    table: dict[tuple[int, ...], float]
+    def __init__(self, field, x, order: int):
+        self.field = field
+        self.x = np.asarray(x, float)
+        self.n = self.x.shape[-1]
+        self.order = order
+        self._points = np.atleast_2d(self.x)
+        self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, float)
-        if () not in self.table:
-            raise ValueError("jet table missing the value entry ()")
+    def partial(self, alpha):
+        alpha = tuple(sorted(alpha))
+        if len(alpha) > self.order:
+            raise ValueError(f"jet order {self.order} too low for a partial"
+                             f" of order {len(alpha)}")
+        if alpha not in self._cache:
+            vals = np.asarray(self.field.partial(alpha, self._points), float)
+            self._cache[alpha] = vals.reshape(self.x.shape[:-1])[()]
+        return self._cache[alpha]
 
-    def partial(self, alpha) -> float:
-        return self.table[tuple(sorted(alpha))]
+    def value(self):
+        return self.partial(())
 
-    def value(self) -> float:
-        return self.table[()]
+    def _vector(self, entry):
+        out = np.empty(self.x.shape)
+        for j in range(self.n):
+            out[..., j] = entry((j,))
+        return out
+
+    def _symmetric(self, entry):
+        out = np.empty(self.x.shape + (self.n,))
+        for a in range(self.n):
+            for b in range(a, self.n):
+                out[..., a, b] = out[..., b, a] = entry((a, b))
+        return out
 
     def grad(self) -> np.ndarray:
-        return np.array([self.table[(i,)] for i in range(self.n)])
+        return self._vector(self.partial)
 
     def hessian(self) -> np.ndarray:
-        H = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                H[i, j] = self.table[tuple(sorted((i, j)))]
-        return H
+        return self._symmetric(self.partial)
 
     # -- Laplacian iterates --------------------------------------------------
 
-    def _lap_multi(self, i: int):
-        """(multi-index m of |m|=i over n coords, multinomial weight)."""
-        out = []
-        for alpha in combinations_with_replacement(range(self.n), i):
-            ex = _alpha_to_exponents(alpha, self.n)
-            w = factorial(i)
-            for m in ex:
-                w //= factorial(m)
-            out.append((ex, w))
-        return out
-
-    def lap_iter(self, i: int, extra=()) -> float:
+    def lap_iter(self, i: int, extra=()):
         """(-Delta)^i u, optionally with extra derivative indices applied."""
-        base = tuple(sorted(extra))
-        if 2 * i + len(base) > self.order:
+        extra = tuple(extra)
+        if 2 * i + len(extra) > self.order:
             raise ValueError(f"jet order {self.order} too low for (-Delta)^{i}"
-                             f" with {len(base)} extra derivatives")
+                             f" with {len(extra)} extra derivatives")
         tot = 0.0
-        for ex, w in self._lap_multi(i):
-            idx = list(base)
-            for coord, m in enumerate(ex):
-                idx += [coord] * (2 * m)
-            tot += w * self.table[tuple(sorted(idx))]
+        for idx, w in _lap_terms(self.n, i):
+            tot = tot + w * self.partial(extra + idx)
         return (-1.0) ** i * tot
 
     def grad_lap(self, i: int) -> np.ndarray:
-        return np.array([self.lap_iter(i, extra=(j,)) for j in range(self.n)])
+        return self._vector(lambda j: self.lap_iter(i, extra=j))
 
     def hess_lap(self, i: int) -> np.ndarray:
-        H = np.empty((self.n, self.n))
-        for a in range(self.n):
-            for b in range(a, self.n):
-                H[a, b] = H[b, a] = self.lap_iter(i, extra=(a, b))
-        return H
+        return self._symmetric(lambda ab: self.lap_iter(i, extra=ab))
 
-    def tensor_norm(self, l: int) -> float:
+    def tensor_norm(self, l: int):
         """Frobenius norm of the order-l derivative tensor."""
         tot = 0.0
         for alpha in multisets(self.n, l):
-            tot += multiset_multiplicity(alpha) * self.table[alpha] ** 2
-        return math.sqrt(tot)
+            tot = tot + multiset_multiplicity(alpha) * self.partial(alpha) ** 2
+        return np.sqrt(tot)
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +145,28 @@ def fd_partial(f, x, alpha, h: float = 1e-4) -> float:
 
 
 def fd_laplacian(f, x, h: float = 1e-4):
-    """Second-order central FD Laplacian; f vectorized over points."""
+    """Second-order central FD Laplacian at one point (n,) or a batch (m, n).
+
+    f maps an (m, n) array to an (m,) array; the whole (2n+1)-point stencil
+    of every point goes to f in one call.
+    """
     x = np.asarray(x, float)
-    n = x.size
-    pts = [x]
-    for i in range(n):
-        for s in (+1.0, -1.0):
-            xp = x.copy()
-            xp[i] += s * h
-            pts.append(xp)
-    vals = np.asarray(f(np.asarray(pts)), float)
-    return (np.sum(vals[1:]) - 2 * n * vals[0]) / h**2
+    pts = np.atleast_2d(x)
+    n = pts.shape[1]
+    steps = np.zeros((2 * n + 1, n))
+    steps[1::2] = h * np.eye(n)
+    steps[2::2] = -h * np.eye(n)
+    stencil = pts[:, None, :] + steps
+    vals = np.asarray(f(stencil.reshape(-1, n)), float).reshape(len(pts), -1)
+    lap = (np.sum(vals[:, 1:], axis=1) - 2 * n * vals[:, 0]) / h**2
+    return lap.reshape(x.shape[:-1])[()]
 
 
 def fd_laplacian_iter(f, x, k: int, h: float = 1e-3):
-    """(-Delta)^k via nested FD Laplacians (O(h^2) per level)."""
+    """(-Delta)^k via nested FD Laplacians (O(h^2) per level), at one point
+    (n,) or a batch (m, n)."""
     if k == 0:
-        return float(np.asarray(f(np.asarray(x, float)[None, :])).ravel()[0])
-
-    def g(pts):
-        pts = np.atleast_2d(pts)
-        return np.array([-fd_laplacian(f, p, h) for p in pts])
-
-    if k == 1:
-        return float(g(np.asarray(x)[None, :])[0])
-    return fd_laplacian_iter(g, x, k - 1, h)
+        x = np.asarray(x, float)
+        vals = np.asarray(f(np.atleast_2d(x)), float)
+        return vals.reshape(x.shape[:-1])[()]
+    return -fd_laplacian(lambda q: fd_laplacian_iter(f, q, k - 1, h), x, h)

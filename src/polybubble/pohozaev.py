@@ -22,12 +22,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, factorial
 
 import numpy as np
 
-from .jets import Jet, multisets
+from .jets import Jet
 from .quadrature import (Ball, BallMinusBalls, SphereSurface,
                          integrate_axisymmetric, integrate_surface,
                          sphere_area, sphere_moment_ratio)
@@ -251,12 +249,7 @@ class PolynomialJet:
         return self._dpoly(alpha).eval(points)
 
     def jet(self, x, order: int) -> Jet:
-        x = np.asarray(x, float)
-        table = {}
-        for l in range(order + 1):
-            for alpha in multisets(self.n, l):
-                table[alpha] = float(self._dpoly(alpha).eval(x[None, :])[0])
-        return Jet(x, self.n, order, table)
+        return Jet(self, x, order)
 
 
 def manufactured_dirichlet(k: int, n: int, poly: MultiPoly | None = None) -> PolynomialJet:
@@ -273,28 +266,35 @@ def manufactured_dirichlet(k: int, n: int, poly: MultiPoly | None = None) -> Pol
 # Jet-level operators
 # ---------------------------------------------------------------------------
 
-def e_operator(jet: Jet, f_value: float, p_exp: float, k: int | None = None) -> float:
-    """E(u)(x) = (-Delta)^k u - f |u|^{p-2} u from a jet of order >= 2k."""
+def e_operator(jet: Jet, f_value, p_exp: float, k: int | None = None):
+    """E(u)(x) = (-Delta)^k u - f |u|^{p-2} u from a jet of order >= 2k
+    (f_value broadcasts against the jet's points)."""
     if p_exp < 2:
         raise ValueError("need p >= 2")
     if k is None:
         k = jet.order // 2
     u = jet.value()
-    return jet.lap_iter(k) - f_value * abs(u) ** (p_exp - 2.0) * u
+    return jet.lap_iter(k) - f_value * np.abs(u) ** (p_exp - 2.0) * u
 
 
-def x_grad_laplacian(jet: Jet, i: int, xi) -> tuple[float, np.ndarray]:
+def _dot(a, b):
+    """Inner product over the last axis, batched over the leading ones."""
+    return np.sum(a * b, axis=-1)
+
+
+def _matvec(H, v):
+    return np.einsum("...ab,...b->...a", H, v)
+
+
+def x_grad_laplacian(jet: Jet, i: int, xi):
     """(-Delta)^i ((x-xi) . grad u) and its gradient, via the commutator
     Delta^i(x . grad u) = x . grad Delta^i u + 2i Delta^i u."""
     if 2 * i + 2 > jet.order:
         raise ValueError("jet order too low for this iterate")
-    xi = np.asarray(xi, float)
-    dx = jet.x - xi
-    v = jet.lap_iter(i)
+    dx = jet.x - np.asarray(xi, float)
     g = jet.grad_lap(i)
-    H = jet.hess_lap(i)
-    value = float(dx @ g) + 2 * i * v
-    gradient = (2 * i + 1) * g + H @ dx
+    value = _dot(dx, g) + 2 * i * jet.lap_iter(i)
+    gradient = (2 * i + 1) * g + _matvec(jet.hess_lap(i), dx)
     return value, gradient
 
 
@@ -421,41 +421,37 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
     total, err = 0.0, 0.0
     for (c, R, sign) in pieces:
         def integrand(pts):
-            out = np.empty(len(pts))
-            for idx, x in enumerate(pts):
-                jet = u.jet(x, 2 * k)
-                nu = sign * (x - c) / R
-                dxnu = float((x - xi) @ nu)
-                if simplified:
-                    if k % 2 == 0:
-                        s = jet.lap_iter(k // 2) ** 2
-                    else:
-                        g = jet.grad_lap((k - 1) // 2)
-                        s = float(g @ g)
-                    out[idx] = -0.5 * dxnu * s
-                    continue
-                acc = 0.0
-                for i in range(k // 2):
-                    vi = jet.lap_iter(i)
-                    gi = jet.grad_lap(i)
-                    vki = jet.lap_iter(k - i - 1)
-                    gki = jet.grad_lap(k - i - 1)
-                    acc += 0.5 * (n - 2 * k) * (float(gi @ nu) * vki - vi * float(gki @ nu))
-                    Dval, Dgrad = x_grad_laplacian(jet, i, xi)
-                    acc += float(Dgrad @ nu) * vki - Dval * float(gki @ nu)
+            jet = u.jet(pts, 2 * k)
+            nu = sign * (pts - c) / R
+            dx = pts - xi
+            dxnu = _dot(dx, nu)
+            if simplified:
                 if k % 2 == 0:
-                    acc += 0.5 * dxnu * jet.lap_iter(k // 2) ** 2
+                    s = jet.lap_iter(k // 2) ** 2
                 else:
-                    m = (k - 1) // 2
-                    acc += 0.5 * dxnu * jet.lap_iter(m + 1) * jet.lap_iter(m)
-                    gm = jet.grad_lap(m)
-                    Hm = jet.hess_lap(m)
-                    w = float((x - xi) @ gm)
-                    grad_w = gm + Hm @ (x - xi)
-                    acc += 0.5 * (jet.lap_iter(m) * float(grad_w @ nu)
-                                  - w * float(gm @ nu))
-                out[idx] = acc
-            return out
+                    g = jet.grad_lap((k - 1) // 2)
+                    s = _dot(g, g)
+                return -0.5 * dxnu * s
+            acc = 0.0
+            for i in range(k // 2):
+                vi = jet.lap_iter(i)
+                gi = jet.grad_lap(i)
+                vki = jet.lap_iter(k - i - 1)
+                gki = jet.grad_lap(k - i - 1)
+                acc += 0.5 * (n - 2 * k) * (_dot(gi, nu) * vki - vi * _dot(gki, nu))
+                Dval, Dgrad = x_grad_laplacian(jet, i, xi)
+                acc += _dot(Dgrad, nu) * vki - Dval * _dot(gki, nu)
+            if k % 2 == 0:
+                acc += 0.5 * dxnu * jet.lap_iter(k // 2) ** 2
+            else:
+                m = (k - 1) // 2
+                acc += 0.5 * dxnu * jet.lap_iter(m + 1) * jet.lap_iter(m)
+                gm = jet.grad_lap(m)
+                w = _dot(dx, gm)
+                grad_w = gm + _matvec(jet.hess_lap(m), dx)
+                acc += 0.5 * (jet.lap_iter(m) * _dot(grad_w, nu)
+                              - w * _dot(gm, nu))
+            return acc
 
         res = integrate_surface(integrand, SphereSurface(tuple(c), R), **qo)
         total += res.value
@@ -563,12 +559,9 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
         return np.stack([f.partial((i,), pts) for i in range(n)], axis=1)
 
     def bulk1(pts):
-        uval = np.asarray(u.value(pts), float)
-        gu = np.stack([u.partial((i,), pts) for i in range(n)], axis=1)
-        lap_k = _lap_iter_vec(u, k, pts)
-        Eu = lap_k - f_val(pts) * np.abs(uval) ** (p_exp - 2.0) * uval
-        mult = 0.5 * (n - 2 * k) * uval + np.sum((pts - xi) * gu, axis=1)
-        return mult * Eu
+        jet = u.jet(pts, 2 * k)
+        mult = 0.5 * (n - 2 * k) * jet.value() + _dot(pts - xi, jet.grad())
+        return mult * e_operator(jet, f_val(pts), p_exp, k)
 
     def bulk3(pts):
         return f_val(pts) * np.abs(np.asarray(u.value(pts), float)) ** p_exp
@@ -601,24 +594,6 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
         e2 += sres.error_estimate
     budget = e1 + e2 + abs(coef_T3) * e3 + e4 / p_exp
     return (T1, T2, coef_T3 * T3v, -T4v / p_exp), budget
-
-
-def _lap_iter_vec(u, k, pts):
-    """(-Delta)^k u over a point batch from vectorized partials."""
-    n = pts.shape[1]
-    tot = np.zeros(len(pts))
-    for alpha in combinations_with_replacement(range(n), k):
-        ex = [0] * n
-        for i in alpha:
-            ex[i] += 1
-        w = factorial(k)
-        for m in ex:
-            w //= factorial(m)
-        idx = []
-        for coord, m in enumerate(ex):
-            idx += [coord] * (2 * m)
-        tot += w * u.partial(tuple(idx), pts)
-    return (-1.0) ** k * tot
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +638,12 @@ def pohozaev_residual(u, f, p_exp: float, domain, xi, k: int,
     (-1)^k factor that older references drop).
     """
     xi = np.asarray(xi, float)
-    lhs, b_lhs = pohozaev_lhs(u, domain, xi, k,
-                              quad_opts=dict(quad_opts or {}))
+    # the volume rule takes axis = (point, direction); a boundary sphere is
+    # integrated about its own centre and takes the direction only
+    lhs_opts = dict(quad_opts or {})
+    if lhs_opts.get("axis") is not None:
+        lhs_opts["axis"] = lhs_opts["axis"][1]
+    lhs, b_lhs = pohozaev_lhs(u, domain, xi, k, quad_opts=lhs_opts)
     (T1, T2, T3, T4), b_rhs = pohozaev_rhs(u, f, p_exp, domain, xi, k,
                                            quad_opts=dict(quad_opts or {}))
     rhs = T1 + T2 + T3 + T4
@@ -673,7 +652,7 @@ def pohozaev_residual(u, f, p_exp: float, domain, xi, k: int,
     gap = None
     if dirichlet:
         simp, _ = pohozaev_lhs(u, domain, xi, k, simplified=True,
-                               quad_opts=dict(quad_opts or {}))
+                               quad_opts=lhs_opts)
         gap = abs(lhs - simp)
     return PohozaevReport(k, u.n, xi, lhs, T1, T2, T3, T4, res, res / scale,
                           b_lhs + b_rhs, gap)

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import polybubble
 from polybubble.cli import main
 
@@ -31,6 +33,15 @@ def test_bubble_check_single_pair(tmp_path):
 def test_bubble_check_invalid_pair_usage_error(tmp_path):
     code, _ = run_cli(["bubble-check", "--n", "2", "--k", "1"], tmp_path)
     assert code == 2
+    # half a pair is refused, not widened to the full range
+    for half in (["--n", "5"], ["--k", "1"]):
+        assert run_cli(["bubble-check"] + half, tmp_path)[0] == 2
+
+
+def test_removed_jobs_flag_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--jobs", "2", "bubble-check"])
+    assert exc.value.code == 2
 
 
 def test_no_command_is_usage_error(capsys):
@@ -88,6 +99,16 @@ def test_pohozaev_manufactured_suite(tmp_path):
     rep = json.loads(open(os.path.join(out, "pohozaev",
                                        "pohozaev_manufactured.json")).read())
     assert all(r["residual_rel"] < 1e-6 for r in rep)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+def test_pohozaev_bubble_suite(tmp_path, n, k):
+    code, out = run_cli(["pohozaev", "--suite", "bubble", "--n", str(n),
+                         "--k", str(k)], tmp_path)
+    assert code == 0
+    rep = json.loads(open(os.path.join(out, "pohozaev",
+                                       "pohozaev_bubble.json")).read())
+    assert rep[0]["residual_rel"] <= 1e-12
 
 
 def test_pohozaev_unknown_suite(tmp_path):

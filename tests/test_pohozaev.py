@@ -171,6 +171,45 @@ def test_jet_accessor_consistency():
         assert g[j] == pytest.approx(explicit, rel=1e-12, abs=1e-14)
 
 
+def _bubble_field(n, k):
+    return RadialTermField.radial(
+        n, np.zeros(n), RationalProfile(make_bubble(n, k), bubble_constant(n, k)))
+
+
+@pytest.mark.parametrize("provider", ["radial", "polynomial"])
+def test_batch_jet_matches_single_point_jets(provider):
+    """One jet over m points equals m single-point jets entry for entry
+    (the batch includes the centre, where the radial field takes its
+    Taylor-limit branch)."""
+    n = 5
+    u = (_bubble_field(n, 2) if provider == "radial"
+         else manufactured_dirichlet(2, n, MultiPoly.coordinate(n, 0) + 2))
+    pts = np.random.default_rng(4).normal(size=(6, n)) * 0.5
+    pts[0] = 0.0
+    batch = u.jet(pts, 4)
+    accessors = [lambda j: j.value(), lambda j: j.grad(), lambda j: j.hessian()]
+    accessors += [lambda j, i=i: j.lap_iter(i) for i in range(3)]
+    accessors += [lambda j, i=i: j.grad_lap(i) for i in range(2)]
+    accessors += [lambda j, i=i: j.hess_lap(i) for i in range(2)]
+    accessors += [lambda j, l=l: j.tensor_norm(l) for l in range(5)]
+    singles = [u.jet(x, 4) for x in pts]
+    for get in accessors:
+        got = get(batch)
+        assert got.shape == (len(pts),) + np.shape(get(singles[0]))
+        np.testing.assert_array_equal(got, [get(s) for s in singles])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_fd_laplacian_iter_batch_matches_points(k):
+    n = 3
+    u = manufactured_dirichlet(1, n, MultiPoly.coordinate(n, 1) + 1)
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(4, n))
+    batch = fd_laplacian_iter(u.value, pts, k, h=1e-2)
+    assert batch.shape == (len(pts),)
+    np.testing.assert_array_equal(
+        batch, [fd_laplacian_iter(u.value, x, k, h=1e-2) for x in pts])
+
+
 # -- the identity itself --------------------------------------------------------
 
 def brute_force_report(u, p_exp, k, n, xi, domain):
@@ -353,6 +392,18 @@ def test_bubble_rhs_T1_vanishes():
     assert abs(T3) < 1e-12 and T4 == 0.0
     assert abs(T1) <= 10 * max(budget, 1e-9)
     assert T2 > 0
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+def test_bubble_residual_quadrature_path(n, k):
+    """The full identity for the exact bubble on the quadrature path: the
+    volume axis (point, direction) is accepted and the residual vanishes."""
+    xi = np.zeros(n)
+    xi[0] = 0.2
+    rep = pohozaev_residual(_bubble_field(n, k), None, critical_exponent(n, k),
+                            Ball((0.0,) * n, 1.0), xi, k,
+                            quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
+    assert rep.residual_rel < 1e-12
 
 
 def test_report_json_schema():
