@@ -126,8 +126,9 @@ def cmd_cayley_green(cfg: RunConfig) -> int:
     n, k = int(p["n"]), int(p["k"])
     pairs = int(p.get("pairs", 100))
     seed = int(p.get("seed", 0))
-    if pairs <= 0:
-        print("pairs must be positive (empty report)", file=sys.stderr)
+    if pairs <= 0 or n <= 2 * k:
+        print(f"invalid input: need pairs > 0 (an empty report otherwise) and "
+              f"n > 2k; got pairs={pairs}, n={n}, k={k}", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(seed)
 
@@ -228,7 +229,7 @@ def cmd_pohozaev(cfg: RunConfig) -> int:
             xi[0] = xi_scale
             rep = pohozaev_residual(u, None, 2.0, dom, xi, k, dirichlet=True)
             reports.append(json.loads(rep.to_json()))
-        ok = all(r["residual_rel"] <= max(r["budget"], 1e-6) for r in reports)
+        ok = all(r["residual_abs"] <= max(r["budget"], 1e-12) for r in reports)
     elif suite == "bubble":
         from .fields import RadialTermField, RationalProfile
         a = bubble_constant(n, k)
@@ -267,7 +268,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         return EXIT_USAGE
     d_seed = p.get("d_seed", [1.2e4] + [0.0] * (k - 1))
     rtol = float(p.get("rtol", 1e-9))
-    params = ProblemParams(n, k, pp, grid[0])
+    try:
+        params = ProblemParams(n, k, pp, grid[0])
+    except ValueError as e:
+        print(f"invalid parameters: {e}", file=sys.stderr)
+        return EXIT_USAGE
     sol = newton_solve(params, d_seed, rtol=rtol)
     points, flag = continuation(params, grid, sol.d, rtol=rtol)
     branch_csv(points, os.path.join(cfg.out, "branch.csv"))

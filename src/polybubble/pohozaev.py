@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .jets import Jet
 from .quadrature import (Ball, BallMinusBalls, SphereSurface,
-                         integrate_axisymmetric, integrate_surface,
+                         integrate_axisymmetric, integrate_surface, integrate_volume,
                          sphere_area, sphere_moment_ratio)
 
 __all__ = [
@@ -48,98 +49,152 @@ __all__ = [
 # Sparse multivariate polynomials with exact coefficients
 # ---------------------------------------------------------------------------
 
-class MultiPoly:
-    """Polynomial sum c_e x^e over multi-indices e, coefficients Fraction."""
+_BITS = 8                    # one exponent field per byte of a packed key
+_MASK = (1 << _BITS) - 1     # also the largest degree a key can hold
 
-    __slots__ = ("n", "coeffs")
+
+def _unit(n: int, i: int) -> int:
+    """Packed key of x_i: exponent field i and the total-degree field n."""
+    return (1 << (_BITS * i)) + (1 << (_BITS * n))
+
+
+def _pack(n: int, e) -> int:
+    """Packed key of the monomial x^e."""
+    if len(e) != n or min(e, default=0) < 0:
+        raise ValueError(f"{e} is no exponent tuple of length {n}")
+    if sum(e) > _MASK:
+        raise OverflowError(f"degree above {_MASK} does not fit a key")
+    return sum(a * _unit(n, i) for i, a in enumerate(e))
+
+
+class _CoeffView(Mapping):
+    """Read-only {exponent tuple: Fraction} view of a MultiPoly."""
+
+    def __init__(self, p):
+        self._p = p
+
+    def __getitem__(self, e):
+        try:
+            return Fraction(self._p.terms[_pack(self._p.n, e)], self._p.den)
+        except (ValueError, OverflowError):
+            raise KeyError(e) from None
+
+    def __iter__(self):
+        return map(self._p._exps, self._p.terms)
+
+    def __len__(self):
+        return len(self._p.terms)
+
+
+class MultiPoly:
+    """Polynomial sum c_e x^e over multi-indices e with exact rational
+    coefficients, stored as integer numerators `terms` over one positive
+    common denominator `den` (kept in lowest terms).
+
+    A monomial x^e is packed into one int key, sum_i e_i * _unit(n, i):
+    field i holds e_i and field n the total degree |e|, so multiplying two
+    monomials adds their keys.  Degrees are kept <= _MASK, hence no field
+    ever carries into the next.  Instances are immutable.
+    """
+
+    __slots__ = ("n", "den", "terms")
 
     def __init__(self, n: int, coeffs: dict | None = None):
-        self.n = n
-        cc = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c) if not isinstance(c, Fraction) else c
-                if c != 0:
-                    cc[tuple(e)] = c
-        self.coeffs = cc
+        cc = {tuple(e): Fraction(c) for e, c in (coeffs or {}).items()}
+        den = math.lcm(*(c.denominator for c in cc.values()))
+        self._set(n, {_pack(n, e): c.numerator * (den // c.denominator)
+                      for e, c in cc.items()}, den)
+
+    def _set(self, n, terms, den):
+        terms = {key: c for key, c in terms.items() if c}
+        g = math.gcd(den, *terms.values())
+        if g > 1:
+            den //= g
+            terms = {key: c // g for key, c in terms.items()}
+        self.n, self.den, self.terms = n, den, terms
+
+    @classmethod
+    def _make(cls, n, terms, den=1):
+        p = object.__new__(cls)
+        p._set(n, terms, den)
+        return p
+
+    def _exps(self, key):
+        return tuple(key.to_bytes(self.n + 1, "little")[:-1])
+
+    @property
+    def coeffs(self):
+        return _CoeffView(self)
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(0,) * n: Fraction(c)})
+        q = Fraction(c)
+        return cls._make(n, {0: q.numerator}, q.denominator)
 
     @classmethod
     def coordinate(cls, n, i):
-        e = [0] * n
-        e[i] = 1
-        return cls(n, {tuple(e): Fraction(1)})
+        return cls._make(n, {_unit(n, i): 1})
 
     @classmethod
     def abs2(cls, n):
         """|x|^2."""
-        out = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = 2
-            out[tuple(e)] = Fraction(1)
-        return cls(n, out)
+        return cls._make(n, {2 * _unit(n, i): 1 for i in range(n)})
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.n, other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.n, out)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {key: c * a for key, c in self.terms.items()}
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c * b
+        return MultiPoly._make(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.n, {e: -c for e, c in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly)
-                       else MultiPoly.const(self.n, -Fraction(other)))
+        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            out: dict = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return MultiPoly(self.n, out)
-        q = Fraction(other)
-        return MultiPoly(self.n, {e: c * q for e, c in self.coeffs.items()})
+        if not isinstance(other, MultiPoly):
+            q = Fraction(other)
+            return MultiPoly._make(
+                self.n, {e: c * q.numerator for e, c in self.terms.items()},
+                self.den * q.denominator)
+        if self.degree() + other.degree() > _MASK:
+            raise OverflowError(f"degree above {_MASK} does not fit a key")
+        out: dict = {}
+        get = out.get
+        rhs = list(other.terms.items())
+        for e1, c1 in self.terms.items():
+            for e2, c2 in rhs:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return MultiPoly._make(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, m: int):
+        """Repeated multiplication by self: for the dense powers used here
+        each step costs |p^j| * |p|, below the |p^j|^2 of squaring."""
         if m < 0 or m != int(m):
             raise ValueError("only nonnegative integer powers")
         out = MultiPoly.const(self.n, 1)
-        base = self
-        m = int(m)
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base if m > 1 else base
-            m >>= 1
+        for _ in range(int(m)):
+            out = out * self
         return out
 
     def diff(self, i: int):
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c * e[i]
-        return MultiPoly(self.n, out)
+        unit, s = _unit(self.n, i), _BITS * i
+        return MultiPoly._make(self.n, {
+            e - unit: c * ((e >> s) & _MASK)
+            for e, c in self.terms.items() if (e >> s) & _MASK}, self.den)
 
     def laplacian(self):
-        out = MultiPoly(self.n)
-        for i in range(self.n):
-            out = out + self.diff(i).diff(i)
-        return out
+        return sum((self.diff(i).diff(i) for i in range(self.n)), MultiPoly(self.n))
 
     def neg_laplacian_iter(self, m: int):
         p = self
@@ -149,37 +204,38 @@ class MultiPoly:
 
     def x_dot_grad(self, xi):
         """(x - xi) . grad p as a polynomial; xi entries must be exact."""
-        out = MultiPoly(self.n)
-        for i in range(self.n):
-            di = self.diff(i)
-            out = out + MultiPoly.coordinate(self.n, i) * di - Fraction(xi[i]) * di
-        return out
+        return sum(((MultiPoly.coordinate(self.n, i) - Fraction(xi[i])) * self.diff(i)
+                    for i in range(self.n)), MultiPoly(self.n))
 
     def degree(self):
-        return max((sum(e) for e in self.coeffs), default=0)
+        return max(self.terms, default=0) >> (_BITS * self.n)
 
     def translate(self, c):
-        """p(x + c) with exact shift entries c."""
-        c = [Fraction(v) for v in c]
-        if all(v == 0 for v in c):
-            return self
-        out = MultiPoly(self.n)
-        for e, coef in self.coeffs.items():
-            term = MultiPoly.const(self.n, coef)
-            for i, ei in enumerate(e):
-                if ei == 0:
-                    continue
-                lin = MultiPoly.coordinate(self.n, i) + MultiPoly.const(self.n, c[i])
-                term = term * lin**ei
-            out = out + term
+        """p(x + c) with exact shift entries c, one variable at a time:
+        (x_i + a/b)^e = b^-emax sum_j C(e, j) x_i^(e-j) a^j b^(emax-j)."""
+        out = self
+        for i, ci in enumerate(c):
+            ci = Fraction(ci)
+            if not ci:
+                continue
+            a, b = ci.numerator, ci.denominator
+            unit, s = _unit(self.n, i), _BITS * i
+            emax = max(((e >> s) & _MASK for e in out.terms), default=0)
+            terms: dict = {}
+            for e, coef in out.terms.items():
+                ei = (e >> s) & _MASK
+                for j in range(ei + 1):
+                    terms[e - j * unit] = (terms.get(e - j * unit, 0) + coef
+                                           * math.comb(ei, j) * a**j * b**(emax - j))
+            out = MultiPoly._make(self.n, terms, out.den * b**emax)
         return out
 
     def eval(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
         out = np.zeros(len(pts))
-        for e, c in self.coeffs.items():
-            mono = np.full(len(pts), float(c))
-            for i, ei in enumerate(e):
+        for key, c in self.terms.items():
+            mono = np.full(len(pts), c / self.den)  # one correct rounding
+            for i, ei in enumerate(self._exps(key)):
                 if ei:
                     mono *= pts[:, i] ** ei
             out += mono
@@ -188,35 +244,47 @@ class MultiPoly:
 
 # exact moments -------------------------------------------------------------
 
-def _sphere_moment(poly: MultiPoly, radius: float, n: int):
-    """(exact-rational mean over S^{n-1}(0,1) scaled) integral over the
-    sphere of radius `radius` centred at 0, with an |.|-sum for the budget."""
+def _moment(poly: MultiPoly, center, radius: float, n: int, ball: bool):
+    """Integral of poly over the sphere (ball=False) or the ball (ball=True)
+    of radius `radius` about `center`, with an |.|-sum for the budget.
+
+    The sphere mean of x^e is zero unless every e_i is even, and then it is
+    the mean of x_1^|e| times prod_i (e_i - 1)!! / (|e| - 1)!!, read from a
+    table over exponents and one over degrees.  Each term's exact rational
+    is rounded to a float once.
+    """
+    if np.linalg.norm(np.asarray(center, float)) > 0:
+        poly = poly.translate([_exact(v) for v in center])
+    dmax = poly.degree()
+    dfact = [1, 1]  # dfact[a] = (a - 1)!!
+    for a in range(2, dmax + 1):
+        dfact.append(dfact[a - 2] * (a - 1))
+    per_degree = []  # (numerator, denominator) of the term weight at |e| = 2m
+    for m in range(dmax // 2 + 1):
+        w = sphere_moment_ratio((2 * m,) + (0,) * (n - 1)) / dfact[2 * m]
+        per_degree.append((w.numerator, w.denominator * poly.den))
+    odd = sum(1 << (_BITS * i) for i in range(n))
     area = sphere_area(n)
     val = 0.0
     abs_sum = 0.0
-    for e, c in poly.coeffs.items():
-        ratio = sphere_moment_ratio(e)
-        if ratio == 0:
+    for key, c in poly.terms.items():
+        if key & odd:
             continue
-        contrib = float(c * ratio) * area * radius ** (sum(e) + n - 1)
+        *e, d = key.to_bytes(n + 1, "little")
+        num, den = per_degree[d // 2]
+        num *= c
+        for a in e:
+            num *= dfact[a]
+        q = d + n - (not ball)  # radius power; 1/q is the radial integral
+        contrib = num / den * area * radius**q / (q if ball else 1)
         val += contrib
         abs_sum += abs(contrib)
     return val, abs_sum
 
 
-def _ball_moment(poly: MultiPoly, radius: float, n: int):
-    area = sphere_area(n)
-    val = 0.0
-    abs_sum = 0.0
-    for e, c in poly.coeffs.items():
-        ratio = sphere_moment_ratio(e)
-        if ratio == 0:
-            continue
-        d = sum(e) + n
-        contrib = float(c * ratio) * area * radius**d / d
-        val += contrib
-        abs_sum += abs(contrib)
-    return val, abs_sum
+def _exact(v) -> Fraction:
+    """A float entry (a centre, shift or sign/radius) as an exact rational."""
+    return Fraction(float(v)).limit_denominator(10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +326,7 @@ def manufactured_dirichlet(k: int, n: int, poly: MultiPoly | None = None) -> Pol
     base = (MultiPoly.const(n, 1) - MultiPoly.abs2(n)) ** k
     if poly is not None:
         base = base * poly
-    nonneg = poly is None
-    return PolynomialJet(base, nonneg=nonneg)
+    return PolynomialJet(base, nonneg=poly is None)
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +389,10 @@ def _is_polynomial_setup(u, f) -> bool:
 # LHS: the boundary functional P_k
 # ---------------------------------------------------------------------------
 
-def _lhs_polys(u: PolynomialJet, xi, k: int):
-    """All polynomial ingredients of P_k: v_i = (-Delta)^i u, the commutator
-    fields D_i, and helpers shared by both parities."""
-    n = u.n
-    v = [u.poly.neg_laplacian_iter(i) for i in range(k + 1)]
-    D = []
-    for i in range(max(0, k // 2)):
-        D.append(v[i].x_dot_grad(xi) + 2 * i * v[i])
-    return v, D
-
-
-def _sphere_poly_integral(poly: MultiPoly, center, radius, n):
-    """Integral over the sphere S(center, radius); recenters if needed."""
-    if np.linalg.norm(np.asarray(center, float)) > 0:
-        poly = poly.translate([Fraction(c).limit_denominator(10**12)
-                               for c in np.asarray(center, float)])
-    return _sphere_moment(poly, radius, n)
+def _shifted_dot(n, a, b):
+    """(x - a) . (x - b) for exact a, b."""
+    X = [MultiPoly.coordinate(n, i) for i in range(n)]
+    return sum(((X[i] - a[i]) * (X[i] - b[i]) for i in range(n)), MultiPoly(n))
 
 
 def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
@@ -357,24 +411,21 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
     pieces = _boundary_pieces(domain)
 
     if _is_polynomial_setup(u, None):
-        xi_f = [Fraction(v).limit_denominator(10**12) for v in xi]
-        v, D = _lhs_polys(u, xi_f, k)
+        xi_f = [_exact(t) for t in xi]
+        # v_i = (-Delta)^i u and the commutator fields D_i
+        v = [u.poly.neg_laplacian_iter(i) for i in range(k + 1)]
+        D = [v[i].x_dot_grad(xi_f) + 2 * i * v[i] for i in range(k // 2)]
+        m = (k - 1) // 2
         total, budget = 0.0, 0.0
         for (c, R, sign) in pieces:
             # on the sphere: nu = sign (x - c)/R, d_nu g = grad g . nu
-            def dnu(poly):
-                out = MultiPoly(n)
-                for i in range(n):
-                    xi_c = MultiPoly.coordinate(n, i) - Fraction(c[i]).limit_denominator(10**12)
-                    out = out + poly.diff(i) * xi_c
-                return out * Fraction(sign / R).limit_denominator(10**12)
+            c_f = [_exact(t) for t in c]
+            s = _exact(sign / R)
 
-            x_minus_xi_nu = MultiPoly(n)
-            for i in range(n):
-                xi_c = MultiPoly.coordinate(n, i) - Fraction(c[i]).limit_denominator(10**12)
-                xmx = MultiPoly.coordinate(n, i) - xi_f[i]
-                x_minus_xi_nu = x_minus_xi_nu + xmx * xi_c
-            x_minus_xi_nu = x_minus_xi_nu * Fraction(sign / R).limit_denominator(10**12)
+            def dnu(poly):
+                return s * poly.x_dot_grad(c_f)
+
+            x_minus_xi_nu = _shifted_dot(n, xi_f, c_f) * s
 
             if simplified:
                 # Dirichlet collapse: P_k = -1/2 int (x-xi, nu) |(-D)^{k/2} u|^2
@@ -386,34 +437,24 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                 if k % 2 == 0:
                     sq = v[k // 2] * v[k // 2]
                 else:
-                    m = (k - 1) // 2
-                    sq = MultiPoly(n)
-                    for i in range(n):
-                        di = v[m].diff(i)
-                        sq = sq + di * di
+                    sq = sum((d * d for d in map(v[m].diff, range(n))), MultiPoly(n))
                 integrand = Fraction(-1, 2) * x_minus_xi_nu * sq
-                val, ab = _sphere_poly_integral(integrand, c, R, n)
-                total += val
-                budget += ab
-                continue
-
-            integrand = MultiPoly(n)
-            half_nm2k = Fraction(n - 2 * k, 2)
-            for i in range(k // 2):
-                integrand = integrand + half_nm2k * (
-                    dnu(v[i]) * v[k - i - 1] - v[i] * dnu(v[k - i - 1]))
-                integrand = integrand + (
-                    dnu(D[i]) * v[k - i - 1] - D[i] * dnu(v[k - i - 1]))
-            if k % 2 == 0:
-                integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[k // 2] * v[k // 2]
             else:
-                m = (k - 1) // 2
-                integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[m + 1] * v[m]
-                w = v[m].x_dot_grad(xi_f)
-                integrand = integrand + Fraction(1, 2) * (v[m] * dnu(w) - w * dnu(v[m]))
-            val, ab = _sphere_poly_integral(integrand, c, R, n)
-            total += val
-            budget += ab
+                integrand = MultiPoly(n)
+                half_nm2k = Fraction(n - 2 * k, 2)
+                for i in range(k // 2):
+                    integrand = integrand + half_nm2k * (
+                        dnu(v[i]) * v[k - i - 1] - v[i] * dnu(v[k - i - 1]))
+                    integrand = integrand + (
+                        dnu(D[i]) * v[k - i - 1] - D[i] * dnu(v[k - i - 1]))
+                if k % 2 == 0:
+                    integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[k // 2] * v[k // 2]
+                else:
+                    integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[m + 1] * v[m]
+                    w = v[m].x_dot_grad(xi_f)
+                    integrand = integrand + Fraction(1, 2) * (v[m] * dnu(w) - w * dnu(v[m]))
+            val, ab = _moment(integrand, c, R, n, ball=False)
+            total, budget = total + val, budget + ab
         return total, 1e-12 * budget
 
     # quadrature path for generic jet providers
@@ -463,16 +504,6 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
 # RHS terms
 # ---------------------------------------------------------------------------
 
-def _abs_power_poly(u: PolynomialJet, p_exp):
-    """|u|^p as an exact polynomial, or None when not representable."""
-    if p_exp != int(p_exp):
-        return None
-    p = int(p_exp)
-    if p % 2 == 0 or u.nonneg:
-        return u.poly**p
-    return None
-
-
 def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
                  quad_opts: dict | None = None):
     """The four right-hand terms (T1 bulk E(u), T2 boundary f|u|^p,
@@ -485,65 +516,34 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     pieces = _boundary_pieces(domain)
 
     if _is_polynomial_setup(u, f):
-        up = _abs_power_poly(u, p_exp)
-        upm1 = (_abs_power_poly(u, p_exp - 1)
-                if (u.nonneg or (p_exp - 1) % 2 == 0 or (int(p_exp) - 2) % 2 == 0)
-                else None)
-        # |u|^{p-2} u = u^{p-1} for even integer p, or nonneg u
-        if p_exp == int(p_exp) and (int(p_exp) % 2 == 0 or u.nonneg):
-            upm1 = u.poly ** (int(p_exp) - 1)
-        if up is None or upm1 is None:
+        p = int(p_exp)
+        if p != p_exp or not (p % 2 == 0 or u.nonneg):
             raise ValueError("non-polynomial |u|^p; use the quadrature path")
-        xi_f = [Fraction(v).limit_denominator(10**12) for v in xi]
+        # for even p or nonneg u: |u|^{p-2} u = u^{p-1} and |u|^p = u^p
+        upm1 = u.poly ** (p - 1)
+        up = upm1 * u.poly
+        xi_f = [_exact(v) for v in xi]
         fpoly = f.poly if f is not None else MultiPoly.const(n, 1)
 
         Eu = u.poly.neg_laplacian_iter(k) - fpoly * upm1
         mult = Fraction(n - 2 * k, 2) * u.poly + u.poly.x_dot_grad(xi_f)
-        T1_poly = mult * Eu
-        T3_poly = fpoly * up
-        T4_poly = MultiPoly(n)
-        for i in range(n):
-            xmx = MultiPoly.coordinate(n, i) - xi_f[i]
-            T4_poly = T4_poly + xmx * fpoly.diff(i)
-        T4_poly = T4_poly * up
 
         def vol(poly):
-            val, ab = 0.0, 0.0
-            if isinstance(domain, Ball):
-                v0, a0 = _ball_int(poly, domain.center, domain.radius, n)
-                return v0, a0
-            v0, a0 = _ball_int(poly, domain.outer.center, domain.outer.radius, n)
-            val, ab = v0, a0
-            for b in domain.inner:
-                v1, a1 = _ball_int(poly, b.center, b.radius, n)
-                val -= v1
-                ab += a1
-            return val, ab
+            """Outer ball minus the inner ones."""
+            parts = [(sign, *_moment(poly, c, R, n, ball=True)) for c, R, sign in pieces]
+            return sum(s * v for s, v, _ in parts), sum(a for _, _, a in parts)
 
-        def _ball_int(poly, c, R, nn):
-            if np.linalg.norm(np.asarray(c, float)) > 0:
-                poly = poly.translate([Fraction(v).limit_denominator(10**12)
-                                       for v in np.asarray(c, float)])
-            return _ball_moment(poly, R, nn)
+        T1, a1 = vol(mult * Eu)
+        T3v, a3 = vol(fpoly * up)
+        T4v, a4 = vol(fpoly.x_dot_grad(xi_f) * up)
 
-        T1, a1 = vol(T1_poly)
-        T3v, a3 = vol(T3_poly)
-        T3 = coef_T3 * T3v
-        T4v, a4 = vol(T4_poly)
-        T4 = -T4v / p_exp
-        T2, a2 = 0.0, 0.0
-        for (c, R, sign) in pieces:
-            xnu = MultiPoly(n)
-            for i in range(n):
-                xi_c = MultiPoly.coordinate(n, i) - Fraction(float(c[i])).limit_denominator(10**12)
-                xmx = MultiPoly.coordinate(n, i) - xi_f[i]
-                xnu = xnu + xmx * xi_c
-            integrand = xnu * fpoly * up * Fraction(sign / (R * p_exp)).limit_denominator(10**12)
-            v2, ab2 = _sphere_poly_integral(integrand, c, R, n)
-            T2 += v2
-            a2 += ab2
+        def surf(c, R, sign):
+            xnu = _shifted_dot(n, xi_f, [_exact(t) for t in c])
+            return _moment(xnu * fpoly * up * _exact(sign / (R * p_exp)), c, R, n, ball=False)
+
+        T2, a2 = map(sum, zip(*(surf(*piece) for piece in pieces)))
         budget = 1e-12 * (a1 + a2 + abs(coef_T3) * a3 + a4 / p_exp)
-        return (T1, T2, T3, T4), budget
+        return (T1, T2, coef_T3 * T3v, -T4v / p_exp), budget
 
     # quadrature path
     qo = quad_opts or {}
@@ -571,11 +571,8 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
                 * np.abs(np.asarray(u.value(pts), float)) ** p_exp)
 
     def volume(fn):
-        if axis is not None:
-            res = integrate_axisymmetric(fn, domain, axis[0], axis[1])
-        else:
-            from .quadrature import integrate_volume
-            res = integrate_volume(fn, domain, **qo)
+        res = (integrate_axisymmetric(fn, domain, axis[0], axis[1]) if axis is not None
+               else integrate_volume(fn, domain, **qo))
         return res.value, res.error_estimate
 
     T1, e1 = volume(bulk1)

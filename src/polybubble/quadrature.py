@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sg
@@ -61,6 +62,16 @@ def sphere_area(n: int) -> float:
 
 def ball_volume(n: int, radius: float = 1.0) -> float:
     return sphere_area(n) * radius**n / n
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(m: int):
+    """Gauss-Legendre nodes and weights of order m on [-1, 1], built once per
+    order and shared between callers, hence read-only."""
+    rule = roots_legendre(m)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def sphere_moment_ratio(alpha: tuple[int, ...]) -> Fraction:
@@ -380,6 +391,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
     # near peak directions (both as seen from the polar origin)
     kinks = {0.0, math.pi}
     refine_dirs = []  # (phi_c, angular width)
+    peak_radii = []  # (distance from the polar origin, peak width)
     for b in cut_balls:
         cb = np.asarray(b.center, float) - origin
         ell = np.linalg.norm(cb)
@@ -394,6 +406,8 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
         if ell > 1e-14 and scale > 0:
             phi_c = math.acos(np.clip((sp @ d) / ell, -1, 1))
             refine_dirs.append((phi_c, scale / ell))
+        if scale > 0:
+            peak_radii.append((ell, scale))
     if half:
         kinks.add(0.5 * math.pi)
 
@@ -407,21 +421,17 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
     phi_panels = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 1e-14]
 
     # --- assemble nodes at a given resolution
-    peak_radii = []
-    for s in sings:
-        sp = np.asarray(s.point, float) - origin
-        ell = np.linalg.norm(sp)
-        scale = s.scale if s.scale > 0 else 0.0
-        if scale > 0:
-            peak_radii.append((ell, scale))
     sigma0 = max([s.order for s in sings
                   if np.linalg.norm(np.asarray(s.point, float) - origin) <= 1e-14],
                  default=0.0)
+    if sigma0 >= n:
+        raise ValueError("singularity order must stay below the dimension")
     floor0 = min([sc for _, sc in peak_radii], default=rho_max_global) * 1e-3
     floor0 = max(floor0, 1e-14 * rho_max_global)
 
     def build(mphi, mrho):
-        xg, wg = roots_legendre(mphi)
+        xg, wg = _gauss_legendre(mphi)
+        xr, wr = _gauss_legendre(mrho)
         rho_list, phi_list, wt_list = [], [], []
         for a, b in phi_panels:
             phis = 0.5 * (b - a) * (xg + 1.0) + a
@@ -460,7 +470,6 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
                     mid = origin + 0.5 * (lo + hi) * u
                     if bool(domain.contains(mid[None, :])[0]):
                         spans.append((lo, hi))
-                xr, wr = roots_legendre(mrho)
                 max_len = rho_max_global / 3.0
                 for lo, hi in spans:
                     panels = (_geometric_panels(lo, hi, True, 24, floor0)
@@ -488,11 +497,8 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
     area = sphere_area(n - 1)
     fine, m_fine = build(n_phi, n_rho)
     coarse, m_coarse = build(max(4, (2 * n_phi) // 3), max(4, (2 * n_rho) // 3))
-    res = QuadratureResult(area * fine, area * abs(fine - coarse),
-                           "deterministic-radial", m_fine + m_coarse)
-    if sigma0 >= n:
-        raise ValueError("singularity order must stay below the dimension")
-    return res
+    return QuadratureResult(area * fine, area * abs(fine - coarse),
+                            "deterministic-radial", m_fine + m_coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +654,7 @@ def _surface_product_gauss(f, sphere, m):
         vals = np.asarray(f(pts), float)
         return float(np.mean(vals)) * sphere.area()
     if n == 3:
-        xs, wx = roots_legendre(m)  # cos(theta) in [-1, 1]
+        xs, wx = _gauss_legendre(m)  # cos(theta) in [-1, 1]
         th = (np.arange(2 * m) + 0.5) * (2 * math.pi / (2 * m))
         ct = xs[:, None]
         st = np.sqrt(1 - ct**2)
@@ -662,7 +668,7 @@ def _surface_product_gauss(f, sphere, m):
     if n == 4:
         from scipy.special import roots_jacobi
         x1, w1 = roots_jacobi(m, 0.5, 0.5)  # weight (1-x^2)^{1/2}
-        x2, w2 = roots_legendre(m)
+        x2, w2 = _gauss_legendre(m)
         th = (np.arange(2 * m) + 0.5) * (2 * math.pi / (2 * m))
         pts = []
         wts = []

@@ -107,20 +107,21 @@ class BranchPoint:
 # Shooting
 # ---------------------------------------------------------------------------
 
-def _nonlinearity(params: ProblemParams, v0, vp):
-    ts = params.two_sharp
-    return np.abs(v0) ** (ts - 2.0) * v0 - params.mu * vp
+def _nonlinearity(ts, mu, v0, vp):
+    """|v0|^{2#-2} v0 - mu vp at the critical exponent ts = 2#."""
+    return np.abs(v0) ** (ts - 2.0) * v0 - mu * vp
 
 
 def _rhs(params: ProblemParams):
-    n, k = params.n, params.k
+    n, k, p, mu = params.n, params.k, params.p, params.mu
+    ts = params.two_sharp
 
     def rhs(r, y):
         out = np.empty_like(y)
         vs = y[0::2]
         dvs = y[1::2]
         for i in range(k):
-            nxt = vs[i + 1] if i < k - 1 else _nonlinearity(params, vs[0], vs[params.p])
+            nxt = vs[i + 1] if i < k - 1 else _nonlinearity(ts, mu, vs[0], vs[p])
             out[2 * i] = dvs[i]
             out[2 * i + 1] = -(n - 1) / r * dvs[i] - nxt
         return out
@@ -132,7 +133,7 @@ def _taylor_start(params: ProblemParams, d, eps):
     """4-term even Taylor expansion at the origin fixing y(eps)."""
     n, k, p = params.n, params.k, params.p
     ts = params.two_sharp
-    w = list(d) + [_nonlinearity(params, d[0], d[p])]
+    w = list(d) + [_nonlinearity(ts, params.mu, d[0], d[p])]
     c2 = [-w[i + 1] / (2.0 * n) for i in range(k)]
     F2 = (ts - 1.0) * abs(d[0]) ** (ts - 2.0) * c2[0] - params.mu * c2[p]
     c4 = [(-c2[i + 1] if i < k - 1 else -F2) / (4.0 * (n + 2)) for i in range(k)]
@@ -150,13 +151,7 @@ def _boundary_derivatives(params: ProblemParams, y_end):
     reconstruction of u^{(m)} for m <= k-1 never reaches the nonlinear level.
     """
     n, k = params.n, params.k
-    vs = y_end[0::2]
-    dvs = y_end[1::2]
-    order = k + 1
-    D = {}
-    for i in range(k):
-        D[(i, 0)] = vs[i]
-        D[(i, 1)] = dvs[i]
+    D = {(i, j): y_end[2 * i + j] for i in range(k) for j in (0, 1)}
 
     def get(i, j):
         if (i, j) in D:
@@ -168,12 +163,9 @@ def _boundary_derivatives(params: ProblemParams, y_end):
         for mm in range(m + 1):
             tot += (math.comb(m, mm) * (-1.0) ** mm * math.factorial(mm)
                     * get(i, j - 1 - mm))
-        val = -(n - 1) * tot - (get(i + 1, m) if i < k - 1 else _nl_deriv(m))
+        val = -(n - 1) * tot - get(i + 1, m)
         D[(i, j)] = val
         return val
-
-    def _nl_deriv(m):
-        raise ValueError("reconstruction hit the nonlinear level")
 
     return np.array([get(0, m) for m in range(k)])
 
@@ -347,7 +339,6 @@ def continuation(params: ProblemParams, mu_grid, d_seed,
     points = []
     d = np.asarray(d_seed, float)
     mu_prev = None
-    i = 0
     pending = list(mu_grid)
     halvings = 0
     while pending:

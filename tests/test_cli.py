@@ -101,6 +101,17 @@ def test_pohozaev_manufactured_suite(tmp_path):
     assert all(r["residual_rel"] < 1e-6 for r in rep)
 
 
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 5), (3, 7)])
+def test_pohozaev_manufactured_gate_is_absolute(tmp_path, k, n):
+    """The suite passes on residual_abs within the absolute budget, the
+    gate of acceptance criterion 5."""
+    code, out = run_cli(["pohozaev", "--k", str(k), "--n", str(n)], tmp_path)
+    assert code == 0
+    rep = json.loads(open(os.path.join(out, "pohozaev",
+                                       "pohozaev_manufactured.json")).read())
+    assert all(r["residual_abs"] <= max(r["budget"], 1e-12) for r in rep)
+
+
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
 def test_pohozaev_bubble_suite(tmp_path, n, k):
     code, out = run_cli(["pohozaev", "--suite", "bubble", "--n", str(n),
@@ -137,6 +148,17 @@ def test_solve_and_determinism(tmp_path):
 def test_solve_empty_grid_usage(tmp_path):
     code, _ = run_cli(["solve", "--mu-grid"], tmp_path)
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [["solve", "--n", "4", "--k", "2"],
+                                  ["solve", "--p", "3"],
+                                  ["cayley-green", "--n", "2", "--k", "1"]])
+def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
+    """Parameters outside n > 2k, 0 <= p < k exit 2 with a message, not 1
+    with a traceback (1 means a verification failure)."""
+    assert run_cli(args, tmp_path)[0] == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "Traceback" not in err
 
 
 def test_config_file_and_flag_override(tmp_path):

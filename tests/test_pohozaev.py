@@ -4,6 +4,7 @@ brute-force path), the k=1 hand-coded boundary expression, subdomain and
 shifted-center variants, and the parity of the Dirichlet collapse."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.jets import fd_laplacian_iter, fd_partial
-from polybubble.pohozaev import (MultiPoly, PolynomialJet, e_operator,
+from polybubble.pohozaev import (MultiPoly, PolynomialJet, _moment, e_operator,
                                  manufactured_dirichlet, pohozaev_lhs,
                                  pohozaev_residual, pohozaev_rhs,
                                  x_grad_laplacian)
@@ -42,6 +43,178 @@ def test_multipoly_translate():
     x = np.array([[0.3, 0.7]])
     assert sh.eval(x)[0] == pytest.approx(
         3 * (0.3 + 0.5) ** 2 * (0.7 - 1.0), rel=1e-13)
+
+
+# Reference algebra on {exponent tuple: Fraction} dicts, the representation
+# MultiPoly had before its integer kernel.
+
+def _ref_clean(p):
+    return {e: c for e, c in p.items() if c != 0}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_diff(p, i):
+    out = {}
+    for e, c in p.items():
+        if e[i]:
+            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
+            out[e2] = out.get(e2, Fraction(0)) + c * e[i]
+    return _ref_clean(out)
+
+
+def _ref_translate(p, shift):
+    n = len(shift)
+    out = {}
+    for e, c in p.items():
+        term = {(0,) * n: c}
+        for i, ei in enumerate(e):
+            lin = {(0,) * n: shift[i], tuple(int(j == i) for j in range(n)): Fraction(1)}
+            for _ in range(ei):
+                term = _ref_mul(term, _ref_clean(lin))
+        out = _ref_add(out, term)
+    return out
+
+
+def _random_poly(rng, n, terms=5, max_exp=3):
+    return {tuple(rng.randint(0, max_exp) for _ in range(n)):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(terms)}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_multipoly_matches_fraction_reference(seed):
+    """Every operation of the integer kernel gives the coefficients of the
+    Fraction reference: non-integer scalars, non-dyadic shifts, powers and
+    exact cancellation to zero."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    a, b = _random_poly(rng, n), _random_poly(rng, n)
+    A, B = MultiPoly(n, a), MultiPoly(n, b)
+    assert dict(A.coeffs) == _ref_clean(a)
+    assert dict((A + B).coeffs) == _ref_add(a, b)
+    assert dict((A - B).coeffs) == _ref_add(a, {e: -c for e, c in b.items()})
+    assert dict((A * B).coeffs) == _ref_mul(a, b)
+    assert dict((A**3).coeffs) == _ref_mul(_ref_mul(a, a), a)
+    q = Fraction(rng.randint(-20, 20) or 1, rng.randint(2, 30))
+    assert dict((q * A).coeffs) == _ref_clean({e: q * c for e, c in a.items()})
+    assert dict((A + q).coeffs) == _ref_add(a, {(0,) * n: q})
+    for i in range(n):
+        assert dict(A.diff(i).coeffs) == _ref_diff(a, i)
+    lap = {}
+    for i in range(n):
+        lap = _ref_add(lap, _ref_diff(_ref_diff(a, i), i))
+    assert dict(A.laplacian().coeffs) == lap
+    xi = [Fraction(rng.randint(-5, 5), rng.choice([3, 7, 10])) for _ in range(n)]
+    xdg = {}
+    for i in range(n):
+        xmx = _ref_clean({tuple(int(j == i) for j in range(n)): Fraction(1),
+                          (0,) * n: -xi[i]})
+        xdg = _ref_add(xdg, _ref_mul(xmx, _ref_diff(a, i)))
+    assert dict(A.x_dot_grad(xi).coeffs) == xdg
+    shift = [Fraction(rng.randint(-7, 7), rng.choice([3, 5, 7, 9, 11]))
+             for _ in range(n)]
+    assert dict(A.translate(shift).coeffs) == _ref_translate(a, shift)
+    # exact cancellation leaves the zero polynomial
+    zero = (A + B) - A - B
+    assert dict(zero.coeffs) == {} and zero.degree() == 0
+    assert dict((A * B - B * A).coeffs) == {}
+    # the store stays in lowest terms over a positive common denominator
+    for p in (A + B, A * B, q * A, A.diff(0), A.translate(shift), zero):
+        assert p.den > 0 and math.gcd(p.den, *p.terms.values()) == 1
+    x = np.array([[0.3, -0.7, 0.2, 0.9][:n]])
+    ref = sum(float(c) * np.prod([x[0, i] ** e[i] for i in range(n)])
+              for e, c in _ref_clean(a).items())
+    assert A.eval(x)[0] == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+def test_multipoly_coeffs_is_a_read_only_view():
+    p = MultiPoly(2, {(1, 0): Fraction(1, 3), (0, 2): Fraction(-2)})
+    view = p.coeffs
+    assert len(view) == 2 and view[(1, 0)] == Fraction(1, 3)
+    assert (5, 5) not in view and view.get((9, 0, 0)) is None
+    with pytest.raises(TypeError):
+        view[(1, 0)] = Fraction(1)
+
+
+def test_multipoly_degree_guard():
+    """Degrees a packed exponent field cannot hold are refused, never
+    wrapped into the neighbouring field."""
+    x = MultiPoly.coordinate(2, 0)
+    y = MultiPoly.coordinate(2, 1)
+    big = x**200 * y**55
+    assert big.degree() == 255 and dict(big.coeffs) == {(200, 55): 1}
+    with pytest.raises(OverflowError):
+        big * x
+    with pytest.raises(OverflowError):
+        MultiPoly(2, {(256, 0): 1})
+
+
+def _sympy_expr(sp, p, xs):
+    return sum(sp.Rational(c.numerator, c.denominator)
+               * sp.prod([x**a for x, a in zip(xs, e)])
+               for e, c in p.coeffs.items())
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (3, 5)])
+def test_laplacian_iterates_against_sympy(k, n):
+    sp = pytest.importorskip("sympy")
+    xs = sp.symbols(f"x0:{n}")
+    u = manufactured_dirichlet(
+        k, n, MultiPoly.coordinate(n, 0) * Fraction(2, 3) + Fraction(1, 7))
+    expr = _sympy_expr(sp, u.poly, xs)
+    for i in range(k + 1):
+        ours = {e: sp.Rational(c.numerator, c.denominator)
+                for e, c in u.poly.neg_laplacian_iter(i).coeffs.items()}
+        assert sp.Poly(expr, *xs).as_dict() == ours
+        expr = sp.expand(-sum(sp.diff(expr, x, 2) for x in xs))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_moments_against_sympy(n):
+    """Sphere and ball integrals of a polynomial with odd and even terms,
+    about the origin and about a shifted centre, against sympy integration
+    in hyperspherical coordinates."""
+    sp = pytest.importorskip("sympy")
+    rho, R = sp.symbols("rho R", positive=True)
+    angles = sp.symbols(f"t0:{n - 1}")
+    # x = rho * (unit vector), dS = prod_j sin(t_j)^(n-2-j) dt
+    unit, s = [], sp.Integer(1)
+    for t in angles[:-1]:
+        unit.append(s * sp.cos(t))
+        s *= sp.sin(t)
+    unit += [s * sp.cos(angles[-1]), s * sp.sin(angles[-1])]
+    jac = sp.prod([sp.sin(t) ** (n - 2 - j) for j, t in enumerate(angles[:-1])])
+    limits = [(t, 0, sp.pi) for t in angles[:-1]] + [(angles[-1], 0, 2 * sp.pi)]
+    e = [0] * n
+    e[0], e[1] = 2, 2
+    poly = MultiPoly(n, {tuple(e): Fraction(3, 5), (0,) * n: Fraction(-1, 3),
+                         (1,) + (0,) * (n - 1): Fraction(2),
+                         (0, 4) + (0,) * (n - 2): Fraction(1, 7)})
+    for center in ([0.0] * n, [0.25] + [0.0] * (n - 1)):
+        c = [sp.Rational(v).limit_denominator(10**12) for v in center]
+        expr = _sympy_expr(sp, poly, [ci + rho * ui for ci, ui in zip(c, unit)])
+        sphere = sp.integrate(sp.expand(expr * jac), *limits)
+        for r in (1.0, 0.5):
+            want_s = float((sphere * rho ** (n - 1)).subs(rho, sp.Rational(r)))
+            want_b = float(sp.integrate(sphere * rho ** (n - 1), (rho, 0, sp.Rational(r))))
+            got_s, _ = _moment(poly, center, r, n, ball=False)
+            got_b, _ = _moment(poly, center, r, n, ball=True)
+            assert got_s == pytest.approx(want_s, rel=1e-13)
+            assert got_b == pytest.approx(want_b, rel=1e-13)
 
 
 def test_manufactured_dirichlet_boundary_flatness():
