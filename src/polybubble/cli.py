@@ -215,16 +215,19 @@ def cmd_tree(cfg: RunConfig) -> int:
 def cmd_pohozaev(cfg: RunConfig) -> int:
     """Identity residual suites: manufactured Dirichlet tests or the exact
     bubble right-hand side."""
-    from .pohozaev import manufactured_dirichlet, pohozaev_residual
+    from .pohozaev import MultiPoly, manufactured_dirichlet, pohozaev_residual
     p = cfg.params
     suite = p.get("suite", "manufactured")
     k = int(p.get("k", 1))
     n = int(p.get("n", 2 * k + 1))
     reports = []
     if suite == "manufactured":
-        u = manufactured_dirichlet(k, n)
         dom = Ball((0.0,) * n, 1.0)
-        for xi_scale in (0.0, 0.3):
+        # radial data at xi = 0; the shifted row needs data that are not
+        # radial, since on radial data every xi-dependent term vanishes
+        for xi_scale, poly in ((0.0, None),
+                               (0.3, MultiPoly.coordinate(n, 0) + 1)):
+            u = manufactured_dirichlet(k, n, poly)
             xi = np.zeros(n)
             xi[0] = xi_scale
             rep = pohozaev_residual(u, None, 2.0, dom, xi, k, dirichlet=True)
@@ -253,8 +256,8 @@ def cmd_pohozaev(cfg: RunConfig) -> int:
 
 def cmd_solve(cfg: RunConfig) -> int:
     """Radial continuation experiment; writes the branch CSV and manifest."""
-    from .solver import (ProblemParams, branch_csv, continuation,
-                         newton_solve, run_manifest)
+    from .solver import (IntegrationBlowUp, NewtonFailure, ProblemParams,
+                         branch_csv, continuation, newton_solve, run_manifest)
     p = cfg.params
     n = int(p.get("n", 7))
     k = int(p.get("k", 1))
@@ -273,7 +276,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     except ValueError as e:
         print(f"invalid parameters: {e}", file=sys.stderr)
         return EXIT_USAGE
-    sol = newton_solve(params, d_seed, rtol=rtol)
+    try:
+        sol = newton_solve(params, d_seed, rtol=rtol)
+    except (NewtonFailure, IntegrationBlowUp) as e:
+        print(f"seed solve failed at mu = {grid[0]:g}: {e}", file=sys.stderr)
+        return EXIT_ACCURACY
     points, flag = continuation(params, grid, sol.d, rtol=rtol)
     branch_csv(points, os.path.join(cfg.out, "branch.csv"))
     _atomic_write(os.path.join(cfg.out, "solve_manifest.json"),

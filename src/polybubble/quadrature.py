@@ -506,7 +506,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 def _component_samples(kind, m, n, rng, center, r_lo, r_hi):
-    """Draw m points and their density for one mixture component."""
+    """Draw m points for one mixture component."""
     sob = qmc.Sobol(d=n + 1, scramble=True, seed=rng)
     u = sob.random(m)
     z = np.clip(u[:, 1:], 1e-12, 1 - 1e-12)
@@ -520,8 +520,7 @@ def _component_samples(kind, m, n, rng, center, r_lo, r_hi):
         r = r_hi * u0 ** (1.0 / n)
     else:  # log-uniform radius
         r = r_lo * (r_hi / r_lo) ** u0
-    pts = center + r[:, None] * dirs
-    return pts, r
+    return center + r[:, None] * dirs
 
 
 def _component_pdf(kind, x, n, center, r_lo, r_hi):
@@ -613,7 +612,7 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
         est = 0.0
         for j, (kind, center, r_lo, r_hi) in enumerate(comps):
             rng = np.random.default_rng([seed, rep, j])
-            pts, _ = _component_samples(kind, m_per, n, rng, center, r_lo, r_hi)
+            pts = _component_samples(kind, m_per, n, rng, center, r_lo, r_hi)
             inside = np.asarray(domain.contains(pts), bool)
             q = np.zeros(len(pts))
             for jj, (k2, c2, lo2, hi2) in enumerate(comps):

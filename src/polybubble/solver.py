@@ -41,6 +41,9 @@ __all__ = [
 
 _EPS0 = 1e-6       # Taylor start radius, removes the (n-1)/r singularity
 _BLOW_CAP = 1e9
+_DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
+_VERIFY_RTOL = 1e-12  # DOP853 verifier tolerance, tighter than any shot
+_MAX_HALVINGS = 6    # continuation step halvings before declaring a fold
 
 
 class IntegrationBlowUp(RuntimeError):
@@ -101,6 +104,7 @@ class BranchPoint:
     fit_residual: float
     poho_term: float
     d: np.ndarray | None = None
+    collocation_residual: float = float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +174,31 @@ def _boundary_derivatives(params: ProblemParams, y_end):
     return np.array([get(0, m) for m in range(k)])
 
 
-def shoot(params: ProblemParams, d, rtol: float = 1e-10,
-          dense_points: int = 400):
-    """Integrate the radial system from the Taylor start to r = 1.
+def _integrate(params: ProblemParams, d, method: str, rtol: float, grid):
+    """Integrate the radial system from the Taylor start at shooting data d
+    to r = 1 with one scipy method.
+
+    Returns (y at r = 1, y sampled on grid from the dense output); raises
+    IntegrationBlowUp with the escape radius when r = 1 is not reached.
+    """
+    y0 = _taylor_start(params, d, _EPS0)
+    cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(y0)))
+
+    def blow(r, y):
+        return np.max(np.abs(y)) - cap
+
+    blow.terminal = True
+    blow.direction = 1
+    sol = solve_ivp(_rhs(params), (_EPS0, 1.0), y0, method=method,
+                    rtol=rtol, atol=rtol * max(1.0, np.max(np.abs(d))),
+                    dense_output=True, events=blow)
+    if sol.status == 1 or sol.t[-1] < 1.0 - 1e-12:
+        raise IntegrationBlowUp(sol.t[-1])
+    return sol.y[:, -1], sol.sol(grid)
+
+
+def shoot(params: ProblemParams, d, rtol: float = 1e-10):
+    """Integrate the radial system (RK45) from the Taylor start to r = 1.
 
     Returns (mismatch, RadialSolution); raises IntegrationBlowUp with the
     blow-up radius when the solution escapes before reaching the boundary.
@@ -182,24 +208,11 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10,
         raise ValueError(f"shooting data needs {params.k} values")
     if not np.all(np.isfinite(d)):
         raise ValueError("shooting data must be finite")
-    y0 = _taylor_start(params, d, _EPS0)
-    cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(y0)))
-
-    def blow(r, y):
-        return np.max(np.abs(y)) - cap
-
-    blow.terminal = True
-    blow.direction = 1
-    sol = solve_ivp(_rhs(params), (_EPS0, 1.0), y0, method="RK45",
-                    rtol=rtol, atol=rtol * max(1.0, np.max(np.abs(d))),
-                    dense_output=True, events=blow)
-    if sol.status == 1 or sol.t[-1] < 1.0 - 1e-12:
-        raise IntegrationBlowUp(sol.t[-1])
-    rr = np.linspace(_EPS0, 1.0, dense_points)
-    Y = sol.sol(rr)
+    rr = np.linspace(_EPS0, 1.0, _DENSE_POINTS)
+    y_end, Y = _integrate(params, d, "RK45", rtol, rr)
     v = Y[0::2]
     dv = Y[1::2]
-    mismatch = _boundary_derivatives(params, sol.y[:, -1])
+    mismatch = _boundary_derivatives(params, y_end)
     n, k = params.n, params.k
     sup = float(np.max(np.abs(v[0])))
     # energy int |(-Delta)^{k/2} u|^2: middle Laplacian iterate (even k) or
@@ -212,37 +225,16 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10,
     return mismatch, RadialSolution(params, d, rr, v, dv, mismatch, sup, energy)
 
 
-def _rk4(rhs, y0, r0, r1, steps):
-    """Classical fixed-step RK4, the independent verification integrator."""
-    y = np.asarray(y0, float).copy()
-    h = (r1 - r0) / steps
-    r = r0
-    for _ in range(steps):
-        k1 = rhs(r, y)
-        k2 = rhs(r + h / 2, y + h / 2 * k1)
-        k3 = rhs(r + h / 2, y + h / 2 * k2)
-        k4 = rhs(r + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        r += h
-    return y
-
-
-def collocation_check(params: ProblemParams, solution: RadialSolution,
-                      steps: int = 20000) -> float:
-    """Sup difference of u against an independent fixed-step RK4
-    re-integration of the same shooting data on a fresh grid."""
-    y0 = _taylor_start(params, solution.d, _EPS0)
-    rhs = _rhs(params)
-    y = np.asarray(y0, float).copy()
-    grid = solution.r
-    out = [y0[0]]
-    r_prev = _EPS0
-    for r_next in grid[1:]:
-        substeps = max(2, int(steps * (r_next - r_prev)))
-        y = _rk4(rhs, y, r_prev, r_next, substeps)
-        out.append(y[0])
-        r_prev = r_next
-    diff = np.abs(np.asarray(out) - solution.v[0])
+def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
+    """Relative sup difference of u against an independent DOP853
+    re-integration of the same shooting data, sampled on the solution's grid;
+    inf when the re-integration does not reach r = 1."""
+    try:
+        _, Y = _integrate(params, solution.d, "DOP853", _VERIFY_RTOL,
+                          solution.r)
+    except IntegrationBlowUp:
+        return float("inf")
+    diff = np.abs(Y[0] - solution.v[0])
     return float(np.max(diff) / max(solution.sup_norm, 1e-300))
 
 
@@ -252,17 +244,19 @@ def collocation_check(params: ProblemParams, solution: RadialSolution,
 
 def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
                  max_iter: int = 50) -> RadialSolution:
-    """Damped Newton on the shooting map, Jacobian by finite differences."""
+    """Damped Newton on the shooting map, Jacobian by finite differences.
+
+    Returns the RadialSolution of the last accepted shot, with its
+    collocation residual filled in."""
     d = np.asarray(d_init, float).copy()
     k = params.k
 
-    def mm(dd):
-        return shoot(params, dd, rtol=min(1e-10, rtol))[0]
+    def shot(dd):
+        return shoot(params, dd, rtol=min(1e-10, rtol))
 
-    F = mm(d)
+    F, sol = shot(d)
     for _ in range(max_iter):
         if np.linalg.norm(F) < rtol:
-            _, sol = shoot(params, d, rtol=min(1e-10, rtol))
             sol.collocation_residual = collocation_check(params, sol)
             return sol
         J = np.empty((k, k))
@@ -270,7 +264,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
             h = 1e-6 * max(1.0, abs(d[j]))
             dp = d.copy()
             dp[j] += h
-            J[:, j] = (mm(dp) - F) / h
+            J[:, j] = (shot(dp)[0] - F) / h
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > 1e14:
             raise NewtonFailure("singular shooting Jacobian", condition=cond)
@@ -279,13 +273,13 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
         base = np.linalg.norm(F)
         while lam > 1e-8:
             try:
-                F_new = mm(d + lam * step)
+                F_new, sol_new = shot(d + lam * step)
             except IntegrationBlowUp:
                 lam *= 0.5
                 continue
             if np.linalg.norm(F_new) < base:
                 d = d + lam * step
-                F = F_new
+                F, sol = F_new, sol_new
                 break
             lam *= 0.5
         else:
@@ -328,8 +322,7 @@ def _grad_p_square_integral(params: ProblemParams, solution: RadialSolution) -> 
     return sphere_area(n) * float(np.trapezoid(integrand * rr ** (n - 1), rr))
 
 
-def continuation(params: ProblemParams, mu_grid, d_seed,
-                 rtol: float = 1e-9, max_halvings: int = 6):
+def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
     """Natural-parameter continuation along the mu grid with step halving.
 
     Returns (branch points, flag) where flag is "complete" or "fold" when
@@ -347,16 +340,17 @@ def continuation(params: ProblemParams, mu_grid, d_seed,
         try:
             sol = newton_solve(pars, d, rtol=rtol)
         except (NewtonFailure, IntegrationBlowUp):
-            if mu_prev is None or halvings >= max_halvings:
+            if mu_prev is None or halvings >= _MAX_HALVINGS:
                 return points, "fold"
             pending.insert(0, 0.5 * (mu_prev + mu_target))
             halvings += 1
             continue
         mu_fit, resid = fit_bubble(sol)
         poho = _grad_p_square_integral(pars, sol)
-        if abs(mu_target - pending[0]) < 1e-300 and mu_target in mu_grid:
+        if mu_target in mu_grid:
             points.append(BranchPoint(mu_target, sol.sup_norm, sol.energy,
-                                      mu_fit, resid, poho, sol.d.copy()))
+                                      mu_fit, resid, poho, sol.d.copy(),
+                                      sol.collocation_residual))
         d = sol.d.copy()
         mu_prev = mu_target
         pending.pop(0)
@@ -421,10 +415,10 @@ def branch_csv(points: list[BranchPoint], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mu_param", "sup_norm", "energy", "mu_fit",
-                    "fit_residual", "poho_term"])
+                    "fit_residual", "poho_term", "collocation_residual"])
         for b in points:
             w.writerow([b.mu_param, b.sup_norm, b.energy, b.mu_fit,
-                        b.fit_residual, b.poho_term])
+                        b.fit_residual, b.poho_term, b.collocation_residual])
 
 
 def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> str:
@@ -432,8 +426,9 @@ def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> st
          "mu_grid": list(map(float, mu_grid)),
          "d_seed": list(map(float, np.atleast_1d(d_seed))),
          "rtol": rtol, "taylor_start": _EPS0, "blow_cap": _BLOW_CAP,
-         "integrator": "rk45-adaptive", "newton": {"max_iter": 50,
-                                                   "damping": "halving"}}
+         "integrator": "rk45-adaptive", "verifier": "dop853",
+         "verifier_rtol": _VERIFY_RTOL,
+         "newton": {"max_iter": 50, "damping": "halving"}}
     if extra:
         d.update(extra)
     return json.dumps(d, indent=2)

@@ -33,6 +33,7 @@ __all__ = [
     "epsilon",
     "classify",
     "check_dominance",
+    "pair_maxima",
     "interaction_sup",
     "eval_tree",
     "tree_value",
@@ -369,6 +370,22 @@ def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, l: int,
             "samples": len(pts)}
 
 
+def pair_maxima(cfg: TreeConfig, data: InfluenceData) -> tuple[float, float]:
+    """(max eps_ij^{-1/2} over comparable pairs j in A_i,
+    max (mu^j/mu^i)^{(2k-1)/(2(n-1))} over faster pairs j in A_i^c),
+    each 0 when there is no such pair: the first two terms of the eta3 /
+    interaction bound before raising to min(n-2k, 4k)."""
+    n, k = cfg.n, cfg.k
+    t1 = t2 = 0.0
+    for i in range(len(cfg.bubbles)):
+        for j in data.slower[i]:
+            t1 = max(t1, epsilon(cfg, i, j) ** -0.5)
+        for j in data.faster[i]:
+            t2 = max(t2, (cfg.bubbles[j].mu / cfg.bubbles[i].mu)
+                     ** ((2 * k - 1) / (2.0 * (n - 1))))
+    return t1, t2
+
+
 def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int,
                     sample_count: int = 512, seed: int = 0) -> dict:
     """Pointwise interaction estimate on the influence region:
@@ -393,17 +410,7 @@ def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int,
     lhs = cfg.bubbles[i].mu ** (0.5 * (n + 2 * k)) * float(np.max(tot))
 
     expo = min(n - 2 * k, 4 * k)
-    t1 = 0.0
-    t2 = 0.0
-    for a_ in range(N):
-        for b_ in range(N):
-            if a_ == b_:
-                continue
-            if b_ in data.slower[a_]:
-                t1 = max(t1, epsilon(cfg, a_, b_) ** -0.5)
-            if b_ in data.faster[a_]:
-                t2 = max(t2, (cfg.bubbles[b_].mu / cfg.bubbles[a_].mu)
-                         ** ((2 * k - 1) / (2.0 * (n - 1))))
+    t1, t2 = pair_maxima(cfg, data)
     t3 = max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k)
     bound = t1**expo + t2**expo + t3
     return {"i": i, "lhs": lhs, "bound": bound, "ratio": lhs / bound,

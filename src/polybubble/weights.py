@@ -20,7 +20,7 @@ from .bubbles import positive_bubble, theta
 from .quadrature import (Ball, BallMinusBalls, Singularity,
                          integrate_axisymmetric, integrate_volume)
 from .radial import critical_exponent
-from .tree import InfluenceData, TreeConfig, classify, epsilon
+from .tree import InfluenceData, TreeConfig, classify, pair_maxima
 
 __all__ = [
     "psi_weight",
@@ -118,23 +118,32 @@ def starstar_norm(R, cfg: TreeConfig, grid, eta: float) -> float:
 # Quadrature helpers for convolution integrals
 # ---------------------------------------------------------------------------
 
-def _common_axis(cfg: TreeConfig, extra_points=()):
-    """A symmetry axis through the domain center covering all bubble centers
-    and the extra points, or None if the configuration is not collinear."""
-    dom_c = np.asarray(cfg.domain.center, float)
-    pts = [np.asarray(b.center, float) for b in cfg.bubbles]
-    pts += [np.asarray(p, float) for p in extra_points]
-    rel = [p - dom_c for p in pts]
+def _common_axis(center, points):
+    """A symmetry axis (center, unit direction) through center covering all
+    points, or None if they are not collinear with it."""
+    c = np.asarray(center, float)
+    rel = [np.asarray(p, float) - c for p in points]
     rel = [r for r in rel if np.linalg.norm(r) > 1e-12]
     if not rel:
-        e = np.zeros(cfg.n)
-        e[0] = 1.0
-        return (dom_c, e)
+        return (c, np.eye(len(c))[0])
     d = rel[0] / np.linalg.norm(rel[0])
     for r in rel[1:]:
         if np.linalg.norm(r - (r @ d) * d) > 1e-10:
             return None
-    return (dom_c, d)
+    return (c, d)
+
+
+def _integrate_about(f, dom, center, points, seed: int):
+    """int_dom f: axisymmetric about the common axis of the points through
+    center when there is one, QMC (2**13 points per replicate) otherwise."""
+    axis = _common_axis(center, points)
+    if axis is not None:
+        return integrate_axisymmetric(f, dom, axis[0], axis[1])
+    return integrate_volume(f, dom, seed=seed)
+
+
+def _centers(cfg: TreeConfig):
+    return [b.center for b in cfg.bubbles]
 
 
 def _conv_integral(cfg: TreeConfig, x, expo: float, weight, peak_centers,
@@ -163,11 +172,9 @@ def _conv_integral(cfg: TreeConfig, x, expo: float, weight, peak_centers,
         d = np.linalg.norm(y - x, axis=1)
         return np.maximum(d, 1e-300) ** expo * weight(y)
 
-    axis = _common_axis(cfg, [x] + [c for c, _ in peak_centers])
-    if axis is not None:
-        res = integrate_axisymmetric(f, dom, axis[0], axis[1])
-    else:
-        res = integrate_volume(f, dom, seed=seed, n_points=2**13)
+    res = _integrate_about(f, dom, base.center,
+                           _centers(cfg) + [x] + [c for c, _ in peak_centers],
+                           seed)
     return res.value, res.error_estimate
 
 
@@ -176,7 +183,7 @@ def sample_x_points(cfg: TreeConfig, i: int, count: int = 6,
     """Evaluation points for convolution sup checks: on the configuration
     axis at bubble-scale, influence-scale and domain-scale distances."""
     b = cfg.bubbles[i]
-    axis = _common_axis(cfg)
+    axis = _common_axis(cfg.domain.center, _centers(cfg))
     d = axis[1] if axis is not None else np.eye(cfg.n)[0]
     offs = [0.0, b.mu, 4.0 * b.mu, math.sqrt(b.mu), 0.45, 0.9]
     pts = [b.center + o * d for o in offs[:count]]
@@ -207,21 +214,16 @@ def eta_sequences(cfg: TreeConfig, A_deltas=(), nu_max: float | None = None,
     n, k = cfg.n, cfg.k
     if data is None:
         data = classify(cfg)
-    N = len(cfg.bubbles)
 
     # eta1 by quadrature
     q = 2.0 * n / (n + 2 * k)
     sings = tuple(Singularity(tuple(b.center), 0.0, b.mu) for b in cfg.bubbles)
     dom = Ball(tuple(cfg.domain.center), cfg.domain.radius, singularities=sings)
-    axis = _common_axis(cfg)
 
     def psi_q(y):
         return psi_weight(cfg, y) ** q
 
-    if axis is not None:
-        r1 = integrate_axisymmetric(psi_q, dom, axis[0], axis[1])
-    else:
-        r1 = integrate_volume(psi_q, dom, seed=seed)
+    r1 = _integrate_about(psi_q, dom, cfg.domain.center, _centers(cfg), seed)
     eta1 = r1.value ** (1.0 / q)
 
     # eta2 by quadrature over sampled x
@@ -236,14 +238,7 @@ def eta_sequences(cfg: TreeConfig, A_deltas=(), nu_max: float | None = None,
 
     # eta3, eta4: arithmetic on the configuration
     m = min(n - 2 * k, 4 * k)
-    t1 = 0.0
-    t2 = 0.0
-    for i in range(N):
-        for j in data.slower[i]:
-            t1 = max(t1, epsilon(cfg, i, j) ** -0.5)
-        for j in data.faster[i]:
-            t2 = max(t2, (cfg.bubbles[j].mu / cfg.bubbles[i].mu)
-                     ** ((2 * k - 1) / (2.0 * (n - 1))))
+    t1, t2 = pair_maxima(cfg, data)
     eta3 = t1**m + t2**m + max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k, 1)
     if nu_max is None:
         nu_max = max((abs(v) for v in cfg.nu.values()), default=0.0)
@@ -283,20 +278,7 @@ def giraud_verify(gamma: float, beta: float, mu: float, x, y,
 
     sings = (Singularity(tuple(x), 0.0, mu), Singularity(tuple(y), n - beta, 0.0))
     dom = Ball(tuple(domain.center), domain.radius, singularities=sings)
-    cc = np.asarray(domain.center, float)
-    rel = [x - cc, y - cc]
-    rel = [r for r in rel if np.linalg.norm(r) > 1e-12]
-    collinear = True
-    if rel:
-        dref = rel[0] / np.linalg.norm(rel[0])
-        for r in rel[1:]:
-            if np.linalg.norm(r - (r @ dref) * dref) > 1e-10:
-                collinear = False
-    if collinear:
-        dref = rel[0] / np.linalg.norm(rel[0]) if rel else np.eye(n)[0]
-        res = integrate_axisymmetric(f, dom, cc, dref)
-    else:
-        res = integrate_volume(f, dom, seed=seed, n_points=2**13)
+    res = _integrate_about(f, dom, domain.center, [x, y], seed)
 
     if gamma < 0:
         bound = mu**gamma * (mu + d) ** (beta - n)
@@ -393,11 +375,7 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
         def f(y):
             return (theta(b, y) ** expo_i) * (theta(bj, y) ** expo_j)
 
-        axis = _common_axis(cfg)
-        if axis is not None:
-            res = integrate_axisymmetric(f, dom, axis[0], axis[1])
-        else:
-            res = integrate_volume(f, dom, seed=seed, n_points=2**13)
+        res = _integrate_about(f, dom, cfg.domain.center, _centers(cfg), seed)
         lhs = pref * res.value
         if part == 1:
             rhs = 1.0

@@ -15,7 +15,8 @@ from polybubble.conformal import (GaussianXPow, HalfSpaceBump,
                                   check_distance_identity,
                                   check_norm_invariance)
 from polybubble.green import check_conformal_relation, green_ball
-from polybubble.pohozaev import manufactured_dirichlet, pohozaev_residual
+from polybubble.pohozaev import (MultiPoly, manufactured_dirichlet,
+                                 pohozaev_residual)
 from polybubble.quadrature import Ball, BallMinusBalls
 from polybubble.radial import (bubble_constant, check_bubble_identity,
                                critical_exponent, laplacian, make_bubble)
@@ -145,11 +146,12 @@ def test_criterion_4_green_conjugation():
 
 def test_criterion_5_pohozaev_identity():
     """Manufactured Dirichlet tests for k in {1,2,3}, n in {3,5,7} (all
-    admissible pairs), with annulus and shifted-xi variants; residual_rel
-    below the reported budget and below 1e-6; the Dirichlet collapse at the
-    verified sign (-1/2 for every k; equal to the corrected (-1)^k/2
-    convention for odd k) agrees with the full boundary functional within
-    budget.  Runtime < 5 min."""
+    admissible pairs), with annulus and shifted-xi variants (the shifted one
+    on the non-radial u (1 + x_0), where the xi terms do not vanish);
+    residual_rel below the reported budget and below 1e-6; the Dirichlet
+    collapse at the verified sign (-1/2 for every k; equal to the corrected
+    (-1)^k/2 convention for odd k) agrees with the full boundary functional
+    within budget.  Runtime < 5 min."""
     t0 = time.time()
     ok = True
     details = []
@@ -158,11 +160,13 @@ def test_criterion_5_pohozaev_identity():
             if n <= 2 * k:
                 continue
             u = manufactured_dirichlet(k, n)
+            u_shift = manufactured_dirichlet(k, n,
+                                             MultiPoly.coordinate(n, 0) + 1)
             dom = Ball((0.0,) * n, 1.0)
-            for xi_off in (0.0, 0.3):
+            for xi_off, data in ((0.0, u), (0.3, u_shift)):
                 xi = np.zeros(n)
                 xi[0] = xi_off
-                rep = pohozaev_residual(u, None, 2.0, dom, xi, k,
+                rep = pohozaev_residual(data, None, 2.0, dom, xi, k,
                                         dirichlet=True)
                 good = (rep.residual_rel < 1e-6
                         and rep.residual_abs <= max(rep.budget, 1e-12)

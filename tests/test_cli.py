@@ -99,6 +99,9 @@ def test_pohozaev_manufactured_suite(tmp_path):
     rep = json.loads(open(os.path.join(out, "pohozaev",
                                        "pohozaev_manufactured.json")).read())
     assert all(r["residual_rel"] < 1e-6 for r in rep)
+    # the shifted-xi row runs on non-radial data, so it is not the xi = 0 row
+    assert rep[1]["terms"]["lhs"] != pytest.approx(rep[0]["terms"]["lhs"],
+                                                 rel=1e-6)
 
 
 @pytest.mark.parametrize("k,n", [(1, 3), (2, 5), (3, 7)])
@@ -140,9 +143,35 @@ def test_solve_and_determinism(tmp_path):
                                        "solve_manifest.json")).read())
     assert man["flag"] == "complete"
     lines = csv1.splitlines()
-    assert lines[0] == "mu_param,sup_norm,energy,mu_fit,fit_residual,poho_term"
+    assert lines[0] == ("mu_param,sup_norm,energy,mu_fit,fit_residual,"
+                        "poho_term,collocation_residual")
     sups = [float(l.split(",")[1]) for l in lines[1:]]
     assert sups[1] > sups[0]
+    assert all(float(l.split(",")[-1]) < 1e-7 for l in lines[1:])
+    assert man["verifier"] == "dop853"
+
+
+def test_solve_seed_blowup_is_accuracy_failure(tmp_path, capsys):
+    """A seed solve that blows up (n=9, k=2 from the default seed) exits 3
+    with a one-line message, not 1 with a traceback."""
+    assert run_cli(["solve", "--n", "9", "--k", "2", "--p", "0"],
+                   tmp_path)[0] == 3
+    err = capsys.readouterr().err
+    assert "blew up" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_solve_seed_newton_failure_is_accuracy_failure(tmp_path, capsys,
+                                                       monkeypatch):
+    from polybubble import solver
+
+    def failing(*args, **kwargs):
+        raise solver.NewtonFailure("damping failed to reduce the mismatch")
+
+    monkeypatch.setattr(solver, "newton_solve", failing)
+    assert run_cli(["solve"], tmp_path)[0] == 3
+    err = capsys.readouterr().err
+    assert "damping failed" in err and "Traceback" not in err
 
 
 def test_solve_empty_grid_usage(tmp_path):

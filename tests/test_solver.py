@@ -1,10 +1,13 @@
 """Radial solver: shooting map basics, agreement with an independent
-fixed-step integrator, Newton convergence and idempotence, bubble fitting,
+DOP853 re-integration, Newton convergence and idempotence, bubble fitting,
 and the scaling-exponent fit."""
+
+import json
 
 import numpy as np
 import pytest
 
+from polybubble import solver
 from polybubble.radial import bubble_constant, critical_exponent
 from polybubble.solver import (BranchPoint, IntegrationBlowUp, NewtonFailure,
                                ProblemParams, RadialSolution, branch_csv,
@@ -50,13 +53,31 @@ def test_shoot_blowup_reported_with_radius():
     assert 0.0 < exc.value.radius < 1.0
 
 
-def test_shoot_matches_independent_rk4():
+def test_shoot_matches_independent_dop853():
     """Second-integrator oracle on the nonlinear problem."""
     p = ProblemParams(3, 1, 0, 0.0)
     d = [1.0]
     mm, sol = shoot(p, d, rtol=1e-11)
-    res = collocation_check(p, sol, steps=40000)
+    res = collocation_check(p, sol)
     assert res < 1e-8
+
+
+def test_collocation_check_detects_perturbed_data():
+    """The verifier re-integrates solution.d, so data that no longer match
+    the stored profile show up at the size of the perturbation."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    _, sol = shoot(p, [1.2e4])
+    assert collocation_check(p, sol) < 1e-9
+    sol.d = sol.d * (1.0 + 1e-6)
+    assert collocation_check(p, sol) >= 1e-7
+
+
+def test_collocation_check_inf_when_reintegration_blows_up():
+    """Data whose re-integration escapes before r = 1 give inf, not nan."""
+    p = ProblemParams(9, 2, 0, 0.0)
+    _, sol = shoot(p, [1.0, 0.5])
+    sol.d = np.array([5.0, -5e4])  # blows up before the boundary
+    assert collocation_check(p, sol) == np.inf
 
 
 def test_solution_even_at_origin():
@@ -82,6 +103,26 @@ def test_newton_solves_bn_ground_state():
     assert sol2.d[0] == pytest.approx(sol.d[0], rel=1e-8)
     # PDE sanity: positive ground state, decaying profile
     assert sol.v[0][0] > 0 and sol.v[0][0] == sol.sup_norm
+
+
+def test_newton_converged_start_shoots_once(monkeypatch):
+    """Started from converged data, Newton returns the solution of its one
+    shot instead of shooting the same data again."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    sol = newton_solve(p, [1.2e4], rtol=1e-9)
+    calls = []
+    real = solver.shoot
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "shoot", counting)
+    again = newton_solve(p, sol.d, rtol=1e-9)
+    assert len(calls) == 1
+    assert np.array_equal(again.d, sol.d)
+    assert np.array_equal(again.v, sol.v)
+    assert again.collocation_residual == sol.collocation_residual
 
 
 def test_newton_failure_modes():
@@ -156,10 +197,15 @@ def test_continuation_short_branch(tmp_path):
     path = tmp_path / "branch.csv"
     branch_csv(pts, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "mu_param,sup_norm,energy,mu_fit,fit_residual,poho_term"
+    assert lines[0] == ("mu_param,sup_norm,energy,mu_fit,fit_residual,"
+                        "poho_term,collocation_residual")
     assert len(lines) == 3
-    man = run_manifest(p, [-0.5, -0.25], seed_sol.d, 1e-8)
-    assert '"rtol"' in man and '"mu_grid"' in man
+    assert all(b.collocation_residual < 1e-7 for b in pts)
+    assert [float(line.split(",")[-1]) for line in lines[1:]] == [
+        b.collocation_residual for b in pts]
+    man = json.loads(run_manifest(p, [-0.5, -0.25], seed_sol.d, 1e-8))
+    assert "rtol" in man and "mu_grid" in man
+    assert man["verifier"] == "dop853" and man["verifier_rtol"] == 1e-12
 
 
 def test_higher_order_shoot_runs():
