@@ -273,11 +273,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     rtol = float(p.get("rtol", 1e-9))
     try:
         params = ProblemParams(n, k, pp, grid[0])
+        sol = newton_solve(params, d_seed, rtol=rtol)
     except ValueError as e:
         print(f"invalid parameters: {e}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        sol = newton_solve(params, d_seed, rtol=rtol)
     except (NewtonFailure, IntegrationBlowUp) as e:
         print(f"seed solve failed at mu = {grid[0]:g}: {e}", file=sys.stderr)
         return EXIT_ACCURACY

@@ -27,9 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .jets import Jet
-from .quadrature import (Ball, BallMinusBalls, SphereSurface,
-                         integrate_axisymmetric, integrate_surface, integrate_volume,
-                         sphere_area, sphere_moment_ratio)
+from .quadrature import (Ball, BallMinusBalls, SphereSurface, integrate_surface,
+                         integrate_volume, sphere_area, sphere_moment_ratio)
 
 __all__ = [
     "MultiPoly",
@@ -507,7 +506,10 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
 def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
                  quad_opts: dict | None = None):
     """The four right-hand terms (T1 bulk E(u), T2 boundary f|u|^p,
-    T3 volume f|u|^p, T4 grad-f volume).  Returns (terms, budget)."""
+    T3 volume f|u|^p, T4 grad-f volume).  Returns (terms, budget).
+
+    On the quadrature path quad_opts go to integrate_volume unchanged; their
+    axis (point, direction), if any, also selects the surface rule."""
     if p_exp < 2:
         raise ValueError("need p >= 2")
     xi = np.asarray(xi, float)
@@ -547,7 +549,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
 
     # quadrature path
     qo = quad_opts or {}
-    axis = qo.pop("axis", None)
+    axis = qo.get("axis")
 
     def f_val(pts):
         return (np.ones(len(pts)) if f is None
@@ -571,8 +573,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
                 * np.abs(np.asarray(u.value(pts), float)) ** p_exp)
 
     def volume(fn):
-        res = (integrate_axisymmetric(fn, domain, axis[0], axis[1]) if axis is not None
-               else integrate_volume(fn, domain, **qo))
+        res = integrate_volume(fn, domain, **qo)
         return res.value, res.error_estimate
 
     T1, e1 = volume(bulk1)
@@ -642,7 +643,7 @@ def pohozaev_residual(u, f, p_exp: float, domain, xi, k: int,
         lhs_opts["axis"] = lhs_opts["axis"][1]
     lhs, b_lhs = pohozaev_lhs(u, domain, xi, k, quad_opts=lhs_opts)
     (T1, T2, T3, T4), b_rhs = pohozaev_rhs(u, f, p_exp, domain, xi, k,
-                                           quad_opts=dict(quad_opts or {}))
+                                           quad_opts=quad_opts)
     rhs = T1 + T2 + T3 + T4
     res = abs(lhs - rhs)
     scale = max(abs(lhs), abs(T1), abs(T2), abs(T3), abs(T4), 1e-30)

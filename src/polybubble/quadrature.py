@@ -128,9 +128,6 @@ class Ball:
     def enclosing(self):
         return np.asarray(self.center, float), self.radius
 
-    def volume(self):
-        return ball_volume(self.dim, self.radius)
-
 
 @dataclass(frozen=True)
 class HalfBall:
@@ -151,9 +148,6 @@ class HalfBall:
 
     def enclosing(self):
         return np.asarray(self.center, float), self.radius
-
-    def volume(self):
-        return 0.5 * ball_volume(self.dim, self.radius)
 
 
 @dataclass(frozen=True)
@@ -196,13 +190,6 @@ class BallMinusBalls:
     def enclosing(self):
         return self.outer.enclosing()
 
-    def volume(self):
-        # exact only when the inner balls are pairwise disjoint
-        v = self.outer.volume()
-        for b in self.inner:
-            v -= b.volume()
-        return v
-
 
 @dataclass(frozen=True)
 class TruncatedSpace:
@@ -227,10 +214,6 @@ class TruncatedSpace:
     def enclosing(self):
         return np.zeros(self.dim_n), self.r_max
 
-    def volume(self):
-        v = ball_volume(self.dim_n, self.r_max)
-        return 0.5 * v if self.half else v
-
 
 @dataclass
 class QuadratureResult:
@@ -241,6 +224,15 @@ class QuadratureResult:
 
     def __float__(self):
         return float(self.value)
+
+
+def _refuse_unmet(res: QuadratureResult, tol: float | None) -> QuadratureResult:
+    """res, or AccuracyError when its error estimate exceeds tol * |value|."""
+    if tol is not None and res.error_estimate > tol * max(abs(res.value), 1e-300):
+        raise AccuracyError(
+            f"{res.method} error {res.error_estimate:.3e} exceeds "
+            f"tol*|value| = {tol * abs(res.value):.3e}", res)
+    return res
 
 
 def _check_sigmas(domain):
@@ -297,7 +289,7 @@ def integrate_radial(g, R: float, n: int, sigma: float = 0.0,
         val += v
         err += abs(e)
     area = sphere_area(n)
-    res = QuadratureResult(area * val, area * err, "deterministic-radial")
+    res = QuadratureResult(area * val, area * err, "radial")
     if not math.isfinite(res.value):
         raise AccuracyError("radial quadrature did not converge", res)
     return res
@@ -318,30 +310,22 @@ def _axis_frame(direction):
     return d, e / np.linalg.norm(e)
 
 
-def _geometric_panels(a: float, b: float, toward_a: bool, n_panels: int,
-                      floor: float) -> list[tuple[float, float]]:
-    """Split [a, b] into panels geometrically graded toward one endpoint."""
-    if b - a <= floor:
-        return [(a, b)]
-    edges = [0.0]
+def _geometric_panels(a: float, b: float, floor: float) -> list[tuple[float, float]]:
+    """Split [a, b] into up to 24 panels geometrically graded toward a."""
     h = b - a
-    for j in range(n_panels - 1, 0, -1):
-        step = h * 2.0 ** (-j)
-        if step > floor:
-            edges.append(step)
-    edges.append(h)
-    edges = sorted(set(edges))
-    if toward_a:
-        return [(a + lo, a + hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    return [(b - hi, b - lo) for lo, hi in zip(edges[:-1], edges[1:])][::-1]
+    if h <= floor:
+        return [(a, b)]
+    edges = sorted({0.0, h} | {h * 2.0 ** -j for j in range(1, 24)
+                               if h * 2.0 ** -j > floor})
+    return [(a + lo, a + hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
-                           n_phi: int = 14, n_rho: int = 14,
-                           origin=None, feature_balls=()) -> QuadratureResult:
+def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
+                           n_rho: int = 14, feature_balls=()) -> QuadratureResult:
     """Volume integral of f certified symmetric about the line
-    axis_point + t*axis_dir.  All domain centers, declared singularities and
-    the polar origin must lie on that axis.
+    axis_point + t*axis_dir.  All domain centers and declared singularities
+    must lie on that axis; the polar origin is the strongest singularity, or
+    the enclosing center when there is none.
 
     Reduces to omega_{n-2} * iint f(rho,phi) rho^{n-1} sin^{n-2}(phi) in the
     meridian half-plane, using panelled Gauss-Legendre rules: phi panels are
@@ -368,14 +352,11 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
         if not on_axis(s.point):
             raise ValueError("declared singularity off the symmetry axis")
 
-    # polar origin: strongest on-axis singularity if any, else enclosing center
-    if origin is None:
-        origin = c_enc
-        strongest = 0.0
-        for s in sings:
-            if s.order > strongest:
-                strongest, origin = s.order, np.asarray(s.point, float)
-    origin = np.asarray(origin, float)
+    origin = c_enc
+    strongest = 0.0
+    for s in sings:
+        if s.order > strongest:
+            strongest, origin = s.order, np.asarray(s.point, float)
     o_xi = (origin - c_enc) @ d  # signed axis offset from enclosing center
     rho_max_global = r_enc + abs(o_xi)
 
@@ -420,7 +401,6 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
     edges = sorted(edges)
     phi_panels = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 1e-14]
 
-    # --- assemble nodes at a given resolution
     sigma0 = max([s.order for s in sings
                   if np.linalg.norm(np.asarray(s.point, float) - origin) <= 1e-14],
                  default=0.0)
@@ -429,65 +409,58 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
     floor0 = min([sc for _, sc in peak_radii], default=rho_max_global) * 1e-3
     floor0 = max(floor0, 1e-14 * rho_max_global)
 
+    # --- radial cuts along a ray: the enclosing and cut spheres (relative
+    # position to the origin, |rel|^2 - r^2), the peak shells, x_1 = 0
+    spheres = []
+    for c, r in [(c_enc, r_enc)] + [(np.asarray(b.center, float), b.radius)
+                                    for b in cut_balls]:
+        rel = c - origin
+        spheres.append((rel, rel @ rel - r * r))
+    peak_cuts = {c for ell, sc in peak_radii for m in (1.0, 4.0, 16.0, 64.0)
+                 for c in (max(0.0, ell - m * sc), min(rho_max_global, ell + m * sc))}
+    max_len = rho_max_global / 3.0
+
+    def ray_panels(u):
+        """(lo, hi) radial panels of the domain along origin + rho * u."""
+        cand = {0.0, rho_max_global} | peak_cuts
+        for rel, cq in spheres:
+            bq = -2.0 * (u @ rel)
+            disc = bq * bq - 4 * cq
+            if disc >= 0:
+                cand.update((max(0.0, (-bq - math.sqrt(disc)) / 2),
+                             max(0.0, (-bq + math.sqrt(disc)) / 2)))
+        if half and abs(u[0]) > 1e-14 and -origin[0] / u[0] > 0:
+            cand.add(-origin[0] / u[0])
+        cand = sorted(float(c) for c in cand if 0.0 <= c <= rho_max_global)
+        spans = [(lo, hi) for lo, hi in zip(cand[:-1], cand[1:])
+                 if hi - lo >= 1e-15 * rho_max_global]
+        mids = np.array([0.5 * (lo + hi) for lo, hi in spans])
+        panels = []
+        for (lo, hi), inside in zip(spans, domain.contains(origin + mids[:, None] * u)):
+            if not inside:
+                continue
+            for pa, pb in (_geometric_panels(lo, hi, floor0)
+                           if lo < 1e-13 * rho_max_global else [(lo, hi)]):
+                # equal parts, edges computed as np.linspace(pa, pb, parts + 1) does
+                parts = max(1, math.ceil((pb - pa) / max_len))
+                step = (pb - pa) / parts
+                cuts = [j * step + pa for j in range(parts)] + [pb]
+                panels += zip(cuts[:-1], cuts[1:])
+        return panels
+
     def build(mphi, mrho):
         xg, wg = _gauss_legendre(mphi)
         xr, wr = _gauss_legendre(mrho)
-        rho_list, phi_list, wt_list = [], [], []
+        rows = []  # (phi, phi weight, rho panel)
         for a, b in phi_panels:
-            phis = 0.5 * (b - a) * (xg + 1.0) + a
-            wphis = 0.5 * (b - a) * wg
-            for phi, wphi in zip(phis, wphis):
+            for phi, wphi in zip(0.5 * (b - a) * (xg + 1.0) + a, 0.5 * (b - a) * wg):
                 u = math.cos(phi) * d + math.sin(phi) * e
-                # radial cut candidates
-                cand = {0.0, rho_max_global}
-                blist = [(c_enc, r_enc, True)] + [
-                    (np.asarray(bb.center, float), bb.radius, False)
-                    for bb in cut_balls]
-                for (cb, rb, _is_outer) in blist:
-                    rel = cb - origin
-                    bq = -2.0 * (u @ rel)
-                    cq = rel @ rel - rb * rb
-                    disc = bq * bq - 4 * cq
-                    if disc >= 0:
-                        cand.add(max(0.0, (-bq - math.sqrt(disc)) / 2))
-                        cand.add(max(0.0, (-bq + math.sqrt(disc)) / 2))
-                if half:
-                    # x_1 = 0 plane: origin offset along e_1 is o1
-                    o1 = origin[0]
-                    if abs(u[0]) > 1e-14:
-                        rr = -o1 / u[0]
-                        if rr > 0:
-                            cand.add(rr)
-                for ell, sc in peak_radii:
-                    for mult in (1.0, 4.0, 16.0, 64.0):
-                        cand.add(max(0.0, ell - mult * sc))
-                        cand.add(min(rho_max_global, ell + mult * sc))
-                cand = sorted(c for c in cand if 0.0 <= c <= rho_max_global)
-                spans = []
-                for lo, hi in zip(cand[:-1], cand[1:]):
-                    if hi - lo < 1e-15 * rho_max_global:
-                        continue
-                    mid = origin + 0.5 * (lo + hi) * u
-                    if bool(domain.contains(mid[None, :])[0]):
-                        spans.append((lo, hi))
-                max_len = rho_max_global / 3.0
-                for lo, hi in spans:
-                    panels = (_geometric_panels(lo, hi, True, 24, floor0)
-                              if lo < 1e-13 * rho_max_global else [(lo, hi)])
-                    split = []
-                    for pa, pb in panels:
-                        parts = max(1, math.ceil((pb - pa) / max_len))
-                        edges2 = np.linspace(pa, pb, parts + 1)
-                        split += list(zip(edges2[:-1], edges2[1:]))
-                    for pa, pb in split:
-                        rr = 0.5 * (pb - pa) * (xr + 1.0) + pa
-                        ww = 0.5 * (pb - pa) * wr * wphi
-                        rho_list.append(rr)
-                        phi_list.append(np.full_like(rr, phi))
-                        wt_list.append(ww)
-        rho = np.concatenate(rho_list)
-        phi = np.concatenate(phi_list)
-        wt = np.concatenate(wt_list)
+                rows += [(phi, wphi, lo, hi) for lo, hi in ray_panels(u)]
+        phi, wphi, lo, hi = np.array(rows).T[:, :, None]
+        h = 0.5 * (hi - lo)
+        rho = (h * (xr + 1.0) + lo).ravel()
+        wt = (h * wr * wphi).ravel()
+        phi = np.repeat(phi, mrho)
         pts = origin[None, :] + rho[:, None] * (
             np.cos(phi)[:, None] * d[None, :] + np.sin(phi)[:, None] * e[None, :])
         vals = np.asarray(f(pts), float)
@@ -498,7 +471,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, tol: float = 1e-9,
     fine, m_fine = build(n_phi, n_rho)
     coarse, m_coarse = build(max(4, (2 * n_phi) // 3), max(4, (2 * n_rho) // 3))
     return QuadratureResult(area * fine, area * abs(fine - coarse),
-                            "deterministic-radial", m_fine + m_coarse)
+                            "axisymmetric", m_fine + m_coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +520,8 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
     must match f's actual singular set (caller contract).  radial_center
     certifies f radial about that center; axis=(point, direction) certifies
     axial symmetry.  Otherwise scrambled-Sobol mixture importance sampling.
+    tol is the relative tolerance of the radial rule; an axisymmetric or QMC
+    error estimate above tol * |value| raises AccuracyError.
     """
     _check_sigmas(domain)
     n = domain.dim
@@ -589,10 +564,9 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
             return res
 
     if axis is not None:
-        res = integrate_axisymmetric(f, domain, axis[0], axis[1],
-                                     tol=(tol or 1e-9))
+        res = integrate_axisymmetric(f, domain, axis[0], axis[1])
         res.error_estimate += getattr(domain, "tail_bound", 0.0)
-        return res
+        return _refuse_unmet(res, tol)
 
     # QMC mixture importance sampling
     c_enc, r_enc = domain.enclosing()
@@ -630,12 +604,7 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
     spread = 2.0 * float(np.std(reps, ddof=1))
     spread += getattr(domain, "tail_bound", 0.0)
     res = QuadratureResult(value, spread, "qmc", total_samples)
-    if tol is not None and spread > tol * max(abs(value), 1e-300):
-        raise AccuracyError(
-            f"qmc spread {spread:.3e} exceeds tol*|value| = {tol * abs(value):.3e}",
-            res,
-        )
-    return res
+    return _refuse_unmet(res, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +680,12 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
             est = float(np.sum(wts * vals) / np.sum(wts)) * sphere.area()
             if m == 48:
                 prev = est
-        return QuadratureResult(est, abs(est - prev), "deterministic-radial", 144)
+        return QuadratureResult(est, abs(est - prev), "gauss-jacobi", 144)
 
     if n <= 4:
         coarse = _surface_product_gauss(f, sphere, 24)
         fine = _surface_product_gauss(f, sphere, 48)
-        return QuadratureResult(fine, abs(fine - coarse), "deterministic-radial")
+        return QuadratureResult(fine, abs(fine - coarse), "product-gauss")
 
     from scipy.special import ndtri
     reps = []
@@ -732,6 +701,4 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
     value = float(np.mean(reps))
     spread = 2.0 * float(np.std(reps, ddof=1))
     res = QuadratureResult(value, spread, "qmc", replicates * n_points)
-    if tol is not None and spread > tol * max(abs(value), 1e-300):
-        raise AccuracyError("surface qmc spread exceeds tolerance", res)
-    return res
+    return _refuse_unmet(res, tol)

@@ -44,6 +44,7 @@ _BLOW_CAP = 1e9
 _DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
 _VERIFY_RTOL = 1e-12  # DOP853 verifier tolerance, tighter than any shot
 _MAX_HALVINGS = 6    # continuation step halvings before declaring a fold
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
 
 
 class IntegrationBlowUp(RuntimeError):
@@ -247,7 +248,11 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     """Damped Newton on the shooting map, Jacobian by finite differences.
 
     Returns the RadialSolution of the last accepted shot, with its
-    collocation residual filled in."""
+    collocation residual filled in.  rtol must be finite and at least
+    _RTOL_FLOOR, below which scipy clamps the shots' tolerance and the
+    mismatch test could never pass."""
+    if not (math.isfinite(rtol) and rtol >= _RTOL_FLOOR):
+        raise ValueError(f"rtol = {rtol:g} must be finite and >= {_RTOL_FLOOR:.3g}")
     d = np.asarray(d_init, float).copy()
     k = params.k
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubbles import positive_bubble, theta
-from .quadrature import (Ball, BallMinusBalls, Singularity,
-                         integrate_axisymmetric, integrate_volume)
+from .quadrature import Ball, BallMinusBalls, Singularity, integrate_volume
 from .radial import critical_exponent
 from .tree import InfluenceData, TreeConfig, classify, pair_maxima
 
@@ -136,10 +135,7 @@ def _common_axis(center, points):
 def _integrate_about(f, dom, center, points, seed: int):
     """int_dom f: axisymmetric about the common axis of the points through
     center when there is one, QMC (2**13 points per replicate) otherwise."""
-    axis = _common_axis(center, points)
-    if axis is not None:
-        return integrate_axisymmetric(f, dom, axis[0], axis[1])
-    return integrate_volume(f, dom, seed=seed)
+    return integrate_volume(f, dom, seed=seed, axis=_common_axis(center, points))
 
 
 def _centers(cfg: TreeConfig):
@@ -147,8 +143,7 @@ def _centers(cfg: TreeConfig):
 
 
 def _conv_integral(cfg: TreeConfig, x, expo: float, weight, peak_centers,
-                   hole: Ball | None = None, seed: int = 0,
-                   tol: float = 5e-4) -> tuple[float, float]:
+                   hole: Ball | None = None, seed: int = 0) -> tuple[float, float]:
     """int_domain |x-y|^{expo} * weight(y) dy with expo < 0.
 
     Declares the kernel singularity at x and the weight peaks; uses the

@@ -181,13 +181,18 @@ def test_solve_empty_grid_usage(tmp_path):
 
 @pytest.mark.parametrize("args", [["solve", "--n", "4", "--k", "2"],
                                   ["solve", "--p", "3"],
-                                  ["cayley-green", "--n", "2", "--k", "1"]])
+                                  ["cayley-green", "--n", "2", "--k", "1"],
+                                  ["solve", "--rtol", "1e-30"],
+                                  ["solve", "--rtol", "0"],
+                                  ["solve", "--rtol", "nan"]])
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
-    """Parameters outside n > 2k, 0 <= p < k exit 2 with a message, not 1
-    with a traceback (1 means a verification failure)."""
+    """Parameters outside n > 2k, 0 <= p < k, and a solver rtol below what
+    the integrator can reach, exit 2 with a one-line message, not 1 with a
+    traceback (1 means a verification failure) or 3 after a futile solve."""
     assert run_cli(args, tmp_path)[0] == 2
     err = capsys.readouterr().err
     assert "invalid" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -561,12 +561,16 @@ def test_bubble_rhs_T1_vanishes():
     u.n = n
     dom = Ball((0.0,) * n, 1.0)
     ts = critical_exponent(n, k)
-    (T1, T2, T3, T4), budget = pohozaev_rhs(
-        u, None, ts, dom, np.zeros(n), k,
-        quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
+    opts = {"axis": (np.zeros(n), np.eye(n)[0])}
+    (T1, T2, T3, T4), budget = pohozaev_rhs(u, None, ts, dom, np.zeros(n), k,
+                                            quad_opts=opts)
     assert abs(T3) < 1e-12 and T4 == 0.0
     assert abs(T1) <= 10 * max(budget, 1e-9)
     assert T2 > 0
+    # the options are read, not consumed: the same dict gives the same terms
+    assert "axis" in opts
+    again = pohozaev_rhs(u, None, ts, dom, np.zeros(n), k, quad_opts=opts)
+    assert again == ((T1, T2, T3, T4), budget)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])

@@ -17,6 +17,7 @@ from polybubble.quadrature import (AccuracyError, Ball, BallMinusBalls,
 
 def test_radial_constant_ball_volume():
     r = integrate_radial(lambda r: 1.0, 1.0, 3)
+    assert r.method == "radial"
     assert r.value == pytest.approx(4 * math.pi / 3, rel=1e-12)
 
 
@@ -74,6 +75,13 @@ def test_ball_minus_balls_additivity():
     # axisymmetric path is sharper
     r2 = integrate_axisymmetric(one, dom, np.zeros(3), np.eye(3)[0])
     assert r2.value == pytest.approx(expected, rel=1e-5)
+    # polar origin off the domain center: the order-2 singularity at -0.3 e_1
+    e1 = np.eye(5)[0]
+    dom5 = BallMinusBalls(Ball((0.0,) * 5, 1.0), (Ball(tuple(0.5 * e1), 0.2),),
+                          singularities=(Singularity(tuple(-0.3 * e1), 2.0),
+                                         Singularity(tuple(0.5 * e1), 0.0, 0.05)))
+    r3 = integrate_axisymmetric(one, dom5, np.zeros(5), e1)
+    assert r3.value == pytest.approx(ball_volume(5) - ball_volume(5, 0.2), rel=1e-7)
 
 
 def test_inner_ball_must_fit():
@@ -96,6 +104,7 @@ def test_axisymmetric_moment():
     dom = Ball((0.0,) * 5, 1.0)
     r = integrate_axisymmetric(lambda x: x[:, 0] ** 2, dom, np.zeros(5),
                                np.eye(5)[0])
+    assert r.method == "axisymmetric"
     assert r.value == pytest.approx(ball_volume(5) / 7.0, rel=1e-9)
 
 
@@ -104,6 +113,11 @@ def test_axisymmetric_halfball():
     r = integrate_axisymmetric(lambda x: x[:, 0], hb, np.zeros(5), np.eye(5)[0])
     exact = sphere_area(4) * (1.0 / 6.0) * (1.0 / 4.0)
     assert r.value == pytest.approx(exact, rel=1e-9)
+    # polar origin at 0.3 e_1: rays toward -e_1 are cut at the plane x_1 = 0
+    hb3 = HalfBall((0.0,) * 5, 1.0,
+                   singularities=(Singularity((0.3,) + (0.0,) * 4, 1.0),))
+    r3 = integrate_axisymmetric(lambda x: x[:, 0], hb3, np.zeros(5), np.eye(5)[0])
+    assert r3.value == pytest.approx(exact, rel=1e-2)
 
 
 def test_truncated_half_space():
@@ -131,11 +145,20 @@ def test_volume_tol_violation_raises():
     with pytest.raises(AccuracyError) as exc:
         integrate_volume(rough, dom, tol=1e-12, seed=0, n_points=2**8)
     assert exc.value.result is not None  # partial value attached
+    # the axisymmetric path refuses an unmet tol too, and returns a met one
+    axis = (np.zeros(6), np.eye(6)[0])
+    with pytest.raises(AccuracyError) as exc:
+        integrate_volume(rough, dom, tol=1e-12, axis=axis)
+    assert exc.value.result.method == "axisymmetric"
+    smooth = lambda x: x[:, 0] ** 2
+    r = integrate_volume(smooth, dom, tol=1e-3, axis=axis)
+    assert r.value == integrate_axisymmetric(smooth, dom, *axis).value
 
 
 def test_surface_constant_and_even_moment():
     sph = SphereSurface((0.0,) * 3, 1.0)
     r1 = integrate_surface(lambda x: np.ones(len(x)), sph)
+    assert r1.method == "product-gauss"
     assert r1.value == pytest.approx(4 * math.pi, rel=1e-12)
     r2 = integrate_surface(lambda x: x[:, 0] ** 2, sph)
     assert r2.value == pytest.approx(4 * math.pi / 3, rel=1e-10)
@@ -153,6 +176,7 @@ def test_surface_high_dimension_paths():
     rq = integrate_surface(lambda x: x[:, 0] ** 2, sph, seed=1)
     assert rq.value == pytest.approx(exact, abs=3 * rq.error_estimate)
     rax = integrate_surface(lambda x: x[:, 0] ** 2, sph, axis=np.eye(7)[0])
+    assert (rq.method, rax.method) == ("qmc", "gauss-jacobi")
     assert rax.value == pytest.approx(exact, rel=1e-12)
 
 

@@ -129,6 +129,10 @@ def test_newton_failure_modes():
     p = ProblemParams(7, 1, 0, -0.5)
     with pytest.raises(NewtonFailure):
         newton_solve(p, [1.0], rtol=1e-12, max_iter=2)
+    # a tolerance below the integrator's floor is refused before any shot
+    for rtol in (1e-30, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="rtol"):
+            newton_solve(p, [1.2e4], rtol=rtol)
 
 
 def test_fit_bubble_exact_synthetic():
