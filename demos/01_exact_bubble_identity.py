@@ -22,7 +22,8 @@ for k in range(1, 5):
 # The leading coefficient is the monomial prod(n+2l) * a^k, which reduces to
 # 1 under the defining relation for a_{n,k}.  For (5,2):
 res = check_bubble_identity(5, 2)
-print(f"\n(5,2) leading coefficient: {res.leading_coefficient.to_str()}"
+lead = " + ".join(f"{c}*a^{e}" for e, c in sorted(res.leading_coefficient.items()))
+print(f"\n(5,2) leading coefficient: {lead}"
       f"  (105 = 1*3*5*7 = {bubble_constant_product(5, 2)})")
 
 # --- and numerically, at the actual irrational a ---------------------------

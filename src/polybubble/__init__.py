@@ -8,7 +8,7 @@ reproduces the blow-up scaling mechanism at desk scale.
 
 __version__ = "0.1.0"
 
-from .radial import (LaurentPoly, RadialFunction, ExactCheckResult,
+from .radial import (RadialFunction, ExactCheckResult,
                      bubble_constant, bubble_constant_product,
                      critical_exponent, make_bubble, laplacian,
                      radial_derivative, power_reduce, check_bubble_identity)

@@ -16,7 +16,7 @@ from .fields import (ProductProfile, RadialTermField, RationalProfile,
                      cutoff_profile)
 from .jets import Jet
 from .quadrature import Ball, sphere_area
-from .radial import (RadialFunction, LaurentPoly, bubble_constant,
+from .radial import (RadialFunction, bubble_constant,
                      make_bubble, radial_derivative)
 
 __all__ = [
@@ -285,7 +285,8 @@ def check_decay(n: int, k: int, l: int, radii=None) -> dict:
 
 def _r_shift(rf: RadialFunction) -> RadialFunction:
     """Multiply a radial function by r (p -> p+1 termwise)."""
-    return rf.copy_with({(p + 1, t): c for (p, t), c in rf.terms.items()})
+    return RadialFunction(rf.n, rf.M,
+                          {(p + 1, t, e): c for (p, t, e), c in rf.terms.items()})
 
 
 def kernel_elements(n: int, k: int) -> list[RadialTermField]:
@@ -298,12 +299,10 @@ def kernel_elements(n: int, k: int) -> list[RadialTermField]:
 
     a = bubble_constant(n, k)
     B = make_bubble(n, k)
-    half = LaurentPoly.const(Fraction(n - 2 * k, 2))
-    z0_rf = B.scale_coeffs(half) + _r_shift(radial_derivative(B))
+    z0_rf = B * Fraction(n - 2 * k, 2) + _r_shift(radial_derivative(B))
     fields = [RadialTermField.radial(n, np.zeros(n), RationalProfile(z0_rf, a))]
     # d_i B = x_i * h(rho), h = -(n-2k) a (1+a r^2)^{-(n-2k+2)/2}
-    h_rf = RadialFunction(n, n - 2 * k,
-                          {(0, 1): LaurentPoly.monomial(-(n - 2 * k), 1)})
+    h_rf = RadialFunction(n, n - 2 * k, {(0, 1, 1): -(n - 2 * k)})
     for i in range(n):
         beta0 = tuple(1 if j == i else 0 for j in range(n))
         fields.append(RadialTermField(n, np.zeros(n),

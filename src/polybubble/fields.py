@@ -67,11 +67,11 @@ class RationalProfile(ScalarProfile):
     def taylor_even(self, j_max: int):
         G = [0.0] * (j_max + 1)
         a = self.a_value
-        for (p, t), c in self.rf.terms.items():
+        for (p, t, e), c in self.rf.terms.items():
             if p % 2:
                 raise ValueError("profile with odd r-powers is not smooth at 0")
             q = Fraction(self.rf.M + 2 * t, 2)
-            cval = c(a)
+            cval = float(c) * a**e
             for j in range(j_max + 1 - p // 2):
                 binom = 1.0
                 for i in range(j):  # binom(-q, j) iteratively

@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate as _sg
 from scipy.special import gammaln, roots_legendre
-from scipy.stats import qmc
 
 __all__ = [
     "AccuracyError",
@@ -391,6 +390,8 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
             peak_radii.append((ell, scale))
     if half:
         kinks.add(0.5 * math.pi)
+        if abs(o_xi) < r_enc:  # the ray to the rim circle {x_1 = c_1, |x - c| = r}
+            kinks.add(math.atan2(r_enc, -o_xi))
 
     edges = set(kinks)
     for phi_c, w0 in refine_dirs:
@@ -410,7 +411,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     floor0 = max(floor0, 1e-14 * rho_max_global)
 
     # --- radial cuts along a ray: the enclosing and cut spheres (relative
-    # position to the origin, |rel|^2 - r^2), the peak shells, x_1 = 0
+    # position to the origin, |rel|^2 - r^2), the peak shells, x_1 = c_1
     spheres = []
     for c, r in [(c_enc, r_enc)] + [(np.asarray(b.center, float), b.radius)
                                     for b in cut_balls]:
@@ -429,8 +430,8 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
             if disc >= 0:
                 cand.update((max(0.0, (-bq - math.sqrt(disc)) / 2),
                              max(0.0, (-bq + math.sqrt(disc)) / 2)))
-        if half and abs(u[0]) > 1e-14 and -origin[0] / u[0] > 0:
-            cand.add(-origin[0] / u[0])
+        if half and abs(u[0]) > 1e-14 and (c_enc[0] - origin[0]) / u[0] > 0:
+            cand.add((c_enc[0] - origin[0]) / u[0])
         cand = sorted(float(c) for c in cand if 0.0 <= c <= rho_max_global)
         spans = [(lo, hi) for lo, hi in zip(cand[:-1], cand[1:])
                  if hi - lo >= 1e-15 * rho_max_global]
@@ -480,6 +481,8 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
 
 def _component_samples(kind, m, n, rng, center, r_lo, r_hi):
     """Draw m points for one mixture component."""
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=n + 1, scramble=True, seed=rng)
     u = sob.random(m)
     z = np.clip(u[:, 1:], 1e-12, 1 - 1e-12)
@@ -688,6 +691,8 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
         return QuadratureResult(fine, abs(fine - coarse), "product-gauss")
 
     from scipy.special import ndtri
+    from scipy.stats import qmc
+
     reps = []
     for rep in range(replicates):
         rng = np.random.default_rng([seed, rep])

@@ -2,17 +2,17 @@
 
 Functions are finite sums
 
-    f(r) = sum_j  c_j(a) * r^{p_j} * (1 + a r^2)^{-(M + 2 t_j)/2},
+    f(r) = sum_j  c_j * a^{e_j} * r^{p_j} * (1 + a r^2)^{-(M + 2 t_j)/2},
 
-where the coefficients c_j are Laurent polynomials in a formal symbol ``a``
-with exact rational coefficients.  The base decay exponent is stored doubled
-(``M``) so that half-integer decay (odd n) stays integral.  The flat bubble
-profile is the single term (1, p=0, t=0) with M = n - 2k; substituting
-a = a_{n,k} recovers (1 + a_{n,k} r^2)^{-(n-2k)/2}.
+with exact rational coefficients c_j and integer powers e_j of a formal
+symbol ``a``, stored as one dict keyed by (p, t, e).  The base decay exponent
+is stored doubled (``M``) so that half-integer decay (odd n) stays integral.
+The flat bubble profile is the single term c = 1 at (p, t, e) = (0, 0, 0)
+with M = n - 2k; substituting a = a_{n,k} recovers (1 + a_{n,k} r^2)^{-(n-2k)/2}.
 
 Everything here is exact: iterated Laplacians, r-derivatives and the
 power-reduction identity a r^2 (1+a r^2)^{-1} = 1 - (1+a r^2)^{-1} never touch
-floating point.  Only ``eval`` produces floats.
+floating point.  Only calling a RadialFunction produces floats.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "LaurentPoly",
     "RadialFunction",
     "ExactCheckResult",
     "RepresentationError",
@@ -66,157 +65,47 @@ def bubble_constant(n: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in the formal symbol a
-# ---------------------------------------------------------------------------
-
-class LaurentPoly:
-    """Laurent polynomial in ``a`` with Fraction coefficients.
-
-    Immutable in spirit; stored as {exponent: Fraction} with zeros pruned.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        cc = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    cc[int(e)] = c
-        self.coeffs = cc
-
-    @classmethod
-    def const(cls, c) -> "LaurentPoly":
-        return cls({0: Fraction(c)})
-
-    @classmethod
-    def monomial(cls, c, e: int) -> "LaurentPoly":
-        return cls({e: Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            out: dict[int, Fraction] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return LaurentPoly(out)
-        return LaurentPoly({e: c * Fraction(other) for e, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def shift(self, da: int) -> "LaurentPoly":
-        """Multiply by a^da."""
-        return LaurentPoly({e + da: c for e, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __call__(self, a_value):
-        """Evaluate at a numeric (or Fraction) value of a."""
-        tot = 0
-        for e, c in self.coeffs.items():
-            if isinstance(a_value, Fraction):
-                tot += c * a_value**e
-            else:
-                tot += float(c) * float(a_value) ** e
-        return tot
-
-    def __repr__(self):
-        return f"LaurentPoly({self.to_str()!r})"
-
-    def to_str(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            s = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            if e == 0:
-                pieces.append(s)
-            elif e == 1:
-                pieces.append(f"{s}*a")
-            else:
-                pieces.append(f"{s}*a^{e}")
-        return " + ".join(pieces)
-
-    @classmethod
-    def from_str(cls, text: str) -> "LaurentPoly":
-        text = text.strip()
-        if text in ("", "0"):
-            return cls()
-        coeffs: dict[int, Fraction] = {}
-        for piece in text.replace("- ", "+ -").split("+"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if "*a" in piece:
-                cpart, apart = piece.split("*a", 1)
-                e = 1 if apart == "" else int(apart.lstrip("^"))
-            else:
-                cpart, e = piece, 0
-            coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(cpart)
-        return cls(coeffs)
-
-
-# ---------------------------------------------------------------------------
 # Radial functions
 # ---------------------------------------------------------------------------
 
+def _collect(pairs) -> dict[tuple[int, int, int], Fraction]:
+    """Sum (key, coefficient) contributions into one term dict.
+
+    A zero contribution is skipped before it is inserted, so keys keep the
+    order of their first nonzero contribution (which fixes the summation
+    order of RadialFunction.__call__); RadialFunction drops sums that cancel.
+    """
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for key, c in pairs:
+        if c:
+            out[key] = out.get(key, 0) + c
+    return out
+
+
 @dataclass
 class RadialFunction:
-    """Sum of terms coeff(a) * r^p * (1 + a r^2)^{-(M+2t)/2} in dimension n.
+    """Sum of terms c * a^e * r^p * (1 + a r^2)^{-(M+2t)/2} in dimension n.
 
-    Terms are keyed by (p, t); zero coefficients are pruned on construction.
-    A decaying function keeps M + 2t > 0 on every term (see is_decaying);
-    M + 2t <= 0 encodes constants and polynomial factors in a r^2, which
-    power reduction of low-decay inputs legitimately produces.
+    Terms are keyed by (p, t, e) with exact Fraction coefficients c; zero
+    coefficients are pruned on construction.  M + 2t <= 0 encodes constants
+    and polynomial factors in a r^2, which power reduction of low-decay
+    inputs legitimately produces.
     """
 
     n: int
     M: int
-    terms: dict[tuple[int, int], LaurentPoly] = field(default_factory=dict)
+    terms: dict[tuple[int, int, int], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
-        for (p, t), c in self.terms.items():
-            if not isinstance(c, LaurentPoly):
-                c = LaurentPoly.const(c)
-            if c.is_zero():
+        for (p, t, e), c in self.terms.items():
+            c = Fraction(c)
+            if c == 0:
                 continue
             if p < 0:
                 raise RepresentationError(f"negative r-power p={p}")
-            clean[(int(p), int(t))] = c
+            clean[(int(p), int(t), int(e))] = c
         self.terms = clean
-
-    @property
-    def is_decaying(self) -> bool:
-        return all(self.M + 2 * t > 0 and self.M + 2 * t > p
-                   for (p, t) in self.terms)
-
-    # -- construction helpers ------------------------------------------------
-
-    def copy_with(self, terms: dict) -> "RadialFunction":
-        return RadialFunction(self.n, self.M, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -224,31 +113,23 @@ class RadialFunction:
     def __add__(self, other: "RadialFunction") -> "RadialFunction":
         if (self.n, self.M) != (other.n, other.M):
             raise ValueError("incompatible n or M")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, LaurentPoly()) + c
-        return self.copy_with(out)
+        return RadialFunction(self.n, self.M, _collect(
+            [*self.terms.items(), *other.terms.items()]))
 
     def __mul__(self, other) -> "RadialFunction":
         """Product; with another RadialFunction the M fields add."""
         if isinstance(other, RadialFunction):
             if self.n != other.n:
                 raise ValueError("incompatible dimension")
-            out: dict[tuple[int, int], LaurentPoly] = {}
-            for (p1, t1), c1 in self.terms.items():
-                for (p2, t2), c2 in other.terms.items():
-                    key = (p1 + p2, t1 + t2)
-                    out[key] = out.get(key, LaurentPoly()) + c1 * c2
-            return RadialFunction(self.n, self.M + other.M, out)
-        out = {key: c * other for key, c in self.terms.items()}
-        return self.copy_with(out)
+            return RadialFunction(self.n, self.M + other.M, _collect(
+                ((p1 + p2, t1 + t2, e1 + e2), c1 * c2)
+                for (p1, t1, e1), c1 in self.terms.items()
+                for (p2, t2, e2), c2 in other.terms.items()))
+        other = Fraction(other)
+        return RadialFunction(self.n, self.M,
+                              {key: c * other for key, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def scale_coeffs(self, poly: LaurentPoly) -> "RadialFunction":
-        return self.copy_with({key: c * poly for key, c in self.terms.items()})
-
-    # -- evaluation ------------------------------------------------------------
 
     def __call__(self, r, a_value: float):
         """Pointwise value at radius r (scalar or array) with a = a_value > 0."""
@@ -257,39 +138,10 @@ class RadialFunction:
         r = np.asarray(r, dtype=float)
         w = 1.0 + a_value * r**2
         tot = np.zeros_like(r)
-        for (p, t), c in self.terms.items():
+        for (p, t, e), c in self.terms.items():
             q = self.M + 2 * t
-            tot = tot + c(a_value) * r**p * w ** (-0.5 * q)
+            tot = tot + float(c) * float(a_value) ** e * r**p * w ** (-0.5 * q)
         return tot if tot.shape else float(tot)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        """One term per line: "coeff_poly ; p ; t", plus an n/M header."""
-        lines = [f"# n={self.n} M={self.M}"]
-        for (p, t) in sorted(self.terms):
-            lines.append(f"{self.terms[(p, t)].to_str()} ; {p} ; {t}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RadialFunction":
-        n = M = None
-        terms: dict[tuple[int, int], LaurentPoly] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                hdr = dict(kv.split("=") for kv in line[1:].split())
-                n, M = int(hdr["n"]), int(hdr["M"])
-                continue
-            cpart, ppart, tpart = line.split(";")
-            key = (int(ppart), int(tpart))
-            poly = LaurentPoly.from_str(cpart)
-            terms[key] = terms.get(key, LaurentPoly()) + poly
-        if n is None:
-            raise ValueError("missing '# n=.. M=..' header line")
-        return cls(n, M, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +152,7 @@ def make_bubble(n: int, k: int) -> RadialFunction:
     """Flat profile (1 + a r^2)^{-(n-2k)/2}; equals the standard bubble at a=a_{n,k}."""
     if k < 1 or n <= 2 * k:
         raise ValueError(f"need 1 <= k and n > 2k, got n={n}, k={k}")
-    return RadialFunction(n, n - 2 * k, {(0, 0): LaurentPoly.const(1)})
+    return RadialFunction(n, n - 2 * k, {(0, 0, 0): 1})
 
 
 def laplacian(f: RadialFunction) -> RadialFunction:
@@ -312,37 +164,30 @@ def laplacian(f: RadialFunction) -> RadialFunction:
     produce r^{-1}, which is outside the class.
     """
     n = f.n
-    out: dict[tuple[int, int], LaurentPoly] = {}
 
-    def add(key, poly):
-        if not poly.is_zero():
-            out[key] = out.get(key, LaurentPoly()) + poly
+    def parts():
+        for (p, t, e), c in f.terms.items():
+            q = f.M + 2 * t
+            if p == 1:
+                raise RepresentationError("laplacian of an r^1 term leaves the class")
+            if p >= 2:
+                yield (p - 2, t, e), c * (-p * (p + n - 2))
+            yield (p, t + 1, e + 1), c * (q * (2 * p + n))
+            yield (p + 2, t + 2, e + 2), c * (-q * (q + 2))
 
-    for (p, t), c in f.terms.items():
-        q = f.M + 2 * t
-        if p == 1:
-            raise RepresentationError("laplacian of an r^1 term leaves the class")
-        if p >= 2:
-            add((p - 2, t), c * Fraction(-p * (p + n - 2)))
-        add((p, t + 1), c.shift(1) * Fraction(q * (2 * p + n)))
-        add((p + 2, t + 2), c.shift(2) * Fraction(-q * (q + 2)))
-    return f.copy_with(out)
+    return RadialFunction(n, f.M, _collect(parts()))
 
 
 def radial_derivative(f: RadialFunction) -> RadialFunction:
     """Exact d/dr; term count grows by at most a factor two."""
-    out: dict[tuple[int, int], LaurentPoly] = {}
 
-    def add(key, poly):
-        if not poly.is_zero():
-            out[key] = out.get(key, LaurentPoly()) + poly
+    def parts():
+        for (p, t, e), c in f.terms.items():
+            if p >= 1:
+                yield (p - 1, t, e), c * p
+            yield (p + 1, t + 1, e + 1), c * -(f.M + 2 * t)
 
-    for (p, t), c in f.terms.items():
-        q = f.M + 2 * t
-        if p >= 1:
-            add((p - 1, t), c * Fraction(p))
-        add((p + 1, t + 1), c.shift(1) * Fraction(-q))
-    return f.copy_with(out)
+    return RadialFunction(f.n, f.M, _collect(parts()))
 
 
 def power_reduce(f: RadialFunction) -> RadialFunction:
@@ -351,21 +196,17 @@ def power_reduce(f: RadialFunction) -> RadialFunction:
     Requires every r-power even.  Pointwise values are unchanged for every
     r and a != 0; coefficients pick up negative powers of a.
     """
-    out: dict[tuple[int, int], LaurentPoly] = {}
 
-    def add(key, poly):
-        if not poly.is_zero():
-            out[key] = out.get(key, LaurentPoly()) + poly
+    def parts():
+        for (p, t, e), c in f.terms.items():
+            if p % 2:
+                raise RepresentationError(f"odd r-power p={p} cannot be reduced")
+            s = p // 2
+            for m in range(s + 1):
+                sign = -1 if (s - m) % 2 else 1
+                yield (0, t - m, e - s), c * (sign * math.comb(s, m))
 
-    for (p, t), c in f.terms.items():
-        if p % 2:
-            raise RepresentationError(f"odd r-power p={p} cannot be reduced")
-        s = p // 2
-        base = c.shift(-s)
-        for m in range(s + 1):
-            sign = -1 if (s - m) % 2 else 1
-            add((0, t - m), base * Fraction(sign * math.comb(s, m)))
-    return f.copy_with(out)
+    return RadialFunction(f.n, f.M, _collect(parts()))
 
 
 @dataclass
@@ -378,8 +219,8 @@ class ExactCheckResult:
     """
 
     passed: bool
-    leading_coefficient: LaurentPoly
-    residual_terms: list[tuple[int, int, LaurentPoly]]
+    leading_coefficient: dict[int, Fraction]  # {a-exponent: coefficient}
+    residual_terms: list[tuple[int, int, int, Fraction]]  # (p, t, e, c)
 
 
 def check_bubble_identity(n: int, k: int) -> ExactCheckResult:
@@ -395,8 +236,8 @@ def check_bubble_identity(n: int, k: int) -> ExactCheckResult:
     g = power_reduce(g)
     # target w-exponent: (n+2k)/2, i.e. M + 2t = n + 2k with M = n - 2k
     target = (0, 2 * k)
-    leading = g.terms.get(target, LaurentPoly())
-    residuals = [(p, t, c) for (p, t), c in g.terms.items() if (p, t) != target]
-    expected = LaurentPoly.monomial(bubble_constant_product(n, k), k)
-    passed = (not residuals) and leading == expected
+    leading = {e: c for (p, t, e), c in g.terms.items() if (p, t) == target}
+    residuals = [(p, t, e, c) for (p, t, e), c in g.terms.items()
+                 if (p, t) != target]
+    passed = not residuals and leading == {k: bubble_constant_product(n, k)}
     return ExactCheckResult(passed, leading, residuals)

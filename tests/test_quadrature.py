@@ -3,10 +3,14 @@ additivity, linearity, agreement of the deterministic and QMC paths, and the
 surface rules."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polybubble
 from polybubble.quadrature import (AccuracyError, Ball, BallMinusBalls,
                                    HalfBall, Singularity, SphereSurface,
                                    TruncatedSpace, ball_volume,
@@ -113,11 +117,14 @@ def test_axisymmetric_halfball():
     r = integrate_axisymmetric(lambda x: x[:, 0], hb, np.zeros(5), np.eye(5)[0])
     exact = sphere_area(4) * (1.0 / 6.0) * (1.0 / 4.0)
     assert r.value == pytest.approx(exact, rel=1e-9)
-    # polar origin at 0.3 e_1: rays toward -e_1 are cut at the plane x_1 = 0
-    hb3 = HalfBall((0.0,) * 5, 1.0,
-                   singularities=(Singularity((0.3,) + (0.0,) * 4, 1.0),))
-    r3 = integrate_axisymmetric(lambda x: x[:, 0], hb3, np.zeros(5), np.eye(5)[0])
-    assert r3.value == pytest.approx(exact, rel=1e-2)
+    # polar origin off the centre: rays toward -e_1 are cut at the plane
+    # x_1 = c_1, and the rim circle is a phi panel edge; also with c_1 != 0
+    for c1, o1 in ((0.0, 0.3), (0.0, 0.6), (0.0, -0.4), (0.5, 0.3), (0.5, -0.4)):
+        hb3 = HalfBall((c1,) + (0.0,) * 4, 1.0,
+                       singularities=(Singularity((c1 + o1,) + (0.0,) * 4, 1.0),))
+        r3 = integrate_axisymmetric(lambda x: x[:, 0] - c1, hb3, np.zeros(5),
+                                    np.eye(5)[0])
+        assert r3.value == pytest.approx(exact, rel=1e-7), (c1, o1)
 
 
 def test_truncated_half_space():
@@ -194,3 +201,14 @@ def test_determinism_fixed_seed():
     a = integrate_volume(f, dom, seed=11)
     b = integrate_volume(f, dom, seed=11)
     assert a.value == b.value and a.error_estimate == b.error_estimate
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is imported on the QMC path only, not by import polybubble."""
+    src = os.path.dirname(os.path.dirname(polybubble.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, polybubble; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
