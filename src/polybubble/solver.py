@@ -5,6 +5,9 @@
 
 written as k coupled radial second-order equations for v_i = (-Delta)^i u:
 -v_i'' - (n-1)/r v_i' = v_{i+1} (i < k-1), closing with the nonlinearity.
+Each shot integrates the state with DOP853 together with its variational
+equation, so Newton gets the exact shooting Jacobian from the same shot;
+converged solutions are checked against an independent RK45 re-integration.
 The classical lower-order-coefficient convention maps to mu = -lambda, so the
 blow-up experiment runs mu upward toward 0 through negative values.
 
@@ -42,7 +45,7 @@ __all__ = [
 _EPS0 = 1e-6       # Taylor start radius, removes the (n-1)/r singularity
 _BLOW_CAP = 1e9
 _DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
-_VERIFY_RTOL = 1e-12  # DOP853 verifier tolerance, tighter than any shot
+_VERIFY_RTOL = 1e-12  # RK45 verifier tolerance, tighter than any shot
 _MAX_HALVINGS = 6    # continuation step halvings before declaring a fold
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
 
@@ -88,6 +91,7 @@ class RadialSolution:
     sup_norm: float
     energy: float
     collocation_residual: float = float("nan")
+    jac: np.ndarray | None = None  # (k, k) derivative of mismatch in d
 
     def u(self, r):
         return np.interp(r, self.r, self.v[0])
@@ -112,48 +116,66 @@ class BranchPoint:
 # Shooting
 # ---------------------------------------------------------------------------
 
-def _nonlinearity(ts, mu, v0, vp):
-    """|v0|^{2#-2} v0 - mu vp at the critical exponent ts = 2#."""
-    return np.abs(v0) ** (ts - 2.0) * v0 - mu * vp
-
-
-def _rhs(params: ProblemParams):
+def _rhs(params: ProblemParams, cols: int):
+    """Right-hand side on the flattened (2k, cols) block whose column 0 is
+    the state y = (v_0, v_0', ..., v_{k-1}, v_{k-1}') and whose columns
+    1..k, when present, are S = dy/dd: Y' = A(r, v_0) Y, with A the chain
+    linearised at the state, except that column 0 takes the nonlinearity
+    |v_0|^{2#-2} v_0 itself instead of its linearisation."""
     n, k, p, mu = params.n, params.k, params.p, params.mu
     ts = params.two_sharp
+    i = np.arange(k)
+    A0 = np.zeros((2 * k, 2 * k))
+    A0[2 * i, 2 * i + 1] = 1.0               # v_i' = dv_i
+    A0[2 * i[:-1] + 1, 2 * i[:-1] + 2] = -1.0  # dv_i' gets -v_{i+1}
+    A0[-1, 2 * p] += mu                      # dv_{k-1}' gets mu v_p
+    A1 = np.zeros((2 * k, 2 * k))
+    A1[2 * i + 1, 2 * i + 1] = -(n - 1.0)    # dv_i' gets -(n-1)/r dv_i
 
     def rhs(r, y):
-        out = np.empty_like(y)
-        vs = y[0::2]
-        dvs = y[1::2]
-        for i in range(k):
-            nxt = vs[i + 1] if i < k - 1 else _nonlinearity(ts, mu, vs[0], vs[p])
-            out[2 * i] = dvs[i]
-            out[2 * i + 1] = -(n - 1) / r * dvs[i] - nxt
-        return out
+        v0 = y[0]
+        a = abs(v0) ** (ts - 2.0)
+        A = A1 * (1.0 / r)
+        A += A0
+        A[-1, 0] -= (ts - 1.0) * a
+        out = A @ y.reshape(2 * k, cols)
+        out[-1, 0] += (ts - 2.0) * a * v0
+        return out.ravel()
 
     return rhs
 
 
 def _taylor_start(params: ProblemParams, d, eps):
-    """4-term even Taylor expansion at the origin fixing y(eps)."""
-    n, k, p = params.n, params.k, params.p
+    """4-term even Taylor expansion at the origin fixing y(eps), as a
+    (2k, 1+k) block: column 0 is y(eps), columns 1..k its closed-form
+    derivatives in d.  The coefficients c2, c4 are linear in
+    w = (d, N(d_0, d_p)) and in F2, so each row carries its derivative."""
+    n, k, p, mu = params.n, params.k, params.p, params.mu
     ts = params.two_sharp
-    w = list(d) + [_nonlinearity(ts, params.mu, d[0], d[p])]
-    c2 = [-w[i + 1] / (2.0 * n) for i in range(k)]
-    F2 = (ts - 1.0) * abs(d[0]) ** (ts - 2.0) * c2[0] - params.mu * c2[p]
-    c4 = [(-c2[i + 1] if i < k - 1 else -F2) / (4.0 * (n + 2)) for i in range(k)]
-    y = np.empty(2 * k)
-    for i in range(k):
-        y[2 * i] = d[i] + c2[i] * eps**2 + c4[i] * eps**4
-        y[2 * i + 1] = 2 * c2[i] * eps + 4 * c4[i] * eps**3
-    return y
+    a = abs(d[0]) ** (ts - 2.0)
+    W = np.zeros((k + 1, 1 + k))
+    W[:k, 0] = d
+    W[:k, 1:] = np.eye(k)
+    W[k, 0] = a * d[0] - mu * d[p]
+    W[k, 1 + p] -= mu
+    W[k, 1] += (ts - 1.0) * a
+    C2 = -W[1:] / (2.0 * n)
+    F2 = (ts - 1.0) * a * C2[0] - mu * C2[p]
+    if d[0] != 0.0:
+        F2[1] += (ts - 1.0) * (ts - 2.0) * a / d[0] * C2[0, 0]
+    C4 = -np.vstack([C2[1:], F2]) / (4.0 * (n + 2))
+    Y = np.empty((2 * k, 1 + k))
+    Y[0::2] = W[:k] + C2 * eps**2 + C4 * eps**4
+    Y[1::2] = 2 * C2 * eps + 4 * C4 * eps**3
+    return Y
 
 
 def _boundary_derivatives(params: ProblemParams, y_end):
     """(u(1), u'(1), ..., u^{(k-1)}(1)) reconstructed from the v_i chain.
 
     Uses v_i'' = -(n-1)/r v_i' - v_{i+1} and its r-derivatives at r = 1;
-    reconstruction of u^{(m)} for m <= k-1 never reaches the nonlinear level.
+    reconstruction of u^{(m)} for m <= k-1 never reaches the nonlinear level,
+    so the map is linear and acts column by column on a (2k, cols) block.
     """
     n, k = params.n, params.k
     D = {(i, j): y_end[2 * i + j] for i in range(k) for j in (0, 1)}
@@ -175,33 +197,46 @@ def _boundary_derivatives(params: ProblemParams, y_end):
     return np.array([get(0, m) for m in range(k)])
 
 
-def _integrate(params: ProblemParams, d, method: str, rtol: float, grid):
+def _integrate(params: ProblemParams, d, method: str, rtol: float, grid,
+               variational: bool = False):
     """Integrate the radial system from the Taylor start at shooting data d
-    to r = 1 with one scipy method.
+    to r = 1 with one scipy method, with the variational columns when asked.
 
-    Returns (y at r = 1, y sampled on grid from the dense output); raises
-    IntegrationBlowUp with the escape radius when r = 1 is not reached.
+    Returns (block at r = 1, state sampled on grid from the dense output);
+    raises IntegrationBlowUp with the escape radius when r = 1 is not
+    reached.  The variational columns get atol = inf, so only the state
+    enters step control; the state's rtol and atol are scaled by
+    1/sqrt(cols) to cancel scipy's RMS over all components, which keeps the
+    steps those of the state alone.
     """
-    y0 = _taylor_start(params, d, _EPS0)
-    cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(y0)))
+    Y0 = _taylor_start(params, d, _EPS0)
+    if not variational:
+        Y0 = Y0[:, :1]
+    cols = Y0.shape[1]
+    cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(Y0[:, 0])))
 
     def blow(r, y):
-        return np.max(np.abs(y)) - cap
+        return np.max(np.abs(y[::cols])) - cap
 
     blow.terminal = True
     blow.direction = 1
-    sol = solve_ivp(_rhs(params), (_EPS0, 1.0), y0, method=method,
-                    rtol=rtol, atol=rtol * max(1.0, np.max(np.abs(d))),
+    scale = cols ** -0.5
+    atol = np.full_like(Y0, np.inf)
+    atol[:, 0] = scale * rtol * max(1.0, np.max(np.abs(d)))
+    sol = solve_ivp(_rhs(params, cols), (_EPS0, 1.0), Y0.ravel(), method=method,
+                    rtol=max(scale * rtol, _RTOL_FLOOR), atol=atol.ravel(),
                     dense_output=True, events=blow)
     if sol.status == 1 or sol.t[-1] < 1.0 - 1e-12:
         raise IntegrationBlowUp(sol.t[-1])
-    return sol.y[:, -1], sol.sol(grid)
+    return sol.y[:, -1].reshape(Y0.shape), sol.sol(grid)[::cols]
 
 
 def shoot(params: ProblemParams, d, rtol: float = 1e-10):
-    """Integrate the radial system (RK45) from the Taylor start to r = 1.
+    """Integrate the radial system and its variational equation (DOP853)
+    from the Taylor start to r = 1.
 
-    Returns (mismatch, RadialSolution); raises IntegrationBlowUp with the
+    Returns (mismatch, RadialSolution); the solution's jac is the exact
+    Jacobian of the mismatch in d.  Raises IntegrationBlowUp with the
     blow-up radius when the solution escapes before reaching the boundary.
     """
     d = np.asarray(d, float)
@@ -210,10 +245,11 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     if not np.all(np.isfinite(d)):
         raise ValueError("shooting data must be finite")
     rr = np.linspace(_EPS0, 1.0, _DENSE_POINTS)
-    y_end, Y = _integrate(params, d, "RK45", rtol, rr)
+    Y_end, Y = _integrate(params, d, "DOP853", rtol, rr, variational=True)
     v = Y[0::2]
     dv = Y[1::2]
-    mismatch = _boundary_derivatives(params, y_end)
+    B = _boundary_derivatives(params, Y_end)
+    mismatch, jac = B[:, 0], B[:, 1:]
     n, k = params.n, params.k
     sup = float(np.max(np.abs(v[0])))
     # energy int |(-Delta)^{k/2} u|^2: middle Laplacian iterate (even k) or
@@ -223,16 +259,16 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     else:
         integrand = dv[(k - 1) // 2] ** 2
     energy = sphere_area(n) * float(np.trapezoid(integrand * rr ** (n - 1), rr))
-    return mismatch, RadialSolution(params, d, rr, v, dv, mismatch, sup, energy)
+    return mismatch, RadialSolution(params, d, rr, v, dv, mismatch, sup, energy,
+                                    jac=jac)
 
 
 def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
-    """Relative sup difference of u against an independent DOP853
+    """Relative sup difference of u against an independent RK45
     re-integration of the same shooting data, sampled on the solution's grid;
     inf when the re-integration does not reach r = 1."""
     try:
-        _, Y = _integrate(params, solution.d, "DOP853", _VERIFY_RTOL,
-                          solution.r)
+        _, Y = _integrate(params, solution.d, "RK45", _VERIFY_RTOL, solution.r)
     except IntegrationBlowUp:
         return float("inf")
     diff = np.abs(Y[0] - solution.v[0])
@@ -245,7 +281,8 @@ def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
 
 def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
                  max_iter: int = 50) -> RadialSolution:
-    """Damped Newton on the shooting map, Jacobian by finite differences.
+    """Damped Newton on the shooting map, with the exact Jacobian that each
+    shot carries from its variational equation: one shot per iteration.
 
     Returns the RadialSolution of the last accepted shot, with its
     collocation residual filled in.  rtol must be finite and at least
@@ -254,7 +291,6 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     if not (math.isfinite(rtol) and rtol >= _RTOL_FLOOR):
         raise ValueError(f"rtol = {rtol:g} must be finite and >= {_RTOL_FLOOR:.3g}")
     d = np.asarray(d_init, float).copy()
-    k = params.k
 
     def shot(dd):
         return shoot(params, dd, rtol=min(1e-10, rtol))
@@ -264,12 +300,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
         if np.linalg.norm(F) < rtol:
             sol.collocation_residual = collocation_check(params, sol)
             return sol
-        J = np.empty((k, k))
-        for j in range(k):
-            h = 1e-6 * max(1.0, abs(d[j]))
-            dp = d.copy()
-            dp[j] += h
-            J[:, j] = (shot(dp)[0] - F) / h
+        J = sol.jac
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > 1e14:
             raise NewtonFailure("singular shooting Jacobian", condition=cond)
@@ -327,27 +358,51 @@ def _grad_p_square_integral(params: ProblemParams, solution: RadialSolution) -> 
     return sphere_area(n) * float(np.trapezoid(integrand * rr ** (n - 1), rr))
 
 
+def _secant_guess(accepted, mu):
+    """Log-log secant predictor d2 (d2/d1)^t, t = log(mu/mu2)/log(mu2/mu1),
+    through the last two accepted (mu, d); None unless mu1, mu2, mu share a
+    sign, mu1 != mu2, and each component of d1, d2 is nonzero with one sign."""
+    if len(accepted) < 2:
+        return None
+    (mu1, d1), (mu2, d2) = accepted
+    if mu1 == mu2 or not (mu1 * mu2 > 0 and mu2 * mu > 0):
+        return None
+    if not np.all(np.sign(d1) * np.sign(d2) > 0):
+        return None
+    t = math.log(mu / mu2) / math.log(mu2 / mu1)
+    guess = d2 * (d2 / d1) ** t
+    return guess if np.all(np.isfinite(guess)) else None
+
+
 def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
     """Natural-parameter continuation along the mu grid with step halving.
 
-    Returns (branch points, flag) where flag is "complete" or "fold" when
-    the branch was lost despite halving.
+    Each grid point starts Newton from the log-log secant prediction when
+    two points are accepted, then from the previous d; a halving retry
+    starts from the previous d only.  Returns (branch points, flag) where
+    flag is "complete" or "fold" when the branch was lost despite halving.
     """
     mu_grid = list(mu_grid)
     points = []
     d = np.asarray(d_seed, float)
-    mu_prev = None
+    accepted = []  # last two accepted (mu, d)
     pending = list(mu_grid)
     halvings = 0
     while pending:
         mu_target = pending[0]
         pars = ProblemParams(params.n, params.k, params.p, mu_target)
-        try:
-            sol = newton_solve(pars, d, rtol=rtol)
-        except (NewtonFailure, IntegrationBlowUp):
-            if mu_prev is None or halvings >= _MAX_HALVINGS:
+        guess = None if halvings else _secant_guess(accepted, mu_target)
+        sol = None
+        for start in ([d] if guess is None else [guess, d]):
+            try:
+                sol = newton_solve(pars, start, rtol=rtol)
+                break
+            except (NewtonFailure, IntegrationBlowUp):
+                pass
+        if sol is None:
+            if not accepted or halvings >= _MAX_HALVINGS:
                 return points, "fold"
-            pending.insert(0, 0.5 * (mu_prev + mu_target))
+            pending.insert(0, 0.5 * (accepted[-1][0] + mu_target))
             halvings += 1
             continue
         mu_fit, resid = fit_bubble(sol)
@@ -357,7 +412,7 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
                                       mu_fit, resid, poho, sol.d.copy(),
                                       sol.collocation_residual))
         d = sol.d.copy()
-        mu_prev = mu_target
+        accepted = accepted[-1:] + [(mu_target, d)]
         pending.pop(0)
         halvings = 0
     return points, "complete"
@@ -431,7 +486,8 @@ def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> st
          "mu_grid": list(map(float, mu_grid)),
          "d_seed": list(map(float, np.atleast_1d(d_seed))),
          "rtol": rtol, "taylor_start": _EPS0, "blow_cap": _BLOW_CAP,
-         "integrator": "rk45-adaptive", "verifier": "dop853",
+         "integrator": "dop853-adaptive", "jacobian": "variational",
+         "verifier": "rk45",
          "verifier_rtol": _VERIFY_RTOL,
          "newton": {"max_iter": 50, "damping": "halving"}}
     if extra:

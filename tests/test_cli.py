@@ -148,7 +148,7 @@ def test_solve_and_determinism(tmp_path):
     sups = [float(l.split(",")[1]) for l in lines[1:]]
     assert sups[1] > sups[0]
     assert all(float(l.split(",")[-1]) < 1e-7 for l in lines[1:])
-    assert man["verifier"] == "dop853"
+    assert man["integrator"] == "dop853-adaptive" and man["verifier"] == "rk45"
 
 
 def test_solve_seed_blowup_is_accuracy_failure(tmp_path, capsys):
@@ -213,3 +213,12 @@ def test_console_entry_point(tmp_path):
          str(tmp_path / "proc"), "bubble-check", "--n", "5", "--k", "2"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_package_runs_as_module(tmp_path):
+    """python -m polybubble works as a process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybubble", "--out", str(tmp_path / "proc"),
+         "bubble-check", "--n", "3", "--k", "1"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
-"""Radial solver: shooting map basics, agreement with an independent
-DOP853 re-integration, Newton convergence and idempotence, bubble fitting,
-and the scaling-exponent fit."""
+"""Radial solver: shooting map basics, the exact shooting Jacobian against
+central differences, agreement with an independent RK45 re-integration,
+Newton convergence, idempotence and shot counts, branch accuracy, bubble
+fitting, and the scaling-exponent fit."""
 
 import json
 
@@ -53,7 +54,7 @@ def test_shoot_blowup_reported_with_radius():
     assert 0.0 < exc.value.radius < 1.0
 
 
-def test_shoot_matches_independent_dop853():
+def test_shoot_matches_independent_rk45():
     """Second-integrator oracle on the nonlinear problem."""
     p = ProblemParams(3, 1, 0, 0.0)
     d = [1.0]
@@ -123,6 +124,168 @@ def test_newton_converged_start_shoots_once(monkeypatch):
     assert np.array_equal(again.d, sol.d)
     assert np.array_equal(again.v, sol.v)
     assert again.collocation_residual == sol.collocation_residual
+
+
+def _counting_shoot(monkeypatch):
+    calls = []
+    real = solver.shoot
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "shoot", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", [
+    (7, 1, 0, -0.1, [45959.7]),
+    (9, 2, 0, -3000.0, [8.0, 500.0]),
+    (9, 2, 1, -50.0, [3.0, 40.0]),
+    (11, 3, 1, -1.0, [1.0, 2.0, 3.0]),
+])
+def test_shot_jacobian_matches_central_differences(n, k, p, mu, d):
+    """The variational columns give the mismatch Jacobian of the shot."""
+    params = ProblemParams(n, k, p, mu)
+    d = np.array(d)
+    _, sol = shoot(params, d, rtol=1e-12)
+    fd = np.empty((k, k))
+    for j in range(k):
+        h = np.zeros(k)
+        h[j] = 1e-5 * max(1.0, abs(d[j]))
+        fd[:, j] = (shoot(params, d + h, rtol=1e-12)[0]
+                    - shoot(params, d - h, rtol=1e-12)[0]) / (2 * h[j])
+    assert sol.jac.shape == (k, k)
+    assert np.max(np.abs(sol.jac - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", [
+    (7, 1, 0, -0.5, [1.2e4]),
+    (9, 2, 1, -50.0, [3.0, 40.0]),
+    (11, 3, 2, 2.0, [-1.5, 2.0, 3.0]),
+])
+def test_taylor_start_derivative_columns(n, k, p, mu, d):
+    """Columns 1..k of the Taylor start are the derivatives of column 0 in
+    d, checked at a start radius where every coefficient shows."""
+    params = ProblemParams(n, k, p, mu)
+    d = np.array(d)
+    eps = 0.3
+    Y = solver._taylor_start(params, d, eps)
+    for j in range(k):
+        h = np.zeros(k)
+        h[j] = 1e-6 * abs(d[j])
+        fd = (solver._taylor_start(params, d + h, eps)[:, 0]
+              - solver._taylor_start(params, d - h, eps)[:, 0]) / (2 * h[j])
+        np.testing.assert_allclose(Y[:, 1 + j], fd, rtol=1e-6,
+                                   atol=1e-8 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", [
+    (7, 1, 0, -0.5, [1.2e4]),
+    (9, 2, 0, -3000.0, [8.0, 500.0]),
+])
+def test_variational_columns_leave_steps_unchanged(monkeypatch, n, k, p, mu, d):
+    """atol = inf on the variational columns: a shot takes the steps of
+    the state integrated alone, and reaches the same state.  The steps
+    agree up to rounding, which the error estimate amplifies."""
+    params = ProblemParams(n, k, p, mu)
+    runs = []
+    real = solver.solve_ivp
+
+    def spy(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        runs.append(sol.t)
+        return sol
+
+    monkeypatch.setattr(solver, "solve_ivp", spy)
+    grid = np.linspace(1e-6, 1.0, 50)
+    block, _ = solver._integrate(params, d, "DOP853", 1e-10, grid,
+                                 variational=True)
+    alone, _ = solver._integrate(params, d, "DOP853", 1e-10, grid)
+    assert block.shape == (2 * k, 1 + k) and alone.shape == (2 * k, 1)
+    assert len(runs[0]) == len(runs[1])
+    np.testing.assert_allclose(runs[0], runs[1], rtol=1e-3)
+    np.testing.assert_allclose(block[:, 0], alone[:, 0], rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(alone)))
+
+
+def test_newton_shoots_once_per_iteration(monkeypatch):
+    """The Jacobian comes with each shot: no extra shots per iteration."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    start = newton_solve(p, [1.2e4], rtol=1e-9)
+    calls = _counting_shoot(monkeypatch)
+    sol = newton_solve(ProblemParams(7, 1, 0, -0.25), start.d, rtol=1e-9)
+    assert np.linalg.norm(sol.mismatch) < 1e-9
+    assert len(calls) <= 7
+
+
+def test_continuation_shot_budget(monkeypatch):
+    """The default grid, with the log-log secant predictor, in <= 25 shots."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    start = newton_solve(p, [1.2e4], rtol=1e-9)
+    calls = _counting_shoot(monkeypatch)
+    pts, flag = continuation(p, [-0.5, -0.25, -0.1, -0.05, -0.02], start.d,
+                             rtol=1e-9)
+    assert flag == "complete" and len(pts) == 5
+    assert len(calls) <= 25
+
+
+def test_continuation_falls_back_from_failed_prediction(monkeypatch):
+    """A Newton failure from the predicted guess retries from the previous
+    d at the same mu, before any halving."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    start = newton_solve(p, [1.2e4], rtol=1e-9)
+    bad = np.array([1.0])
+    monkeypatch.setattr(solver, "_secant_guess",
+                        lambda accepted, mu: bad if len(accepted) == 2 else None)
+    real = solver.newton_solve
+    tried = []
+
+    def refusing(params, d_init, **kwargs):
+        tried.append((params.mu, d_init is bad))
+        if d_init is bad:
+            raise NewtonFailure("predicted guess refused")
+        return real(params, d_init, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", refusing)
+    grid = [-0.5, -0.25, -0.1]
+    pts, flag = continuation(p, grid, start.d, rtol=1e-9)
+    assert flag == "complete" and [b.mu_param for b in pts] == grid
+    assert tried == [(-0.5, False), (-0.25, False), (-0.1, True), (-0.1, False)]
+
+
+def test_branch_matches_tight_newton():
+    """The last default-grid branch point agrees with a Newton solve at
+    rtol 1e-12 started from it.  The shooting map is flat there, so the
+    shot's integration error in u(1) moves d far more than the collocation
+    residual shows."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    start = newton_solve(p, [1.2e4], rtol=1e-9)
+    pts, flag = continuation(p, [-0.5, -0.25, -0.1, -0.05, -0.02], start.d,
+                             rtol=1e-9)
+    assert flag == "complete"
+    last = pts[-1]
+    tight = newton_solve(ProblemParams(7, 1, 0, last.mu_param), last.d,
+                         rtol=1e-12)
+    assert abs(last.d[0] - tight.d[0]) <= 1e-6 * abs(tight.d[0])
+
+
+def test_secant_guess_conditions():
+    """Exact on a power law in |mu|; None unless two accepted points, one
+    sign of mu, distinct mu and nonzero data of matching signs."""
+    law = lambda mu: np.array([3.0 * abs(mu) ** -2.5, -0.5 * abs(mu) ** 0.7])
+    acc = [(-0.5, law(-0.5)), (-0.25, law(-0.25))]
+    np.testing.assert_allclose(solver._secant_guess(acc, -0.1), law(-0.1),
+                               rtol=1e-12)
+    assert solver._secant_guess(acc[:1], -0.1) is None
+    assert solver._secant_guess(acc, 0.1) is None
+    assert solver._secant_guess(acc, 0.0) is None
+    assert solver._secant_guess([acc[0], acc[0]], -0.1) is None
+    assert solver._secant_guess([(0.5, law(0.5)), acc[1]], -0.1) is None
+    flipped = law(-0.25) * np.array([1.0, -1.0])
+    assert solver._secant_guess([acc[0], (-0.25, flipped)], -0.1) is None
+    zero = np.array([law(-0.25)[0], 0.0])
+    assert solver._secant_guess([acc[0], (-0.25, zero)], -0.1) is None
 
 
 def test_newton_failure_modes():
@@ -209,7 +372,9 @@ def test_continuation_short_branch(tmp_path):
         b.collocation_residual for b in pts]
     man = json.loads(run_manifest(p, [-0.5, -0.25], seed_sol.d, 1e-8))
     assert "rtol" in man and "mu_grid" in man
-    assert man["verifier"] == "dop853" and man["verifier_rtol"] == 1e-12
+    assert man["integrator"] == "dop853-adaptive"
+    assert man["jacobian"] == "variational"
+    assert man["verifier"] == "rk45" and man["verifier_rtol"] == 1e-12
 
 
 def test_higher_order_shoot_runs():
