@@ -238,7 +238,6 @@ def cmd_pohozaev(cfg: RunConfig) -> int:
         a = bubble_constant(n, k)
         prof = RationalProfile(make_bubble(n, k), a)
         u = RadialTermField.radial(n, np.zeros(n), prof)
-        u.n = n
         dom = Ball((0.0,) * n, 1.0)
         rep = pohozaev_residual(u, None, critical_exponent(n, k), dom,
                                 np.zeros(n), k,
@@ -280,7 +279,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     except (NewtonFailure, IntegrationBlowUp) as e:
         print(f"seed solve failed at mu = {grid[0]:g}: {e}", file=sys.stderr)
         return EXIT_ACCURACY
-    points, flag = continuation(params, grid, sol.d, rtol=rtol)
+    try:
+        points, flag = continuation(params, grid, sol.d, rtol=rtol)
+    except ValueError as e:
+        print(f"continuation failed: {e}", file=sys.stderr)
+        return EXIT_VERIFICATION
     branch_csv(points, os.path.join(cfg.out, "branch.csv"))
     _atomic_write(os.path.join(cfg.out, "solve_manifest.json"),
                   run_manifest(params, grid, d_seed, rtol,

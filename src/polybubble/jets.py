@@ -129,18 +129,20 @@ class Jet:
 # Finite-difference oracles
 # ---------------------------------------------------------------------------
 
-def fd_partial(f, x, alpha, h: float = 1e-4) -> float:
+def fd_partial(f, x, alpha, h: float = 1e-4):
     """Central finite difference of the mixed partial given by the index
-    multiset alpha.  f maps an (m, n) array to an (m,) array."""
+    multiset alpha, at one point (n,) or a batch (m, n).  f maps an (m, n)
+    array to an (m,) array."""
     x = np.asarray(x, float)
     alpha = tuple(alpha)
     if not alpha:
-        return float(np.asarray(f(x[None, :])).ravel()[0])
+        vals = np.asarray(f(np.atleast_2d(x)), float)
+        return vals.reshape(x.shape[:-1])[()]
     i, rest = alpha[0], alpha[1:]
     xp = x.copy()
     xm = x.copy()
-    xp[i] += h
-    xm[i] -= h
+    xp[..., i] += h
+    xm[..., i] -= h
     return (fd_partial(f, xp, rest, h) - fd_partial(f, xm, rest, h)) / (2 * h)
 
 

@@ -1,16 +1,13 @@
 """Integration engine for balls, half-balls, spheres, punctured regions and
 truncated (half-)space, with declared point singularities |x-x0|^{-sigma}.
 
-Three volume paths, tried in this order:
-
-* radial reduction (1-D adaptive quadrature, singularity flattened by the
-  substitution r = u^{1/(n-sigma)}) when the caller certifies the integrand
-  is radial about a center compatible with the domain;
-* an axisymmetric 2-D reduction when the caller certifies symmetry about a
-  line through the relevant centers;
-* scrambled Sobol sampling with mixture importance weighting around each
-  declared singular/peaked point, 8 independent replicates, spread reported
-  as twice the replicate standard deviation.
+Volume integrals: an axisymmetric 2-D reduction when the caller certifies
+symmetry about a line through the relevant centers, otherwise scrambled Sobol
+sampling with mixture importance weighting around each declared singular or
+peaked point (8 independent replicates, spread twice their standard
+deviation).  Sphere integrals: one product Gauss rule, cut to its polar
+factor for axisymmetric integrands, or Sobol directions for n >= 5.
+integrate_radial is the 1-D rule for radial integrands.
 
 Deterministic tensor grids are infeasible for n in [7, 12], hence the QMC
 fallback; all QMC results are reproducible bit-for-bit for a fixed seed.
@@ -25,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sg
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln, ndtri, roots_jacobi, roots_legendre
 
 __all__ = [
     "AccuracyError",
@@ -234,13 +231,6 @@ def _refuse_unmet(res: QuadratureResult, tol: float | None) -> QuadratureResult:
     return res
 
 
-def _check_sigmas(domain):
-    n = domain.dim
-    for s in getattr(domain, "singularities", ()):
-        if s.order >= n:
-            raise ValueError(f"singularity order {s.order} >= dimension {n}")
-
-
 # ---------------------------------------------------------------------------
 # Radial path
 # ---------------------------------------------------------------------------
@@ -257,29 +247,23 @@ def integrate_radial(g, R: float, n: int, sigma: float = 0.0,
     """
     if sigma >= n:
         raise ValueError(f"sigma={sigma} must be < n={n}")
+    power = n - sigma if sigma else 1.0  # the integration variable is r^power
     if sigma == 0:
-        # regular integrand: integrate in r directly
         def h(r):
             return g(r) * r ** (n - 1)
-
-        u_lo, u_hi = r_min, R
-        cuts = sorted({u_lo, u_hi}
-                      | {float(np.clip(s, u_lo, u_hi))
-                         for s0 in feature_scales if s0 > 0
-                         for s in (0.3 * s0, s0, 3.0 * s0, 10.0 * s0)})
     else:
-        beta = 1.0 / (n - sigma)
+        beta = 1.0 / power
         expo = sigma * beta  # sigma/(n-sigma)
 
         def h(u):
             r = u**beta
             return beta * g(r) * u**expo
 
-        u_lo, u_hi = r_min ** (n - sigma), R ** (n - sigma)
-        cuts = sorted({u_lo, u_hi}
-                      | {float(np.clip(s ** (n - sigma), u_lo, u_hi))
-                         for s0 in feature_scales if s0 > 0
-                         for s in (0.3 * s0, s0, 3.0 * s0, 10.0 * s0)})
+    u_lo, u_hi = r_min**power, R**power
+    cuts = sorted({u_lo, u_hi}
+                  | {float(np.clip(s**power, u_lo, u_hi))
+                     for s0 in feature_scales if s0 > 0
+                     for s in (0.3 * s0, s0, 3.0 * s0, 10.0 * s0)})
     val = err = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 0:
@@ -479,19 +463,33 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
 # QMC mixture path
 # ---------------------------------------------------------------------------
 
-def _component_samples(kind, m, n, rng, center, r_lo, r_hi):
-    """Draw m points for one mixture component."""
+_REPLICATES = 8
+
+
+def _sobol_directions(rng, m, n, lead=0):
+    """m scrambled Sobol points of dimension lead + n: the first lead
+    coordinates as drawn in [0, 1), the last n mapped through ndtri and
+    normalised to directions uniform on S^{n-1}."""
     from scipy.stats import qmc
 
-    sob = qmc.Sobol(d=n + 1, scramble=True, seed=rng)
-    u = sob.random(m)
-    z = np.clip(u[:, 1:], 1e-12, 1 - 1e-12)
-    from scipy.special import ndtri
-    dirs = ndtri(z)
+    u = qmc.Sobol(d=lead + n, scramble=True, seed=rng).random(m)
+    dirs = ndtri(np.clip(u[:, lead:], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    dirs /= norms
-    u0 = np.clip(u[:, 0], 1e-12, 1 - 1e-12)
+    return u[:, :lead], dirs / norms
+
+
+def _replicate_result(reps, samples, tail=0.0) -> QuadratureResult:
+    """Mean of the replicate estimates; spread twice their standard deviation."""
+    reps = np.asarray(reps)
+    return QuadratureResult(float(np.mean(reps)),
+                            2.0 * float(np.std(reps, ddof=1)) + tail, "qmc", samples)
+
+
+def _component_samples(kind, m, n, rng, center, r_lo, r_hi):
+    """Draw m points for one mixture component."""
+    head, dirs = _sobol_directions(rng, m, n, lead=1)
+    u0 = np.clip(head[:, 0], 1e-12, 1 - 1e-12)
     if kind == "uniform":
         r = r_hi * u0 ** (1.0 / n)
     else:  # log-uniform radius
@@ -515,60 +513,24 @@ def _component_pdf(kind, x, n, center, r_lo, r_hi):
 
 
 def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
-                     n_points: int = 2**13, replicates: int = 8,
-                     radial_center=None, axis=None) -> QuadratureResult:
+                     n_points: int = 2**13, axis=None) -> QuadratureResult:
     """Volume integral of f over the domain.
 
     f maps an (m, n) point array to an (m,) array.  Declared singularities
-    must match f's actual singular set (caller contract).  radial_center
-    certifies f radial about that center; axis=(point, direction) certifies
-    axial symmetry.  Otherwise scrambled-Sobol mixture importance sampling.
-    tol is the relative tolerance of the radial rule; an axisymmetric or QMC
-    error estimate above tol * |value| raises AccuracyError.
+    must match f's actual singular set (caller contract).  axis=(point,
+    direction) certifies axial symmetry: integrate_axisymmetric.  Otherwise
+    scrambled-Sobol mixture importance sampling.  An error estimate above
+    tol * |value| raises AccuracyError.
     """
-    _check_sigmas(domain)
     n = domain.dim
-
-    # certified radial about the domain center: 1-D reduction
-    if radial_center is not None:
-        c = np.asarray(radial_center, float)
-        c_enc, r_enc = domain.enclosing()
-        concentric = np.linalg.norm(c - c_enc) <= 1e-12 * max(1.0, r_enc)
-        holes_ok = True
-        r_min = 0.0
-        if isinstance(domain, BallMinusBalls):
-            for b in domain.inner:
-                if np.linalg.norm(np.asarray(b.center, float) - c) > 1e-12:
-                    holes_ok = False
-                else:
-                    r_min = max(r_min, b.radius)
-        if concentric and holes_ok and not isinstance(domain, (HalfBall,)):
-            sigma = 0.0
-            feats = []
-            for s in getattr(domain, "singularities", ()):
-                if np.linalg.norm(np.asarray(s.point, float) - c) <= 1e-12:
-                    sigma = max(sigma, s.order)
-                    if s.scale > 0:
-                        feats.append(s.scale)
-            half = isinstance(domain, TruncatedSpace) and domain.half
-
-            def g(r):
-                x = c.copy()
-                if r > 0:
-                    x = c + r * np.eye(n)[min(1, n - 1) if half else 0]
-                return float(np.asarray(f(x[None, :])).ravel()[0])
-
-            res = integrate_radial(g, r_enc, n, sigma=sigma, r_min=r_min,
-                                   tol=(tol or 1e-11), feature_scales=feats)
-            if half:
-                res.value *= 0.5
-                res.error_estimate *= 0.5
-            res.error_estimate += getattr(domain, "tail_bound", 0.0)
-            return res
+    for s in getattr(domain, "singularities", ()):
+        if s.order >= n:
+            raise ValueError(f"singularity order {s.order} >= dimension {n}")
+    tail = getattr(domain, "tail_bound", 0.0)
 
     if axis is not None:
         res = integrate_axisymmetric(f, domain, axis[0], axis[1])
-        res.error_estimate += getattr(domain, "tail_bound", 0.0)
+        res.error_estimate += tail
         return _refuse_unmet(res, tol)
 
     # QMC mixture importance sampling
@@ -584,8 +546,7 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
 
     reps = []
     m_per = 2 ** max(6, math.ceil(math.log2(max(1, n_points // len(comps)))))
-    total_samples = 0
-    for rep in range(replicates):
+    for rep in range(_REPLICATES):
         est = 0.0
         for j, (kind, center, r_lo, r_hi) in enumerate(comps):
             rng = np.random.default_rng([seed, rep, j])
@@ -600,13 +561,8 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
             with np.errstate(invalid="ignore"):
                 ratio = np.where(inside & (q > 0), vals / np.maximum(q, 1e-300), 0.0)
             est += w[j] * float(np.mean(ratio))
-            total_samples += m_per
         reps.append(est)
-    reps = np.asarray(reps)
-    value = float(np.mean(reps))
-    spread = 2.0 * float(np.std(reps, ddof=1))
-    spread += getattr(domain, "tail_bound", 0.0)
-    res = QuadratureResult(value, spread, "qmc", total_samples)
+    res = _replicate_result(reps, _REPLICATES * len(comps) * m_per, tail)
     return _refuse_unmet(res, tol)
 
 
@@ -614,96 +570,66 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
 # Surface path
 # ---------------------------------------------------------------------------
 
-def _surface_product_gauss(f, sphere, m):
-    """Product Gauss rule on S^{n-1} for n in {2, 3, 4}; exact for low degree."""
-    n = sphere.dim
-    c = np.asarray(sphere.center, float)
-    R = sphere.radius
-    if n == 2:
-        th = (np.arange(m) + 0.5) * (2 * math.pi / m)
-        pts = c + R * np.stack([np.cos(th), np.sin(th)], axis=1)
-        vals = np.asarray(f(pts), float)
-        return float(np.mean(vals)) * sphere.area()
-    if n == 3:
-        xs, wx = _gauss_legendre(m)  # cos(theta) in [-1, 1]
-        th = (np.arange(2 * m) + 0.5) * (2 * math.pi / (2 * m))
-        ct = xs[:, None]
-        st = np.sqrt(1 - ct**2)
-        pts = np.stack(
-            [np.broadcast_to(ct, (m, 2 * m)),
-             st * np.cos(th)[None, :],
-             st * np.sin(th)[None, :]], axis=-1)
-        vals = np.asarray(f(c + R * pts.reshape(-1, 3)), float).reshape(m, 2 * m)
-        avg = float(np.sum(wx[:, None] * vals) / (2 * m)) / 2.0
-        return avg * sphere.area()
-    if n == 4:
-        from scipy.special import roots_jacobi
-        x1, w1 = roots_jacobi(m, 0.5, 0.5)  # weight (1-x^2)^{1/2}
-        x2, w2 = _gauss_legendre(m)
-        th = (np.arange(2 * m) + 0.5) * (2 * math.pi / (2 * m))
-        pts = []
-        wts = []
-        for a, wa in zip(x1, w1):
-            s1 = math.sqrt(1 - a * a)
-            for b, wb in zip(x2, w2):
-                s2 = math.sqrt(1 - b * b)
-                for t in th:
-                    pts.append([a, s1 * b, s1 * s2 * math.cos(t), s1 * s2 * math.sin(t)])
-                    wts.append(wa * wb / (2 * m))
-        pts = np.asarray(pts)
-        wts = np.asarray(wts)
-        vals = np.asarray(f(c + R * pts), float)
-        # int over S^3 of 1: sum wts * 2пи ... normalize against constant
-        ones = np.sum(wts)
-        return float(np.sum(wts * vals) / ones) * sphere.area()
-    raise ValueError("product rule limited to n <= 4")
+def _sphere_rule(n: int, m: int, axial: bool = False):
+    """Product Gauss rule on the unit sphere S^{n-1}: nodes (N, n) and
+    positive weights (N,), which the integral divides by their sum.
+
+    Gauss-Jacobi with m nodes in the cosine of the first polar angle (weight
+    (1 - x^2)^{(n-3)/2}) times the rule on S^{n-2} scaled by the sine; S^1
+    takes 2m equally spaced points.  With axial the recursion stops after
+    the first factor and the nodes are (cos, sin) pairs in an axis frame,
+    which is exact for integrands axisymmetric about that axis.
+    """
+    if n == 2 and not axial:
+        th = (np.arange(2 * m) + 0.5) * (math.pi / m)
+        return np.stack([np.cos(th), np.sin(th)], axis=1), np.ones(2 * m)
+    x, w = roots_jacobi(m, 0.5 * (n - 3), 0.5 * (n - 3))
+    s = np.sqrt(1 - x**2)
+    if axial:
+        return np.stack([x, s], axis=1), w
+    u, v = _sphere_rule(n - 1, m)
+    nodes = np.concatenate([np.repeat(x, len(v))[:, None],
+                            (s[:, None, None] * u).reshape(-1, n - 1)], axis=1)
+    return nodes, np.outer(w, v).ravel()
 
 
 def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
                       seed: int = 0, n_points: int = 2**12,
-                      replicates: int = 8, axis=None) -> QuadratureResult:
+                      axis=None) -> QuadratureResult:
     """Area integral of f over a sphere.
 
-    Product Gauss rules in the angles for n <= 4; scrambled low-discrepancy
-    directions for n >= 5.  axis=direction certifies f axisymmetric about
-    the line through the center: 1-D Gauss-Jacobi in the polar angle.
+    axis=direction certifies f axisymmetric about the line through the
+    center: the 1-D Gauss-Jacobi factor of the product rule in the polar
+    angle ("gauss-jacobi").  Otherwise the full product rule for n <= 4
+    ("product-gauss") and scrambled-Sobol directions for n >= 5 ("qmc").
+    The product rules estimate their error against the rule with half the
+    nodes per factor; an error estimate above tol * |value| raises
+    AccuracyError.
     """
     n = sphere.dim
     c = np.asarray(sphere.center, float)
     R = sphere.radius
 
-    if axis is not None:
-        d, e = _axis_frame(axis)
-        from scipy.special import roots_jacobi
-        lam = 0.5 * (n - 2)  # weight (1-x^2)^{(n-3)/2} in x = cos(theta)
-        for m in (48, 96):
-            x, wts = roots_jacobi(m, lam - 0.5, lam - 0.5)
-            pts = c + R * (x[:, None] * d[None, :] + np.sqrt(1 - x**2)[:, None] * e[None, :])
-            vals = np.asarray(f(pts), float)
-            est = float(np.sum(wts * vals) / np.sum(wts)) * sphere.area()
-            if m == 48:
-                prev = est
-        return QuadratureResult(est, abs(est - prev), "gauss-jacobi", 144)
-
-    if n <= 4:
-        coarse = _surface_product_gauss(f, sphere, 24)
-        fine = _surface_product_gauss(f, sphere, 48)
-        return QuadratureResult(fine, abs(fine - coarse), "product-gauss")
-
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+    axial = axis is not None
+    if axial or n <= 4:
+        if axial:
+            d, e = _axis_frame(axis)
+        ests, used = [], 0
+        for m in ((48, 96) if axial else (24, 48)):
+            u, w = _sphere_rule(n, m, axial)
+            if axial:
+                u = u[:, :1] * d + u[:, 1:] * e
+            vals = np.asarray(f(c + R * u), float)
+            ests.append(float(np.sum(w * vals) / np.sum(w)) * sphere.area())
+            used += len(w)
+        coarse, fine = ests
+        method = "gauss-jacobi" if axial else "product-gauss"
+        return _refuse_unmet(
+            QuadratureResult(fine, abs(fine - coarse), method, used), tol)
 
     reps = []
-    for rep in range(replicates):
-        rng = np.random.default_rng([seed, rep])
-        sob = qmc.Sobol(d=n, scramble=True, seed=rng)
-        z = np.clip(sob.random(n_points), 1e-12, 1 - 1e-12)
-        dirs = ndtri(z)
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for rep in range(_REPLICATES):
+        _, dirs = _sobol_directions(np.random.default_rng([seed, rep]), n_points, n)
         vals = np.asarray(f(c + R * dirs), float)
         reps.append(float(np.mean(vals)) * sphere.area())
-    reps = np.asarray(reps)
-    value = float(np.mean(reps))
-    spread = 2.0 * float(np.std(reps, ddof=1))
-    res = QuadratureResult(value, spread, "qmc", replicates * n_points)
-    return _refuse_unmet(res, tol)
+    return _refuse_unmet(_replicate_result(reps, _REPLICATES * n_points), tol)

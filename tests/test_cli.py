@@ -161,6 +161,15 @@ def test_solve_seed_blowup_is_accuracy_failure(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_solve_lost_bubble_fit_is_verification_failure(tmp_path, capsys):
+    """From the default seed, n = 6 converges to the negative ground state;
+    the bubble fit refuses it, and solve exits 1 with a one-line message."""
+    assert run_cli(["solve", "--n", "6"], tmp_path)[0] == 1
+    err = capsys.readouterr().err
+    assert "bubble fit" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_solve_seed_newton_failure_is_accuracy_failure(tmp_path, capsys,
                                                        monkeypatch):
     from polybubble import solver

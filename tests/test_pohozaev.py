@@ -383,6 +383,17 @@ def test_fd_laplacian_iter_batch_matches_points(k):
         batch, [fd_laplacian_iter(u.value, x, k, h=1e-2) for x in pts])
 
 
+@pytest.mark.parametrize("alpha", [(), (1,), (0, 2)])
+def test_fd_partial_batch_matches_points(alpha):
+    n = 3
+    u = manufactured_dirichlet(1, n, MultiPoly.coordinate(n, 1) + 1)
+    pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(4, n))
+    batch = fd_partial(u.value, pts, alpha, h=1e-2)
+    assert batch.shape == (len(pts),)
+    np.testing.assert_array_equal(
+        batch, [fd_partial(u.value, x, alpha, h=1e-2) for x in pts])
+
+
 # -- the identity itself --------------------------------------------------------
 
 def brute_force_report(u, p_exp, k, n, xi, domain):

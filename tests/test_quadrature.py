@@ -53,11 +53,13 @@ def test_volume_constant_qmc():
     assert r.value == pytest.approx(ball_volume(4), rel=1e-6)
 
 
-def test_volume_singular_radial_path():
+def test_volume_singular_axis_path():
+    """A declared center singularity on the deterministic volume path."""
     dom = Ball((0.0,) * 3, 1.0,
                singularities=(Singularity((0.0, 0.0, 0.0), 1.0),))
     r = integrate_volume(lambda x: 1.0 / np.linalg.norm(x, axis=1), dom,
-                         radial_center=(0.0, 0.0, 0.0))
+                         axis=(np.zeros(3), np.eye(3)[0]))
+    assert r.method == "axisymmetric"
     assert r.value == pytest.approx(2 * math.pi, rel=1e-11)
 
 
@@ -140,8 +142,10 @@ def test_truncated_space_tail_bound_propagates():
     """Caller-supplied analytic tail bounds are added to the error."""
     ts = TruncatedSpace(3, 2.0, half=False, tail_bound=0.5)
     f = lambda x: np.exp(-np.sum(x**2, axis=1))
-    r = integrate_volume(f, ts, radial_center=(0.0, 0.0, 0.0))
-    assert r.error_estimate >= 0.5
+    r = integrate_volume(f, ts, axis=(np.zeros(3), np.eye(3)[0]))
+    assert r.method == "axisymmetric" and r.error_estimate >= 0.5
+    exact = integrate_radial(lambda t: math.exp(-t * t), 2.0, 3).value
+    assert r.value == pytest.approx(exact, rel=1e-11)
     rq = integrate_volume(f, ts, seed=0)
     assert rq.error_estimate >= 0.5
 
@@ -185,6 +189,45 @@ def test_surface_high_dimension_paths():
     rax = integrate_surface(lambda x: x[:, 0] ** 2, sph, axis=np.eye(7)[0])
     assert (rq.method, rax.method) == ("qmc", "gauss-jacobi")
     assert rax.value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, axial", [(2, False), (3, False), (4, False),
+                                      (5, True), (7, True)])
+def test_sphere_rule_exact_on_moments(n, axial):
+    """With m nodes per factor the product rule integrates every monomial of
+    degree < 2m exactly; its polar factor alone every such power of the
+    axis coordinate."""
+    import itertools
+
+    from polybubble.quadrature import _sphere_rule
+
+    m = 6
+    u, w = _sphere_rule(n, m, axial)
+    assert np.all(w > 0)
+    np.testing.assert_allclose(np.sum(u**2, axis=1), 1.0, rtol=1e-15)
+    if axial:
+        alphas = [(a,) + (0,) * (n - 1) for a in range(2 * m)]
+        u = np.pad(u[:, :1], ((0, 0), (0, n - 1)))
+    else:
+        alphas = [a for a in itertools.product(range(2 * m), repeat=n)
+                  if sum(a) < 2 * m]
+    for alpha in alphas:
+        mean = np.sum(w * np.prod(u ** np.array(alpha), axis=1)) / np.sum(w)
+        assert abs(mean - float(sphere_moment_ratio(alpha))) < 2e-15, alpha
+
+
+@pytest.mark.parametrize("n, axis, nodes", [(3, None, 24 * 48 + 48 * 96),
+                                            (2, None, 48 + 96),
+                                            (5, np.eye(5)[0], 48 + 96)])
+def test_surface_deterministic_rules_refuse_unmet_tol(n, axis, nodes):
+    sph = SphereSurface((0.0,) * n, 1.0)
+    rough = lambda x: np.where(x[:, 0] > 0.17, 1.0, -1.0)
+    with pytest.raises(AccuracyError) as exc:
+        integrate_surface(rough, sph, tol=1e-30, axis=axis)
+    assert exc.value.result.samples_used == nodes
+    r = integrate_surface(lambda x: x[:, 0] ** 2, sph, tol=1e-12, axis=axis)
+    assert r.samples_used == nodes
+    assert r.value == pytest.approx(sphere_area(n) / n, rel=1e-13)
 
 
 def test_sphere_moment_ratio_exact():
