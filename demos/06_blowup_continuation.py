@@ -17,14 +17,14 @@ params = ProblemParams(n=7, k=1, p=0, mu=-0.5)  # mu = -lambda
 print("Newton on the shooting map at lambda = 0.5 ...")
 sol = newton_solve(params, [1.2e4], rtol=1e-9)
 print(f"  ground state: u(0) = {sol.d[0]:.2f}, boundary mismatch "
-      f"{abs(sol.mismatch[0]):.1e}, RK45 re-integration check "
+      f"{abs(sol.mismatch[0]):.1e}, LSODA re-integration check "
       f"{sol.collocation_residual:.1e}")
 
 grid = [-0.5, -0.25, -0.1, -0.05, -0.02]
 branch, flag = continuation(params, grid, sol.d, rtol=1e-9)
 print(f"\ncontinuation ({flag}):")
 print(f"{'lambda':>8} {'sup norm':>12} {'energy':>12} {'mu_fit':>9} "
-      f"{'fit resid':>10} {'int u^2':>10} {'RK45':>9}")
+      f"{'fit resid':>10} {'int u^2':>10} {'LSODA':>9}")
 for b in branch:
     print(f"{-b.mu_param:8.3f} {b.sup_norm:12.4g} {b.energy:12.6g} "
           f"{b.mu_fit:9.5f} {b.fit_residual:10.2e} {b.poho_term:10.4g} "

@@ -7,21 +7,24 @@ written as k coupled radial second-order equations for v_i = (-Delta)^i u:
 -v_i'' - (n-1)/r v_i' = v_{i+1} (i < k-1), closing with the nonlinearity.
 Each shot integrates the state with DOP853 together with its variational
 equation, so Newton gets the exact shooting Jacobian from the same shot;
-converged solutions are checked against an independent RK45 re-integration.
+converged solutions are checked against an independent re-integration by
+ODEPACK's LSODA (variable-order Adams/BDF, compiled step loop).
 The classical lower-order-coefficient convention maps to mu = -lambda, so the
 blow-up experiment runs mu upward toward 0 through negative values.
 
-Only the positive radial ground-state branch is targeted.
+Only the positive radial ground-state branch is targeted: Newton never
+steps u(0) across zero.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
 from .quadrature import sphere_area
 from .radial import bubble_constant, critical_exponent, make_bubble
@@ -45,7 +48,7 @@ __all__ = [
 _EPS0 = 1e-6       # Taylor start radius, removes the (n-1)/r singularity
 _BLOW_CAP = 1e9
 _DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
-_VERIFY_RTOL = 1e-12  # RK45 verifier tolerance, tighter than any shot
+_VERIFY_RTOL = 1e-13  # LSODA verifier tolerance, tighter than any shot
 _MAX_HALVINGS = 6    # continuation step halvings before declaring a fold
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
 
@@ -197,10 +200,10 @@ def _boundary_derivatives(params: ProblemParams, y_end):
     return np.array([get(0, m) for m in range(k)])
 
 
-def _integrate(params: ProblemParams, d, method: str, rtol: float, grid,
+def _integrate(params: ProblemParams, d, rtol: float, grid,
                variational: bool = False):
     """Integrate the radial system from the Taylor start at shooting data d
-    to r = 1 with one scipy method, with the variational columns when asked.
+    to r = 1 with DOP853, with the variational columns when asked.
 
     Returns (block at r = 1, state sampled on grid from the dense output);
     raises IntegrationBlowUp with the escape radius when r = 1 is not
@@ -223,7 +226,7 @@ def _integrate(params: ProblemParams, d, method: str, rtol: float, grid,
     scale = cols ** -0.5
     atol = np.full_like(Y0, np.inf)
     atol[:, 0] = scale * rtol * max(1.0, np.max(np.abs(d)))
-    sol = solve_ivp(_rhs(params, cols), (_EPS0, 1.0), Y0.ravel(), method=method,
+    sol = solve_ivp(_rhs(params, cols), (_EPS0, 1.0), Y0.ravel(), method="DOP853",
                     rtol=max(scale * rtol, _RTOL_FLOOR), atol=atol.ravel(),
                     dense_output=True, events=blow)
     if sol.status == 1 or sol.t[-1] < 1.0 - 1e-12:
@@ -245,7 +248,7 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     if not np.all(np.isfinite(d)):
         raise ValueError("shooting data must be finite")
     rr = np.linspace(_EPS0, 1.0, _DENSE_POINTS)
-    Y_end, Y = _integrate(params, d, "DOP853", rtol, rr, variational=True)
+    Y_end, Y = _integrate(params, d, rtol, rr, variational=True)
     v = Y[0::2]
     dv = Y[1::2]
     B = _boundary_derivatives(params, Y_end)
@@ -264,14 +267,20 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
 
 
 def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
-    """Relative sup difference of u against an independent RK45
-    re-integration of the same shooting data, sampled on the solution's grid;
-    inf when the re-integration does not reach r = 1."""
-    try:
-        _, Y = _integrate(params, solution.d, "RK45", _VERIFY_RTOL, solution.r)
-    except IntegrationBlowUp:
+    """Relative sup difference of u against an independent LSODA
+    re-integration (scipy odeint, rtol _VERIFY_RTOL) of the same shooting
+    data, output directly on the solution's grid, which starts at the Taylor
+    start radius; inf when LSODA does not report success or its output is
+    not finite, as when the re-integration blows up before r = 1."""
+    y0 = _taylor_start(params, solution.d, _EPS0)[:, 0]
+    atol = _VERIFY_RTOL * max(1.0, float(np.max(np.abs(solution.d))))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", ODEintWarning)
+        Y, info = odeint(_rhs(params, 1), y0, solution.r, rtol=_VERIFY_RTOL,
+                         atol=atol, tfirst=True, full_output=True)
+    if info["message"] != "Integration successful." or not np.all(np.isfinite(Y)):
         return float("inf")
-    diff = np.abs(Y[0] - solution.v[0])
+    diff = np.abs(Y[:, 0] - solution.v[0])
     return float(np.max(diff) / max(solution.sup_norm, 1e-300))
 
 
@@ -285,7 +294,9 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     shot carries from its variational equation: one shot per iteration.
 
     Returns the RadialSolution of the last accepted shot, with its
-    collocation residual filled in.  rtol must be finite and at least
+    collocation residual filled in.  A step that would move u(0) across
+    zero is halved before it is shot, so the solve stays on the sign of
+    its start.  rtol must be finite and at least
     _RTOL_FLOOR, below which scipy clamps the shots' tolerance and the
     mismatch test could never pass."""
     if not (math.isfinite(rtol) and rtol >= _RTOL_FLOOR):
@@ -308,6 +319,9 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
         lam = 1.0
         base = np.linalg.norm(F)
         while lam > 1e-8:
+            if d[0] * (d[0] + lam * step[0]) < 0:
+                lam *= 0.5  # keep the sign of u(0): no shot
+                continue
             try:
                 F_new, sol_new = shot(d + lam * step)
             except IntegrationBlowUp:
@@ -487,7 +501,7 @@ def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> st
          "d_seed": list(map(float, np.atleast_1d(d_seed))),
          "rtol": rtol, "taylor_start": _EPS0, "blow_cap": _BLOW_CAP,
          "integrator": "dop853-adaptive", "jacobian": "variational",
-         "verifier": "rk45",
+         "verifier": "lsoda",
          "verifier_rtol": _VERIFY_RTOL,
          "newton": {"max_iter": 50, "damping": "halving"}}
     if extra:

@@ -148,7 +148,7 @@ def test_solve_and_determinism(tmp_path):
     sups = [float(l.split(",")[1]) for l in lines[1:]]
     assert sups[1] > sups[0]
     assert all(float(l.split(",")[-1]) < 1e-7 for l in lines[1:])
-    assert man["integrator"] == "dop853-adaptive" and man["verifier"] == "rk45"
+    assert man["integrator"] == "dop853-adaptive" and man["verifier"] == "lsoda"
 
 
 def test_solve_seed_blowup_is_accuracy_failure(tmp_path, capsys):
@@ -162,12 +162,24 @@ def test_solve_seed_blowup_is_accuracy_failure(tmp_path, capsys):
 
 
 def test_solve_lost_bubble_fit_is_verification_failure(tmp_path, capsys):
-    """From the default seed, n = 6 converges to the negative ground state;
+    """From a negative seed, n = 6 converges to the negative ground state;
     the bubble fit refuses it, and solve exits 1 with a one-line message."""
-    assert run_cli(["solve", "--n", "6"], tmp_path)[0] == 1
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"d_seed": [-1.2e4]}))
+    assert run_cli(["--config", str(cfgfile), "solve", "--n", "6"],
+                   tmp_path)[0] == 1
     err = capsys.readouterr().err
     assert "bubble fit" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_solve_default_seed_n6_stays_positive(tmp_path):
+    """From the default seed, n = 6 stays on the positive ground state and
+    the whole default branch completes."""
+    code, out = run_cli(["solve", "--n", "6"], tmp_path)
+    assert code == 0
+    lines = open(os.path.join(out, "solve", "branch.csv")).read().splitlines()
+    assert float(lines[1].split(",")[1]) == pytest.approx(2298.16, rel=1e-5)
 
 
 def test_solve_seed_newton_failure_is_accuracy_failure(tmp_path, capsys,

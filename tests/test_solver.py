@@ -1,7 +1,7 @@
 """Radial solver: shooting map basics, the exact shooting Jacobian against
-central differences, agreement with an independent RK45 re-integration,
-Newton convergence, idempotence and shot counts, branch accuracy, bubble
-fitting, and the scaling-exponent fit."""
+central differences, agreement with an independent LSODA re-integration,
+Newton convergence, sign keeping, idempotence and shot counts, branch
+accuracy, bubble fitting, and the scaling-exponent fit."""
 
 import json
 
@@ -54,7 +54,7 @@ def test_shoot_blowup_reported_with_radius():
     assert 0.0 < exc.value.radius < 1.0
 
 
-def test_shoot_matches_independent_rk45():
+def test_shoot_matches_independent_lsoda():
     """Second-integrator oracle on the nonlinear problem."""
     p = ProblemParams(3, 1, 0, 0.0)
     d = [1.0]
@@ -81,6 +81,35 @@ def test_collocation_check_inf_when_reintegration_blows_up():
     assert collocation_check(p, sol) == np.inf
 
 
+def test_collocation_check_is_independent_lsoda(monkeypatch):
+    """The verifier makes no solve_ivp call (the shots' integrator), and its
+    own LSODA profile at the n = 7, mu = -0.02 default-branch point agrees
+    with a DOP853 re-integration at rtol 3e-14 to 1e-11 sup-relative."""
+    p = ProblemParams(7, 1, 0, -0.02)
+    sol = newton_solve(p, [182253.878], rtol=1e-9)
+    outputs = []
+    real = solver.odeint
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        outputs.append(out[0][:, 0])
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier must not call solve_ivp")
+
+    monkeypatch.setattr(solver, "odeint", spy)
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    assert collocation_check(p, sol) < 1e-9
+    monkeypatch.undo()
+    y0 = solver._taylor_start(p, sol.d, solver._EPS0)[:, 0]
+    ref = solver.solve_ivp(solver._rhs(p, 1), (sol.r[0], 1.0), y0,
+                           method="DOP853", rtol=3e-14,
+                           atol=3e-14 * abs(sol.d[0]), t_eval=sol.r).y[0]
+    assert len(outputs) == 1
+    assert np.max(np.abs(outputs[0] - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 def test_solution_even_at_origin():
     """v'(eps) matches the even Taylor start 2 c_2 eps + O(eps^3), so the
     odd derivative at r = 0 itself vanishes."""
@@ -104,6 +133,15 @@ def test_newton_solves_bn_ground_state():
     assert sol2.d[0] == pytest.approx(sol.d[0], rel=1e-8)
     # PDE sanity: positive ground state, decaying profile
     assert sol.v[0][0] > 0 and sol.v[0][0] == sol.sup_norm
+
+
+def test_newton_keeps_sign_of_center_value():
+    """For n = 6 the undamped first step from 1.2e4 crosses zero; halving it
+    before the shot keeps Newton on the positive ground state."""
+    sol = newton_solve(ProblemParams(6, 1, 0, -0.5), [1.2e4])
+    assert sol.d[0] > 0
+    assert sol.d[0] == pytest.approx(2298.16, rel=1e-5)
+    assert sol.collocation_residual < 1e-9
 
 
 def test_newton_converged_start_shoots_once(monkeypatch):
@@ -199,9 +237,8 @@ def test_variational_columns_leave_steps_unchanged(monkeypatch, n, k, p, mu, d):
 
     monkeypatch.setattr(solver, "solve_ivp", spy)
     grid = np.linspace(1e-6, 1.0, 50)
-    block, _ = solver._integrate(params, d, "DOP853", 1e-10, grid,
-                                 variational=True)
-    alone, _ = solver._integrate(params, d, "DOP853", 1e-10, grid)
+    block, _ = solver._integrate(params, d, 1e-10, grid, variational=True)
+    alone, _ = solver._integrate(params, d, 1e-10, grid)
     assert block.shape == (2 * k, 1 + k) and alone.shape == (2 * k, 1)
     assert len(runs[0]) == len(runs[1])
     np.testing.assert_allclose(runs[0], runs[1], rtol=1e-3)
@@ -374,7 +411,7 @@ def test_continuation_short_branch(tmp_path):
     assert "rtol" in man and "mu_grid" in man
     assert man["integrator"] == "dop853-adaptive"
     assert man["jacobian"] == "variational"
-    assert man["verifier"] == "rk45" and man["verifier_rtol"] == 1e-12
+    assert man["verifier"] == "lsoda" and man["verifier_rtol"] == 1e-13
 
 
 def test_higher_order_shoot_runs():
