@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from polybubble import (Ball, BubbleSpec, TreeConfig, convolution_bound_verify,
-                        eta_sequences, giraud_verify, positive_bubble,
-                        psi_weight, star_norm, weight_grid)
+from polybubble import (Ball, BubbleSpec, Region, TreeConfig,
+                        convolution_bound_verify, eta_sequences, giraud_verify,
+                        positive_bubble, psi_weight, star_norm)
+from polybubble.tree import stratified_samples
 from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.radial import bubble_constant, make_bubble
 
@@ -27,7 +28,7 @@ def single(mu):
 # --- the weight and the norms -----------------------------------------------
 
 cfg = single(1e-2)
-grid = weight_grid(cfg, 400, seed=0)
+grid = stratified_samples(Region(cfg.domain, [], cfg.domain), cfg, 400, seed=0)
 print(f"Psi on a {len(grid)}-point grid: min {psi_weight(cfg, grid).min():.3e}, "
       f"max {psi_weight(cfg, grid).max():.3e}")
 

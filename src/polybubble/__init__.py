@@ -32,7 +32,7 @@ from .tree import (TreeConfig, FamilyLaw, InfluenceData, Region,
                    interaction_sup, eval_tree, tree_value)
 from .weights import (psi_weight, star_norm, starstar_norm, eta_sequences,
                       giraud_verify, convolution_bound_verify,
-                      ratio_table_csv, weight_grid)
+                      ratio_table_csv)
 from .pohozaev import (Jet, MultiPoly, PolynomialJet, manufactured_dirichlet,
                        e_operator, x_grad_laplacian, pohozaev_lhs,
                        pohozaev_rhs, pohozaev_residual, PohozaevReport)

@@ -212,32 +212,23 @@ def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
     boundary: chi(sigma^{-1}(x)) mu^{-(n-2k)/2} v(sigma^{-1}(x)/mu)
     """
     x = np.atleast_2d(np.asarray(x, float))
-    amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
-    chi = cutoff_profile()
+    c, R = np.asarray(domain.center, float), domain.radius
     if spec.kind == "interior":
-        c, R = np.asarray(domain.center, float), domain.radius
         bdist = R - np.linalg.norm(spec.center - c)
         if bdist <= 0:
             raise ValueError("bubble center outside the domain")
         z = x - spec.center
-        rho = np.linalg.norm(z, axis=1)
-        cut = chi.d(0, rho / bdist)
-        if spec.profile == "standard":
-            prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
-            vals = prof.d(0, rho / spec.mu)
-        else:
-            vals = np.asarray(spec.profile.value(z / spec.mu), float)
-        return cut * amp * vals
-    # boundary bubble: needs the unit-ball chart
-    c, R = np.asarray(domain.center, float), domain.radius
-    if np.linalg.norm(c) > 1e-12 or abs(R - 1.0) > 1e-12:
-        raise UnsupportedDomainError("boundary charts implemented for the unit ball only")
-    chart = BallChart(spec.center)
-    z = chart.inverse(x)
-    cut = chi.d(0, np.linalg.norm(z, axis=1))
+    else:  # boundary bubble: needs the unit-ball chart
+        if np.linalg.norm(c) > 1e-12 or abs(R - 1.0) > 1e-12:
+            raise UnsupportedDomainError("boundary charts implemented for the unit ball only")
+        bdist = 1.0  # the cutoff acts on chart coordinates
+        z = BallChart(spec.center).inverse(x)
+    rho = np.linalg.norm(z, axis=1)
+    cut = cutoff_profile().d(0, rho / bdist)
+    amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
     if spec.profile == "standard":
         prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
-        vals = prof.d(0, np.linalg.norm(z, axis=1) / spec.mu)
+        vals = prof.d(0, rho / spec.mu)
     else:
         vals = np.asarray(spec.profile.value(z / spec.mu), float)
     return cut * amp * vals

@@ -3,7 +3,7 @@
 The identity couples a bulk pairing of E(u) = (-Delta)^k u - f |u|^{p-2} u
 with the dilation generator against a boundary functional P_k built from
 iterated Laplacians.  For Dirichlet data P_k collapses, for either parity of
-k, to (-1)^k/2 * int (x-xi, nu) |(-Delta)^{k/2} u|^2, where (-Delta)^{k/2}
+k, to -1/2 * int (x-xi, nu) |(-Delta)^{k/2} u|^2, where (-Delta)^{k/2}
 means grad (-Delta)^{(k-1)/2} when k is odd.
 
 Two evaluation paths:
@@ -399,7 +399,7 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
     """The boundary functional P_k(domain; u).
 
     simplified=True evaluates instead the Dirichlet form
-    (-1)^k/2 * int (x-xi, nu) |(-Delta)^{k/2} u|^2, valid when u carries
+    -1/2 * int (x-xi, nu) |(-Delta)^{k/2} u|^2 (every k), valid when u carries
     Dirichlet data on the boundary of the domain (odd k uses the gradient
     interpretation of the half-power).
 
@@ -632,8 +632,8 @@ def pohozaev_residual(u, f, p_exp: float, domain, xi, k: int,
 
     residual_rel is |lhs - sum T_i| / max(|lhs|, max_i |T_i|, tiny).  With
     dirichlet=True the report also carries the gap between the full P_k and
-    its collapsed (-1)^k/2-form (the sign matters: the k-odd collapse has a
-    (-1)^k factor that older references drop).
+    its collapsed -1/2-form, which holds for every k (for odd k it is the
+    (-1)^k/2 convention; for even k that convention has the wrong sign).
     """
     xi = np.asarray(xi, float)
     # the volume rule takes axis = (point, direction); a boundary sphere is

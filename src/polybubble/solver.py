@@ -49,6 +49,7 @@ _EPS0 = 1e-6       # Taylor start radius, removes the (n-1)/r singularity
 _BLOW_CAP = 1e9
 _DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
 _VERIFY_RTOL = 1e-13  # LSODA verifier tolerance, tighter than any shot
+_MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
 _MAX_HALVINGS = 6    # continuation step halvings before declaring a fold
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
 
@@ -294,7 +295,9 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     shot carries from its variational equation: one shot per iteration.
 
     Returns the RadialSolution of the last accepted shot, with its
-    collocation residual filled in.  A step that would move u(0) across
+    collocation residual filled in, or raises NewtonFailure when that
+    residual is not below _MAX_RESIDUAL (as near u = 0, where the absolute
+    mismatch test passes).  A step that would move u(0) across
     zero is halved before it is shot, so the solve stays on the sign of
     its start.  rtol must be finite and at least
     _RTOL_FLOOR, below which scipy clamps the shots' tolerance and the
@@ -310,6 +313,10 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     for _ in range(max_iter):
         if np.linalg.norm(F) < rtol:
             sol.collocation_residual = collocation_check(params, sol)
+            res = sol.collocation_residual
+            if not res < _MAX_RESIDUAL:
+                raise NewtonFailure("converged state fails the verifier: "
+                                    f"collocation residual {res:.3g}")
             return sol
         J = sol.jac
         cond = np.linalg.cond(J)

@@ -32,6 +32,9 @@ __all__ = [
     "InfluenceData",
     "epsilon",
     "classify",
+    "theta_pow_B",
+    "weight_sum",
+    "pair_sum",
     "check_dominance",
     "pair_maxima",
     "interaction_sup",
@@ -351,9 +354,35 @@ def stratified_samples(region: Region, cfg: TreeConfig, count: int = 512,
     return keep[:count] if len(keep) > count else keep
 
 
-def _theta_pow_B(cfg: TreeConfig, j: int, l: int, pts) -> np.ndarray:
-    b = cfg.bubbles[j]
+def theta_pow_B(b: BubbleSpec, l: int, pts):
+    """theta_b^{-l} B_b at points (m, n); at one point (n,), a float from
+    the scalars theta and B there."""
+    pts = np.asarray(pts, float)
+    if pts.ndim == 1:
+        return float(theta(b, pts[None, :])[0] ** (-l)
+                     * positive_bubble(b, pts[None, :])[0])
     return theta(b, pts) ** (-l) * positive_bubble(b, pts)
+
+
+def weight_sum(cfg: TreeConfig, l: int, pts) -> np.ndarray:
+    """1 + sum_j theta_j^{-l} B_j at points (m, n)."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    out = np.ones(len(pts))
+    for b in cfg.bubbles:
+        out += theta_pow_B(b, l, pts)
+    return out
+
+
+def pair_sum(cfg: TreeConfig, B: list, out: np.ndarray) -> np.ndarray:
+    """Add sum_{i != j} (B^j)^{2#-2} B^i over indices 0..N into out and
+    return it; B = [B^1, ..., B^N] at the points of out, and B^0 = 1."""
+    ts = critical_exponent(cfg.n, cfg.k)
+    B = [np.ones(len(out))] + list(B)
+    for i in range(len(B)):
+        for j in range(len(B)):
+            if i != j:
+                out += B[j] ** (ts - 2.0) * B[i]
+    return out
 
 
 def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, l: int,
@@ -361,11 +390,7 @@ def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, l: int,
     """Measured sup over the influence region of
     (1 + sum_j theta_j^{-l} B_j) / (theta_i^{-l} B_i)."""
     pts = stratified_samples(data.regions[i], cfg, sample_count, seed)
-    num = np.ones(len(pts))
-    for j in range(len(cfg.bubbles)):
-        num += _theta_pow_B(cfg, j, l, pts)
-    den = _theta_pow_B(cfg, i, l, pts)
-    ratios = num / den
+    ratios = weight_sum(cfg, l, pts) / theta_pow_B(cfg.bubbles[i], l, pts)
     return {"i": i, "l": l, "constant": float(np.max(ratios)),
             "samples": len(pts)}
 
@@ -396,17 +421,9 @@ def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int,
           + max_i (mu^i)^{min((n-2k)/2, 2k)}   (zeroth-profile contribution)
     """
     n, k = cfg.n, cfg.k
-    N = len(cfg.bubbles)
-    two_sharp = critical_exponent(n, k)
     pts = stratified_samples(data.regions[i], cfg, sample_count, seed)
-    B = [np.ones(len(pts))]  # index 0 profile
-    for j in range(N):
-        B.append(positive_bubble(cfg.bubbles[j], pts))
-    tot = np.zeros(len(pts))
-    for r in range(N + 1):
-        for s in range(N + 1):
-            if r != s:
-                tot += B[r] ** (two_sharp - 2.0) * B[s]
+    B = [positive_bubble(b, pts) for b in cfg.bubbles]
+    tot = pair_sum(cfg, B, np.zeros(len(pts)))
     lhs = cfg.bubbles[i].mu ** (0.5 * (n + 2 * k)) * float(np.max(tot))
 
     expo = min(n - 2 * k, 4 * k)

@@ -19,7 +19,8 @@ import numpy as np
 from .bubbles import positive_bubble, theta
 from .quadrature import Ball, BallMinusBalls, Singularity, integrate_volume
 from .radial import critical_exponent
-from .tree import InfluenceData, TreeConfig, classify, pair_maxima
+from .tree import (InfluenceData, TreeConfig, classify, pair_maxima, pair_sum,
+                   theta_pow_B, weight_sum)
 
 __all__ = [
     "psi_weight",
@@ -29,7 +30,6 @@ __all__ = [
     "giraud_verify",
     "convolution_bound_verify",
     "ratio_table_csv",
-    "weight_grid",
 ]
 
 
@@ -41,50 +41,11 @@ def psi_weight(cfg: TreeConfig, y) -> np.ndarray:
     """Psi(y) = sum_i theta_i^{2-2k} B_i + sum_{i != j} B_j^{2#-2} B_i with
     indices running over 0..N and the zeroth profile B^0 = 1, theta^0 = 1."""
     y = np.atleast_2d(np.asarray(y, float))
-    n, k = cfg.n, cfg.k
-    ts = critical_exponent(n, k)
-    N = len(cfg.bubbles)
-    B = [np.ones(len(y))] + [positive_bubble(b, y) for b in cfg.bubbles]
+    B = [positive_bubble(b, y) for b in cfg.bubbles]
     out = np.zeros(len(y))
-    for i, b in enumerate(cfg.bubbles):
-        out += theta(b, y) ** (2 - 2 * k) * B[i + 1]
-    for i in range(N + 1):
-        for j in range(N + 1):
-            if i != j:
-                out += B[j] ** (ts - 2.0) * B[i]
-    return out
-
-
-def _weight_denominator(cfg: TreeConfig, l: int, y) -> np.ndarray:
-    y = np.atleast_2d(np.asarray(y, float))
-    den = np.ones(len(y))
-    for b in cfg.bubbles:
-        den += theta(b, y) ** (-l) * positive_bubble(b, y)
-    return den
-
-
-def weight_grid(cfg: TreeConfig, count: int = 600, seed: int = 0) -> np.ndarray:
-    """Documented sample grid on the closed domain: shells around each bubble
-    center at dyadic multiples of its scale, plus uniform background."""
-    rng = np.random.default_rng(seed)
-    n = cfg.n
-    dom = cfg.domain
-    pts = [np.asarray(dom.center, float)[None, :]]
-    for b in cfg.bubbles:
-        radius = 0.5 * b.mu
-        while radius < 2.0 * dom.radius:
-            dirs = rng.normal(size=(12, n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            pts.append(b.center + radius * dirs)
-            radius *= 2.0
-        pts.append(b.center[None, :])
-    m = max(count, 64)
-    dirs = rng.normal(size=(m, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = dom.radius * rng.uniform(0, 1, size=m) ** (1.0 / n)
-    pts.append(np.asarray(dom.center) + radii[:, None] * dirs)
-    pts = np.concatenate(pts, axis=0)
-    return pts[dom.contains(pts)][:count + 13 * len(cfg.bubbles)]
+    for b, Bb in zip(cfg.bubbles, B):
+        out += theta(b, y) ** (2 - 2 * cfg.k) * Bb
+    return pair_sum(cfg, B, out)
 
 
 def star_norm(phi, cfg: TreeConfig, grid) -> float:
@@ -96,7 +57,7 @@ def star_norm(phi, cfg: TreeConfig, grid) -> float:
     total = np.zeros(len(grid))
     for l in range(2 * cfg.k):
         mag = np.abs(phi.value(grid)) if l == 0 else phi.tensor_norm(l, grid)
-        total += mag / _weight_denominator(cfg, l, grid)
+        total += mag / weight_sum(cfg, l, grid)
     return float(np.max(total))
 
 
@@ -173,8 +134,7 @@ def _conv_integral(cfg: TreeConfig, x, expo: float, weight, peak_centers,
     return res.value, res.error_estimate
 
 
-def sample_x_points(cfg: TreeConfig, i: int, count: int = 6,
-                    seed: int = 0) -> list[np.ndarray]:
+def sample_x_points(cfg: TreeConfig, i: int, count: int = 6) -> list[np.ndarray]:
     """Evaluation points for convolution sup checks: on the configuration
     axis at bubble-scale, influence-scale and domain-scale distances."""
     b = cfg.bubbles[i]
@@ -221,15 +181,9 @@ def eta_sequences(cfg: TreeConfig, A_deltas=(), nu_max: float | None = None,
     r1 = _integrate_about(psi_q, dom, cfg.domain.center, _centers(cfg), seed)
     eta1 = r1.value ** (1.0 / q)
 
-    # eta2 by quadrature over sampled x
-    eta2 = 0.0
-    for x in sample_x_points(cfg, 0, count=x_count, seed=seed):
-        for l in range(2 * k):
-            val, _ = _conv_integral(
-                cfg, x, 2 * k - n - l, lambda y: psi_weight(cfg, y),
-                [(b.center, b.mu) for b in cfg.bubbles], seed=seed)
-            den = float(_weight_denominator(cfg, l, x[None, :])[0])
-            eta2 = max(eta2, val / den)
+    # eta2: the worst ratio of the lem2 convolution bound
+    eta2 = max(row["ratio"] for row in convolution_bound_verify(
+        "lem2", cfg, {"i": 0, "x_count": x_count}, seed=seed))
 
     # eta3, eta4: arithmetic on the configuration
     m = min(n - 2 * k, 4 * k)
@@ -304,50 +258,39 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
     ts = critical_exponent(n, k)
     i = params.get("i", 0)
     b = cfg.bubbles[i]
-    rows = []
 
-    if kind in ("ordre2", "trou0", "trou", "lem2"):
-        ls = params.get("l")
-        ls = range(2 * k) if ls is None else [ls]
+    M = params["M"] if kind == "trou" else None
+    own = [(b.center, b.mu)]
+    # kind -> (weight, peaks, hole radius in units of mu, rhs at (l, x))
+    single_point = {
+        "ordre2": (lambda y: theta(b, y) * positive_bubble(b, y) ** (ts - 1.0),
+                   own, None, lambda l, x: b.mu * theta_pow_B(b, l, x)),
+        "trou0": (lambda y: positive_bubble(b, y) ** (ts - 2.0),
+                  own, None, lambda l, x: 1.0 + theta_pow_B(b, l, x)),
+        "trou": (lambda y: positive_bubble(b, y) ** (ts - 1.0),
+                 own, M, lambda l, x: M ** (-2.0 * k) * theta_pow_B(b, l, x)),
+        "lem2": (lambda y: psi_weight(cfg, y),
+                 [(bb.center, bb.mu) for bb in cfg.bubbles], None,
+                 lambda l, x: float(weight_sum(cfg, l, x[None, :])[0])),
+    }
+    if kind in single_point:
+        weight, peaks, hole_mu, rhs_at = single_point[kind]
+        hole = None if hole_mu is None else Ball(tuple(b.center), hole_mu * b.mu)
+        ls = range(2 * k) if params.get("l") is None else [params["l"]]
         xs = params.get("x_points")
         if xs is None:
-            xs = sample_x_points(cfg, i, count=params.get("x_count", 5),
-                                 seed=seed)
+            xs = sample_x_points(cfg, i, count=params.get("x_count", 5))
+        rows = []
         for l in ls:
-            expo = 2 * k - n - l
             for x in xs:
-                if kind == "ordre2":
-                    weight = lambda y: theta(b, y) * positive_bubble(b, y) ** (ts - 1.0)
-                    val, err = _conv_integral(cfg, x, expo, weight,
-                                              [(b.center, b.mu)], seed=seed)
-                    rhs = b.mu * float(theta(b, x[None, :])[0] ** (-l)
-                                       * positive_bubble(b, x[None, :])[0])
-                elif kind == "trou0":
-                    weight = lambda y: positive_bubble(b, y) ** (ts - 2.0)
-                    val, err = _conv_integral(cfg, x, expo, weight,
-                                              [(b.center, b.mu)], seed=seed)
-                    rhs = 1.0 + float(theta(b, x[None, :])[0] ** (-l)
-                                      * positive_bubble(b, x[None, :])[0])
-                elif kind == "trou":
-                    M = params["M"]
-                    hole = Ball(tuple(b.center), M * b.mu)
-                    weight = lambda y: positive_bubble(b, y) ** (ts - 1.0)
-                    val, err = _conv_integral(cfg, x, expo, weight,
-                                              [(b.center, b.mu)], hole=hole,
-                                              seed=seed)
-                    rhs = M ** (-2.0 * k) * float(theta(b, x[None, :])[0] ** (-l)
-                                                  * positive_bubble(b, x[None, :])[0])
-                else:  # lem2
-                    weight = lambda y: psi_weight(cfg, y)
-                    val, err = _conv_integral(
-                        cfg, x, expo, weight,
-                        [(bb.center, bb.mu) for bb in cfg.bubbles], seed=seed)
-                    rhs = float(_weight_denominator(cfg, l, x[None, :])[0])
+                val, err = _conv_integral(cfg, x, 2 * k - n - l, weight, peaks,
+                                          hole=hole, seed=seed)
+                rhs = rhs_at(l, x)
                 rows.append({"kind": kind, "i": i, "l": l,
                              "x_off": float(np.linalg.norm(x - b.center)),
                              "mu_or_alpha": b.mu, "lhs": val, "rhs": rhs,
                              "ratio": val / rhs, "quad_error": err,
-                             **({"M": params["M"]} if kind == "trou" else {})})
+                             **({} if hole_mu is None else {"M": hole_mu})})
         return rows
 
     if kind == "BiBj":
@@ -372,15 +315,10 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
 
         res = _integrate_about(f, dom, cfg.domain.center, _centers(cfg), seed)
         lhs = pref * res.value
-        if part == 1:
-            rhs = 1.0
-        else:
-            rhs = (b.mu * bj.mu) ** (k - params["p"])
-        rows.append({"kind": f"BiBj{part}", "i": i, "j": j,
-                     "mu_or_alpha": b.mu, "lhs": lhs, "rhs": rhs,
-                     "ratio": lhs / rhs,
-                     "quad_error": pref * res.error_estimate})
-        return rows
+        rhs = 1.0 if part == 1 else (b.mu * bj.mu) ** (k - params["p"])
+        return [{"kind": f"BiBj{part}", "i": i, "j": j,
+                 "mu_or_alpha": b.mu, "lhs": lhs, "rhs": rhs,
+                 "ratio": lhs / rhs, "quad_error": pref * res.error_estimate}]
 
     raise ValueError(f"unknown lemma kind {kind!r}")
 

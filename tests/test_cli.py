@@ -161,6 +161,15 @@ def test_solve_seed_blowup_is_accuracy_failure(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_solve_trivial_seed_state_is_accuracy_failure(tmp_path, capsys):
+    """For n = 12 the seed solve reaches the trivial state, which fails the
+    collocation check: solve exits 3 with a one-line message."""
+    assert run_cli(["solve", "--n", "12"], tmp_path)[0] == 3
+    err = capsys.readouterr().err
+    assert "collocation residual" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_solve_lost_bubble_fit_is_verification_failure(tmp_path, capsys):
     """From a negative seed, n = 6 converges to the negative ground state;
     the bubble fit refuses it, and solve exits 1 with a one-line message."""

@@ -144,6 +144,13 @@ def test_newton_keeps_sign_of_center_value():
     assert sol.collocation_residual < 1e-9
 
 
+def test_newton_refuses_state_its_verifier_rejects():
+    """From 3.0 at n = 5 the mismatch test passes near the trivial state
+    u = 0, where the collocation residual is 3.9e-2; Newton raises."""
+    with pytest.raises(NewtonFailure, match="collocation residual"):
+        newton_solve(ProblemParams(5, 1, 0, -0.5), [3.0])
+
+
 def test_newton_converged_start_shoots_once(monkeypatch):
     """Started from converged data, Newton returns the solution of its one
     shot instead of shooting the same data again."""

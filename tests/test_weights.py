@@ -13,10 +13,11 @@ from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.quadrature import Ball
 from polybubble.radial import (bubble_constant, critical_exponent,
                                make_bubble)
-from polybubble.tree import FamilyLaw, TreeConfig, classify, epsilon
+from polybubble.tree import (FamilyLaw, Region, TreeConfig, classify,
+                             epsilon, interaction_sup, stratified_samples)
 from polybubble.weights import (convolution_bound_verify, eta_sequences,
                                 giraud_verify, psi_weight, ratio_table_csv,
-                                star_norm, starstar_norm, weight_grid)
+                                star_norm, starstar_norm)
 
 N, K = 7, 1
 
@@ -25,9 +26,15 @@ def single(mu):
     return TreeConfig([BubbleSpec("interior", N, K, np.zeros(N), mu)])
 
 
+def domain_samples(cfg, count, seed):
+    """Stratified sample points over the whole domain."""
+    return stratified_samples(Region(cfg.domain, [], cfg.domain), cfg, count,
+                              seed)
+
+
 def test_psi_weight_positive_everywhere():
     cfg = single(1e-2)
-    grid = weight_grid(cfg, 300, seed=0)
+    grid = domain_samples(cfg, 300, seed=0)
     assert np.all(psi_weight(cfg, grid) > 0)
 
 
@@ -44,6 +51,36 @@ def test_psi_weight_single_bubble_formula():
     assert np.allclose(psi_weight(cfg, pts), expected, rtol=1e-12)
 
 
+def test_pair_sum_two_bubbles_against_written_out_sum():
+    """N=2 oracle: Psi and the interaction lhs against the sum over the 3x3
+    index pairs i != j of B_j^{2#-2} B_i, with B_0 = 1, written out."""
+    law = FamilyLaw([1.0, 1.0], [1.0, 2.0],
+                    [[0.0] * N, [0.3] + [0.0] * (N - 1)])
+    cfg = TreeConfig.from_family(law, 10.0, N, K)
+    b1, b2 = cfg.bubbles
+    e = critical_exponent(N, K) - 2.0
+
+    def cross(pts):
+        B0 = np.ones(len(pts))
+        B1 = positive_bubble(b1, pts)
+        B2 = positive_bubble(b2, pts)
+        return (B1**e * B0 + B2**e * B0 + B0**e * B1 + B2**e * B1
+                + B0**e * B2 + B1**e * B2)
+
+    pts = domain_samples(cfg, 200, seed=8)
+    expected = (theta(b1, pts) ** (2 - 2 * K) * positive_bubble(b1, pts)
+                + theta(b2, pts) ** (2 - 2 * K) * positive_bubble(b2, pts)
+                + cross(pts))
+    assert np.allclose(psi_weight(cfg, pts), expected, rtol=1e-12, atol=0)
+
+    data = classify(cfg)
+    for i, b in enumerate(cfg.bubbles):
+        row = interaction_sup(cfg, data, i, sample_count=256, seed=9)
+        region_pts = stratified_samples(data.regions[i], cfg, 256, seed=9)
+        lhs = b.mu ** (0.5 * (N + 2 * K)) * np.max(cross(region_pts))
+        assert row["lhs"] == pytest.approx(lhs, rel=1e-12)
+
+
 def test_psi_weight_value_at_center():
     cfg = single(1e-2)
     b = cfg.bubbles[0]
@@ -56,7 +93,7 @@ def test_psi_weight_value_at_center():
 
 def test_star_norm_zero_and_homogeneity():
     cfg = single(1e-2)
-    grid = weight_grid(cfg, 200, seed=2)
+    grid = domain_samples(cfg, 200, seed=2)
 
     class Scaled:
         def __init__(self, F, c):
@@ -83,7 +120,7 @@ def test_star_norm_zero_and_homogeneity():
 def test_star_norm_of_own_bubble_is_order_one():
     """Each derivative of B_1 is its own weight: the norm is O(1)."""
     cfg = single(1e-2)
-    grid = weight_grid(cfg, 300, seed=3)
+    grid = domain_samples(cfg, 300, seed=3)
     a = bubble_constant(N, K)
     prof = RationalProfile(make_bubble(N, K), a)
     F = RadialTermField.radial(N, np.zeros(N), prof, mu=1e-2,
@@ -98,21 +135,21 @@ def test_star_norm_grid_monotonicity():
     prof = RationalProfile(make_bubble(N, K), a)
     F = RadialTermField.radial(N, np.zeros(N), prof, mu=1e-2,
                                amplitude=1e-2 ** (-0.5 * (N - 2 * K)))
-    g1 = weight_grid(cfg, 100, seed=4)
-    g2 = np.concatenate([g1, weight_grid(cfg, 100, seed=5)])
+    g1 = domain_samples(cfg, 100, seed=4)
+    g2 = np.concatenate([g1, domain_samples(cfg, 100, seed=5)])
     assert star_norm(F, cfg, g2) >= star_norm(F, cfg, g1)
 
 
 def test_starstar_norm_psi_is_at_most_one():
     cfg = single(1e-2)
-    grid = weight_grid(cfg, 200, seed=6)
+    grid = domain_samples(cfg, 200, seed=6)
     val = starstar_norm(lambda pts: psi_weight(cfg, pts), cfg, grid, eta=0.3)
     assert val <= 1.0 + 1e-12
 
 
 def test_starstar_norm_monotone_in_eta():
     cfg = single(1e-2)
-    grid = weight_grid(cfg, 200, seed=7)
+    grid = domain_samples(cfg, 200, seed=7)
     R = lambda pts: np.ones(len(pts))
     v1 = starstar_norm(R, cfg, grid, eta=0.1)
     v2 = starstar_norm(R, cfg, grid, eta=1.0)
