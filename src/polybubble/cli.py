@@ -85,11 +85,16 @@ def cmd_bubble_check(cfg: RunConfig) -> int:
     cases = ([(int(single[0]), int(single[1]))] if single[0] is not None
              else [(n, k) for k in range(1, k_max + 1)
                    for n in range(2 * k + 1, n_max + 1)])
+    if not cases:
+        print(f"invalid range: no pair 1 <= k <= k_max={k_max}, 2k < n <= "
+              f"n_max={n_max} (an empty report otherwise)", file=sys.stderr)
+        return EXIT_USAGE
     failures = []
     rows = []
     for (n, k) in cases:
-        if n <= 2 * k:
-            print(f"invalid pair: n={n} <= 2k={2 * k}", file=sys.stderr)
+        if k < 1 or n <= 2 * k:
+            print(f"invalid pair: need k >= 1 and n > 2k, got n={n}, k={k}",
+                  file=sys.stderr)
             return EXIT_USAGE
         res = check_bubble_identity(n, k)
         # numeric cross-check of (-Delta)^k B = B^{2#-1} at sample radii
@@ -126,9 +131,9 @@ def cmd_cayley_green(cfg: RunConfig) -> int:
     n, k = int(p["n"]), int(p["k"])
     pairs = int(p.get("pairs", 100))
     seed = int(p.get("seed", 0))
-    if pairs <= 0 or n <= 2 * k:
-        print(f"invalid input: need pairs > 0 (an empty report otherwise) and "
-              f"n > 2k; got pairs={pairs}, n={n}, k={k}", file=sys.stderr)
+    if pairs <= 0 or k < 1 or n <= 2 * k:
+        print(f"invalid input: need pairs > 0 (an empty report otherwise), "
+              f"k >= 1 and n > 2k; got pairs={pairs}, n={n}, k={k}", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(seed)
 
@@ -220,6 +225,10 @@ def cmd_pohozaev(cfg: RunConfig) -> int:
     suite = p.get("suite", "manufactured")
     k = int(p.get("k", 1))
     n = int(p.get("n", 2 * k + 1))
+    if k < 1 or n < 1 or (suite == "bubble" and n <= 2 * k):
+        print(f"invalid parameters: need k >= 1, n >= 1, and n > 2k on the "
+              f"bubble suite; got k={k}, n={n}", file=sys.stderr)
+        return EXIT_USAGE
     reports = []
     if suite == "manufactured":
         dom = Ball((0.0,) * n, 1.0)

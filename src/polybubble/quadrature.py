@@ -293,14 +293,62 @@ def _axis_frame(direction):
     return d, e / np.linalg.norm(e)
 
 
-def _geometric_panels(a: float, b: float, floor: float) -> list[tuple[float, float]]:
-    """Split [a, b] into up to 24 panels geometrically graded toward a."""
-    h = b - a
-    if h <= floor:
-        return [(a, b)]
-    edges = sorted({0.0, h} | {h * 2.0 ** -j for j in range(1, 24)
-                               if h * 2.0 ** -j > floor})
-    return [(a + lo, a + hi) for lo, hi in zip(edges[:-1], edges[1:])]
+def _ray_panels(U, origin, domain, spheres, peak_cuts, plane, rho_max, floor):
+    """Radial panels of the domain along every ray origin + rho * U[i], built
+    in one array pass over all rays.
+
+    The candidate cuts of a ray are 0, rho_max, the peak_cuts, its crossings
+    with the spheres ((centre - origin, |centre - origin|^2 - r^2) pairs) and,
+    when plane is not None, its crossing with x_1 = origin_1 + plane.  Spans
+    between consecutive cuts that lie in the domain are kept; a span starting
+    at the origin is graded geometrically toward it down to floor, and every
+    panel is split into equal parts no longer than rho_max / 3.  Returns
+    (ray, lo, hi): ray-major, rho increasing along each ray.
+    """
+    bq = -2.0 * np.vecdot(U[:, None, :], np.array([rel for rel, _ in spheres]))
+    disc = bq * bq - 4 * np.array([cq for _, cq in spheres])
+    # rays that miss a sphere (and, with plane, rays parallel to it) give NaN
+    # lanes; they and repeated cuts give no span
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(disc)
+        fixed = [0.0, rho_max, *peak_cuts]
+        cols = [np.broadcast_to(fixed, (len(U), len(fixed))),
+                np.maximum(0.0, (-bq - root) / 2), np.maximum(0.0, (-bq + root) / 2)]
+        if plane is not None:
+            t = plane / U[:, :1]
+            cols.append(np.where((np.abs(U[:, :1]) > 1e-14) & (t > 0), t, np.nan))
+        cand = np.concatenate(cols, axis=1)
+        cand[~((cand >= 0.0) & (cand <= rho_max))] = np.nan
+        cand.sort(axis=1)
+        ray, j = np.nonzero(cand[:, 1:] - cand[:, :-1] >= 1e-15 * rho_max)
+    lo, hi = cand[ray, j], cand[ray, j + 1]
+    mid = 0.5 * (lo + hi)
+    inside = np.asarray(domain.contains(origin + mid[:, None] * U[ray]), bool)
+    ray, lo, hi = ray[inside], lo[inside], hi[inside]
+
+    # spans at the origin get up to 24 panels with edges 0, h/2^23, ..., h/2, h;
+    # edges at or below floor are set to 0, so their empty panels drop out;
+    # ungraded spans end at hi itself, which lo + h can miss by an ulp
+    h = hi - lo
+    grade = (lo < 1e-13 * rho_max) & (h > floor)
+    E = np.zeros((len(h), 25))
+    E[:, -1] = h
+    g = h[grade, None] * 2.0 ** -np.arange(23.0, 0.0, -1.0)
+    E[grade, 1:-1] = np.where(g > floor, g, 0.0)
+    edge = lo[:, None] + E
+    edge[~grade, -1] = hi[~grade]
+    keep = E[:, 1:] > E[:, :-1]
+    ray = np.repeat(ray, keep.sum(axis=1))
+    pa, pb = edge[:, :-1][keep], edge[:, 1:][keep]
+
+    # equal parts, edges computed as np.linspace(pa, pb, parts + 1) does
+    parts = np.maximum(1, np.ceil((pb - pa) / (rho_max / 3.0))).astype(int)
+    k = np.repeat(np.arange(len(pa)), parts)
+    j = np.arange(len(k)) - np.repeat(np.cumsum(parts) - parts, parts)
+    lo = j * ((pb - pa) / parts)[k] + pa[k]
+    hi = np.append(lo[1:], 0.0)
+    hi[j == parts[k] - 1] = pb
+    return ray[k], lo, hi
 
 
 def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
@@ -314,7 +362,13 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     meridian half-plane, using panelled Gauss-Legendre rules: phi panels are
     split at hole tangency angles and refined toward peaked directions, rho
     panels at domain cuts and refined toward the origin and peak radii.
-    The error estimate is the difference against a coarsened rule.
+    Each rule is built for all rays at once (_ray_panels).
+
+    The error estimate is the difference against a coarsened rule (2/3 of
+    the nodes per direction).  It is conservative and can overstate the
+    error by orders of magnitude: for x_1^2 over B^6 it reads 5.0e-5
+    relative while the true error is 8.5e-12.  Estimating against a finer
+    rule is ROADMAP item 7.
     """
     n = domain.dim
     if n < 3:
@@ -383,8 +437,9 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
         while wgrow < math.pi:
             edges.update((max(0.0, phi_c - wgrow), min(math.pi, phi_c + wgrow)))
             wgrow *= 4.0
-    edges = sorted(edges)
-    phi_panels = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 1e-14]
+    edges = np.array(sorted(edges))
+    wide = edges[1:] - edges[:-1] > 1e-14
+    phi_lo, phi_hi = edges[:-1][wide, None], edges[1:][wide, None]
 
     sigma0 = max([s.order for s in sings
                   if np.linalg.norm(np.asarray(s.point, float) - origin) <= 1e-14],
@@ -403,49 +458,20 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
         spheres.append((rel, rel @ rel - r * r))
     peak_cuts = {c for ell, sc in peak_radii for m in (1.0, 4.0, 16.0, 64.0)
                  for c in (max(0.0, ell - m * sc), min(rho_max_global, ell + m * sc))}
-    max_len = rho_max_global / 3.0
-
-    def ray_panels(u):
-        """(lo, hi) radial panels of the domain along origin + rho * u."""
-        cand = {0.0, rho_max_global} | peak_cuts
-        for rel, cq in spheres:
-            bq = -2.0 * (u @ rel)
-            disc = bq * bq - 4 * cq
-            if disc >= 0:
-                cand.update((max(0.0, (-bq - math.sqrt(disc)) / 2),
-                             max(0.0, (-bq + math.sqrt(disc)) / 2)))
-        if half and abs(u[0]) > 1e-14 and (c_enc[0] - origin[0]) / u[0] > 0:
-            cand.add((c_enc[0] - origin[0]) / u[0])
-        cand = sorted(float(c) for c in cand if 0.0 <= c <= rho_max_global)
-        spans = [(lo, hi) for lo, hi in zip(cand[:-1], cand[1:])
-                 if hi - lo >= 1e-15 * rho_max_global]
-        mids = np.array([0.5 * (lo + hi) for lo, hi in spans])
-        panels = []
-        for (lo, hi), inside in zip(spans, domain.contains(origin + mids[:, None] * u)):
-            if not inside:
-                continue
-            for pa, pb in (_geometric_panels(lo, hi, floor0)
-                           if lo < 1e-13 * rho_max_global else [(lo, hi)]):
-                # equal parts, edges computed as np.linspace(pa, pb, parts + 1) does
-                parts = max(1, math.ceil((pb - pa) / max_len))
-                step = (pb - pa) / parts
-                cuts = [j * step + pa for j in range(parts)] + [pb]
-                panels += zip(cuts[:-1], cuts[1:])
-        return panels
+    plane = c_enc[0] - origin[0] if half else None
 
     def build(mphi, mrho):
         xg, wg = _gauss_legendre(mphi)
         xr, wr = _gauss_legendre(mrho)
-        rows = []  # (phi, phi weight, rho panel)
-        for a, b in phi_panels:
-            for phi, wphi in zip(0.5 * (b - a) * (xg + 1.0) + a, 0.5 * (b - a) * wg):
-                u = math.cos(phi) * d + math.sin(phi) * e
-                rows += [(phi, wphi, lo, hi) for lo, hi in ray_panels(u)]
-        phi, wphi, lo, hi = np.array(rows).T[:, :, None]
-        h = 0.5 * (hi - lo)
-        rho = (h * (xr + 1.0) + lo).ravel()
-        wt = (h * wr * wphi).ravel()
-        phi = np.repeat(phi, mrho)
+        phi = (0.5 * (phi_hi - phi_lo) * (xg + 1.0) + phi_lo).ravel()
+        wphi = (0.5 * (phi_hi - phi_lo) * wg).ravel()
+        U = np.cos(phi)[:, None] * d + np.sin(phi)[:, None] * e
+        ray, lo, hi = _ray_panels(U, origin, domain, spheres, peak_cuts, plane,
+                                  rho_max_global, floor0)
+        h = 0.5 * (hi - lo)[:, None]
+        rho = (h * (xr + 1.0) + lo[:, None]).ravel()
+        wt = (h * wr * wphi[ray, None]).ravel()
+        phi = np.repeat(phi[ray], mrho)
         pts = origin[None, :] + rho[:, None] * (
             np.cos(phi)[:, None] * d[None, :] + np.sin(phi)[:, None] * e[None, :])
         vals = np.asarray(f(pts), float)

@@ -214,11 +214,22 @@ def test_solve_empty_grid_usage(tmp_path):
                                   ["cayley-green", "--n", "2", "--k", "1"],
                                   ["solve", "--rtol", "1e-30"],
                                   ["solve", "--rtol", "0"],
-                                  ["solve", "--rtol", "nan"]])
+                                  ["solve", "--rtol", "nan"],
+                                  ["pohozaev", "--k", "0"],
+                                  ["pohozaev", "--k", "-1"],
+                                  ["pohozaev", "--suite", "bubble", "--k", "1",
+                                   "--n", "2"],
+                                  ["bubble-check", "--n-max", "2"],
+                                  ["bubble-check", "--k-max", "0"],
+                                  ["bubble-check", "--n", "3", "--k", "0"],
+                                  ["cayley-green", "--n", "3", "--k", "0"],
+                                  ["pohozaev", "--k", "1", "--n", "0"]])
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
-    """Parameters outside n > 2k, 0 <= p < k, and a solver rtol below what
-    the integrator can reach, exit 2 with a one-line message, not 1 with a
-    traceback (1 means a verification failure) or 3 after a futile solve."""
+    """Parameters outside k >= 1, n > 2k, 0 <= p < k, an empty bubble-check
+    range, and a solver rtol below what the integrator can reach, exit 2
+    with a one-line message, not 0 with an empty or meaningless report, 1
+    with a traceback (1 means a verification failure) or 3 after a futile
+    solve."""
     assert run_cli(args, tmp_path)[0] == 2
     err = capsys.readouterr().err
     assert "invalid" in err and "Traceback" not in err

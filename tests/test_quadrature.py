@@ -166,6 +166,101 @@ def test_volume_tol_violation_raises():
     assert r.value == integrate_axisymmetric(smooth, dom, *axis).value
 
 
+def _geometric_panels(a: float, b: float, floor: float) -> list[tuple[float, float]]:
+    """Split [a, b] into up to 24 panels geometrically graded toward a."""
+    h = b - a
+    if h <= floor:
+        return [(a, b)]
+    edges = sorted({0.0, h} | {h * 2.0 ** -j for j in range(1, 24)
+                               if h * 2.0 ** -j > floor})
+    return [(a + lo, a + hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _reference_ray_panels(u, origin, domain, spheres, peak_cuts, plane,
+                          rho_max_global, floor0):
+    """(lo, hi) radial panels of the domain along origin + rho * u: the
+    per-ray loop that quadrature._ray_panels runs for all rays at once."""
+    max_len = rho_max_global / 3.0
+    cand = {0.0, rho_max_global} | peak_cuts
+    for rel, cq in spheres:
+        bq = -2.0 * (u @ rel)
+        disc = bq * bq - 4 * cq
+        if disc >= 0:
+            cand.update((max(0.0, (-bq - math.sqrt(disc)) / 2),
+                         max(0.0, (-bq + math.sqrt(disc)) / 2)))
+    if plane is not None and abs(u[0]) > 1e-14 and plane / u[0] > 0:
+        cand.add(plane / u[0])
+    cand = sorted(float(c) for c in cand if 0.0 <= c <= rho_max_global)
+    spans = [(lo, hi) for lo, hi in zip(cand[:-1], cand[1:])
+             if hi - lo >= 1e-15 * rho_max_global]
+    mids = np.array([0.5 * (lo + hi) for lo, hi in spans])
+    panels = []
+    for (lo, hi), inside in zip(spans, domain.contains(origin + mids[:, None] * u)):
+        if not inside:
+            continue
+        for pa, pb in (_geometric_panels(lo, hi, floor0)
+                       if lo < 1e-13 * rho_max_global else [(lo, hi)]):
+            # equal parts, edges computed as np.linspace(pa, pb, parts + 1) does
+            parts = max(1, math.ceil((pb - pa) / max_len))
+            step = (pb - pa) / parts
+            cuts = [j * step + pa for j in range(parts)] + [pb]
+            panels += zip(cuts[:-1], cuts[1:])
+    return panels
+
+
+_GENERIC_AXIS = np.array([1.0, -2.0, 0.5, 3.0]) / np.linalg.norm([1.0, -2.0, 0.5, 3.0])
+
+
+@pytest.mark.parametrize("domain, axis, features", [
+    # scaled singularity off the polar origin: peak cuts, refined directions
+    (Ball((0.0,) * 5, 1.0, singularities=(
+        Singularity((0.0,) * 5, 2.0),
+        Singularity((0.4, 0.0, 0.0, 0.0, 0.0), 0.0, 1e-6))), np.eye(5)[0], ()),
+    (HalfBall((0.2, 0.0, 0.0, 0.0), 1.0, singularities=(
+        Singularity((0.5, 0.0, 0.0, 0.0), 1.0),)), np.eye(4)[0], ()),
+    (BallMinusBalls(Ball((0.0,) * 3, 1.0), (Ball((0.5, 0.0, 0.0), 0.2),)),
+     np.eye(3)[0], ()),
+    (BallMinusBalls(Ball((0.1, 0.2, 0.3, 0.4), 1.0),
+                    (Ball(tuple(np.array([0.1, 0.2, 0.3, 0.4]) - 0.4 * _GENERIC_AXIS),
+                          0.3),)), _GENERIC_AXIS, ()),
+    (TruncatedSpace(5, 2.0, half=True), np.eye(5)[0], ()),
+    (Ball((0.0,) * 6, 1.0), np.eye(6)[0], (Ball((0.3,) + (0.0,) * 5, 0.1),
+                                           Ball((-0.6,) + (0.0,) * 5, 0.05))),
+], ids=["ball-peak", "halfball", "hole", "hole-generic-axis", "truncated-half",
+        "feature-balls"])
+def test_ray_panels_match_per_ray_reference(monkeypatch, domain, axis, features):
+    """_ray_panels gives the per-ray reference panels bit for bit, on the rays
+    of the rule and on random rays, including rays along the axis and
+    perpendicular to it."""
+    from polybubble import quadrature
+
+    ray_panels = quadrature._ray_panels
+    calls = []
+
+    def spy(U, *args):
+        calls.append((U, args))
+        return ray_panels(U, *args)
+
+    monkeypatch.setattr(quadrature, "_ray_panels", spy)
+    center = domain.enclosing()[0]
+    integrate_axisymmetric(lambda x: np.ones(len(x)), domain, center, axis,
+                           feature_balls=features)
+    assert len(calls) == 2  # fine and coarse rule
+    d, e = quadrature._axis_frame(axis)
+    phi = np.random.default_rng(7).uniform(0.0, math.pi, 64)
+    extra = np.array([d, -d, e, -e, math.cos(0.5 * math.pi) * d
+                      + math.sin(0.5 * math.pi) * e])
+    rays = np.concatenate([np.cos(phi)[:, None] * d + np.sin(phi)[:, None] * e, extra])
+    for U, args in calls + [(rays, calls[0][1])]:
+        ray, lo, hi = ray_panels(U, *args)
+        ref = [(i, a, b) for i, u in enumerate(U)
+               for a, b in _reference_ray_panels(u, *args)]
+        ref_ray, ref_lo, ref_hi = (np.array(c) for c in zip(*ref))
+        assert ray.tobytes() == ref_ray.astype(ray.dtype).tobytes()
+        assert lo.tobytes() == ref_lo.tobytes()
+        assert hi.tobytes() == ref_hi.tobytes()
+
+
 def test_surface_constant_and_even_moment():
     sph = SphereSurface((0.0,) * 3, 1.0)
     r1 = integrate_surface(lambda x: np.ones(len(x)), sph)
