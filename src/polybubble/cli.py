@@ -265,7 +265,8 @@ def cmd_pohozaev(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     """Radial continuation experiment; writes the branch CSV and manifest."""
     from .solver import (IntegrationBlowUp, NewtonFailure, ProblemParams,
-                         branch_csv, continuation, newton_solve, run_manifest)
+                         branch_csv, bubble_seed, continuation, newton_solve,
+                         run_manifest)
     p = cfg.params
     n = int(p.get("n", 7))
     k = int(p.get("k", 1))
@@ -277,10 +278,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     if not grid:
         print("empty continuation grid", file=sys.stderr)
         return EXIT_USAGE
-    d_seed = p.get("d_seed", [1.2e4] + [0.0] * (k - 1))
+    if len(set(grid)) < len(grid):
+        print("invalid parameters: the mu grid repeats a value", file=sys.stderr)
+        return EXIT_USAGE
     rtol = float(p.get("rtol", 1e-9))
     try:
         params = ProblemParams(n, k, pp, grid[0])
+        d_seed = p["d_seed"] if "d_seed" in p else bubble_seed(n, k)
         sol = newton_solve(params, d_seed, rtol=rtol)
     except ValueError as e:
         print(f"invalid parameters: {e}", file=sys.stderr)

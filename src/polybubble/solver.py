@@ -5,10 +5,15 @@
 
 written as k coupled radial second-order equations for v_i = (-Delta)^i u:
 -v_i'' - (n-1)/r v_i' = v_{i+1} (i < k-1), closing with the nonlinearity.
-Each shot integrates the state with DOP853 together with its variational
-equation, so Newton gets the exact shooting Jacobian from the same shot;
-converged solutions are checked against an independent re-integration by
-ODEPACK's LSODA (variable-order Adams/BDF, compiled step loop).
+Each shot integrates the state with DOP853 together with its first- and
+second-order variational equations, so the same shot gives the exact
+derivatives of the boundary mismatch in the shooting data (first and
+second order) and in mu.  Newton takes the third-order Chebyshev step
+from them, falling back to a halved Newton step; continuation predicts
+each grid point by cubic Hermite interpolation in (log|mu|, log|d|)
+through the last two points and their exact tangents dd/dmu.  Converged
+solutions are checked against an independent re-integration by ODEPACK's
+LSODA (variable-order Adams/BDF, compiled step loop).
 The classical lower-order-coefficient convention maps to mu = -lambda, so the
 blow-up experiment runs mu upward toward 0 through negative values.
 
@@ -36,6 +41,7 @@ __all__ = [
     "RadialSolution",
     "BranchPoint",
     "shoot",
+    "bubble_seed",
     "newton_solve",
     "continuation",
     "fit_bubble",
@@ -49,9 +55,11 @@ _EPS0 = 1e-6       # Taylor start radius, removes the (n-1)/r singularity
 _BLOW_CAP = 1e9
 _DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
 _VERIFY_RTOL = 1e-13  # LSODA verifier tolerance, tighter than any shot
+_VERIFY_MXSTEP = 5000  # LSODA step budget per output interval (default 500)
 _MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
-_MAX_HALVINGS = 6    # continuation step halvings before declaring a fold
+_MAX_HALVINGS = 6    # step halvings per grid interval before declaring a fold
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
+_SEED_SCALE = 0.025  # bubble scale of the default seed, near mu_fit at mu = -1/2
 
 
 class IntegrationBlowUp(RuntimeError):
@@ -96,6 +104,8 @@ class RadialSolution:
     energy: float
     collocation_residual: float = float("nan")
     jac: np.ndarray | None = None  # (k, k) derivative of mismatch in d
+    dmu: np.ndarray | None = None  # (k,) derivative of mismatch in mu
+    hess: np.ndarray | None = None  # (k, k, k) second derivative in d
 
     def u(self, r):
         return np.interp(r, self.r, self.v[0])
@@ -120,15 +130,26 @@ class BranchPoint:
 # Shooting
 # ---------------------------------------------------------------------------
 
+def _block_cols(k: int) -> int:
+    """Columns of the full shot block: the state, k columns d/dd, one
+    column d/dmu and k(k+1)/2 columns d^2/(dd_i dd_j), i <= j, in the order
+    of np.triu_indices(k)."""
+    return 2 + k + k * (k + 1) // 2
+
+
 def _rhs(params: ProblemParams, cols: int):
     """Right-hand side on the flattened (2k, cols) block whose column 0 is
-    the state y = (v_0, v_0', ..., v_{k-1}, v_{k-1}') and whose columns
-    1..k, when present, are S = dy/dd: Y' = A(r, v_0) Y, with A the chain
-    linearised at the state, except that column 0 takes the nonlinearity
-    |v_0|^{2#-2} v_0 itself instead of its linearisation."""
+    the state y = (v_0, v_0', ..., v_{k-1}, v_{k-1}'), alone (cols = 1) or
+    with the variational columns of _block_cols.  Every column obeys
+    Y' = A(r, v_0) Y, with A the chain linearised at the state, plus a
+    forcing in the last row: column 0 takes the nonlinearity
+    N(v_0) = |v_0|^{2#-2} v_0 itself instead of its linearisation, the
+    d/dmu column gets +v_p, and the (i, j) column -N''(v_0) S_i[v_0] S_j[v_0]."""
     n, k, p, mu = params.n, params.k, params.p, params.mu
     ts = params.two_sharp
     i = np.arange(k)
+    pairs = list(enumerate(zip(*np.triu_indices(k)), start=k + 2))
+    vp = 2 * p * cols  # flat index of v_p in the state column
     A0 = np.zeros((2 * k, 2 * k))
     A0[2 * i, 2 * i + 1] = 1.0               # v_i' = dv_i
     A0[2 * i[:-1] + 1, 2 * i[:-1] + 2] = -1.0  # dv_i' gets -v_{i+1}
@@ -137,38 +158,55 @@ def _rhs(params: ProblemParams, cols: int):
     A1[2 * i + 1, 2 * i + 1] = -(n - 1.0)    # dv_i' gets -(n-1)/r dv_i
 
     def rhs(r, y):
-        v0 = y[0]
+        v0 = float(y[0])
         a = abs(v0) ** (ts - 2.0)
         A = A1 * (1.0 / r)
         A += A0
         A[-1, 0] -= (ts - 1.0) * a
         out = A @ y.reshape(2 * k, cols)
-        out[-1, 0] += (ts - 2.0) * a * v0
+        last = out[-1]
+        last[0] += (ts - 2.0) * a * v0
+        if cols > 1:
+            last[k + 1] += y[vp]
+            if v0 != 0.0:
+                S0 = y[1:k + 1].tolist()
+                c = (ts - 1.0) * (ts - 2.0) * a / v0  # N''(v_0)
+                for col, (i1, i2) in pairs:
+                    last[col] -= c * S0[i1] * S0[i2]
         return out.ravel()
 
     return rhs
 
 
 def _taylor_start(params: ProblemParams, d, eps):
-    """4-term even Taylor expansion at the origin fixing y(eps), as a
-    (2k, 1+k) block: column 0 is y(eps), columns 1..k its closed-form
-    derivatives in d.  The coefficients c2, c4 are linear in
-    w = (d, N(d_0, d_p)) and in F2, so each row carries its derivative."""
+    """4-term even Taylor expansion at the origin fixing y(eps), as the full
+    (2k, _block_cols(k)) block: column 0 is y(eps), the others its
+    closed-form derivatives in d and mu.  The coefficients c2, c4 are linear
+    in w = (d, N(d_0) - mu d_p) and in F2 = N'(d_0) c2_0 - mu c2_p, so each
+    row carries its derivatives once those of w and F2 are known."""
     n, k, p, mu = params.n, params.k, params.p, params.mu
     ts = params.two_sharp
     a = abs(d[0]) ** (ts - 2.0)
-    W = np.zeros((k + 1, 1 + k))
+    N1 = (ts - 1.0) * a
+    N2 = N1 * (ts - 2.0) / d[0] if d[0] != 0.0 else 0.0
+    N3 = N2 * (ts - 3.0) / d[0] if d[0] != 0.0 else 0.0
+    dmu, dd = k + 1, k + 2  # the d/dmu column and the (0, 0) column
+    W = np.zeros((k + 1, _block_cols(k)))
     W[:k, 0] = d
-    W[:k, 1:] = np.eye(k)
+    W[:k, 1:k + 1] = np.eye(k)
     W[k, 0] = a * d[0] - mu * d[p]
     W[k, 1 + p] -= mu
-    W[k, 1] += (ts - 1.0) * a
+    W[k, 1] += N1
+    W[k, dmu] = -d[p]
+    W[k, dd] = N2
     C2 = -W[1:] / (2.0 * n)
-    F2 = (ts - 1.0) * a * C2[0] - mu * C2[p]
-    if d[0] != 0.0:
-        F2[1] += (ts - 1.0) * (ts - 2.0) * a / d[0] * C2[0, 0]
+    F2 = N1 * C2[0] - mu * C2[p]
+    F2[1] += N2 * C2[0, 0]
+    F2[dmu] -= C2[p, 0]
+    F2[dd:dd + k] += N2 * C2[0, 1:k + 1]  # the (0, j) columns
+    F2[dd] += N2 * C2[0, 1] + N3 * C2[0, 0]
     C4 = -np.vstack([C2[1:], F2]) / (4.0 * (n + 2))
-    Y = np.empty((2 * k, 1 + k))
+    Y = np.empty((2 * k, _block_cols(k)))
     Y[0::2] = W[:k] + C2 * eps**2 + C4 * eps**4
     Y[1::2] = 2 * C2 * eps + 4 * C4 * eps**3
     return Y
@@ -236,12 +274,13 @@ def _integrate(params: ProblemParams, d, rtol: float, grid,
 
 
 def shoot(params: ProblemParams, d, rtol: float = 1e-10):
-    """Integrate the radial system and its variational equation (DOP853)
-    from the Taylor start to r = 1.
+    """Integrate the radial system and its first- and second-order
+    variational equations (DOP853) from the Taylor start to r = 1.
 
-    Returns (mismatch, RadialSolution); the solution's jac is the exact
-    Jacobian of the mismatch in d.  Raises IntegrationBlowUp with the
-    blow-up radius when the solution escapes before reaching the boundary.
+    Returns (mismatch, RadialSolution); the solution's jac, dmu and hess are
+    the exact derivatives of the mismatch in d, in mu and twice in d.
+    Raises IntegrationBlowUp with the blow-up radius when the solution
+    escapes before reaching the boundary.
     """
     d = np.asarray(d, float)
     if d.shape != (params.k,):
@@ -253,8 +292,11 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     v = Y[0::2]
     dv = Y[1::2]
     B = _boundary_derivatives(params, Y_end)
-    mismatch, jac = B[:, 0], B[:, 1:]
     n, k = params.n, params.k
+    mismatch, jac, dmu = B[:, 0], B[:, 1:k + 1], B[:, k + 1]
+    I, J = np.triu_indices(k)
+    hess = np.empty((k, k, k))
+    hess[:, I, J] = hess[:, J, I] = B[:, k + 2:]
     sup = float(np.max(np.abs(v[0])))
     # energy int |(-Delta)^{k/2} u|^2: middle Laplacian iterate (even k) or
     # the gradient of one (odd k)
@@ -264,7 +306,7 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
         integrand = dv[(k - 1) // 2] ** 2
     energy = sphere_area(n) * float(np.trapezoid(integrand * rr ** (n - 1), rr))
     return mismatch, RadialSolution(params, d, rr, v, dv, mismatch, sup, energy,
-                                    jac=jac)
+                                    jac=jac, dmu=dmu, hess=hess)
 
 
 def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
@@ -272,13 +314,16 @@ def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
     re-integration (scipy odeint, rtol _VERIFY_RTOL) of the same shooting
     data, output directly on the solution's grid, which starts at the Taylor
     start radius; inf when LSODA does not report success or its output is
-    not finite, as when the re-integration blows up before r = 1."""
+    not finite, as when the re-integration blows up before r = 1.  LSODA
+    may take _VERIFY_MXSTEP steps per grid cell, which a bubble core
+    narrower than a cell needs."""
     y0 = _taylor_start(params, solution.d, _EPS0)[:, 0]
     atol = _VERIFY_RTOL * max(1.0, float(np.max(np.abs(solution.d))))
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ODEintWarning)
         Y, info = odeint(_rhs(params, 1), y0, solution.r, rtol=_VERIFY_RTOL,
-                         atol=atol, tfirst=True, full_output=True)
+                         atol=atol, tfirst=True, full_output=True,
+                         mxstep=_VERIFY_MXSTEP)
     if info["message"] != "Integration successful." or not np.all(np.isfinite(Y)):
         return float("inf")
     diff = np.abs(Y[:, 0] - solution.v[0])
@@ -289,19 +334,33 @@ def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
 # Newton and continuation
 # ---------------------------------------------------------------------------
 
+def bubble_seed(n: int, k: int) -> list[float]:
+    """Default shooting data: the center value _SEED_SCALE^{-(n-2k)/2} of
+    the flat profile at scale _SEED_SCALE, then zeros.  For k = 1 the
+    ground state at mu = -1/2 has mu_fit between 0.014 (n = 5) and 0.026
+    (n = 9), so Newton starts within a factor of about 2.5 of it.  Raises
+    ValueError when that value overflows (n - 2k above about 380)."""
+    try:
+        return [_SEED_SCALE ** (-0.5 * (n - 2 * k))] + [0.0] * (k - 1)
+    except OverflowError:
+        raise ValueError(f"no finite default seed for n - 2k = {n - 2 * k}") from None
+
+
 def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
                  max_iter: int = 50) -> RadialSolution:
-    """Damped Newton on the shooting map, with the exact Jacobian that each
-    shot carries from its variational equation: one shot per iteration.
+    """Newton on the shooting map with the exact first and second
+    derivatives that each shot carries from its variational equations.
 
-    Returns the RadialSolution of the last accepted shot, with its
-    collocation residual filled in, or raises NewtonFailure when that
-    residual is not below _MAX_RESIDUAL (as near u = 0, where the absolute
-    mismatch test passes).  A step that would move u(0) across
-    zero is halved before it is shot, so the solve stays on the sign of
-    its start.  rtol must be finite and at least
-    _RTOL_FLOOR, below which scipy clamps the shots' tolerance and the
-    mismatch test could never pass."""
+    Each iteration first shoots the Chebyshev step s - J^{-1} F''[s, s] / 2,
+    s = -J^{-1} F, and takes it when it reduces |F|; otherwise it halves the
+    Newton step s until |F| drops.  Returns the RadialSolution of the last
+    accepted shot, with its collocation residual filled in, or raises
+    NewtonFailure when that residual is not below _MAX_RESIDUAL (as near
+    u = 0, where the absolute mismatch test passes).  A step that would
+    move u(0) across zero is not shot, so the solve stays on the sign of
+    its start.  rtol must be finite and at least _RTOL_FLOOR, below which
+    scipy clamps the shots' tolerance and the mismatch test could never
+    pass."""
     if not (math.isfinite(rtol) and rtol >= _RTOL_FLOOR):
         raise ValueError(f"rtol = {rtol:g} must be finite and >= {_RTOL_FLOOR:.3g}")
     d = np.asarray(d_init, float).copy()
@@ -309,9 +368,21 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     def shot(dd):
         return shoot(params, dd, rtol=min(1e-10, rtol))
 
+    def improve(dd, base):
+        """The shot at dd when it keeps the sign of u(0), reaches r = 1 and
+        has a mismatch below base; else None."""
+        if d[0] * dd[0] < 0 or not np.all(np.isfinite(dd)):
+            return None  # no shot
+        try:
+            F_new, sol_new = shot(dd)
+        except IntegrationBlowUp:
+            return None
+        return (F_new, sol_new) if np.linalg.norm(F_new) < base else None
+
     F, sol = shot(d)
     for _ in range(max_iter):
-        if np.linalg.norm(F) < rtol:
+        base = np.linalg.norm(F)
+        if base < rtol:
             sol.collocation_residual = collocation_check(params, sol)
             res = sol.collocation_residual
             if not res < _MAX_RESIDUAL:
@@ -323,24 +394,16 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
         if not np.isfinite(cond) or cond > 1e14:
             raise NewtonFailure("singular shooting Jacobian", condition=cond)
         step = np.linalg.solve(J, -F)
+        curv = np.einsum("mij,i,j->m", sol.hess, step, step)
+        found = improve(d + step - 0.5 * np.linalg.solve(J, curv), base)
         lam = 1.0
-        base = np.linalg.norm(F)
-        while lam > 1e-8:
-            if d[0] * (d[0] + lam * step[0]) < 0:
-                lam *= 0.5  # keep the sign of u(0): no shot
-                continue
-            try:
-                F_new, sol_new = shot(d + lam * step)
-            except IntegrationBlowUp:
-                lam *= 0.5
-                continue
-            if np.linalg.norm(F_new) < base:
-                d = d + lam * step
-                F, sol = F_new, sol_new
-                break
+        while found is None and lam > 1e-8:
+            found = improve(d + lam * step, base)
             lam *= 0.5
-        else:
+        if found is None:
             raise NewtonFailure("damping failed to reduce the mismatch")
+        F, sol = found
+        d = sol.d
     raise NewtonFailure(f"no convergence in {max_iter} iterations")
 
 
@@ -379,40 +442,55 @@ def _grad_p_square_integral(params: ProblemParams, solution: RadialSolution) -> 
     return sphere_area(n) * float(np.trapezoid(integrand * rr ** (n - 1), rr))
 
 
-def _secant_guess(accepted, mu):
-    """Log-log secant predictor d2 (d2/d1)^t, t = log(mu/mu2)/log(mu2/mu1),
-    through the last two accepted (mu, d); None unless mu1, mu2, mu share a
-    sign, mu1 != mu2, and each component of d1, d2 is nonzero with one sign."""
-    if len(accepted) < 2:
+def _hermite_guess(accepted, mu):
+    """Predict d at mu from the last one or two accepted (mu_i, d_i, t_i),
+    t_i = dd/dmu, in x = log|mu|, y = log|d|, where the tangents are
+    dy/dx = t_i mu_i / d_i: the cubic Hermite polynomial through both
+    points and their tangents, or the tangent line of a single point.
+    Exact on power laws in |mu|.  None unless every mu shares one sign and
+    each component of d is nonzero with one sign at every point."""
+    if not accepted:
         return None
-    (mu1, d1), (mu2, d2) = accepted
-    if mu1 == mu2 or not (mu1 * mu2 > 0 and mu2 * mu > 0):
+    mus = [m for m, _, _ in accepted]
+    ds = np.array([dd for _, dd, _ in accepted])
+    if not all(m * mu > 0 for m in mus) or not np.all(ds * ds[-1] > 0):
         return None
-    if not np.all(np.sign(d1) * np.sign(d2) > 0):
-        return None
-    t = math.log(mu / mu2) / math.log(mu2 / mu1)
-    guess = d2 * (d2 / d1) ** t
+    x = math.log(abs(mu))
+    xs = [math.log(abs(m)) for m in mus]
+    ys = np.log(np.abs(ds))
+    ms = [t * m / dd for m, dd, t in accepted]
+    if len(accepted) == 1 or xs[0] == xs[1]:
+        y = ys[-1] + ms[-1] * (x - xs[-1])
+    else:
+        h = xs[1] - xs[0]
+        s = (x - xs[0]) / h
+        y = ((2 * s**3 - 3 * s**2 + 1) * ys[0] + (s**3 - 2 * s**2 + s) * h * ms[0]
+             + (3 * s**2 - 2 * s**3) * ys[1] + (s**3 - s**2) * h * ms[1])
+    guess = np.sign(ds[-1]) * np.exp(y)
     return guess if np.all(np.isfinite(guess)) else None
 
 
 def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
     """Natural-parameter continuation along the mu grid with step halving.
 
-    Each grid point starts Newton from the log-log secant prediction when
-    two points are accepted, then from the previous d; a halving retry
-    starts from the previous d only.  Returns (branch points, flag) where
-    flag is "complete" or "fold" when the branch was lost despite halving.
+    Each target starts Newton from the Hermite prediction of _hermite_guess
+    through the last two accepted points and their exact tangents
+    dd/dmu = -J^{-1} dF/dmu, taken from each point's own last shot, then
+    from the previous d.  When both fail, the target is put back behind
+    the midpoint between it and the last accepted point; after
+    _MAX_HALVINGS such halvings between two grid points the branch counts
+    as lost.  Returns (branch points, flag) where flag is "complete" or
+    "fold" when the branch was lost despite halving.
     """
-    mu_grid = list(mu_grid)
     points = []
     d = np.asarray(d_seed, float)
-    accepted = []  # last two accepted (mu, d)
-    pending = list(mu_grid)
+    accepted = []  # last two accepted (mu, d, dd/dmu)
+    pending = [(mu, True) for mu in mu_grid]  # (mu, on the grid)
     halvings = 0
     while pending:
-        mu_target = pending[0]
+        mu_target, on_grid = pending[0]
         pars = ProblemParams(params.n, params.k, params.p, mu_target)
-        guess = None if halvings else _secant_guess(accepted, mu_target)
+        guess = _hermite_guess(accepted, mu_target)
         sol = None
         for start in ([d] if guess is None else [guess, d]):
             try:
@@ -423,19 +501,20 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
         if sol is None:
             if not accepted or halvings >= _MAX_HALVINGS:
                 return points, "fold"
-            pending.insert(0, 0.5 * (accepted[-1][0] + mu_target))
+            pending.insert(0, (0.5 * (accepted[-1][0] + mu_target), False))
             halvings += 1
             continue
         mu_fit, resid = fit_bubble(sol)
-        poho = _grad_p_square_integral(pars, sol)
-        if mu_target in mu_grid:
+        if on_grid:
+            poho = _grad_p_square_integral(pars, sol)
             points.append(BranchPoint(mu_target, sol.sup_norm, sol.energy,
                                       mu_fit, resid, poho, sol.d.copy(),
                                       sol.collocation_residual))
+            halvings = 0
         d = sol.d.copy()
-        accepted = accepted[-1:] + [(mu_target, d)]
+        tangent = np.linalg.solve(sol.jac, -sol.dmu)
+        accepted = accepted[-1:] + [(mu_target, d, tangent)]
         pending.pop(0)
-        halvings = 0
     return points, "complete"
 
 
@@ -510,7 +589,8 @@ def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> st
          "integrator": "dop853-adaptive", "jacobian": "variational",
          "verifier": "lsoda",
          "verifier_rtol": _VERIFY_RTOL,
-         "newton": {"max_iter": 50, "damping": "halving"}}
+         "newton": {"max_iter": 50, "step": "chebyshev",
+                    "damping": "halving", "predictor": "hermite-tangent"}}
     if extra:
         d.update(extra)
     return json.dumps(d, indent=2)

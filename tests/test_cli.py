@@ -162,9 +162,13 @@ def test_solve_seed_blowup_is_accuracy_failure(tmp_path, capsys):
 
 
 def test_solve_trivial_seed_state_is_accuracy_failure(tmp_path, capsys):
-    """For n = 12 the seed solve reaches the trivial state, which fails the
-    collocation check: solve exits 3 with a one-line message."""
-    assert run_cli(["solve", "--n", "12"], tmp_path)[0] == 3
+    """For n = 12 the seed solve from 1.2e4, far below the ground state's
+    u(0) = 1.0e8, reaches the trivial state, which fails the collocation
+    check: solve exits 3 with a one-line message."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"d_seed": [1.2e4]}))
+    assert run_cli(["--config", str(cfgfile), "solve", "--n", "12"],
+                   tmp_path)[0] == 3
     err = capsys.readouterr().err
     assert "collocation residual" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
@@ -189,6 +193,20 @@ def test_solve_default_seed_n6_stays_positive(tmp_path):
     assert code == 0
     lines = open(os.path.join(out, "solve", "branch.csv")).read().splitlines()
     assert float(lines[1].split(",")[1]) == pytest.approx(2298.16, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_solve_default_seed_from_bubble_scale(tmp_path, n):
+    """The default seed is the flat profile's center value at scale 0.025:
+    n = 5 (whose ground state at mu = -1/2 has u(0) = 624, where the former
+    seed 1.2e4 failed) and n = 10 (u(0) = 2.2e6) complete the default
+    branch."""
+    code, out = run_cli(["solve", "--n", str(n)], tmp_path)
+    assert code == 0
+    lines = open(os.path.join(out, "solve", "branch.csv")).read().splitlines()
+    assert len(lines) == 6
+    u0 = {5: 623.98, 10: 2.2013e6}[n]
+    assert float(lines[1].split(",")[1]) == pytest.approx(u0, rel=1e-4)
 
 
 def test_solve_seed_newton_failure_is_accuracy_failure(tmp_path, capsys,
@@ -223,10 +241,15 @@ def test_solve_empty_grid_usage(tmp_path):
                                   ["bubble-check", "--k-max", "0"],
                                   ["bubble-check", "--n", "3", "--k", "0"],
                                   ["cayley-green", "--n", "3", "--k", "0"],
-                                  ["pohozaev", "--k", "1", "--n", "0"]])
+                                  ["pohozaev", "--k", "1", "--n", "0"],
+                                  ["solve", "--mu-grid", "-0.5", "-0.5",
+                                   "-0.25"],
+                                  ["solve", "--n", "500"]])
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
     """Parameters outside k >= 1, n > 2k, 0 <= p < k, an empty bubble-check
-    range, and a solver rtol below what the integrator can reach, exit 2
+    range, a solver rtol below what the integrator can reach, a mu grid
+    that repeats a value (equal sups would fail the monotone check), and an
+    n whose default seed overflows, exit 2
     with a one-line message, not 0 with an empty or meaningless report, 1
     with a traceback (1 means a verification failure) or 3 after a futile
     solve."""

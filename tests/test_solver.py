@@ -1,7 +1,9 @@
-"""Radial solver: shooting map basics, the exact shooting Jacobian against
-central differences, agreement with an independent LSODA re-integration,
-Newton convergence, sign keeping, idempotence and shot counts, branch
-accuracy, bubble fitting, and the scaling-exponent fit."""
+"""Radial solver: shooting map basics, the exact first and second
+derivatives of the shooting map (in d and mu) against central differences,
+agreement with an independent LSODA re-integration, Newton convergence, the
+Chebyshev step, sign keeping, idempotence and shot counts, the Hermite
+predictor, continuation's halving bound, branch accuracy, bubble fitting,
+and the scaling-exponent fit."""
 
 import json
 
@@ -79,6 +81,16 @@ def test_collocation_check_inf_when_reintegration_blows_up():
     _, sol = shoot(p, [1.0, 0.5])
     sol.d = np.array([5.0, -5e4])  # blows up before the boundary
     assert collocation_check(p, sol) == np.inf
+
+
+def test_collocation_check_resolves_core_narrower_than_a_cell():
+    """At n = 5, mu = -0.02 the bubble scale 6.7e-4 is below the 2.5e-3
+    grid cell; LSODA needs more than its default 500 steps per output
+    interval there, and the check must still finish and pass."""
+    p = ProblemParams(5, 1, 0, -0.02)
+    _, sol = shoot(p, [57912.57])
+    assert fit_bubble(sol)[0] < 1e-3
+    assert collocation_check(p, sol) < 1e-9
 
 
 def test_collocation_check_is_independent_lsoda(monkeypatch):
@@ -183,12 +195,15 @@ def _counting_shoot(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n,k,p,mu,d", [
+_SHOT_CASES = [
     (7, 1, 0, -0.1, [45959.7]),
     (9, 2, 0, -3000.0, [8.0, 500.0]),
     (9, 2, 1, -50.0, [3.0, 40.0]),
     (11, 3, 1, -1.0, [1.0, 2.0, 3.0]),
-])
+]
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", _SHOT_CASES)
 def test_shot_jacobian_matches_central_differences(n, k, p, mu, d):
     """The variational columns give the mismatch Jacobian of the shot."""
     params = ProblemParams(n, k, p, mu)
@@ -202,6 +217,39 @@ def test_shot_jacobian_matches_central_differences(n, k, p, mu, d):
                     - shoot(params, d - h, rtol=1e-12)[0]) / (2 * h[j])
     assert sol.jac.shape == (k, k)
     assert np.max(np.abs(sol.jac - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", _SHOT_CASES)
+def test_shot_mu_derivative_matches_central_differences(n, k, p, mu, d):
+    """The d/dmu column gives the mismatch's derivative in mu."""
+    d = np.array(d)
+    _, sol = shoot(ProblemParams(n, k, p, mu), d, rtol=1e-12)
+    h = 1e-5 * max(1.0, abs(mu))
+    fd = (shoot(ProblemParams(n, k, p, mu + h), d, rtol=1e-12)[0]
+          - shoot(ProblemParams(n, k, p, mu - h), d, rtol=1e-12)[0]) / (2 * h)
+    assert sol.dmu.shape == (k,)
+    assert np.max(np.abs(sol.dmu - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", _SHOT_CASES)
+def test_shot_hessian_matches_central_differences(n, k, p, mu, d):
+    """The second-order columns give the derivative of jac in d.  The jac
+    columns carry no error control of their own, so their differences
+    resolve the Hessian to about 1e-5 in the stiff mu = -3000 case (step
+    3e-4, where truncation and the columns' noise balance) and to 3e-7 or
+    better in the others."""
+    params = ProblemParams(n, k, p, mu)
+    d = np.array(d)
+    _, sol = shoot(params, d, rtol=1e-12)
+    fd = np.empty((k, k, k))
+    for j in range(k):
+        h = np.zeros(k)
+        h[j] = 3e-4 * max(1.0, abs(d[j]))
+        fd[:, :, j] = (shoot(params, d + h, rtol=1e-12)[1].jac
+                       - shoot(params, d - h, rtol=1e-12)[1].jac) / (2 * h[j])
+    assert sol.hess.shape == (k, k, k)
+    np.testing.assert_array_equal(sol.hess, sol.hess.transpose(0, 2, 1))
+    assert np.max(np.abs(sol.hess - fd)) <= 5e-5 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("n,k,p,mu,d", [
@@ -227,12 +275,39 @@ def test_taylor_start_derivative_columns(n, k, p, mu, d):
 
 @pytest.mark.parametrize("n,k,p,mu,d", [
     (7, 1, 0, -0.5, [1.2e4]),
+    (9, 2, 1, -50.0, [3.0, 40.0]),
+    (11, 3, 2, 2.0, [-1.5, 2.0, 3.0]),
+    (11, 3, 0, -1.0, [2.5, -2.0, 3.0]),
+])
+def test_taylor_start_mu_and_second_order_columns(n, k, p, mu, d):
+    """The d/dmu column of the Taylor start is the mu-derivative of column
+    0, and the (i, j) column the d_j-derivative of the d_i column."""
+    d = np.array(d)
+    eps = 0.3
+    start = lambda mu, d: solver._taylor_start(ProblemParams(n, k, p, mu), d, eps)
+    Y = start(mu, d)
+    assert Y.shape == (2 * k, solver._block_cols(k))
+    h = 1e-6 * max(1.0, abs(mu))
+    fd = (start(mu + h, d)[:, 0] - start(mu - h, d)[:, 0]) / (2 * h)
+    np.testing.assert_allclose(Y[:, k + 1], fd, rtol=1e-6,
+                               atol=1e-8 * np.max(np.abs(fd)))
+    for c, (i, j) in enumerate(zip(*np.triu_indices(k))):
+        h = np.zeros(k)
+        h[j] = 1e-6 * abs(d[j])
+        fd = (start(mu, d + h)[:, 1 + i] - start(mu, d - h)[:, 1 + i]) / (2 * h[j])
+        np.testing.assert_allclose(Y[:, k + 2 + c], fd, rtol=1e-6,
+                                   atol=1e-8 * max(np.max(np.abs(fd)), 1e-300))
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", [
+    (7, 1, 0, -0.5, [1.2e4]),
     (9, 2, 0, -3000.0, [8.0, 500.0]),
 ])
 def test_variational_columns_leave_steps_unchanged(monkeypatch, n, k, p, mu, d):
-    """atol = inf on the variational columns: a shot takes the steps of
-    the state integrated alone, and reaches the same state.  The steps
-    agree up to rounding, which the error estimate amplifies."""
+    """atol = inf on every variational column (d, mu and second order): a
+    shot takes the steps of the state integrated alone, and reaches the
+    same state.  The steps agree up to rounding, which the error estimate
+    amplifies."""
     params = ProblemParams(n, k, p, mu)
     runs = []
     real = solver.solve_ivp
@@ -246,7 +321,8 @@ def test_variational_columns_leave_steps_unchanged(monkeypatch, n, k, p, mu, d):
     grid = np.linspace(1e-6, 1.0, 50)
     block, _ = solver._integrate(params, d, 1e-10, grid, variational=True)
     alone, _ = solver._integrate(params, d, 1e-10, grid)
-    assert block.shape == (2 * k, 1 + k) and alone.shape == (2 * k, 1)
+    assert block.shape == (2 * k, 2 + k + k * (k + 1) // 2)
+    assert alone.shape == (2 * k, 1)
     assert len(runs[0]) == len(runs[1])
     np.testing.assert_allclose(runs[0], runs[1], rtol=1e-3)
     np.testing.assert_allclose(block[:, 0], alone[:, 0], rtol=1e-9,
@@ -263,15 +339,31 @@ def test_newton_shoots_once_per_iteration(monkeypatch):
     assert len(calls) <= 7
 
 
+def test_newton_tries_chebyshev_step_first(monkeypatch):
+    """After the start shot, Newton shoots d + s - J^{-1} F''[s, s] / 2,
+    s = -J^{-1} F, from that shot's own derivatives."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    start = newton_solve(p, [1.2e4], rtol=1e-9)
+    q = ProblemParams(7, 1, 0, -0.25)
+    F, sol = shoot(q, start.d)
+    s = np.linalg.solve(sol.jac, -F)
+    curv = np.einsum("mij,i,j->m", sol.hess, s, s)
+    cheb = start.d + s - 0.5 * np.linalg.solve(sol.jac, curv)
+    calls = _counting_shoot(monkeypatch)
+    newton_solve(q, start.d, rtol=1e-9)
+    np.testing.assert_array_equal(calls[1][1], cheb)
+
+
 def test_continuation_shot_budget(monkeypatch):
-    """The default grid, with the log-log secant predictor, in <= 25 shots."""
+    """The default grid, with the Hermite-tangent predictor and Chebyshev
+    steps, in <= 10 shots (1 at the converged start, then 3, 2, 2, 2)."""
     p = ProblemParams(7, 1, 0, -0.5)
     start = newton_solve(p, [1.2e4], rtol=1e-9)
     calls = _counting_shoot(monkeypatch)
     pts, flag = continuation(p, [-0.5, -0.25, -0.1, -0.05, -0.02], start.d,
                              rtol=1e-9)
     assert flag == "complete" and len(pts) == 5
-    assert len(calls) <= 25
+    assert len(calls) <= 10
 
 
 def test_continuation_falls_back_from_failed_prediction(monkeypatch):
@@ -280,7 +372,7 @@ def test_continuation_falls_back_from_failed_prediction(monkeypatch):
     p = ProblemParams(7, 1, 0, -0.5)
     start = newton_solve(p, [1.2e4], rtol=1e-9)
     bad = np.array([1.0])
-    monkeypatch.setattr(solver, "_secant_guess",
+    monkeypatch.setattr(solver, "_hermite_guess",
                         lambda accepted, mu: bad if len(accepted) == 2 else None)
     real = solver.newton_solve
     tried = []
@@ -296,6 +388,41 @@ def test_continuation_falls_back_from_failed_prediction(monkeypatch):
     pts, flag = continuation(p, grid, start.d, rtol=1e-9)
     assert flag == "complete" and [b.mu_param for b in pts] == grid
     assert tried == [(-0.5, False), (-0.25, False), (-0.1, True), (-0.1, False)]
+
+
+def _bubble_solution(params, scale):
+    """An exact flat profile at the given scale as a RadialSolution whose
+    tangent dd/dmu is 0, so the predictor repeats the previous d."""
+    n, k = params.n, params.k
+    rr = np.linspace(1e-6, 1.0, 400)
+    vals = (scale / (scale**2 + bubble_constant(n, k) * rr**2)) ** (0.5 * (n - 2 * k))
+    return RadialSolution(params, np.array([vals[0]]), rr, vals[None, :],
+                          np.gradient(vals, rr)[None, :], np.array([0.0]),
+                          float(vals.max()), 1.0, collocation_residual=0.0,
+                          jac=np.eye(1), dmu=np.zeros(1))
+
+
+def test_continuation_halvings_bounded_per_grid_interval(monkeypatch):
+    """Newton fails beyond mu* inside a grid interval and succeeds below
+    it.  Accepted midpoints do not reset the halving count, so the bracket
+    stops shrinking after _MAX_HALVINGS and the call returns "fold"
+    instead of re-solving ever closer to mu*."""
+    mu_star = -0.2
+    calls = []
+
+    def stub(params, d_init, **kwargs):
+        calls.append(params.mu)
+        if len(calls) > 500:
+            raise AssertionError("continuation does not stop")
+        if params.mu > mu_star:
+            raise NewtonFailure("beyond mu*")
+        return _bubble_solution(params, 0.05)
+
+    monkeypatch.setattr(solver, "newton_solve", stub)
+    pts, flag = continuation(ProblemParams(7, 1, 0, -0.5), [-0.5, -0.1],
+                             [1e3])
+    assert flag == "fold" and [b.mu_param for b in pts] == [-0.5]
+    assert len(calls) <= 1 + 2 * (solver._MAX_HALVINGS + 1) + solver._MAX_HALVINGS
 
 
 def test_branch_matches_tight_newton():
@@ -314,22 +441,42 @@ def test_branch_matches_tight_newton():
     assert abs(last.d[0] - tight.d[0]) <= 1e-6 * abs(tight.d[0])
 
 
-def test_secant_guess_conditions():
-    """Exact on a power law in |mu|; None unless two accepted points, one
-    sign of mu, distinct mu and nonzero data of matching signs."""
-    law = lambda mu: np.array([3.0 * abs(mu) ** -2.5, -0.5 * abs(mu) ** 0.7])
-    acc = [(-0.5, law(-0.5)), (-0.25, law(-0.25))]
-    np.testing.assert_allclose(solver._secant_guess(acc, -0.1), law(-0.1),
-                               rtol=1e-12)
-    assert solver._secant_guess(acc[:1], -0.1) is None
-    assert solver._secant_guess(acc, 0.1) is None
-    assert solver._secant_guess(acc, 0.0) is None
-    assert solver._secant_guess([acc[0], acc[0]], -0.1) is None
-    assert solver._secant_guess([(0.5, law(0.5)), acc[1]], -0.1) is None
-    flipped = law(-0.25) * np.array([1.0, -1.0])
-    assert solver._secant_guess([acc[0], (-0.25, flipped)], -0.1) is None
-    zero = np.array([law(-0.25)[0], 0.0])
-    assert solver._secant_guess([acc[0], (-0.25, zero)], -0.1) is None
+def test_hermite_guess_conditions():
+    """Exact on power laws in |mu|, from one point (tangent step) and from
+    two (cubic Hermite); None without accepted points, across a sign of mu,
+    or unless each component of d is nonzero with one sign."""
+    c, e = np.array([3.0, -0.5]), np.array([-2.5, 0.7])
+    law = lambda mu: c * abs(mu) ** e
+    point = lambda mu: (mu, law(mu), e * law(mu) / mu)  # dd/dmu of the law
+    acc = [point(-0.5), point(-0.25)]
+    for mu in (-0.1, -0.3, -0.02):
+        np.testing.assert_allclose(solver._hermite_guess(acc, mu), law(mu),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(solver._hermite_guess(acc[1:], mu),
+                                   law(mu), rtol=1e-12)
+    np.testing.assert_allclose(solver._hermite_guess([acc[0], acc[0]], -0.1),
+                               law(-0.1), rtol=1e-12)
+    assert solver._hermite_guess([], -0.1) is None
+    assert solver._hermite_guess(acc, 0.1) is None
+    assert solver._hermite_guess(acc, 0.0) is None
+    assert solver._hermite_guess([point(0.5), acc[1]], -0.1) is None
+    mu, d, t = acc[1]
+    flipped = np.array([1.0, -1.0])
+    assert solver._hermite_guess([acc[0], (mu, d * flipped, t)], -0.1) is None
+    zero = np.array([1.0, 0.0])
+    assert solver._hermite_guess([acc[0], (mu, d * zero, t)], -0.1) is None
+
+
+def test_hermite_guess_uses_both_tangents():
+    """Off a power law, the two-point prediction is the cubic Hermite
+    polynomial in (log|mu|, log|d|), not the secant through the points."""
+    x1, x2, x = np.log(0.5), np.log(0.25), np.log(0.1)
+    y = lambda x: 2.0 + 0.3 * x + 0.1 * x**2 - 0.05 * x**3
+    dy = lambda x: 0.3 + 0.2 * x - 0.15 * x**2
+    point = lambda x: (-np.exp(x), np.array([np.exp(y(x))]),
+                       np.array([dy(x) * np.exp(y(x)) / -np.exp(x)]))
+    guess = solver._hermite_guess([point(x1), point(x2)], -np.exp(x))
+    np.testing.assert_allclose(np.log(guess), [y(x)], rtol=1e-12)
 
 
 def test_newton_failure_modes():
