@@ -234,16 +234,17 @@ def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
     return cut * amp * vals
 
 
-def bubble_jet(spec: BubbleSpec, x, order: int, domain: Ball | None = None) -> Jet:
-    """Exact partial derivatives of V at x up to the given order <= 2k."""
+def bubble_jet(spec: BubbleSpec, x, order: int) -> Jet:
+    """Exact partial derivatives of V at x up to the given order <= 2k, with
+    the cutoff of the unit ball."""
     if order > 2 * spec.k:
         raise ValueError(f"order {order} exceeds 2k = {2 * spec.k}")
     if spec.profile != "standard":
         raise ValueError("jets only for the standard positive profile")
     if spec.kind != "interior":
         raise UnsupportedDomainError("exact jets implemented for interior bubbles")
-    dom = domain if domain is not None else Ball((0.0,) * spec.n, 1.0)
-    return bubble_field(spec, dom).jet(np.asarray(x, float), order)
+    unit_ball = Ball((0.0,) * spec.n, 1.0)
+    return bubble_field(spec, unit_ball).jet(np.asarray(x, float), order)
 
 
 # ---------------------------------------------------------------------------

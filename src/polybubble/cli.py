@@ -5,7 +5,9 @@ Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
 3 numerical-accuracy failure.  Outputs are deterministic for a fixed config
 and seed apart from the timestamp field of the run manifest; every report is
 written atomically (temp file + rename).  The output root can also be set
-via the POLYBUBBLE_OUT environment variable.
+via the POLYBUBBLE_OUT environment variable.  Each setting comes from its
+flag, else from the --config file, else from the default that
+_build_parser declares; a config key the command does not take exits 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +37,6 @@ EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    out: str
-
-    def __post_init__(self):
-        if not self.command:
-            raise ValueError("missing command")
-        os.makedirs(self.out, exist_ok=True)
-
-
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -60,12 +49,12 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _write_manifest(cfg: RunConfig, extra=None) -> None:
-    d = {"command": cfg.command, "params": cfg.params, "out": cfg.out,
+def _write_manifest(ns: argparse.Namespace) -> None:
+    params = {key: val for key, val in vars(ns).items()
+              if val is not None and key not in ("config", "command", "out")}
+    d = {"command": ns.command, "params": params, "out": ns.out,
          "version": __version__, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    if extra:
-        d.update(extra)
-    _atomic_write(os.path.join(cfg.out, "manifest.json"),
+    _atomic_write(os.path.join(ns.out, "manifest.json"),
                   json.dumps(d, indent=2))
 
 
@@ -73,21 +62,17 @@ def _write_manifest(cfg: RunConfig, extra=None) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_bubble_check(cfg: RunConfig) -> int:
+def cmd_bubble_check(ns: argparse.Namespace) -> int:
     """Exact PDE checks plus decay slopes over an (n, k) range."""
-    p = cfg.params
-    k_max = int(p.get("k_max", 4))
-    n_max = int(p.get("n_max", 12))
-    single = p.get("n"), p.get("k")
-    if (single[0] is None) != (single[1] is None):
+    if (ns.n is None) != (ns.k is None):
         print("give both --n and --k, or neither", file=sys.stderr)
         return EXIT_USAGE
-    cases = ([(int(single[0]), int(single[1]))] if single[0] is not None
-             else [(n, k) for k in range(1, k_max + 1)
-                   for n in range(2 * k + 1, n_max + 1)])
+    cases = ([(ns.n, ns.k)] if ns.n is not None
+             else [(n, k) for k in range(1, ns.k_max + 1)
+                   for n in range(2 * k + 1, ns.n_max + 1)])
     if not cases:
-        print(f"invalid range: no pair 1 <= k <= k_max={k_max}, 2k < n <= "
-              f"n_max={n_max} (an empty report otherwise)", file=sys.stderr)
+        print(f"invalid range: no pair 1 <= k <= k_max={ns.k_max}, 2k < n <= "
+              f"n_max={ns.n_max} (an empty report otherwise)", file=sys.stderr)
         return EXIT_USAGE
     failures = []
     rows = []
@@ -116,26 +101,26 @@ def cmd_bubble_check(cfg: RunConfig) -> int:
                                 "target": s["target"]} for s in slopes]})
         if not ok:
             failures.append((n, k))
-    _atomic_write(os.path.join(cfg.out, "bubble_check.json"),
+    _atomic_write(os.path.join(ns.out, "bubble_check.json"),
                   json.dumps({"cases": rows, "failures": failures}, indent=2))
-    _write_manifest(cfg)
+    _write_manifest(ns)
     if failures:
         print("failing cases:", failures, file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
 
-def cmd_cayley_green(cfg: RunConfig) -> int:
+def cmd_cayley_green(ns: argparse.Namespace) -> int:
     """Conformal-map and Green-function identity suites."""
-    p = cfg.params
-    n, k = int(p["n"]), int(p["k"])
-    pairs = int(p.get("pairs", 100))
-    seed = int(p.get("seed", 0))
+    n, k, pairs = ns.n, ns.k, ns.pairs
+    if n is None or k is None:
+        print("invalid input: cayley-green needs --n and --k", file=sys.stderr)
+        return EXIT_USAGE
     if pairs <= 0 or k < 1 or n <= 2 * k:
         print(f"invalid input: need pairs > 0 (an empty report otherwise), "
               f"k >= 1 and n > 2k; got pairs={pairs}, n={n}, k={k}", file=sys.stderr)
         return EXIT_USAGE
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ns.seed)
 
     def ball_pt():
         v = rng.normal(size=n)
@@ -165,19 +150,18 @@ def cmd_cayley_green(cfg: RunConfig) -> int:
               "distance_identity_max_residual": dist_res,
               "green_conjugation_max_residual": green_res,
               "norm_invariance": invariance}
-    _atomic_write(os.path.join(cfg.out, "cayley_green.json"),
+    _atomic_write(os.path.join(ns.out, "cayley_green.json"),
                   json.dumps(report, indent=2))
-    _write_manifest(cfg)
+    _write_manifest(ns)
     ok = (dist_res < 1e-12 and green_res < 1e-10
           and all(r["passed"] for r in invariance))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_tree(cfg: RunConfig) -> int:
+def cmd_tree(ns: argparse.Namespace) -> int:
     """Influence report plus dominance/interaction/eta tables for a
     bubble-tree configuration file."""
-    p = cfg.params
-    path = p.get("config_file")
+    path = ns.config_file
     if not path or not os.path.exists(path):
         print(f"missing tree config file: {path}", file=sys.stderr)
         return EXIT_USAGE
@@ -191,40 +175,38 @@ def cmd_tree(cfg: RunConfig) -> int:
     except AmbiguousScalesError as e:
         print(f"ambiguous configuration: {e}", file=sys.stderr)
         return EXIT_USAGE
-    _atomic_write(os.path.join(cfg.out, "influence.json"), data.to_json())
-    seed = int(p.get("seed", 0))
+    _atomic_write(os.path.join(ns.out, "influence.json"), data.to_json())
     rows = []
     for i in range(len(tree.bubbles)):
         for l in range(2 * tree.k):
-            dom = check_dominance(tree, data, i, l, seed=seed)
+            dom = check_dominance(tree, data, i, l, seed=ns.seed)
             rows.append({"kind": "dominance", "i": i, "l": l,
                          "mu_or_alpha": tree.bubbles[i].mu,
                          "lhs": dom["constant"], "rhs": 1.0,
                          "ratio": dom["constant"], "quad_error": 0.0})
-        isup = interaction_sup(tree, data, i, seed=seed)
+        isup = interaction_sup(tree, data, i, seed=ns.seed)
         rows.append({"kind": "interaction", "i": i,
                      "mu_or_alpha": tree.bubbles[i].mu, "lhs": isup["lhs"],
                      "rhs": isup["bound"], "ratio": isup["ratio"],
                      "quad_error": 0.0})
-    ratio_table_csv(rows, os.path.join(cfg.out, "tree_ratios.csv"))
+    ratio_table_csv(rows, os.path.join(ns.out, "tree_ratios.csv"))
     try:
-        etas = eta_sequences(tree, x_count=2, seed=seed)
+        etas = eta_sequences(tree, x_count=2, seed=ns.seed)
     except AccuracyError as e:
         print(f"eta quadrature failure: {e}", file=sys.stderr)
         return EXIT_ACCURACY
-    _atomic_write(os.path.join(cfg.out, "eta.json"), json.dumps(etas, indent=2))
-    _write_manifest(cfg)
+    _atomic_write(os.path.join(ns.out, "eta.json"), json.dumps(etas, indent=2))
+    _write_manifest(ns)
     return EXIT_OK
 
 
-def cmd_pohozaev(cfg: RunConfig) -> int:
+def cmd_pohozaev(ns: argparse.Namespace) -> int:
     """Identity residual suites: manufactured Dirichlet tests or the exact
     bubble right-hand side."""
     from .pohozaev import MultiPoly, manufactured_dirichlet, pohozaev_residual
-    p = cfg.params
-    suite = p.get("suite", "manufactured")
-    k = int(p.get("k", 1))
-    n = int(p.get("n", 2 * k + 1))
+    if ns.n is None:
+        ns.n = 2 * ns.k + 1
+    suite, k, n = ns.suite, ns.k, ns.n
     if k < 1 or n < 1 or (suite == "bubble" and n <= 2 * k):
         print(f"invalid parameters: need k >= 1, n >= 1, and n > 2k on the "
               f"bubble suite; got k={k}, n={n}", file=sys.stderr)
@@ -256,36 +238,28 @@ def cmd_pohozaev(cfg: RunConfig) -> int:
     else:
         print(f"unknown suite {suite!r}", file=sys.stderr)
         return EXIT_USAGE
-    _atomic_write(os.path.join(cfg.out, f"pohozaev_{suite}.json"),
+    _atomic_write(os.path.join(ns.out, f"pohozaev_{suite}.json"),
                   json.dumps(reports, indent=2))
-    _write_manifest(cfg)
+    _write_manifest(ns)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(ns: argparse.Namespace) -> int:
     """Radial continuation experiment; writes the branch CSV and manifest."""
     from .solver import (IntegrationBlowUp, NewtonFailure, ProblemParams,
                          branch_csv, bubble_seed, continuation, newton_solve,
                          run_manifest)
-    p = cfg.params
-    n = int(p.get("n", 7))
-    k = int(p.get("k", 1))
-    pp = int(p.get("p", 0))
-    grid = p.get("mu_grid")
-    if grid is None:
-        grid = [-0.5, -0.25, -0.1, -0.05, -0.02]
-    grid = [float(g) for g in grid]
+    grid = ns.mu_grid
     if not grid:
         print("empty continuation grid", file=sys.stderr)
         return EXIT_USAGE
     if len(set(grid)) < len(grid):
         print("invalid parameters: the mu grid repeats a value", file=sys.stderr)
         return EXIT_USAGE
-    rtol = float(p.get("rtol", 1e-9))
     try:
-        params = ProblemParams(n, k, pp, grid[0])
-        d_seed = p["d_seed"] if "d_seed" in p else bubble_seed(n, k)
-        sol = newton_solve(params, d_seed, rtol=rtol)
+        params = ProblemParams(ns.n, ns.k, ns.p, grid[0])
+        d_seed = ns.d_seed if ns.d_seed is not None else bubble_seed(ns.n, ns.k)
+        sol = newton_solve(params, d_seed, rtol=ns.rtol)
     except ValueError as e:
         print(f"invalid parameters: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -293,15 +267,15 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"seed solve failed at mu = {grid[0]:g}: {e}", file=sys.stderr)
         return EXIT_ACCURACY
     try:
-        points, flag = continuation(params, grid, sol.d, rtol=rtol)
+        points, flag = continuation(params, grid, sol.d, rtol=ns.rtol)
     except ValueError as e:
         print(f"continuation failed: {e}", file=sys.stderr)
         return EXIT_VERIFICATION
-    branch_csv(points, os.path.join(cfg.out, "branch.csv"))
-    _atomic_write(os.path.join(cfg.out, "solve_manifest.json"),
-                  run_manifest(params, grid, d_seed, rtol,
+    branch_csv(points, os.path.join(ns.out, "branch.csv"))
+    _atomic_write(os.path.join(ns.out, "solve_manifest.json"),
+                  run_manifest(params, grid, d_seed, ns.rtol,
                                extra={"flag": flag}))
-    _write_manifest(cfg)
+    _write_manifest(ns)
     sups = [b.sup_norm for b in points]
     monotone = all(b > a for a, b in zip(sups, sups[1:]))
     return EXIT_OK if (flag == "complete" and monotone) else EXIT_VERIFICATION
@@ -321,11 +295,14 @@ _COMMANDS = {
 
 
 def _build_parser():
+    """The parser, the one home of every default, and its subcommand parsers
+    by name.  solve's d_seed (the Newton start) is a config-only key."""
     ap = argparse.ArgumentParser(prog="polybubble",
                                  description=__doc__.splitlines()[0])
-    ap.add_argument("--config", help="JSON run configuration (flags override)")
-    ap.add_argument("--out", help="output directory")
-    ap.add_argument("--seed", type=int, help="base RNG seed")
+    ap.add_argument("--config", help="JSON settings file (flags override)")
+    ap.add_argument("--out", default=os.environ.get("POLYBUBBLE_OUT", "runs"),
+                    help="output directory")
+    ap.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sub = ap.add_subparsers(dest="command")
     bc = sub.add_parser("bubble-check")
     bc.add_argument("--n", type=int)
@@ -333,54 +310,77 @@ def _build_parser():
     bc.add_argument("--n-max", type=int, default=12)
     bc.add_argument("--k-max", type=int, default=4)
     cg = sub.add_parser("cayley-green")
-    cg.add_argument("--n", type=int, required=True)
-    cg.add_argument("--k", type=int, required=True)
+    cg.add_argument("--n", type=int)
+    cg.add_argument("--k", type=int)
     cg.add_argument("--pairs", type=int, default=100)
     tr = sub.add_parser("tree")
     tr.add_argument("config_file", nargs="?")
     po = sub.add_parser("pohozaev")
     po.add_argument("--k", type=int, default=1)
-    po.add_argument("--n", type=int)
+    po.add_argument("--n", type=int, help="default 2k + 1")
     po.add_argument("--suite", default="manufactured")
     so = sub.add_parser("solve")
     so.add_argument("--n", type=int, default=7)
     so.add_argument("--k", type=int, default=1)
     so.add_argument("--p", type=int, default=0)
-    so.add_argument("--mu-grid", type=float, nargs="*")
+    so.add_argument("--mu-grid", type=float, nargs="*",
+                    default=[-0.5, -0.25, -0.1, -0.05, -0.02])
     so.add_argument("--rtol", type=float, default=1e-9)
-    return ap
+    so.set_defaults(d_seed=None)
+    return ap, sub.choices
+
+
+def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """The config entries as defaults of parser, each converted as its flag
+    converts a string; ValueError naming a key that parser does not take.
+    Keys that set_defaults alone declares are config-only, taken as given."""
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    out = dict(config)
+    for key, val in config.items():
+        if key not in actions:
+            if key not in parser._defaults:
+                raise ValueError(f"unknown key {key!r} for {parser.prog}")
+            continue
+        conv, many = actions[key].type or str, actions[key].nargs == "*"
+        try:
+            if many and not isinstance(val, list):
+                raise TypeError
+            out[key] = [conv(str(v)) for v in val] if many else conv(str(val))
+        except (TypeError, ValueError):
+            raise ValueError(f"key {key!r}: invalid value {val!r}") from None
+    return out
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
+    ap, commands = _build_parser()
     ns = ap.parse_args(argv)
     if not ns.command:
         ap.print_help()
         return EXIT_USAGE
-    params = {}
     if ns.config:
+        # the config file becomes the defaults of the parsers, so a flag
+        # given on the command line still beats it
         try:
             with open(ns.config) as fh:
-                params.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as e:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError("expected a JSON object")
+            common = {key: config.pop(key) for key in ("seed", "out") if key in config}
+            ap.set_defaults(**_config_defaults(ap, common))
+            commands[ns.command].set_defaults(
+                **_config_defaults(commands[ns.command], config))
+        except (OSError, ValueError) as e:
             print(f"bad config: {e}", file=sys.stderr)
             return EXIT_USAGE
-    for key, val in vars(ns).items():
-        if key in ("config", "command") or val is None:
-            continue
-        params[key.replace("-", "_")] = val
-    out = params.pop("out", None) or os.environ.get("POLYBUBBLE_OUT", "runs")
-    seed = params.pop("seed", 0)
-    params.setdefault("seed", seed)
-    if ns.command == "pohozaev" and params.get("n") is None:
-        params["n"] = 2 * int(params.get("k", 1)) + 1
+        ns = ap.parse_args(argv)
+    ns.out = os.path.join(ns.out, ns.command)
     try:
-        cfg = RunConfig(ns.command, params, os.path.join(out, ns.command))
-    except (ValueError, OSError) as e:
+        os.makedirs(ns.out, exist_ok=True)
+    except OSError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[ns.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except AccuracyError as e:
         print(f"accuracy failure: {e}", file=sys.stderr)
         return EXIT_ACCURACY

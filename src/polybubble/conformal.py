@@ -24,6 +24,9 @@ __all__ = [
     "check_laplacian_conjugation",
 ]
 
+_INVARIANCE_TOL = 1e-5  # relative difference check_norm_invariance accepts
+_GAUSS_CUT = 5.0  # GaussianXPow's norm integrals stop at _GAUSS_CUT + |c|
+
 
 class SingularPointError(ValueError):
     """The map is singular at y = -e_1."""
@@ -72,11 +75,11 @@ class CayleyMap:
         return fac * np.asarray(u.value(self.phi(y)), float)
 
 
-def check_distance_identity(x, y, n: int | None = None) -> float:
+def check_distance_identity(x, y) -> float:
     """| |phi(x)-phi(y)| * |x+e_1| * |y+e_1| - |x-y| | for interior points."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    cm = CayleyMap(x.size if n is None else n)
+    cm = CayleyMap(x.size)
     px = cm.phi(x[None, :])[0]
     py = cm.phi(y[None, :])[0]
     lhs = np.linalg.norm(px - py) * np.linalg.norm(x + cm.e1) * np.linalg.norm(y + cm.e1)
@@ -89,19 +92,17 @@ def check_distance_identity(x, y, n: int | None = None) -> float:
 
 class HalfSpaceBump:
     """Smooth compactly supported bump exp(-1/(1 - |x-c|^2/R^2)) in B(c, R),
-    with the support ball strictly inside the half-space."""
+    c = 0.6 e_1, R = 0.35, a support ball strictly inside the half-space."""
 
-    def __init__(self, n: int, center=None, radius: float = 0.35):
+    radius = 0.35
+
+    def __init__(self, n: int):
         self.n = n
-        c = np.zeros(n)
-        c[0] = 0.6
-        self.center = np.asarray(center, float) if center is not None else c
-        self.radius = radius
-        if self.center[0] <= self.radius:
-            raise ValueError("support ball must stay inside the half-space")
-        self.support_radius = float(np.linalg.norm(self.center) + radius)
+        self.center = np.zeros(n)
+        self.center[0] = 0.6
+        self.support_radius = float(np.linalg.norm(self.center) + self.radius)
         self.tail_bound = 0.0
-        self.feature_balls = [Ball(tuple(self.center), radius)]
+        self.feature_balls = [Ball(tuple(self.center), self.radius)]
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, float))
@@ -116,14 +117,14 @@ class GaussianXPow:
     """x_1^k exp(-|x - c|^2) with c on the e_1 axis, vanishing to order k on
     {x_1 = 0}."""
 
-    def __init__(self, n: int, k: int, cut: float = 5.0, shift: float = 0.0):
+    def __init__(self, n: int, k: int, shift: float = 0.0):
         self.n = n
         self.k = k
         self.center = np.zeros(n)
         self.center[0] = shift
-        self.support_radius = cut + abs(shift)
+        self.support_radius = _GAUSS_CUT + abs(shift)
         # crude analytic tail bound for the norm integrals beyond the cut
-        self.tail_bound = math.exp(-(cut**2)) * self.support_radius ** (2 * k + n)
+        self.tail_bound = math.exp(-(_GAUSS_CUT**2)) * self.support_radius ** (2 * k + n)
         self.feature_balls = [Ball(tuple(self.center), 1.5),
                               Ball(tuple(self.center), 3.0)]
 
@@ -136,12 +137,13 @@ class GaussianXPow:
 # Norm invariance
 # ---------------------------------------------------------------------------
 
-def check_norm_invariance(u, n: int, k: int, tol: float = 1e-5,
-                          seed: int = 0) -> dict:
+def check_norm_invariance(u, n: int, k: int) -> dict:
     """Both invariances of the Cayley transform for a decaying profile u:
 
     critical:   int_B |u*|^{2#} = int_{R^n_+} |u|^{2#}
     derivative: int_B |(-D)^{k/2} u*|^2 = int_{R^n_+} |(-D)^{k/2} u|^2
+
+    each passing at relative difference below _INVARIANCE_TOL.
 
     (-D)^{k/2} means grad (-Delta)^{(k-1)/2} for odd k.  Derivatives are
     taken by Richardson-extrapolated finite differences of the profile and
@@ -207,8 +209,8 @@ def check_norm_invariance(u, n: int, k: int, tol: float = 1e-5,
     return {
         "critical": (lhs_c.value, rhs_c.value, rel_c),
         "derivative": (lhs_d.value, rhs_d.value, rel_d),
-        "tol": tol,
-        "passed": (rel_c < tol) and (rel_d < tol),
+        "tol": _INVARIANCE_TOL,
+        "passed": (rel_c < _INVARIANCE_TOL) and (rel_d < _INVARIANCE_TOL),
     }
 
 

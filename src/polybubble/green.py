@@ -34,7 +34,6 @@ class GreenEval:
     n: int
     k: int
     value: float
-    normalization: float = 1.0
 
     def __float__(self):
         return self.value

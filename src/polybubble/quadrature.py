@@ -235,11 +235,14 @@ def _refuse_unmet(res: QuadratureResult, tol: float | None) -> QuadratureResult:
 # Radial path
 # ---------------------------------------------------------------------------
 
+_RADIAL_RTOL = 1e-11  # relative tolerance of integrate_radial's adaptive rule
+
+
 def integrate_radial(g, R: float, n: int, sigma: float = 0.0,
-                     r_min: float = 0.0, tol: float = 1e-11,
                      feature_scales=()) -> QuadratureResult:
-    """omega_{n-1} * int_{r_min}^R g(r) r^{n-1} dr with a center singularity
-    of order sigma < n flattened by r = u^{1/(n-sigma)}.
+    """omega_{n-1} * int_0^R g(r) r^{n-1} dr with a center singularity of
+    order sigma < n flattened by r = u^{1/(n-sigma)}, by adaptive
+    Gauss-Kronrod at relative tolerance _RADIAL_RTOL.
 
     feature_scales lists radii of sharp interior features (peaks of width
     comparable to their distance from 0); the interval is split there so the
@@ -259,7 +262,7 @@ def integrate_radial(g, R: float, n: int, sigma: float = 0.0,
             r = u**beta
             return beta * g(r) * u**expo
 
-    u_lo, u_hi = r_min**power, R**power
+    u_lo, u_hi = 0.0, R**power
     cuts = sorted({u_lo, u_hi}
                   | {float(np.clip(s**power, u_lo, u_hi))
                      for s0 in feature_scales if s0 > 0
@@ -268,7 +271,7 @@ def integrate_radial(g, R: float, n: int, sigma: float = 0.0,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 0:
             continue
-        v, e = _sg.quad(h, a, b, epsabs=1e-300, epsrel=tol, limit=400)
+        v, e = _sg.quad(h, a, b, epsabs=1e-300, epsrel=_RADIAL_RTOL, limit=400)
         val += v
         err += abs(e)
     area = sphere_area(n)
@@ -490,6 +493,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
 # ---------------------------------------------------------------------------
 
 _REPLICATES = 8
+_SURFACE_QMC_POINTS = 2**12  # Sobol directions per replicate on a sphere
 
 
 def _sobol_directions(rng, m, n, lead=0):
@@ -620,14 +624,14 @@ def _sphere_rule(n: int, m: int, axial: bool = False):
 
 
 def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
-                      seed: int = 0, n_points: int = 2**12,
-                      axis=None) -> QuadratureResult:
+                      seed: int = 0, axis=None) -> QuadratureResult:
     """Area integral of f over a sphere.
 
     axis=direction certifies f axisymmetric about the line through the
     center: the 1-D Gauss-Jacobi factor of the product rule in the polar
     angle ("gauss-jacobi").  Otherwise the full product rule for n <= 4
-    ("product-gauss") and scrambled-Sobol directions for n >= 5 ("qmc").
+    ("product-gauss") and _SURFACE_QMC_POINTS scrambled-Sobol directions
+    per replicate for n >= 5 ("qmc").
     The product rules estimate their error against the rule with half the
     nodes per factor; an error estimate above tol * |value| raises
     AccuracyError.
@@ -655,7 +659,9 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
 
     reps = []
     for rep in range(_REPLICATES):
-        _, dirs = _sobol_directions(np.random.default_rng([seed, rep]), n_points, n)
+        _, dirs = _sobol_directions(np.random.default_rng([seed, rep]),
+                                    _SURFACE_QMC_POINTS, n)
         vals = np.asarray(f(c + R * dirs), float)
         reps.append(float(np.mean(vals)) * sphere.area())
-    return _refuse_unmet(_replicate_result(reps, _REPLICATES * n_points), tol)
+    return _refuse_unmet(
+        _replicate_result(reps, _REPLICATES * _SURFACE_QMC_POINTS), tol)

@@ -58,6 +58,7 @@ _VERIFY_RTOL = 1e-13  # LSODA verifier tolerance, tighter than any shot
 _VERIFY_MXSTEP = 5000  # LSODA step budget per output interval (default 500)
 _MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
 _MAX_HALVINGS = 6    # step halvings per grid interval before declaring a fold
+_MAX_ITER = 50       # Newton iterations before newton_solve gives up
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
 _SEED_SCALE = 0.025  # bubble scale of the default seed, near mu_fit at mu = -1/2
 
@@ -106,12 +107,6 @@ class RadialSolution:
     jac: np.ndarray | None = None  # (k, k) derivative of mismatch in d
     dmu: np.ndarray | None = None  # (k,) derivative of mismatch in mu
     hess: np.ndarray | None = None  # (k, k, k) second derivative in d
-
-    def u(self, r):
-        return np.interp(r, self.r, self.v[0])
-
-    def du(self, r):
-        return np.interp(r, self.r, self.dv[0])
 
 
 @dataclass
@@ -298,15 +293,19 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     hess = np.empty((k, k, k))
     hess[:, I, J] = hess[:, J, I] = B[:, k + 2:]
     sup = float(np.max(np.abs(v[0])))
-    # energy int |(-Delta)^{k/2} u|^2: middle Laplacian iterate (even k) or
-    # the gradient of one (odd k)
-    if k % 2 == 0:
-        integrand = v[k // 2] ** 2
-    else:
-        integrand = dv[(k - 1) // 2] ** 2
-    energy = sphere_area(n) * float(np.trapezoid(integrand * rr ** (n - 1), rr))
+    energy = _square_integral(n, rr, v, dv, k)
     return mismatch, RadialSolution(params, d, rr, v, dv, mismatch, sup, energy,
                                     jac=jac, dmu=dmu, hess=hess)
+
+
+def _square_integral(n: int, rr, v, dv, m: int) -> float:
+    """omega_{n-1} int y_m^2 r^{n-1} dr by the trapezoid on the shot grid
+    rr, where y = (v_0, v_0', v_1, v_1', ...) is the state: y_m is
+    (-Delta)^{m/2} u, or its gradient for odd m, so m = k gives the energy
+    int |(-Delta)^{k/2} u|^2 and m = p the lower-order term int |D^p u|^2
+    (equal on H^p_0 by integration by parts)."""
+    y = (dv if m % 2 else v)[m // 2]
+    return sphere_area(n) * float(np.trapezoid(y ** 2 * rr ** (n - 1), rr))
 
 
 def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
@@ -347,7 +346,7 @@ def bubble_seed(n: int, k: int) -> list[float]:
 
 
 def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
-                 max_iter: int = 50) -> RadialSolution:
+                 max_iter: int = _MAX_ITER) -> RadialSolution:
     """Newton on the shooting map with the exact first and second
     derivatives that each shot carries from its variational equations.
 
@@ -425,23 +424,6 @@ def fit_bubble(solution: RadialSolution) -> tuple[float, float]:
     return mu_fit, resid
 
 
-def _grad_p_square_integral(params: ProblemParams, solution: RadialSolution) -> float:
-    """int_ball |grad^p u|^2 from the radial profile (p <= 2)."""
-    n, p = params.n, params.p
-    rr = solution.r
-    u = solution.v[0]
-    du = solution.dv[0]
-    if p == 0:
-        integrand = u**2
-    elif p == 1:
-        integrand = du**2
-    else:
-        d2u = np.gradient(du, rr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = d2u**2 + (n - 1) * np.where(rr > 0, du / rr, 0.0) ** 2
-    return sphere_area(n) * float(np.trapezoid(integrand * rr ** (n - 1), rr))
-
-
 def _hermite_guess(accepted, mu):
     """Predict d at mu from the last one or two accepted (mu_i, d_i, t_i),
     t_i = dd/dmu, in x = log|mu|, y = log|d|, where the tangents are
@@ -506,7 +488,7 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
             continue
         mu_fit, resid = fit_bubble(sol)
         if on_grid:
-            poho = _grad_p_square_integral(pars, sol)
+            poho = _square_integral(pars.n, sol.r, sol.v, sol.dv, pars.p)
             points.append(BranchPoint(mu_target, sol.sup_norm, sol.energy,
                                       mu_fit, resid, poho, sol.d.copy(),
                                       sol.collocation_residual))
@@ -589,7 +571,7 @@ def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> st
          "integrator": "dop853-adaptive", "jacobian": "variational",
          "verifier": "lsoda",
          "verifier_rtol": _VERIFY_RTOL,
-         "newton": {"max_iter": 50, "step": "chebyshev",
+         "newton": {"max_iter": _MAX_ITER, "step": "chebyshev",
                     "damping": "halving", "predictor": "hermite-tangent"}}
     if extra:
         d.update(extra)

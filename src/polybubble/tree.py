@@ -43,6 +43,9 @@ __all__ = [
     "stratified_samples",
 ]
 
+# snapshot scale ratios mu^j/mu^i strictly inside this band are refused
+_AMBIGUOUS_BAND = (1e-2, 1e-1)
+
 
 class AmbiguousScalesError(ValueError):
     """Snapshot scale ratio falls inside the undecidable threshold band."""
@@ -119,7 +122,7 @@ class TreeConfig:
 
     @classmethod
     def from_family(cls, law: FamilyLaw, alpha: float, n: int, k: int,
-                    nu=None, include_u0=False, u0_value=0.0, domain=None):
+                    nu=None):
         specs = []
         for i in range(law.n_bubbles()):
             specs.append(BubbleSpec("interior", n, k, law.center(i, alpha),
@@ -131,7 +134,7 @@ class TreeConfig:
                          [law.center_base[i] for i in order],
                          None if law.center_exp is None else [law.center_exp[i] for i in order],
                          None if law.center_dir is None else [law.center_dir[i] for i in order])
-        return cls(specs, nu or {}, include_u0, u0_value, law2, domain, alpha)
+        return cls(specs, nu or {}, family_law=law2, alpha=alpha)
 
     # -- JSON ----------------------------------------------------------------
 
@@ -190,10 +193,12 @@ def epsilon(cfg: TreeConfig, i: int, j: int) -> float:
     return d2 / (bi.mu * bj.mu) + bi.mu / bj.mu + bj.mu / bi.mu
 
 
-def _faster(cfg: TreeConfig, j: int, i: int, lo: float, hi: float) -> bool:
-    """True iff mu^j = o(mu^i)."""
+def _faster(cfg: TreeConfig, j: int, i: int) -> bool:
+    """True iff mu^j = o(mu^i); a snapshot ratio inside _AMBIGUOUS_BAND
+    raises AmbiguousScalesError."""
     if cfg.family_law is not None:
         return cfg.family_law.mu_exp[j] > cfg.family_law.mu_exp[i]
+    lo, hi = _AMBIGUOUS_BAND
     ratio = cfg.bubbles[j].mu / cfg.bubbles[i].mu
     if ratio >= hi:
         return False
@@ -256,14 +261,13 @@ class InfluenceData:
         }, indent=2)
 
 
-def classify(cfg: TreeConfig, thresholds=(1e-2, 1e-1)) -> InfluenceData:
+def classify(cfg: TreeConfig) -> InfluenceData:
     """Full influence data for a configuration.
 
     s^{ij} has two branches: the strict o(mu^j) branch and the comparable
     branch carrying the extra 1/(4 m_ij) factor; r^i caps at sqrt(mu^i);
     rho^{ji} = 2 (mu^j/mu^i)^{(n-2k)/(2(n-1))} (|x^j-x^i| + mu^i).
     """
-    lo, hi = thresholds
     N = len(cfg.bubbles)
     n, k = cfg.n, cfg.k
     a = bubble_constant(n, k)
@@ -275,7 +279,7 @@ def classify(cfg: TreeConfig, thresholds=(1e-2, 1e-1)) -> InfluenceData:
         for j in range(N):
             if j == i:
                 continue
-            if _faster(cfg, j, i, lo, hi):
+            if _faster(cfg, j, i):
                 Aic.append(j)
             else:
                 Ai.append(j)
@@ -288,7 +292,7 @@ def classify(cfg: TreeConfig, thresholds=(1e-2, 1e-1)) -> InfluenceData:
             bj = cfg.bubbles[j]
             d2 = float(np.sum((bi.center - bj.center) ** 2))
             base = (bi.mu / bj.mu) * (bj.mu**2 + a * d2)
-            if _faster(cfg, i, j, lo, hi):      # mu^i = o(mu^j): strict branch
+            if _faster(cfg, i, j):               # mu^i = o(mu^j): strict branch
                 s2 = base / a
             else:                                # comparable bubbles
                 if cfg.family_law is not None:

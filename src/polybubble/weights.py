@@ -19,8 +19,8 @@ import numpy as np
 from .bubbles import positive_bubble, theta
 from .quadrature import Ball, BallMinusBalls, Singularity, integrate_volume
 from .radial import critical_exponent
-from .tree import (InfluenceData, TreeConfig, classify, pair_maxima, pair_sum,
-                   theta_pow_B, weight_sum)
+from .tree import (TreeConfig, classify, pair_maxima, pair_sum, theta_pow_B,
+                   weight_sum)
 
 __all__ = [
     "psi_weight",
@@ -155,8 +155,7 @@ def sample_x_points(cfg: TreeConfig, i: int, count: int = 6) -> list[np.ndarray]
 # eta sequences
 # ---------------------------------------------------------------------------
 
-def eta_sequences(cfg: TreeConfig, A_deltas=(), nu_max: float | None = None,
-                  data: InfluenceData | None = None, x_count: int = 4,
+def eta_sequences(cfg: TreeConfig, A_deltas=(), x_count: int = 4,
                   seed: int = 0) -> dict:
     """The four control sequences of the weighted-norm machinery:
 
@@ -164,11 +163,10 @@ def eta_sequences(cfg: TreeConfig, A_deltas=(), nu_max: float | None = None,
     eta2 = sup_x max_l int |x-y|^{2k-n-l} Psi(y) dy / (1 + sum theta^{-l} B);
     eta3 = (max eps^{-1/2})^m + (max scale-ratio^{(2k-1)/(2(n-1))})^m
            + max_i mu_i^{min((n-2k)/2, 2k, 1)},  m = min(n-2k, 4k);
-    eta4 = max |nu| + sum of the coefficient-tensor C^l distances.
+    eta4 = max |nu| + sum of the coefficient-tensor C^l distances A_deltas.
     """
     n, k = cfg.n, cfg.k
-    if data is None:
-        data = classify(cfg)
+    data = classify(cfg)
 
     # eta1 by quadrature
     q = 2.0 * n / (n + 2 * k)
@@ -189,9 +187,7 @@ def eta_sequences(cfg: TreeConfig, A_deltas=(), nu_max: float | None = None,
     m = min(n - 2 * k, 4 * k)
     t1, t2 = pair_maxima(cfg, data)
     eta3 = t1**m + t2**m + max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k, 1)
-    if nu_max is None:
-        nu_max = max((abs(v) for v in cfg.nu.values()), default=0.0)
-    eta4 = nu_max + float(sum(A_deltas))
+    eta4 = max((abs(v) for v in cfg.nu.values()), default=0.0) + float(sum(A_deltas))
 
     return {"eta1": eta1, "eta2": eta2, "eta3": eta3, "eta4": eta4,
             "eta": max(eta1, eta2, eta3, eta4)}

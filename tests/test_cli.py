@@ -20,6 +20,17 @@ def run_cli(args, tmp_path, name="runs"):
     return code, out
 
 
+def write_config(tmp_path, config, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def read_report(out, command, name):
+    with open(os.path.join(out, command, name)) as fh:
+        return json.load(fh)
+
+
 def test_bubble_check_single_pair(tmp_path):
     code, out = run_cli(["bubble-check", "--n", "7", "--k", "1"], tmp_path)
     assert code == 0
@@ -244,7 +255,9 @@ def test_solve_empty_grid_usage(tmp_path):
                                   ["pohozaev", "--k", "1", "--n", "0"],
                                   ["solve", "--mu-grid", "-0.5", "-0.5",
                                    "-0.25"],
-                                  ["solve", "--n", "500"]])
+                                  ["solve", "--n", "500"],
+                                  [{"rtol": 0}, "solve"],
+                                  [{"k": 0}, "pohozaev"]])
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
     """Parameters outside k >= 1, n > 2k, 0 <= p < k, an empty bubble-check
     range, a solver rtol below what the integrator can reach, a mu grid
@@ -252,7 +265,9 @@ def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
     n whose default seed overflows, exit 2
     with a one-line message, not 0 with an empty or meaningless report, 1
     with a traceback (1 means a verification failure) or 3 after a futile
-    solve."""
+    solve.  A leading dict is given as a config file instead of flags."""
+    if isinstance(args[0], dict):
+        args = ["--config", write_config(tmp_path, args[0])] + args[1:]
     assert run_cli(args, tmp_path)[0] == 2
     err = capsys.readouterr().err
     assert "invalid" in err and "Traceback" not in err
@@ -268,6 +283,105 @@ def test_config_file_and_flag_override(tmp_path):
     man = json.loads(open(os.path.join(out, "bubble-check",
                                        "manifest.json")).read())
     assert man["params"]["n"] == 7 and "timestamp" in man
+
+
+def test_config_sets_bubble_check_range_and_flag_beats_it(tmp_path):
+    cfg = write_config(tmp_path, {"n_max": 5, "k_max": 1})
+    code, out = run_cli(["--config", cfg, "bubble-check"], tmp_path)
+    assert code == 0
+    cases = read_report(out, "bubble-check", "bubble_check.json")["cases"]
+    assert [(c["n"], c["k"]) for c in cases] == [(3, 1), (4, 1), (5, 1)]
+    code, out = run_cli(["--config", cfg, "bubble-check", "--k-max", "2"],
+                        tmp_path, "flag")
+    assert code == 0
+    cases = read_report(out, "bubble-check", "bubble_check.json")["cases"]
+    assert [(c["n"], c["k"]) for c in cases] == [(3, 1), (4, 1), (5, 1), (5, 2)]
+
+
+def test_config_sets_cayley_green_pairs_and_pair(tmp_path):
+    cfg = write_config(tmp_path, {"n": 3, "k": 1, "pairs": 7})
+    code, out = run_cli(["--config", cfg, "cayley-green"], tmp_path)
+    assert code == 0
+    rep = read_report(out, "cayley-green", "cayley_green.json")
+    assert (rep["n"], rep["k"], rep["pairs"]) == (3, 1, 7)
+    code, out = run_cli(["--config", cfg, "cayley-green", "--pairs", "5"],
+                        tmp_path, "flag")
+    assert code == 0
+    assert read_report(out, "cayley-green", "cayley_green.json")["pairs"] == 5
+
+
+def test_config_sets_tree_file_and_seed(tmp_path):
+    """The config's seed is the --seed of the run, and its config_file the
+    positional argument; a flag still beats the config's seed."""
+    sep = os.path.join(FIXTURES, "separated.json")
+
+    def ratios(args, name):
+        code, out = run_cli(args, tmp_path, name)
+        assert code == 0
+        return open(os.path.join(out, "tree", "tree_ratios.csv")).read()
+
+    cfg = write_config(tmp_path, {"config_file": sep, "seed": 5})
+    from_config = ratios(["--config", cfg, "tree"], "cfg")
+    assert from_config == ratios(["--seed", "5", "tree", sep], "flag5")
+    assert from_config != ratios(["tree", sep], "seed0")
+    assert ratios(["--config", cfg, "--seed", "0", "tree"], "over") == \
+        ratios(["tree", sep], "seed0b")
+
+
+def test_config_sets_pohozaev_k_and_default_n(tmp_path):
+    cfg = write_config(tmp_path, {"k": 2})
+    code, out = run_cli(["--config", cfg, "pohozaev"], tmp_path)
+    assert code == 0
+    rep = read_report(out, "pohozaev", "pohozaev_manufactured.json")
+    assert {(r["k"], r["n"]) for r in rep} == {(2, 5)}
+    assert read_report(out, "pohozaev", "manifest.json")["params"]["n"] == 5
+    code, out = run_cli(["--config", cfg, "pohozaev", "--k", "1"], tmp_path,
+                        "flag")
+    assert code == 0
+    rep = read_report(out, "pohozaev", "pohozaev_manufactured.json")
+    assert {(r["k"], r["n"]) for r in rep} == {(1, 3)}
+
+
+def test_config_sets_solve_n_and_flag_beats_it(tmp_path):
+    cfg = write_config(tmp_path, {"n": 6, "mu_grid": [-0.5]})
+    code, out = run_cli(["--config", cfg, "solve"], tmp_path)
+    assert code == 0
+    man = read_report(out, "solve", "solve_manifest.json")
+    assert (man["n"], man["mu_grid"]) == (6, [-0.5])
+    lines = open(os.path.join(out, "solve", "branch.csv")).read().splitlines()
+    assert float(lines[1].split(",")[1]) == pytest.approx(2298.16, rel=1e-5)
+    code, out = run_cli(["--config", cfg, "solve", "--n", "7"], tmp_path,
+                        "flag")
+    assert code == 0
+    assert read_report(out, "solve", "solve_manifest.json")["n"] == 7
+
+
+@pytest.mark.parametrize("command", ["bubble-check", "cayley-green", "tree",
+                                     "pohozaev", "solve"])
+@pytest.mark.parametrize("config", [{"n_mx": 5}, {"seed": 1, "n_mx": 5}])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    code, out = run_cli(["--config", cfg, command], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'n_mx'" in err[0]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command,config", [("bubble-check", {"d_seed": [1.0]}),
+                                            ("solve", {"n": 5.5}),
+                                            ("solve", {"n": True}),
+                                            ("solve", {"mu_grid": -0.5}),
+                                            ("pohozaev", {"seed": "x"})])
+def test_config_only_and_mistyped_values_are_usage_errors(tmp_path, capsys,
+                                                          command, config):
+    """d_seed is a key of solve only, and config values are converted as
+    flag strings are: a float or a boolean for an integer, or a scalar for
+    a list, exits 2 with one line naming the key."""
+    cfg = write_config(tmp_path, config)
+    assert run_cli(["--config", cfg, command], tmp_path)[0] == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and repr(next(iter(config))) in err[0]
 
 
 def test_console_entry_point(tmp_path):

@@ -390,6 +390,30 @@ def test_continuation_falls_back_from_failed_prediction(monkeypatch):
     assert tried == [(-0.5, False), (-0.25, False), (-0.1, True), (-0.1, False)]
 
 
+def test_square_integral_reads_the_state_component():
+    """_square_integral(m) integrates y_m^2, y = (v_0, v_0', v_1, v_1'): for
+    u = (1 - r^2)^4 on B^5, m = 0..3 give int u^2, |grad u|^2, (Delta u)^2
+    and |grad Delta u|^2; m = 2 equals int |D^2 u|^2, as on any H^2_0 datum."""
+    from numpy.polynomial import Polynomial as P
+
+    from polybubble.quadrature import sphere_area
+
+    n = 5
+    u = P([1, 0, -1]) ** 4
+    lap = u.deriv(2) + (n - 1) * P(u.deriv().coef[1:])  # u'' + (n-1) u'/r
+    rr = np.linspace(1e-6, 1.0, 4001)
+    v = np.array([u(rr), -lap(rr)])
+    dv = np.array([u.deriv()(rr), -lap.deriv()(rr)])
+    r_pow = P([0] * (n - 1) + [1])
+    for m, y in enumerate((u, u.deriv(), lap, lap.deriv())):
+        exact = sphere_area(n) * (y**2 * r_pow).integ()(1.0)
+        got = solver._square_integral(n, rr, v, dv, m)
+        assert got == pytest.approx(exact, rel=1e-5)
+    hess_sq = u.deriv(2) ** 2 + (n - 1) * P(u.deriv().coef[1:]) ** 2
+    assert solver._square_integral(n, rr, v, dv, 2) == pytest.approx(
+        sphere_area(n) * (hess_sq * r_pow).integ()(1.0), rel=1e-5)
+
+
 def _bubble_solution(params, scale):
     """An exact flat profile at the given scale as a RadialSolution whose
     tangent dd/dmu is 0, so the predictor repeats the previous d."""
