@@ -11,7 +11,9 @@ Two evaluation paths:
 * exact -- when u and f are polynomial jets, |u|^p is polynomial (even
   integer p, or integer p with u certified nonnegative) and the domain is a
   ball or annulus, every term reduces to rational sphere/ball moments and
-  the only error is final float rounding;
+  the only error is final float rounding.  Data symmetric about e_1, with
+  xi and every boundary centre on that axis, are handled in the two
+  variables (x_1, |x'|^2) instead of the n Cartesian ones;
 * quadrature -- generic jet providers are integrated with the engine from
   the quadrature module (axisymmetric rules when an axis is declared).
 """
@@ -94,6 +96,11 @@ class MultiPoly:
     field i holds e_i and field n the total degree |e|, so multiplying two
     monomials adds their keys.  Degrees are kept <= _MASK, hence no field
     ever carries into the next.  Instances are immutable.
+
+    The exact Pohozaev path also uses a plain two-variable MultiPoly as the
+    axial form A(t, rho) of a function on R^n symmetric about e_1,
+    f(x) = A(x_1, |x'|^2); its operators, which need the ambient n, are
+    those of _Axial, and _axial_form converts exactly.
     """
 
     __slots__ = ("n", "den", "terms")
@@ -287,6 +294,185 @@ def _exact(v) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Exact algebras: n Cartesian variables, or the axial pair (x_1, |x'|^2)
+# ---------------------------------------------------------------------------
+
+class _Cartesian:
+    """The operators of the exact path on MultiPolys in x_1 ... x_n.
+    Points a, b are lists of exact rationals; moment centres are floats."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def lap(self, p):
+        return p.laplacian()
+
+    def dot_grad(self, p, a):
+        """(x - a) . grad p."""
+        return p.x_dot_grad(a)
+
+    def grad_sq(self, p):
+        """|grad p|^2."""
+        return sum((d * d for d in map(p.diff, range(self.n))), MultiPoly(self.n))
+
+    def shifted_dot(self, a, b):
+        """(x - a) . (x - b)."""
+        X = [MultiPoly.coordinate(self.n, i) for i in range(self.n)]
+        return sum(((X[i] - a[i]) * (X[i] - b[i]) for i in range(self.n)),
+                   MultiPoly(self.n))
+
+    def moment(self, p, center, radius: float, ball: bool):
+        return _moment(p, center, radius, self.n, ball)
+
+
+_T, _RHO = _unit(2, 0), _unit(2, 1)  # packed keys of t and rho
+
+
+def _axial_exps(key):
+    """(a, b) of the axial monomial t^a rho^b."""
+    return key & _MASK, (key >> _BITS) & _MASK
+
+
+def _x_degree(key):
+    """a + 2b, the degree of t^a rho^b as a homogeneous polynomial in x."""
+    return (key >> (2 * _BITS)) + ((key >> _BITS) & _MASK)
+
+
+class _Axial:
+    """The same operators on the axial form of a function on R^n symmetric
+    about e_1: the two-variable MultiPoly A(t, rho) with
+    f(x) = A(x_1, |x'|^2), x' = (x_2, ..., x_n).  Every point and centre
+    lies on the e_1 axis, so only its first entry is read.  The ambient
+    dimension n enters the Laplacian and the moments only."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def lap(self, p):
+        """f_tt + 4 rho f_rhorho + 2(n-1) f_rho, term by term:
+        t^a rho^b -> a(a-1) t^(a-2) rho^b + 2b(2b+n-3) t^a rho^(b-1)."""
+        out: dict = {}
+        for key, c in p.terms.items():
+            a, b = _axial_exps(key)
+            if a > 1:
+                out[key - 2 * _T] = out.get(key - 2 * _T, 0) + c * a * (a - 1)
+            if b:
+                out[key - _RHO] = (out.get(key - _RHO, 0)
+                                   + c * 2 * b * (2 * b + self.n - 3))
+        return MultiPoly._make(2, out, p.den)
+
+    def dot_grad(self, p, a):
+        """(t - a_1) f_t + 2 rho f_rho: the Euler part t f_t + 2 rho f_rho
+        scales each term by its degree in x."""
+        euler = MultiPoly._make(2, {key: c * _x_degree(key)
+                                    for key, c in p.terms.items()}, p.den)
+        return euler - p.diff(0) * a[0] if a[0] else euler
+
+    def grad_sq(self, p):
+        """f_t^2 + 4 rho f_rho^2."""
+        ft, fr = p.diff(0), p.diff(1)
+        return ft * ft + MultiPoly.coordinate(2, 1) * fr * fr * 4
+
+    def shifted_dot(self, a, b):
+        """(t - a_1)(t - b_1) + rho."""
+        t = MultiPoly.coordinate(2, 0)
+        return (t - a[0]) * (t - b[0]) + MultiPoly.coordinate(2, 1)
+
+    def moment(self, p, center, radius: float, ball: bool):
+        """Integral over the sphere or ball of radius `radius` about
+        center = c e_1, with an |.|-sum for the budget.
+
+        After the shift t -> t + c, t^a rho^b is homogeneous of degree
+        d = a + 2b in x, and rho = 1 - t^2 on the unit sphere.  Its sphere
+        mean is therefore sum_j (-1)^j C(b, j) M_{a+2j}, with M_m the mean
+        of x_1^m from sphere_moment_ratio (zero for odd a), kept here as
+        integers N_m over one denominator D.  The radius enters as
+        radius^(d+n-1), or radius^(d+n)/(d+n) on the ball, as in _moment.
+        Each term's exact rational is rounded to a float once.
+        """
+        if center[0]:
+            p = p.translate([_exact(center[0]), 0])
+        n = self.n
+        dmax = max(map(_x_degree, p.terms), default=0)
+        M = [sphere_moment_ratio((2 * m,) + (0,) * (n - 1))
+             for m in range(dmax // 2 + 1)]
+        D = math.lcm(*(x.denominator for x in M))
+        N = [x.numerator * (D // x.denominator) for x in M]
+        area = sphere_area(n)
+        val = 0.0
+        abs_sum = 0.0
+        for key, c in p.terms.items():
+            a, b = _axial_exps(key)
+            if a % 2:
+                continue
+            num = sum((-1) ** j * math.comb(b, j) * N[a // 2 + j]
+                      for j in range(b + 1))
+            q = a + 2 * b + n - (not ball)
+            contrib = (c * num / (D * p.den)
+                       * area * radius**q / (q if ball else 1))
+            val += contrib
+            abs_sum += abs(contrib)
+        return val, abs_sum
+
+
+def _axial_form(p: MultiPoly) -> MultiPoly | None:
+    """The axial form A(t, rho) with p(x) = A(x_1, |x'|^2) exactly, or None
+    when p has none.
+
+    rho^b = sum_{|m| = b} b!/prod m_i! prod_{i>=2} x_i^(2 m_i), so p converts
+    exactly when every term x^e has e_2 ... e_n even and, for each
+    (a, b) = (e_1, (e_2 + ... + e_n)/2), all C(b+n-2, n-2) monomials of that
+    shape are present, each with the coefficient q_ab b!/prod (e_i/2)! for
+    one q_ab.  Within one (a, b) that makes c_e prod (e_i/2)! the same
+    integer for every term, and q_ab is it over b! den.
+    """
+    n = p.n
+    if n < 2:
+        return None
+    odd = sum(1 << (_BITS * i) for i in range(1, n))  # low bits of e_2 ... e_n
+    q: dict = {}  # packed axial key -> c_e prod (e_i/2)!
+    count: dict = {}
+    for key, c in p.terms.items():
+        if key & odd:
+            return None
+        a, *rest, d = key.to_bytes(n + 1, "little")
+        for e in rest:
+            if e > 2:
+                c *= math.factorial(e // 2)
+        ab = a * _T + (d - a) // 2 * _RHO
+        if q.setdefault(ab, c) != c:
+            return None
+        count[ab] = count.get(ab, 0) + 1
+    bmax = max((_axial_exps(ab)[1] for ab in q), default=0)
+    for ab, m in count.items():
+        if m != math.comb(_axial_exps(ab)[1] + n - 2, n - 2):
+            return None
+    L = math.factorial(bmax)
+    return MultiPoly._make(2, {ab: c * (L // math.factorial(_axial_exps(ab)[1]))
+                               for ab, c in q.items()}, L * p.den)
+
+
+def _exact_algebra(polys, xi, pieces):
+    """The axial algebra and the axial forms of polys when xi and every
+    boundary centre lie on the e_1 axis and every poly converts; else the
+    Cartesian algebra and polys unchanged."""
+    n = polys[0].n
+    if all(not np.any(x[1:]) for x in [xi] + [c for c, _, _ in pieces]):
+        forms = [_axial_form(p) for p in polys]
+        if all(f is not None for f in forms):
+            return _Axial(n), forms
+    return _Cartesian(n), polys
+
+
+def _neg_laplacians(alg, p, k: int):
+    """[p, -Delta p, ..., (-Delta)^k p] in the algebra alg."""
+    out = [p]
+    for _ in range(k):
+        out.append(-alg.lap(out[-1]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Polynomial jet provider
 # ---------------------------------------------------------------------------
 
@@ -388,12 +574,6 @@ def _is_polynomial_setup(u, f) -> bool:
 # LHS: the boundary functional P_k
 # ---------------------------------------------------------------------------
 
-def _shifted_dot(n, a, b):
-    """(x - a) . (x - b) for exact a, b."""
-    X = [MultiPoly.coordinate(n, i) for i in range(n)]
-    return sum(((X[i] - a[i]) * (X[i] - b[i]) for i in range(n)), MultiPoly(n))
-
-
 def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                  quad_opts: dict | None = None):
     """The boundary functional P_k(domain; u).
@@ -403,6 +583,11 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
     Dirichlet data on the boundary of the domain (odd k uses the gradient
     interpretation of the half-power).
 
+    A PolynomialJet u takes the exact path.  It runs in the two axial
+    variables (x_1, |x'|^2) when xi and every boundary centre lie on the e_1
+    axis and u converts exactly to that form (see _axial_form), and in the
+    n Cartesian variables otherwise.
+
     Returns (value, abs_budget).
     """
     xi = np.asarray(xi, float)
@@ -410,10 +595,11 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
     pieces = _boundary_pieces(domain)
 
     if _is_polynomial_setup(u, None):
+        alg, (upoly,) = _exact_algebra([u.poly], xi, pieces)
         xi_f = [_exact(t) for t in xi]
         # v_i = (-Delta)^i u and the commutator fields D_i
-        v = [u.poly.neg_laplacian_iter(i) for i in range(k + 1)]
-        D = [v[i].x_dot_grad(xi_f) + 2 * i * v[i] for i in range(k // 2)]
+        v = _neg_laplacians(alg, upoly, k)
+        D = [alg.dot_grad(v[i], xi_f) + 2 * i * v[i] for i in range(k // 2)]
         m = (k - 1) // 2
         total, budget = 0.0, 0.0
         for (c, R, sign) in pieces:
@@ -422,9 +608,9 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
             s = _exact(sign / R)
 
             def dnu(poly):
-                return s * poly.x_dot_grad(c_f)
+                return s * alg.dot_grad(poly, c_f)
 
-            x_minus_xi_nu = _shifted_dot(n, xi_f, c_f) * s
+            x_minus_xi_nu = alg.shifted_dot(xi_f, c_f) * s
 
             if simplified:
                 # Dirichlet collapse: P_k = -1/2 int (x-xi, nu) |(-D)^{k/2} u|^2
@@ -436,10 +622,10 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                 if k % 2 == 0:
                     sq = v[k // 2] * v[k // 2]
                 else:
-                    sq = sum((d * d for d in map(v[m].diff, range(n))), MultiPoly(n))
+                    sq = alg.grad_sq(v[m])
                 integrand = Fraction(-1, 2) * x_minus_xi_nu * sq
             else:
-                integrand = MultiPoly(n)
+                integrand = MultiPoly(upoly.n)
                 half_nm2k = Fraction(n - 2 * k, 2)
                 for i in range(k // 2):
                     integrand = integrand + half_nm2k * (
@@ -450,9 +636,9 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                     integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[k // 2] * v[k // 2]
                 else:
                     integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[m + 1] * v[m]
-                    w = v[m].x_dot_grad(xi_f)
+                    w = alg.dot_grad(v[m], xi_f)
                     integrand = integrand + Fraction(1, 2) * (v[m] * dnu(w) - w * dnu(v[m]))
-            val, ab = _moment(integrand, c, R, n, ball=False)
+            val, ab = alg.moment(integrand, c, R, ball=False)
             total, budget = total + val, budget + ab
         return total, 1e-12 * budget
 
@@ -508,6 +694,11 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     """The four right-hand terms (T1 bulk E(u), T2 boundary f|u|^p,
     T3 volume f|u|^p, T4 grad-f volume).  Returns (terms, budget).
 
+    PolynomialJets u and f take the exact path, in the axial variables
+    (x_1, |x'|^2) when xi and every boundary centre lie on the e_1 axis and
+    u and f both convert exactly to that form, in the n Cartesian variables
+    otherwise (as in pohozaev_lhs).
+
     On the quadrature path quad_opts go to integrate_volume unchanged; their
     axis (point, direction), if any, also selects the surface rule."""
     if p_exp < 2:
@@ -521,27 +712,28 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
         p = int(p_exp)
         if p != p_exp or not (p % 2 == 0 or u.nonneg):
             raise ValueError("non-polynomial |u|^p; use the quadrature path")
-        # for even p or nonneg u: |u|^{p-2} u = u^{p-1} and |u|^p = u^p
-        upm1 = u.poly ** (p - 1)
-        up = upm1 * u.poly
-        xi_f = [_exact(v) for v in xi]
         fpoly = f.poly if f is not None else MultiPoly.const(n, 1)
+        alg, (upoly, fpoly) = _exact_algebra([u.poly, fpoly], xi, pieces)
+        # for even p or nonneg u: |u|^{p-2} u = u^{p-1} and |u|^p = u^p
+        upm1 = upoly ** (p - 1)
+        up = upm1 * upoly
+        xi_f = [_exact(v) for v in xi]
 
-        Eu = u.poly.neg_laplacian_iter(k) - fpoly * upm1
-        mult = Fraction(n - 2 * k, 2) * u.poly + u.poly.x_dot_grad(xi_f)
+        Eu = _neg_laplacians(alg, upoly, k)[k] - fpoly * upm1
+        mult = Fraction(n - 2 * k, 2) * upoly + alg.dot_grad(upoly, xi_f)
 
         def vol(poly):
             """Outer ball minus the inner ones."""
-            parts = [(sign, *_moment(poly, c, R, n, ball=True)) for c, R, sign in pieces]
+            parts = [(sign, *alg.moment(poly, c, R, ball=True)) for c, R, sign in pieces]
             return sum(s * v for s, v, _ in parts), sum(a for _, _, a in parts)
 
         T1, a1 = vol(mult * Eu)
         T3v, a3 = vol(fpoly * up)
-        T4v, a4 = vol(fpoly.x_dot_grad(xi_f) * up)
+        T4v, a4 = vol(alg.dot_grad(fpoly, xi_f) * up)
 
         def surf(c, R, sign):
-            xnu = _shifted_dot(n, xi_f, [_exact(t) for t in c])
-            return _moment(xnu * fpoly * up * _exact(sign / (R * p_exp)), c, R, n, ball=False)
+            xnu = alg.shifted_dot(xi_f, [_exact(t) for t in c])
+            return alg.moment(xnu * fpoly * up * _exact(sign / (R * p_exp)), c, R, ball=False)
 
         T2, a2 = map(sum, zip(*(surf(*piece) for piece in pieces)))
         budget = 1e-12 * (a1 + a2 + abs(coef_T3) * a3 + a4 / p_exp)

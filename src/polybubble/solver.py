@@ -32,7 +32,8 @@ import numpy as np
 from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
 from .quadrature import sphere_area
-from .radial import bubble_constant, critical_exponent, make_bubble
+from .radial import (bubble_constant, critical_exponent, laplacian,
+                     make_bubble, radial_derivative)
 
 __all__ = [
     "IntegrationBlowUp",
@@ -58,6 +59,7 @@ _VERIFY_RTOL = 1e-13  # LSODA verifier tolerance, tighter than any shot
 _VERIFY_MXSTEP = 5000  # LSODA step budget per output interval (default 500)
 _MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
 _MAX_HALVINGS = 6    # step halvings per grid interval before declaring a fold
+_MAX_DAMPING = 7     # Newton step halvings per iteration before NewtonFailure
 _MAX_ITER = 50       # Newton iterations before newton_solve gives up
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
 _SEED_SCALE = 0.025  # bubble scale of the default seed, near mu_fit at mu = -1/2
@@ -352,9 +354,10 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
 
     Each iteration first shoots the Chebyshev step s - J^{-1} F''[s, s] / 2,
     s = -J^{-1} F, and takes it when it reduces |F|; otherwise it halves the
-    Newton step s until |F| drops.  Returns the RadialSolution of the last
-    accepted shot, with its collocation residual filled in, or raises
-    NewtonFailure when that residual is not below _MAX_RESIDUAL (as near
+    Newton step s until |F| drops, at most _MAX_DAMPING times before it
+    raises NewtonFailure.  Returns the RadialSolution of the last accepted
+    shot, with its collocation residual filled in, or raises NewtonFailure
+    when that residual is not below _MAX_RESIDUAL (as near
     u = 0, where the absolute mismatch test passes).  A step that would
     move u(0) across zero is not shot, so the solve stays on the sign of
     its start.  rtol must be finite and at least _RTOL_FLOOR, below which
@@ -396,7 +399,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
         curv = np.einsum("mij,i,j->m", sol.hess, step, step)
         found = improve(d + step - 0.5 * np.linalg.solve(J, curv), base)
         lam = 1.0
-        while found is None and lam > 1e-8:
+        while found is None and lam >= 0.5 ** _MAX_DAMPING:
             found = improve(d + lam * step, base)
             lam *= 0.5
         if found is None:
@@ -517,28 +520,26 @@ def pohozaev_scaling(branch: list[BranchPoint]) -> float:
 
 def synthetic_bubble_branch(n: int, k: int, p: int, mus) -> list[BranchPoint]:
     """Branch of exact rescaled flat profiles (no PDE solve), for scaling
-    tests: poho_term is the p-gradient square integral over the unit ball,
-    computed by adaptive quadrature in the scaled variable t = r/mu so that
-    the peak is exactly resolved for arbitrarily small scales."""
+    tests: poho_term is the integral over the unit ball of y_p^2, the
+    solver's integrand ((-Delta)^{p/2} U)^2 for even p and
+    (d/dr (-Delta)^{(p-1)/2} U)^2 for odd p, built exactly from the profile
+    by radial.laplacian and radial_derivative.  It is computed by adaptive
+    quadrature in the scaled variable t = r/mu, so that the peak is exactly
+    resolved for arbitrarily small scales."""
     from scipy.integrate import quad
 
-    from .fields import RationalProfile
-
     a = bubble_constant(n, k)
-    prof = RationalProfile(make_bubble(n, k), a)
+    y = make_bubble(n, k)
+    for _ in range(p // 2):
+        y = laplacian(y)
+    if p % 2:
+        y = radial_derivative(y)
     out = []
     for mu in mus:
         amp = mu ** (-0.5 * (n - 2 * k))
 
         def integrand(t):
-            if p == 0:
-                G = prof.d(0, t) ** 2
-            elif p == 1:
-                G = prof.d(1, t) ** 2
-            else:
-                g1 = prof.d(1, t)
-                G = prof.d(2, t) ** 2 + (n - 1) * (g1 / t if t > 0 else 0.0) ** 2
-            return G * t ** (n - 1)
+            return y(t, a) ** 2 * t ** (n - 1)
 
         val, _ = quad(integrand, 0.0, 1.0 / mu, epsabs=1e-300, epsrel=1e-11,
                       limit=400)

@@ -183,6 +183,23 @@ def test_criterion_5_pohozaev_identity():
                   f"max residual over suite within budget; {dt:.1f}s")
 
 
+@pytest.mark.parametrize("n", [9, 12])
+def test_pohozaev_identity_k4(n):
+    """Criterion 5's gates at k = 4 (n in {9, 12}), which the axial exact
+    path makes cheap: (1 - |x|^2)^4 at xi = 0 and (1 - |x|^2)^4 (1 + x_0)
+    at xi = 0.3 e_1, both on the unit ball."""
+    k = 4
+    dom = Ball((0.0,) * n, 1.0)
+    for xi_off, poly in ((0.0, None), (0.3, MultiPoly.coordinate(n, 0) + 1)):
+        xi = np.zeros(n)
+        xi[0] = xi_off
+        rep = pohozaev_residual(manufactured_dirichlet(k, n, poly), None, 2.0,
+                                dom, xi, k, dirichlet=True)
+        assert rep.residual_rel < 1e-6
+        assert rep.residual_abs <= max(rep.budget, 1e-12)
+        assert rep.simplified_gap <= 10 * max(rep.budget, 1e-9)
+
+
 def test_criterion_6_weighted_bound_suites():
     """Every convolution-lemma verifier stays bounded across the default
     mu-sweep {1e-1, 1e-2, 1e-3}; the punctured-convolution M-decay slope is

@@ -1,7 +1,8 @@
 """Pohozaev identity: jet operators against FD oracles, exact manufactured
 tests (computed with rational moments frozen against an independent
 brute-force path), the k=1 hand-coded boundary expression, subdomain and
-shifted-center variants, and the parity of the Dirichlet collapse."""
+shifted-center variants, the parity of the Dirichlet collapse, and the
+axial (x_1, |x'|^2) exact path against the Cartesian one."""
 
 import math
 import random
@@ -10,9 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polybubble import pohozaev
 from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.jets import fd_laplacian_iter, fd_partial
-from polybubble.pohozaev import (MultiPoly, PolynomialJet, _moment, e_operator,
+from polybubble.pohozaev import (MultiPoly, PolynomialJet, _Axial, _axial_form,
+                                 _moment, e_operator,
                                  manufactured_dirichlet, pohozaev_lhs,
                                  pohozaev_residual, pohozaev_rhs,
                                  x_grad_laplacian)
@@ -607,3 +610,132 @@ def test_report_json_schema():
     assert set(d) >= {"k", "n", "xi", "terms", "residual_abs",
                       "residual_rel", "budget"}
     assert set(d["terms"]) == {"lhs", "T1", "T2", "T3", "T4"}
+
+
+# -- axial exact path ------------------------------------------------------------
+
+def _cartesian_of(A, n):
+    """The Cartesian polynomial A(x_1, |x'|^2) in n variables."""
+    x1 = MultiPoly.coordinate(n, 0)
+    rho = MultiPoly.abs2(n) - x1 * x1
+    return sum((c * x1 ** a * rho ** b for (a, b), c in A.coeffs.items()),
+               MultiPoly(n))
+
+
+def _random_axial(seed):
+    rng = random.Random(seed)
+    return MultiPoly(2, {(rng.randrange(5), rng.randrange(4)):
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(6)})
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_axial_form_round_trip_and_operators(n, seed):
+    """A(x_1, |x'|^2) expanded in n variables converts back to A, and the
+    axial Laplacian, (x - a e_1).grad and |grad|^2 are the axial forms of
+    the Cartesian ones."""
+    A = _random_axial(seed)
+    p = _cartesian_of(A, n)
+    assert dict(_axial_form(p).coeffs) == dict(A.coeffs)
+    alg = _Axial(n)
+    a = [Fraction(3, 7)] + [Fraction(0)] * (n - 1)
+    grad_sq = sum((d * d for d in map(p.diff, range(n))), MultiPoly(n))
+    for axial, cart in ((alg.lap(A), p.laplacian()),
+                        (alg.dot_grad(A, a), p.x_dot_grad(a)),
+                        (alg.grad_sq(A), grad_sq)):
+        assert dict(_axial_form(cart).coeffs) == dict(axial.coeffs)
+
+
+def test_axial_form_refuses_non_axial_polys():
+    """The conversion is exact: an odd power of x_2 ... x_n, a missing
+    monomial of |x'|^(2b) or a coefficient off the multinomial refuses."""
+    n = 4
+    x1, x2 = MultiPoly.coordinate(n, 0), MultiPoly.coordinate(n, 1)
+    one = MultiPoly.const(n, 1)
+    assert _axial_form(x1 * x1 - x2 * x2) is None
+    assert _axial_form((one - MultiPoly.abs2(n)) * x2) is None
+    squares = [MultiPoly.coordinate(n, i) ** 2 for i in range(1, n)]
+    rho = MultiPoly.abs2(n) - x1 * x1
+    assert _axial_form(rho * rho) is not None
+    # |x'|^4 without its cross terms, and with them at weight 1 instead of 2
+    assert _axial_form(sum((s * s for s in squares), MultiPoly(n))) is None
+    assert _axial_form(sum((s * t for i, s in enumerate(squares)
+                            for t in squares[i:]), MultiPoly(n))) is None
+    # in the plane x_2^2 is all of |x'|^2
+    assert dict(_axial_form(MultiPoly.coordinate(2, 0) ** 2
+                            - MultiPoly.coordinate(2, 1) ** 2).coeffs) == {
+        (2, 0): 1, (0, 1): -1}
+
+
+def _swap12(p):
+    """p with x_1 and x_2 exchanged."""
+    return MultiPoly(p.n, {(e[1], e[0]) + e[2:]: c for e, c in p.coeffs.items()})
+
+
+def _oracle_inputs():
+    """(label, u, f, domain, xi, k): criterion 5's inputs, the annulus test
+    and the non-constant-f test."""
+    out = []
+    for k in (1, 2, 3):
+        for n in (3, 5, 7):
+            if n <= 2 * k:
+                continue
+            ball = Ball((0.0,) * n, 1.0)
+            xi = np.zeros(n)
+            xi[0] = 0.3
+            shifted = manufactured_dirichlet(k, n, MultiPoly.coordinate(n, 0) + 1)
+            ann = BallMinusBalls(ball, (Ball((0.0,) * n, 0.5),))
+            out += [(f"k{k}n{n}xi0", manufactured_dirichlet(k, n), None, ball,
+                     np.zeros(n), k),
+                    (f"k{k}n{n}xi0.3", shifted, None, ball, xi, k),
+                    (f"k{k}n{n}annulus", manufactured_dirichlet(k, n), None, ann,
+                     np.zeros(n), k)]
+    n = 6
+    out.append(("annulus-k2n6", manufactured_dirichlet(2, n), None,
+                BallMinusBalls(Ball((0.0,) * n, 1.0), (Ball((0.0,) * n, 0.5),)),
+                np.zeros(n), 2))
+    n = 5
+    u = manufactured_dirichlet(2, n, MultiPoly.const(n, 1)
+                               + MultiPoly.coordinate(n, 0) * Fraction(1, 2))
+    f = PolynomialJet(MultiPoly.const(n, 1) + MultiPoly.abs2(n) * Fraction(1, 4))
+    out.append(("nonconstant-f", u, f, Ball((0.0,) * n, 1.0), np.zeros(n), 2))
+    return out
+
+
+def _exact_terms(u, f, dom, xi, k):
+    lhs, _ = pohozaev_lhs(u, dom, xi, k)
+    simp, _ = pohozaev_lhs(u, dom, xi, k, simplified=True)
+    T, _ = pohozaev_rhs(u, f, 2.0, dom, xi, k)
+    return np.array([lhs, simp, *T])
+
+
+@pytest.mark.parametrize("label,u,f,dom,xi,k", _oracle_inputs(),
+                         ids=[c[0] for c in _oracle_inputs()])
+def test_axial_path_matches_cartesian_path(monkeypatch, label, u, f, dom, xi, k):
+    """lhs, the simplified lhs and T1-T4 of e_1-axial data agree with the
+    Cartesian path on the same data with x_1 and x_2 exchanged, within
+    1e-12 max(|lhs|, max_i |T_i|).  Exchanged data that are not radial are
+    no longer e_1-axial; radial data are unchanged by the exchange, so the
+    conversion is switched off for them."""
+    axial_moments = []
+    moment = _Axial.moment
+
+    def spy(self, *args, **kwargs):
+        axial_moments.append(args)
+        return moment(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Axial, "moment", spy)
+    axial = _exact_terms(u, f, dom, xi, k)
+    assert axial_moments
+    axial_moments.clear()
+
+    su = PolynomialJet(_swap12(u.poly), nonneg=u.nonneg)
+    sf = None if f is None else PolynomialJet(_swap12(f.poly))
+    sxi = xi[[1, 0, *range(2, len(xi))]]
+    if _axial_form(su.poly) is not None:
+        monkeypatch.setattr(pohozaev, "_axial_form", lambda p: None)
+    cartesian = _exact_terms(su, sf, dom, sxi, k)
+    assert not axial_moments
+    scale = max(abs(cartesian[0]), *np.abs(cartesian[2:]))
+    assert np.all(np.abs(axial - cartesian) <= 1e-12 * scale)

@@ -183,6 +183,30 @@ def test_newton_converged_start_shoots_once(monkeypatch):
     assert again.collocation_residual == sol.collocation_residual
 
 
+def test_newton_damping_is_bounded(monkeypatch):
+    """From u(0) = 1.2e4 at n = 5, mu = -1/2, Newton climbs to a plateau of
+    |F| with no root and fails.  Every shot whose |F| is no new minimum was
+    refused, so each iteration refuses at most _MAX_DAMPING + 2 shots (the
+    Chebyshev step and the halvings 1 ... 2^-_MAX_DAMPING of the Newton
+    step): 20 shots in all, against 74 when the halving ran on to 1e-8."""
+    norms = []
+    real = solver.shoot
+
+    def counting(*args, **kwargs):
+        F, sol = real(*args, **kwargs)
+        norms.append(np.linalg.norm(F))
+        return F, sol
+
+    monkeypatch.setattr(solver, "shoot", counting)
+    with pytest.raises(NewtonFailure, match="damping failed"):
+        newton_solve(ProblemParams(5, 1, 0, -0.5), [1.2e4])
+    accepted = [i for i, f in enumerate(norms) if f < min(norms[:i], default=np.inf)]
+    refused_runs = np.diff(accepted + [len(norms)]) - 1
+    assert solver._MAX_DAMPING >= 7
+    assert max(refused_runs) <= solver._MAX_DAMPING + 2
+    assert len(norms) <= 20
+
+
 def _counting_shoot(monkeypatch):
     calls = []
     real = solver.shoot
@@ -562,7 +586,7 @@ def test_pohozaev_scaling_guards():
         pohozaev_scaling(flat)  # constant branch: degenerate fit
 
 
-@pytest.mark.parametrize("k,p,n", [(1, 0, 7), (2, 0, 9), (2, 1, 9)])
+@pytest.mark.parametrize("k,p,n", [(1, 0, 7), (2, 0, 9), (2, 1, 9), (4, 3, 12)])
 def test_synthetic_branch_slopes(k, p, n):
     mus = [2e-3, 1e-3, 5e-4, 2e-4, 1e-4]
     br = synthetic_bubble_branch(n, k, p, mus)
