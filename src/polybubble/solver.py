@@ -5,8 +5,9 @@
 
 written as k coupled radial second-order equations for v_i = (-Delta)^i u:
 -v_i'' - (n-1)/r v_i' = v_{i+1} (i < k-1), closing with the nonlinearity.
-Each shot integrates the state with DOP853 together with its first- and
-second-order variational equations, so the same shot gives the exact
+Each shot integrates the state with DOP853 (an in-module step loop,
+bit-identical to scipy's) together with its first- and second-order
+variational equations, so the same shot gives the exact
 derivatives of the boundary mismatch in the shooting data (first and
 second order) and in mu.  Newton takes the third-order Chebyshev step
 from them, falling back to a halved Newton step; continuation predicts
@@ -23,13 +24,15 @@ steps u(0) across zero.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint, solve_ivp
+from scipy.integrate import DOP853, ODEintWarning, odeint
+from scipy.optimize import brentq
 
 from .quadrature import sphere_area
 from .radial import (bubble_constant, critical_exponent, laplacian,
@@ -61,8 +64,9 @@ _MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
 _MAX_HALVINGS = 6    # step halvings per grid interval before declaring a fold
 _MAX_DAMPING = 7     # Newton step halvings per iteration before NewtonFailure
 _MAX_ITER = 50       # Newton iterations before newton_solve gives up
-_RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp clamps smaller rtol to this
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's DOP853 rtol floor, kept by _integrate
 _SEED_SCALE = 0.025  # bubble scale of the default seed, near mu_fit at mu = -1/2
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # DOP853 step control, as scipy's
 
 
 class IntegrationBlowUp(RuntimeError):
@@ -175,6 +179,28 @@ def _rhs(params: ProblemParams, cols: int):
     return rhs
 
 
+def _state_rhs(params: ProblemParams):
+    """Right-hand side of the state y = (v_0, v_0', ..., v_{k-1}, v_{k-1}')
+    alone, in plain float arithmetic, for the verifier: the chain
+    v_i'' = -(n-1)/r v_i' - v_{i+1}, closed by
+    v_{k-1}'' = -(n-1)/r v_{k-1}' + mu v_p - N(v_0), N(v_0) = |v_0|^{2#-2} v_0.
+    It shares no code with the shots' block rhs _rhs."""
+    n, k, p, mu = params.n, params.k, params.p, params.mu
+    e = params.two_sharp - 2.0
+
+    def rhs(r, y):
+        y = y.tolist()
+        c = -(n - 1.0) / r
+        out = []
+        for i in range(1, 2 * k - 1, 2):
+            out += [y[i], c * y[i] - y[i + 1]]
+        v0 = y[0]
+        out += [y[-1], c * y[-1] + mu * y[2 * p] - abs(v0) ** e * v0]
+        return out
+
+    return rhs
+
+
 def _taylor_start(params: ProblemParams, d, eps):
     """4-term even Taylor expansion at the origin fixing y(eps), as the full
     (2k, _block_cols(k)) block: column 0 is y(eps), the others its
@@ -209,6 +235,145 @@ def _taylor_start(params: ProblemParams, d, eps):
     return Y
 
 
+@dataclass
+class _Run:
+    t: float            # where the integration stopped
+    y: np.ndarray       # the full state there, None after the event
+    status: int         # 0 reached t_bound, 1 crossed the cap, -1 step too small
+    y_grid: np.ndarray  # y[::stride] at t_eval, None unless status is 0
+    steps: list         # ends of the accepted steps
+    nfev: int           # rhs calls
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
+              stride: int) -> _Run:
+    """DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) with the
+    tableau of scipy.integrate.DOP853, doing the arithmetic of
+    scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
+    atol=atol, t_eval=t_eval, events=g) in the same order, with g(t, y) =
+    max|y[::stride]| - cap a terminal event of direction +1: the same
+    initial step, stages, E5/E3 error norm, step control, dense output and
+    brentq root, so every value is bit-identical to scipy's.  It leaves out
+    scipy's per-call wrappers, interpolant objects and event bookkeeping,
+    and computes the 3 dense-output stages only on a step that holds a
+    t_eval point or the event.  t_span must be increasing and t_eval
+    nonempty and increasing within it; only the components y[::stride]
+    are output.
+    fun gets its stage states in one reused buffer, so it must not keep
+    its argument y."""
+    M = DOP853
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0, float)
+    n_stages, dim = M.n_stages, y.size
+    K_ext = np.empty((len(M.C) + len(M.C_EXTRA) + 1, dim))
+    K = K_ext[:n_stages + 1]
+    stages = [(s, K[:s].T, a[:s], c) for s, (a, c) in
+              enumerate(zip(M.A[1:], M.C[1:]), start=1)]
+    extra = [(s, K_ext[:s].T, a[:s], c) for s, (a, c) in
+             enumerate(zip(M.A_EXTRA, M.C_EXTRA), start=n_stages + 1)]
+    KB, KT = K[:-1].T, K.T
+    exponent = -1 / (M.error_estimator_order + 1)
+    eps = np.finfo(float).eps
+
+    # select_initial_step, direction +1, max_step inf
+    f = fun(t, y)
+    length = abs(t_bound - t)
+    scale = atol + np.abs(y) * rtol
+    d0 = np.linalg.norm(y / scale) / dim ** 0.5
+    d1 = np.linalg.norm(f / scale) / dim ** 0.5
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    f1 = fun(t + h0, y + h0 * f)
+    d2 = np.linalg.norm((f1 - f) / scale) / dim ** 0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (M.error_estimator_order + 1))
+    h_abs = min(100 * h0, h1, length)
+    nfev = 2
+
+    t_eval = np.asarray(t_eval, float)
+    points = t_eval.tolist()
+    buf = np.empty(dim)
+    grid, steps, i_eval, status = [], [], 0, None
+    while status is None:
+        # one accepted step of RungeKutta._step_impl
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return _Run(t, y, -1, None, steps, nfev)
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, KTs, a, c in stages:  # buf = y + dot(K[:s].T, a) * h
+                np.dot(KTs, a, out=buf)
+                buf *= h
+                buf += y
+                K[s] = fun(t + c * h, buf)
+            y_new = y + h * np.dot(KB, M.B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            nfev += n_stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(KT, M.E5) / scale
+            err3 = np.dot(KT, M.E3) / scale
+            e5 = np.linalg.norm(err5) ** 2
+            e3 = np.linalg.norm(err3) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * dim)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else
+                          min(_MAX_FACTOR, _SAFETY * error_norm ** exponent))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        steps.append(t)
+        if t == t_bound:
+            status = 0
+        crossed = abs(y[::stride]).max() >= cap
+        i_new = bisect.bisect_right(points, t)
+        if not (crossed or i_new > i_eval):
+            continue
+        # Dop853 dense output of the step, on the rows y[::stride]
+        for s, KTs, a, c in extra:
+            np.dot(KTs, a, out=buf)
+            buf *= h
+            buf += y_old
+            K_ext[s] = fun(t_old + c * h, buf)
+        nfev += len(extra)
+        F = np.empty((len(M.D) + 3, dim))
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (f + K[0])
+        F[3:] = h * np.dot(M.D, K_ext)
+        F, base = F[::-1, ::stride], y_old[::stride]
+
+        def dense(x):
+            out = np.zeros(x.shape + base.shape)
+            x = x[..., None]
+            factors = (x, 1 - x)
+            for i, row in enumerate(F):
+                out += row
+                out *= factors[i % 2]
+            return out + base
+
+        if crossed:
+            t = brentq(lambda s: abs(dense(np.asarray((s - t_old) / h))).max()
+                       - cap, t_old, t, xtol=4 * eps, rtol=4 * eps)
+            return _Run(t, None, 1, None, steps, nfev)
+        grid.append(dense((t_eval[i_eval:i_new] - t_old) / h))
+        i_eval = i_new
+    return _Run(t, y, 0, np.vstack(grid).T, steps, nfev)
+
+
 def _boundary_derivatives(params: ProblemParams, y_end):
     """(u(1), u'(1), ..., u^{(k-1)}(1)) reconstructed from the v_i chain.
 
@@ -239,35 +404,31 @@ def _boundary_derivatives(params: ProblemParams, y_end):
 def _integrate(params: ProblemParams, d, rtol: float, grid,
                variational: bool = False):
     """Integrate the radial system from the Taylor start at shooting data d
-    to r = 1 with DOP853, with the variational columns when asked.
+    to r = 1 with the DOP853 loop solve_ivp, with the variational columns
+    when asked.
 
-    Returns (block at r = 1, state sampled on grid from the dense output);
-    raises IntegrationBlowUp with the escape radius when r = 1 is not
-    reached.  The variational columns get atol = inf, so only the state
-    enters step control; the state's rtol and atol are scaled by
-    1/sqrt(cols) to cancel scipy's RMS over all components, which keeps the
-    steps those of the state alone.
+    Returns (block at r = 1, state sampled on grid from the dense output of
+    the steps that hold grid points); raises IntegrationBlowUp with the
+    escape radius, the root of the terminal event max|state| = cap, or the
+    last radius reached when the step size underflows.  The variational
+    columns get atol = inf, so only the state enters step control; the
+    state's rtol and atol are scaled by 1/sqrt(cols) to cancel the RMS
+    error norm over all components, which keeps the steps those of the
+    state alone.  rtol is clamped to _RTOL_FLOOR.
     """
     Y0 = _taylor_start(params, d, _EPS0)
     if not variational:
         Y0 = Y0[:, :1]
     cols = Y0.shape[1]
     cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(Y0[:, 0])))
-
-    def blow(r, y):
-        return np.max(np.abs(y[::cols])) - cap
-
-    blow.terminal = True
-    blow.direction = 1
     scale = cols ** -0.5
     atol = np.full_like(Y0, np.inf)
     atol[:, 0] = scale * rtol * max(1.0, np.max(np.abs(d)))
-    sol = solve_ivp(_rhs(params, cols), (_EPS0, 1.0), Y0.ravel(), method="DOP853",
-                    rtol=max(scale * rtol, _RTOL_FLOOR), atol=atol.ravel(),
-                    dense_output=True, events=blow)
-    if sol.status == 1 or sol.t[-1] < 1.0 - 1e-12:
-        raise IntegrationBlowUp(sol.t[-1])
-    return sol.y[:, -1].reshape(Y0.shape), sol.sol(grid)[::cols]
+    run = solve_ivp(_rhs(params, cols), (_EPS0, 1.0), Y0.ravel(),
+                    max(scale * rtol, _RTOL_FLOOR), atol.ravel(), grid, cap, cols)
+    if run.status != 0:
+        raise IntegrationBlowUp(run.t)
+    return run.y.reshape(Y0.shape), run.y_grid
 
 
 def shoot(params: ProblemParams, d, rtol: float = 1e-10):
@@ -317,12 +478,14 @@ def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
     start radius; inf when LSODA does not report success or its output is
     not finite, as when the re-integration blows up before r = 1.  LSODA
     may take _VERIFY_MXSTEP steps per grid cell, which a bubble core
-    narrower than a cell needs."""
+    narrower than a cell needs.  It integrates the state alone with the
+    plain-float rhs _state_rhs, so it shares neither integrator nor rhs
+    code with the shots it checks."""
     y0 = _taylor_start(params, solution.d, _EPS0)[:, 0]
     atol = _VERIFY_RTOL * max(1.0, float(np.max(np.abs(solution.d))))
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ODEintWarning)
-        Y, info = odeint(_rhs(params, 1), y0, solution.r, rtol=_VERIFY_RTOL,
+        Y, info = odeint(_state_rhs(params), y0, solution.r, rtol=_VERIFY_RTOL,
                          atol=atol, tfirst=True, full_output=True,
                          mxstep=_VERIFY_MXSTEP)
     if info["message"] != "Integration successful." or not np.all(np.isfinite(Y)):
@@ -360,8 +523,10 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     when that residual is not below _MAX_RESIDUAL (as near
     u = 0, where the absolute mismatch test passes).  A step that would
     move u(0) across zero is not shot, so the solve stays on the sign of
-    its start.  rtol must be finite and at least _RTOL_FLOOR, below which
-    scipy clamps the shots' tolerance and the mismatch test could never
+    its start; nor is one whose bubble core would sit inside the Taylor
+    start radius _EPS0, which the shot resolves only with a very slow
+    integration.  rtol must be finite and at least _RTOL_FLOOR, below which
+    the shots' tolerance is clamped and the mismatch test could never
     pass."""
     if not (math.isfinite(rtol) and rtol >= _RTOL_FLOOR):
         raise ValueError(f"rtol = {rtol:g} must be finite and >= {_RTOL_FLOOR:.3g}")
@@ -370,10 +535,15 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     def shot(dd):
         return shoot(params, dd, rtol=min(1e-10, rtol))
 
+    # log of the center value whose flat profile has scale _EPS0
+    log_core = -0.5 * (params.n - 2 * params.k) * math.log(_EPS0)
+
     def improve(dd, base):
-        """The shot at dd when it keeps the sign of u(0), reaches r = 1 and
-        has a mismatch below base; else None."""
-        if d[0] * dd[0] < 0 or not np.all(np.isfinite(dd)):
+        """The shot at dd when it keeps the sign of u(0), puts the flat
+        profile's scale |u(0)|^{-2/(n-2k)} at or above the Taylor start
+        radius, reaches r = 1 and has a mismatch below base; else None."""
+        if (d[0] * dd[0] < 0 or not np.all(np.isfinite(dd))
+                or dd[0] != 0 and math.log(abs(dd[0])) > log_core):
             return None  # no shot
         try:
             F_new, sol_new = shot(dd)

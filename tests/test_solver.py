@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from polybubble import solver
 from polybubble.radial import bubble_constant, critical_exponent
@@ -94,9 +95,9 @@ def test_collocation_check_resolves_core_narrower_than_a_cell():
 
 
 def test_collocation_check_is_independent_lsoda(monkeypatch):
-    """The verifier makes no solve_ivp call (the shots' integrator), and its
-    own LSODA profile at the n = 7, mu = -0.02 default-branch point agrees
-    with a DOP853 re-integration at rtol 3e-14 to 1e-11 sup-relative."""
+    """The verifier makes no solver.solve_ivp call (the shots' integrator),
+    and its own LSODA profile at the n = 7, mu = -0.02 default-branch point
+    agrees with scipy's DOP853 at rtol 3e-14 to 1e-11 sup-relative."""
     p = ProblemParams(7, 1, 0, -0.02)
     sol = newton_solve(p, [182253.878], rtol=1e-9)
     outputs = []
@@ -115,9 +116,9 @@ def test_collocation_check_is_independent_lsoda(monkeypatch):
     assert collocation_check(p, sol) < 1e-9
     monkeypatch.undo()
     y0 = solver._taylor_start(p, sol.d, solver._EPS0)[:, 0]
-    ref = solver.solve_ivp(solver._rhs(p, 1), (sol.r[0], 1.0), y0,
-                           method="DOP853", rtol=3e-14,
-                           atol=3e-14 * abs(sol.d[0]), t_eval=sol.r).y[0]
+    ref = scipy_solve_ivp(solver._rhs(p, 1), (sol.r[0], 1.0), y0,
+                          method="DOP853", rtol=3e-14,
+                          atol=3e-14 * abs(sol.d[0]), t_eval=sol.r).y[0]
     assert len(outputs) == 1
     assert np.max(np.abs(outputs[0] - ref)) <= 1e-11 * np.max(np.abs(ref))
 
@@ -188,7 +189,8 @@ def test_newton_damping_is_bounded(monkeypatch):
     |F| with no root and fails.  Every shot whose |F| is no new minimum was
     refused, so each iteration refuses at most _MAX_DAMPING + 2 shots (the
     Chebyshev step and the halvings 1 ... 2^-_MAX_DAMPING of the Newton
-    step): 20 shots in all, against 74 when the halving ran on to 1e-8."""
+    step): 19 shots in all, against 74 when the halving ran on to 1e-8
+    (the Chebyshev trial at u(0) = 3.6e10 is refused unshot)."""
     norms = []
     real = solver.shoot
 
@@ -330,16 +332,16 @@ def test_taylor_start_mu_and_second_order_columns(n, k, p, mu, d):
 def test_variational_columns_leave_steps_unchanged(monkeypatch, n, k, p, mu, d):
     """atol = inf on every variational column (d, mu and second order): a
     shot takes the steps of the state integrated alone, and reaches the
-    same state.  The steps agree up to rounding, which the error estimate
-    amplifies."""
+    same state.  The accepted steps agree up to rounding, which the error
+    estimate amplifies."""
     params = ProblemParams(n, k, p, mu)
     runs = []
     real = solver.solve_ivp
 
     def spy(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        runs.append(sol.t)
-        return sol
+        run = real(*args, **kwargs)
+        runs.append(run.steps)
+        return run
 
     monkeypatch.setattr(solver, "solve_ivp", spy)
     grid = np.linspace(1e-6, 1.0, 50)
@@ -351,6 +353,137 @@ def test_variational_columns_leave_steps_unchanged(monkeypatch, n, k, p, mu, d):
     np.testing.assert_allclose(runs[0], runs[1], rtol=1e-3)
     np.testing.assert_allclose(block[:, 0], alone[:, 0], rtol=1e-9,
                                atol=1e-9 * np.max(np.abs(alone)))
+
+
+def _captured_dop853(monkeypatch, params, d, rtol):
+    """The arguments of the solver.solve_ivp call made by a shot, wrapped so
+    that each rhs call is counted, with that call's result (None when the
+    shot blows up)."""
+    calls, real = [], solver.solve_ivp
+
+    def spy(fun, *args):
+        def counted(r, y):
+            counted.n += 1
+            return fun(r, y)
+
+        counted.n = 0
+        calls.append((counted, args))
+        run = real(counted, *args)
+        calls.append(run)
+        return run
+
+    monkeypatch.setattr(solver, "solve_ivp", spy)
+    try:
+        shoot(params, d, rtol=rtol)
+    except IntegrationBlowUp:
+        pass
+    monkeypatch.undo()
+    (fun, args), run = calls
+    return fun, args, run
+
+
+def _scipy_dop853(fun, args, **kwargs):
+    t_span, y0, rtol, atol, t_eval, cap, stride = args
+
+    def blow(r, y):
+        return np.max(np.abs(y[::stride])) - cap
+
+    blow.terminal, blow.direction = True, 1
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
+                           atol=atol, events=blow, **kwargs)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+@pytest.mark.parametrize("n,k,p,mu,d", [
+    (7, 1, 0, -0.5, [1.2e4]),
+    (9, 2, 0, -3000.0, [8.0, 500.0]),
+])
+def test_dop853_loop_matches_scipy(monkeypatch, n, k, p, mu, d, rtol):
+    """The in-module DOP853 loop on the full variational block equals
+    scipy's DOP853 bit for bit: the end block and the accepted steps of
+    solve_ivp(dense_output=True), the grid output of both its dense output
+    and solve_ivp(t_eval=...), and the rhs calls of the t_eval run, each
+    of which the loop counts."""
+    fun, args, run = _captured_dop853(monkeypatch, ProblemParams(n, k, p, mu),
+                                      np.array(d), rtol)
+    stride, t_eval = args[-1], args[-3]
+    assert stride == solver._block_cols(k) and run.status == 0
+    dense = _scipy_dop853(fun, args, dense_output=True)
+    gridded = _scipy_dop853(fun, args, t_eval=t_eval)
+    np.testing.assert_array_equal(run.y, dense.y[:, -1])
+    np.testing.assert_array_equal(run.steps, dense.t[1:])
+    np.testing.assert_array_equal(run.y_grid, dense.sol(t_eval)[::stride])
+    np.testing.assert_array_equal(run.y_grid, gridded.y[::stride])
+    assert run.nfev == fun.n - dense.nfev - gridded.nfev == gridded.nfev
+    assert gridded.nfev < dense.nfev  # dense stages only where the grid needs them
+
+
+def test_dop853_loop_blowup_radius_matches_scipy(monkeypatch):
+    """On test_shoot_blowup_reported_with_radius's data the loop stops at
+    scipy's terminal-event root, and IntegrationBlowUp carries it."""
+    params, d = ProblemParams(9, 2, 0, 0.0), np.array([5.0, -5e4])
+    fun, args, run = _captured_dop853(monkeypatch, params, d, 1e-10)
+    ref = _scipy_dop853(fun, args, t_eval=args[-3])
+    assert run.status == ref.status == 1
+    assert run.t == ref.t_events[0][0]
+    assert run.nfev == fun.n - ref.nfev == ref.nfev
+    with pytest.raises(IntegrationBlowUp) as exc:
+        shoot(params, d)
+    assert exc.value.radius == run.t
+
+
+def test_dop853_loop_stops_where_scipy_fails():
+    """A rhs that turns to nan past r = 0.5 drives the step size below
+    scipy's minimum: the loop reports status -1 at scipy's last accepted
+    radius, with scipy's rhs call count."""
+    def fun(r, y):
+        return -y if r < 0.5 else np.full_like(y, np.nan)
+
+    y0, grid = np.array([1.0, 2.0]), np.linspace(0.1, 1.0, 10)
+    run = solver.solve_ivp(fun, (0.1, 1.0), y0, 1e-10, 1e-10, grid, 1e9, 1)
+    ref = _scipy_dop853(fun, ((0.1, 1.0), y0, 1e-10, 1e-10, grid, 1e9, 1),
+                        dense_output=True)
+    assert run.status == ref.status == -1
+    assert run.t == ref.t[-1] < 0.5
+    np.testing.assert_array_equal(run.y, ref.y[:, -1])
+    np.testing.assert_array_equal(run.steps, ref.t[1:])
+
+
+@pytest.mark.parametrize("k,p", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_verifier_rhs_matches_block_rhs(k, p):
+    """The verifier's float rhs equals the shots' _rhs(params, 1) to 1e-15
+    relative to the size of each component's terms."""
+    params = ProblemParams(2 * k + 3, k, p, -0.7)
+    ts = params.two_sharp
+    block, state = solver._rhs(params, 1), solver._state_rhs(params)
+    rng = np.random.default_rng(k + 10 * p)
+    for _ in range(200):
+        y = rng.normal(size=2 * k) * 10.0 ** rng.uniform(-3, 3, size=2 * k)
+        r = rng.uniform(1e-6, 1.0)
+        ref, got = block(r, y), np.array(state(r, y))
+        size = np.abs(ref)
+        size[1::2] = (params.n - 1) / r * np.abs(y[1::2])
+        size[1:-1:2] += np.abs(y[2::2])
+        size[-1] += abs(params.mu * y[2 * p]) + (ts - 1) * abs(y[0]) ** (ts - 1)
+        assert np.all(np.abs(got - ref) <= 1e-15 * size)
+
+
+def test_newton_shoots_no_core_inside_taylor_start(monkeypatch):
+    """From u(0) = 1.2e4 at n = 5, mu = -1/2 the Chebyshev trial at
+    u(0) = 3.6e10 has its flat-profile scale 9.2e-8 below the Taylor start
+    radius 1e-6 and would take seconds to shoot; Newton refuses it unshot."""
+    shots = []
+    real = solver.shoot
+
+    def spy(params, d, **kwargs):
+        shots.append(np.array(d))
+        return real(params, d, **kwargs)
+
+    monkeypatch.setattr(solver, "shoot", spy)
+    with pytest.raises(NewtonFailure):
+        newton_solve(ProblemParams(5, 1, 0, -0.5), [1.2e4])
+    assert shots
+    assert all(abs(d[0]) ** (-2.0 / 3.0) >= solver._EPS0 for d in shots)
 
 
 def test_newton_shoots_once_per_iteration(monkeypatch):
