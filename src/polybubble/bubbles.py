@@ -97,13 +97,14 @@ class CutoffSpec:
     """The bump chi: exactly 1 on B(0,1/2), exactly 0 outside B(0,1), smooth.
 
     chi(x) = psi(2(|x|-1/2)) with psi(t) = e^{-1/(1-t)} / (e^{-1/(1-t)} + e^{-1/t})
-    clamped outside (0, 1).
+    clamped outside (0, 1).  The profile is a function of s = |x|^2; calling
+    the spec takes rho = |x|.
     """
 
     profile: object = dc_field(default_factory=cutoff_profile)
 
     def __call__(self, rho):
-        return self.profile.d(0, np.asarray(rho, float))
+        return self.profile.d(0, np.asarray(rho, float) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +224,12 @@ def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
             raise UnsupportedDomainError("boundary charts implemented for the unit ball only")
         bdist = 1.0  # the cutoff acts on chart coordinates
         z = BallChart(spec.center).inverse(x)
-    rho = np.linalg.norm(z, axis=1)
-    cut = cutoff_profile().d(0, rho / bdist)
+    s = np.sum(z * z, axis=1)
+    cut = cutoff_profile().d(0, s / bdist**2)
     amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
     if spec.profile == "standard":
         prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
-        vals = prof.d(0, rho / spec.mu)
+        vals = prof.d(0, s / spec.mu**2)
     else:
         vals = np.asarray(spec.profile.value(z / spec.mu), float)
     return cut * amp * vals
@@ -349,17 +350,19 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
         raise DivergentIntegralError(
             f"integral diverges: need n > 4k-2p = {4 * k - 2 * p}, got n={n}")
     a = bubble_constant(n, k)
-    prof = RationalProfile(make_bubble(n, k), a)
+    B0 = make_bubble(n, k)
+    B1 = radial_derivative(B0)
+    B2 = radial_derivative(B1)
     amp = mu ** (-0.5 * (n - 2 * k))
 
     def g0(r):
-        return amp * prof.d(0, r / mu)
+        return amp * B0(r / mu, a)
 
     def g1(r):
-        return amp / mu * prof.d(1, r / mu)
+        return amp / mu * B1(r / mu, a)
 
     def g2(r):
-        return amp / mu**2 * prof.d(2, r / mu)
+        return amp / mu**2 * B2(r / mu, a)
 
     area = sphere_area(n)
     if p == 0:

@@ -2,29 +2,29 @@
 
 Everything a bubble computation needs is a finite sum of components
 
-    z^{beta0} * g(|z|),      z = (x - center)/mu,
+    z^{beta0} * G(s),      z = (x - center)/mu,   s = |z|^2,
 
-whose mixed partials are again sums of terms z^beta * g^{(m)}(rho) rho^{-s}.
-The termization of each partial derivative is done symbolically once and
-cached; evaluation is vectorized over point batches.  Profiles supply exact
-univariate derivative chains: rational profiles come from the radial algebra
-kernel, the smooth cutoff uses Taylor-mode series differentiation.
+with G a smooth function of s.  Since d_i s = 2 z_i, every mixed partial is
+again a sum of terms z^beta * G^{(m)}(s): no negative power of |z| appears,
+so one formula holds at the centre and away from it.  The termization of each
+partial derivative is done symbolically once and cached; evaluation is
+vectorized over point batches.  A profile's d(m, s) is G^{(m)}(s): rational
+profiles chain the exact d/d(r^2) of the radial algebra kernel, the smooth
+cutoff composes Taylor-mode series in s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 
 from .jets import Jet
-from .radial import RadialFunction, radial_derivative
+from .radial import RadialFunction, square_derivative
 
 __all__ = [
-    "ScalarProfile",
     "RationalProfile",
     "SeriesProfile",
     "ProductProfile",
@@ -34,22 +34,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Univariate profiles with derivative chains
+# Profiles G(s), s = r^2, with derivative chains d(m, s) = G^{(m)}(s)
 # ---------------------------------------------------------------------------
 
-class ScalarProfile:
-    """A smooth function of rho >= 0 with derivatives of any order."""
+class RationalProfile:
+    """G(s) = f(sqrt(s)) for a RadialFunction f at a fixed a-value.
 
-    def d(self, m: int, rho):
-        raise NotImplementedError
-
-    def taylor_even(self, j_max: int):
-        """Coefficients G_j with g(rho) = sum_j G_j rho^{2j} near 0."""
-        raise NotImplementedError
-
-
-class RationalProfile(ScalarProfile):
-    """Profile backed by a RadialFunction evaluated at a fixed a-value."""
+    The chain G, G', G'', ... is built by radial.square_derivative, which
+    needs every r-power of f even (it raises RepresentationError otherwise).
+    """
 
     def __init__(self, rf: RadialFunction, a_value: float):
         self.rf = rf
@@ -58,68 +51,51 @@ class RationalProfile(ScalarProfile):
 
     def _deriv(self, m: int) -> RadialFunction:
         while len(self._chain) <= m:
-            self._chain.append(radial_derivative(self._chain[-1]))
+            self._chain.append(square_derivative(self._chain[-1]))
         return self._chain[m]
 
-    def d(self, m: int, rho):
-        return self._deriv(m)(rho, self.a_value)
-
-    def taylor_even(self, j_max: int):
-        G = [0.0] * (j_max + 1)
-        a = self.a_value
-        for (p, t, e), c in self.rf.terms.items():
-            if p % 2:
-                raise ValueError("profile with odd r-powers is not smooth at 0")
-            q = Fraction(self.rf.M + 2 * t, 2)
-            cval = float(c) * a**e
-            for j in range(j_max + 1 - p // 2):
-                binom = 1.0
-                for i in range(j):  # binom(-q, j) iteratively
-                    binom *= float(-q - i) / (i + 1)
-                G[j + p // 2] += cval * binom * a**j
-        return G
+    def d(self, m: int, s):
+        return self._deriv(m)(np.sqrt(s), self.a_value)
 
 
-class SeriesProfile(ScalarProfile):
-    """Profile defined by a Taylor-mode series oracle.
+class SeriesProfile:
+    """Profile defined by a Taylor-mode series oracle in s.
 
-    series(rho, m) must return the Taylor coefficients [c_0..c_m] of the
-    profile at rho, so that the m-th derivative is m! c_m.
+    series(s, m) must return the Taylor coefficients [c_0..c_m] of G at s,
+    so that the m-th derivative is m! c_m.
     """
 
-    def __init__(self, series, even_taylor=None):
+    def __init__(self, series):
         self._series = series
-        self._even = even_taylor
 
-    def d(self, m: int, rho):
-        rho = np.asarray(rho, float)
-        flat = rho.ravel()
+    def d(self, m: int, s):
+        s = np.asarray(s, float)
+        flat = s.ravel()
         out = np.empty_like(flat)
-        for i, r in enumerate(flat):
-            out[i] = factorial(m) * self._series(float(r), m)[m]
-        return out.reshape(rho.shape) if rho.shape else float(out[0])
-
-    def taylor_even(self, j_max: int):
-        if self._even is None:
-            raise ValueError("no even-Taylor data for this profile")
-        return self._even(j_max)
+        for i, v in enumerate(flat):
+            out[i] = factorial(m) * self._series(float(v), m)[m]
+        return out.reshape(s.shape) if s.shape else float(out[0])
 
 
-class ProductProfile(ScalarProfile):
-    """Pointwise product of profiles, each pre-composed with rho -> rho/s."""
+class ProductProfile:
+    """Pointwise product of profiles g_i(r / r_i), i.e. of G_i(s / r_i^2).
+
+    factors is a list of (profile, r_i); the j-th s-derivative of factor i
+    carries r_i^{-2j}.
+    """
 
     def __init__(self, factors):
-        # factors: list of (profile, inner_scale)
         self.factors = list(factors)
 
-    def d(self, m: int, rho):
-        rho = np.asarray(rho, float)
+    def d(self, m: int, s):
+        s = np.asarray(s, float)
         tables = []
-        for prof, s in self.factors:
-            tab = [prof.d(j, rho / s) / s**j for j in range(m + 1)]
-            tables.append(tab)
+        for prof, r in self.factors:
+            scale = r * r
+            tables.append([prof.d(j, s / scale) / scale**j
+                           for j in range(m + 1)])
         # Leibniz over all factors
-        total = np.zeros_like(rho)
+        total = np.zeros_like(s)
 
         def rec(idx, m_left, coeff, acc):
             nonlocal total
@@ -130,23 +106,8 @@ class ProductProfile(ScalarProfile):
                 rec(idx + 1, m_left - j, coeff * comb(m_left, j),
                     acc * tables[idx][j])
 
-        rec(0, m, 1.0, np.ones_like(rho))
+        rec(0, m, 1.0, np.ones_like(s))
         return total if total.shape else float(total)
-
-    def taylor_even(self, j_max: int):
-        Gs = []
-        for prof, s in self.factors:
-            G = prof.taylor_even(j_max)
-            Gs.append([g / s ** (2 * j) for j, g in enumerate(G)])
-        out = Gs[0]
-        for G in Gs[1:]:
-            new = [0.0] * (j_max + 1)
-            for i, gi in enumerate(out):
-                for j, gj in enumerate(G):
-                    if i + j <= j_max:
-                        new[i + j] += gi * gj
-            out = new
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,51 +141,61 @@ def _cutoff_series(t: float, m: int):
     return D
 
 
+def _cutoff_s_series(s: float, m: int):
+    """Taylor coefficients in s of psi(2 sqrt(s) - 1): psi's series at
+    t0 = 2 sqrt(s) - 1 composed with that of 2 sqrt(s + h) - 1 - t0."""
+    r = math.sqrt(s)
+    t0 = 2.0 * r - 1.0
+    psi = _cutoff_series(t0, m)
+    if t0 <= 0.0 or t0 >= 1.0:
+        return psi  # a plateau: exactly [1, 0, ...] or [0, ...]
+    # 2 sqrt(s + h) = sum_j delta_j h^j with delta_j = 2 r C(1/2, j) s^-j
+    delta = [2.0 * r]
+    for j in range(1, m + 1):
+        delta.append(delta[-1] * (1.5 - j) / (j * s))
+    out = [psi[0]] + [0.0] * m
+    power = [1.0] + [0.0] * m  # (t - t0)^i as a series in h
+    for i in range(1, m + 1):
+        power = [sum(power[l] * delta[j - l] for l in range(j))
+                 for j in range(m + 1)]
+        for j in range(i, m + 1):
+            out[j] += psi[i] * power[j]
+    return out
+
+
 def cutoff_profile() -> SeriesProfile:
-    """chi(rho) = psi(2 rho - 1): exactly 1 on rho <= 1/2, 0 on rho >= 1."""
-
-    def series(rho, m):
-        base = _cutoff_series(2.0 * rho - 1.0, m)
-        return [b * 2.0**j for j, b in enumerate(base)]
-
-    def even(j_max):
-        return [1.0] + [0.0] * j_max  # identically 1 near the origin
-
-    return SeriesProfile(series, even)
+    """chi(rho) = psi(2 rho - 1) as a function of s = rho^2: exactly 1 on
+    s <= 1/4, exactly 0 on s >= 1."""
+    return SeriesProfile(_cutoff_s_series)
 
 
 # ---------------------------------------------------------------------------
 # Termization of partial derivatives
 # ---------------------------------------------------------------------------
 
-# term: (coeff, beta (exponent tuple), m, s) for coeff * z^beta * g^(m) * rho^{-s}
+# term: (coeff, beta (exponent tuple), m) for coeff * z^beta * G^(m)(s)
 _TERM_CACHE: dict = {}
 
 
 def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...]):
+    """Terms of d^alpha [z^beta0 G(s)], s = |z|^2, by the two-branch rule
+
+        d_i z^beta G^(m) = beta_i z^(beta - e_i) G^(m) + 2 z^(beta + e_i) G^(m+1).
+    """
     key = (n, beta0, alpha)
     if key in _TERM_CACHE:
         return _TERM_CACHE[key]
-    terms = {(beta0, 0, 0): 1.0}
+    terms = {(beta0, 0): 1.0}
     for i in alpha:
         new: dict = {}
-
-        def add(k2, c):
-            if c != 0.0:
-                new[k2] = new.get(k2, 0.0) + c
-
-        for (beta, m, s), c in terms.items():
+        for (beta, m), c in terms.items():
             if beta[i] > 0:
-                b2 = list(beta)
-                b2[i] -= 1
-                add((tuple(b2), m, s), c * beta[i])
-            b3 = list(beta)
-            b3[i] += 1
-            add((tuple(b3), m + 1, s + 1), c)
-            if s:
-                add((tuple(b3), m, s + 2), -c * s)
+                down = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                new[down, m] = new.get((down, m), 0.0) + c * beta[i]
+            up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            new[up, m + 1] = new.get((up, m + 1), 0.0) + 2.0 * c
         terms = new
-    out = [(c, beta, m, s) for (beta, m, s), c in terms.items()]
+    out = [(c, beta, m) for (beta, m), c in terms.items()]
     _TERM_CACHE[key] = out
     return out
 
@@ -232,12 +203,12 @@ def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...]):
 @dataclass
 class _Component:
     beta0: tuple[int, ...]
-    profile: ScalarProfile
+    profile: RationalProfile | SeriesProfile | ProductProfile
     coeff: float = 1.0
 
 
 class RadialTermField:
-    """Field F(x) = amplitude * sum_c coeff_c (z^{beta0_c}) g_c(|z|), with
+    """Field F(x) = amplitude * sum_c coeff_c (z^{beta0_c}) G_c(|z|^2), with
     z = (x - center)/mu.  Exact partial derivatives of any order.
     """
 
@@ -258,72 +229,32 @@ class RadialTermField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _z_rho(self, points):
+    def _z_s(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
         z = (pts - self.center) / self.mu
-        rho = np.linalg.norm(z, axis=1)
-        return z, rho
+        return z, np.sum(z * z, axis=1)
 
     def value(self, points):
-        z, rho = self._z_rho(points)
-        tot = np.zeros(len(z))
-        for c in self.components:
-            mono = np.ones(len(z))
-            for coord, e in enumerate(c.beta0):
-                if e:
-                    mono *= z[:, coord] ** e
-            tot += c.coeff * mono * c.profile.d(0, rho)
-        return self.amplitude * tot
+        return self.partial((), points)
 
     __call__ = value
 
     def partial(self, alpha, points):
         """Mixed partial for the index multiset alpha, vectorized."""
         alpha = tuple(sorted(alpha))
-        z, rho = self._z_rho(points)
-        near = rho <= 1e-10
-        out = np.zeros(len(z))
-        if (~near).any():
-            zf, rf = z[~near], rho[~near]
-            acc = np.zeros(len(zf))
-            for comp in self.components:
-                terms = _termize(self.n, comp.beta0, alpha)
-                m_max = max((m for _, _, m, _ in terms), default=0)
-                dchain = [comp.profile.d(m, rf) for m in range(m_max + 1)]
-                for cc, beta, m, s in terms:
-                    v = cc * dchain[m]
-                    for coord, e in enumerate(beta):
-                        if e:
-                            v = v * zf[:, coord] ** e
-                    if s:
-                        v = v / rf**s
-                    acc += comp.coeff * v
-            out[~near] = acc
-        if near.any():
-            out[near] = self._partial_at_center(alpha)
-        return self.amplitude * out * self.mu ** (-len(alpha))
-
-    def _partial_at_center(self, alpha):
-        """Exact limit of the partial at z = 0 via even Taylor data."""
-        ex = [0] * self.n
-        for i in alpha:
-            ex[i] += 1
-        tot = 0.0
+        z, s = self._z_s(points)
+        acc = np.zeros(len(z))
         for comp in self.components:
-            need = [e - b for e, b in zip(ex, comp.beta0)]
-            if any(v < 0 or v % 2 for v in need):
-                continue
-            mvec = [v // 2 for v in need]
-            j = sum(mvec)
-            G = comp.profile.taylor_even(j)
-            w = factorial(j)
-            for m in mvec:
-                w //= factorial(m)
-            afact = 1.0
-            for e in ex:
-                afact *= factorial(e)
-            tot += comp.coeff * G[j] * w * afact
-        return tot
+            terms = _termize(self.n, comp.beta0, alpha)
+            m_max = max(m for _, _, m in terms)
+            dchain = [comp.profile.d(m, s) for m in range(m_max + 1)]
+            for cc, beta, m in terms:
+                v = cc * dchain[m]
+                for coord, e in enumerate(beta):
+                    if e:
+                        v = v * z[:, coord] ** e
+                acc += comp.coeff * v
+        return self.amplitude * acc * self.mu ** (-len(alpha))
 
     # -- tensors and jets ----------------------------------------------------
 

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import DOP853, ODEintWarning, odeint
 from scipy.optimize import brentq
 
-from .quadrature import sphere_area
+from .quadrature import integrate_radial, sphere_area
 from .radial import (bubble_constant, critical_exponent, laplacian,
                      make_bubble, radial_derivative)
 
@@ -693,11 +693,9 @@ def synthetic_bubble_branch(n: int, k: int, p: int, mus) -> list[BranchPoint]:
     tests: poho_term is the integral over the unit ball of y_p^2, the
     solver's integrand ((-Delta)^{p/2} U)^2 for even p and
     (d/dr (-Delta)^{(p-1)/2} U)^2 for odd p, built exactly from the profile
-    by radial.laplacian and radial_derivative.  It is computed by adaptive
-    quadrature in the scaled variable t = r/mu, so that the peak is exactly
-    resolved for arbitrarily small scales."""
-    from scipy.integrate import quad
-
+    by radial.laplacian and radial_derivative.  It is computed by
+    quadrature.integrate_radial in the scaled variable t = r/mu, so that the
+    peak is exactly resolved for arbitrarily small scales."""
     a = bubble_constant(n, k)
     y = make_bubble(n, k)
     for _ in range(p // 2):
@@ -707,13 +705,8 @@ def synthetic_bubble_branch(n: int, k: int, p: int, mus) -> list[BranchPoint]:
     out = []
     for mu in mus:
         amp = mu ** (-0.5 * (n - 2 * k))
-
-        def integrand(t):
-            return y(t, a) ** 2 * t ** (n - 1)
-
-        val, _ = quad(integrand, 0.0, 1.0 / mu, epsabs=1e-300, epsrel=1e-11,
-                      limit=400)
-        poho = sphere_area(n) * mu ** (2 * (k - p)) * val
+        val = integrate_radial(lambda t: y(t, a) ** 2, 1.0 / mu, n).value
+        poho = mu ** (2 * (k - p)) * val
         out.append(BranchPoint(float("nan"), amp, float("nan"), mu, 0.0, poho))
     return out
 

@@ -14,7 +14,8 @@ from polybubble.bubbles import (BallChart, BubbleSpec, CutoffSpec,
 from polybubble.fields import RationalProfile, RadialTermField
 from polybubble.jets import fd_partial, fd_laplacian_iter
 from polybubble.quadrature import Ball, integrate_radial, sphere_area
-from polybubble.radial import bubble_constant, critical_exponent, make_bubble
+from polybubble.radial import (bubble_constant, critical_exponent, make_bubble,
+                               radial_derivative)
 
 N, K = 7, 1
 
@@ -65,6 +66,35 @@ def test_cutoff_plateaus():
     assert np.all((vals >= 0) & (vals <= 1))
 
 
+def test_cutoff_s_derivatives_chain_rule():
+    """G(s) = chi(sqrt(s)): each G^(m)(s), m <= 6, equals (d/(2 rho drho))^m
+    chi built from the rho-series of _cutoff_series; on the plateaus
+    s <= 1/4 and s >= 1 the values are exactly 1 / 0."""
+    from math import factorial
+
+    from polybubble.fields import _cutoff_series, cutoff_profile
+
+    G, M = cutoff_profile(), 6
+    for s in (0.26, 0.3, 0.45, 0.6, 0.8, 0.97):
+        rho = np.sqrt(s)
+        chi = [factorial(j) * 2.0**j * c  # chi^(j)(rho)
+               for j, c in enumerate(_cutoff_series(2 * rho - 1, M))]
+        expr = {(0, 0): 1.0}  # {(p, j): c} for sum c rho^-p chi^(j)
+        for m in range(M + 1):
+            terms = [c * rho**-p * chi[j] for (p, j), c in expr.items()]
+            assert abs(G.d(m, s) - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+            new = {}
+            for (p, j), c in expr.items():
+                if p:
+                    new[p + 2, j] = new.get((p + 2, j), 0.0) - c * p / 2
+                new[p + 1, j + 1] = new.get((p + 1, j + 1), 0.0) + c / 2
+            expr = new
+    inner, outer = np.array([0.0, 0.1, 0.25]), np.array([1.0, 1.5, 4.0])
+    assert np.all(G.d(0, inner) == 1.0) and np.all(G.d(0, outer) == 0.0)
+    for m in range(1, M + 1):
+        assert np.all(G.d(m, inner) == 0.0) and np.all(G.d(m, outer) == 0.0)
+
+
 def test_eval_V_support_and_center():
     dom = Ball((0.0,) * N, 1.0)
     s = spec_at(1e-2)
@@ -92,10 +122,10 @@ def test_eval_V_energy_converges_to_profile_norm():
     """int |grad V|^2 over the ball -> int_{R^n} |grad B|^2 as mu -> 0."""
     dom = Ball((0.0,) * N, 1.0)
     a = bubble_constant(N, K)
-    prof = RationalProfile(make_bubble(N, K), a)
+    dB = radial_derivative(make_bubble(N, K))
     from scipy.integrate import quad
 
-    full, _ = quad(lambda t: prof.d(1, t) ** 2 * t ** (N - 1), 0, np.inf)
+    full, _ = quad(lambda t: dB(t, a) ** 2 * t ** (N - 1), 0, np.inf)
     full *= sphere_area(N)
     devs = []
     for mu in (1e-1, 1e-2, 1e-3):
@@ -106,6 +136,23 @@ def test_eval_V_energy_converges_to_profile_norm():
         devs.append(abs(res.value - full) / full)
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-3
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_axial_partials_match_radial_derivatives_near_center(m):
+    """d_1^m of the n = 7, k = 2 bubble field on the e_1 axis is the m-th
+    r-derivative of the profile, to 1e-12 relative down to |z| = 1e-9."""
+    n, k = 7, 2
+    a = bubble_constant(n, k)
+    ref = make_bubble(n, k)
+    F = RadialTermField.radial(n, np.zeros(n), RationalProfile(ref, a))
+    for _ in range(m):
+        ref = radial_derivative(ref)
+    radii = np.array([1e-9, 1e-7, 1e-5, 1e-3, 0.3])
+    pts = np.zeros((len(radii), n))
+    pts[:, 0] = radii
+    np.testing.assert_allclose(F.partial((0,) * m, pts), ref(radii, a),
+                               rtol=1e-12, atol=0)
 
 
 def test_bubble_jet_gradient_zero_at_center():
@@ -225,12 +272,13 @@ def test_compute_IA_p2_hessian_decomposition():
 
     n, k = 11, 3
     a = bubble_constant(n, k)
-    prof = RationalProfile(make_bubble(n, k), a)
+    dB = radial_derivative(make_bubble(n, k))
+    ddB = radial_derivative(dB)
 
     def integrand(r):
         if r == 0:
             return 0.0
-        return (prof.d(2, r) ** 2 + (n - 1) * (prof.d(1, r) / r) ** 2) * r ** (n - 1)
+        return (ddB(r, a) ** 2 + (n - 1) * (dB(r, a) / r) ** 2) * r ** (n - 1)
 
     oracle, _ = quad(integrand, 0, np.inf, epsrel=1e-11)
     val = compute_IA(TensorSpec(2, "iso", 1.0), n, k, 2)

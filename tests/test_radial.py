@@ -12,7 +12,7 @@ from polybubble.radial import (RadialFunction, RepresentationError,
                                bubble_constant, bubble_constant_product,
                                check_bubble_identity, critical_exponent,
                                laplacian, make_bubble, power_reduce,
-                               radial_derivative)
+                               radial_derivative, square_derivative)
 
 
 def test_make_bubble_structure():
@@ -85,6 +85,25 @@ def test_radial_derivative_bubble_at_one():
     h = 1e-5
     fd = (b(1.0 + h, a) - b(1.0 - h, a)) / (2 * h)
     assert db(1.0, a) == pytest.approx(fd, abs=1e-10)
+
+
+@pytest.mark.parametrize("profile", ["bubble", "Z0"])
+def test_square_derivative_is_radial_derivative_over_2r(profile):
+    from polybubble.bubbles import kernel_elements
+
+    n, k = 7, 2
+    a = bubble_constant(n, k)
+    f = (make_bubble(n, k) if profile == "bubble"
+         else kernel_elements(n, k)[0].components[0].profile.rf)
+    df, sf = radial_derivative(f), square_derivative(f)
+    for r in (1e-6, 1e-3, 0.1, 0.7, 3.0, 40.0):
+        assert sf(r, a) == pytest.approx(df(r, a) / (2 * r), rel=1e-13)
+
+
+def test_square_derivative_rejects_odd_powers():
+    for p in (1, 3):
+        with pytest.raises(RepresentationError):
+            square_derivative(RadialFunction(3, 1, {(p, 0, 0): 1}))
 
 
 def test_power_reduce_defining_identity():
