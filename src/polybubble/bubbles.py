@@ -104,7 +104,7 @@ class CutoffSpec:
     profile: object = dc_field(default_factory=cutoff_profile)
 
     def __call__(self, rho):
-        return self.profile.d(0, np.asarray(rho, float) ** 2)
+        return self.profile.chain(0, np.asarray(rho, float) ** 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +225,11 @@ def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
         bdist = 1.0  # the cutoff acts on chart coordinates
         z = BallChart(spec.center).inverse(x)
     s = np.sum(z * z, axis=1)
-    cut = cutoff_profile().d(0, s / bdist**2)
+    cut = cutoff_profile().chain(0, s / bdist**2)[0]
     amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
     if spec.profile == "standard":
         prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
-        vals = prof.d(0, s / spec.mu**2)
+        vals = prof.chain(0, s / spec.mu**2)[0]
     else:
         vals = np.asarray(spec.profile.value(z / spec.mu), float)
     return cut * amp * vals

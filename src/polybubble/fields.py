@@ -8,9 +8,14 @@ with G a smooth function of s.  Since d_i s = 2 z_i, every mixed partial is
 again a sum of terms z^beta * G^{(m)}(s): no negative power of |z| appears,
 so one formula holds at the centre and away from it.  The termization of each
 partial derivative is done symbolically once and cached; evaluation is
-vectorized over point batches.  A profile's d(m, s) is G^{(m)}(s): rational
-profiles chain the exact d/d(r^2) of the radial algebra kernel, the smooth
-cutoff composes Taylor-mode series in s.
+vectorized over point batches.  A profile's chain(m, s) is the list
+[G(s), G'(s), ..., G^{(m)}(s)]: rational profiles chain the exact d/d(r^2) of
+the radial algebra kernel, the smooth cutoff composes Taylor-mode series in s.
+
+A PointBatch holds z, s and one chain per component for one set of points,
+each computed once: every partial taken on the batch (every entry of a Jet,
+every multiset of a tree's derivative tensor) reuses them.  The batch is the
+only cache of values, and it lives as long as its owner.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ __all__ = [
     "SeriesProfile",
     "ProductProfile",
     "cutoff_profile",
+    "PointBatch",
     "RadialTermField",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Profiles G(s), s = r^2, with derivative chains d(m, s) = G^{(m)}(s)
+# Profiles G(s), s = r^2, with derivative chains
+# chain(m, s) = [G(s), G'(s), ..., G^{(m)}(s)]
 # ---------------------------------------------------------------------------
 
 class RationalProfile:
@@ -54,27 +61,29 @@ class RationalProfile:
             self._chain.append(square_derivative(self._chain[-1]))
         return self._chain[m]
 
-    def d(self, m: int, s):
-        return self._deriv(m)(np.sqrt(s), self.a_value)
+    def chain(self, m: int, s):
+        r = np.sqrt(s)
+        return [self._deriv(j)(r, self.a_value) for j in range(m + 1)]
 
 
 class SeriesProfile:
     """Profile defined by a Taylor-mode series oracle in s.
 
     series(s, m) must return the Taylor coefficients [c_0..c_m] of G at s,
-    so that the m-th derivative is m! c_m.
+    so that the j-th derivative is j! c_j.  A coefficient must not depend on
+    the truncation order m: one call per point gives the whole chain.
     """
 
     def __init__(self, series):
         self._series = series
 
-    def d(self, m: int, s):
+    def chain(self, m: int, s):
         s = np.asarray(s, float)
-        flat = s.ravel()
-        out = np.empty_like(flat)
-        for i, v in enumerate(flat):
-            out[i] = factorial(m) * self._series(float(v), m)[m]
-        return out.reshape(s.shape) if s.shape else float(out[0])
+        coeffs = np.array([self._series(float(v), m) for v in s.ravel()],
+                          float).reshape(-1, m + 1)
+        facts = np.array([factorial(j) for j in range(m + 1)], float)
+        return [col.reshape(s.shape) if s.shape else float(col[0])
+                for col in (coeffs * facts).T]
 
 
 class ProductProfile:
@@ -87,27 +96,32 @@ class ProductProfile:
     def __init__(self, factors):
         self.factors = list(factors)
 
-    def d(self, m: int, s):
+    def chain(self, m: int, s):
         s = np.asarray(s, float)
         tables = []
         for prof, r in self.factors:
             scale = r * r
-            tables.append([prof.d(j, s / scale) / scale**j
-                           for j in range(m + 1)])
-        # Leibniz over all factors
-        total = np.zeros_like(s)
+            tables.append([g / scale**j
+                           for j, g in enumerate(prof.chain(m, s / scale))])
+        return [_leibniz(tables, j, s) for j in range(m + 1)]
 
-        def rec(idx, m_left, coeff, acc):
-            nonlocal total
-            if idx == len(tables) - 1:
-                total = total + coeff * acc * tables[idx][m_left]
-                return
-            for j in range(m_left + 1):
-                rec(idx + 1, m_left - j, coeff * comb(m_left, j),
-                    acc * tables[idx][j])
 
-        rec(0, m, 1.0, np.ones_like(s))
-        return total if total.shape else float(total)
+def _leibniz(tables, m: int, s):
+    """m-th derivative of the product whose factors' derivative tables are
+    given, by the Leibniz rule over all factors."""
+    total = np.zeros_like(s)
+
+    def rec(idx, m_left, coeff, acc):
+        nonlocal total
+        if idx == len(tables) - 1:
+            total = total + coeff * acc * tables[idx][m_left]
+            return
+        for j in range(m_left + 1):
+            rec(idx + 1, m_left - j, coeff * comb(m_left, j),
+                acc * tables[idx][j])
+
+    rec(0, m, 1.0, np.ones_like(s))
+    return total if total.shape else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +221,33 @@ class _Component:
     coeff: float = 1.0
 
 
+class PointBatch:
+    """One point batch of a RadialTermField: z, s and, per component, the
+    profile chain up to the highest order any partial has asked for.
+
+    Pass it as the points of field.partial.  order is the chain length to
+    compute on first use (a Jet's order), so that later partials of higher
+    order do not evaluate the profile again.  shape is that of the points.
+    """
+
+    def __init__(self, field, points, order: int = 0):
+        pts = np.atleast_2d(np.asarray(points, float))
+        self.field = field
+        self.shape = pts.shape
+        self.order = order
+        self.z = (pts - field.center) / field.mu
+        self.s = np.sum(self.z * self.z, axis=1)
+        self._chains: dict[int, list] = {}
+
+    def chain(self, i: int, m: int) -> list:
+        """[G, G', ..., G^(m')] of component i at s, for some m' >= m."""
+        ch = self._chains.get(i)
+        if ch is None or len(ch) <= m:
+            profile = self.field.components[i].profile
+            ch = self._chains[i] = profile.chain(max(m, self.order), self.s)
+        return ch
+
+
 class RadialTermField:
     """Field F(x) = amplitude * sum_c coeff_c (z^{beta0_c}) G_c(|z|^2), with
     z = (x - center)/mu.  Exact partial derivatives of any order.
@@ -229,25 +270,25 @@ class RadialTermField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _z_s(self, points):
-        pts = np.atleast_2d(np.asarray(points, float))
-        z = (pts - self.center) / self.mu
-        return z, np.sum(z * z, axis=1)
-
     def value(self, points):
         return self.partial((), points)
 
     __call__ = value
 
     def partial(self, alpha, points):
-        """Mixed partial for the index multiset alpha, vectorized."""
+        """Mixed partial for the index multiset alpha, vectorized.  points is
+        an (m, n) array or a PointBatch of this field."""
         alpha = tuple(sorted(alpha))
-        z, s = self._z_s(points)
+        if not isinstance(points, PointBatch):
+            points = PointBatch(self, points)
+        elif points.field is not self:
+            raise ValueError("point batch belongs to another field")
+        z = points.z
         acc = np.zeros(len(z))
-        for comp in self.components:
+        for i, comp in enumerate(self.components):
             terms = _termize(self.n, comp.beta0, alpha)
             m_max = max(m for _, _, m in terms)
-            dchain = [comp.profile.d(m, s) for m in range(m_max + 1)]
+            dchain = points.chain(i, m_max)
             for cc, beta, m in terms:
                 v = cc * dchain[m]
                 for coord, e in enumerate(beta):
@@ -260,7 +301,9 @@ class RadialTermField:
 
     def tensor_norm(self, l: int, points):
         """Frobenius norm of the order-l derivative tensor, vectorized."""
-        return Jet(self, np.atleast_2d(points), l).tensor_norm(l)
+        pts = np.atleast_2d(points)
+        return Jet(self, pts, l, PointBatch(self, pts, l)).tensor_norm(l)
 
     def jet(self, x, order: int) -> Jet:
-        return Jet(self, x, order)
+        """Jet at x whose entries all share one PointBatch."""
+        return Jet(self, x, order, PointBatch(self, x, order))

@@ -5,8 +5,10 @@ suite.
 A jet caches one entry per *multiset* of coordinate indices, so symmetry of
 mixed partials is structural rather than checked entry-by-entry.  Each entry
 is one vectorized call of the field's partial over all points, made on first
-use.  Accessors derive Laplacian iterates and their gradients/Hessians from
-these entries.
+use; a field may hand the jet a point batch of its own, so that what every
+entry shares (for fields.RadialTermField: z, s and each profile's derivative
+chain) is computed once.  Accessors derive Laplacian iterates and their
+gradients/Hessians from these entries.
 """
 
 from __future__ import annotations
@@ -53,17 +55,19 @@ class Jet:
     """Partial derivatives up to a fixed order of a field at x, where x is
     one point (n,) or a batch (m, n).
 
-    field.partial(alpha, points) must accept an (m, n) batch.  Every accessor
-    returns an array shaped like x without its last axis (a scalar for one
-    point), followed by the tensor axes of the quantity.
+    field.partial(alpha, points) must accept an (m, n) batch.  points, when
+    given, replaces that batch in every call: the field's own batch object
+    for the points of x.  Every accessor returns an array shaped like x
+    without its last axis (a scalar for one point), followed by the tensor
+    axes of the quantity.
     """
 
-    def __init__(self, field, x, order: int):
+    def __init__(self, field, x, order: int, points=None):
         self.field = field
         self.x = np.asarray(x, float)
         self.n = self.x.shape[-1]
         self.order = order
-        self._points = np.atleast_2d(self.x)
+        self._points = np.atleast_2d(self.x) if points is None else points
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def partial(self, alpha):

@@ -60,14 +60,19 @@ def ball_volume(n: int, radius: float = 1.0) -> float:
     return sphere_area(n) * radius**n / n
 
 
+def _read_only(*arrays):
+    """The arrays of a rule that is built once and shared between callers,
+    made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(m: int):
     """Gauss-Legendre nodes and weights of order m on [-1, 1], built once per
     order and shared between callers, hence read-only."""
-    rule = roots_legendre(m)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
+    return _read_only(*roots_legendre(m))
 
 
 def sphere_moment_ratio(alpha: tuple[int, ...]) -> Fraction:
@@ -371,7 +376,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     the nodes per direction).  It is conservative and can overstate the
     error by orders of magnitude: for x_1^2 over B^6 it reads 5.0e-5
     relative while the true error is 8.5e-12.  Estimating against a finer
-    rule is ROADMAP item 7.
+    rule is ROADMAP item 9.
     """
     n = domain.dim
     if n < 3:
@@ -600,9 +605,11 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
 # Surface path
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _sphere_rule(n: int, m: int, axial: bool = False):
     """Product Gauss rule on the unit sphere S^{n-1}: nodes (N, n) and
-    positive weights (N,), which the integral divides by their sum.
+    positive weights (N,), which the integral divides by their sum.  Built
+    once per (n, m, axial) and shared between callers, hence read-only.
 
     Gauss-Jacobi with m nodes in the cosine of the first polar angle (weight
     (1 - x^2)^{(n-3)/2}) times the rule on S^{n-2} scaled by the sine; S^1
@@ -612,15 +619,16 @@ def _sphere_rule(n: int, m: int, axial: bool = False):
     """
     if n == 2 and not axial:
         th = (np.arange(2 * m) + 0.5) * (math.pi / m)
-        return np.stack([np.cos(th), np.sin(th)], axis=1), np.ones(2 * m)
+        return _read_only(np.stack([np.cos(th), np.sin(th)], axis=1),
+                          np.ones(2 * m))
     x, w = roots_jacobi(m, 0.5 * (n - 3), 0.5 * (n - 3))
     s = np.sqrt(1 - x**2)
     if axial:
-        return np.stack([x, s], axis=1), w
+        return _read_only(np.stack([x, s], axis=1), w)
     u, v = _sphere_rule(n - 1, m)
     nodes = np.concatenate([np.repeat(x, len(v))[:, None],
                             (s[:, None, None] * u).reshape(-1, n - 1)], axis=1)
-    return nodes, np.outer(w, v).ravel()
+    return _read_only(nodes, np.outer(w, v).ravel())
 
 
 def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,

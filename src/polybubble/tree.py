@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bubbles import BubbleSpec, bubble_field, kernel_elements, positive_bubble, theta
-from .fields import ProductProfile, RadialTermField, cutoff_profile
+from .fields import PointBatch, ProductProfile, RadialTermField, cutoff_profile
 from .quadrature import Ball
 from .radial import bubble_constant, critical_exponent
 
@@ -489,11 +489,11 @@ def eval_tree(cfg: TreeConfig, x, l: int) -> np.ndarray:
     if l == 0:
         return np.abs(tree_value(cfg, x))
     from .jets import multiset_multiplicity, multisets
-    fields = _tree_fields(cfg)
+    batches = [PointBatch(F, x, l) for F in _tree_fields(cfg)]
     tot = np.zeros(len(x))
     for alpha in multisets(cfg.n, l):
         entry = np.zeros(len(x))
-        for F in fields:
-            entry += F.partial(alpha, x)
+        for b in batches:
+            entry += b.field.partial(alpha, b)
         tot += multiset_multiplicity(alpha) * entry**2
     return np.sqrt(tot)
