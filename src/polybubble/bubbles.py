@@ -15,7 +15,7 @@ from scipy import integrate as _sg
 from .fields import (ProductProfile, RadialTermField, RationalProfile,
                      cutoff_profile)
 from .jets import Jet
-from .quadrature import Ball, sphere_area
+from .quadrature import Ball, row_sq_norms, sphere_area
 from .radial import (RadialFunction, bubble_constant,
                      make_bubble, radial_derivative)
 
@@ -137,7 +137,7 @@ class BallChart:
         z = np.atleast_2d(np.asarray(z, float))
         z1 = z[:, 0]
         zp = z[:, 1:]
-        ang = np.linalg.norm(zp, axis=1)
+        ang = np.sqrt(row_sq_norms(zp))
         out = np.empty((len(z), self.b.size))
         safe = ang > 1e-300
         dirs = np.zeros_like(zp)
@@ -149,13 +149,13 @@ class BallChart:
 
     def inverse(self, x):
         x = np.atleast_2d(np.asarray(x, float))
-        r = np.linalg.norm(x, axis=1)
+        r = np.sqrt(row_sq_norms(x))
         z1 = 1.0 - r
         y = x / np.maximum(r, 1e-300)[:, None]
         cosang = np.clip(y @ self.b, -1.0, 1.0)
         ang = np.arccos(cosang)
         w = y - cosang[:, None] * self.b[None, :]
-        wn = np.linalg.norm(w, axis=1)
+        wn = np.sqrt(row_sq_norms(w))
         dirs = np.zeros_like(w)
         ok = wn > 1e-14
         dirs[ok] = w[ok] / wn[ok, None]
@@ -170,7 +170,7 @@ class BallChart:
 def theta(spec: BubbleSpec, x) -> np.ndarray:
     """mu + |x - center|; always >= mu > 0."""
     x = np.atleast_2d(np.asarray(x, float))
-    return spec.mu + np.linalg.norm(x - spec.center, axis=1)
+    return spec.mu + np.sqrt(row_sq_norms(x - spec.center))
 
 
 def positive_bubble(spec: BubbleSpec | None, x) -> np.ndarray:
@@ -181,7 +181,7 @@ def positive_bubble(spec: BubbleSpec | None, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, float))
     if spec is None:
         return np.ones(len(x))
-    r2 = np.sum((x - spec.center) ** 2, axis=1)
+    r2 = row_sq_norms(x - spec.center)
     expo = 0.5 * (spec.n - 2 * spec.k)
     return (spec.mu / (spec.mu**2 + spec.a * r2)) ** expo
 
@@ -224,7 +224,7 @@ def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
             raise UnsupportedDomainError("boundary charts implemented for the unit ball only")
         bdist = 1.0  # the cutoff acts on chart coordinates
         z = BallChart(spec.center).inverse(x)
-    s = np.sum(z * z, axis=1)
+    s = row_sq_norms(z)
     cut = cutoff_profile().chain(0, s / bdist**2)[0]
     amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
     if spec.profile == "standard":

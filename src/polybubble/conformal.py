@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import fd_laplacian_iter, fd_partial
-from .quadrature import Ball, TruncatedSpace, integrate_axisymmetric
+from .quadrature import (Ball, TruncatedSpace, integrate_axisymmetric,
+                         row_sq_norms)
 
 __all__ = [
     "SingularPointError",
@@ -50,7 +51,7 @@ class CayleyMap:
     def phi(self, y):
         y = np.atleast_2d(np.asarray(y, float))
         w = y + self.e1
-        nw2 = np.sum(w**2, axis=1)
+        nw2 = row_sq_norms(w)
         if np.any(nw2 < 1e-28):
             raise SingularPointError("phi is singular at y = -e_1")
         return w / nw2[:, None] - 0.5 * self.e1
@@ -58,7 +59,7 @@ class CayleyMap:
     def phi_inv(self, x):
         x = np.atleast_2d(np.asarray(x, float))
         w = x + 0.5 * self.e1
-        nw2 = np.sum(w**2, axis=1)
+        nw2 = row_sq_norms(w)
         if np.any(nw2 < 1e-28):
             raise SingularPointError("phi_inv is singular at x = -e_1/2")
         return w / nw2[:, None] - self.e1
@@ -66,7 +67,7 @@ class CayleyMap:
     def jacobian_factor(self, y):
         """|y + e_1|; |det D phi| = this to the power -2n."""
         y = np.atleast_2d(np.asarray(y, float))
-        return np.linalg.norm(y + self.e1, axis=1)
+        return np.sqrt(row_sq_norms(y + self.e1))
 
     def cayley_transform(self, u, k: int, y):
         """u*(y) = |y+e_1|^{2k-n} u(phi(y)) for a provider u on the half-space."""
@@ -106,7 +107,7 @@ class HalfSpaceBump:
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, float))
-        s2 = np.sum((x - self.center) ** 2, axis=1) / self.radius**2
+        s2 = row_sq_norms(x - self.center) / self.radius**2
         out = np.zeros(len(x))
         inside = s2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
@@ -130,7 +131,7 @@ class GaussianXPow:
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, float))
-        return x[:, 0] ** self.k * np.exp(-np.sum((x - self.center) ** 2, axis=1))
+        return x[:, 0] ** self.k * np.exp(-row_sq_norms(x - self.center))
 
 
 # ---------------------------------------------------------------------------

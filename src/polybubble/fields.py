@@ -27,6 +27,7 @@ from math import comb, factorial
 import numpy as np
 
 from .jets import Jet
+from .quadrature import row_sq_norms
 from .radial import RadialFunction, square_derivative
 
 __all__ = [
@@ -236,7 +237,7 @@ class PointBatch:
         self.shape = pts.shape
         self.order = order
         self.z = (pts - field.center) / field.mu
-        self.s = np.sum(self.z * self.z, axis=1)
+        self.s = row_sq_norms(self.z)
         self._chains: dict[int, list] = {}
 
     def chain(self, i: int, m: int) -> list:

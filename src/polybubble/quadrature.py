@@ -35,6 +35,7 @@ __all__ = [
     "QuadratureResult",
     "sphere_area",
     "ball_volume",
+    "row_sq_norms",
     "sphere_moment_ratio",
     "integrate_radial",
     "integrate_axisymmetric",
@@ -58,6 +59,27 @@ def sphere_area(n: int) -> float:
 
 def ball_volume(n: int, radius: float = 1.0) -> float:
     return sphere_area(n) * radius**n / n
+
+
+def row_sq_norms(a):
+    """Row sums of a * a for an (N, n) array: squared Euclidean row norms,
+    bit-identical to np.sum(a * a, axis=1); their sqrt is bit-identical to
+    np.linalg.norm(a, axis=1).
+
+    Below 8 columns the columns are added one at a time, in order: numpy
+    sums a row of fewer than 8 entries sequentially, so the result is the
+    same bit for bit, and the column loop avoids the reduction's per-row
+    overhead.  From 8 columns on numpy sums in unrolled pairwise blocks,
+    which the loop would not reproduce, so the reduction itself is used.
+    """
+    if not 0 < a.shape[1] < 8:
+        return np.add.reduce(a * a, axis=1)
+    col = a[:, 0]
+    out = col * col
+    for j in range(1, a.shape[1]):
+        col = a[:, j]
+        out += col * col
+    return out
 
 
 def _read_only(*arrays):
@@ -370,7 +392,9 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     meridian half-plane, using panelled Gauss-Legendre rules: phi panels are
     split at hole tangency angles and refined toward peaked directions, rho
     panels at domain cuts and refined toward the origin and peak radii.
-    Each rule is built for all rays at once (_ray_panels).
+    Each rule is built for all rays at once (_ray_panels), and its nodes are
+    origin + rho * U, with the unit vector U = cos(phi) d + sin(phi) e of a
+    direction computed once and shared by that direction's rho nodes.
 
     The error estimate is the difference against a coarsened rule (2/3 of
     the nodes per direction).  It is conservative and can overstate the
@@ -473,17 +497,19 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
         xr, wr = _gauss_legendre(mrho)
         phi = (0.5 * (phi_hi - phi_lo) * (xg + 1.0) + phi_lo).ravel()
         wphi = (0.5 * (phi_hi - phi_lo) * wg).ravel()
-        U = np.cos(phi)[:, None] * d + np.sin(phi)[:, None] * e
+        sin_phi = np.sin(phi)
+        U = np.cos(phi)[:, None] * d + sin_phi[:, None] * e
         ray, lo, hi = _ray_panels(U, origin, domain, spheres, peak_cuts, plane,
                                   rho_max_global, floor0)
         h = 0.5 * (hi - lo)[:, None]
         rho = (h * (xr + 1.0) + lo[:, None]).ravel()
         wt = (h * wr * wphi[ray, None]).ravel()
-        phi = np.repeat(phi[ray], mrho)
-        pts = origin[None, :] + rho[:, None] * (
-            np.cos(phi)[:, None] * d[None, :] + np.sin(phi)[:, None] * e[None, :])
+        node = np.repeat(ray, mrho)
+        pts = U[node]
+        pts *= rho[:, None]
+        pts += origin
         vals = np.asarray(f(pts), float)
-        jac = rho ** (n - 1) * np.sin(phi) ** (n - 2)
+        jac = rho ** (n - 1) * (sin_phi ** (n - 2))[node]
         return float(np.sum(wt * vals * jac)), len(rho)
 
     area = sphere_area(n - 1)
@@ -509,7 +535,7 @@ def _sobol_directions(rng, m, n, lead=0):
 
     u = qmc.Sobol(d=lead + n, scramble=True, seed=rng).random(m)
     dirs = ndtri(np.clip(u[:, lead:], 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    norms = np.sqrt(row_sq_norms(dirs))[:, None]
     norms[norms == 0] = 1.0
     return u[:, :lead], dirs / norms
 
@@ -533,7 +559,7 @@ def _component_samples(kind, m, n, rng, center, r_lo, r_hi):
 
 
 def _component_pdf(kind, x, n, center, r_lo, r_hi):
-    r = np.linalg.norm(x - center, axis=-1)
+    r = np.sqrt(row_sq_norms(x - center))
     area = sphere_area(n)
     if kind == "uniform":
         pdf = np.where(r <= r_hi, 1.0 / ball_volume(n, r_hi), 0.0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bubbles import BubbleSpec, bubble_field, kernel_elements, positive_bubble, theta
 from .fields import PointBatch, ProductProfile, RadialTermField, cutoff_profile
-from .quadrature import Ball
+from .quadrature import Ball, row_sq_norms
 from .radial import bubble_constant, critical_exponent
 
 __all__ = [
@@ -223,7 +223,7 @@ class Region:
         mask = self.outer.contains(x) & self.clip.contains(x)
         for h in self.holes:
             c = np.asarray(h.center)
-            mask &= np.sum((x - c) ** 2, axis=1) >= h.radius**2
+            mask &= row_sq_norms(x - c) >= h.radius**2
         return mask
 
     def describe(self):
@@ -342,13 +342,13 @@ def stratified_samples(region: Region, cfg: TreeConfig, count: int = 512,
         radius = b.mu
         while radius < 2.0 * r_out:
             dirs = rng.normal(size=(8, n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs /= np.sqrt(row_sq_norms(dirs))[:, None]
             pts.append(b.center + radius * dirs)
             radius *= 2.0
     # uniform background in the outer ball
     m = max(count, 64)
     dirs = rng.normal(size=(m, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= np.sqrt(row_sq_norms(dirs))[:, None]
     radii = r_out * rng.uniform(0, 1, size=m) ** (1.0 / n)
     pts.append(np.asarray(region.outer.center) + radii[:, None] * dirs)
     pts = np.concatenate(pts, axis=0)

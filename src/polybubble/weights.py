@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubbles import positive_bubble, theta
-from .quadrature import Ball, BallMinusBalls, Singularity, integrate_volume
+from .quadrature import (Ball, BallMinusBalls, Singularity, integrate_volume,
+                         row_sq_norms)
 from .radial import critical_exponent
 from .tree import (TreeConfig, classify, pair_maxima, pair_sum, theta_pow_B,
                    weight_sum)
@@ -125,7 +126,7 @@ def _conv_integral(cfg: TreeConfig, x, expo: float, weight, peak_centers,
         dom = Ball(tuple(base.center), base.radius, singularities=tuple(sings))
 
     def f(y):
-        d = np.linalg.norm(y - x, axis=1)
+        d = np.sqrt(row_sq_norms(y - x))
         return np.maximum(d, 1e-300) ** expo * weight(y)
 
     res = _integrate_about(f, dom, base.center,
@@ -217,8 +218,8 @@ def giraud_verify(gamma: float, beta: float, mu: float, x, y,
     d = float(np.linalg.norm(x - y))
 
     def f(z):
-        rx = np.linalg.norm(z - x, axis=1)
-        ry = np.maximum(np.linalg.norm(z - y, axis=1), 1e-300)
+        rx = np.sqrt(row_sq_norms(z - x))
+        ry = np.maximum(np.sqrt(row_sq_norms(z - y)), 1e-300)
         return (mu + rx) ** (gamma - n) * ry ** (beta - n)
 
     sings = (Singularity(tuple(x), 0.0, mu), Singularity(tuple(y), n - beta, 0.0))

@@ -16,7 +16,8 @@ from polybubble.quadrature import (AccuracyError, Ball, BallMinusBalls,
                                    TruncatedSpace, ball_volume,
                                    integrate_axisymmetric, integrate_radial,
                                    integrate_surface, integrate_volume,
-                                   sphere_area, sphere_moment_ratio)
+                                   row_sq_norms, sphere_area,
+                                   sphere_moment_ratio)
 
 
 def test_radial_constant_ball_volume():
@@ -209,9 +210,11 @@ def _reference_ray_panels(u, origin, domain, spheres, peak_cuts, plane,
 
 
 _GENERIC_AXIS = np.array([1.0, -2.0, 0.5, 3.0]) / np.linalg.norm([1.0, -2.0, 0.5, 3.0])
+_OBLIQUE_AXIS = np.array([2.0, 1.0, -1.0, 0.5, 1.5]) / np.linalg.norm([2.0, 1.0, -1.0, 0.5, 1.5])
+_OBLIQUE_CENTER = np.array([0.1, -0.2, 0.0, 0.3, 0.1])
 
-
-@pytest.mark.parametrize("domain, axis, features", [
+# (domain, axis, feature_balls) of the axisymmetric rule tests
+_AXISYMMETRIC_CASES = pytest.mark.parametrize("domain, axis, features", [
     # scaled singularity off the polar origin: peak cuts, refined directions
     (Ball((0.0,) * 5, 1.0, singularities=(
         Singularity((0.0,) * 5, 2.0),
@@ -226,8 +229,16 @@ _GENERIC_AXIS = np.array([1.0, -2.0, 0.5, 3.0]) / np.linalg.norm([1.0, -2.0, 0.5
     (TruncatedSpace(5, 2.0, half=True), np.eye(5)[0], ()),
     (Ball((0.0,) * 6, 1.0), np.eye(6)[0], (Ball((0.3,) + (0.0,) * 5, 0.1),
                                            Ball((-0.6,) + (0.0,) * 5, 0.05))),
+    # polar origin at a singularity off the centre of an oblique axis in n = 5
+    (Ball(tuple(_OBLIQUE_CENTER), 1.0, singularities=(
+        Singularity(tuple(_OBLIQUE_CENTER + 0.3 * _OBLIQUE_AXIS), 1.5),
+        Singularity(tuple(_OBLIQUE_CENTER - 0.5 * _OBLIQUE_AXIS), 0.0, 1e-3))),
+     _OBLIQUE_AXIS, ()),
 ], ids=["ball-peak", "halfball", "hole", "hole-generic-axis", "truncated-half",
-        "feature-balls"])
+        "feature-balls", "oblique-n5"])
+
+
+@_AXISYMMETRIC_CASES
 def test_ray_panels_match_per_ray_reference(monkeypatch, domain, axis, features):
     """_ray_panels gives the per-ray reference panels bit for bit, on the rays
     of the rule and on random rays, including rays along the axis and
@@ -259,6 +270,83 @@ def test_ray_panels_match_per_ray_reference(monkeypatch, domain, axis, features)
         assert ray.tobytes() == ref_ray.astype(ray.dtype).tobytes()
         assert lo.tobytes() == ref_lo.tobytes()
         assert hi.tobytes() == ref_hi.tobytes()
+
+
+def _reference_build(f, phi, wphi, ray, lo, hi, mrho, origin, d, e, n):
+    """One rule of integrate_axisymmetric from its phi nodes and weights and
+    its radial panels, with every node's point and Jacobian computed from its
+    own repeated angle: (sum, node count, points passed to f)."""
+    from polybubble.quadrature import _gauss_legendre
+
+    xr, wr = _gauss_legendre(mrho)
+    h = 0.5 * (hi - lo)[:, None]
+    rho = (h * (xr + 1.0) + lo[:, None]).ravel()
+    wt = (h * wr * wphi[ray, None]).ravel()
+    phi = np.repeat(phi[ray], mrho)
+    pts = origin[None, :] + rho[:, None] * (
+        np.cos(phi)[:, None] * d[None, :] + np.sin(phi)[:, None] * e[None, :])
+    vals = np.asarray(f(pts), float)
+    jac = rho ** (n - 1) * np.sin(phi) ** (n - 2)
+    return float(np.sum(wt * vals * jac)), len(rho), pts
+
+
+@_AXISYMMETRIC_CASES
+def test_axisymmetric_nodes_match_per_node_reference(monkeypatch, domain, axis,
+                                                     features):
+    """The nodes built from per-direction unit vectors are the per-node
+    reference's bit for bit: the points passed to f, the value and the error
+    estimate."""
+    from polybubble import quadrature
+
+    ray_panels = quadrature._ray_panels
+    rules = []
+
+    def spy_panels(U, origin, *args):
+        panels = ray_panels(U, origin, *args)
+        build = sys._getframe(1).f_locals  # the phi rule of the calling build
+        rules.append((build["phi"], build["wphi"], *panels, build["mrho"], origin))
+        return panels
+
+    def g(x):
+        return np.exp(x[:, 0] - x[:, -1] ** 2) * (1.0 + np.sum(x * x, axis=1))
+
+    seen = []
+
+    def spy_f(x):
+        seen.append(x.copy())
+        return g(x)
+
+    monkeypatch.setattr(quadrature, "_ray_panels", spy_panels)
+    center = domain.enclosing()[0]
+    res = integrate_axisymmetric(spy_f, domain, center, axis, feature_balls=features)
+    assert len(rules) == len(seen) == 2  # fine and coarse rule
+    n = domain.dim
+    d, e = quadrature._axis_frame(axis)
+    (fine, m_fine, ref_fine), (coarse, m_coarse, ref_coarse) = (
+        _reference_build(g, *rule, d, e, n) for rule in rules)
+    assert seen[0].tobytes() == ref_fine.tobytes()
+    assert seen[1].tobytes() == ref_coarse.tobytes()
+    area = sphere_area(n - 1)
+    assert res.value.hex() == (area * fine).hex()
+    assert res.error_estimate.hex() == (area * abs(fine - coarse)).hex()
+    assert res.samples_used == m_fine + m_coarse
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_sq_norms_match_numpy_reductions(n):
+    """row_sq_norms equals np.sum(a * a, axis=1) bit for bit, and its sqrt
+    equals np.linalg.norm(a, axis=1), on both sides of its 8-column switch:
+    rows spanning 1e-150 ... 1e150, zero rows, strided views and
+    differences."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((400, 2 * n)) * 10.0 ** rng.uniform(-150, 150, (400, 2 * n))
+    a[::9] = 0.0
+    for x in (np.ascontiguousarray(a[:, :n]), a[:, :n], a[:, ::2],
+              a[:, n:] - a[5, :n]):
+        assert x.shape == (400, n)
+        got = row_sq_norms(x)
+        assert got.tobytes() == np.sum(x * x, axis=1).tobytes()
+        assert np.sqrt(got).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
 def test_surface_constant_and_even_moment():
