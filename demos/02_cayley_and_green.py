@@ -42,7 +42,7 @@ print(f"psi invariance: {abs(psi_half(p1, p2) - psi_ball(x1, x2)):.2e}")
 # --- norm invariance of the transform --------------------------------------
 
 print("\ncritical and derivative norm invariance (independent quadrature")
-print("on each side; derivative side via Richardson finite differences):")
+print("on each side; derivative side from exact Taylor expansions):")
 for (nn, kk) in [(3, 1), (5, 2)]:
     u = GaussianXPow(nn, kk)
     rep = check_norm_invariance(u, nn, kk)

@@ -166,7 +166,8 @@ def cmd_tree(ns: argparse.Namespace) -> int:
         print(f"missing tree config file: {path}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        tree = TreeConfig.from_json(open(path).read())
+        with open(path) as fh:
+            tree = TreeConfig.from_json(fh.read())
     except (json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"bad tree config: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,6 +2,12 @@
 {x_1 > 0}, with numerical checks of its exact identities: the distance
 identity, critical-norm and derivative-norm invariance, and the conjugation
 of iterated Laplacians.
+
+Every derivative is exact up to rounding: the map, its Jacobian factor and
+the profiles take Taylor coordinates (jets.Taylor) through the code that
+evaluates them at points, and Laplacian powers and their gradients come
+from the Taylor coefficients of t -> f(x + t theta) averaged over a finite
+set of directions theta (_taylor_derivative).
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import fd_laplacian_iter, fd_partial
-from .quadrature import (Ball, TruncatedSpace, integrate_axisymmetric,
-                         row_sq_norms)
+from .jets import Taylor, as_points
+from .quadrature import (Ball, TruncatedSpace, _sphere_rule,
+                         integrate_axisymmetric, row_sq_norms)
 
 __all__ = [
     "SingularPointError",
@@ -38,6 +44,8 @@ class CayleyMap:
     """phi(y) = (y+e_1)/|y+e_1|^2 - e_1/2 maps B(0,1) onto {x_1 > 0}.
 
     phi(0) = e_1/2 and the boundary sphere minus {-e_1} goes to {x_1 = 0}.
+    phi, jacobian_factor and cayley_transform take an (m, n) batch of points
+    or Taylor coordinates of one.
     """
 
     n: int
@@ -49,8 +57,7 @@ class CayleyMap:
         return e
 
     def phi(self, y):
-        y = np.atleast_2d(np.asarray(y, float))
-        w = y + self.e1
+        w = as_points(y) + self.e1
         nw2 = row_sq_norms(w)
         if np.any(nw2 < 1e-28):
             raise SingularPointError("phi is singular at y = -e_1")
@@ -66,14 +73,11 @@ class CayleyMap:
 
     def jacobian_factor(self, y):
         """|y + e_1|; |det D phi| = this to the power -2n."""
-        y = np.atleast_2d(np.asarray(y, float))
-        return np.sqrt(row_sq_norms(y + self.e1))
+        return np.sqrt(row_sq_norms(as_points(y) + self.e1))
 
     def cayley_transform(self, u, k: int, y):
         """u*(y) = |y+e_1|^{2k-n} u(phi(y)) for a provider u on the half-space."""
-        y = np.atleast_2d(np.asarray(y, float))
-        fac = self.jacobian_factor(y) ** (2 * k - self.n)
-        return fac * np.asarray(u.value(self.phi(y)), float)
+        return self.jacobian_factor(y) ** (2 * k - self.n) * u.value(self.phi(y))
 
 
 def check_distance_identity(x, y) -> float:
@@ -88,7 +92,8 @@ def check_distance_identity(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Test profiles on the half-space
+# Test profiles on the half-space.  value(x) takes an (m, n) batch of points
+# or Taylor coordinates of one, through the same code.
 # ---------------------------------------------------------------------------
 
 class HalfSpaceBump:
@@ -106,9 +111,9 @@ class HalfSpaceBump:
         self.feature_balls = [Ball(tuple(self.center), self.radius)]
 
     def value(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
+        x = as_points(x)
         s2 = row_sq_norms(x - self.center) / self.radius**2
-        out = np.zeros(len(x))
+        out = 0.0 * s2
         inside = s2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
         return out
@@ -130,8 +135,56 @@ class GaussianXPow:
                               Ball(tuple(self.center), 3.0)]
 
     def value(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
+        x = as_points(x)
         return x[:, 0] ** self.k * np.exp(-row_sq_norms(x - self.center))
+
+
+# ---------------------------------------------------------------------------
+# Derivatives from directional Taylor coefficients
+# ---------------------------------------------------------------------------
+
+def _direction_rule(n: int, degree: int):
+    """Directions theta (one of each pair +-theta) and weights whose weighted
+    sum of any even polynomial of degree <= degree in theta is its mean over
+    S^{n-1}: the axes to degree 3; the axes and the (e_i +- e_j)/sqrt 2 to
+    degree 5; beyond that the product Gauss rule, with both of each pair."""
+    eye = np.eye(n)
+    if degree <= 3:
+        return eye, np.full(n, 1.0 / n)
+    if degree <= 5:
+        i, j = np.triu_indices(n, 1)
+        diag = np.concatenate([eye[i] + eye[j], eye[i] - eye[j]]) / math.sqrt(2)
+        w = np.concatenate([np.full(n, (4.0 - n) / (n * (n + 2))),
+                            np.full(len(diag), 2.0 / (n * (n + 2)))])
+        return np.concatenate([eye, diag]), w
+    nodes, w = _sphere_rule(n, degree // 2 + 1)
+    return nodes, w / w.sum()
+
+
+def _taylor_derivative(f, pts, j: int):
+    """Delta^m f (j = 2m, shape (N,)) or grad Delta^m f (j = 2m + 1, shape
+    (N, n)) at pts (N, n), from the j-th Taylor coefficient c_j(theta) of
+    t -> f(pts + t theta), through the exact identities
+
+        mean_theta d_theta^{2m} f = (2m-1)!! / (n (n+2) ... (n+2m-2)) Delta^m f,
+        mean_theta theta d_theta^{2m+1} f
+            = (2m+1)!! / (n (n+2) ... (n+2m)) grad Delta^m f,
+
+    with d_theta^j f = j! c_j and the mean taken by a rule exact to degree
+    j + (j odd).  f maps Taylor coordinates of points to a series; the
+    directions are evaluated one at a time.
+    """
+    n = pts.shape[1]
+    dirs, weights = _direction_rule(n, j + j % 2)
+    scale = math.factorial(j) * math.prod((n + 2 * i) / (2 * i + 1)
+                                          for i in range((j + 1) // 2))
+    line = Taylor.line(pts, 0.0, j)
+    acc = 0.0
+    for theta, w in zip(dirs, weights):
+        line.c[1] = theta  # t -> pts + t theta
+        cj = f(line).c[j]
+        acc = acc + w * (cj[:, None] * theta if j % 2 else cj)
+    return scale * acc
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +199,11 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
 
     each passing at relative difference below _INVARIANCE_TOL.
 
-    (-D)^{k/2} means grad (-Delta)^{(k-1)/2} for odd k.  Derivatives are
-    taken by Richardson-extrapolated finite differences of the profile and
-    of its transform; each integral is done independently on its own side.
+    (-D)^{k/2} means grad (-Delta)^{(k-1)/2} for odd k.  The integrand is
+    (Delta^m u)^2 for k = 2m and |grad Delta^m u|^2 for k = 2m + 1, taken
+    exactly from order-k Taylor expansions of the profile and of its
+    transform along a direction rule (_taylor_derivative); each integral is
+    done independently on its own side.
     """
     cm = CayleyMap(n)
     two_sharp = 2.0 * n / (n - 2 * k)
@@ -176,78 +231,48 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
         if rad > 1e-12:
             feats_ball.append(Ball(tuple(ctr), rad))
 
-    qopt = dict(n_phi=20, n_rho=20)
-    lhs_c = integrate_axisymmetric(lambda y: np.abs(ustar(y)) ** two_sharp,
-                                   ball, *axis, feature_balls=feats_ball, **qopt)
-    rhs_c = integrate_axisymmetric(lambda x: np.abs(u.value(x)) ** two_sharp,
-                                   half, *axis, feature_balls=feats_half, **qopt)
-    rel_c = abs(lhs_c.value - rhs_c.value) / max(abs(rhs_c.value), 1e-300)
+    def pair(f_ball, f_half):
+        """Both sides' integrals, each on its own rule, and their relative
+        difference."""
+        qopt = dict(n_phi=20, n_rho=20)
+        lhs = integrate_axisymmetric(f_ball, ball, *axis,
+                                     feature_balls=feats_ball, **qopt).value
+        rhs = integrate_axisymmetric(f_half, half, *axis,
+                                     feature_balls=feats_half, **qopt).value
+        return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
-    def deriv_sq(value, pts, h0):
-        # |(-Delta)^{k/2}|^2 with Richardson in h
-        if k % 2:
-            m = (k - 1) // 2
+    def deriv_sq(f, pts):
+        d = _taylor_derivative(f, pts, k)
+        return row_sq_norms(d) if k % 2 else d * d
 
-            def vmid(q):
-                return fd_laplacian_iter(value, q, m, h0)
-
-            def grad_sq(h):
-                return sum(fd_partial(vmid, pts, (i,), h) ** 2 for i in range(n))
-
-            return (4 * grad_sq(h0 / 2) - grad_sq(h0)) / 3
-        m = k // 2
-        l1 = fd_laplacian_iter(value, pts, m, h0)
-        l2 = fd_laplacian_iter(value, pts, m, h0 / 2)
-        return ((4 * l2 - l1) / 3) ** 2
-
-    h_ball, h_half = 2e-3, 2e-3
-    lhs_d = integrate_axisymmetric(lambda y: deriv_sq(ustar, y, h_ball),
-                                   ball, *axis, feature_balls=feats_ball, **qopt)
-    rhs_d = integrate_axisymmetric(lambda x: deriv_sq(u.value, x, h_half),
-                                   half, *axis, feature_balls=feats_half, **qopt)
-    rel_d = abs(lhs_d.value - rhs_d.value) / max(abs(rhs_d.value), 1e-300)
-
+    crit = pair(lambda y: np.abs(ustar(y)) ** two_sharp,
+                lambda x: np.abs(u.value(x)) ** two_sharp)
+    deriv = pair(lambda y: deriv_sq(ustar, y), lambda x: deriv_sq(u.value, x))
     return {
-        "critical": (lhs_c.value, rhs_c.value, rel_c),
-        "derivative": (lhs_d.value, rhs_d.value, rel_d),
+        "critical": crit,
+        "derivative": deriv,
         "tol": _INVARIANCE_TOL,
-        "passed": (rel_c < _INVARIANCE_TOL) and (rel_d < _INVARIANCE_TOL),
+        "passed": (crit[2] < _INVARIANCE_TOL) and (deriv[2] < _INVARIANCE_TOL),
     }
 
 
-def check_laplacian_conjugation(v, y, k: int, h: float | None = None) -> dict:
-    """Residual of (-Delta)^k v*(y) = |y+e_1|^{-n-2k} (-Delta)^k v(phi(y))
-    via finite-difference Laplacians with Richardson extrapolation.
+def check_laplacian_conjugation(v, y, k: int) -> dict:
+    """Residual of (-Delta)^k v*(y) = |y+e_1|^{-n-2k} (-Delta)^k v(phi(y)),
+    both sides from order-2k Taylor expansions (_taylor_derivative).
 
-    Returns the residual together with an FD truncation estimate taken from
-    the difference of the two step sizes; near y = -e_1 the conditioning
-    degrades and a warning flag is set.
+    Near y = -e_1 the conditioning degrades and a warning flag is set.
     """
     y = np.asarray(y, float)
     n = y.size
     cm = CayleyMap(n)
-    if h is None:
-        h = 1e-3 * (1.0 + np.linalg.norm(y + cm.e1))
-
-    def ustar(q):
-        return cm.cayley_transform(v, k, q)
-
-    x = cm.phi(y[None, :])[0]
+    x = cm.phi(y[None, :])
     fac = np.linalg.norm(y + cm.e1) ** (-(n + 2 * k))
-
-    def both(hh):
-        lhs = fd_laplacian_iter(ustar, y, k, hh)
-        rhs = fac * fd_laplacian_iter(v.value, x, k, hh)
-        return lhs, rhs
-
-    (l1, r1) = both(h)
-    (l2, r2) = both(h / 2)
-    lhs = (4 * l2 - l1) / 3
-    rhs = (4 * r2 - r1) / 3
-    fd_err = (abs(l2 - l1) + abs(r2 - r1)) / 3
+    sign = (-1.0) ** k
+    lhs = sign * _taylor_derivative(lambda q: cm.cayley_transform(v, k, q),
+                                    y[None, :], 2 * k)[0]
+    rhs = fac * sign * _taylor_derivative(v.value, x, 2 * k)[0]
     return {
         "residual": abs(lhs - rhs),
-        "fd_error": fd_err,
         "lhs": lhs,
         "rhs": rhs,
         "conditioning_warning": bool(np.linalg.norm(y + cm.e1) < 1e-2),

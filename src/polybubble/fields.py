@@ -10,30 +10,31 @@ so one formula holds at the centre and away from it.  The termization of each
 partial derivative is done symbolically once and cached; evaluation is
 vectorized over point batches.  A profile's chain(m, s) is the list
 [G(s), G'(s), ..., G^{(m)}(s)]: rational profiles chain the exact d/d(r^2) of
-the radial algebra kernel, the smooth cutoff composes Taylor-mode series in s.
+the radial algebra kernel; the smooth cutoff and products of profiles are
+truncated-Taylor arithmetic (jets.Taylor) over all points of the batch.
 
-A PointBatch holds z, s and one chain per component for one set of points,
-each computed once: every partial taken on the batch (every entry of a Jet,
-every multiset of a tree's derivative tensor) reuses them.  The batch is the
-only cache of values, and it lives as long as its owner.
+A PointBatch holds z, s, the powers z_i^e and one chain per component for
+one set of points, each computed once: every partial taken on the batch
+(every entry of a Jet, every multiset of a tree's derivative tensor) reuses
+them.  The batch is the only cache of values, and it lives as long as its
+owner.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, Taylor
 from .quadrature import row_sq_norms
 from .radial import RadialFunction, square_derivative
 
 __all__ = [
     "RationalProfile",
-    "SeriesProfile",
     "ProductProfile",
+    "CutoffProfile",
     "cutoff_profile",
     "PointBatch",
     "RadialTermField",
@@ -67,31 +68,19 @@ class RationalProfile:
         return [self._deriv(j)(r, self.a_value) for j in range(m + 1)]
 
 
-class SeriesProfile:
-    """Profile defined by a Taylor-mode series oracle in s.
-
-    series(s, m) must return the Taylor coefficients [c_0..c_m] of G at s,
-    so that the j-th derivative is j! c_j.  A coefficient must not depend on
-    the truncation order m: one call per point gives the whole chain.
-    """
-
-    def __init__(self, series):
-        self._series = series
-
-    def chain(self, m: int, s):
-        s = np.asarray(s, float)
-        coeffs = np.array([self._series(float(v), m) for v in s.ravel()],
-                          float).reshape(-1, m + 1)
-        facts = np.array([factorial(j) for j in range(m + 1)], float)
-        return [col.reshape(s.shape) if s.shape else float(col[0])
-                for col in (coeffs * facts).T]
+def _factorials(m: int, ndim: int):
+    """0!, 1!, ..., m! shaped (m + 1, 1, ..., 1) with ndim unit axes: the
+    factors between Taylor coefficients and derivatives."""
+    return np.array([factorial(j) for j in range(m + 1)],
+                    float).reshape((-1,) + (1,) * ndim)
 
 
 class ProductProfile:
     """Pointwise product of profiles g_i(r / r_i), i.e. of G_i(s / r_i^2).
 
-    factors is a list of (profile, r_i); the j-th s-derivative of factor i
-    carries r_i^{-2j}.
+    factors is a list of (profile, r_i).  The chain is one truncated-Taylor
+    product in h of the factors' series G_i((s + h) / r_i^2), whose j-th
+    coefficient is G_i^{(j)} / (j! r_i^{2j}).
     """
 
     def __init__(self, factors):
@@ -99,89 +88,42 @@ class ProductProfile:
 
     def chain(self, m: int, s):
         s = np.asarray(s, float)
-        tables = []
+        facts = _factorials(m, s.ndim)
+        j = np.arange(m + 1.0).reshape(facts.shape)
+        prod = 1.0
         for prof, r in self.factors:
-            scale = r * r
-            tables.append([g / scale**j
-                           for j, g in enumerate(prof.chain(m, s / scale))])
-        return [_leibniz(tables, j, s) for j in range(m + 1)]
-
-
-def _leibniz(tables, m: int, s):
-    """m-th derivative of the product whose factors' derivative tables are
-    given, by the Leibniz rule over all factors."""
-    total = np.zeros_like(s)
-
-    def rec(idx, m_left, coeff, acc):
-        nonlocal total
-        if idx == len(tables) - 1:
-            total = total + coeff * acc * tables[idx][m_left]
-            return
-        for j in range(m_left + 1):
-            rec(idx + 1, m_left - j, coeff * comb(m_left, j),
-                acc * tables[idx][j])
-
-    rec(0, m, 1.0, np.ones_like(s))
-    return total if total.shape else float(total)
+            g = np.array(prof.chain(m, s / (r * r)))
+            prod = Taylor(g / (facts * (r * r) ** j)) * prod
+        return [c[()] for c in prod.c * facts]
 
 
 # ---------------------------------------------------------------------------
 # Smooth cutoff: 1 on [0, 1/2], 0 on [1, inf)
 # ---------------------------------------------------------------------------
 
-def _exp_ninv_series(u0: float, m: int):
-    """Taylor coefficients of e^{-1/u} at u0 > 0 up to order m."""
-    # series of -1/u at u0
-    c = [-((-1.0) ** j) * u0 ** (-(j + 1)) for j in range(m + 1)]
-    # exp of a series
-    E = [math.exp(c[0])] + [0.0] * m
-    for j in range(1, m + 1):
-        E[j] = sum(i * c[i] * E[j - i] for i in range(1, j + 1)) / j
-    return E
+class CutoffProfile:
+    """chi(rho) = psi(2 rho - 1) as a function of s = rho^2, with
+    psi(t) = f(1-t) / (f(1-t) + f(t)), f(u) = e^{-1/u}: exactly 1 on
+    s <= 1/4, exactly 0 on s >= 1.  On the ramp the chain is one Taylor
+    composition in h for all points: psi(2 sqrt(s + h) - 1).
+    """
+
+    def chain(self, m: int, s):
+        s = np.asarray(s, float)
+        flat = s.reshape(-1)
+        t0 = 2.0 * np.sqrt(flat) - 1.0
+        out = np.zeros((m + 1, len(flat)))
+        out[0, t0 <= 0.0] = 1.0
+        ramp = (t0 > 0.0) & (t0 < 1.0)
+        t = 2.0 * Taylor.line(flat[ramp], 1.0, m) ** 0.5 - 1.0
+        f1 = np.exp(-1.0 / (1.0 - t))
+        out[:, ramp] = (f1 / (f1 + np.exp(-1.0 / t))).c * _factorials(m, 1)
+        return [row.reshape(s.shape)[()] for row in out]
 
 
-def _cutoff_series(t: float, m: int):
-    """Taylor coefficients of psi(t) = f(1-t)/(f(1-t)+f(t)), f(u)=e^{-1/u}."""
-    if t <= 0.0:
-        return [1.0] + [0.0] * m
-    if t >= 1.0:
-        return [0.0] * (m + 1)
-    A = _exp_ninv_series(1.0 - t, m)
-    A = [a * (-1.0) ** j for j, a in enumerate(A)]  # compose with 1-t
-    B = _exp_ninv_series(t, m)
-    S = [a + b for a, b in zip(A, B)]
-    D = [A[0] / S[0]] + [0.0] * m
-    for j in range(1, m + 1):
-        D[j] = (A[j] - sum(S[i] * D[j - i] for i in range(1, j + 1))) / S[0]
-    return D
-
-
-def _cutoff_s_series(s: float, m: int):
-    """Taylor coefficients in s of psi(2 sqrt(s) - 1): psi's series at
-    t0 = 2 sqrt(s) - 1 composed with that of 2 sqrt(s + h) - 1 - t0."""
-    r = math.sqrt(s)
-    t0 = 2.0 * r - 1.0
-    psi = _cutoff_series(t0, m)
-    if t0 <= 0.0 or t0 >= 1.0:
-        return psi  # a plateau: exactly [1, 0, ...] or [0, ...]
-    # 2 sqrt(s + h) = sum_j delta_j h^j with delta_j = 2 r C(1/2, j) s^-j
-    delta = [2.0 * r]
-    for j in range(1, m + 1):
-        delta.append(delta[-1] * (1.5 - j) / (j * s))
-    out = [psi[0]] + [0.0] * m
-    power = [1.0] + [0.0] * m  # (t - t0)^i as a series in h
-    for i in range(1, m + 1):
-        power = [sum(power[l] * delta[j - l] for l in range(j))
-                 for j in range(m + 1)]
-        for j in range(i, m + 1):
-            out[j] += psi[i] * power[j]
-    return out
-
-
-def cutoff_profile() -> SeriesProfile:
-    """chi(rho) = psi(2 rho - 1) as a function of s = rho^2: exactly 1 on
-    s <= 1/4, exactly 0 on s >= 1."""
-    return SeriesProfile(_cutoff_s_series)
+def cutoff_profile() -> CutoffProfile:
+    """The cutoff chi as a profile in s; see CutoffProfile."""
+    return CutoffProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +160,14 @@ def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...]):
 @dataclass
 class _Component:
     beta0: tuple[int, ...]
-    profile: RationalProfile | SeriesProfile | ProductProfile
+    profile: RationalProfile | CutoffProfile | ProductProfile
     coeff: float = 1.0
 
 
 class PointBatch:
-    """One point batch of a RadialTermField: z, s and, per component, the
-    profile chain up to the highest order any partial has asked for.
+    """One point batch of a RadialTermField: z, s, the column powers z_i^e
+    its partials use and, per component, the profile chain up to the
+    highest order any partial has asked for.
 
     Pass it as the points of field.partial.  order is the chain length to
     compute on first use (a Jet's order), so that later partials of higher
@@ -239,6 +182,14 @@ class PointBatch:
         self.z = (pts - field.center) / field.mu
         self.s = row_sq_norms(self.z)
         self._chains: dict[int, list] = {}
+        self._powers: dict[tuple[int, int], np.ndarray] = {}
+
+    def power(self, coord: int, e: int) -> np.ndarray:
+        """z[:, coord] ** e, computed on first use."""
+        p = self._powers.get((coord, e))
+        if p is None:
+            p = self._powers[coord, e] = self.z[:, coord] ** e
+        return p
 
     def chain(self, i: int, m: int) -> list:
         """[G, G', ..., G^(m')] of component i at s, for some m' >= m."""
@@ -284,8 +235,7 @@ class RadialTermField:
             points = PointBatch(self, points)
         elif points.field is not self:
             raise ValueError("point batch belongs to another field")
-        z = points.z
-        acc = np.zeros(len(z))
+        acc = np.zeros(len(points.z))
         for i, comp in enumerate(self.components):
             terms = _termize(self.n, comp.beta0, alpha)
             m_max = max(m for _, _, m in terms)
@@ -294,7 +244,7 @@ class RadialTermField:
                 v = cc * dchain[m]
                 for coord, e in enumerate(beta):
                     if e:
-                        v = v * z[:, coord] ** e
+                        v = v * points.power(coord, e)
                 acc += comp.coeff * v
         return self.amplitude * acc * self.mu ** (-len(alpha))
 

@@ -1,6 +1,5 @@
 """Jets: lazily computed partial derivatives of a field at one point or a
-batch of points, plus finite-difference oracles used throughout the test
-suite.
+batch of points, and truncated univariate Taylor arithmetic.
 
 A jet caches one entry per *multiset* of coordinate indices, so symmetry of
 mixed partials is structural rather than checked entry-by-entry.  Each entry
@@ -9,6 +8,12 @@ use; a field may hand the jet a point batch of its own, so that what every
 entry shares (for fields.RadialTermField: z, s and each profile's derivative
 chain) is computed once.  Accessors derive Laplacian iterates and their
 gradients/Hessians from these entries.
+
+A Taylor series carries the derivatives of t -> f(x + t dx) up to a fixed
+order through any f written with +, -, *, /, real powers, exp and sqrt
+(Griewank-Utke-Walther, Math. Comp. 69, 2000): the same code that evaluates
+f at points evaluates its directional derivatives, with no finite
+differences and no second formula per function.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ __all__ = [
     "multisets",
     "multiset_multiplicity",
     "Jet",
-    "fd_partial",
-    "fd_laplacian",
-    "fd_laplacian_iter",
+    "Taylor",
+    "as_points",
 ]
 
 
@@ -130,49 +134,138 @@ class Jet:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference oracles
+# Truncated univariate Taylor arithmetic
 # ---------------------------------------------------------------------------
 
-def fd_partial(f, x, alpha, h: float = 1e-4):
-    """Central finite difference of the mixed partial given by the index
-    multiset alpha, at one point (n,) or a batch (m, n).  f maps an (m, n)
-    array to an (m,) array."""
-    x = np.asarray(x, float)
-    alpha = tuple(alpha)
-    if not alpha:
-        vals = np.asarray(f(np.atleast_2d(x)), float)
-        return vals.reshape(x.shape[:-1])[()]
-    i, rest = alpha[0], alpha[1:]
-    xp = x.copy()
-    xm = x.copy()
-    xp[..., i] += h
-    xm[..., i] -= h
-    return (fd_partial(f, xp, rest, h) - fd_partial(f, xm, rest, h)) / (2 * h)
-
-
-def fd_laplacian(f, x, h: float = 1e-4):
-    """Second-order central FD Laplacian at one point (n,) or a batch (m, n).
-
-    f maps an (m, n) array to an (m,) array; the whole (2n+1)-point stencil
-    of every point goes to f in one call.
+class Taylor:
+    """Truncated Taylor series sum_j c[j] t^j, j <= order, at many points at
+    once: c has shape (order + 1,) + shape.  +, -, *, /, real powers, np.exp
+    and np.sqrt act on the truncated series, so a function written for float
+    arrays maps Taylor.line(x, dx, order) to the series of t -> f(x + t dx),
+    whose j-th derivative at 0 is j! c[j].  Coefficient j depends only on
+    coefficients <= j of the inputs: the same bits at every order.  A number
+    or array is a constant series, indexing acts on the trailing axes, and a
+    comparison compares constant terms, so masks serve points and series.
     """
-    x = np.asarray(x, float)
-    pts = np.atleast_2d(x)
-    n = pts.shape[1]
-    steps = np.zeros((2 * n + 1, n))
-    steps[1::2] = h * np.eye(n)
-    steps[2::2] = -h * np.eye(n)
-    stencil = pts[:, None, :] + steps
-    vals = np.asarray(f(stencil.reshape(-1, n)), float).reshape(len(pts), -1)
-    lap = (np.sum(vals[:, 1:], axis=1) - 2 * n * vals[:, 0]) / h**2
-    return lap.reshape(x.shape[:-1])[()]
 
+    __slots__ = ("c",)
 
-def fd_laplacian_iter(f, x, k: int, h: float = 1e-3):
-    """(-Delta)^k via nested FD Laplacians (O(h^2) per level), at one point
-    (n,) or a batch (m, n)."""
-    if k == 0:
+    def __init__(self, c):
+        self.c = c
+
+    @classmethod
+    def line(cls, x, dx, order: int) -> "Taylor":
+        """The series of t -> x + t dx.  Its trailing axes are stored in
+        reverse order, so that a column x[:, j] of a point batch is
+        contiguous; numpy keeps that layout through the arithmetic."""
         x = np.asarray(x, float)
-        vals = np.asarray(f(np.atleast_2d(x)), float)
-        return vals.reshape(x.shape[:-1])[()]
-    return -fd_laplacian(lambda q: fd_laplacian_iter(f, q, k - 1, h), x, h)
+        c = np.zeros((order + 1,) + x.shape[::-1]).transpose(0, *range(x.ndim, 0, -1))
+        c[0] = x
+        if order:
+            c[1] = dx
+        return cls(c)
+
+    @property
+    def shape(self):
+        return self.c.shape[1:]
+
+    def __getitem__(self, key):
+        return Taylor(self.c[(slice(None),) + np.index_exp[key]])
+
+    def __setitem__(self, key, value: "Taylor"):
+        self.c[(slice(None),) + np.index_exp[key]] = value.c
+
+    def __lt__(self, other):
+        return self.c[0] < other
+
+    def __gt__(self, other):
+        return self.c[0] > other
+
+    def __neg__(self):
+        return Taylor(-self.c)
+
+    def __add__(self, other):
+        if isinstance(other, Taylor):
+            return Taylor(self.c + other.c)
+        c = self.c.copy(order="K")
+        c[0] += other
+        return Taylor(c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Taylor):
+            return Taylor(self.c * other)
+        a, b = self.c, other.c
+        out = np.empty_like(a, shape=a.shape[:1]
+                            + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+        for j in range(len(out)):  # the Cauchy product, in order of i
+            row = np.multiply(a[0], b[j], out=out[j, ...])
+            for i in range(1, j + 1):
+                row += a[i] * b[j - i]
+        return Taylor(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (other ** -1.0 if isinstance(other, Taylor) else 1.0 / other)
+
+    def __rtruediv__(self, other):
+        return self ** -1.0 * other
+
+    def __pow__(self, alpha):
+        """Repeated products for a whole alpha >= 1 (any constant term), else
+        a b' = alpha a' b, which needs a nonzero constant term."""
+        if alpha >= 1 and float(alpha).is_integer():
+            out = self
+            for _ in range(int(alpha) - 1):
+                out = out * self
+            return out
+        a0 = self.c[0]
+        return self._recur(a0 ** alpha, lambda i, j: (alpha + 1) * i - j, a0)
+
+    def exp(self) -> "Taylor":
+        """exp of the series, by e' = a' e."""
+        return self._recur(np.exp(self.c[0]), lambda i, j: i, 1)
+
+    def _recur(self, b0, w, d) -> "Taylor":
+        """The series b with constant term b0 and, for j >= 1,
+        b_j = sum_{i=1}^{j} w(i, j) a_i b_{j-i} / (j d), a = self."""
+        a = self.c
+        b = np.empty_like(a)
+        b[0] = b0
+        for j in range(1, len(a)):
+            tot = w(1, j) * a[1] * b[j - 1]
+            for i in range(2, j + 1):
+                tot += w(i, j) * a[i] * b[j - i]
+            np.divide(tot, j * d, out=b[j, ...])
+        return Taylor(b)
+
+    _UFUNCS = {np.add: "add", np.subtract: "sub", np.multiply: "mul",
+               np.true_divide: "truediv", np.exp: "exp", np.sqrt: "sqrt"}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """numpy's calls on a series: an ndarray left of an operator, np.exp,
+        np.sqrt, and np.add.reduce (row_sq_norms from 8 columns)."""
+        name = self._UFUNCS.get(ufunc)
+        if method == "reduce" and name == "add" and set(kwargs) <= {"axis"}:
+            axis = kwargs.get("axis", 0)
+            return Taylor(np.add.reduce(self.c, axis=axis + (axis >= 0)))
+        if method != "__call__" or kwargs or name is None:
+            return NotImplemented
+        if len(inputs) == 1:
+            return self.exp() if name == "exp" else self ** 0.5
+        a, b = inputs
+        return (getattr(a, f"__{name}__")(b) if a is self
+                else getattr(b, f"__r{name}__")(a))
+
+
+def as_points(x):
+    """x as an (m, n) batch of points; Taylor coordinates pass unchanged."""
+    return x if isinstance(x, Taylor) else np.atleast_2d(np.asarray(x, float))

@@ -12,10 +12,11 @@ from polybubble.bubbles import (BallChart, BubbleSpec, CutoffSpec,
                                 compute_IA, eval_V, kernel_elements,
                                 positive_bubble, theta)
 from polybubble.fields import RationalProfile, RadialTermField
-from polybubble.jets import fd_partial, fd_laplacian_iter
 from polybubble.quadrature import Ball, integrate_radial, sphere_area
 from polybubble.radial import (bubble_constant, critical_exponent, make_bubble,
                                radial_derivative)
+
+from fd_oracles import fd_laplacian_iter, fd_partial
 
 N, K = 7, 1
 
@@ -68,21 +69,29 @@ def test_cutoff_plateaus():
 
 def test_cutoff_s_derivatives_chain_rule():
     """G(s) = chi(sqrt(s)): each G^(m)(s), m <= 6, equals (d/(2 rho drho))^m
-    chi built from the rho-series of _cutoff_series; on the plateaus
-    s <= 1/4 and s >= 1 the values are exactly 1 / 0."""
+    chi, with chi's rho-derivatives from a Taylor series in rho of
+    psi(2 rho - 1) (no square root, unlike the s-composition); on the
+    plateaus s <= 1/4 and s >= 1 the values are exactly 1 / 0."""
     from math import factorial
 
-    from polybubble.fields import _cutoff_series, cutoff_profile
+    from polybubble.fields import cutoff_profile
+    from polybubble.jets import Taylor
 
     G, M = cutoff_profile(), 6
+    # near the plateaus G^(m) is a small difference of large series terms,
+    # so each check also allows 1e-14 of max |G^(m)| over the ramp
+    scale = [np.abs(g).max() for g in G.chain(M, np.linspace(0.25, 1.0, 301))]
     for s in (0.26, 0.3, 0.45, 0.6, 0.8, 0.97):
         rho = np.sqrt(s)
-        chi = [factorial(j) * 2.0**j * c  # chi^(j)(rho)
-               for j, c in enumerate(_cutoff_series(2 * rho - 1, M))]
+        t = 2.0 * Taylor.line(rho, 1.0, M) - 1.0
+        f1 = np.exp(-1.0 / (1.0 - t))
+        psi = f1 / (f1 + np.exp(-1.0 / t))
+        chi = [factorial(j) * c for j, c in enumerate(psi.c)]  # chi^(j)(rho)
         expr = {(0, 0): 1.0}  # {(p, j): c} for sum c rho^-p chi^(j)
         for m in range(M + 1):
             terms = [c * rho**-p * chi[j] for (p, j), c in expr.items()]
-            assert abs(G.chain(m, s)[m] - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+            assert (abs(G.chain(m, s)[m] - sum(terms))
+                    <= 1e-12 * sum(map(abs, terms)) + 1e-14 * scale[m])
             new = {}
             for (p, j), c in expr.items():
                 if p:

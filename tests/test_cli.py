@@ -1,10 +1,12 @@
 """CLI: exit codes, output schemas, determinism, bundled fixtures, and
 config handling."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -70,6 +72,17 @@ def test_cayley_green_small(tmp_path):
     assert all(r["passed"] for r in rep["norm_invariance"])
 
 
+def test_cayley_green_k3_passes(tmp_path):
+    """k = 3 takes grad Delta from order-3 Taylor expansions on the
+    degree-5 direction rule; the finite differences it replaced missed the
+    1e-5 gate here."""
+    code, out = run_cli(["cayley-green", "--n", "7", "--k", "3",
+                         "--pairs", "20"], tmp_path)
+    assert code == 0
+    rep = read_report(out, "cayley-green", "cayley_green.json")
+    assert all(r["derivative_rel"] < 1e-10 for r in rep["norm_invariance"])
+
+
 def test_cayley_green_zero_pairs_usage(tmp_path):
     code, _ = run_cli(["cayley-green", "--n", "3", "--k", "1",
                        "--pairs", "0"], tmp_path)
@@ -85,6 +98,16 @@ def test_tree_fixture_tower(tmp_path):
     csv_text = open(os.path.join(out, "tree", "tree_ratios.csv")).read()
     assert csv_text.startswith("kind,")
     assert "interaction" in csv_text
+
+
+def test_tree_closes_its_config_file(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _ = run_cli(["tree", os.path.join(FIXTURES, "separated.json")],
+                          tmp_path)
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_tree_fixture_separated_has_no_interacting(tmp_path):

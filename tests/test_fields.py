@@ -78,27 +78,48 @@ def test_cutoff_chain_does_not_depend_on_its_length():
     assert G.chain(3, 0.5)[2] == chains[2][2][100]  # scalar in, scalar out
 
 
-def _count_series_calls(F):
-    """Wrap the cutoff factor's series oracle of F; return the call list."""
+def test_tensor_norm_evaluates_the_cutoff_chain_once():
+    """The cutoff factor's chain is one vectorised call per point batch, at
+    the order of the batch."""
+    F = _cutoff_bubble()
     (chi, _), _ = F.components[0].profile.factors
     calls = []
-    series = chi._series
-
-    def counted(s, m):
-        calls.append(m)
-        return series(s, m)
-
-    chi._series = counted
-    return calls
-
-
-def test_tensor_norm_makes_one_series_call_per_point():
-    F = _cutoff_bubble()
-    calls = _count_series_calls(F)
+    chain = chi.chain
+    chi.chain = lambda m, s: calls.append((m, np.shape(s))) or chain(m, s)
     pts = F.center + 0.4 * np.random.default_rng(2).uniform(-1, 1, (200, 7))
     norm = F.tensor_norm(4, pts)
-    assert len(calls) == 200 and set(calls) == {4}
+    assert calls == [(4, (200,))]
     assert np.all(np.isfinite(norm)) and np.any(norm > 0)
+
+
+def test_product_chain_matches_the_leibniz_rule():
+    """The Taylor product of a cutoff and a rational factor against the
+    Leibniz sum of C(m, j) G_1^(j) G_2^(m-j) over the factors' own chains,
+    to 1e-14 of max |G^(m)| (the two orders of summation round apart)."""
+    from math import comb
+
+    from polybubble.fields import ProductProfile
+
+    chi, (r1, r2) = cutoff_profile(), (0.9, 0.1)
+    rat = RationalProfile(make_bubble(7, 2), bubble_constant(7, 2))
+    s, M = np.linspace(0.0, 1.0, 201), 6
+    got = ProductProfile([(chi, r1), (rat, r2)]).chain(M, s)
+    a = [g / r1 ** (2 * j) for j, g in enumerate(chi.chain(M, s / r1**2))]
+    b = [g / r2 ** (2 * j) for j, g in enumerate(rat.chain(M, s / r2**2))]
+    for m in range(M + 1):
+        want = sum(comb(m, j) * a[j] * b[m - j] for j in range(m + 1))
+        assert np.abs(got[m] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_point_batch_computes_each_column_power_once():
+    F = _kernel_translation()
+    pts = np.random.default_rng(3).normal(size=(4, F.n))
+    batch = PointBatch(F, pts)
+    p = batch.power(2, 3)
+    assert batch.power(2, 3) is p
+    np.testing.assert_array_equal(p, batch.z[:, 2] ** 3)
+    F.partial((2, 2), batch)
+    assert batch.power(2, 3) is p
 
 
 @pytest.mark.parametrize("make", [lambda: _radial_bubble(7, 2),

@@ -13,7 +13,6 @@ import pytest
 
 from polybubble import pohozaev
 from polybubble.fields import RadialTermField, RationalProfile
-from polybubble.jets import fd_laplacian_iter, fd_partial
 from polybubble.pohozaev import (MultiPoly, PolynomialJet, _Axial, _axial_form,
                                  _moment, e_operator,
                                  manufactured_dirichlet, pohozaev_lhs,
@@ -22,6 +21,8 @@ from polybubble.pohozaev import (MultiPoly, PolynomialJet, _Axial, _axial_form,
 from polybubble.quadrature import (Ball, BallMinusBalls, SphereSurface,
                                    integrate_surface, sphere_area)
 from polybubble.radial import bubble_constant, critical_exponent, make_bubble
+
+from fd_oracles import fd_laplacian_iter, fd_partial
 
 
 # -- polynomial engine ---------------------------------------------------------
