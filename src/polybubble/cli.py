@@ -277,9 +277,14 @@ def cmd_solve(ns: argparse.Namespace) -> int:
                   run_manifest(params, grid, d_seed, ns.rtol,
                                extra={"flag": flag}))
     _write_manifest(ns)
+    if flag == "fold":
+        where = (f"after mu = {points[-1].mu_param:g}" if points
+                 else f"at mu = {grid[0]:g}")
+        print(f"continuation lost the branch {where}", file=sys.stderr)
+        return EXIT_ACCURACY
     sups = [b.sup_norm for b in points]
     monotone = all(b > a for a, b in zip(sups, sups[1:]))
-    return EXIT_OK if (flag == "complete" and monotone) else EXIT_VERIFICATION
+    return EXIT_OK if monotone else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,16 @@ from them, falling back to a halved Newton step; continuation predicts
 each grid point by cubic Hermite interpolation in (log|mu|, log|d|)
 through the last two points and their exact tangents dd/dmu.  Converged
 solutions are checked against an independent re-integration by ODEPACK's
-LSODA (variable-order Adams/BDF, compiled step loop).
+LSODA (variable-order Adams/BDF, compiled step loop), from the same series
+at its own radius 1e-6, the grid's first point.
+
+A shot starts from the even power series of the whole block at the
+origin (one recursion in s = r^2, summed until in every column the last
+term is below 1e-17 of the largest): for k = 1 at 0.3 mu_d, mu_d =
+|d_0|^{-2/(n-2k)} the bubble scale, so the steps begin at the scale of the
+solution however concentrated it is, and grid points below that radius
+take their values from the series; for k >= 2 at most at 1e-6.
+
 The classical lower-order-coefficient convention maps to mu = -lambda, so the
 blow-up experiment runs mu upward toward 0 through negative values.
 
@@ -29,6 +38,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import DOP853, ODEintWarning, odeint
@@ -55,7 +65,10 @@ __all__ = [
     "run_manifest",
 ]
 
-_EPS0 = 1e-6       # Taylor start radius, removes the (n-1)/r singularity
+_EPS0 = 1e-6       # first grid point, and the verifier's start radius
+_START_SCALE = 0.3  # a shot starts at this fraction of the bubble scale
+_START_TAIL = 1e-17  # last start-series term, relative to its column's largest
+_START_TERMS = 16   # start-series terms beyond which the start radius is halved
 _BLOW_CAP = 1e9
 _DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
 _VERIFY_RTOL = 1e-13  # LSODA verifier tolerance, tighter than any shot
@@ -160,7 +173,10 @@ def _rhs(params: ProblemParams, cols: int):
 
     def rhs(r, y):
         v0 = float(y[0])
-        a = abs(v0) ** (ts - 2.0)
+        try:
+            a = abs(v0) ** (ts - 2.0)
+        except OverflowError:
+            raise IntegrationBlowUp(r) from None
         A = A1 * (1.0 / r)
         A += A0
         A[-1, 0] -= (ts - 1.0) * a
@@ -201,38 +217,150 @@ def _state_rhs(params: ProblemParams):
     return rhs
 
 
-def _taylor_start(params: ProblemParams, d, eps):
-    """4-term even Taylor expansion at the origin fixing y(eps), as the full
-    (2k, _block_cols(k)) block: column 0 is y(eps), the others its
-    closed-form derivatives in d and mu.  The coefficients c2, c4 are linear
-    in w = (d, N(d_0) - mu d_p) and in F2 = N'(d_0) c2_0 - mu c2_p, so each
-    row carries its derivatives once those of w and F2 are known."""
+@dataclass
+class _Start:
+    """The even series of the block at the origin, v_i = sum_j c_{i,j} s^j,
+    s = r^2, stored as coef[j, i, col] = c_{i,j} scale^(2j+2i) / amp, so that
+    coefficient j multiplies (r / scale)^(2j).  amp and scale are the powers
+    of 2 just above |d_0| and the bubble scale mu_d = |d_0|^{-2/(n-2k)} (at
+    most 1): the coefficients of a bubble stay of order one however large
+    d_0 is, and the scaling is exact, so every coefficient has the bits of
+    the unscaled recursion.  base holds the constant terms c_{i,0}: d and
+    the identity in d."""
+    coef: np.ndarray  # (terms, k, cols)
+    base: np.ndarray  # (k, cols)
+    amp: float
+    scale: float
+    eps: float  # the series holds to _START_TAIL for r <= eps
+    r0: float   # the shots' start radius
+
+    def __call__(self, r):
+        """The block (2k, cols, len(r)) at the radii r <= eps, summed term
+        by term in increasing order."""
+        x = np.asarray(r, float) / self.scale
+        j = np.arange(1, len(self.coef))[:, None, None, None]
+        even = np.cumprod(np.broadcast_to(x * x, (len(j),) + x.shape), axis=0)
+        odd = np.concatenate([x[None], x * even[:-1]])  # x^(2j-1)
+        fac = self.amp * self.scale ** (-2.0 * np.arange(len(self.base)))[:, None, None]
+        c = self.coef[1:, ..., None]
+        terms = np.zeros((2, len(j) + 1) + self.base.shape + x.shape)
+        terms[0, 0] = self.base[..., None]
+        terms[0, 1:] = c * even[:, None, None] * fac
+        terms[1, 1:] = (2 * j * c) * odd[:, None, None] * (fac / self.scale)
+        v, dv = np.add.accumulate(terms, axis=1)[:, -1]  # in order of j
+        Y = np.empty((2 * len(v),) + v.shape[1:])
+        Y[0::2], Y[1::2] = v, dv
+        return Y
+
+
+@lru_cache(maxsize=None)
+def _jet_product(k: int) -> np.ndarray:
+    """The product of two jets over the block's columns (value, first
+    derivatives in d and mu, second derivatives in d_i d_j) as a
+    (cols^2, cols) matrix acting on the flattened outer product of their
+    columns: (XY)_ij = X Y_ij + X_ij Y + X_i Y_j + X_j Y_i."""
+    cols = _block_cols(k)
+    M = np.zeros((cols, cols, cols))
+    for c in range(cols):
+        M[0, c, c] = M[c, 0, c] = 1.0
+    M[0, 0, 0] = 1.0
+    for c, (i, j) in enumerate(zip(*np.triu_indices(k)), start=k + 2):
+        M[1 + i, 1 + j, c] += 1.0
+        M[1 + j, 1 + i, c] += 1.0
+    M.flags.writeable = False
+    return M.reshape(cols * cols, cols)
+
+
+def _taylor_start(params: ProblemParams, d) -> _Start:
+    """The start series of the full (2k, _block_cols(k)) block at shooting
+    data d, from one recursion in s = r^2.  -Delta s^j = -2j(2j+n-2) s^{j-1}
+    gives c_{i,j} = -c_{i+1,j-1} / (2j(2j+n-2)) for i < k-1, and for the
+    last component the s-coefficients of N(v_0) - mu v_p, N(v) =
+    |v|^{2#-2} v, with those of N(v_0) from the power recurrence
+    j a_0 b_j = sum_{i<=j} (2# i - j) a_i b_{j-i} (b = N(a)).  Every column
+    obeys the same recursion: the products act on jets over the block's
+    columns (value, the first derivatives in d and mu, the second
+    derivatives in d_i d_j), so the recurrence carries the derivative
+    columns with it, and the d/dmu column gets the forcing -v_p.
+
+    The terms run, at most _START_TERMS of them, until in every column the
+    last one is below _START_TAIL times the largest (for the state, about
+    1e-17 |d_0|) at the radius _START_SCALE mu_d; while that fails, the
+    radius is halved.  For the bubble (1 + a s/mu_d^2)^{-(n-2k)/2} term j
+    is of size (a s/mu_d^2)^j, so at 0.3 mu_d this takes 9 to 15 terms for
+    k = 1, n = 12 ... 3.  When d_0 = 0, N(v_0) = O(s^{2#-1}) has no power
+    series and is left out: the state is then 0 for k = 1, and the k >= 2
+    shots start at most at _EPS0, where N(v_0) is far below rounding.  A
+    bubble scale below about 1e-150, where |d_0|^{2#-2} overflows, raises
+    IntegrationBlowUp.
+
+    k = 1 shots start at the series' radius.  For k >= 2 the data d_1, ...
+    and mu set scales of their own, and the second-order columns of a
+    stiff shot (mu = -3000) lose digits when the integration starts near
+    mu_d, so those shots start at most at _EPS0."""
     n, k, p, mu = params.n, params.k, params.p, params.mu
     ts = params.two_sharp
-    a = abs(d[0]) ** (ts - 2.0)
-    N1 = (ts - 1.0) * a
-    N2 = N1 * (ts - 2.0) / d[0] if d[0] != 0.0 else 0.0
-    N3 = N2 * (ts - 3.0) / d[0] if d[0] != 0.0 else 0.0
-    dmu, dd = k + 1, k + 2  # the d/dmu column and the (0, 0) column
-    W = np.zeros((k + 1, _block_cols(k)))
-    W[:k, 0] = d
-    W[:k, 1:k + 1] = np.eye(k)
-    W[k, 0] = a * d[0] - mu * d[p]
-    W[k, 1 + p] -= mu
-    W[k, 1] += N1
-    W[k, dmu] = -d[p]
-    W[k, dd] = N2
-    C2 = -W[1:] / (2.0 * n)
-    F2 = N1 * C2[0] - mu * C2[p]
-    F2[1] += N2 * C2[0, 0]
-    F2[dmu] -= C2[p, 0]
-    F2[dd:dd + k] += N2 * C2[0, 1:k + 1]  # the (0, j) columns
-    F2[dd] += N2 * C2[0, 1] + N3 * C2[0, 0]
-    C4 = -np.vstack([C2[1:], F2]) / (4.0 * (n + 2))
-    Y = np.empty((2 * k, _block_cols(k)))
-    Y[0::2] = W[:k] + C2 * eps**2 + C4 * eps**4
-    Y[1::2] = 2 * C2 * eps + 4 * C4 * eps**3
-    return Y
+    cols = _block_cols(k)
+    d = np.asarray(d, float)
+    d0 = float(d[0])
+    mu_d = max(1.0, abs(d0)) ** (-2.0 / (n - 2 * k))
+    amp = math.ldexp(1.0, math.frexp(abs(d0) or 1.0)[1])
+    scale = math.ldexp(1.0, math.frexp(mu_d)[1])
+    try:  # |d_0|^{2#-2} scale^{2k}, within a factor 4^k of 1 unless mu_d = 1
+        g = abs(d0) ** (ts - 2.0) * scale ** (2 * k)
+    except OverflowError:
+        raise IntegrationBlowUp(0.0) from None
+    prod = _jet_product(k)
+
+    def mul(X, Y):
+        """Product of jets over the columns, on the last axis."""
+        return (X[..., :, None] * Y[..., None, :]).reshape(X.shape[:-1] + (-1,)) @ prod
+
+    def tail(sig, j):
+        """The largest ratio of a column's term j to its largest term, at
+        (r / scale)^2 = sig."""
+        terms = size[:j + 1] * (sig ** np.arange(j + 1))[:, None]
+        big = terms.max(axis=0)
+        return np.max(terms[j] / np.where(big > 0, big, 1.0))
+
+    C = np.zeros((_START_TERMS + 1, k, cols))
+    size = np.empty((_START_TERMS + 1, cols))  # max_i |c_{i,j}| per column
+    C[0, :, 0] = d * scale ** (2.0 * np.arange(k)) / amp
+    C[0, range(k), range(1, k + 1)] = scale ** (2.0 * np.arange(k)) / amp
+    size[0] = np.abs(C[0]).max(axis=0)
+    B = np.zeros((_START_TERMS + 1, cols))  # the s-coefficients of N(v_0)
+    inv = np.zeros(cols)  # the jet 1 / c_{0,0}, left 0 (with B) when d_0 = 0
+    if d0:
+        x0, x1 = C[0, 0, 0], 1.0 / amp  # c_{0,0} and its derivative in d_0
+        B[0, 0], inv[0] = g * x0, 1.0 / x0
+        B[0, 1], inv[1] = (ts - 1.0) * g * x1, -x1 / x0**2
+        B[0, k + 2] = (ts - 1.0) * (ts - 2.0) * g * x1**2 / x0
+        inv[k + 2] = 2.0 * x1**2 / x0**3
+    mu_hat = mu * scale ** (2 * (k - p))
+    sig = (_START_SCALE * mu_d / scale) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, _START_TERMS + 1):
+            f = B[j - 1] - mu_hat * C[j - 1, p]
+            f[k + 1] -= scale ** (2 * (k - p)) * C[j - 1, p, 0]
+            C[j, :-1], C[j, -1] = C[j - 1, 1:], f
+            C[j] /= -2.0 * j * (2 * j + n - 2)
+            size[j] = np.abs(C[j]).max(axis=0)
+            if j >= 2 * k - 1 and tail(sig, j) < _START_TAIL:
+                break  # every column has started (column (k-1, k-1) at j = 2k-1)
+            w = ts * np.arange(1, j + 1) - j
+            B[j] = mul(w @ mul(C[1:j + 1, 0], B[j - 1::-1]), inv) / j
+        C = C[:j + 1]
+        t = tail(sig, j)
+        if not (np.all(np.isfinite(C)) and np.isfinite(t)):
+            raise IntegrationBlowUp(_START_SCALE * mu_d)
+        while t >= _START_TAIL:
+            sig /= 4
+            t = tail(sig, j)
+    eps = scale * math.sqrt(sig)
+    base = np.zeros((k, cols))
+    base[:, 0] = d
+    base[range(k), range(1, k + 1)] = 1.0
+    return _Start(C, base, amp, scale, eps, eps if k == 1 else min(eps, _EPS0))
 
 
 @dataclass
@@ -403,32 +531,41 @@ def _boundary_derivatives(params: ProblemParams, y_end):
 
 def _integrate(params: ProblemParams, d, rtol: float, grid,
                variational: bool = False):
-    """Integrate the radial system from the Taylor start at shooting data d
+    """Integrate the radial system from the start series at shooting data d
     to r = 1 with the DOP853 loop solve_ivp, with the variational columns
-    when asked.
+    when asked.  The integration starts at the series' radius eps, and the
+    grid points at or below eps take their values from the series.
 
-    Returns (block at r = 1, state sampled on grid from the dense output of
-    the steps that hold grid points); raises IntegrationBlowUp with the
-    escape radius, the root of the terminal event max|state| = cap, or the
-    last radius reached when the step size underflows.  The variational
-    columns get atol = inf, so only the state enters step control; the
-    state's rtol and atol are scaled by 1/sqrt(cols) to cancel the RMS
-    error norm over all components, which keeps the steps those of the
-    state alone.  rtol is clamped to _RTOL_FLOOR.
+    Returns (block at r = 1, state sampled on grid); raises
+    IntegrationBlowUp with the escape radius, the root of the terminal event
+    max|state| = cap, or the last radius reached when the step size
+    underflows, or where a float overflows.  The variational columns get
+    atol = inf, so only the state enters step control; the state's rtol and
+    atol are scaled by 1/sqrt(cols) to cancel the RMS error norm over all
+    components, which keeps the steps those of the state alone.  rtol is
+    clamped to _RTOL_FLOOR.
     """
-    Y0 = _taylor_start(params, d, _EPS0)
+    start = _taylor_start(params, d)
+    eps = start.r0
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y0 = start([eps])[..., 0]
     if not variational:
         Y0 = Y0[:, :1]
+    if not np.all(np.isfinite(Y0)):
+        raise IntegrationBlowUp(eps)
+    inside = np.searchsorted(grid, eps, side="right")
     cols = Y0.shape[1]
     cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(Y0[:, 0])))
     scale = cols ** -0.5
     atol = np.full_like(Y0, np.inf)
     atol[:, 0] = scale * rtol * max(1.0, np.max(np.abs(d)))
-    run = solve_ivp(_rhs(params, cols), (_EPS0, 1.0), Y0.ravel(),
-                    max(scale * rtol, _RTOL_FLOOR), atol.ravel(), grid, cap, cols)
+    run = solve_ivp(_rhs(params, cols), (eps, 1.0), Y0.ravel(),
+                    max(scale * rtol, _RTOL_FLOOR), atol.ravel(), grid[inside:],
+                    cap, cols)
     if run.status != 0:
         raise IntegrationBlowUp(run.t)
-    return run.y.reshape(Y0.shape), run.y_grid
+    y_grid = np.hstack([start(grid[:inside])[:, 0], run.y_grid])
+    return run.y.reshape(Y0.shape), y_grid
 
 
 def shoot(params: ProblemParams, d, rtol: float = 1e-10):
@@ -474,23 +611,33 @@ def _square_integral(n: int, rr, v, dv, m: int) -> float:
 def collocation_check(params: ProblemParams, solution: RadialSolution) -> float:
     """Relative sup difference of u against an independent LSODA
     re-integration (scipy odeint, rtol _VERIFY_RTOL) of the same shooting
-    data, output directly on the solution's grid, which starts at the Taylor
-    start radius; inf when LSODA does not report success or its output is
-    not finite, as when the re-integration blows up before r = 1.  LSODA
-    may take _VERIFY_MXSTEP steps per grid cell, which a bubble core
-    narrower than a cell needs.  It integrates the state alone with the
-    plain-float rhs _state_rhs, so it shares neither integrator nor rhs
-    code with the shots it checks."""
-    y0 = _taylor_start(params, solution.d, _EPS0)[:, 0]
+    data, output directly on the solution's grid; inf when LSODA does not
+    report success, a float overflows or its output is not finite, as when
+    the re-integration blows up before r = 1.  It starts from the start
+    series at its own radius _EPS0, the grid's first point (at half the
+    shots' radius when that is smaller), so it shares no start state with
+    the shots.  LSODA may take _VERIFY_MXSTEP steps per grid cell, which a
+    bubble core narrower than a cell needs.  It integrates the state alone
+    with the plain-float rhs _state_rhs, so it shares neither integrator nor
+    rhs code with the shots it checks."""
+    try:
+        start = _taylor_start(params, solution.d)
+    except IntegrationBlowUp:
+        return float("inf")
+    r0 = min(_EPS0, 0.5 * start.r0)
+    t = solution.r if r0 == solution.r[0] else np.concatenate([[r0], solution.r])
     atol = _VERIFY_RTOL * max(1.0, float(np.max(np.abs(solution.d))))
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", ODEintWarning)
-        Y, info = odeint(_state_rhs(params), y0, solution.r, rtol=_VERIFY_RTOL,
-                         atol=atol, tfirst=True, full_output=True,
-                         mxstep=_VERIFY_MXSTEP)
+        try:
+            Y, info = odeint(_state_rhs(params), start([r0])[:, 0, 0], t,
+                             rtol=_VERIFY_RTOL, atol=atol, tfirst=True,
+                             full_output=True, mxstep=_VERIFY_MXSTEP)
+        except OverflowError:
+            return float("inf")
     if info["message"] != "Integration successful." or not np.all(np.isfinite(Y)):
         return float("inf")
-    diff = np.abs(Y[:, 0] - solution.v[0])
+    diff = np.abs(Y[-len(solution.r):, 0] - solution.v[0])
     return float(np.max(diff) / max(solution.sup_norm, 1e-300))
 
 
@@ -523,9 +670,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     when that residual is not below _MAX_RESIDUAL (as near
     u = 0, where the absolute mismatch test passes).  A step that would
     move u(0) across zero is not shot, so the solve stays on the sign of
-    its start; nor is one whose bubble core would sit inside the Taylor
-    start radius _EPS0, which the shot resolves only with a very slow
-    integration.  rtol must be finite and at least _RTOL_FLOOR, below which
+    its start.  rtol must be finite and at least _RTOL_FLOOR, below which
     the shots' tolerance is clamped and the mismatch test could never
     pass."""
     if not (math.isfinite(rtol) and rtol >= _RTOL_FLOOR):
@@ -535,15 +680,10 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     def shot(dd):
         return shoot(params, dd, rtol=min(1e-10, rtol))
 
-    # log of the center value whose flat profile has scale _EPS0
-    log_core = -0.5 * (params.n - 2 * params.k) * math.log(_EPS0)
-
     def improve(dd, base):
-        """The shot at dd when it keeps the sign of u(0), puts the flat
-        profile's scale |u(0)|^{-2/(n-2k)} at or above the Taylor start
-        radius, reaches r = 1 and has a mismatch below base; else None."""
-        if (d[0] * dd[0] < 0 or not np.all(np.isfinite(dd))
-                or dd[0] != 0 and math.log(abs(dd[0])) > log_core):
+        """The shot at dd when it keeps the sign of u(0), reaches r = 1 and
+        has a mismatch below base; else None."""
+        if d[0] * dd[0] < 0 or not np.all(np.isfinite(dd)):
             return None  # no shot
         try:
             F_new, sol_new = shot(dd)
@@ -731,7 +871,10 @@ def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> st
     d = {"n": params.n, "k": params.k, "p": params.p,
          "mu_grid": list(map(float, mu_grid)),
          "d_seed": list(map(float, np.atleast_1d(d_seed))),
-         "rtol": rtol, "taylor_start": _EPS0, "blow_cap": _BLOW_CAP,
+         "rtol": rtol,
+         "taylor_start": {"radius": f"{_START_SCALE} |d_0|^(-2/(n-2k))",
+                          "tail": _START_TAIL, "verifier_radius": _EPS0},
+         "blow_cap": _BLOW_CAP,
          "integrator": "dop853-adaptive", "jacobian": "variational",
          "verifier": "lsoda",
          "verifier_rtol": _VERIFY_RTOL,

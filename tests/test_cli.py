@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -241,6 +242,42 @@ def test_solve_default_seed_from_bubble_scale(tmp_path, n):
     assert len(lines) == 6
     u0 = {5: 623.98, 10: 2.2013e6}[n]
     assert float(lines[1].split(",")[1]) == pytest.approx(u0, rel=1e-4)
+
+
+def test_solve_n3_default_grid_has_no_positive_branch(tmp_path, capsys):
+    """In B^3 a positive solution needs lambda = -mu in (pi^2/4, pi^2)
+    (Brezis-Nirenberg 1983), so none exists on the default grid: solve
+    exits 3 with one line.  A 4-term start series at r = 1e-6 once gave a
+    false branch there, with u(0) = 523."""
+    assert run_cli(["solve", "--n", "3"], tmp_path)[0] == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_solve_n3_follows_the_real_branch(tmp_path):
+    """From d = 1.4 the n = 3 branch on lambda = 9 ... 2.48 completes, and
+    u(0) grows toward the blow-up at lambda = pi^2/4, reaching 46.0949 at
+    lambda = 2.48."""
+    grid = [-9, -7, -5, -3.5, -3, -2.7, -2.55, -2.5, -2.48]
+    cfg = write_config(tmp_path, {"d_seed": [1.4], "mu_grid": grid})
+    code, out = run_cli(["--config", cfg, "solve", "--n", "3"], tmp_path)
+    assert code == 0
+    lines = open(os.path.join(out, "solve", "branch.csv")).read().splitlines()
+    u0 = [float(line.split(",")[1]) for line in lines[1:]]
+    assert len(u0) == len(grid) and all(b > a for a, b in zip(u0, u0[1:]))
+    assert u0[-1] == pytest.approx(46.094939, rel=1e-7)
+
+
+def test_solve_n4_ends_cleanly(tmp_path, capsys):
+    """n = 4 once ended in an OverflowError traceback (exit 1).  A float
+    overflow now ends a shot as a blow-up, and a branch that Newton loses
+    exits 3 with one line; either way within 60 s."""
+    start = time.perf_counter()
+    code, _ = run_cli(["solve", "--n", "4"], tmp_path)
+    assert time.perf_counter() - start < 60
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (code, len(err.strip().splitlines())) in ((0, 0), (3, 1))
 
 
 def test_solve_seed_newton_failure_is_accuracy_failure(tmp_path, capsys,
