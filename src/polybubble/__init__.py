@@ -13,10 +13,9 @@ from .radial import (RadialFunction, ExactCheckResult,
                      critical_exponent, make_bubble, laplacian,
                      radial_derivative, power_reduce, check_bubble_identity)
 from .quadrature import (Ball, HalfBall, SphereSurface, BallMinusBalls,
-                         TruncatedSpace, Singularity, QuadratureResult,
-                         AccuracyError, integrate_radial, integrate_volume,
-                         integrate_surface, integrate_axisymmetric,
-                         sphere_area, ball_volume)
+                         Singularity, QuadratureResult, AccuracyError,
+                         integrate_radial, integrate_volume, integrate_surface,
+                         integrate_axisymmetric, sphere_area, ball_volume)
 from .bubbles import (BubbleSpec, CutoffSpec, TensorSpec, BallChart,
                       theta, positive_bubble, eval_V, bubble_field,
                       bubble_jet, check_decay, kernel_elements, compute_IA,

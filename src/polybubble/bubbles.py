@@ -10,12 +10,11 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import integrate as _sg
 
 from .fields import (ProductProfile, RadialTermField, RationalProfile,
                      cutoff_profile)
 from .jets import Jet
-from .quadrature import Ball, row_sq_norms, sphere_area
+from .quadrature import Ball, integrate_radial, row_sq_norms
 from .radial import (RadialFunction, bubble_constant,
                      make_bubble, radial_derivative)
 
@@ -329,12 +328,6 @@ class TensorSpec:
             raise ValueError("p = 0 tensors are scalars")
 
 
-def _radial_moment(h) -> float:
-    """int_0^inf h(r) dr by adaptive quadrature."""
-    val, _ = _sg.quad(h, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
-    return val
-
-
 def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
                half_space: bool = False, mu: float = 1.0) -> float:
     """int A_p(grad^p u, grad^p u) for u the (mu-rescaled) standard bubble,
@@ -364,12 +357,11 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
     def g2(r):
         return amp / mu**2 * B2(r / mu, a)
 
-    area = sphere_area(n)
     if p == 0:
         lam = float(tensor.data)
-        val = lam * area * _radial_moment(lambda r: g0(r) ** 2 * r ** (n - 1))
+        val = lam * integrate_radial(lambda r: g0(r) ** 2, np.inf, n).value
     elif p == 1:
-        m1 = area * _radial_moment(lambda r: g1(r) ** 2 * r ** (n - 1))
+        m1 = integrate_radial(lambda r: g1(r) ** 2, np.inf, n).value
         if tensor.kind == "iso":
             val = float(tensor.data) * m1
         else:
@@ -380,9 +372,9 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
     else:  # p == 2
         if tensor.kind == "iso":
             lam = float(tensor.data)
-            val = lam * area * _radial_moment(
-                lambda r: (g2(r) ** 2 + (n - 1) * (g1(r) / r) ** 2) * r ** (n - 1)
-                if r > 0 else 0.0)
+            val = lam * integrate_radial(
+                lambda r: g2(r) ** 2 + (n - 1) * (g1(r) / r) ** 2 if r > 0 else 0.0,
+                np.inf, n).value
         else:
             aij = np.asarray(tensor.data, float)
             if aij.shape != (n, n):
@@ -397,9 +389,9 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
                 C = g1(r) / r
                 term_off = off * A**2 / (n * (n + 2))
                 term_dia = dia * (3 * A**2 / (n * (n + 2)) + 2 * A * C / n + C**2)
-                return (term_off + term_dia) * r ** (n - 1)
+                return term_off + term_dia
 
-            val = area * _radial_moment(integrand)
+            val = integrate_radial(integrand, np.inf, n).value
     return 0.5 * val if half_space else val
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Taylor, as_points
-from .quadrature import (Ball, TruncatedSpace, _sphere_rule,
-                         integrate_axisymmetric, row_sq_norms)
+from .quadrature import (Ball, HalfBall, _sphere_rule, integrate_axisymmetric,
+                         row_sq_norms)
 
 __all__ = [
     "SingularPointError",
@@ -107,7 +107,6 @@ class HalfSpaceBump:
         self.center = np.zeros(n)
         self.center[0] = 0.6
         self.support_radius = float(np.linalg.norm(self.center) + self.radius)
-        self.tail_bound = 0.0
         self.feature_balls = [Ball(tuple(self.center), self.radius)]
 
     def value(self, x):
@@ -129,8 +128,6 @@ class GaussianXPow:
         self.center = np.zeros(n)
         self.center[0] = shift
         self.support_radius = _GAUSS_CUT + abs(shift)
-        # crude analytic tail bound for the norm integrals beyond the cut
-        self.tail_bound = math.exp(-(_GAUSS_CUT**2)) * self.support_radius ** (2 * k + n)
         self.feature_balls = [Ball(tuple(self.center), 1.5),
                               Ball(tuple(self.center), 3.0)]
 
@@ -202,8 +199,9 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
     (-D)^{k/2} means grad (-Delta)^{(k-1)/2} for odd k.  The integrand is
     (Delta^m u)^2 for k = 2m and |grad Delta^m u|^2 for k = 2m + 1, taken
     exactly from order-k Taylor expansions of the profile and of its
-    transform along a direction rule (_taylor_derivative); each integral is
-    done independently on its own side.
+    transform along a direction rule (_taylor_derivative).  Each side is
+    done independently on its own rule, both integrands of a side as one
+    stack.
     """
     cm = CayleyMap(n)
     two_sharp = 2.0 * n / (n - 2 * k)
@@ -213,8 +211,7 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
         return cm.cayley_transform(u, k, y)
 
     ball = Ball((0.0,) * n, 1.0)
-    half = TruncatedSpace(n, u.support_radius, half=True,
-                          tail_bound=getattr(u, "tail_bound", 0.0))
+    half = HalfBall((0.0,) * n, u.support_radius)
     axis = (np.zeros(n), e1)
 
     # feature spheres on the half-space side map to spheres on the ball side
@@ -231,23 +228,19 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
         if rad > 1e-12:
             feats_ball.append(Ball(tuple(ctr), rad))
 
-    def pair(f_ball, f_half):
-        """Both sides' integrals, each on its own rule, and their relative
-        difference."""
-        qopt = dict(n_phi=20, n_rho=20)
-        lhs = integrate_axisymmetric(f_ball, ball, *axis,
-                                     feature_balls=feats_ball, **qopt).value
-        rhs = integrate_axisymmetric(f_half, half, *axis,
-                                     feature_balls=feats_half, **qopt).value
-        return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    def side(f, domain, feats):
+        """[critical, derivative] integrals of the profile f over domain."""
+        def rows(x):
+            d = _taylor_derivative(f, x, k)
+            return np.stack([np.abs(f(x)) ** two_sharp,
+                             row_sq_norms(d) if k % 2 else d * d])
+        return integrate_axisymmetric(rows, domain, *axis, feature_balls=feats,
+                                      n_phi=20, n_rho=20).value
 
-    def deriv_sq(f, pts):
-        d = _taylor_derivative(f, pts, k)
-        return row_sq_norms(d) if k % 2 else d * d
-
-    crit = pair(lambda y: np.abs(ustar(y)) ** two_sharp,
-                lambda x: np.abs(u.value(x)) ** two_sharp)
-    deriv = pair(lambda y: deriv_sq(ustar, y), lambda x: deriv_sq(u.value, x))
+    lhs = side(ustar, ball, feats_ball)
+    rhs = side(u.value, half, feats_half)
+    crit, deriv = ((a, b, abs(a - b) / max(abs(b), 1e-300))
+                   for a, b in zip(lhs.tolist(), rhs.tolist()))
     return {
         "critical": crit,
         "derivative": deriv,

@@ -1,5 +1,5 @@
-"""Integration engine for balls, half-balls, spheres, punctured regions and
-truncated (half-)space, with declared point singularities |x-x0|^{-sigma}.
+"""Integration engine for balls, half-balls, spheres and punctured regions,
+with declared point singularities |x-x0|^{-sigma}.
 
 Volume integrals: an axisymmetric 2-D reduction when the caller certifies
 symmetry about a line through the relevant centers, otherwise scrambled Sobol
@@ -8,6 +8,11 @@ peaked point (8 independent replicates, spread twice their standard
 deviation).  Sphere integrals: one product Gauss rule, cut to its polar
 factor for axisymmetric integrands, or Sobol directions for n >= 5.
 integrate_radial is the 1-D rule for radial integrands.
+
+The volume and sphere integrators also take an integrand that returns an
+(r, m) stack of rows for m points: each row is reduced along the last axis
+exactly as a scalar integrand is, so one call on a stack gives, bit for bit,
+the values and error estimates of r separate calls on one rule.
 
 Deterministic tensor grids are infeasible for n in [7, 12], hence the QMC
 fallback; all QMC results are reproducible bit-for-bit for a fixed seed.
@@ -31,7 +36,6 @@ __all__ = [
     "HalfBall",
     "SphereSurface",
     "BallMinusBalls",
-    "TruncatedSpace",
     "QuadratureResult",
     "sphere_area",
     "ball_volume",
@@ -214,34 +218,13 @@ class BallMinusBalls:
         return self.outer.enclosing()
 
 
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """Ball of radius r_max about the origin, optionally cut to {x_1 > 0}."""
-
-    dim_n: int
-    r_max: float
-    half: bool = False
-    singularities: tuple = ()
-    tail_bound: float = 0.0  # caller-supplied analytic bound on the tail
-
-    @property
-    def dim(self):
-        return self.dim_n
-
-    def contains(self, x):
-        mask = np.sum(x**2, axis=-1) <= self.r_max**2
-        if self.half:
-            mask &= x[..., 0] > 0
-        return mask
-
-    def enclosing(self):
-        return np.zeros(self.dim_n), self.r_max
-
-
 @dataclass
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    """value and error_estimate are floats for a scalar integrand and arrays
+    of the stack's leading shape for a stacked one."""
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     method: str
     samples_used: int = 0
 
@@ -249,12 +232,26 @@ class QuadratureResult:
         return float(self.value)
 
 
+def _rows(a):
+    """A reduced integrand: a float for a scalar integrand, the array of
+    row results for a stack."""
+    a = np.asarray(a, float)
+    return float(a) if a.ndim == 0 else a
+
+
 def _refuse_unmet(res: QuadratureResult, tol: float | None) -> QuadratureResult:
-    """res, or AccuracyError when its error estimate exceeds tol * |value|."""
-    if tol is not None and res.error_estimate > tol * max(abs(res.value), 1e-300):
+    """res, or AccuracyError when the error estimate of any row exceeds
+    tol * |value|; the message names the row furthest over."""
+    if tol is None:
+        return res
+    err, val = np.ravel(res.error_estimate), np.ravel(res.value)
+    over = err - tol * np.maximum(np.abs(val), 1e-300)
+    bad = np.flatnonzero(over > 0)
+    if bad.size:
+        i = bad[np.argmax(over[bad])]
         raise AccuracyError(
-            f"{res.method} error {res.error_estimate:.3e} exceeds "
-            f"tol*|value| = {tol * abs(res.value):.3e}", res)
+            f"{res.method} error {err[i]:.3e} exceeds "
+            f"tol*|value| = {tol * abs(val[i]):.3e}", res)
     return res
 
 
@@ -429,8 +426,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     o_xi = (origin - c_enc) @ d  # signed axis offset from enclosing center
     rho_max_global = r_enc + abs(o_xi)
 
-    half = isinstance(domain, HalfBall) or (
-        isinstance(domain, TruncatedSpace) and domain.half)
+    half = isinstance(domain, HalfBall)
     if half and abs(abs(d[0]) - 1.0) > 1e-12:
         raise ValueError("half domains need the symmetry axis along e_1")
 
@@ -510,12 +506,12 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
         pts += origin
         vals = np.asarray(f(pts), float)
         jac = rho ** (n - 1) * (sin_phi ** (n - 2))[node]
-        return float(np.sum(wt * vals * jac)), len(rho)
+        return np.sum(wt * vals * jac, axis=-1), len(rho)
 
     area = sphere_area(n - 1)
     fine, m_fine = build(n_phi, n_rho)
     coarse, m_coarse = build(max(4, (2 * n_phi) // 3), max(4, (2 * n_rho) // 3))
-    return QuadratureResult(area * fine, area * abs(fine - coarse),
+    return QuadratureResult(_rows(area * fine), _rows(area * abs(fine - coarse)),
                             "axisymmetric", m_fine + m_coarse)
 
 
@@ -540,11 +536,13 @@ def _sobol_directions(rng, m, n, lead=0):
     return u[:, :lead], dirs / norms
 
 
-def _replicate_result(reps, samples, tail=0.0) -> QuadratureResult:
-    """Mean of the replicate estimates; spread twice their standard deviation."""
-    reps = np.asarray(reps)
-    return QuadratureResult(float(np.mean(reps)),
-                            2.0 * float(np.std(reps, ddof=1)) + tail, "qmc", samples)
+def _replicate_result(reps, samples) -> QuadratureResult:
+    """Mean of the replicate estimates; spread twice their standard deviation.
+    A stack's replicates are kept as rows of (r, _REPLICATES), so each row is
+    reduced as a scalar integrand's replicates are."""
+    reps = np.stack(reps, axis=-1)
+    return QuadratureResult(_rows(np.mean(reps, axis=-1)),
+                            _rows(2.0 * np.std(reps, axis=-1, ddof=1)), "qmc", samples)
 
 
 def _component_samples(kind, m, n, rng, center, r_lo, r_hi):
@@ -577,7 +575,8 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
                      n_points: int = 2**13, axis=None) -> QuadratureResult:
     """Volume integral of f over the domain.
 
-    f maps an (m, n) point array to an (m,) array.  Declared singularities
+    f maps an (m, n) point array to an (m,) array, or to an (r, m) stack
+    whose rows are integrated on the same rule.  Declared singularities
     must match f's actual singular set (caller contract).  axis=(point,
     direction) certifies axial symmetry: integrate_axisymmetric.  Otherwise
     scrambled-Sobol mixture importance sampling.  An error estimate above
@@ -587,12 +586,9 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
     for s in getattr(domain, "singularities", ()):
         if s.order >= n:
             raise ValueError(f"singularity order {s.order} >= dimension {n}")
-    tail = getattr(domain, "tail_bound", 0.0)
 
     if axis is not None:
-        res = integrate_axisymmetric(f, domain, axis[0], axis[1])
-        res.error_estimate += tail
-        return _refuse_unmet(res, tol)
+        return _refuse_unmet(integrate_axisymmetric(f, domain, axis[0], axis[1]), tol)
 
     # QMC mixture importance sampling
     c_enc, r_enc = domain.enclosing()
@@ -618,12 +614,14 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
                 q += w[jj] * _component_pdf(k2, pts, n, c2, lo2, hi2)
             vals = np.zeros(len(pts))
             if inside.any():
-                vals[inside] = np.asarray(f(pts[inside]), float)
+                fin = np.asarray(f(pts[inside]), float)
+                vals = np.zeros(fin.shape[:-1] + vals.shape)
+                vals[..., inside] = fin
             with np.errstate(invalid="ignore"):
                 ratio = np.where(inside & (q > 0), vals / np.maximum(q, 1e-300), 0.0)
-            est += w[j] * float(np.mean(ratio))
+            est = est + w[j] * np.mean(ratio, axis=-1)
         reps.append(est)
-    res = _replicate_result(reps, _REPLICATES * len(comps) * m_per, tail)
+    res = _replicate_result(reps, _REPLICATES * len(comps) * m_per)
     return _refuse_unmet(res, tol)
 
 
@@ -684,18 +682,18 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
             if axial:
                 u = u[:, :1] * d + u[:, 1:] * e
             vals = np.asarray(f(c + R * u), float)
-            ests.append(float(np.sum(w * vals) / np.sum(w)) * sphere.area())
+            ests.append(np.sum(w * vals, axis=-1) / np.sum(w) * sphere.area())
             used += len(w)
         coarse, fine = ests
         method = "gauss-jacobi" if axial else "product-gauss"
         return _refuse_unmet(
-            QuadratureResult(fine, abs(fine - coarse), method, used), tol)
+            QuadratureResult(_rows(fine), _rows(abs(fine - coarse)), method, used), tol)
 
     reps = []
     for rep in range(_REPLICATES):
         _, dirs = _sobol_directions(np.random.default_rng([seed, rep]),
                                     _SURFACE_QMC_POINTS, n)
         vals = np.asarray(f(c + R * dirs), float)
-        reps.append(float(np.mean(vals)) * sphere.area())
+        reps.append(np.mean(vals, axis=-1) * sphere.area())
     return _refuse_unmet(
         _replicate_result(reps, _REPLICATES * _SURFACE_QMC_POINTS), tol)

@@ -104,18 +104,18 @@ def _centers(cfg: TreeConfig):
     return [b.center for b in cfg.bubbles]
 
 
-def _conv_integral(cfg: TreeConfig, x, expo: float, weight, peak_centers,
-                   hole: Ball | None = None, seed: int = 0) -> tuple[float, float]:
-    """int_domain |x-y|^{expo} * weight(y) dy with expo < 0.
+def _conv_integral(cfg: TreeConfig, x, expos, weight, peak_centers,
+                   hole: Ball | None = None, seed: int = 0):
+    """int_domain |x-y|^{expo} * weight(y) dy for each expo < 0 in expos, all
+    on one rule.
 
-    Declares the kernel singularity at x and the weight peaks; uses the
-    axisymmetric reduction when everything is collinear, QMC otherwise.
-    Returns (value, error_estimate).
+    Declares the kernel singularity at x, at the order of the most singular
+    kernel, and the weight peaks; uses the axisymmetric reduction when
+    everything is collinear, QMC otherwise.  Returns (values, error
+    estimates), one entry per expo, as lists of floats.
     """
     x = np.asarray(x, float)
-    n = cfg.n
-    sigma = -expo
-    sings = [Singularity(tuple(x), sigma, 0.0)]
+    sings = [Singularity(tuple(x), -min(expos), 0.0)]
     for (c, scale) in peak_centers:
         sings.append(Singularity(tuple(np.asarray(c, float)), 0.0, scale))
     base = cfg.domain
@@ -126,13 +126,14 @@ def _conv_integral(cfg: TreeConfig, x, expo: float, weight, peak_centers,
         dom = Ball(tuple(base.center), base.radius, singularities=tuple(sings))
 
     def f(y):
-        d = np.sqrt(row_sq_norms(y - x))
-        return np.maximum(d, 1e-300) ** expo * weight(y)
+        d = np.maximum(np.sqrt(row_sq_norms(y - x)), 1e-300)
+        w = weight(y)
+        return np.stack([d ** expo * w for expo in expos])
 
     res = _integrate_about(f, dom, base.center,
                            _centers(cfg) + [x] + [c for c, _ in peak_centers],
                            seed)
-    return res.value, res.error_estimate
+    return res.value.tolist(), res.error_estimate.tolist()
 
 
 def sample_x_points(cfg: TreeConfig, i: int, count: int = 6) -> list[np.ndarray]:
@@ -277,11 +278,13 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
         xs = params.get("x_points")
         if xs is None:
             xs = sample_x_points(cfg, i, count=params.get("x_count", 5))
+        # every l at one x on one rule: [(values, errors)] per x
+        per_x = [_conv_integral(cfg, x, [2 * k - n - l for l in ls], weight,
+                                peaks, hole=hole, seed=seed) for x in xs]
         rows = []
-        for l in ls:
-            for x in xs:
-                val, err = _conv_integral(cfg, x, 2 * k - n - l, weight, peaks,
-                                          hole=hole, seed=seed)
+        for li, l in enumerate(ls):
+            for x, (vals, errs) in zip(xs, per_x):
+                val, err = vals[li], errs[li]
                 rhs = rhs_at(l, x)
                 rows.append({"kind": kind, "i": i, "l": l,
                              "x_off": float(np.linalg.norm(x - b.center)),

@@ -138,7 +138,6 @@ def test_cayley_transform_of_bubble_composition():
 
 class _Zero:
     support_radius = 1.0
-    tail_bound = 0.0
 
     def value(self, x):
         return 0.0 * as_points(x)[:, 0]
@@ -160,6 +159,26 @@ def test_norm_invariance_profiles(n, k):
         rep = check_norm_invariance(u, n, k)
         assert rep["critical"][2] < 1e-5, type(u).__name__
         assert rep["derivative"][2] < 1e-5, type(u).__name__
+
+
+def test_norm_invariance_makes_one_call_per_side(monkeypatch):
+    """Each side's critical and derivative integrals come from one
+    integrate_axisymmetric call, as a stack of two rows."""
+    from polybubble import conformal
+
+    calls = []
+    integrate = conformal.integrate_axisymmetric
+
+    def spy(f, domain, *args, **kwargs):
+        res = integrate(f, domain, *args, **kwargs)
+        calls.append((type(domain).__name__, res.value.shape))
+        return res
+
+    monkeypatch.setattr(conformal, "integrate_axisymmetric", spy)
+    rep = check_norm_invariance(GaussianXPow(3, 1, shift=0.7), 3, 1)
+    assert calls == [("Ball", (2,)), ("HalfBall", (2,))]
+    assert rep["passed"] is True
+    assert all(isinstance(v, float) for v in rep["critical"] + rep["derivative"])
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])

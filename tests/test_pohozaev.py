@@ -588,6 +588,32 @@ def test_bubble_rhs_T1_vanishes():
     assert again == ((T1, T2, T3, T4), budget)
 
 
+@pytest.mark.parametrize("with_f", [False, True], ids=["axis", "qmc-with-f"])
+def test_rhs_quadrature_path_makes_one_volume_call(monkeypatch, with_f):
+    """T1, T3 and, with f, T4 come from one integrate_volume call on one
+    rule, as the rows of one stack."""
+    n, k = 5, 1
+    u = _bubble_field(n, k)
+    u.n = n
+    calls = []
+    integrate_volume = pohozaev.integrate_volume
+
+    def spy(fn, domain, **kw):
+        res = integrate_volume(fn, domain, **kw)
+        calls.append(res.value.shape)
+        return res
+
+    monkeypatch.setattr(pohozaev, "integrate_volume", spy)
+    f = _bubble_field(n, k) if with_f else None
+    opts = None if with_f else {"axis": (np.zeros(n), np.eye(n)[0])}
+    (T1, T2, T3, T4), _ = pohozaev_rhs(u, f, critical_exponent(n, k),
+                                       Ball((0.0,) * n, 1.0), 0.2 * np.eye(n)[0],
+                                       k, quad_opts=opts)
+    assert calls == [(3,) if with_f else (2,)]
+    assert (T4 != 0.0) == with_f
+    assert all(isinstance(t, float) for t in (T1, T2, T3, T4))
+
+
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
 def test_bubble_residual_quadrature_path(n, k):
     """The full identity for the exact bubble on the quadrature path: the

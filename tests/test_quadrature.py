@@ -13,7 +13,7 @@ import pytest
 import polybubble
 from polybubble.quadrature import (AccuracyError, Ball, BallMinusBalls,
                                    HalfBall, Singularity, SphereSurface,
-                                   TruncatedSpace, ball_volume,
+                                   ball_volume,
                                    integrate_axisymmetric, integrate_radial,
                                    integrate_surface, integrate_volume,
                                    row_sq_norms, sphere_area,
@@ -131,24 +131,12 @@ def test_axisymmetric_halfball():
 
 
 def test_truncated_half_space():
-    ts = TruncatedSpace(5, 2.0, half=True)
+    ts = HalfBall((0.0,) * 5, 2.0)
     f = lambda x: np.exp(-np.sum(x**2, axis=1))
     det = integrate_axisymmetric(f, ts, np.zeros(5), np.eye(5)[0])
     qmc = integrate_volume(f, ts, seed=3)
     assert qmc.value == pytest.approx(det.value,
                                       abs=3 * max(qmc.error_estimate, 1e-6))
-
-
-def test_truncated_space_tail_bound_propagates():
-    """Caller-supplied analytic tail bounds are added to the error."""
-    ts = TruncatedSpace(3, 2.0, half=False, tail_bound=0.5)
-    f = lambda x: np.exp(-np.sum(x**2, axis=1))
-    r = integrate_volume(f, ts, axis=(np.zeros(3), np.eye(3)[0]))
-    assert r.method == "axisymmetric" and r.error_estimate >= 0.5
-    exact = integrate_radial(lambda t: math.exp(-t * t), 2.0, 3).value
-    assert r.value == pytest.approx(exact, rel=1e-11)
-    rq = integrate_volume(f, ts, seed=0)
-    assert rq.error_estimate >= 0.5
 
 
 def test_volume_tol_violation_raises():
@@ -165,6 +153,56 @@ def test_volume_tol_violation_raises():
     smooth = lambda x: x[:, 0] ** 2
     r = integrate_volume(smooth, dom, tol=1e-3, axis=axis)
     assert r.value == integrate_axisymmetric(smooth, dom, *axis).value
+
+
+# (label, integrator(f, tol)): every volume and sphere rule
+_STACKED_PATHS = [
+    ("axisymmetric", lambda f, tol: integrate_volume(
+        f, Ball((0.0,) * 4, 1.0, singularities=(Singularity((0.3, 0.0, 0.0, 0.0),
+                                                            0.0, 0.05),)),
+        tol=tol, axis=(np.zeros(4), np.eye(4)[0]))),
+    ("qmc-volume", lambda f, tol: integrate_volume(
+        f, BallMinusBalls(Ball((0.0,) * 4, 1.0), (Ball((0.4, 0.0, 0.0, 0.0), 0.2),),
+                          singularities=(Singularity((0.0,) * 4, 1.5),)),
+        tol=tol, seed=3, n_points=2**10)),
+    ("product-gauss", lambda f, tol: integrate_surface(
+        f, SphereSurface((0.1, 0.0, 0.0), 1.0), tol=tol)),
+    ("gauss-jacobi", lambda f, tol: integrate_surface(
+        f, SphereSurface((0.5,) + (0.0,) * 4, 1.0), tol=tol, axis=np.eye(5)[0])),
+    ("qmc-surface", lambda f, tol: integrate_surface(
+        f, SphereSurface((0.0,) * 6, 1.0), tol=tol, seed=2)),
+]
+_SMOOTH_ROWS = [lambda x: np.exp(-row_sq_norms(x)), lambda x: x[:, 0] ** 2,
+                lambda x: np.cos(3.0 * x[:, 0]) + np.sqrt(row_sq_norms(x))]
+_ROUGH_ROW = lambda x: np.where(x[:, 0] > 0.17, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("integrate", [p for _, p in _STACKED_PATHS],
+                         ids=[label for label, _ in _STACKED_PATHS])
+def test_stacked_rows_match_scalar_calls(integrate):
+    """An (r, m) stack of integrands gives, row for row and bit for bit, the
+    value and error estimate of r scalar calls on the same rule; a tol is
+    refused when any one row misses it."""
+    rows = _SMOOTH_ROWS + [_ROUGH_ROW]
+    stacked = integrate(lambda x: np.stack([g(x) for g in rows]), None)
+    assert stacked.value.shape == stacked.error_estimate.shape == (len(rows),)
+    rel = []
+    for i, g in enumerate(rows):
+        single = integrate(g, None)
+        assert isinstance(single.value, float)
+        assert stacked.value[i] == single.value, i
+        assert stacked.error_estimate[i] == single.error_estimate, i
+        assert stacked.samples_used == single.samples_used
+        rel.append(single.error_estimate / abs(single.value))
+    # a tol between the smooth rows' errors and the rough row's
+    assert max(rel[:-1]) < rel[-1]
+    tol = math.sqrt(max(rel[:-1]) * rel[-1])
+    smooth = integrate(lambda x: np.stack([g(x) for g in _SMOOTH_ROWS]), tol)
+    assert np.array_equal(smooth.value, stacked.value[:-1])
+    with pytest.raises(AccuracyError) as exc:
+        integrate(lambda x: np.stack([g(x) for g in rows]), tol)
+    assert np.array_equal(exc.value.result.value, stacked.value)
+    assert f"{stacked.error_estimate[-1]:.3e}" in str(exc.value)
 
 
 def _geometric_panels(a: float, b: float, floor: float) -> list[tuple[float, float]]:
@@ -226,7 +264,7 @@ _AXISYMMETRIC_CASES = pytest.mark.parametrize("domain, axis, features", [
     (BallMinusBalls(Ball((0.1, 0.2, 0.3, 0.4), 1.0),
                     (Ball(tuple(np.array([0.1, 0.2, 0.3, 0.4]) - 0.4 * _GENERIC_AXIS),
                           0.3),)), _GENERIC_AXIS, ()),
-    (TruncatedSpace(5, 2.0, half=True), np.eye(5)[0], ()),
+    (HalfBall((0.0,) * 5, 2.0), np.eye(5)[0], ()),
     (Ball((0.0,) * 6, 1.0), np.eye(6)[0], (Ball((0.3,) + (0.0,) * 5, 0.1),
                                            Ball((-0.6,) + (0.0,) * 5, 0.05))),
     # polar origin at a singularity off the centre of an oblique axis in n = 5

@@ -309,6 +309,37 @@ def test_BiBj_part2_precondition():
                                                "part": 2})
 
 
+@pytest.mark.parametrize("kind, centers", [
+    ("ordre2", [(0.0, 0.0)]), ("lem2", [(0.0, 0.0)]),
+    ("lem2", [(0.3, 0.0), (0.0, 0.3)])],
+    ids=["ordre2-axis", "lem2-axis", "lem2-qmc"])
+def test_every_l_at_one_x_is_one_call(monkeypatch, kind, centers):
+    """With l unset, every l at one x comes from one integrate_volume call,
+    and each row equals, bit for bit, the call for that l alone: declaring
+    the singularity at x at the largest order leaves the rule unchanged (on
+    the QMC path too, for bubbles off a common axis)."""
+    from polybubble import weights
+
+    n, k = 9, 2
+    cfg = TreeConfig([BubbleSpec("interior", n, k, np.array(c + (0.0,) * (n - 2)),
+                                 1e-2) for c in centers])
+    calls = []
+    integrate_volume = weights.integrate_volume
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return integrate_volume(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "integrate_volume", spy)
+    rows = convolution_bound_verify(kind, cfg, {"i": 0, "x_count": 3}, seed=0)
+    assert len(calls) == 3 and len(rows) == 3 * 2 * k
+    assert (len(centers) > 1) == all(call.get("axis") is None for call in calls)
+    for l in range(2 * k):
+        alone = convolution_bound_verify(kind, cfg, {"i": 0, "l": l,
+                                                     "x_count": 3}, seed=0)
+        assert alone == [r for r in rows if r["l"] == l]
+
+
 def test_unknown_lemma_kind():
     with pytest.raises(ValueError):
         convolution_bound_verify("nope", single(1e-2), {})
