@@ -26,7 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sg
+# roots_legendre and roots_jacobi import scipy.linalg on their first call
+# (about 70 ms); importing it here keeps that cost out of the first rule built.
+import scipy.linalg  # noqa: F401
 from scipy.special import gammaln, ndtri, roots_jacobi, roots_legendre
 
 __all__ = [
@@ -291,11 +293,13 @@ def integrate_radial(g, R: float, n: int, sigma: float = 0.0,
                   | {float(np.clip(s**power, u_lo, u_hi))
                      for s0 in feature_scales if s0 > 0
                      for s in (0.3 * s0, s0, 3.0 * s0, 10.0 * s0)})
+    from scipy.integrate import quad  # loaded here: its only user in the module
+
     val = err = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 0:
             continue
-        v, e = _sg.quad(h, a, b, epsabs=1e-300, epsrel=_RADIAL_RTOL, limit=400)
+        v, e = quad(h, a, b, epsabs=1e-300, epsrel=_RADIAL_RTOL, limit=400)
         val += v
         err += abs(e)
     area = sphere_area(n)

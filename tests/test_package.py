@@ -1,0 +1,135 @@
+"""The package namespace: every public name of the eager package is still
+there, resolved on first use, and what each entry point imports stays within
+its budget (checked in fresh interpreters)."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import polybubble
+
+# The names the package re-exported when it imported every submodule eagerly,
+# with the submodule that defines each.
+PUBLIC = {
+    "radial": ["RadialFunction", "ExactCheckResult", "bubble_constant",
+               "bubble_constant_product", "critical_exponent", "make_bubble",
+               "laplacian", "radial_derivative", "power_reduce",
+               "check_bubble_identity"],
+    "quadrature": ["Ball", "HalfBall", "SphereSurface", "BallMinusBalls",
+                   "Singularity", "QuadratureResult", "AccuracyError",
+                   "integrate_radial", "integrate_volume", "integrate_surface",
+                   "integrate_axisymmetric", "sphere_area", "ball_volume"],
+    "bubbles": ["BubbleSpec", "CutoffSpec", "TensorSpec", "BallChart", "theta",
+                "positive_bubble", "eval_V", "bubble_field", "bubble_jet",
+                "check_decay", "kernel_elements", "compute_IA",
+                "check_sign_condition", "UnsupportedDomainError",
+                "DivergentIntegralError"],
+    "conformal": ["CayleyMap", "HalfSpaceBump", "GaussianXPow",
+                  "check_distance_identity", "check_norm_invariance",
+                  "check_laplacian_conjugation", "SingularPointError"],
+    "green": ["GreenEval", "psi_ball", "psi_half", "kernel_integral",
+              "green_ball", "green_half", "check_conformal_relation"],
+    "tree": ["TreeConfig", "FamilyLaw", "InfluenceData", "Region",
+             "AmbiguousScalesError", "epsilon", "classify", "check_dominance",
+             "interaction_sup", "eval_tree", "tree_value"],
+    "weights": ["psi_weight", "star_norm", "starstar_norm", "eta_sequences",
+                "giraud_verify", "convolution_bound_verify",
+                "ratio_table_csv"],
+    "pohozaev": ["Jet", "MultiPoly", "PolynomialJet", "manufactured_dirichlet",
+                 "e_operator", "x_grad_laplacian", "pohozaev_lhs",
+                 "pohozaev_rhs", "pohozaev_residual", "PohozaevReport"],
+    "solver": ["ProblemParams", "RadialSolution", "BranchPoint",
+               "IntegrationBlowUp", "NewtonFailure", "shoot", "newton_solve",
+               "continuation", "fit_bubble", "pohozaev_scaling",
+               "synthetic_bubble_branch", "branch_csv"],
+}
+NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
+
+
+def fresh(code):
+    """Run ``code`` in a new interpreter that finds this checkout's package;
+    return its standard output, stripped."""
+    src = os.path.dirname(os.path.dirname(polybubble.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+# -- the namespace -----------------------------------------------------------
+
+def test_every_public_name_is_its_submodules_object():
+    for module, names in PUBLIC.items():
+        sub = importlib.import_module(f"polybubble.{module}")
+        for name in names:
+            assert getattr(polybubble, name) is getattr(sub, name), name
+
+
+def test_all_lists_exactly_the_public_names():
+    assert sorted(polybubble.__all__) == NAMES
+    assert len(set(polybubble.__all__)) == len(NAMES)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from polybubble import *", namespace)
+    assert set(NAMES) <= set(namespace)
+    assert all(namespace[name] is getattr(polybubble, name) for name in NAMES)
+
+
+def test_dir_lists_public_names_and_submodules():
+    listed = dir(polybubble)
+    assert set(NAMES) <= set(listed)
+    assert {"solver", "quadrature", "fields", "jets", "cli"} <= set(listed)
+
+
+def test_submodule_attribute_resolves_without_an_explicit_import():
+    out = fresh("import polybubble; f = polybubble.solver.shoot; "
+                "print(f.__module__, f is polybubble.shoot)")
+    assert out == "polybubble.solver True"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polybubble.no_such_name
+
+
+# -- the import budget -------------------------------------------------------
+
+def test_package_import_loads_no_submodule_and_no_scipy():
+    out = fresh("import sys, polybubble; print(sorted(m for m in sys.modules "
+                "if m.startswith(('polybubble.', 'scipy'))))")
+    assert out == "[]"
+
+
+@pytest.mark.parametrize("entry", ["cli", "pohozaev", "quadrature", "fields",
+                                   "conformal", "green", "tree", "weights",
+                                   "bubbles"])
+def test_entry_point_leaves_integrate_optimize_and_stats_unloaded(entry):
+    out = fresh(f"import sys, polybubble.{entry}; "
+                f"print([m for m in {HEAVY!r} if m in sys.modules])")
+    assert out == "[]"
+
+
+def test_solver_loads_scipy_integrate():
+    out = fresh("import sys, polybubble.solver; "
+                "print('scipy.integrate' in sys.modules)")
+    assert out == "True"
+
+
+def test_integrate_radial_does_not_depend_on_import_order():
+    call = ("r = integrate_radial(lambda r: np.exp(-r * r), np.inf, 5); "
+            "print(r.value.hex(), r.error_estimate.hex())")
+    alone = fresh("import sys, numpy as np; "
+                  "from polybubble.quadrature import integrate_radial; "
+                  f"{call}; assert 'polybubble.solver' not in sys.modules")
+    after_solver = fresh("import numpy as np, polybubble.solver; "
+                         f"from polybubble.quadrature import integrate_radial; {call}")
+    assert alone == after_solver
+    assert float.fromhex(alone.split()[0]) > 0
