@@ -21,7 +21,7 @@ print(f"  ground state: u(0) = {sol.d[0]:.2f}, boundary mismatch "
       f"{sol.collocation_residual:.1e}")
 
 grid = [-0.5, -0.25, -0.1, -0.05, -0.02]
-branch, flag = continuation(params, grid, sol.d, rtol=1e-9)
+branch, flag = continuation(params, grid, sol, rtol=1e-9)
 print(f"\ncontinuation ({flag}):")
 print(f"{'lambda':>8} {'sup norm':>12} {'energy':>12} {'mu_fit':>9} "
       f"{'fit resid':>10} {'int u^2':>10} {'LSODA':>9}")

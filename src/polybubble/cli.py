@@ -268,7 +268,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         print(f"seed solve failed at mu = {grid[0]:g}: {e}", file=sys.stderr)
         return EXIT_ACCURACY
     try:
-        points, flag = continuation(params, grid, sol.d, rtol=ns.rtol)
+        points, flag = continuation(params, grid, sol, rtol=ns.rtol)
     except ValueError as e:
         print(f"continuation failed: {e}", file=sys.stderr)
         return EXIT_VERIFICATION

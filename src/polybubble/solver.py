@@ -37,8 +37,9 @@ import bisect
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import DOP853, ODEintWarning, odeint
@@ -112,20 +113,52 @@ class ProblemParams:
         return critical_exponent(self.n, self.k)
 
 
+class _OnRead:
+    """A RadialSolution field that a shot's solution fills on its first
+    read; no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            raise AttributeError(self.name)
+        if sol.sample is not None:
+            sol._fill()
+        return sol.__dict__[self.name]
+
+    def __set__(self, sol, value):
+        sol.__dict__[self.name] = value
+
+
 @dataclass
 class RadialSolution:
+    """A radial solution on its grid r.  A shot's solution holds a sampler
+    of its grid values instead: v, dv, sup_norm and energy are filled
+    together on the first read of any of them, and the sampler, with the
+    shot's recorded steps, is dropped then.  A solution built from arrays
+    holds them as given."""
     params: ProblemParams
     d: np.ndarray              # shooting data v_i(0)
     r: np.ndarray              # dense grid on [0, 1]
-    v: np.ndarray              # (k, m) values of (-Delta)^i u
-    dv: np.ndarray             # (k, m) radial derivatives
+    v: np.ndarray = _OnRead()  # (k, m) values of (-Delta)^i u
+    dv: np.ndarray = _OnRead()  # (k, m) radial derivatives
     mismatch: np.ndarray       # (u(1), u'(1), ..., u^{(k-1)}(1))
-    sup_norm: float
-    energy: float
+    sup_norm: float = _OnRead()
+    energy: float = _OnRead()
     collocation_residual: float = float("nan")
     jac: np.ndarray | None = None  # (k, k) derivative of mismatch in d
     dmu: np.ndarray | None = None  # (k,) derivative of mismatch in mu
     hess: np.ndarray | None = None  # (k, k, k) second derivative in d
+    sample: Callable | None = field(default=None, repr=False, compare=False)
+
+    def _fill(self):
+        """v, dv, sup_norm and energy from the sampled state (2k, m)."""
+        Y, self.sample = self.sample(), None
+        self.v, self.dv = Y[0::2], Y[1::2]
+        self.sup_norm = float(np.max(np.abs(self.v[0])))
+        self.energy = _square_integral(self.params.n, self.r, self.v, self.dv,
+                                       self.params.k)
 
 
 @dataclass
@@ -365,12 +398,70 @@ def _taylor_start(params: ProblemParams, d) -> _Start:
 
 @dataclass
 class _Run:
-    t: float            # where the integration stopped
-    y: np.ndarray       # the full state there, None after the event
-    status: int         # 0 reached t_bound, 1 crossed the cap, -1 step too small
-    y_grid: np.ndarray  # y[::stride] at t_eval, None unless status is 0
-    steps: list         # ends of the accepted steps
-    nfev: int           # rhs calls
+    t: float          # where the integration stopped
+    y: np.ndarray     # the full state there, None after the event
+    status: int       # 0 reached t_bound, 1 crossed the cap, -1 step too small
+    steps: list       # ends of the accepted steps
+    nfev: int         # rhs calls
+    dense: tuple | None = None  # (fun, steps, t_eval, stride) until y_grid is read
+
+    @cached_property
+    def y_grid(self):
+        """y[::stride] at t_eval, None unless status is 0: sampled on the
+        first read from the recorded steps, whose dense-output stages are
+        added to nfev, and the record is dropped."""
+        if self.dense is None:
+            return None
+        (fun, record, t_eval, stride), self.dense = self.dense, None
+        self.nfev += len(DOP853.A_EXTRA) * len(record)
+        return _sample(fun, record, t_eval, stride)
+
+
+def _dense_rows(fun, t_old, h, y_old, y, K_ext, stride):
+    """The Dop853 dense output of the accepted step from (t_old, y_old) to
+    (t_old + h, y), whose stages K_ext holds in its first n_stages + 1 rows:
+    the 3 extra stages go into its last rows, and the rows of the
+    interpolant on y[::stride] are returned highest power first."""
+    M = DOP853
+    buf = np.empty(y.size)
+    for s, (a, c) in enumerate(zip(M.A_EXTRA, M.C_EXTRA), start=M.n_stages + 1):
+        np.dot(K_ext[:s].T, a[:s], out=buf)  # buf = y_old + dot(K[:s].T, a) * h
+        buf *= h
+        buf += y_old
+        K_ext[s] = fun(t_old + c * h, buf)
+    F = np.empty((len(M.D) + 3, y.size))
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * K_ext[0] - delta_y
+    F[2] = 2 * delta_y - h * (K_ext[M.n_stages] + K_ext[0])
+    F[3:] = h * np.dot(M.D, K_ext)
+    return F[::-1, ::stride]
+
+
+def _horner(F, base, x):
+    """The Dop853 interpolant with rows F (highest power first, on the
+    first axis) and value base at the step start, at the step fractions x,
+    in the elementwise order of scipy's Dop853DenseOutput."""
+    x = x[..., None]
+    out = np.zeros(np.broadcast_shapes(x.shape, base.shape))
+    factors = (x, 1 - x)
+    for i, row in enumerate(F):
+        out += row
+        out *= factors[i % 2]
+    return out + base
+
+
+def _sample(fun, record, t_eval, stride):
+    """y[::stride] at t_eval, (components, points), from the recorded
+    steps (t_old, h, y_old, y, K_ext, points), each holding the next
+    points of t_eval: the dense output of every step, then one Horner
+    evaluation over all points."""
+    F = np.stack([_dense_rows(fun, t_old, h, y_old, y, K_ext, stride)
+                  for t_old, h, y_old, y, K_ext, _ in record], axis=1)
+    at = np.repeat(np.arange(len(record)), [m for *_, m in record])
+    t_old, h = np.array([step[:2] for step in record])[at].T
+    base = np.array([step[2][::stride] for step in record])[at]
+    return _horner(F[:, at], base, (t_eval - t_old) / h).T
 
 
 def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
@@ -382,11 +473,13 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     max|y[::stride]| - cap a terminal event of direction +1: the same
     initial step, stages, E5/E3 error norm, step control, dense output and
     brentq root, so every value is bit-identical to scipy's.  It leaves out
-    scipy's per-call wrappers, interpolant objects and event bookkeeping,
-    and computes the 3 dense-output stages only on a step that holds a
-    t_eval point or the event.  t_span must be increasing and t_eval
-    nonempty and increasing within it; only the components y[::stride]
-    are output.
+    scipy's per-call wrappers, interpolant objects and event bookkeeping.
+    The loop only integrates and records each accepted step that holds a
+    t_eval point: the dense output is computed after the loop, only for
+    runs whose grid (y_grid) is read, and in the loop only on the step that
+    crosses the cap, for the event's root.  t_span must be increasing
+    and t_eval nonempty and increasing within it; only the components
+    y[::stride] are output.
     fun gets its stage states in one reused buffer, so it must not keep
     its argument y."""
     M = DOP853
@@ -397,8 +490,6 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     K = K_ext[:n_stages + 1]
     stages = [(s, K[:s].T, a[:s], c) for s, (a, c) in
               enumerate(zip(M.A[1:], M.C[1:]), start=1)]
-    extra = [(s, K_ext[:s].T, a[:s], c) for s, (a, c) in
-             enumerate(zip(M.A_EXTRA, M.C_EXTRA), start=n_stages + 1)]
     KB, KT = K[:-1].T, K.T
     exponent = -1 / (M.error_estimator_order + 1)
     eps = np.finfo(float).eps
@@ -423,7 +514,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     t_eval = np.asarray(t_eval, float)
     points = t_eval.tolist()
     buf = np.empty(dim)
-    grid, steps, i_eval, status = [], [], 0, None
+    record, steps, i_eval, status = [], [], 0, None
     while status is None:
         # one accepted step of RungeKutta._step_impl
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -431,7 +522,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return _Run(t, y, -1, None, steps, nfev)
+                return _Run(t, y, -1, steps, nfev)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -465,41 +556,21 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
         steps.append(t)
         if t == t_bound:
             status = 0
-        crossed = abs(y[::stride]).max() >= cap
+        if abs(y[::stride]).max() >= cap:
+            F = _dense_rows(fun, t_old, h, y_old, y, K_ext, stride)
+            nfev += len(M.A_EXTRA)
+            base = y_old[::stride]
+
+            def excess(s):
+                return abs(_horner(F, base, np.asarray((s - t_old) / h))).max() - cap
+
+            t = brentq(excess, t_old, t, xtol=4 * eps, rtol=4 * eps)
+            return _Run(t, None, 1, steps, nfev)
         i_new = bisect.bisect_right(points, t)
-        if not (crossed or i_new > i_eval):
-            continue
-        # Dop853 dense output of the step, on the rows y[::stride]
-        for s, KTs, a, c in extra:
-            np.dot(KTs, a, out=buf)
-            buf *= h
-            buf += y_old
-            K_ext[s] = fun(t_old + c * h, buf)
-        nfev += len(extra)
-        F = np.empty((len(M.D) + 3, dim))
-        delta_y = y - y_old
-        F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (f + K[0])
-        F[3:] = h * np.dot(M.D, K_ext)
-        F, base = F[::-1, ::stride], y_old[::stride]
-
-        def dense(x):
-            out = np.zeros(x.shape + base.shape)
-            x = x[..., None]
-            factors = (x, 1 - x)
-            for i, row in enumerate(F):
-                out += row
-                out *= factors[i % 2]
-            return out + base
-
-        if crossed:
-            t = brentq(lambda s: abs(dense(np.asarray((s - t_old) / h))).max()
-                       - cap, t_old, t, xtol=4 * eps, rtol=4 * eps)
-            return _Run(t, None, 1, None, steps, nfev)
-        grid.append(dense((t_eval[i_eval:i_new] - t_old) / h))
-        i_eval = i_new
-    return _Run(t, y, 0, np.vstack(grid).T, steps, nfev)
+        if i_new > i_eval:
+            record.append((t_old, h, y_old, y, K_ext.copy(), i_new - i_eval))
+            i_eval = i_new
+    return _Run(t, y, 0, steps, nfev, (fun, record, t_eval, stride))
 
 
 def _boundary_derivatives(params: ProblemParams, y_end):
@@ -536,7 +607,8 @@ def _integrate(params: ProblemParams, d, rtol: float, grid,
     when asked.  The integration starts at the series' radius eps, and the
     grid points at or below eps take their values from the series.
 
-    Returns (block at r = 1, state sampled on grid); raises
+    Returns (block at r = 1, sampler), where sampler() gives the state on
+    grid from the run's recorded steps; raises
     IntegrationBlowUp with the escape radius, the root of the terminal event
     max|state| = cap, or the last radius reached when the step size
     underflows, or where a float overflows.  The variational columns get
@@ -564,8 +636,11 @@ def _integrate(params: ProblemParams, d, rtol: float, grid,
                     cap, cols)
     if run.status != 0:
         raise IntegrationBlowUp(run.t)
-    y_grid = np.hstack([start(grid[:inside])[:, 0], run.y_grid])
-    return run.y.reshape(Y0.shape), y_grid
+
+    def sample():
+        return np.hstack([start(grid[:inside])[:, 0], run.y_grid])
+
+    return run.y.reshape(Y0.shape), sample
 
 
 def shoot(params: ProblemParams, d, rtol: float = 1e-10):
@@ -573,9 +648,10 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     variational equations (DOP853) from the Taylor start to r = 1.
 
     Returns (mismatch, RadialSolution); the solution's jac, dmu and hess are
-    the exact derivatives of the mismatch in d, in mu and twice in d.
-    Raises IntegrationBlowUp with the blow-up radius when the solution
-    escapes before reaching the boundary.
+    the exact derivatives of the mismatch in d, in mu and twice in d.  Its
+    grid values are dense output computed after the step loop, only for a
+    solution whose grid is read.  Raises IntegrationBlowUp with the blow-up
+    radius when the solution escapes before reaching the boundary.
     """
     d = np.asarray(d, float)
     if d.shape != (params.k,):
@@ -583,19 +659,16 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     if not np.all(np.isfinite(d)):
         raise ValueError("shooting data must be finite")
     rr = np.linspace(_EPS0, 1.0, _DENSE_POINTS)
-    Y_end, Y = _integrate(params, d, rtol, rr, variational=True)
-    v = Y[0::2]
-    dv = Y[1::2]
+    Y_end, sample = _integrate(params, d, rtol, rr, variational=True)
     B = _boundary_derivatives(params, Y_end)
-    n, k = params.n, params.k
+    k = params.k
     mismatch, jac, dmu = B[:, 0], B[:, 1:k + 1], B[:, k + 1]
     I, J = np.triu_indices(k)
     hess = np.empty((k, k, k))
     hess[:, I, J] = hess[:, J, I] = B[:, k + 2:]
-    sup = float(np.max(np.abs(v[0])))
-    energy = _square_integral(n, rr, v, dv, k)
-    return mismatch, RadialSolution(params, d, rr, v, dv, mismatch, sup, energy,
-                                    jac=jac, dmu=dmu, hess=hess)
+    return mismatch, RadialSolution(params, d, rr, None, None, mismatch, None,
+                                    None, jac=jac, dmu=dmu, hess=hess,
+                                    sample=sample)
 
 
 def _square_integral(n: int, rr, v, dv, m: int) -> float:
@@ -776,8 +849,22 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
     _MAX_HALVINGS such halvings between two grid points the branch counts
     as lost.  Returns (branch points, flag) where flag is "complete" or
     "fold" when the branch was lost despite halving.
+
+    d_seed is shooting data or a converged RadialSolution.  A solution at
+    the first target (same n, k, p and mu) with a mismatch below rtol and a
+    collocation residual below _MAX_RESIDUAL is taken as the first point
+    without another solve; any other solution seeds with its d.
     """
     points = []
+    seed = None
+    if isinstance(d_seed, RadialSolution):
+        seed, d_seed = d_seed, d_seed.d
+        sp = seed.params
+        if not (len(mu_grid) and (sp.n, sp.k, sp.p, sp.mu)
+                == (params.n, params.k, params.p, mu_grid[0])
+                and np.linalg.norm(seed.mismatch) < rtol
+                and seed.collocation_residual < _MAX_RESIDUAL):
+            seed = None
     d = np.asarray(d_seed, float)
     accepted = []  # last two accepted (mu, d, dd/dmu)
     pending = [(mu, True) for mu in mu_grid]  # (mu, on the grid)
@@ -786,8 +873,9 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
         mu_target, on_grid = pending[0]
         pars = ProblemParams(params.n, params.k, params.p, mu_target)
         guess = _hermite_guess(accepted, mu_target)
-        sol = None
-        for start in ([d] if guess is None else [guess, d]):
+        sol, seed = seed, None  # a reused seed solution needs no solve
+        starts = [d] if guess is None else [guess, d]
+        for start in starts if sol is None else []:
             try:
                 sol = newton_solve(pars, start, rtol=rtol)
                 break

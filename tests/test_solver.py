@@ -6,7 +6,7 @@ predictor, continuation's halving bound, branch accuracy, bubble fitting,
 and the scaling-exponent fit."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -470,13 +470,16 @@ def test_dop853_loop_matches_scipy(monkeypatch, n, k, p, mu, d, rtol):
 
 def test_dop853_loop_blowup_radius_matches_scipy(monkeypatch):
     """On test_shoot_blowup_reported_with_radius's data the loop stops at
-    scipy's terminal-event root, and IntegrationBlowUp carries it."""
+    scipy's terminal-event root, and IntegrationBlowUp carries it.  The
+    loop counts every rhs call it makes, and makes fewer than scipy's
+    t_eval run: no dense-output stages for a grid that nothing reads."""
     params, d = ProblemParams(9, 2, 0, 0.0), np.array([5.0, -5e4])
     fun, args, run = _captured_dop853(monkeypatch, params, d, 1e-10)
     ref = _scipy_dop853(fun, args, t_eval=args[-3])
     assert run.status == ref.status == 1
     assert run.t == ref.t_events[0][0]
-    assert run.nfev == fun.n - ref.nfev == ref.nfev
+    assert run.nfev == fun.n - ref.nfev
+    assert run.nfev < ref.nfev
     with pytest.raises(IntegrationBlowUp) as exc:
         shoot(params, d)
     assert exc.value.radius == run.t
@@ -497,6 +500,75 @@ def test_dop853_loop_stops_where_scipy_fails():
     assert run.t == ref.t[-1] < 0.5
     np.testing.assert_array_equal(run.y, ref.y[:, -1])
     np.testing.assert_array_equal(run.steps, ref.t[1:])
+
+
+def _spy_sample(monkeypatch):
+    """The grids the shots' sampler solver._sample returns, in call order."""
+    grids, real = [], solver._sample
+
+    def spy(*args):
+        grids.append(real(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(solver, "_sample", spy)
+    return grids
+
+
+@pytest.mark.parametrize("n,k,p,mu,d", [
+    (7, 1, 0, -0.5, [1.2e4]),
+    (9, 2, 0, -3000.0, [8.0, 500.0]),
+])
+def test_shot_grid_matches_scipy_dense_output(monkeypatch, n, k, p, mu, d):
+    """A shot's r, v, dv, sup_norm and energy, sampled after its step loop,
+    equal bit for bit those built from scipy's DOP853 dense output on the
+    same rhs, with the start series at the grid points below the start
+    radius."""
+    params = ProblemParams(n, k, p, mu)
+    captured, real = [], solver.solve_ivp
+
+    def spy(fun, *args):
+        captured.append((fun, args))
+        return real(fun, *args)
+
+    monkeypatch.setattr(solver, "solve_ivp", spy)
+    _, sol = shoot(params, d)
+    monkeypatch.undo()
+    [(fun, args)] = captured
+    rr = np.linspace(1e-6, 1.0, 400)
+    start = solver._taylor_start(params, np.array(d))
+    inside = np.searchsorted(rr, start.r0, side="right")
+    assert inside >= 1
+    dense = _scipy_dop853(fun, args, dense_output=True)
+    Y = np.hstack([start(rr[:inside])[:, 0], dense.sol(rr[inside:])[::args[-1]]])
+    v, dv = Y[0::2], Y[1::2]
+    np.testing.assert_array_equal(sol.r, rr)
+    np.testing.assert_array_equal(sol.v, v)
+    np.testing.assert_array_equal(sol.dv, dv)
+    assert sol.sup_norm == float(np.max(np.abs(v[0])))
+    assert sol.energy == solver._square_integral(n, rr, v, dv, k)
+
+
+def test_newton_samples_only_the_accepted_grid(monkeypatch):
+    """Of a Newton solve's shots only the accepted one has its grid
+    sampled, by the verifier; the trial shots sample none, and reading the
+    solution's fields afterwards samples nothing more."""
+    start = newton_solve(ProblemParams(7, 1, 0, -0.5), [1.2e4], rtol=1e-9)
+    shots = _counting_shoot(monkeypatch)
+    grids = _spy_sample(monkeypatch)
+    sol = newton_solve(ProblemParams(7, 1, 0, -0.25), start.d, rtol=1e-9)
+    assert len(shots) >= 2 and len(grids) == 1
+    assert sol.sup_norm > 0 and sol.energy > 0 and sol.dv.shape == sol.v.shape
+    assert len(grids) == 1
+    np.testing.assert_array_equal(grids[0][0], sol.v[0][-grids[0].shape[1]:])
+
+
+def test_blown_up_shot_samples_nothing(monkeypatch):
+    """A shot that escapes before r = 1 makes no dense-output stages for
+    its grid."""
+    grids = _spy_sample(monkeypatch)
+    with pytest.raises(IntegrationBlowUp):
+        shoot(ProblemParams(9, 2, 0, 0.0), [5.0, -5e4])
+    assert grids == []
 
 
 @pytest.mark.parametrize("k,p", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
@@ -577,6 +649,37 @@ def test_continuation_shot_budget(monkeypatch):
                              rtol=1e-9)
     assert flag == "complete" and len(pts) == 5
     assert len(calls) <= 10
+
+
+def test_continuation_takes_converged_seed_solution(monkeypatch):
+    """A converged seed solution at the first target is the first branch
+    point: the branch equals, bit for bit, the one seeded with its d, with
+    one shot and one verifier call fewer.  A seed solution that was not
+    verified seeds with its d."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    seed = newton_solve(p, [1.2e4], rtol=1e-9)
+    grid = [-0.5, -0.25, -0.1]
+    shots = _counting_shoot(monkeypatch)
+    checks, real = [], solver.collocation_check
+
+    def counting(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "collocation_check", counting)
+    by_d, flag = continuation(p, grid, seed.d, rtol=1e-9)
+    counts = len(shots), len(checks)
+    by_sol, flag2 = continuation(p, grid, seed, rtol=1e-9)
+    assert flag == flag2 == "complete" and len(by_sol) == len(by_d) == 3
+    for a, b in zip(by_d, by_sol):
+        for f in fields(BranchPoint):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+    assert (len(shots) - counts[0], len(checks) - counts[1]) == (
+        counts[0] - 1, counts[1] - 1)
+    _, raw = shoot(p, seed.d)  # no collocation residual
+    del shots[:], checks[:]
+    continuation(p, grid[:1], raw, rtol=1e-9)
+    assert (len(shots), len(checks)) == (1, 1)
 
 
 def test_continuation_falls_back_from_failed_prediction(monkeypatch):
