@@ -39,10 +39,12 @@ print(f"star norm of the bubble itself: {star_norm(B1, cfg, grid):.3f}"
       "  (each derivative is its own weight -> order one)")
 
 # --- eta control sequences decay along the concentration sweep --------------
+# (eta2 is a sup over two evaluation points on the axis; eta4 is max |nu|,
+# 0 here since the configurations carry no kernel coefficients)
 
 print("\neta sequences along mu = 1e-1, 1e-2, 1e-3:")
 for mu in (1e-1, 1e-2, 1e-3):
-    es = eta_sequences(single(mu), x_count=2)
+    es = eta_sequences(single(mu))
     print(f"  mu={mu:5.0e}: eta1={es['eta1']:9.4f} eta2={es['eta2']:9.5f} "
           f"eta3={es['eta3']:8.4f} eta4={es['eta4']}")
 

@@ -251,21 +251,20 @@ def bubble_jet(spec: BubbleSpec, x, order: int) -> Jet:
 # Decay slopes
 # ---------------------------------------------------------------------------
 
-def check_decay(n: int, k: int, l: int, radii=None) -> dict:
-    """Log-log slope of |nabla^l B| along large radii vs the target 2k-n-l."""
+_DECAY_RADII = np.geomspace(1e3, 1e5, 7)  # where check_decay fits its slope
+
+
+def check_decay(n: int, k: int, l: int) -> dict:
+    """Log-log slope of |nabla^l B| at the radii _DECAY_RADII (1e3 ... 1e5)
+    vs the target 2k-n-l."""
     if not 0 <= l <= 2 * k:
         raise ValueError("need 0 <= l <= 2k")
-    if radii is None:
-        radii = np.geomspace(1e3, 1e5, 7)
-    radii = np.asarray(radii, float)
-    if radii.max() < 1e3 or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be increasing with max >= 1e3")
     F = RadialTermField.radial(n, np.zeros(n),
                                RationalProfile(make_bubble(n, k), bubble_constant(n, k)))
-    pts = np.zeros((len(radii), n))
-    pts[:, 0] = radii
+    pts = np.zeros((len(_DECAY_RADII), n))
+    pts[:, 0] = _DECAY_RADII
     mags = F.tensor_norm(l, pts) if l > 0 else np.abs(F.value(pts))
-    slope = float(np.polyfit(np.log(radii), np.log(mags), 1)[0])
+    slope = float(np.polyfit(np.log(_DECAY_RADII), np.log(mags), 1)[0])
     target = 2 * k - n - l
     return {"n": n, "k": k, "l": l, "slope": slope, "target": target,
             "deviation": abs(slope - target)}
@@ -328,17 +327,17 @@ class TensorSpec:
             raise ValueError("p = 0 tensors are scalars")
 
 
-def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
-               half_space: bool = False, mu: float = 1.0) -> float:
-    """int A_p(grad^p u, grad^p u) for u the (mu-rescaled) standard bubble,
+def compute_IA(tensor: TensorSpec, n: int, k: int, *,
+               half_space: bool = False) -> float:
+    """int A_p(grad^p u, grad^p u) for u the standard bubble and p = tensor.p,
     over R^n, or over R^n_+ with the restricted bubble as stand-in weight.
 
-    Requires n > 4k - 2p so that grad^p B is square integrable.
+    Requires 0 <= p <= k-1, and n > 4k - 2p so that grad^p B is square
+    integrable.
     """
+    p = tensor.p
     if not 0 <= p <= k - 1:
         raise ValueError("need 0 <= p <= k-1")
-    if tensor.p != p:
-        raise ValueError("tensor order does not match p")
     if n <= 4 * k - 2 * p:
         raise DivergentIntegralError(
             f"integral diverges: need n > 4k-2p = {4 * k - 2 * p}, got n={n}")
@@ -346,22 +345,12 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
     B0 = make_bubble(n, k)
     B1 = radial_derivative(B0)
     B2 = radial_derivative(B1)
-    amp = mu ** (-0.5 * (n - 2 * k))
-
-    def g0(r):
-        return amp * B0(r / mu, a)
-
-    def g1(r):
-        return amp / mu * B1(r / mu, a)
-
-    def g2(r):
-        return amp / mu**2 * B2(r / mu, a)
 
     if p == 0:
         lam = float(tensor.data)
-        val = lam * integrate_radial(lambda r: g0(r) ** 2, np.inf, n).value
+        val = lam * integrate_radial(lambda r: B0(r, a) ** 2, np.inf, n).value
     elif p == 1:
-        m1 = integrate_radial(lambda r: g1(r) ** 2, np.inf, n).value
+        m1 = integrate_radial(lambda r: B1(r, a) ** 2, np.inf, n).value
         if tensor.kind == "iso":
             val = float(tensor.data) * m1
         else:
@@ -373,7 +362,7 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
         if tensor.kind == "iso":
             lam = float(tensor.data)
             val = lam * integrate_radial(
-                lambda r: g2(r) ** 2 + (n - 1) * (g1(r) / r) ** 2 if r > 0 else 0.0,
+                lambda r: B2(r, a) ** 2 + (n - 1) * (B1(r, a) / r) ** 2 if r > 0 else 0.0,
                 np.inf, n).value
         else:
             aij = np.asarray(tensor.data, float)
@@ -385,8 +374,8 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
             def integrand(r):
                 if r == 0:
                     return 0.0
-                A = g2(r) - g1(r) / r
-                C = g1(r) / r
+                A = B2(r, a) - B1(r, a) / r
+                C = B1(r, a) / r
                 term_off = off * A**2 / (n * (n + 2))
                 term_dia = dia * (3 * A**2 / (n * (n + 2)) + 2 * A * C / n + C**2)
                 return term_off + term_dia
@@ -395,18 +384,21 @@ def compute_IA(tensor: TensorSpec, n: int, k: int, p: int,
     return 0.5 * val if half_space else val
 
 
-def check_sign_condition(samples: list[TensorSpec], n: int, k: int, p: int) -> dict:
-    """Sign verdict for the coefficient integrals at the standard bubble.
+def check_sign_condition(samples: list[TensorSpec], n: int, k: int) -> dict:
+    """Sign verdict for the coefficient integrals at the standard bubble, for
+    samples that share one tensor order p (ValueError otherwise).
 
     Only the standard-bubble instance is computable: the underlying condition
     quantifies over all finite-energy solutions of the limiting equations, so
     a "positive"/"negative" verdict here is necessary, not sufficient.
     Any vanishing integral yields "violated" with the witness attached.
     """
+    if len({ts.p for ts in samples}) != 1:
+        raise ValueError("the samples must share one tensor order p")
     values = []
     for ts in samples:
         for half in (False, True):
-            values.append((ts, half, compute_IA(ts, n, k, p, half_space=half)))
+            values.append((ts, half, compute_IA(ts, n, k, half_space=half)))
     eps = 1e-14
     if any(abs(v) <= eps * (1 + abs(v)) for _, _, v in values):
         wit = [rec for rec in values if abs(rec[2]) <= eps][:1]

@@ -27,7 +27,7 @@ from .conformal import (GaussianXPow, HalfSpaceBump,
                         check_distance_identity, check_norm_invariance)
 from .green import check_conformal_relation
 from .quadrature import AccuracyError, Ball
-from .radial import check_bubble_identity, bubble_constant, critical_exponent, make_bubble, laplacian
+from .radial import check_bubble_identity, bubble_constant, critical_exponent, make_bubble
 from .tree import AmbiguousScalesError, TreeConfig, classify, check_dominance, interaction_sup
 from .weights import eta_sequences, ratio_table_csv
 
@@ -82,21 +82,11 @@ def cmd_bubble_check(ns: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         res = check_bubble_identity(n, k)
-        # numeric cross-check of (-Delta)^k B = B^{2#-1} at sample radii
-        g = make_bubble(n, k)
-        h = g
-        for _ in range(k):
-            h = laplacian(h)
-        a = bubble_constant(n, k)
-        ts = critical_exponent(n, k)
-        num_res = max(abs(h(r, a) - g(r, a) ** (ts - 1.0))
-                      / max(abs(g(r, a) ** (ts - 1.0)), 1e-300)
-                      for r in (0.0, 0.5, 1.0, 2.0, 10.0))
         slopes = [check_decay(n, k, l) for l in range(min(2 * k, 2) + 1)]
         slope_ok = all(s["deviation"] < 0.05 for s in slopes)
-        ok = res.passed and num_res < 1e-9 and slope_ok
+        ok = res.passed and res.numeric_residual < 1e-9 and slope_ok
         rows.append({"n": n, "k": k, "symbolic_pass": res.passed,
-                     "numeric_residual": num_res,
+                     "numeric_residual": res.numeric_residual,
                      "decay": [{"l": s["l"], "slope": s["slope"],
                                 "target": s["target"]} for s in slopes]})
         if not ok:
@@ -134,7 +124,7 @@ def cmd_cayley_green(ns: argparse.Namespace) -> int:
         if np.linalg.norm(x - y) < 1e-3:
             continue
         dist_res = max(dist_res, check_distance_identity(x, y))
-        green_res = max(green_res, check_conformal_relation(x, y, n, k))
+        green_res = max(green_res, check_conformal_relation(x, y, k))
         m += 1
     profiles = [GaussianXPow(n, k), GaussianXPow(n, k, shift=0.7)]
     if k == 1:
@@ -192,7 +182,7 @@ def cmd_tree(ns: argparse.Namespace) -> int:
                      "quad_error": 0.0})
     ratio_table_csv(rows, os.path.join(ns.out, "tree_ratios.csv"))
     try:
-        etas = eta_sequences(tree, x_count=2, seed=ns.seed)
+        etas = eta_sequences(tree, seed=ns.seed)
     except AccuracyError as e:
         print(f"eta quadrature failure: {e}", file=sys.stderr)
         return EXIT_ACCURACY

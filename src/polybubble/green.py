@@ -80,9 +80,8 @@ def kernel_integral(s: float, k: int, n: int) -> float:
     return total
 
 
-def _green(x, y, n, k, psi) -> GreenEval:
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+def _green(x, y, k, psi) -> GreenEval:
+    n = len(x)
     d = float(np.linalg.norm(x - y))
     if d == 0.0:
         raise ValueError("Green function evaluated on the diagonal")
@@ -91,32 +90,35 @@ def _green(x, y, n, k, psi) -> GreenEval:
     return GreenEval(n, k, val)
 
 
-def green_ball(x, y, n: int, k: int) -> GreenEval:
+def green_ball(x, y, k: int) -> GreenEval:
+    """G_B(x, y) in R^n, n = len(x), for interior points of the unit ball."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if x @ x >= 1.0 or y @ y >= 1.0:
         raise ValueError("points must be interior to the unit ball")
-    return _green(x, y, n, k, psi_ball)
+    return _green(x, y, k, psi_ball)
 
 
-def green_half(x, y, n: int, k: int) -> GreenEval:
+def green_half(x, y, k: int) -> GreenEval:
+    """G_{R^n_+}(x, y) in R^n, n = len(x), for points with x_1, y_1 > 0."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if x[0] <= 0.0 or y[0] <= 0.0:
         raise ValueError("points must be interior to the half-space")
-    return _green(x, y, n, k, psi_half)
+    return _green(x, y, k, psi_half)
 
 
-def check_conformal_relation(x, y, n: int, k: int) -> float:
+def check_conformal_relation(x, y, k: int) -> float:
     """Relative residual of
     G_B(x,y) = |x+e_1|^{2k-n} |y+e_1|^{2k-n} G_{R^n_+}(phi(x), phi(y)),
-    which is independent of the kappa normalization."""
-    cm = CayleyMap(n)
+    n = len(x), which is independent of the kappa normalization."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    gb = green_ball(x, y, n, k).value
+    n = len(x)
+    cm = CayleyMap(n)
+    gb = green_ball(x, y, k).value
     px = cm.phi(x[None, :])[0]
     py = cm.phi(y[None, :])[0]
     fac = (np.linalg.norm(x + cm.e1) * np.linalg.norm(y + cm.e1)) ** (2 * k - n)
-    gh = fac * green_half(px, py, n, k).value
+    gh = fac * green_half(px, py, k).value
     return abs(gb - gh) / abs(gb)

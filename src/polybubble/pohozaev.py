@@ -518,13 +518,11 @@ def manufactured_dirichlet(k: int, n: int, poly: MultiPoly | None = None) -> Pol
 # Jet-level operators
 # ---------------------------------------------------------------------------
 
-def e_operator(jet: Jet, f_value, p_exp: float, k: int | None = None):
+def e_operator(jet: Jet, f_value, p_exp: float, k: int):
     """E(u)(x) = (-Delta)^k u - f |u|^{p-2} u from a jet of order >= 2k
     (f_value broadcasts against the jet's points)."""
     if p_exp < 2:
         raise ValueError("need p >= 2")
-    if k is None:
-        k = jet.order // 2
     u = jet.value()
     return jet.lap_iter(k) - f_value * np.abs(u) ** (p_exp - 2.0) * u
 
@@ -570,6 +568,21 @@ def _is_polynomial_setup(u, f) -> bool:
     return isinstance(u, PolynomialJet) and (f is None or isinstance(f, PolynomialJet))
 
 
+def _rule_opts(quad_opts, domain):
+    """The keyword arguments of the volume rule and of every sphere rule for
+    one quad_opts.  Its axis, a direction or a (point, direction) pair, goes
+    to the volume rule as a pair (through the domain's centre for a
+    direction) and to each sphere, integrated about its own centre, as the
+    direction; tol goes to every rule, seed to the volume rule only."""
+    vol = dict(quad_opts or {})
+    sphere = {key: v for key, v in vol.items() if key != "seed"}
+    if vol.get("axis") is not None:
+        if np.ndim(vol["axis"]) == 1:
+            vol["axis"] = (domain.enclosing()[0], vol["axis"])
+        sphere["axis"] = vol["axis"][1]
+    return vol, sphere
+
+
 # ---------------------------------------------------------------------------
 # LHS: the boundary functional P_k
 # ---------------------------------------------------------------------------
@@ -586,7 +599,8 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
     A PolynomialJet u takes the exact path.  It runs in the two axial
     variables (x_1, |x'|^2) when xi and every boundary centre lie on the e_1
     axis and u converts exactly to that form (see _axial_form), and in the
-    n Cartesian variables otherwise.
+    n Cartesian variables otherwise.  Any other u takes one sphere rule per
+    boundary sphere, with the options _rule_opts makes from quad_opts.
 
     Returns (value, abs_budget).
     """
@@ -643,7 +657,7 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
         return total, 1e-12 * budget
 
     # quadrature path for generic jet providers
-    qo = quad_opts or {}
+    _, sphere_opts = _rule_opts(quad_opts, domain)
     total, err = 0.0, 0.0
     for (c, R, sign) in pieces:
         def integrand(pts):
@@ -679,7 +693,7 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                               - w * _dot(gm, nu))
             return acc
 
-        res = integrate_surface(integrand, SphereSurface(tuple(c), R), **qo)
+        res = integrate_surface(integrand, SphereSurface(tuple(c), R), **sphere_opts)
         total += res.value
         err += res.error_estimate
     return total, err
@@ -699,8 +713,8 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     u and f both convert exactly to that form, in the n Cartesian variables
     otherwise (as in pohozaev_lhs).
 
-    On the quadrature path quad_opts go to integrate_volume unchanged; their
-    axis (point, direction), if any, also selects the surface rule."""
+    On the quadrature path _rule_opts maps quad_opts onto the volume rule
+    (T1, T3, T4) and onto the rule of each boundary sphere (T2)."""
     if p_exp < 2:
         raise ValueError("need p >= 2")
     xi = np.asarray(xi, float)
@@ -740,8 +754,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
         return (T1, T2, coef_T3 * T3v, -T4v / p_exp), budget
 
     # quadrature path
-    qo = quad_opts or {}
-    axis = qo.get("axis")
+    vol_opts, sphere_opts = _rule_opts(quad_opts, domain)
 
     def f_val(pts):
         return (np.ones(len(pts)) if f is None
@@ -760,7 +773,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
             rows.append(_dot(dx, grad_f) * up)
         return np.stack(rows)
 
-    res = integrate_volume(bulk, domain, **qo)
+    res = integrate_volume(bulk, domain, **vol_opts)
     # without f there is no T4 row, and T4 is 0
     T1, T3v, T4v = [*res.value.tolist(), 0.0][:3]
     e1, e3, e4 = [*res.error_estimate.tolist(), 0.0][:3]
@@ -771,8 +784,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
             return (np.sum((pts - xi) * nu, axis=1) * f_val(pts)
                     * np.abs(np.asarray(u.value(pts), float)) ** p_exp / p_exp)
 
-        sres = integrate_surface(surf, SphereSurface(tuple(c), R),
-                                 axis=(axis[1] if axis is not None else None))
+        sres = integrate_surface(surf, SphereSurface(tuple(c), R), **sphere_opts)
         T2 += sres.value
         e2 += sres.error_estimate
     budget = e1 + e2 + abs(coef_T3) * e3 + e4 / p_exp
@@ -819,14 +831,10 @@ def pohozaev_residual(u, f, p_exp: float, domain, xi, k: int,
     dirichlet=True the report also carries the gap between the full P_k and
     its collapsed -1/2-form, which holds for every k (for odd k it is the
     (-1)^k/2 convention; for even k that convention has the wrong sign).
+    quad_opts goes unchanged to pohozaev_lhs and pohozaev_rhs.
     """
     xi = np.asarray(xi, float)
-    # the volume rule takes axis = (point, direction); a boundary sphere is
-    # integrated about its own centre and takes the direction only
-    lhs_opts = dict(quad_opts or {})
-    if lhs_opts.get("axis") is not None:
-        lhs_opts["axis"] = lhs_opts["axis"][1]
-    lhs, b_lhs = pohozaev_lhs(u, domain, xi, k, quad_opts=lhs_opts)
+    lhs, b_lhs = pohozaev_lhs(u, domain, xi, k, quad_opts=quad_opts)
     (T1, T2, T3, T4), b_rhs = pohozaev_rhs(u, f, p_exp, domain, xi, k,
                                            quad_opts=quad_opts)
     rhs = T1 + T2 + T3 + T4
@@ -835,7 +843,7 @@ def pohozaev_residual(u, f, p_exp: float, domain, xi, k: int,
     gap = None
     if dirichlet:
         simp, _ = pohozaev_lhs(u, domain, xi, k, simplified=True,
-                               quad_opts=lhs_opts)
+                               quad_opts=quad_opts)
         gap = abs(lhs - simp)
     return PohozaevReport(k, u.n, xi, lhs, T1, T2, T3, T4, res, res / scale,
                           b_lhs + b_rhs, gap)

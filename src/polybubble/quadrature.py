@@ -264,46 +264,15 @@ def _refuse_unmet(res: QuadratureResult, tol: float | None) -> QuadratureResult:
 _RADIAL_RTOL = 1e-11  # relative tolerance of integrate_radial's adaptive rule
 
 
-def integrate_radial(g, R: float, n: int, sigma: float = 0.0,
-                     feature_scales=()) -> QuadratureResult:
-    """omega_{n-1} * int_0^R g(r) r^{n-1} dr with a center singularity of
-    order sigma < n flattened by r = u^{1/(n-sigma)}, by adaptive
-    Gauss-Kronrod at relative tolerance _RADIAL_RTOL.
-
-    feature_scales lists radii of sharp interior features (peaks of width
-    comparable to their distance from 0); the interval is split there so the
-    adaptive rule cannot step over them.
-    """
-    if sigma >= n:
-        raise ValueError(f"sigma={sigma} must be < n={n}")
-    power = n - sigma if sigma else 1.0  # the integration variable is r^power
-    if sigma == 0:
-        def h(r):
-            return g(r) * r ** (n - 1)
-    else:
-        beta = 1.0 / power
-        expo = sigma * beta  # sigma/(n-sigma)
-
-        def h(u):
-            r = u**beta
-            return beta * g(r) * u**expo
-
-    u_lo, u_hi = 0.0, R**power
-    cuts = sorted({u_lo, u_hi}
-                  | {float(np.clip(s**power, u_lo, u_hi))
-                     for s0 in feature_scales if s0 > 0
-                     for s in (0.3 * s0, s0, 3.0 * s0, 10.0 * s0)})
+def integrate_radial(g, R: float, n: int) -> QuadratureResult:
+    """omega_{n-1} * int_0^R g(r) r^{n-1} dr by one adaptive Gauss-Kronrod
+    rule on [0, R] at relative tolerance _RADIAL_RTOL."""
     from scipy.integrate import quad  # loaded here: its only user in the module
 
-    val = err = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 0:
-            continue
-        v, e = quad(h, a, b, epsabs=1e-300, epsrel=_RADIAL_RTOL, limit=400)
-        val += v
-        err += abs(e)
+    val, err = quad(lambda r: g(r) * r ** (n - 1), 0.0, R,
+                    epsabs=1e-300, epsrel=_RADIAL_RTOL, limit=400)
     area = sphere_area(n)
-    res = QuadratureResult(area * val, area * err, "radial")
+    res = QuadratureResult(area * val, area * abs(err), "radial")
     if not math.isfinite(res.value):
         raise AccuracyError("radial quadrature did not converge", res)
     return res
@@ -524,6 +493,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
 # ---------------------------------------------------------------------------
 
 _REPLICATES = 8
+_VOLUME_QMC_POINTS = 2**13  # Sobol points per replicate in a volume
 _SURFACE_QMC_POINTS = 2**12  # Sobol directions per replicate on a sphere
 
 
@@ -576,15 +546,16 @@ def _component_pdf(kind, x, n, center, r_lo, r_hi):
 
 
 def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
-                     n_points: int = 2**13, axis=None) -> QuadratureResult:
+                     axis=None) -> QuadratureResult:
     """Volume integral of f over the domain.
 
     f maps an (m, n) point array to an (m,) array, or to an (r, m) stack
     whose rows are integrated on the same rule.  Declared singularities
     must match f's actual singular set (caller contract).  axis=(point,
     direction) certifies axial symmetry: integrate_axisymmetric.  Otherwise
-    scrambled-Sobol mixture importance sampling.  An error estimate above
-    tol * |value| raises AccuracyError.
+    scrambled-Sobol mixture importance sampling, about _VOLUME_QMC_POINTS
+    points per replicate shared between the mixture components.  An error
+    estimate above tol * |value| raises AccuracyError.
     """
     n = domain.dim
     for s in getattr(domain, "singularities", ()):
@@ -606,7 +577,7 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
     w = np.full(len(comps), 1.0 / len(comps))
 
     reps = []
-    m_per = 2 ** max(6, math.ceil(math.log2(max(1, n_points // len(comps)))))
+    m_per = 2 ** max(6, math.ceil(math.log2(max(1, _VOLUME_QMC_POINTS // len(comps)))))
     for rep in range(_REPLICATES):
         est = 0.0
         for j, (kind, center, r_lo, r_hi) in enumerate(comps):
@@ -659,15 +630,15 @@ def _sphere_rule(n: int, m: int, axial: bool = False):
     return _read_only(nodes, np.outer(w, v).ravel())
 
 
-def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
-                      seed: int = 0, axis=None) -> QuadratureResult:
+def integrate_surface(f, sphere: SphereSurface, tol: float | None = None, *,
+                      axis=None) -> QuadratureResult:
     """Area integral of f over a sphere.
 
     axis=direction certifies f axisymmetric about the line through the
     center: the 1-D Gauss-Jacobi factor of the product rule in the polar
     angle ("gauss-jacobi").  Otherwise the full product rule for n <= 4
     ("product-gauss") and _SURFACE_QMC_POINTS scrambled-Sobol directions
-    per replicate for n >= 5 ("qmc").
+    per replicate for n >= 5 ("qmc", with the fixed seed 0).
     The product rules estimate their error against the rule with half the
     nodes per factor; an error estimate above tol * |value| raises
     AccuracyError.
@@ -695,7 +666,7 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None,
 
     reps = []
     for rep in range(_REPLICATES):
-        _, dirs = _sobol_directions(np.random.default_rng([seed, rep]),
+        _, dirs = _sobol_directions(np.random.default_rng([0, rep]),
                                     _SURFACE_QMC_POINTS, n)
         vals = np.asarray(f(c + R * dirs), float)
         reps.append(np.mean(vals, axis=-1) * sphere.area())

@@ -235,12 +235,14 @@ class ExactCheckResult:
 
     passed is True iff there are no off-target terms and the leading
     coefficient is exactly prod_{l=-k}^{k-1}(n+2l) * a^k, i.e. reduces to 1
-    under the defining relation a^k * prod(n+2l) = 1.
+    under the defining relation a^k * prod(n+2l) = 1.  numeric_residual is
+    max |(-Delta)^k B - B^{2#-1}| / B^{2#-1} in floats at r in {0, .5, 1, 2, 10}.
     """
 
     passed: bool
     leading_coefficient: dict[int, Fraction]  # {a-exponent: coefficient}
     residual_terms: list[tuple[int, int, int, Fraction]]  # (p, t, e, c)
+    numeric_residual: float
 
 
 def check_bubble_identity(n: int, k: int) -> ExactCheckResult:
@@ -250,14 +252,18 @@ def check_bubble_identity(n: int, k: int) -> ExactCheckResult:
     target monomial C(a) * (1+a r^2)^{-(n+2k)/2}.  The check passes iff the
     residual term list is empty and C(a) = prod_{l=-k}^{k-1}(n+2l) * a^k.
     """
-    g = make_bubble(n, k)
+    B = h = make_bubble(n, k)
     for _ in range(k):
-        g = laplacian(g)
-    g = power_reduce(g)
+        h = laplacian(h)
+    a, ts = bubble_constant(n, k), critical_exponent(n, k)
+    numeric = max(abs(h(r, a) - B(r, a) ** (ts - 1.0))
+                  / max(abs(B(r, a) ** (ts - 1.0)), 1e-300)
+                  for r in (0.0, 0.5, 1.0, 2.0, 10.0))
+    g = power_reduce(h)
     # target w-exponent: (n+2k)/2, i.e. M + 2t = n + 2k with M = n - 2k
     target = (0, 2 * k)
     leading = {e: c for (p, t, e), c in g.terms.items() if (p, t) == target}
     residuals = [(p, t, e, c) for (p, t, e), c in g.terms.items()
                  if (p, t) != target]
     passed = not residuals and leading == {k: bubble_constant_product(n, k)}
-    return ExactCheckResult(passed, leading, residuals)
+    return ExactCheckResult(passed, leading, residuals, numeric)

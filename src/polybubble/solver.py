@@ -730,8 +730,7 @@ def bubble_seed(n: int, k: int) -> list[float]:
         raise ValueError(f"no finite default seed for n - 2k = {n - 2 * k}") from None
 
 
-def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
-                 max_iter: int = _MAX_ITER) -> RadialSolution:
+def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9) -> RadialSolution:
     """Newton on the shooting map with the exact first and second
     derivatives that each shot carries from its variational equations.
 
@@ -740,7 +739,8 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
     Newton step s until |F| drops, at most _MAX_DAMPING times before it
     raises NewtonFailure.  Returns the RadialSolution of the last accepted
     shot, with its collocation residual filled in, or raises NewtonFailure
-    when that residual is not below _MAX_RESIDUAL (as near
+    after _MAX_ITER iterations (read at each call) or when that residual
+    is not below _MAX_RESIDUAL (as near
     u = 0, where the absolute mismatch test passes).  A step that would
     move u(0) across zero is not shot, so the solve stays on the sign of
     its start.  rtol must be finite and at least _RTOL_FLOOR, below which
@@ -765,7 +765,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
         return (F_new, sol_new) if np.linalg.norm(F_new) < base else None
 
     F, sol = shot(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         base = np.linalg.norm(F)
         if base < rtol:
             sol.collocation_residual = collocation_check(params, sol)
@@ -789,7 +789,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9,
             raise NewtonFailure("damping failed to reduce the mismatch")
         F, sol = found
         d = sol.d
-    raise NewtonFailure(f"no convergence in {max_iter} iterations")
+    raise NewtonFailure(f"no convergence in {_MAX_ITER} iterations")
 
 
 def fit_bubble(solution: RadialSolution) -> tuple[float, float]:

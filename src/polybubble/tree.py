@@ -45,6 +45,7 @@ __all__ = [
 
 # snapshot scale ratios mu^j/mu^i strictly inside this band are refused
 _AMBIGUOUS_BAND = (1e-2, 1e-1)
+_REGION_SAMPLES = 512  # points of an influence region behind a measured sup
 
 
 class AmbiguousScalesError(ValueError):
@@ -121,8 +122,8 @@ class TreeConfig:
         return self.bubbles[0].k
 
     @classmethod
-    def from_family(cls, law: FamilyLaw, alpha: float, n: int, k: int,
-                    nu=None):
+    def from_family(cls, law: FamilyLaw, alpha: float, n: int, k: int):
+        """The family at alpha, slowest bubble first, with no kernel terms."""
         specs = []
         for i in range(law.n_bubbles()):
             specs.append(BubbleSpec("interior", n, k, law.center(i, alpha),
@@ -134,7 +135,7 @@ class TreeConfig:
                          [law.center_base[i] for i in order],
                          None if law.center_exp is None else [law.center_exp[i] for i in order],
                          None if law.center_dir is None else [law.center_dir[i] for i in order])
-        return cls(specs, nu or {}, family_law=law2, alpha=alpha)
+        return cls(specs, family_law=law2, alpha=alpha)
 
     # -- JSON ----------------------------------------------------------------
 
@@ -389,11 +390,11 @@ def pair_sum(cfg: TreeConfig, B: list, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, l: int,
-                    sample_count: int = 512, seed: int = 0) -> dict:
-    """Measured sup over the influence region of
+def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, l: int, *,
+                    seed: int = 0) -> dict:
+    """Measured sup over _REGION_SAMPLES points of the influence region of
     (1 + sum_j theta_j^{-l} B_j) / (theta_i^{-l} B_i)."""
-    pts = stratified_samples(data.regions[i], cfg, sample_count, seed)
+    pts = stratified_samples(data.regions[i], cfg, _REGION_SAMPLES, seed)
     ratios = weight_sum(cfg, l, pts) / theta_pow_B(cfg.bubbles[i], l, pts)
     return {"i": i, "l": l, "constant": float(np.max(ratios)),
             "samples": len(pts)}
@@ -415,9 +416,10 @@ def pair_maxima(cfg: TreeConfig, data: InfluenceData) -> tuple[float, float]:
     return t1, t2
 
 
-def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int,
-                    sample_count: int = 512, seed: int = 0) -> dict:
-    """Pointwise interaction estimate on the influence region:
+def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int, *,
+                    seed: int = 0) -> dict:
+    """Pointwise interaction estimate on _REGION_SAMPLES points of the
+    influence region:
 
     lhs   = (mu^i)^{(n+2k)/2} sup sum_{r != s} (B^r)^{2#-2} B^s  (indices 0..N)
     bound = (max eps^{-1/2})^{min(n-2k,4k)} over comparable pairs
@@ -425,7 +427,7 @@ def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int,
           + max_i (mu^i)^{min((n-2k)/2, 2k)}   (zeroth-profile contribution)
     """
     n, k = cfg.n, cfg.k
-    pts = stratified_samples(data.regions[i], cfg, sample_count, seed)
+    pts = stratified_samples(data.regions[i], cfg, _REGION_SAMPLES, seed)
     B = [positive_bubble(b, pts) for b in cfg.bubbles]
     tot = pair_sum(cfg, B, np.zeros(len(pts)))
     lhs = cfg.bubbles[i].mu ** (0.5 * (n + 2 * k)) * float(np.max(tot))

@@ -157,15 +157,18 @@ def sample_x_points(cfg: TreeConfig, i: int, count: int = 6) -> list[np.ndarray]
 # eta sequences
 # ---------------------------------------------------------------------------
 
-def eta_sequences(cfg: TreeConfig, A_deltas=(), x_count: int = 4,
-                  seed: int = 0) -> dict:
+_ETA_X_COUNT = 2  # evaluation points (sample_x_points) of eta2's sup
+
+
+def eta_sequences(cfg: TreeConfig, *, seed: int = 0) -> dict:
     """The four control sequences of the weighted-norm machinery:
 
     eta1 = L^{2n/(n+2k)} norm of Psi over the domain (quadrature);
-    eta2 = sup_x max_l int |x-y|^{2k-n-l} Psi(y) dy / (1 + sum theta^{-l} B);
+    eta2 = sup_x max_l int |x-y|^{2k-n-l} Psi(y) dy / (1 + sum theta^{-l} B),
+           over the first _ETA_X_COUNT points of sample_x_points;
     eta3 = (max eps^{-1/2})^m + (max scale-ratio^{(2k-1)/(2(n-1))})^m
            + max_i mu_i^{min((n-2k)/2, 2k, 1)},  m = min(n-2k, 4k);
-    eta4 = max |nu| + sum of the coefficient-tensor C^l distances A_deltas.
+    eta4 = max |nu| over the kernel coefficients.
     """
     n, k = cfg.n, cfg.k
     data = classify(cfg)
@@ -183,13 +186,13 @@ def eta_sequences(cfg: TreeConfig, A_deltas=(), x_count: int = 4,
 
     # eta2: the worst ratio of the lem2 convolution bound
     eta2 = max(row["ratio"] for row in convolution_bound_verify(
-        "lem2", cfg, {"i": 0, "x_count": x_count}, seed=seed))
+        "lem2", cfg, {"i": 0, "x_count": _ETA_X_COUNT}, seed=seed))
 
     # eta3, eta4: arithmetic on the configuration
     m = min(n - 2 * k, 4 * k)
     t1, t2 = pair_maxima(cfg, data)
     eta3 = t1**m + t2**m + max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k, 1)
-    eta4 = max((abs(v) for v in cfg.nu.values()), default=0.0) + float(sum(A_deltas))
+    eta4 = max((abs(v) for v in cfg.nu.values()), default=0.0)
 
     return {"eta1": eta1, "eta2": eta2, "eta3": eta3, "eta4": eta4,
             "eta": max(eta1, eta2, eta3, eta4)}

@@ -141,7 +141,7 @@ def test_eval_V_energy_converges_to_profile_norm():
         F = bubble_field(spec_at(mu), dom)
         res = integrate_radial(
             lambda r: F.tensor_norm(1, np.array([[r] + [0.0] * (N - 1)]))[0] ** 2,
-            1.0, N, feature_scales=[mu])
+            1.0, N)
         devs.append(abs(res.value - full) / full)
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-3
@@ -214,8 +214,6 @@ def test_check_decay_slopes(n, k, l, target):
 
 def test_check_decay_preconditions():
     with pytest.raises(ValueError):
-        check_decay(7, 1, 0, radii=[10.0, 100.0])  # max < 1e3
-    with pytest.raises(ValueError):
         check_decay(7, 1, 5)
 
 
@@ -256,22 +254,22 @@ def test_compute_IA_p0_against_quadrature_oracle():
     oracle, _ = quad(lambda r: (1 + a * r * r) ** -5.0 * r**6, 0, np.inf,
                      epsrel=1e-12)
     oracle *= sphere_area(n)
-    val = compute_IA(TensorSpec(0, "iso", 1.0), n, k, 0)
+    val = compute_IA(TensorSpec(0, "iso", 1.0), n, k)
     assert val == pytest.approx(oracle, rel=1e-8)
 
 
 def test_compute_IA_zero_and_sign():
-    assert compute_IA(TensorSpec(0, "iso", 0.0), 7, 1, 0) == 0.0
-    assert compute_IA(TensorSpec(0, "iso", -2.0), 7, 1, 0) < 0
-    assert compute_IA(TensorSpec(0, "iso", 3.0), 7, 1, 0) > 0
+    assert compute_IA(TensorSpec(0, "iso", 0.0), 7, 1) == 0.0
+    assert compute_IA(TensorSpec(0, "iso", -2.0), 7, 1) < 0
+    assert compute_IA(TensorSpec(0, "iso", 3.0), 7, 1) > 0
 
 
 def test_compute_IA_diagonal_and_isotropic_match():
-    n, k, p = 9, 2, 1
-    iso = compute_IA(TensorSpec(1, "iso", 1.0), n, k, p)
-    diag = compute_IA(TensorSpec(1, "diag", np.ones(n)), n, k, p)
+    n, k = 9, 2
+    iso = compute_IA(TensorSpec(1, "iso", 1.0), n, k)
+    diag = compute_IA(TensorSpec(1, "diag", np.ones(n)), n, k)
     assert diag == pytest.approx(iso, rel=1e-10)
-    half = compute_IA(TensorSpec(1, "iso", 1.0), n, k, p, half_space=True)
+    half = compute_IA(TensorSpec(1, "iso", 1.0), n, k, half_space=True)
     assert half == pytest.approx(0.5 * iso, rel=1e-12)
 
 
@@ -290,42 +288,42 @@ def test_compute_IA_p2_hessian_decomposition():
         return (ddB(r, a) ** 2 + (n - 1) * (dB(r, a) / r) ** 2) * r ** (n - 1)
 
     oracle, _ = quad(integrand, 0, np.inf, epsrel=1e-11)
-    val = compute_IA(TensorSpec(2, "iso", 1.0), n, k, 2)
+    val = compute_IA(TensorSpec(2, "iso", 1.0), n, k)
     assert val == pytest.approx(sphere_area(n) * oracle, rel=1e-8)
-
-
-def test_compute_IA_scale_covariance():
-    """Replacing B by its mu-rescaling multiplies I_A by mu^{2(k-p)}."""
-    for (n, k, p, ts) in [(7, 1, 0, TensorSpec(0, "iso", 1.0)),
-                          (9, 2, 1, TensorSpec(1, "iso", 1.0))]:
-        v1 = compute_IA(ts, n, k, p, mu=1.0)
-        v2 = compute_IA(ts, n, k, p, mu=0.3)
-        assert v2 / v1 == pytest.approx(0.3 ** (2 * (k - p)), rel=1e-8)
 
 
 def test_compute_IA_divergence_guard():
     with pytest.raises(DivergentIntegralError):
-        compute_IA(TensorSpec(0, "iso", 1.0), 4, 1, 0)  # n = 4k
+        compute_IA(TensorSpec(0, "iso", 1.0), 4, 1)  # n = 4k
     with pytest.raises(ValueError):
-        compute_IA(TensorSpec(1, "iso", 1.0), 7, 1, 1)  # p > k-1
+        compute_IA(TensorSpec(1, "iso", 1.0), 7, 1)  # p > k-1
 
 
 def test_check_sign_condition_verdicts():
     pos = check_sign_condition([TensorSpec(0, "iso", 1.0),
-                                TensorSpec(0, "iso", 2.5)], 7, 1, 0)
+                                TensorSpec(0, "iso", 2.5)], 7, 1)
     assert pos["verdict"] == "positive"
-    neg = check_sign_condition([TensorSpec(0, "iso", -1.0)], 7, 1, 0)
+    neg = check_sign_condition([TensorSpec(0, "iso", -1.0)], 7, 1)
     assert neg["verdict"] == "negative"
     mixed = check_sign_condition([TensorSpec(0, "iso", 1.0),
-                                  TensorSpec(0, "iso", -1.0)], 7, 1, 0)
+                                  TensorSpec(0, "iso", -1.0)], 7, 1)
     assert mixed["verdict"] == "violated"
-    zero = check_sign_condition([TensorSpec(0, "iso", 0.0)], 7, 1, 0)
+    zero = check_sign_condition([TensorSpec(0, "iso", 0.0)], 7, 1)
     assert zero["verdict"] == "violated" and zero["witness"]
+
+
+def test_check_sign_condition_needs_one_tensor_order():
+    """p is read from the samples, so they must share it."""
+    with pytest.raises(ValueError, match="one tensor order"):
+        check_sign_condition([TensorSpec(0, "iso", 1.0),
+                              TensorSpec(1, "iso", 1.0)], 9, 2)
+    with pytest.raises(ValueError, match="one tensor order"):
+        check_sign_condition([], 9, 2)
 
 
 def test_check_sign_condition_diagonal_positive():
     rep = check_sign_condition([TensorSpec(1, "diag", np.linspace(0.5, 2, 9))],
-                               9, 2, 1)
+                               9, 2)
     assert rep["verdict"] == "positive"
 
 

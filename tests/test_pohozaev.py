@@ -293,7 +293,7 @@ def test_e_operator_rejects_small_p():
     n = 3
     jet = PolynomialJet(MultiPoly.abs2(n)).jet(np.zeros(n), 2)
     with pytest.raises(ValueError):
-        e_operator(jet, 1.0, 1.5)
+        e_operator(jet, 1.0, 1.5, k=1)
 
 
 def test_x_grad_laplacian_identity_cases():
@@ -624,6 +624,66 @@ def test_bubble_residual_quadrature_path(n, k):
                             Ball((0.0,) * n, 1.0), xi, k,
                             quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
     assert rep.residual_rel < 1e-12
+
+
+def test_both_axis_forms_reach_every_rule(monkeypatch):
+    """A direction and a (point, direction) pair give bit-identical values
+    on all three functions, and every sphere rule, T2's included, receives
+    the direction and the tol of quad_opts."""
+    n, k = 5, 1
+    u = _bubble_field(n, k)
+    e1 = np.eye(n)[0]
+    dom = Ball((0.0,) * n, 1.0)
+    xi, ts = 0.2 * e1, critical_exponent(n, k)
+    for call in (lambda o: pohozaev_lhs(u, dom, xi, k, quad_opts=o),
+                 lambda o: pohozaev_rhs(u, None, ts, dom, xi, k, quad_opts=o),
+                 lambda o: pohozaev_residual(u, None, ts, dom, xi, k,
+                                             quad_opts=o).to_json()):
+        assert call({"axis": e1}) == call({"axis": (np.zeros(n), e1)})
+    calls = []
+
+    def spy(fn, sphere, **kw):
+        calls.append(sorted(kw))
+        return integrate_surface(fn, sphere, **kw)
+
+    monkeypatch.setattr(pohozaev, "integrate_surface", spy)
+    pohozaev_residual(u, None, ts, dom, xi, k,
+                      quad_opts={"axis": (np.zeros(n), e1), "tol": 1.0})
+    assert calls == [["axis", "tol"]] * 2  # the P_k sphere, then T2's
+
+
+class _NotAPolynomialJet:
+    """A PolynomialJet's jets behind the generic provider interface: its
+    data take the quadrature path."""
+
+    def __init__(self, u):
+        self.u, self.n = u, u.n
+
+    def __getattr__(self, name):
+        return getattr(self.u, name)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 5), (3, 7)])
+def test_quadrature_path_matches_exact_path(k, n, shift):
+    """The identity's two copies of its formulas agree on criterion 5's
+    manufactured data (the non-radial u (1 + x_1) at the shifted xi): P_k
+    and the Dirichlet form within 1e-12, T1-T4 within 1e-10, of
+    max(|P_k|, max_i |T_i|)."""
+    u = manufactured_dirichlet(k, n, MultiPoly.coordinate(n, 0) + 1 if shift else None)
+    dom = Ball((0.0,) * n, 1.0)
+    xi = shift * np.eye(n)[0]
+
+    def terms(u, **kw):
+        return np.array([pohozaev_lhs(u, dom, xi, k, **kw)[0],
+                         pohozaev_lhs(u, dom, xi, k, simplified=True, **kw)[0],
+                         *pohozaev_rhs(u, None, 2.0, dom, xi, k, **kw)[0]])
+
+    exact = terms(u)
+    quad = terms(_NotAPolynomialJet(u),
+                 quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
+    scale = max(abs(exact[0]), *abs(exact[2:]))
+    assert np.all(np.abs(quad - exact) <= scale * np.array([1e-12] * 2 + [1e-10] * 4))
 
 
 def test_report_json_schema():

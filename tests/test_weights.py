@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from polybubble import tree, weights
 from polybubble.bubbles import BubbleSpec, positive_bubble, theta
 from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.quadrature import Ball
@@ -51,7 +52,7 @@ def test_psi_weight_single_bubble_formula():
     assert np.allclose(psi_weight(cfg, pts), expected, rtol=1e-12)
 
 
-def test_pair_sum_two_bubbles_against_written_out_sum():
+def test_pair_sum_two_bubbles_against_written_out_sum(monkeypatch):
     """N=2 oracle: Psi and the interaction lhs against the sum over the 3x3
     index pairs i != j of B_j^{2#-2} B_i, with B_0 = 1, written out."""
     law = FamilyLaw([1.0, 1.0], [1.0, 2.0],
@@ -74,8 +75,9 @@ def test_pair_sum_two_bubbles_against_written_out_sum():
     assert np.allclose(psi_weight(cfg, pts), expected, rtol=1e-12, atol=0)
 
     data = classify(cfg)
+    monkeypatch.setattr(tree, "_REGION_SAMPLES", 256)
     for i, b in enumerate(cfg.bubbles):
-        row = interaction_sup(cfg, data, i, sample_count=256, seed=9)
+        row = interaction_sup(cfg, data, i, seed=9)
         region_pts = stratified_samples(data.regions[i], cfg, 256, seed=9)
         lhs = b.mu ** (0.5 * (N + 2 * K)) * np.max(cross(region_pts))
         assert row["lhs"] == pytest.approx(lhs, rel=1e-12)
@@ -158,11 +160,13 @@ def test_starstar_norm_monotone_in_eta():
         starstar_norm(R, cfg, grid, eta=0.0)
 
 
-def test_eta_arithmetic_against_oracle():
+def test_eta_arithmetic_against_oracle(monkeypatch):
     """eta3/eta4 recomputed independently from the configuration."""
+    monkeypatch.setattr(weights, "_ETA_X_COUNT", 1)
     law = FamilyLaw([1.0, 1.0], [1.0, 2.0], [[0.0] * N, [0.0] * N])
-    cfg = TreeConfig.from_family(law, 100.0, N, K, nu={(0, 0): 2e-3})
-    es = eta_sequences(cfg, A_deltas=(0.05, 0.01), x_count=1)
+    cfg = TreeConfig.from_family(law, 100.0, N, K)
+    cfg.nu[(0, 0)] = 2e-3
+    es = eta_sequences(cfg)
     # oracle recomputation
     data = classify(cfg)
     m = min(N - 2 * K, 4 * K)
@@ -172,13 +176,14 @@ def test_eta_arithmetic_against_oracle():
              for i in range(2) for j in data.faster[i])
     mu_term = max(b.mu for b in cfg.bubbles) ** min((N - 2 * K) / 2, 2 * K, 1)
     assert es["eta3"] == pytest.approx(t1**m + t2**m + mu_term, rel=1e-12)
-    assert es["eta4"] == pytest.approx(2e-3 + 0.06, rel=1e-12)
+    assert es["eta4"] == pytest.approx(2e-3, rel=1e-12)
     assert es["eta"] == max(es["eta1"], es["eta2"], es["eta3"], es["eta4"])
 
 
-def test_eta3_single_bubble_formula():
+def test_eta3_single_bubble_formula(monkeypatch):
+    monkeypatch.setattr(weights, "_ETA_X_COUNT", 1)
     cfg = single(1e-2)
-    es = eta_sequences(cfg, x_count=1)
+    es = eta_sequences(cfg)
     assert es["eta3"] == pytest.approx(1e-2 ** min((N - 2 * K) / 2, 2 * K, 1),
                                        rel=1e-12)
     assert es["eta4"] == 0.0
@@ -187,7 +192,7 @@ def test_eta3_single_bubble_formula():
 def test_eta1_eta2_decay_along_sweep():
     e1s, e2s = [], []
     for mu in (1e-1, 1e-2, 1e-3):
-        es = eta_sequences(single(mu), x_count=2)
+        es = eta_sequences(single(mu))
         e1s.append(es["eta1"])
         e2s.append(es["eta2"])
     assert e1s[0] > e1s[1] > e1s[2]
