@@ -4,20 +4,23 @@ Everything a bubble computation needs is a finite sum of components
 
     z^{beta0} * G(s),      z = (x - center)/mu,   s = |z|^2,
 
-with G a smooth function of s.  Since d_i s = 2 z_i, every mixed partial is
-again a sum of terms z^beta * G^{(m)}(s): no negative power of |z| appears,
-so one formula holds at the centre and away from it.  The termization of each
-partial derivative is done symbolically once and cached; evaluation is
-vectorized over point batches.  A profile's chain(m, s) is the list
-[G(s), G'(s), ..., G^{(m)}(s)]: rational profiles chain the exact d/d(r^2) of
-the radial algebra kernel; the smooth cutoff and products of profiles are
-truncated-Taylor arithmetic (jets.Taylor) over all points of the batch.
+with G a smooth function of s.  Since d_i s = 2 z_i and Delta s = 2n, every
+mixed partial of every Laplacian iterate is again a sum of terms
+z^beta s^j G^{(m)}(s): no negative power of |z| appears, so one formula holds
+at the centre and away from it.  Delta stays in this form because z . z = s
+(see _termize), so d^alpha Delta^i of a component is one term list, not a sum
+of C(n+i-1, i) partials of order 2i.  The termization is done symbolically
+once and cached; evaluation is vectorized over point batches.  A profile's
+chain(m, s) is the list [G(s), G'(s), ..., G^{(m)}(s)]: rational profiles
+chain the exact d/d(r^2) of the radial algebra kernel; the smooth cutoff and
+products of profiles are truncated-Taylor arithmetic (jets.Taylor) over all
+points of the batch.
 
-A PointBatch holds z, s, the powers z_i^e and one chain per component for
-one set of points, each computed once: every partial taken on the batch
-(every entry of a Jet, every multiset of a tree's derivative tensor) reuses
-them.  The batch is the only cache of values, and it lives as long as its
-owner.
+A PointBatch holds z, s, the powers z_i^e and s^j and one chain per
+component for one set of points, each computed once: every partial taken on
+the batch (every entry of a Jet, every multiset of a tree's derivative
+tensor) reuses them.  The batch is the only cache of values, and it lives as
+long as its owner.
 """
 
 from __future__ import annotations
@@ -130,29 +133,61 @@ def cutoff_profile() -> CutoffProfile:
 # Termization of partial derivatives
 # ---------------------------------------------------------------------------
 
-# term: (coeff, beta (exponent tuple), m) for coeff * z^beta * G^(m)(s)
+# term: (coeff, beta (exponent tuple), j, m) for coeff * z^beta * s^j * G^(m)(s)
 _TERM_CACHE: dict = {}
 
 
-def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...]):
-    """Terms of d^alpha [z^beta0 G(s)], s = |z|^2, by the two-branch rule
+def _add(terms: dict, key, c: float):
+    terms[key] = terms.get(key, 0.0) + c
 
-        d_i z^beta G^(m) = beta_i z^(beta - e_i) G^(m) + 2 z^(beta + e_i) G^(m+1).
+
+def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...], lap: int = 0):
+    """Terms of d^alpha Delta^lap [z^beta0 G(s)], s = |z|^2, in z-units.
+
+    Delta acts first, lap times, by
+
+        Delta z^b s^j G^(m) = sum_i b_i (b_i - 1) z^(b - 2e_i) s^j G^(m)
+                              + j (4|b| + 2n + 4j - 4) z^b s^(j-1) G^(m)
+                              + (4|b| + 2n + 8j) z^b s^j G^(m+1)
+                              + 4 z^b s^(j+1) G^(m+2),
+
+    then each index of alpha by
+
+        d_i z^b s^j G^(m) = b_i z^(b - e_i) s^j G^(m) + 2 z^(b + e_i) s^j G^(m+1)
+                            + 2j z^(b + e_i) s^(j-1) G^(m).
+
+    With lap = 0 every j is 0, so the last branch never fires and the terms
+    are those of the d_i rule alone, in the same order.
     """
-    key = (n, beta0, alpha)
+    key = (n, beta0, alpha, lap)
     if key in _TERM_CACHE:
         return _TERM_CACHE[key]
-    terms = {(beta0, 0): 1.0}
-    for i in alpha:
+    terms = {(beta0, 0, 0): 1.0}
+    for _ in range(lap):
         new: dict = {}
-        for (beta, m), c in terms.items():
+        for (beta, j, m), c in terms.items():
+            for i, b in enumerate(beta):
+                if b > 1:
+                    down = beta[:i] + (b - 2,) + beta[i + 1:]
+                    _add(new, (down, j, m), c * b * (b - 1))
+            nb = 4 * sum(beta) + 2 * n
+            if j:
+                _add(new, (beta, j - 1, m), c * j * (nb + 4 * j - 4))
+            _add(new, (beta, j, m + 1), c * (nb + 8 * j))
+            _add(new, (beta, j + 1, m + 2), 4.0 * c)
+        terms = new
+    for i in alpha:
+        new = {}
+        for (beta, j, m), c in terms.items():
             if beta[i] > 0:
                 down = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-                new[down, m] = new.get((down, m), 0.0) + c * beta[i]
+                _add(new, (down, j, m), c * beta[i])
             up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            new[up, m + 1] = new.get((up, m + 1), 0.0) + 2.0 * c
+            _add(new, (up, j, m + 1), 2.0 * c)
+            if j:
+                _add(new, (up, j - 1, m), 2.0 * j * c)
         terms = new
-    out = [(c, beta, m) for (beta, m), c in terms.items()]
+    out = [(c, beta, j, m) for (beta, j, m), c in terms.items()]
     _TERM_CACHE[key] = out
     return out
 
@@ -166,8 +201,8 @@ class _Component:
 
 class PointBatch:
     """One point batch of a RadialTermField: z, s, the column powers z_i^e
-    its partials use and, per component, the profile chain up to the
-    highest order any partial has asked for.
+    and the powers s^j its partials use and, per component, the profile
+    chain up to the highest order any partial has asked for.
 
     Pass it as the points of field.partial.  order is the chain length to
     compute on first use (a Jet's order), so that later partials of higher
@@ -183,12 +218,20 @@ class PointBatch:
         self.s = row_sq_norms(self.z)
         self._chains: dict[int, list] = {}
         self._powers: dict[tuple[int, int], np.ndarray] = {}
+        self._s_powers: dict[int, np.ndarray] = {}
 
     def power(self, coord: int, e: int) -> np.ndarray:
         """z[:, coord] ** e, computed on first use."""
         p = self._powers.get((coord, e))
         if p is None:
             p = self._powers[coord, e] = self.z[:, coord] ** e
+        return p
+
+    def s_power(self, j: int) -> np.ndarray:
+        """s ** j, computed on first use."""
+        p = self._s_powers.get(j)
+        if p is None:
+            p = self._s_powers[j] = self.s ** j
         return p
 
     def chain(self, i: int, m: int) -> list:
@@ -227,9 +270,9 @@ class RadialTermField:
 
     __call__ = value
 
-    def partial(self, alpha, points):
-        """Mixed partial for the index multiset alpha, vectorized.  points is
-        an (m, n) array or a PointBatch of this field."""
+    def partial(self, alpha, points, lap: int = 0):
+        """d^alpha Delta^lap F for the index multiset alpha, vectorized.
+        points is an (m, n) array or a PointBatch of this field."""
         alpha = tuple(sorted(alpha))
         if not isinstance(points, PointBatch):
             points = PointBatch(self, points)
@@ -237,16 +280,18 @@ class RadialTermField:
             raise ValueError("point batch belongs to another field")
         acc = np.zeros(len(points.z))
         for i, comp in enumerate(self.components):
-            terms = _termize(self.n, comp.beta0, alpha)
-            m_max = max(m for _, _, m in terms)
+            terms = _termize(self.n, comp.beta0, alpha, lap)
+            m_max = max(m for *_, m in terms)
             dchain = points.chain(i, m_max)
-            for cc, beta, m in terms:
+            for cc, beta, j, m in terms:
                 v = cc * dchain[m]
                 for coord, e in enumerate(beta):
                     if e:
                         v = v * points.power(coord, e)
+                if j:
+                    v = v * points.s_power(j)
                 acc += comp.coeff * v
-        return self.amplitude * acc * self.mu ** (-len(alpha))
+        return self.amplitude * acc * self.mu ** (-len(alpha) - 2 * lap)
 
     # -- tensors and jets ----------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Jets: lazily computed partial derivatives of a field at one point or a
 batch of points, and truncated univariate Taylor arithmetic.
 
-A jet caches one entry per *multiset* of coordinate indices, so symmetry of
-mixed partials is structural rather than checked entry-by-entry.  Each entry
-is one vectorized call of the field's partial over all points, made on first
+A jet caches one entry per Laplacian power and *multiset* of coordinate
+indices, d^alpha Delta^i u, so symmetry of mixed partials is structural
+rather than checked entry-by-entry.  Each entry is one vectorized call of
+the field's partial(alpha, points, lap=i) over all points, made on first
 use; a field may hand the jet a point batch of its own, so that what every
 entry shares (for fields.RadialTermField: z, s and each profile's derivative
-chain) is computed once.  Accessors derive Laplacian iterates and their
-gradients/Hessians from these entries.
+chain) is computed once.  A Laplacian iterate is one entry, its gradient n
+entries and its Hessian n(n+1)/2: the field applies Delta itself.
 
 A Taylor series carries the derivatives of t -> f(x + t dx) up to a fixed
 order through any f written with +, -, *, /, real powers, exp and sqrt
@@ -18,7 +19,6 @@ differences and no second formula per function.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -46,20 +46,12 @@ def multiset_multiplicity(alpha: tuple[int, ...]) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
-def _lap_terms(n: int, i: int):
-    """Delta^i = sum_m w_m d^{2m}: (index tuple of d^{2m}, multinomial w_m)
-    over the multi-indices m with |m| = i."""
-    return tuple((tuple(c for c in alpha for _ in range(2)),
-                  multiset_multiplicity(alpha))
-                 for alpha in combinations_with_replacement(range(n), i))
-
-
 class Jet:
     """Partial derivatives up to a fixed order of a field at x, where x is
     one point (n,) or a batch (m, n).
 
-    field.partial(alpha, points) must accept an (m, n) batch.  points, when
+    field.partial(alpha, points, lap) must accept an (m, n) batch and return
+    d^alpha Delta^lap of the field there.  points, when
     given, replaces that batch in every call: the field's own batch object
     for the points of x.  Every accessor returns an array shaped like x
     without its last axis (a scalar for one point), followed by the tensor
@@ -72,17 +64,19 @@ class Jet:
         self.n = self.x.shape[-1]
         self.order = order
         self._points = np.atleast_2d(self.x) if points is None else points
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
-    def partial(self, alpha):
+    def partial(self, alpha, lap: int = 0):
+        """d^alpha Delta^lap u."""
         alpha = tuple(sorted(alpha))
-        if len(alpha) > self.order:
+        if len(alpha) + 2 * lap > self.order:
             raise ValueError(f"jet order {self.order} too low for a partial"
-                             f" of order {len(alpha)}")
-        if alpha not in self._cache:
-            vals = np.asarray(self.field.partial(alpha, self._points), float)
-            self._cache[alpha] = vals.reshape(self.x.shape[:-1])[()]
-        return self._cache[alpha]
+                             f" of order {len(alpha) + 2 * lap}")
+        key = (lap, alpha)
+        if key not in self._cache:
+            vals = np.asarray(self.field.partial(alpha, self._points, lap=lap), float)
+            self._cache[key] = vals.reshape(self.x.shape[:-1])[()]
+        return self._cache[key]
 
     def value(self):
         return self.partial(())
@@ -110,14 +104,7 @@ class Jet:
 
     def lap_iter(self, i: int, extra=()):
         """(-Delta)^i u, optionally with extra derivative indices applied."""
-        extra = tuple(extra)
-        if 2 * i + len(extra) > self.order:
-            raise ValueError(f"jet order {self.order} too low for (-Delta)^{i}"
-                             f" with {len(extra)} extra derivatives")
-        tot = 0.0
-        for idx, w in _lap_terms(self.n, i):
-            tot = tot + w * self.partial(extra + idx)
-        return (-1.0) ** i * tot
+        return (-1.0) ** i * self.partial(extra, lap=i)
 
     def grad_lap(self, i: int) -> np.ndarray:
         return self._vector(lambda j: self.lap_iter(i, extra=j))

@@ -29,8 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from .jets import Jet
-from .quadrature import (Ball, BallMinusBalls, SphereSurface, integrate_surface,
-                         integrate_volume, sphere_area, sphere_moment_ratio)
+from .quadrature import (Ball, BallMinusBalls, SphereSurface, _require_on_axis,
+                         integrate_surface, integrate_volume, sphere_area,
+                         sphere_moment_ratio)
 
 __all__ = [
     "MultiPoly",
@@ -487,19 +488,22 @@ class PolynomialJet:
         self.poly = poly
         self.n = poly.n
         self.nonneg = nonneg
-        self._dcache: dict = {(): poly}
+        self._dcache: dict = {(0, ()): poly}
 
-    def _dpoly(self, alpha) -> MultiPoly:
-        alpha = tuple(sorted(alpha))
-        if alpha not in self._dcache:
-            self._dcache[alpha] = self._dpoly(alpha[1:]).diff(alpha[0])
-        return self._dcache[alpha]
+    def _dpoly(self, alpha, lap: int = 0) -> MultiPoly:
+        """d^alpha Delta^lap of the polynomial, exact."""
+        key = (lap, tuple(sorted(alpha)))
+        if key not in self._dcache:
+            _, alpha = key
+            self._dcache[key] = (self._dpoly(alpha[1:], lap).diff(alpha[0]) if alpha
+                                 else self._dpoly((), lap - 1).laplacian())
+        return self._dcache[key]
 
     def value(self, points):
         return self.poly.eval(points)
 
-    def partial(self, alpha, points):
-        return self._dpoly(alpha).eval(points)
+    def partial(self, alpha, points, lap: int = 0):
+        return self._dpoly(alpha, lap).eval(points)
 
     def jet(self, x, order: int) -> Jet:
         return Jet(self, x, order)
@@ -573,12 +577,16 @@ def _rule_opts(quad_opts, domain):
     one quad_opts.  Its axis, a direction or a (point, direction) pair, goes
     to the volume rule as a pair (through the domain's centre for a
     direction) and to each sphere, integrated about its own centre, as the
-    direction; tol goes to every rule, seed to the volume rule only."""
+    direction; tol goes to every rule, seed to the volume rule only.  A
+    sphere whose centre is off the axis line would be integrated about
+    another line, so that is a ValueError."""
     vol = dict(quad_opts or {})
     sphere = {key: v for key, v in vol.items() if key != "seed"}
     if vol.get("axis") is not None:
         if np.ndim(vol["axis"]) == 1:
             vol["axis"] = (domain.enclosing()[0], vol["axis"])
+        _require_on_axis([c for c, _, _ in _boundary_pieces(domain)], *vol["axis"],
+                         domain.enclosing()[1], "boundary sphere centre")
         sphere["axis"] = vol["axis"][1]
     return vol, sphere
 

@@ -293,6 +293,17 @@ def _axis_frame(direction):
     return d, e / np.linalg.norm(e)
 
 
+def _require_on_axis(points, axis_point, axis_dir, scale: float, what: str):
+    """ValueError naming what when a point lies farther than
+    1e-10 * max(1, scale) from the line axis_point + t * axis_dir."""
+    d = np.asarray(axis_dir, float)
+    d = d / np.linalg.norm(d)
+    for pt in points:
+        off = np.asarray(pt, float) - np.asarray(axis_point, float)
+        if np.linalg.norm(off - (off @ d) * d) > 1e-10 * max(1.0, scale):
+            raise ValueError(f"{what} {tuple(map(float, pt))} is off the symmetry axis")
+
+
 def _ray_panels(U, origin, domain, spheres, peak_cuts, plane, rho_max, floor):
     """Radial panels of the domain along every ray origin + rho * U[i], built
     in one array pass over all rays.
@@ -354,9 +365,10 @@ def _ray_panels(U, origin, domain, spheres, peak_cuts, plane, rho_max, floor):
 def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
                            n_rho: int = 14, feature_balls=()) -> QuadratureResult:
     """Volume integral of f certified symmetric about the line
-    axis_point + t*axis_dir.  All domain centers and declared singularities
-    must lie on that axis; the polar origin is the strongest singularity, or
-    the enclosing center when there is none.
+    axis_point + t*axis_dir.  The domain's centre, the centres of its holes,
+    those of the feature_balls and the declared singularities must lie on
+    that axis (ValueError otherwise); the polar origin is the strongest
+    singularity, or the enclosing center when there is none.
 
     Reduces to omega_{n-2} * iint f(rho,phi) rho^{n-1} sin^{n-2}(phi) in the
     meridian half-plane, using panelled Gauss-Legendre rules: phi panels are
@@ -379,17 +391,13 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     c_enc, r_enc = domain.enclosing()
     p0 = np.asarray(axis_point, float)
 
-    def on_axis(pt):
-        off = np.asarray(pt, float) - p0
-        return np.linalg.norm(off - (off @ d) * d) <= 1e-10 * max(1.0, r_enc)
-
-    if not on_axis(c_enc):
-        raise ValueError("domain center is off the symmetry axis")
-
+    inner = list(domain.inner) if isinstance(domain, BallMinusBalls) else []
+    cut_balls = inner + list(feature_balls)
     sings = [s for s in getattr(domain, "singularities", ())]
-    for s in sings:
-        if not on_axis(s.point):
-            raise ValueError("declared singularity off the symmetry axis")
+    for what, pts in (("domain center", [c_enc]),
+                      ("hole or feature ball center", [b.center for b in cut_balls]),
+                      ("declared singularity", [s.point for s in sings])):
+        _require_on_axis(pts, p0, d, r_enc, what)
 
     origin = c_enc
     strongest = 0.0
@@ -402,9 +410,6 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     half = isinstance(domain, HalfBall)
     if half and abs(abs(d[0]) - 1.0) > 1e-12:
         raise ValueError("half domains need the symmetry axis along e_1")
-
-    inner = list(domain.inner) if isinstance(domain, BallMinusBalls) else []
-    cut_balls = inner + list(feature_balls)
 
     # --- phi panel edges: kinks at hole/feature tangency angles, refinement
     # near peak directions (both as seen from the polar origin)
@@ -640,8 +645,9 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None, *,
     ("product-gauss") and _SURFACE_QMC_POINTS scrambled-Sobol directions
     per replicate for n >= 5 ("qmc", with the fixed seed 0).
     The product rules estimate their error against the rule with half the
-    nodes per factor; an error estimate above tol * |value| raises
-    AccuracyError.
+    nodes per factor; f is called once, on the nodes of both rules together,
+    so it must be pointwise: each value depends on its own node alone.  An
+    error estimate above tol * |value| raises AccuracyError.
     """
     n = sphere.dim
     c = np.asarray(sphere.center, float)
@@ -649,20 +655,19 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None, *,
 
     axial = axis is not None
     if axial or n <= 4:
+        (uc, wc), (uf, wf) = (_sphere_rule(n, m, axial)
+                              for m in ((48, 96) if axial else (24, 48)))
+        u = np.concatenate([uc, uf])
         if axial:
             d, e = _axis_frame(axis)
-        ests, used = [], 0
-        for m in ((48, 96) if axial else (24, 48)):
-            u, w = _sphere_rule(n, m, axial)
-            if axial:
-                u = u[:, :1] * d + u[:, 1:] * e
-            vals = np.asarray(f(c + R * u), float)
-            ests.append(np.sum(w * vals, axis=-1) / np.sum(w) * sphere.area())
-            used += len(w)
-        coarse, fine = ests
+            u = u[:, :1] * d + u[:, 1:] * e
+        vals = np.asarray(f(c + R * u), float)
+        coarse, fine = (np.sum(w * v, axis=-1) / np.sum(w) * sphere.area()
+                        for w, v in ((wc, vals[..., :len(wc)]),
+                                     (wf, vals[..., len(wc):])))
         method = "gauss-jacobi" if axial else "product-gauss"
-        return _refuse_unmet(
-            QuadratureResult(_rows(fine), _rows(abs(fine - coarse)), method, used), tol)
+        return _refuse_unmet(QuadratureResult(
+            _rows(fine), _rows(abs(fine - coarse)), method, len(u)), tol)
 
     reps = []
     for rep in range(_REPLICATES):

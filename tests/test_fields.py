@@ -1,15 +1,21 @@
 """Point batches of exact radial fields: every entry of a Jet, a tensor norm
 and a tree's derivative tensor evaluates z, s and each profile's derivative
-chain once per point batch, and gives the same bits as a one-off partial."""
+chain once per point batch, and gives the same bits as a one-off partial.
+Laplacian iterates, which the fields apply in closed form, match the sum of
+pure partials over multisets."""
+
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from polybubble import radial
 from polybubble.bubbles import BubbleSpec, bubble_field, kernel_elements
-from polybubble.fields import (PointBatch, RadialTermField, RationalProfile,
-                               cutoff_profile)
+from polybubble.fields import (PointBatch, ProductProfile, RadialTermField,
+                               RationalProfile, cutoff_profile)
 from polybubble.jets import multiset_multiplicity, multisets
+from polybubble.pohozaev import MultiPoly, manufactured_dirichlet
 from polybubble.quadrature import Ball, _sphere_rule
 from polybubble.radial import bubble_constant, make_bubble
 from polybubble.tree import TreeConfig, _tree_fields, eval_tree
@@ -159,3 +165,114 @@ def test_sphere_rule_is_shared_and_read_only():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+# -- Laplacian iterates against the multiset sum --------------------------------
+
+def _lap_terms(n, i):
+    """Delta^i = sum_m w_m d^{2m} over the multisets m of order i: (index
+    tuple of d^{2m}, multinomial w_m)."""
+    return [(tuple(c for c in alpha for _ in range(2)), multiset_multiplicity(alpha))
+            for alpha in combinations_with_replacement(range(n), i)]
+
+
+def _multiset_lap(partial, n, i, extra=()):
+    """(-Delta)^i d^extra as the sum of C(n+i-1, i) pure partials of order
+    2i + |extra|, and the same sum of their absolute values."""
+    vals = [w * partial(tuple(extra) + idx) for idx, w in _lap_terms(n, i)]
+    return (-1.0) ** i * sum(vals), sum(np.abs(v) for v in vals)
+
+
+def _cutoff_field(n):
+    return RadialTermField.radial(n, np.full(n, 0.1), cutoff_profile(), mu=0.7)
+
+
+def _product_field(n):
+    k = 1 if n < 5 else 2
+    rat = RationalProfile(make_bubble(n, k), bubble_constant(n, k))
+    prof = ProductProfile([(cutoff_profile(), 0.9), (rat, 0.2)])
+    return RadialTermField.radial(n, np.zeros(n), prof, mu=0.8, amplitude=1.3)
+
+
+def _translation_field(n):
+    """The kernel element d_2 B of the k = 1 bubble, as bubbles.py builds
+    it: one component z_2 h(s), with beta0 = e_2."""
+    return kernel_elements(n, 1)[2]
+
+
+def _two_component_field(n):
+    """z_1^3 z_2 G(s) + 0.5 chi(s): a beta0 with an entry above 1, which
+    takes the z^(b - 2e_i) branch of the Laplacian rule."""
+    beta0 = (3, 1) + (0,) * (n - 2)
+    rat = RationalProfile(make_bubble(n, 1), bubble_constant(n, 1))
+    comps = [(beta0, rat), ((0,) * n, cutoff_profile(), 0.5)]
+    return RadialTermField(n, np.full(n, -0.1), comps, mu=0.9)
+
+
+_LAP_FIELDS = pytest.mark.parametrize("make", [
+    lambda n: _radial_bubble(n, 1, mu=0.7), _cutoff_field, _product_field,
+    _translation_field, _two_component_field],
+    ids=["rational", "cutoff", "product", "beta0-e2", "beta0-3e1+e2"])
+
+
+@_LAP_FIELDS
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_lap_iter_matches_the_multiset_sum(make, n):
+    """lap_iter, grad_lap and hess_lap (its entries on four axes) for i <= 3
+    against the multiset sums of the same jet's pure partials, to 2e-14 of
+    the sum of the terms' magnitudes (the two sums round apart; the worst
+    seen is 3.3e-15).  The points sit at the centre, inside the cutoff's
+    plateau and on its ramp."""
+    F = make(n)
+    rng = np.random.default_rng(n)
+    dirs = rng.normal(size=(4, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    pts = F.center + F.mu * np.array([0.0, 0.3, 0.7, 0.9])[:, None] * dirs
+    jet = F.jet(pts, 8)
+    axes = sorted({0, 1, 2, n - 1})  # the beta0 axes 0, 1 and two others
+    for i in range(4):
+        cases = [((), jet.lap_iter(i))]
+        g, H = jet.grad_lap(i), jet.hess_lap(i)
+        cases += [((a,), g[:, a]) for a in range(n)]
+        cases += [((a, b), H[:, a, b]) for a in axes for b in axes if a <= b]
+        for extra, got in cases:
+            want, scale = _multiset_lap(jet.partial, n, i, extra)
+            assert np.all(np.abs(got - want) <= 2e-14 * scale), (i, extra)
+    assert np.count_nonzero(jet.lap_iter(3)) >= 2
+
+
+def test_laplacian_entries_take_one_field_call_each(monkeypatch):
+    """(-Delta)^i u is one partial call, its gradient n and its Hessian
+    n(n+1)/2; the multiset sum took C(n+i-1, i) calls per entry."""
+    F, n = _radial_bubble(7, 2), 7
+    calls = []
+    partial = F.partial
+    monkeypatch.setattr(F, "partial", lambda *a, **kw: calls.append(a[0]) or partial(*a, **kw))
+    jet = F.jet(np.zeros((2, n)), 6)
+    jet.lap_iter(2)
+    assert len(calls) == 1
+    jet.grad_lap(2)
+    assert len(calls) == 1 + n
+    jet.hess_lap(2)
+    jet.lap_iter(2)
+    assert len(calls) == 1 + n + n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_polynomial_laplacian_is_exact(n):
+    """PolynomialJet's Laplacian iterates are the exact MultiPoly Laplacians:
+    equal to the multiset sum of exact partials as polynomials, and, at
+    points, to the float multiset sum to 2e-14 of its terms' magnitudes."""
+    poly = MultiPoly(n, {(1,) + (0,) * (n - 1): Fraction(1, 3),
+                         (0, 2) + (0,) * (n - 2): Fraction(-2, 7)}) + 1
+    u = manufactured_dirichlet(2, n, poly)
+    pts = 0.4 * np.random.default_rng(n).normal(size=(5, n))
+    jet = u.jet(pts, 7)
+    for i in range(4):
+        for extra in [(), (0,)]:
+            exact = sum((u._dpoly(extra + idx) * w for idx, w in _lap_terms(n, i)),
+                        MultiPoly(n))
+            assert u._dpoly(extra, i).terms == exact.terms
+            assert u._dpoly(extra, i).den == exact.den
+            want, scale = _multiset_lap(jet.partial, n, i, extra)
+            assert np.all(np.abs(jet.lap_iter(i, extra) - want) <= 2e-14 * scale)

@@ -626,6 +626,38 @@ def test_bubble_residual_quadrature_path(n, k):
     assert rep.residual_rel < 1e-12
 
 
+# the default range of bubble-check: 1 <= k <= 4, 2k < n <= 12
+_BUBBLE_CHECK_RANGE = [(n, k) for k in range(1, 5) for n in range(2 * k + 1, 13)]
+
+
+@pytest.mark.parametrize("n,k", _BUBBLE_CHECK_RANGE)
+def test_bubble_suite_over_the_bubble_check_range(n, k):
+    """What `pohozaev --suite bubble` runs, over every (n, k) bubble-check
+    covers: the residual within 1e-12 and the CLI's gate on T1."""
+    rep = pohozaev_residual(_bubble_field(n, k), None, critical_exponent(n, k),
+                            Ball((0.0,) * n, 1.0), np.zeros(n), k,
+                            quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
+    assert rep.residual_rel <= 1e-12
+    assert abs(rep.T1) <= max(10 * rep.budget, 1e-8)
+
+
+@pytest.mark.parametrize("dom, axis", [
+    (BallMinusBalls(Ball((0.0,) * 5, 1.0), (Ball((0.0, 0.3, 0.0, 0.0, 0.0), 0.2),)),
+     np.eye(5)[0]),
+    (Ball((0.0,) * 5, 1.0), (np.array([0.0, 0.3, 0.0, 0.0, 0.0]), np.eye(5)[0])),
+], ids=["hole", "outer-sphere"])
+def test_quadrature_path_refuses_spheres_off_the_axis(dom, axis):
+    """Each sphere rule integrates about the line through its own centre, so
+    a boundary sphere off the certified axis is refused on both sides."""
+    n, k = 5, 1
+    u = _bubble_field(n, k)
+    with pytest.raises(ValueError, match="boundary sphere centre"):
+        pohozaev_lhs(u, dom, np.zeros(n), k, quad_opts={"axis": axis})
+    with pytest.raises(ValueError, match="boundary sphere centre"):
+        pohozaev_rhs(u, None, critical_exponent(n, k), dom, np.zeros(n), k,
+                     quad_opts={"axis": axis})
+
+
 def test_both_axis_forms_reach_every_rule(monkeypatch):
     """A direction and a (point, direction) pair give bit-identical values
     on all three functions, and every sphere rule, T2's included, receives
