@@ -11,8 +11,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (ProductProfile, RadialTermField, RationalProfile,
-                     cutoff_profile)
+from .fields import (CutoffProfile, ProductProfile, RadialTermField,
+                     RationalProfile)
 from .jets import Jet
 from .quadrature import Ball, integrate_radial, row_sq_norms
 from .radial import (RadialFunction, bubble_constant,
@@ -100,7 +100,7 @@ class CutoffSpec:
     the spec takes rho = |x|.
     """
 
-    profile: object = dc_field(default_factory=cutoff_profile)
+    profile: object = dc_field(default_factory=CutoffProfile)
 
     def __call__(self, rho):
         return self.profile.chain(0, np.asarray(rho, float) ** 2)[0]
@@ -185,15 +185,6 @@ def positive_bubble(spec: BubbleSpec | None, x) -> np.ndarray:
     return (spec.mu / (spec.mu**2 + spec.a * r2)) ** expo
 
 
-def _interior_field(spec: BubbleSpec, bdist: float) -> RadialTermField:
-    prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
-    chi = cutoff_profile()
-    combined = ProductProfile([(chi, bdist), (prof, spec.mu)])
-    amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
-    return RadialTermField.radial(spec.n, spec.center, combined, mu=1.0,
-                                  amplitude=amp)
-
-
 def bubble_field(spec: BubbleSpec, domain: Ball) -> RadialTermField:
     """The localized bubble V as an exact radial field (interior, standard)."""
     if spec.kind != "interior" or spec.profile != "standard":
@@ -202,7 +193,11 @@ def bubble_field(spec: BubbleSpec, domain: Ball) -> RadialTermField:
     bdist = R - np.linalg.norm(spec.center - c)
     if bdist <= 0:
         raise ValueError("bubble center outside the domain")
-    return _interior_field(spec, bdist)
+    prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
+    combined = ProductProfile([(CutoffProfile(), bdist), (prof, spec.mu)])
+    amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
+    return RadialTermField.radial(spec.n, spec.center, combined, mu=1.0,
+                                  amplitude=amp)
 
 
 def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
@@ -224,7 +219,7 @@ def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
         bdist = 1.0  # the cutoff acts on chart coordinates
         z = BallChart(spec.center).inverse(x)
     s = row_sq_norms(z)
-    cut = cutoff_profile().chain(0, s / bdist**2)[0]
+    cut = CutoffProfile().chain(0, s / bdist**2)[0]
     amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
     if spec.profile == "standard":
         prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)

@@ -38,7 +38,6 @@ __all__ = [
     "RationalProfile",
     "ProductProfile",
     "CutoffProfile",
-    "cutoff_profile",
     "PointBatch",
     "RadialTermField",
 ]
@@ -122,11 +121,6 @@ class CutoffProfile:
         f1 = np.exp(-1.0 / (1.0 - t))
         out[:, ramp] = (f1 / (f1 + np.exp(-1.0 / t))).c * _factorials(m, 1)
         return [row.reshape(s.shape)[()] for row in out]
-
-
-def cutoff_profile() -> CutoffProfile:
-    """The cutoff chi as a profile in s; see CutoffProfile."""
-    return CutoffProfile()
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,7 @@ class RadialFunction:
             [*self.terms.items(), *other.terms.items()]))
 
     def __mul__(self, other) -> "RadialFunction":
-        """Product; with another RadialFunction the M fields add."""
-        if isinstance(other, RadialFunction):
-            if self.n != other.n:
-                raise ValueError("incompatible dimension")
-            return RadialFunction(self.n, self.M + other.M, _collect(
-                ((p1 + p2, t1 + t2, e1 + e2), c1 * c2)
-                for (p1, t1, e1), c1 in self.terms.items()
-                for (p2, t2, e2), c2 in other.terms.items()))
+        """Product with a rational scalar."""
         other = Fraction(other)
         return RadialFunction(self.n, self.M,
                               {key: c * other for key, c in self.terms.items()})

@@ -75,7 +75,6 @@ _DENSE_POINTS = 400  # output grid of a shot on [_EPS0, 1]
 _VERIFY_RTOL = 1e-13  # LSODA verifier tolerance, tighter than any shot
 _VERIFY_MXSTEP = 5000  # LSODA step budget per output interval (default 500)
 _MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
-_MAX_HALVINGS = 6    # step halvings per grid interval before declaring a fold
 _MAX_DAMPING = 7     # Newton step halvings per iteration before NewtonFailure
 _MAX_ITER = 50       # Newton iterations before newton_solve gives up
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's DOP853 rtol floor, kept by _integrate
@@ -839,16 +838,14 @@ def _hermite_guess(accepted, mu):
 
 
 def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
-    """Natural-parameter continuation along the mu grid with step halving.
+    """Natural-parameter continuation along the mu grid, one solve per point.
 
     Each target starts Newton from the Hermite prediction of _hermite_guess
     through the last two accepted points and their exact tangents
     dd/dmu = -J^{-1} dF/dmu, taken from each point's own last shot, then
-    from the previous d.  When both fail, the target is put back behind
-    the midpoint between it and the last accepted point; after
-    _MAX_HALVINGS such halvings between two grid points the branch counts
-    as lost.  Returns (branch points, flag) where flag is "complete" or
-    "fold" when the branch was lost despite halving.
+    from the previous d.  Newton runs only at mu values of the grid.
+    Returns (branch points, flag) where flag is "complete", or "fold" when
+    both starts fail at a target: the branch ends at the last point solved.
 
     d_seed is shooting data or a converged RadialSolution.  A solution at
     the first target (same n, k, p and mu) with a mismatch below rtol and a
@@ -867,10 +864,7 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
             seed = None
     d = np.asarray(d_seed, float)
     accepted = []  # last two accepted (mu, d, dd/dmu)
-    pending = [(mu, True) for mu in mu_grid]  # (mu, on the grid)
-    halvings = 0
-    while pending:
-        mu_target, on_grid = pending[0]
+    for mu_target in mu_grid:
         pars = ProblemParams(params.n, params.k, params.p, mu_target)
         guess = _hermite_guess(accepted, mu_target)
         sol, seed = seed, None  # a reused seed solution needs no solve
@@ -882,22 +876,14 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
             except (NewtonFailure, IntegrationBlowUp):
                 pass
         if sol is None:
-            if not accepted or halvings >= _MAX_HALVINGS:
-                return points, "fold"
-            pending.insert(0, (0.5 * (accepted[-1][0] + mu_target), False))
-            halvings += 1
-            continue
+            return points, "fold"
         mu_fit, resid = fit_bubble(sol)
-        if on_grid:
-            poho = _square_integral(pars.n, sol.r, sol.v, sol.dv, pars.p)
-            points.append(BranchPoint(mu_target, sol.sup_norm, sol.energy,
-                                      mu_fit, resid, poho, sol.d.copy(),
-                                      sol.collocation_residual))
-            halvings = 0
+        poho = _square_integral(pars.n, sol.r, sol.v, sol.dv, pars.p)
         d = sol.d.copy()
+        points.append(BranchPoint(mu_target, sol.sup_norm, sol.energy, mu_fit,
+                                  resid, poho, d, sol.collocation_residual))
         tangent = np.linalg.solve(sol.jac, -sol.dmu)
         accepted = accepted[-1:] + [(mu_target, d, tangent)]
-        pending.pop(0)
     return points, "complete"
 
 

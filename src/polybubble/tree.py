@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bubbles import BubbleSpec, bubble_field, kernel_elements, positive_bubble, theta
-from .fields import PointBatch, ProductProfile, RadialTermField, cutoff_profile
+from .fields import CutoffProfile, PointBatch, ProductProfile, RadialTermField
 from .quadrature import Ball, row_sq_norms
 from .radial import bubble_constant, critical_exponent
 
@@ -463,7 +463,7 @@ def _tree_fields(cfg: TreeConfig):
                 kers = kernel_elements(b.n, b.k)
             base = kers[j2]
             bdist = dom.radius - float(np.linalg.norm(b.center - np.asarray(dom.center)))
-            chi = cutoff_profile()
+            chi = CutoffProfile()
             comps = []
             for comp in base.components:
                 prof = ProductProfile([(chi, bdist / b.mu), (comp.profile, 1.0)])

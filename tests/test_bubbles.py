@@ -74,10 +74,10 @@ def test_cutoff_s_derivatives_chain_rule():
     plateaus s <= 1/4 and s >= 1 the values are exactly 1 / 0."""
     from math import factorial
 
-    from polybubble.fields import cutoff_profile
+    from polybubble.fields import CutoffProfile
     from polybubble.jets import Taylor
 
-    G, M = cutoff_profile(), 6
+    G, M = CutoffProfile(), 6
     # near the plateaus G^(m) is a small difference of large series terms,
     # so each check also allows 1e-14 of max |G^(m)| over the ramp
     scale = [np.abs(g).max() for g in G.chain(M, np.linspace(0.25, 1.0, 301))]
@@ -290,6 +290,22 @@ def test_compute_IA_p2_hessian_decomposition():
     oracle, _ = quad(integrand, 0, np.inf, epsrel=1e-11)
     val = compute_IA(TensorSpec(2, "iso", 1.0), n, k)
     assert val == pytest.approx(sphere_area(n) * oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("n, k", [(9, 3), (12, 3), (13, 4)])
+def test_compute_IA_p2_diagonal_of_ones_is_the_hessian_norm(n, k):
+    """With every a_ij = 1, sum a_ij (d_ij B)^2 = |D^2 B|^2, so the diagonal
+    p=2 branch must give the isotropic value at lambda = 1."""
+    diag = compute_IA(TensorSpec(2, "diag", np.ones((n, n))), n, k)
+    iso = compute_IA(TensorSpec(2, "iso", 1.0), n, k)
+    assert diag == pytest.approx(iso, rel=1e-13)
+
+
+def test_compute_IA_diagonal_shape_refusals():
+    with pytest.raises(ValueError, match="p=1 tensor needs n entries"):
+        compute_IA(TensorSpec(1, "diag", np.ones(8)), 9, 2)
+    with pytest.raises(ValueError, match="p=2 tensor needs an n x n matrix"):
+        compute_IA(TensorSpec(2, "diag", np.ones(9)), 9, 3)
 
 
 def test_compute_IA_divergence_guard():

@@ -12,8 +12,8 @@ import pytest
 
 from polybubble import radial
 from polybubble.bubbles import BubbleSpec, bubble_field, kernel_elements
-from polybubble.fields import (PointBatch, ProductProfile, RadialTermField,
-                               RationalProfile, cutoff_profile)
+from polybubble.fields import (CutoffProfile, PointBatch, ProductProfile,
+                               RadialTermField, RationalProfile)
 from polybubble.jets import multiset_multiplicity, multisets
 from polybubble.pohozaev import MultiPoly, manufactured_dirichlet
 from polybubble.quadrature import Ball, _sphere_rule
@@ -75,7 +75,7 @@ def test_eval_tree_matches_per_multiset_partials():
 
 
 def test_cutoff_chain_does_not_depend_on_its_length():
-    G = cutoff_profile()
+    G = CutoffProfile()
     s = np.linspace(0.0, 1.2, 241)
     chains = [G.chain(m, s) for m in range(7)]
     for m in range(7):
@@ -106,7 +106,7 @@ def test_product_chain_matches_the_leibniz_rule():
 
     from polybubble.fields import ProductProfile
 
-    chi, (r1, r2) = cutoff_profile(), (0.9, 0.1)
+    chi, (r1, r2) = CutoffProfile(), (0.9, 0.1)
     rat = RationalProfile(make_bubble(7, 2), bubble_constant(7, 2))
     s, M = np.linspace(0.0, 1.0, 201), 6
     got = ProductProfile([(chi, r1), (rat, r2)]).chain(M, s)
@@ -184,13 +184,13 @@ def _multiset_lap(partial, n, i, extra=()):
 
 
 def _cutoff_field(n):
-    return RadialTermField.radial(n, np.full(n, 0.1), cutoff_profile(), mu=0.7)
+    return RadialTermField.radial(n, np.full(n, 0.1), CutoffProfile(), mu=0.7)
 
 
 def _product_field(n):
     k = 1 if n < 5 else 2
     rat = RationalProfile(make_bubble(n, k), bubble_constant(n, k))
-    prof = ProductProfile([(cutoff_profile(), 0.9), (rat, 0.2)])
+    prof = ProductProfile([(CutoffProfile(), 0.9), (rat, 0.2)])
     return RadialTermField.radial(n, np.zeros(n), prof, mu=0.8, amplitude=1.3)
 
 
@@ -205,7 +205,7 @@ def _two_component_field(n):
     takes the z^(b - 2e_i) branch of the Laplacian rule."""
     beta0 = (3, 1) + (0,) * (n - 2)
     rat = RationalProfile(make_bubble(n, 1), bubble_constant(n, 1))
-    comps = [(beta0, rat), ((0,) * n, cutoff_profile(), 0.5)]
+    comps = [(beta0, rat), ((0,) * n, CutoffProfile(), 0.5)]
     return RadialTermField(n, np.full(n, -0.1), comps, mu=0.9)
 
 

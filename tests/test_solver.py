@@ -2,8 +2,8 @@
 derivatives of the shooting map (in d and mu) against central differences,
 agreement with an independent LSODA re-integration, Newton convergence, the
 Chebyshev step, sign keeping, idempotence and shot counts, the Hermite
-predictor, continuation's halving bound, branch accuracy, bubble fitting,
-and the scaling-exponent fit."""
+predictor, continuation's solves at grid points only, branch accuracy,
+bubble fitting, and the scaling-exponent fit."""
 
 import json
 from dataclasses import fields, replace
@@ -684,7 +684,7 @@ def test_continuation_takes_converged_seed_solution(monkeypatch):
 
 def test_continuation_falls_back_from_failed_prediction(monkeypatch):
     """A Newton failure from the predicted guess retries from the previous
-    d at the same mu, before any halving."""
+    d at the same mu."""
     p = ProblemParams(7, 1, 0, -0.5)
     start = newton_solve(p, [1.2e4], rtol=1e-9)
     bad = np.array([1.0])
@@ -742,18 +742,16 @@ def _bubble_solution(params, scale):
                           jac=np.eye(1), dmu=np.zeros(1))
 
 
-def test_continuation_halvings_bounded_per_grid_interval(monkeypatch):
+def test_continuation_solves_only_at_grid_points(monkeypatch):
     """Newton fails beyond mu* inside a grid interval and succeeds below
-    it.  Accepted midpoints do not reset the halving count, so the bracket
-    stops shrinking after _MAX_HALVINGS and the call returns "fold"
-    instead of re-solving ever closer to mu*."""
+    it.  The target past mu* is tried from the prediction and from the
+    previous d, at the grid value only, and the branch ends there as a
+    fold."""
     mu_star = -0.2
     calls = []
 
     def stub(params, d_init, **kwargs):
         calls.append(params.mu)
-        if len(calls) > 500:
-            raise AssertionError("continuation does not stop")
         if params.mu > mu_star:
             raise NewtonFailure("beyond mu*")
         return _bubble_solution(params, 0.05)
@@ -762,7 +760,7 @@ def test_continuation_halvings_bounded_per_grid_interval(monkeypatch):
     pts, flag = continuation(ProblemParams(7, 1, 0, -0.5), [-0.5, -0.1],
                              [1e3])
     assert flag == "fold" and [b.mu_param for b in pts] == [-0.5]
-    assert len(calls) <= 1 + 2 * (solver._MAX_HALVINGS + 1) + solver._MAX_HALVINGS
+    assert calls == [-0.5, -0.1, -0.1]
 
 
 def test_branch_matches_tight_newton():
