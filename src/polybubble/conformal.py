@@ -56,12 +56,18 @@ class CayleyMap:
         e[0] = 1.0
         return e
 
-    def phi(self, y):
+    def _shifted(self, y):
+        """w = y + e_1 and |w|^2, shared by phi and the Jacobian factor."""
         w = as_points(y) + self.e1
-        nw2 = row_sq_norms(w)
+        return w, row_sq_norms(w)
+
+    def _phi(self, w, nw2):
         if np.any(nw2 < 1e-28):
             raise SingularPointError("phi is singular at y = -e_1")
         return w / nw2[:, None] - 0.5 * self.e1
+
+    def phi(self, y):
+        return self._phi(*self._shifted(y))
 
     def phi_inv(self, x):
         x = np.atleast_2d(np.asarray(x, float))
@@ -73,11 +79,12 @@ class CayleyMap:
 
     def jacobian_factor(self, y):
         """|y + e_1|; |det D phi| = this to the power -2n."""
-        return np.sqrt(row_sq_norms(as_points(y) + self.e1))
+        return np.sqrt(self._shifted(y)[1])
 
     def cayley_transform(self, u, k: int, y):
         """u*(y) = |y+e_1|^{2k-n} u(phi(y)) for a provider u on the half-space."""
-        return self.jacobian_factor(y) ** (2 * k - self.n) * u.value(self.phi(y))
+        w, nw2 = self._shifted(y)
+        return np.sqrt(nw2) ** (2 * k - self.n) * u.value(self._phi(w, nw2))
 
 
 def check_distance_identity(x, y) -> float:

@@ -25,6 +25,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -251,6 +252,33 @@ class MultiPoly:
 
 # exact moments -------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _degree_weights(n: int, dmax: int):
+    """_moment's tables up to degree dmax: the (a - 1)!! for a <= dmax, and
+    per m <= dmax // 2 the (numerator, denominator) of the mean of x_1^{2m}
+    over S^{n-1} divided by (2m - 1)!!.  Built once per (n, dmax) and
+    shared between callers, hence tuples."""
+    dfact = [1, 1]  # dfact[a] = (a - 1)!!
+    for a in range(2, dmax + 1):
+        dfact.append(dfact[a - 2] * (a - 1))
+    per_degree = []
+    for m in range(dmax // 2 + 1):
+        w = sphere_moment_ratio((2 * m,) + (0,) * (n - 1)) / dfact[2 * m]
+        per_degree.append((w.numerator, w.denominator))
+    return tuple(dfact), tuple(per_degree)
+
+
+@lru_cache(maxsize=None)
+def _axis_means(n: int, dmax: int):
+    """The means M_m of x_1^{2m} over S^{n-1}, m <= dmax // 2, as integers
+    N_m over one denominator D: (N, D).  Built once per (n, dmax) and
+    shared between callers, hence a tuple."""
+    M = [sphere_moment_ratio((2 * m,) + (0,) * (n - 1))
+         for m in range(dmax // 2 + 1)]
+    D = math.lcm(*(x.denominator for x in M))
+    return tuple(x.numerator * (D // x.denominator) for x in M), D
+
+
 def _moment(poly: MultiPoly, center, radius: float, n: int, ball: bool):
     """Integral of poly over the sphere (ball=False) or the ball (ball=True)
     of radius `radius` about `center`, with an |.|-sum for the budget.
@@ -262,14 +290,7 @@ def _moment(poly: MultiPoly, center, radius: float, n: int, ball: bool):
     """
     if np.linalg.norm(np.asarray(center, float)) > 0:
         poly = poly.translate([_exact(v) for v in center])
-    dmax = poly.degree()
-    dfact = [1, 1]  # dfact[a] = (a - 1)!!
-    for a in range(2, dmax + 1):
-        dfact.append(dfact[a - 2] * (a - 1))
-    per_degree = []  # (numerator, denominator) of the term weight at |e| = 2m
-    for m in range(dmax // 2 + 1):
-        w = sphere_moment_ratio((2 * m,) + (0,) * (n - 1)) / dfact[2 * m]
-        per_degree.append((w.numerator, w.denominator * poly.den))
+    dfact, per_degree = _degree_weights(n, poly.degree())
     odd = sum(1 << (_BITS * i) for i in range(n))
     area = sphere_area(n)
     val = 0.0
@@ -280,6 +301,7 @@ def _moment(poly: MultiPoly, center, radius: float, n: int, ball: bool):
         *e, d = key.to_bytes(n + 1, "little")
         num, den = per_degree[d // 2]
         num *= c
+        den *= poly.den
         for a in e:
             num *= dfact[a]
         q = d + n - (not ball)  # radius power; 1/q is the radial integral
@@ -394,11 +416,7 @@ class _Axial:
         if center[0]:
             p = p.translate([_exact(center[0]), 0])
         n = self.n
-        dmax = max(map(_x_degree, p.terms), default=0)
-        M = [sphere_moment_ratio((2 * m,) + (0,) * (n - 1))
-             for m in range(dmax // 2 + 1)]
-        D = math.lcm(*(x.denominator for x in M))
-        N = [x.numerator * (D // x.denominator) for x in M]
+        N, D = _axis_means(n, max(map(_x_degree, p.terms), default=0))
         area = sphere_area(n)
         val = 0.0
         abs_sum = 0.0

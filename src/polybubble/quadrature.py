@@ -21,7 +21,8 @@ fallback; all QMC results are reproducible bit-for-bit for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -220,18 +221,51 @@ class BallMinusBalls:
         return self.outer.enclosing()
 
 
+class _OnRead:
+    """A dataclass field that its instance fills on the first read, with no
+    default.  While the instance's attribute named pending holds a closure,
+    reading the field calls the instance's _fill(), which sets every such
+    field from that closure and drops it; after that, and on an instance
+    built with pending None, the field holds what was set."""
+
+    def __init__(self, pending: str):
+        self.pending = pending
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        if getattr(obj, self.pending) is not None:
+            obj._fill()
+        return obj.__dict__[self.name]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class QuadratureResult:
     """value and error_estimate are floats for a scalar integrand and arrays
-    of the stack's leading shape for a stacked one."""
+    of the stack's leading shape for a stacked one.
+
+    integrate_axisymmetric leaves error_estimate and samples_used to its
+    coarse rule, which runs on the first read of either and is dropped
+    then; the integrand is called again at that read."""
 
     value: float | np.ndarray
-    error_estimate: float | np.ndarray
+    error_estimate: float | np.ndarray = _OnRead("coarse")
     method: str
-    samples_used: int = 0
+    samples_used: int = _OnRead("coarse")
+    coarse: Callable | None = field(default=None, repr=False, compare=False)
 
     def __float__(self):
         return float(self.value)
+
+    def _fill(self):
+        """error_estimate and samples_used from the pending coarse rule."""
+        (self.error_estimate, self.samples_used), self.coarse = self.coarse(), None
 
 
 def _rows(a):
@@ -272,7 +306,7 @@ def integrate_radial(g, R: float, n: int) -> QuadratureResult:
     val, err = quad(lambda r: g(r) * r ** (n - 1), 0.0, R,
                     epsabs=1e-300, epsrel=_RADIAL_RTOL, limit=400)
     area = sphere_area(n)
-    res = QuadratureResult(area * val, area * abs(err), "radial")
+    res = QuadratureResult(area * val, area * abs(err), "radial", 0)
     if not math.isfinite(res.value):
         raise AccuracyError("radial quadrature did not converge", res)
     return res
@@ -383,6 +417,11 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     error by orders of magnitude: for x_1^2 over B^6 it reads 5.0e-5
     relative while the true error is 8.5e-12.  Estimating against a finer
     rule is ROADMAP item 9.
+
+    The call runs the fine rule only.  The coarse rule runs on the first
+    read of the result's error_estimate or samples_used, which calls f on
+    its nodes then: f must return the same values at that read as at the
+    call, and an exception f raises on coarse nodes alone surfaces there.
     """
     n = domain.dim
     if n < 3:
@@ -488,9 +527,13 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
 
     area = sphere_area(n - 1)
     fine, m_fine = build(n_phi, n_rho)
-    coarse, m_coarse = build(max(4, (2 * n_phi) // 3), max(4, (2 * n_rho) // 3))
-    return QuadratureResult(_rows(area * fine), _rows(area * abs(fine - coarse)),
-                            "axisymmetric", m_fine + m_coarse)
+
+    def coarse_rule():
+        coarse, m_coarse = build(max(4, (2 * n_phi) // 3), max(4, (2 * n_rho) // 3))
+        return _rows(area * abs(fine - coarse)), m_fine + m_coarse
+
+    return QuadratureResult(_rows(area * fine), None, "axisymmetric", None,
+                            coarse_rule)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.integrate import DOP853, ODEintWarning, odeint
 from scipy.optimize import brentq
 
-from .quadrature import integrate_radial, sphere_area
+from .quadrature import _OnRead, integrate_radial, sphere_area
 from .radial import (bubble_constant, critical_exponent, laplacian,
                      make_bubble, radial_derivative)
 
@@ -112,24 +112,6 @@ class ProblemParams:
         return critical_exponent(self.n, self.k)
 
 
-class _OnRead:
-    """A RadialSolution field that a shot's solution fills on its first
-    read; no default."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, sol, owner=None):
-        if sol is None:
-            raise AttributeError(self.name)
-        if sol.sample is not None:
-            sol._fill()
-        return sol.__dict__[self.name]
-
-    def __set__(self, sol, value):
-        sol.__dict__[self.name] = value
-
-
 @dataclass
 class RadialSolution:
     """A radial solution on its grid r.  A shot's solution holds a sampler
@@ -140,11 +122,11 @@ class RadialSolution:
     params: ProblemParams
     d: np.ndarray              # shooting data v_i(0)
     r: np.ndarray              # dense grid on [0, 1]
-    v: np.ndarray = _OnRead()  # (k, m) values of (-Delta)^i u
-    dv: np.ndarray = _OnRead()  # (k, m) radial derivatives
+    v: np.ndarray = _OnRead("sample")  # (k, m) values of (-Delta)^i u
+    dv: np.ndarray = _OnRead("sample")  # (k, m) radial derivatives
     mismatch: np.ndarray       # (u(1), u'(1), ..., u^{(k-1)}(1))
-    sup_norm: float = _OnRead()
-    energy: float = _OnRead()
+    sup_norm: float = _OnRead("sample")
+    energy: float = _OnRead("sample")
     collocation_residual: float = float("nan")
     jac: np.ndarray | None = None  # (k, k) derivative of mismatch in d
     dmu: np.ndarray | None = None  # (k,) derivative of mismatch in mu

@@ -383,10 +383,11 @@ def pair_sum(cfg: TreeConfig, B: list, out: np.ndarray) -> np.ndarray:
     return it; B = [B^1, ..., B^N] at the points of out, and B^0 = 1."""
     ts = critical_exponent(cfg.n, cfg.k)
     B = [np.ones(len(out))] + list(B)
+    P = [b ** (ts - 2.0) for b in B]
     for i in range(len(B)):
         for j in range(len(B)):
             if i != j:
-                out += B[j] ** (ts - 2.0) * B[i]
+                out += P[j] * B[i]
     return out
 
 

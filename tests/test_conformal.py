@@ -181,6 +181,29 @@ def test_norm_invariance_makes_one_call_per_side(monkeypatch):
     assert all(isinstance(v, float) for v in rep["critical"] + rep["derivative"])
 
 
+def test_norm_invariance_makes_one_integrand_call_per_side(monkeypatch):
+    """Only the values are read, so each side calls its integrand once: the
+    coarse rule of the error estimate never runs."""
+    from polybubble import conformal
+
+    calls = []
+    integrate = conformal.integrate_axisymmetric
+
+    def spy(f, domain, *args, **kwargs):
+        side = type(domain).__name__
+
+        def counted(x):
+            calls.append(side)
+            return f(x)
+
+        return integrate(counted, domain, *args, **kwargs)
+
+    monkeypatch.setattr(conformal, "integrate_axisymmetric", spy)
+    rep = check_norm_invariance(GaussianXPow(3, 1, shift=0.7), 3, 1)
+    assert calls == ["Ball", "HalfBall"]
+    assert rep["passed"] is True
+
+
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
 def test_norm_invariance_derivative_rows_are_tight(n, k):
     """The Taylor derivatives leave the GaussianXPow derivative rows at

@@ -285,9 +285,11 @@ def test_ray_panels_match_per_ray_reference(monkeypatch, domain, axis, features)
 
     monkeypatch.setattr(quadrature, "_ray_panels", spy)
     center = domain.enclosing()[0]
-    integrate_axisymmetric(lambda x: np.ones(len(x)), domain, center, axis,
-                           feature_balls=features)
-    assert len(calls) == 2  # fine and coarse rule
+    res = integrate_axisymmetric(lambda x: np.ones(len(x)), domain, center, axis,
+                                 feature_balls=features)
+    assert len(calls) == 1  # the fine rule; the coarse one waits for a read
+    res.error_estimate
+    assert len(calls) == 2
     d, e = quadrature._axis_frame(axis)
     phi = np.random.default_rng(7).uniform(0.0, math.pi, 64)
     extra = np.array([d, -d, e, -e, math.cos(0.5 * math.pi) * d
@@ -350,7 +352,9 @@ def test_axisymmetric_nodes_match_per_node_reference(monkeypatch, domain, axis,
     monkeypatch.setattr(quadrature, "_ray_panels", spy_panels)
     center = domain.enclosing()[0]
     res = integrate_axisymmetric(spy_f, domain, center, axis, feature_balls=features)
-    assert len(rules) == len(seen) == 2  # fine and coarse rule
+    assert len(rules) == len(seen) == 1  # the fine rule; the coarse one waits
+    res.error_estimate
+    assert len(rules) == len(seen) == 2
     n = domain.dim
     d, e = quadrature._axis_frame(axis)
     (fine, m_fine, ref_fine), (coarse, m_coarse, ref_coarse) = (
@@ -361,6 +365,102 @@ def test_axisymmetric_nodes_match_per_node_reference(monkeypatch, domain, axis,
     assert res.value.hex() == (area * fine).hex()
     assert res.error_estimate.hex() == (area * abs(fine - coarse)).hex()
     assert res.samples_used == m_fine + m_coarse
+
+
+def _peaked(x):
+    return np.exp(-row_sq_norms(x - 0.3)) + np.sqrt(row_sq_norms(x))
+
+
+_LAZY_CASE = (Ball((0.0,) * 6, 1.0), np.eye(6)[0],
+              (Ball((0.3,) + (0.0,) * 5, 0.1), Ball((-0.6,) + (0.0,) * 5, 0.05)))
+
+
+@pytest.mark.parametrize("first", ["error_estimate", "samples_used"])
+def test_axisymmetric_coarse_rule_runs_on_first_estimate_read(monkeypatch, first):
+    """A value-only read runs one rule: one integrand call, one _ray_panels
+    call.  The first read of error_estimate or samples_used runs the coarse
+    rule, once; the value, estimate and node count then equal the per-node
+    reference of both rules bit for bit."""
+    from polybubble import quadrature
+
+    ray_panels = quadrature._ray_panels
+    rules, seen = [], []
+
+    def spy_panels(U, origin, *args):
+        panels = ray_panels(U, origin, *args)
+        build = sys._getframe(1).f_locals
+        rules.append((build["phi"], build["wphi"], *panels, build["mrho"], origin))
+        return panels
+
+    def spy_f(x):
+        seen.append(len(x))
+        return _peaked(x)
+
+    monkeypatch.setattr(quadrature, "_ray_panels", spy_panels)
+    domain, axis, features = _LAZY_CASE
+    res = integrate_axisymmetric(spy_f, domain, np.zeros(6), axis,
+                                 feature_balls=features)
+    float(res.value)
+    assert (len(rules), len(seen)) == (1, 1)
+    getattr(res, first)
+    assert (len(rules), len(seen)) == (2, 2)
+    res.error_estimate, res.samples_used, repr(res)
+    assert (len(rules), len(seen)) == (2, 2) and res.coarse is None
+    d, e = quadrature._axis_frame(axis)
+    (fine, m_fine, _), (coarse, m_coarse, _) = (
+        _reference_build(_peaked, *rule, d, e, 6) for rule in rules)
+    area = sphere_area(5)
+    assert res.value.hex() == (area * fine).hex()
+    assert res.error_estimate.hex() == (area * abs(fine - coarse)).hex()
+    assert res.samples_used == m_fine + m_coarse == sum(seen)
+
+
+def test_axisymmetric_coarse_only_failure_surfaces_at_estimate_read():
+    """An integrand that fails on the coarse nodes alone fails at the first
+    estimate read, not at the call, and again at a later read."""
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        if len(calls) > 1:
+            raise FloatingPointError("coarse nodes")
+        return _peaked(x)
+
+    domain, axis, features = _LAZY_CASE
+    res = integrate_axisymmetric(f, domain, np.zeros(6), axis,
+                                 feature_balls=features)
+    assert math.isfinite(res.value) and len(calls) == 1
+    for field in ("error_estimate", "samples_used"):
+        with pytest.raises(FloatingPointError, match="coarse nodes"):
+            getattr(res, field)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+def test_volume_tol_on_axis_refuses_and_accepts_at_the_estimate(stacked):
+    """integrate_volume(tol=..., axis=...) reads the estimate at once: it
+    accepts a tol just above the worst row's relative estimate with both
+    rules run, and refuses one just below with the same value and estimate
+    attached."""
+    domain, axis, features = _LAZY_CASE
+    axis = (np.zeros(6), axis)
+    f = (lambda x: np.stack([_peaked(x), x[:, 0] ** 2])) if stacked else _peaked
+    ref = integrate_axisymmetric(f, domain, *axis)
+    rel = np.max(np.asarray(ref.error_estimate) / np.abs(ref.value))
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return f(x)
+
+    ok = integrate_volume(spy, domain, tol=rel * (1 + 1e-9), axis=axis)
+    assert len(calls) == 2 and ok.coarse is None
+    with pytest.raises(AccuracyError) as exc:
+        integrate_volume(f, domain, tol=rel * (1 - 1e-9), axis=axis)
+    for res in (ok, exc.value.result):
+        assert np.asarray(res.value).tobytes() == np.asarray(ref.value).tobytes()
+        assert (np.asarray(res.error_estimate).tobytes()
+                == np.asarray(ref.error_estimate).tobytes())
+        assert res.samples_used == ref.samples_used == sum(calls)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
