@@ -32,11 +32,9 @@ _EXPORTS = {
         "integrate_volume", "integrate_surface", "integrate_axisymmetric",
         "sphere_area", "ball_volume"),
     "bubbles": (
-        "BubbleSpec", "CutoffSpec", "TensorSpec", "BallChart", "theta",
-        "positive_bubble", "eval_V", "bubble_field", "bubble_jet",
-        "check_decay", "kernel_elements", "compute_IA",
-        "check_sign_condition", "UnsupportedDomainError",
-        "DivergentIntegralError"),
+        "BubbleSpec", "TensorSpec", "theta", "positive_bubble",
+        "bubble_field", "check_decay", "kernel_elements", "compute_IA",
+        "check_sign_condition", "DivergentIntegralError"),
     "conformal": (
         "CayleyMap", "HalfSpaceBump", "GaussianXPow",
         "check_distance_identity", "check_norm_invariance",

@@ -7,38 +7,28 @@ coefficient integrals used by the sign condition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (CutoffProfile, ProductProfile, RadialTermField,
                      RationalProfile)
-from .jets import Jet
 from .quadrature import Ball, integrate_radial, row_sq_norms
 from .radial import (RadialFunction, bubble_constant,
                      make_bubble, radial_derivative)
 
 __all__ = [
-    "UnsupportedDomainError",
     "DivergentIntegralError",
     "BubbleSpec",
-    "CutoffSpec",
     "TensorSpec",
-    "BallChart",
     "theta",
     "positive_bubble",
-    "eval_V",
     "bubble_field",
-    "bubble_jet",
     "check_decay",
     "kernel_elements",
     "compute_IA",
     "check_sign_condition",
 ]
-
-
-class UnsupportedDomainError(ValueError):
-    """Boundary charts are only available on the unit ball."""
 
 
 class DivergentIntegralError(ValueError):
@@ -51,115 +41,50 @@ class DivergentIntegralError(ValueError):
 
 @dataclass
 class BubbleSpec:
-    """One bubble: kind, orders (n, k), center, scale and profile.
+    """One interior bubble with the standard positive profile: orders (n, k),
+    center (n,) and scale.  kind is "interior", the only kind there is."""
 
-    profile is "standard" for the positive flat profile, or any object with
-    value(points)/jet(x, order) methods (an external jet provider, trusted as
-    a solution; no PDE check is imposed on it).
-    """
-
-    kind: str  # "interior" | "boundary"
+    kind: str
     n: int
     k: int
     center: np.ndarray
     mu: float
-    profile: object = "standard"
 
     def __post_init__(self):
         self.center = np.asarray(self.center, float)
-        if self.kind not in ("interior", "boundary"):
-            raise ValueError(f"unknown bubble kind {self.kind!r}")
+        if self.kind != "interior":
+            raise ValueError(f"unknown bubble kind {self.kind!r} "
+                             "(only interior bubbles exist)")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.n <= 2 * self.k:
             raise ValueError("need n > 2k")
+        if self.center.shape != (self.n,):
+            raise ValueError(f"bubble center needs shape ({self.n},), "
+                             f"got {self.center.shape}")
 
     @property
     def a(self) -> float:
         return bubble_constant(self.n, self.k)
 
     def to_json(self) -> str:
-        prof = self.profile if isinstance(self.profile, str) else "external"
         return json.dumps({"kind": self.kind, "n": self.n, "k": self.k,
                            "center": list(map(float, self.center)),
-                           "mu": self.mu, "profile": prof})
+                           "mu": self.mu, "profile": "standard"})
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BubbleSpec":
+        """The spec of a parsed JSON record; its optional "profile" must be
+        "standard"."""
+        spec = cls(d["kind"], d["n"], d["k"], d["center"], d["mu"])
+        if d.get("profile", "standard") != "standard":
+            raise ValueError(f"unknown bubble profile {d['profile']!r} "
+                             "(only the standard profile exists)")
+        return spec
 
     @classmethod
     def from_json(cls, text: str) -> "BubbleSpec":
-        d = json.loads(text)
-        return cls(d["kind"], d["n"], d["k"], d["center"], d["mu"],
-                   d.get("profile", "standard"))
-
-
-@dataclass
-class CutoffSpec:
-    """The bump chi: exactly 1 on B(0,1/2), exactly 0 outside B(0,1), smooth.
-
-    chi(x) = psi(2(|x|-1/2)) with psi(t) = e^{-1/(1-t)} / (e^{-1/(1-t)} + e^{-1/t})
-    clamped outside (0, 1).  The profile is a function of s = |x|^2; calling
-    the spec takes rho = |x|.
-    """
-
-    profile: object = dc_field(default_factory=CutoffProfile)
-
-    def __call__(self, rho):
-        return self.profile.chain(0, np.asarray(rho, float) ** 2)[0]
-
-
-# ---------------------------------------------------------------------------
-# Boundary chart on the unit ball
-# ---------------------------------------------------------------------------
-
-class BallChart:
-    """Inward geodesic-normal chart sigma_b at a boundary point of B(0,1).
-
-    sigma_b(z) = (1 - z_1) * exp-map on the sphere of z' from b; z_1 >= 0 is
-    the inward normal coordinate, z' tangent coordinates at b.
-    """
-
-    def __init__(self, b):
-        b = np.asarray(b, float)
-        if abs(np.linalg.norm(b) - 1.0) > 1e-10:
-            raise UnsupportedDomainError("chart base point must lie on the unit sphere")
-        self.b = b / np.linalg.norm(b)
-        n = b.size
-        # orthonormal tangent frame via QR of a completed basis
-        M = np.eye(n)
-        M[:, 0] = self.b
-        Q, _ = np.linalg.qr(M)
-        # ensure first column is exactly +b
-        if Q[:, 0] @ self.b < 0:
-            Q[:, 0] *= -1
-        self.frame = Q[:, 1:]  # n x (n-1)
-
-    def forward(self, z):
-        z = np.atleast_2d(np.asarray(z, float))
-        z1 = z[:, 0]
-        zp = z[:, 1:]
-        ang = np.sqrt(row_sq_norms(zp))
-        out = np.empty((len(z), self.b.size))
-        safe = ang > 1e-300
-        dirs = np.zeros_like(zp)
-        dirs[safe] = zp[safe] / ang[safe, None]
-        tang = dirs @ self.frame.T
-        sphere_pt = np.cos(ang)[:, None] * self.b[None, :] + np.sin(ang)[:, None] * tang
-        out[:] = (1.0 - z1)[:, None] * sphere_pt
-        return out
-
-    def inverse(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        r = np.sqrt(row_sq_norms(x))
-        z1 = 1.0 - r
-        y = x / np.maximum(r, 1e-300)[:, None]
-        cosang = np.clip(y @ self.b, -1.0, 1.0)
-        ang = np.arccos(cosang)
-        w = y - cosang[:, None] * self.b[None, :]
-        wn = np.sqrt(row_sq_norms(w))
-        dirs = np.zeros_like(w)
-        ok = wn > 1e-14
-        dirs[ok] = w[ok] / wn[ok, None]
-        zp = ang[:, None] * (dirs @ self.frame)
-        return np.concatenate([z1[:, None], zp], axis=1)
+        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +111,13 @@ def positive_bubble(spec: BubbleSpec | None, x) -> np.ndarray:
 
 
 def bubble_field(spec: BubbleSpec, domain: Ball) -> RadialTermField:
-    """The localized bubble V as an exact radial field (interior, standard)."""
-    if spec.kind != "interior" or spec.profile != "standard":
-        raise UnsupportedDomainError("exact fields need interior standard bubbles")
+    """The localized bubble V as an exact radial field:
+
+    V(x) = chi((x-x0)/d) mu^{-(n-2k)/2} B((x-x0)/mu),  d = dist(x0, boundary),
+
+    with chi = 1 on |z| <= 1/2 and 0 on |z| >= 1 (fields.CutoffProfile).
+    Its .value gives V at points and its .jet the exact partials of V.
+    """
     c, R = np.asarray(domain.center, float), domain.radius
     bdist = R - np.linalg.norm(spec.center - c)
     if bdist <= 0:
@@ -198,48 +127,6 @@ def bubble_field(spec: BubbleSpec, domain: Ball) -> RadialTermField:
     amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
     return RadialTermField.radial(spec.n, spec.center, combined, mu=1.0,
                                   amplitude=amp)
-
-
-def eval_V(spec: BubbleSpec, x, domain: Ball) -> np.ndarray:
-    """Cutoff-localized rescaled profile:
-
-    interior: chi((x-x0)/dist(x0, boundary)) mu^{-(n-2k)/2} v((x-x0)/mu)
-    boundary: chi(sigma^{-1}(x)) mu^{-(n-2k)/2} v(sigma^{-1}(x)/mu)
-    """
-    x = np.atleast_2d(np.asarray(x, float))
-    c, R = np.asarray(domain.center, float), domain.radius
-    if spec.kind == "interior":
-        bdist = R - np.linalg.norm(spec.center - c)
-        if bdist <= 0:
-            raise ValueError("bubble center outside the domain")
-        z = x - spec.center
-    else:  # boundary bubble: needs the unit-ball chart
-        if np.linalg.norm(c) > 1e-12 or abs(R - 1.0) > 1e-12:
-            raise UnsupportedDomainError("boundary charts implemented for the unit ball only")
-        bdist = 1.0  # the cutoff acts on chart coordinates
-        z = BallChart(spec.center).inverse(x)
-    s = row_sq_norms(z)
-    cut = CutoffProfile().chain(0, s / bdist**2)[0]
-    amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
-    if spec.profile == "standard":
-        prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
-        vals = prof.chain(0, s / spec.mu**2)[0]
-    else:
-        vals = np.asarray(spec.profile.value(z / spec.mu), float)
-    return cut * amp * vals
-
-
-def bubble_jet(spec: BubbleSpec, x, order: int) -> Jet:
-    """Exact partial derivatives of V at x up to the given order <= 2k, with
-    the cutoff of the unit ball."""
-    if order > 2 * spec.k:
-        raise ValueError(f"order {order} exceeds 2k = {2 * spec.k}")
-    if spec.profile != "standard":
-        raise ValueError("jets only for the standard positive profile")
-    if spec.kind != "interior":
-        raise UnsupportedDomainError("exact jets implemented for interior bubbles")
-    unit_ball = Ball((0.0,) * spec.n, 1.0)
-    return bubble_field(spec, unit_ball).jet(np.asarray(x, float), order)
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,11 @@ def cmd_tree(ns: argparse.Namespace) -> int:
     try:
         with open(path) as fh:
             tree = TreeConfig.from_json(fh.read())
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+        c, R = np.asarray(tree.domain.center, float), tree.domain.radius
+        for i, b in enumerate(tree.bubbles):
+            if np.linalg.norm(b.center - c) >= R:
+                raise ValueError(f"bubble {i} center lies outside the domain")
+    except (KeyError, TypeError, ValueError) as e:
         print(f"bad tree config: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -204,12 +204,6 @@ class MultiPoly:
     def laplacian(self):
         return sum((self.diff(i).diff(i) for i in range(self.n)), MultiPoly(self.n))
 
-    def neg_laplacian_iter(self, m: int):
-        p = self
-        for _ in range(m):
-            p = -p.laplacian()
-        return p
-
     def x_dot_grad(self, xi):
         """(x - xi) . grad p as a polynomial; xi entries must be exact."""
         return sum(((MultiPoly.coordinate(self.n, i) - Fraction(xi[i])) * self.diff(i)

@@ -104,9 +104,19 @@ class TreeConfig:
         nk = {(b.n, b.k) for b in self.bubbles}
         if len(nk) != 1:
             raise ValueError("all bubbles must share (n, k)")
+        n = self.bubbles[0].n
         if self.domain is None:
-            n = self.bubbles[0].n
             self.domain = Ball((0.0,) * n, 1.0)
+        c, R = self.domain.center, self.domain.radius
+        if len(c) != n:
+            raise ValueError(f"domain center needs {n} entries, got {len(c)}")
+        if not R > 0:
+            raise ValueError(f"domain radius must be positive, got {R}")
+        N = len(self.bubbles)
+        for i, j in self.nu:
+            if not (0 <= i < N and 0 <= j <= n):
+                raise ValueError(f"nu key {i},{j} needs a bubble index in "
+                                 f"[0, {N}) and a kernel index in [0, {n}]")
         if self.family_law is not None and self.family_law.n_bubbles() != len(self.bubbles):
             raise ValueError("family law size mismatch")
         for g in (self.family_law.mu_exp if self.family_law else []):
@@ -163,8 +173,7 @@ class TreeConfig:
     @classmethod
     def from_json(cls, text: str) -> "TreeConfig":
         d = json.loads(text)
-        bubbles = [BubbleSpec(b["kind"], b["n"], b["k"], b["center"], b["mu"],
-                              b.get("profile", "standard")) for b in d["bubbles"]]
+        bubbles = [BubbleSpec.from_dict(b) for b in d["bubbles"]]
         nu = {}
         for key, v in d.get("nu", {}).items():
             i, j = key.split(",")
@@ -449,12 +458,6 @@ def _tree_fields(cfg: TreeConfig):
     fields = []
     dom = cfg.domain
     for idx, b in enumerate(cfg.bubbles):
-        if b.profile != "standard":
-            if any(key[0] == idx for key in cfg.nu):
-                raise ValueError(
-                    "kernel coefficients need explicit kernel jets; external "
-                    "profiles do not provide them")
-            raise ValueError("eval_tree supports standard profiles only")
         fields.append(bubble_field(b, dom))
         kers = None
         for (i2, j2), nuv in cfg.nu.items():

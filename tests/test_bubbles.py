@@ -5,12 +5,10 @@ integrals with their scale covariance."""
 import numpy as np
 import pytest
 
-from polybubble.bubbles import (BallChart, BubbleSpec, CutoffSpec,
-                                DivergentIntegralError, TensorSpec,
-                                UnsupportedDomainError, bubble_field,
-                                bubble_jet, check_decay, check_sign_condition,
-                                compute_IA, eval_V, kernel_elements,
-                                positive_bubble, theta)
+from polybubble.bubbles import (BubbleSpec, DivergentIntegralError,
+                                TensorSpec, bubble_field, check_decay,
+                                check_sign_condition, compute_IA,
+                                kernel_elements, positive_bubble, theta)
 from polybubble.fields import RationalProfile, RadialTermField
 from polybubble.quadrature import Ball, integrate_radial, sphere_area
 from polybubble.radial import (bubble_constant, critical_exponent, make_bubble,
@@ -57,16 +55,6 @@ def test_positive_bubble_theta_sandwich():
     assert ratio.max() < 4 * a_scale and ratio.min() > 0.25 / a_scale
 
 
-def test_cutoff_plateaus():
-    chi = CutoffSpec()
-    rho = np.array([0.0, 0.3, 0.5, 0.75, 1.0, 2.0])
-    vals = chi(rho)
-    assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 1.0
-    assert vals[4] == 0.0 and vals[5] == 0.0
-    assert 0.0 < vals[3] < 1.0
-    assert np.all((vals >= 0) & (vals <= 1))
-
-
 def test_cutoff_s_derivatives_chain_rule():
     """G(s) = chi(sqrt(s)): each G^(m)(s), m <= 6, equals (d/(2 rho drho))^m
     chi, with chi's rho-derivatives from a Taylor series in rho of
@@ -107,9 +95,10 @@ def test_cutoff_s_derivatives_chain_rule():
 def test_eval_V_support_and_center():
     dom = Ball((0.0,) * N, 1.0)
     s = spec_at(1e-2)
+    V = bubble_field(s, dom)
     far = np.ones((1, N)) * 0.9  # |far| > dist to boundary => chi = 0
-    assert eval_V(s, far, dom)[0] == 0.0
-    ctr = eval_V(s, s.center[None, :], dom)[0]
+    assert V.value(far)[0] == 0.0
+    ctr = V.value(s.center[None, :])[0]
     assert ctr == pytest.approx(s.mu ** (-0.5 * (N - 2 * K)), rel=1e-13)
 
 
@@ -121,7 +110,7 @@ def test_eval_V_rescaling_invariance():
         s = spec_at(mu)
         x = np.zeros((1, N))
         x[0, 0] = 0.2
-        direct = eval_V(s, x, dom)[0]
+        direct = bubble_field(s, dom).value(x)[0]
         expected = mu ** (-0.5 * (N - 2 * K)) * (1 + a * (0.2 / mu) ** 2) ** (
             -0.5 * (N - 2 * K))
         assert direct == pytest.approx(expected, rel=1e-12)
@@ -166,7 +155,7 @@ def test_axial_partials_match_radial_derivatives_near_center(m):
 
 def test_bubble_jet_gradient_zero_at_center():
     s = spec_at(0.05)
-    jet = bubble_jet(s, s.center, 2)
+    jet = bubble_field(s, Ball((0.0,) * N, 1.0)).jet(s.center, 2)
     assert np.allclose(jet.grad(), 0.0)
     assert jet.value() == pytest.approx(s.mu ** (-0.5 * (N - 2 * K)), rel=1e-12)
 
@@ -185,9 +174,8 @@ def test_bubble_jet_matches_value_and_fd():
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.uniform(-0.15, 0.15, N)
-        jet = bubble_jet(s, x, 2)
-        assert jet.value() == pytest.approx(eval_V(s, x[None, :], dom)[0],
-                                            rel=1e-12)
+        jet = F.jet(x, 2)
+        assert jet.value() == pytest.approx(F.value(x[None, :])[0], rel=1e-12)
         for alpha in [(0,), (3,), (0, 1), (2, 2)]:
             fd = _richardson_partial(lambda p: F.value(p), x, alpha, 1e-3)
             # 1e-8 relative to the order-l tensor magnitude (tiny individual
@@ -198,10 +186,10 @@ def test_bubble_jet_matches_value_and_fd():
 
 def test_bubble_jet_symmetry_and_order_guard():
     s = spec_at(0.2)
-    jet = bubble_jet(s, [0.05] * N, 2)
+    jet = bubble_field(s, Ball((0.0,) * N, 1.0)).jet([0.05] * N, 2)
     assert jet.partial((0, 1)) == jet.partial((1, 0))
     with pytest.raises(ValueError):
-        bubble_jet(s, np.zeros(N), 2 * K + 1)
+        jet.partial((0, 1, 2))
 
 
 @pytest.mark.parametrize("n,k,l,target", [(7, 1, 0, -5), (5, 2, 1, -2),
@@ -341,30 +329,6 @@ def test_check_sign_condition_diagonal_positive():
     rep = check_sign_condition([TensorSpec(1, "diag", np.linspace(0.5, 2, 9))],
                                9, 2)
     assert rep["verdict"] == "positive"
-
-
-def test_ball_chart_roundtrip_and_guards():
-    b = np.zeros(N)
-    b[0] = 1.0
-    ch = BallChart(b)
-    rng = np.random.default_rng(4)
-    z = rng.uniform(0.0, 0.3, size=(20, N))
-    back = ch.inverse(ch.forward(z))
-    assert np.abs(back - z).max() < 1e-12
-    assert np.allclose(ch.forward(np.zeros((1, N)))[0], b)
-    with pytest.raises(UnsupportedDomainError):
-        BallChart(0.5 * b)
-
-
-def test_boundary_eval_V_needs_unit_ball():
-    b = np.zeros(N)
-    b[0] = 1.0
-    s = BubbleSpec("boundary", N, K, b, 1e-2)
-    with pytest.raises(UnsupportedDomainError):
-        eval_V(s, np.zeros((1, N)), Ball((0.0,) * N, 2.0))
-    # on the unit ball the chart applies and the center value matches
-    val = eval_V(s, b[None, :], Ball((0.0,) * N, 1.0))[0]
-    assert val == pytest.approx(s.mu ** (-0.5 * (N - 2 * K)), rel=1e-12)
 
 
 def test_bubble_spec_json_roundtrip():

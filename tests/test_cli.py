@@ -128,6 +128,32 @@ def test_tree_malformed_config(tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("part,key,value", [
+    ("bubble", "kind", "boundary"),
+    ("bubble", "profile", "external"),
+    ("bubble", "center", [0.4, 0.0]),
+    ("domain", "center", [0.0, 0.0]),
+    ("domain", "radius", -1.0),
+    ("bubble", "center", [2.0] + [0.0] * 6),
+    ("config", "nu", {"5,0": 0.1}),
+    ("config", "nu", {"0,9": 0.1}),
+], ids=["boundary-kind", "external-profile", "short-center", "short-domain-center",
+        "negative-radius", "center-outside", "nu-bubble-index", "nu-kernel-index"])
+def test_tree_refuses_configs_it_cannot_use(tmp_path, capsys, part, key, value):
+    """A bubble that is not interior and standard, a centre of the wrong
+    length, a radius <= 0, a bubble centre outside the domain and a nu key
+    outside [0, N) x [0, n] each exit 2 with one line and no report."""
+    with open(os.path.join(FIXTURES, "separated.json")) as fh:
+        cfg = json.load(fh)
+    {"bubble": cfg["bubbles"][0], "domain": cfg["domain"], "config": cfg}[part][key] = value
+    code, out = run_cli(["tree", write_config(tmp_path, cfg)], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("bad tree config: ")
+    assert not os.path.exists(os.path.join(out, "tree", "influence.json"))
+
+
 def test_pohozaev_manufactured_suite(tmp_path):
     code, out = run_cli(["pohozaev", "--k", "2", "--n", "5"], tmp_path)
     assert code == 0

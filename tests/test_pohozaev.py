@@ -14,10 +14,10 @@ import pytest
 from polybubble import pohozaev
 from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.pohozaev import (MultiPoly, PolynomialJet, _Axial, _axial_form,
-                                 _moment, e_operator,
-                                 manufactured_dirichlet, pohozaev_lhs,
-                                 pohozaev_residual, pohozaev_rhs,
-                                 x_grad_laplacian)
+                                 _Cartesian, _moment, _neg_laplacians,
+                                 e_operator, manufactured_dirichlet,
+                                 pohozaev_lhs, pohozaev_residual,
+                                 pohozaev_rhs, x_grad_laplacian)
 from polybubble.quadrature import (Ball, BallMinusBalls, SphereSurface,
                                    integrate_surface, sphere_area)
 from polybubble.radial import bubble_constant, critical_exponent, make_bubble
@@ -180,9 +180,9 @@ def test_laplacian_iterates_against_sympy(k, n):
     u = manufactured_dirichlet(
         k, n, MultiPoly.coordinate(n, 0) * Fraction(2, 3) + Fraction(1, 7))
     expr = _sympy_expr(sp, u.poly, xs)
-    for i in range(k + 1):
+    for p in _neg_laplacians(_Cartesian(n), u.poly, k):
         ours = {e: sp.Rational(c.numerator, c.denominator)
-                for e, c in u.poly.neg_laplacian_iter(i).coeffs.items()}
+                for e, c in p.coeffs.items()}
         assert sp.Poly(expr, *xs).as_dict() == ours
         expr = sp.expand(-sum(sp.diff(expr, x, 2) for x in xs))
 
@@ -256,11 +256,11 @@ def test_poly_laplacian_degree_count():
     k, n = 2, 4
     u = manufactured_dirichlet(k, n)  # degree 2k polynomial
     assert u.poly.degree() == 2 * k
-    assert u.poly.neg_laplacian_iter(k).degree() == 0  # constant
+    assert _neg_laplacians(_Cartesian(n), u.poly, k)[k].degree() == 0  # constant
     k2, n2 = 3, 5
     u2 = manufactured_dirichlet(k2, n2, MultiPoly.coordinate(n2, 0))
     assert u2.poly.degree() == 2 * k2 + 1
-    assert u2.poly.neg_laplacian_iter(k2).degree() == 1
+    assert _neg_laplacians(_Cartesian(n2), u2.poly, k2)[k2].degree() == 1
 
 
 # -- jet operators -------------------------------------------------------------

@@ -291,17 +291,6 @@ def test_eval_tree_derivative_bound():
         assert np.all(np.isfinite(mags / den))
 
 
-def test_eval_tree_rejects_nu_for_external_profiles():
-    class Dummy:
-        def value(self, x):
-            return np.zeros(len(np.atleast_2d(x)))
-
-    cfg = TreeConfig([BubbleSpec("interior", N, K, np.zeros(N), 1e-2,
-                                 profile=Dummy())], nu={(0, 0): 0.1})
-    with pytest.raises(ValueError):
-        tree_value(cfg, np.zeros((1, N)))
-
-
 def test_tree_json_roundtrip():
     cfg = tower_cfg(100.0)
     cfg2 = TreeConfig.from_json(cfg.to_json())
