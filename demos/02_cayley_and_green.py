@@ -53,9 +53,9 @@ for (nn, kk) in [(3, 1), (5, 2)]:
 # (each takes the dimension from its points: n = 5 here, n = 3 below)
 
 print("\nGreen function of the ball at a sample pair (k=2, n=5):",
-      green_ball(x1, x2, 2).value)
+      green_ball(x1, x2, 2))
 print("Green function of the half-space at its image pair:  ",
-      green_half(p1, p2, 2).value)
+      green_half(p1, p2, 2))
 worst = max(check_conformal_relation(ball_pt(3), ball_pt(3), 1)
             for _ in range(200))
 print(f"conjugation identity G_B = w(x) w(y) G_half(phi x, phi y): "

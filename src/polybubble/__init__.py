@@ -40,8 +40,8 @@ _EXPORTS = {
         "check_distance_identity", "check_norm_invariance",
         "check_laplacian_conjugation", "SingularPointError"),
     "green": (
-        "GreenEval", "psi_ball", "psi_half", "kernel_integral", "green_ball",
-        "green_half", "check_conformal_relation"),
+        "psi_ball", "psi_half", "kernel_integral", "green_ball", "green_half",
+        "check_conformal_relation"),
     "tree": (
         "TreeConfig", "FamilyLaw", "InfluenceData", "Region",
         "AmbiguousScalesError", "epsilon", "classify", "check_dominance",

@@ -39,6 +39,17 @@ class DivergentIntegralError(ValueError):
 # Specs
 # ---------------------------------------------------------------------------
 
+def _json_object(d, what: str, keys=None) -> dict:
+    """d when it is a parsed JSON object whose keys all lie in keys (any
+    key when keys is None); ValueError otherwise."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(d).__name__}")
+    extra = [key for key in d if keys is not None and key not in keys]
+    if extra:
+        raise ValueError(f"{what} takes no key {extra[0]!r}")
+    return d
+
+
 @dataclass
 class BubbleSpec:
     """One interior bubble with the standard positive profile: orders (n, k),
@@ -74,8 +85,9 @@ class BubbleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BubbleSpec":
-        """The spec of a parsed JSON record; its optional "profile" must be
-        "standard"."""
+        """The spec of a parsed JSON record with the keys to_json writes; its
+        optional "profile" must be "standard"."""
+        _json_object(d, "bubble", ("kind", "n", "k", "center", "mu", "profile"))
         spec = cls(d["kind"], d["n"], d["k"], d["center"], d["mu"])
         if d.get("profile", "standard") != "standard":
             raise ValueError(f"unknown bubble profile {d['profile']!r} "

@@ -12,14 +12,12 @@ normalized kernel is used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import CayleyMap
 
 __all__ = [
-    "GreenEval",
     "psi_ball",
     "psi_half",
     "kernel_integral",
@@ -27,16 +25,6 @@ __all__ = [
     "green_half",
     "check_conformal_relation",
 ]
-
-
-@dataclass
-class GreenEval:
-    n: int
-    k: int
-    value: float
-
-    def __float__(self):
-        return self.value
 
 
 def psi_ball(x, y) -> float:
@@ -80,17 +68,16 @@ def kernel_integral(s: float, k: int, n: int) -> float:
     return total
 
 
-def _green(x, y, k, psi) -> GreenEval:
+def _green(x, y, k, psi) -> float:
     n = len(x)
     d = float(np.linalg.norm(x - y))
     if d == 0.0:
         raise ValueError("Green function evaluated on the diagonal")
     s = math.sqrt(1.0 + psi(x, y))
-    val = d ** (2 * k - n) * kernel_integral(s, k, n)
-    return GreenEval(n, k, val)
+    return d ** (2 * k - n) * kernel_integral(s, k, n)
 
 
-def green_ball(x, y, k: int) -> GreenEval:
+def green_ball(x, y, k: int) -> float:
     """G_B(x, y) in R^n, n = len(x), for interior points of the unit ball."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -99,7 +86,7 @@ def green_ball(x, y, k: int) -> GreenEval:
     return _green(x, y, k, psi_ball)
 
 
-def green_half(x, y, k: int) -> GreenEval:
+def green_half(x, y, k: int) -> float:
     """G_{R^n_+}(x, y) in R^n, n = len(x), for points with x_1, y_1 > 0."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -116,9 +103,9 @@ def check_conformal_relation(x, y, k: int) -> float:
     y = np.asarray(y, float)
     n = len(x)
     cm = CayleyMap(n)
-    gb = green_ball(x, y, k).value
+    gb = green_ball(x, y, k)
     px = cm.phi(x[None, :])[0]
     py = cm.phi(y[None, :])[0]
     fac = (np.linalg.norm(x + cm.e1) * np.linalg.norm(y + cm.e1)) ** (2 * k - n)
-    gh = fac * green_half(px, py, k).value
+    gh = fac * green_half(px, py, k)
     return abs(gb - gh) / abs(gb)

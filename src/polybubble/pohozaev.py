@@ -247,19 +247,12 @@ class MultiPoly:
 # exact moments -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _degree_weights(n: int, dmax: int):
-    """_moment's tables up to degree dmax: the (a - 1)!! for a <= dmax, and
-    per m <= dmax // 2 the (numerator, denominator) of the mean of x_1^{2m}
-    over S^{n-1} divided by (2m - 1)!!.  Built once per (n, dmax) and
-    shared between callers, hence tuples."""
+def _double_factorials(dmax: int):
+    """The (a - 1)!! for a <= dmax, as a tuple shared between callers."""
     dfact = [1, 1]  # dfact[a] = (a - 1)!!
     for a in range(2, dmax + 1):
         dfact.append(dfact[a - 2] * (a - 1))
-    per_degree = []
-    for m in range(dmax // 2 + 1):
-        w = sphere_moment_ratio((2 * m,) + (0,) * (n - 1)) / dfact[2 * m]
-        per_degree.append((w.numerator, w.denominator))
-    return tuple(dfact), tuple(per_degree)
+    return tuple(dfact)
 
 
 @lru_cache(maxsize=None)
@@ -278,13 +271,15 @@ def _moment(poly: MultiPoly, center, radius: float, n: int, ball: bool):
     of radius `radius` about `center`, with an |.|-sum for the budget.
 
     The sphere mean of x^e is zero unless every e_i is even, and then it is
-    the mean of x_1^|e| times prod_i (e_i - 1)!! / (|e| - 1)!!, read from a
-    table over exponents and one over degrees.  Each term's exact rational
-    is rounded to a float once.
+    the mean N_{|e|/2} / D of x_1^|e| from _axis_means times
+    prod_i (e_i - 1)!! / (|e| - 1)!!.  Each term's exact rational is
+    rounded to a float once.
     """
     if np.linalg.norm(np.asarray(center, float)) > 0:
         poly = poly.translate([_exact(v) for v in center])
-    dfact, per_degree = _degree_weights(n, poly.degree())
+    dmax = poly.degree()
+    N, D = _axis_means(n, dmax)
+    dfact = _double_factorials(dmax)
     odd = sum(1 << (_BITS * i) for i in range(n))
     area = sphere_area(n)
     val = 0.0
@@ -293,9 +288,8 @@ def _moment(poly: MultiPoly, center, radius: float, n: int, ball: bool):
         if key & odd:
             continue
         *e, d = key.to_bytes(n + 1, "little")
-        num, den = per_degree[d // 2]
-        num *= c
-        den *= poly.den
+        num = c * N[d // 2]
+        den = D * dfact[d] * poly.den
         for a in e:
             num *= dfact[a]
         q = d + n - (not ball)  # radius power; 1/q is the radial integral

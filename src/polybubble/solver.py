@@ -77,7 +77,7 @@ _VERIFY_MXSTEP = 5000  # LSODA step budget per output interval (default 500)
 _MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
 _MAX_DAMPING = 7     # Newton step halvings per iteration before NewtonFailure
 _MAX_ITER = 50       # Newton iterations before newton_solve gives up
-_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's DOP853 rtol floor, kept by _integrate
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's DOP853 rtol floor, kept by shoot
 _SEED_SCALE = 0.025  # bubble scale of the default seed, near mu_fit at mu = -1/2
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # DOP853 step control, as scipy's
 
@@ -581,58 +581,21 @@ def _boundary_derivatives(params: ProblemParams, y_end):
     return np.array([get(0, m) for m in range(k)])
 
 
-def _integrate(params: ProblemParams, d, rtol: float, grid,
-               variational: bool = False):
-    """Integrate the radial system from the start series at shooting data d
-    to r = 1 with the DOP853 loop solve_ivp, with the variational columns
-    when asked.  The integration starts at the series' radius eps, and the
-    grid points at or below eps take their values from the series.
-
-    Returns (block at r = 1, sampler), where sampler() gives the state on
-    grid from the run's recorded steps; raises
-    IntegrationBlowUp with the escape radius, the root of the terminal event
-    max|state| = cap, or the last radius reached when the step size
-    underflows, or where a float overflows.  The variational columns get
-    atol = inf, so only the state enters step control; the state's rtol and
-    atol are scaled by 1/sqrt(cols) to cancel the RMS error norm over all
-    components, which keeps the steps those of the state alone.  rtol is
-    clamped to _RTOL_FLOOR.
-    """
-    start = _taylor_start(params, d)
-    eps = start.r0
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y0 = start([eps])[..., 0]
-    if not variational:
-        Y0 = Y0[:, :1]
-    if not np.all(np.isfinite(Y0)):
-        raise IntegrationBlowUp(eps)
-    inside = np.searchsorted(grid, eps, side="right")
-    cols = Y0.shape[1]
-    cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(Y0[:, 0])))
-    scale = cols ** -0.5
-    atol = np.full_like(Y0, np.inf)
-    atol[:, 0] = scale * rtol * max(1.0, np.max(np.abs(d)))
-    run = solve_ivp(_rhs(params, cols), (eps, 1.0), Y0.ravel(),
-                    max(scale * rtol, _RTOL_FLOOR), atol.ravel(), grid[inside:],
-                    cap, cols)
-    if run.status != 0:
-        raise IntegrationBlowUp(run.t)
-
-    def sample():
-        return np.hstack([start(grid[:inside])[:, 0], run.y_grid])
-
-    return run.y.reshape(Y0.shape), sample
-
-
 def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     """Integrate the radial system and its first- and second-order
-    variational equations (DOP853) from the Taylor start to r = 1.
+    variational equations (DOP853) from the Taylor start, at its radius
+    eps, to r = 1.
 
     Returns (mismatch, RadialSolution); the solution's jac, dmu and hess are
     the exact derivatives of the mismatch in d, in mu and twice in d.  Its
     grid values are dense output computed after the step loop, only for a
-    solution whose grid is read.  Raises IntegrationBlowUp with the blow-up
-    radius when the solution escapes before reaching the boundary.
+    solution whose grid is read; grid points at or below eps come from the
+    start series.  Raises IntegrationBlowUp with the escape radius: the root
+    of the terminal event max|state| = cap, the last radius reached when the
+    step size underflows, or where a float overflows.  The variational
+    columns get atol = inf and the state's rtol and atol are scaled by
+    1/sqrt(cols), which cancels the RMS error norm over all components: the
+    steps are those of the state alone.  rtol is clamped to _RTOL_FLOOR.
     """
     d = np.asarray(d, float)
     if d.shape != (params.k,):
@@ -640,8 +603,28 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     if not np.all(np.isfinite(d)):
         raise ValueError("shooting data must be finite")
     rr = np.linspace(_EPS0, 1.0, _DENSE_POINTS)
-    Y_end, sample = _integrate(params, d, rtol, rr, variational=True)
-    B = _boundary_derivatives(params, Y_end)
+    start = _taylor_start(params, d)
+    eps = start.r0
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y0 = start([eps])[..., 0]
+    if not np.all(np.isfinite(Y0)):
+        raise IntegrationBlowUp(eps)
+    inside = np.searchsorted(rr, eps, side="right")
+    cols = Y0.shape[1]
+    cap = max(_BLOW_CAP, 1e6 * np.max(np.abs(Y0[:, 0])))
+    scale = cols ** -0.5
+    atol = np.full_like(Y0, np.inf)
+    atol[:, 0] = scale * rtol * max(1.0, np.max(np.abs(d)))
+    run = solve_ivp(_rhs(params, cols), (eps, 1.0), Y0.ravel(),
+                    max(scale * rtol, _RTOL_FLOOR), atol.ravel(), rr[inside:],
+                    cap, cols)
+    if run.status != 0:
+        raise IntegrationBlowUp(run.t)
+
+    def sample():
+        return np.hstack([start(rr[:inside])[:, 0], run.y_grid])
+
+    B = _boundary_derivatives(params, run.y.reshape(Y0.shape))
     k = params.k
     mismatch, jac, dmu = B[:, 0], B[:, 1:k + 1], B[:, k + 1]
     I, J = np.triu_indices(k)

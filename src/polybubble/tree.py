@@ -1,11 +1,12 @@
 """Bubble-tree geometry: the structure relation, slower/faster bubble sets,
 radii of influence, dominance regions, interaction estimates, and evaluation
-of a whole tree (bubbles + kernel corrections + weak limit).
+of a whole tree (bubbles + kernel corrections).
 
 Asymptotic sets are limit statements about sequences, so configurations can
-carry a power-law family mu^i(alpha) = c_i alpha^{-gamma_i}; limits are then
-decided exactly from exponents.  Snapshot configurations use a ratio
-threshold band and refuse ambiguous scale pairs rather than guessing.
+carry a power-law family mu^i(alpha) = c_i alpha^{-gamma_i} with fixed
+centres; limits are then decided exactly from exponents.  Snapshot
+configurations use a ratio threshold band and refuse ambiguous scale pairs
+rather than guessing.
 
 Bubble indices are 0-based throughout the code; index -1 never appears and
 the constant zeroth profile (B^0 = 1, theta^0 = 1) is handled separately.
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bubbles import BubbleSpec, bubble_field, kernel_elements, positive_bubble, theta
+from .bubbles import (BubbleSpec, _json_object, bubble_field, kernel_elements,
+                      positive_bubble, theta)
 from .fields import CutoffProfile, PointBatch, ProductProfile, RadialTermField
 from .quadrature import Ball, row_sq_norms
 from .radial import bubble_constant, critical_exponent
@@ -54,14 +56,11 @@ class AmbiguousScalesError(ValueError):
 
 @dataclass
 class FamilyLaw:
-    """Power-law family: mu^i(a) = c_i a^{-gamma_i},
-    x^i(a) = base_i + a^{-delta_i} dir_i."""
+    """Power-law family: mu^i(a) = c_i a^{-gamma_i}, centre x^i = base_i."""
 
     mu_coeff: list
     mu_exp: list
     center_base: list
-    center_exp: list | None = None
-    center_dir: list | None = None
 
     def n_bubbles(self):
         return len(self.mu_coeff)
@@ -69,29 +68,19 @@ class FamilyLaw:
     def mu(self, i, alpha):
         return self.mu_coeff[i] * alpha ** (-self.mu_exp[i])
 
-    def center(self, i, alpha):
-        base = np.asarray(self.center_base[i], float)
-        if self.center_exp is None:
-            return base
-        return base + alpha ** (-self.center_exp[i]) * np.asarray(self.center_dir[i], float)
-
 
 @dataclass
 class TreeConfig:
     """An ordered bubble family with kernel coefficients.
 
     bubbles must satisfy mu^{N-1} <= ... <= mu^0 < 1 (slowest first); nu maps
-    (bubble index, kernel index 0..n) to a small coefficient; include_u0
-    treats the zeroth slot as the constant profile u0.
+    (bubble index, kernel index 0..n) to a small coefficient.
     """
 
     bubbles: list
     nu: dict = dc_field(default_factory=dict)
-    include_u0: bool = False
-    u0_value: float = 0.0
     family_law: FamilyLaw | None = None
     domain: Ball | None = None
-    alpha: float | None = None  # materialization parameter in family mode
 
     def __post_init__(self):
         if not self.bubbles:
@@ -134,18 +123,12 @@ class TreeConfig:
     @classmethod
     def from_family(cls, law: FamilyLaw, alpha: float, n: int, k: int):
         """The family at alpha, slowest bubble first, with no kernel terms."""
-        specs = []
-        for i in range(law.n_bubbles()):
-            specs.append(BubbleSpec("interior", n, k, law.center(i, alpha),
-                                    law.mu(i, alpha)))
-        order = np.argsort([-s.mu for s in specs], kind="stable")
-        specs = [specs[i] for i in order]
-        law2 = FamilyLaw([law.mu_coeff[i] for i in order],
-                         [law.mu_exp[i] for i in order],
-                         [law.center_base[i] for i in order],
-                         None if law.center_exp is None else [law.center_exp[i] for i in order],
-                         None if law.center_dir is None else [law.center_dir[i] for i in order])
-        return cls(specs, family_law=law2, alpha=alpha)
+        order = np.argsort([-law.mu(i, alpha) for i in range(law.n_bubbles())],
+                           kind="stable")
+        law = FamilyLaw(*([f[i] for i in order]
+                          for f in (law.mu_coeff, law.mu_exp, law.center_base)))
+        return cls([BubbleSpec("interior", n, k, law.center_base[i], law.mu(i, alpha))
+                    for i in range(law.n_bubbles())], family_law=law)
 
     # -- JSON ----------------------------------------------------------------
 
@@ -153,8 +136,6 @@ class TreeConfig:
         d = {
             "bubbles": [json.loads(b.to_json()) for b in self.bubbles],
             "nu": {f"{i},{j}": v for (i, j), v in self.nu.items()},
-            "include_u0": self.include_u0,
-            "u0_value": self.u0_value,
             "domain": {"center": list(map(float, self.domain.center)),
                        "radius": self.domain.radius},
         }
@@ -163,31 +144,31 @@ class TreeConfig:
             d["family_law"] = {
                 "mu_coeff": list(fl.mu_coeff), "mu_exp": list(fl.mu_exp),
                 "center_base": [list(map(float, c)) for c in fl.center_base],
-                "center_exp": fl.center_exp,
-                "center_dir": None if fl.center_dir is None else
-                              [list(map(float, c)) for c in fl.center_dir],
             }
-            d["alpha"] = self.alpha
         return json.dumps(d, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "TreeConfig":
-        d = json.loads(text)
+        """The config of a to_json record.  Raises ValueError on a key it
+        does not read and on a container of the wrong JSON type."""
+        d = _json_object(json.loads(text), "tree config",
+                         ("bubbles", "nu", "domain", "family_law"))
+        if not isinstance(d["bubbles"], list):
+            raise ValueError("bubbles must be a JSON list, not "
+                             f"{type(d['bubbles']).__name__}")
         bubbles = [BubbleSpec.from_dict(b) for b in d["bubbles"]]
         nu = {}
-        for key, v in d.get("nu", {}).items():
+        for key, v in _json_object(d.get("nu", {}), "nu").items():
             i, j = key.split(",")
             nu[(int(i), int(j))] = float(v)
-        dom = None
+        dom = law = None
         if "domain" in d:
-            dom = Ball(tuple(d["domain"]["center"]), d["domain"]["radius"])
-        law = None
+            dd = _json_object(d["domain"], "domain", ("center", "radius"))
+            dom = Ball(tuple(dd["center"]), dd["radius"])
         if "family_law" in d:
-            fl = d["family_law"]
-            law = FamilyLaw(fl["mu_coeff"], fl["mu_exp"], fl["center_base"],
-                            fl.get("center_exp"), fl.get("center_dir"))
-        return cls(bubbles, nu, d.get("include_u0", False),
-                   d.get("u0_value", 0.0), law, dom, d.get("alpha"))
+            law = FamilyLaw(**_json_object(d["family_law"], "family_law",
+                                           ("mu_coeff", "mu_exp", "center_base")))
+        return cls(bubbles, nu, law, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +349,8 @@ def stratified_samples(region: Region, cfg: TreeConfig, count: int = 512,
     return keep[:count] if len(keep) > count else keep
 
 
-def theta_pow_B(b: BubbleSpec, l: int, pts):
-    """theta_b^{-l} B_b at points (m, n); at one point (n,), a float from
-    the scalars theta and B there."""
-    pts = np.asarray(pts, float)
-    if pts.ndim == 1:
-        return float(theta(b, pts[None, :])[0] ** (-l)
-                     * positive_bubble(b, pts[None, :])[0])
+def theta_pow_B(b: BubbleSpec, l: int, pts) -> np.ndarray:
+    """theta_b^{-l} B_b at points (m, n)."""
     return theta(b, pts) ** (-l) * positive_bubble(b, pts)
 
 
@@ -479,9 +455,9 @@ def _tree_fields(cfg: TreeConfig):
 
 
 def tree_value(cfg: TreeConfig, x) -> np.ndarray:
-    """Signed value of the tree W = u0 + sum V_i + sum nu Z_ij at points x."""
+    """Signed value of the tree W = sum V_i + sum nu Z_ij at points x."""
     x = np.atleast_2d(np.asarray(x, float))
-    tot = np.full(len(x), cfg.u0_value if cfg.include_u0 else 0.0)
+    tot = np.zeros(len(x))
     for F in _tree_fields(cfg):
         tot += F.value(x)
     return tot

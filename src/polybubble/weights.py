@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bubbles import positive_bubble, theta
@@ -262,7 +260,7 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
 
     M = params["M"] if kind == "trou" else None
     own = [(b.center, b.mu)]
-    # kind -> (weight, peaks, hole radius in units of mu, rhs at (l, x))
+    # kind -> (weight, peaks, hole radius in units of mu, rhs at (l, points))
     single_point = {
         "ordre2": (lambda y: theta(b, y) * positive_bubble(b, y) ** (ts - 1.0),
                    own, None, lambda l, x: b.mu * theta_pow_B(b, l, x)),
@@ -272,7 +270,7 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
                  own, M, lambda l, x: M ** (-2.0 * k) * theta_pow_B(b, l, x)),
         "lem2": (lambda y: psi_weight(cfg, y),
                  [(bb.center, bb.mu) for bb in cfg.bubbles], None,
-                 lambda l, x: float(weight_sum(cfg, l, x[None, :])[0])),
+                 lambda l, x: weight_sum(cfg, l, x)),
     }
     if kind in single_point:
         weight, peaks, hole_mu, rhs_at = single_point[kind]
@@ -288,7 +286,7 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
         for li, l in enumerate(ls):
             for x, (vals, errs) in zip(xs, per_x):
                 val, err = vals[li], errs[li]
-                rhs = rhs_at(l, x)
+                rhs = float(rhs_at(l, x[None, :])[0])
                 rows.append({"kind": kind, "i": i, "l": l,
                              "x_off": float(np.linalg.norm(x - b.center)),
                              "mu_or_alpha": b.mu, "lhs": val, "rhs": rhs,

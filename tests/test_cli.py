@@ -137,15 +137,28 @@ def test_tree_malformed_config(tmp_path):
     ("bubble", "center", [2.0] + [0.0] * 6),
     ("config", "nu", {"5,0": 0.1}),
     ("config", "nu", {"0,9": 0.1}),
+    ("config", "nu", []),
+    ("config", "bubbles", {}),
+    ("config", "domain", [0, 1]),
+    ("config", "family_law", []),
+    ("config", "extra", 1),
+    ("bubble", "extra", 1),
+    ("config", "alpha", 100.0),
+    ("config", "include_u0", True),
+    ("family_law", "center_exp", [1, 1]),
 ], ids=["boundary-kind", "external-profile", "short-center", "short-domain-center",
-        "negative-radius", "center-outside", "nu-bubble-index", "nu-kernel-index"])
+        "negative-radius", "center-outside", "nu-bubble-index", "nu-kernel-index",
+        "nu-list", "bubbles-object", "domain-list", "family-law-list",
+        "unknown-key", "unknown-bubble-key", "alpha", "include-u0", "center-exp"])
 def test_tree_refuses_configs_it_cannot_use(tmp_path, capsys, part, key, value):
     """A bubble that is not interior and standard, a centre of the wrong
-    length, a radius <= 0, a bubble centre outside the domain and a nu key
-    outside [0, N) x [0, n] each exit 2 with one line and no report."""
+    length, a radius <= 0, a bubble centre outside the domain, a nu key
+    outside [0, N) x [0, n], a container of the wrong JSON type and a key
+    the reader does not take each exit 2 with one line and no report."""
     with open(os.path.join(FIXTURES, "separated.json")) as fh:
         cfg = json.load(fh)
-    {"bubble": cfg["bubbles"][0], "domain": cfg["domain"], "config": cfg}[part][key] = value
+    {"bubble": cfg["bubbles"][0], "domain": cfg["domain"],
+     "family_law": cfg["family_law"], "config": cfg}[part][key] = value
     code, out = run_cli(["tree", write_config(tmp_path, cfg)], tmp_path)
     assert code == 2
     err = capsys.readouterr().err

@@ -56,19 +56,19 @@ def test_green_positivity_many_pairs():
         for a, b in zip(pts[:1300], pts[1300:]):
             if np.linalg.norm(a - b) < 1e-6:
                 continue
-            assert green_ball(a, b, k).value > 0
+            assert green_ball(a, b, k) > 0
             xa = a.copy()
             xb = b.copy()
             xa[0] = abs(xa[0]) + 0.01
             xb[0] = abs(xb[0]) + 0.01
-            assert green_half(xa, xb, k).value > 0
+            assert green_half(xa, xb, k) > 0
 
 
 def test_green_symmetry():
     a = np.array([0.2, -0.1, 0.3, 0.0, 0.1])
     b = np.array([-0.4, 0.2, 0.0, 0.1, -0.2])
-    g1 = green_ball(a, b, 2).value
-    g2 = green_ball(b, a, 2).value
+    g1 = green_ball(a, b, 2)
+    g2 = green_ball(b, a, 2)
     assert g1 == pytest.approx(g2, rel=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_green_vanishes_at_boundary():
     """G_B(x, y) decreases monotonically to 0 as y approaches the sphere."""
     x = np.array([0.1, 0.2, -0.1])
     direction = np.array([0.0, 0.0, 1.0])
-    vals = [green_ball(x, (1.0 - eps) * direction, 1).value
+    vals = [green_ball(x, (1.0 - eps) * direction, 1)
             for eps in (0.3, 0.1, 0.03, 0.01, 0.003)]
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
     assert vals[-1] < 1e-2 * vals[0]
@@ -106,9 +106,9 @@ def test_classical_image_formula_k1_n3():
     pts = ball_points(3, 100, seed=2)
     pairs = [(a, b) for a, b in zip(pts[:50], pts[50:])
              if np.linalg.norm(a - b) > 1e-3 and np.linalg.norm(a) > 1e-2]
-    c = classical(*pairs[0]) / green_ball(*pairs[0], 1).value
+    c = classical(*pairs[0]) / green_ball(*pairs[0], 1)
     for a, b in pairs:
-        ours = c * green_ball(a, b, 1).value
+        ours = c * green_ball(a, b, 1)
         assert ours == pytest.approx(classical(a, b), rel=1e-10)
 
 
@@ -123,7 +123,7 @@ def test_near_diagonal_limit():
     vals = []
     for eps in (1e-3, 1e-4, 1e-5):
         y = x + eps * d
-        vals.append(green_ball(x, y, k).value * eps ** (n - 2 * k))
+        vals.append(green_ball(x, y, k) * eps ** (n - 2 * k))
     # approach is first order in eps; the last sample meets the tolerance
     assert abs(vals[1] - full) < abs(vals[0] - full)
     assert vals[-1] == pytest.approx(full, rel=1e-4)

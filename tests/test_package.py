@@ -2,6 +2,7 @@
 there, resolved on first use, and what each entry point imports stays within
 its budget (checked in fresh interpreters, one for all entry points)."""
 
+import ast
 import importlib
 import json
 import os
@@ -29,8 +30,8 @@ PUBLIC = {
     "conformal": ["CayleyMap", "HalfSpaceBump", "GaussianXPow",
                   "check_distance_identity", "check_norm_invariance",
                   "check_laplacian_conjugation", "SingularPointError"],
-    "green": ["GreenEval", "psi_ball", "psi_half", "kernel_integral",
-              "green_ball", "green_half", "check_conformal_relation"],
+    "green": ["psi_ball", "psi_half", "kernel_integral", "green_ball",
+              "green_half", "check_conformal_relation"],
     "tree": ["TreeConfig", "FamilyLaw", "InfluenceData", "Region",
              "AmbiguousScalesError", "epsilon", "classify", "check_dominance",
              "interaction_sup", "eval_tree", "tree_value"],
@@ -147,3 +148,35 @@ def test_integrate_radial_does_not_depend_on_import_order():
                          f"from polybubble.quadrature import integrate_radial; {call}")
     assert alone == after_solver
     assert float.fromhex(alone.split()[0]) > 0
+
+
+# -- imports ------------------------------------------------------------------
+
+def _unused_imports(path):
+    """(line, name) of each name a module imports and never reads, apart
+    from __future__ imports and import lines marked # noqa."""
+    with open(path) as fh:
+        text = fh.read()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_modules_use_every_name_they_import():
+    src = os.path.dirname(polybubble.__file__)
+    found = {f: _unused_imports(os.path.join(src, f))
+             for f in sorted(os.listdir(src)) if f.endswith(".py")}
+    assert {f: u for f, u in found.items() if u} == {}

@@ -381,28 +381,23 @@ def test_taylor_start_mu_and_second_order_columns(n, k, p, mu, d):
 ])
 def test_variational_columns_leave_steps_unchanged(monkeypatch, n, k, p, mu, d):
     """atol = inf on every variational column (d, mu and second order): a
-    shot takes the steps of the state integrated alone, and reaches the
-    same state.  The accepted steps agree up to rounding, which the error
+    shot takes the steps of the state integrated alone (the DOP853 loop on
+    _rhs(params, 1) at the shot's rtol and atol), and reaches the same
+    state.  The accepted steps agree up to rounding, which the error
     estimate amplifies."""
     params = ProblemParams(n, k, p, mu)
-    runs = []
-    real = solver.solve_ivp
-
-    def spy(*args, **kwargs):
-        run = real(*args, **kwargs)
-        runs.append(run.steps)
-        return run
-
-    monkeypatch.setattr(solver, "solve_ivp", spy)
-    grid = np.linspace(1e-6, 1.0, 50)
-    block, _ = solver._integrate(params, d, 1e-10, grid, variational=True)
-    alone, _ = solver._integrate(params, d, 1e-10, grid)
-    assert block.shape == (2 * k, 2 + k + k * (k + 1) // 2)
-    assert alone.shape == (2 * k, 1)
-    assert len(runs[0]) == len(runs[1])
-    np.testing.assert_allclose(runs[0], runs[1], rtol=1e-3)
-    np.testing.assert_allclose(block[:, 0], alone[:, 0], rtol=1e-9,
-                               atol=1e-9 * np.max(np.abs(alone)))
+    _, args, run = _captured_dop853(monkeypatch, params, np.array(d), 1e-10)
+    t_span, y0, _, _, t_eval, cap, cols = args
+    assert cols == 2 + k + k * (k + 1) // 2
+    block = run.y.reshape(2 * k, cols)
+    alone = solver.solve_ivp(solver._rhs(params, 1), t_span,
+                             y0.reshape(2 * k, cols)[:, 0], 1e-10,
+                             1e-10 * max(1.0, np.max(np.abs(d))), t_eval, cap, 1)
+    assert alone.status == 0 and alone.y.shape == (2 * k,)
+    assert len(run.steps) == len(alone.steps)
+    np.testing.assert_allclose(run.steps, alone.steps, rtol=1e-3)
+    np.testing.assert_allclose(block[:, 0], alone.y, rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(alone.y)))
 
 
 def _captured_dop853(monkeypatch, params, d, rtol):

@@ -292,11 +292,19 @@ def test_eval_tree_derivative_bound():
 
 
 def test_tree_json_roundtrip():
-    cfg = tower_cfg(100.0)
-    cfg2 = TreeConfig.from_json(cfg.to_json())
+    """from_json(to_json()) writes the same record back byte for byte, for
+    a family config and for a snapshot config with nu and its own domain."""
+    snapshot = TreeConfig(
+        [BubbleSpec("interior", N, K, [0.1] + [0.0] * (N - 1), 0.05),
+         BubbleSpec("interior", N, K, [0.0, -0.2] + [0.0] * (N - 2), 1e-3)],
+        nu={(0, 1): 0.02, (1, 0): -0.01},
+        domain=Ball((0.05,) + (0.0,) * (N - 1), 1.5))
+    for cfg in (tower_cfg(100.0), snapshot):
+        text = cfg.to_json()
+        assert TreeConfig.from_json(text).to_json() == text
+    cfg2 = TreeConfig.from_json(tower_cfg(100.0).to_json())
     assert len(cfg2.bubbles) == 2
     assert cfg2.family_law.mu_exp == [1.0, 2.0]
-    assert cfg2.alpha == 100.0
     data = classify(cfg2)
     js = data.to_json()
     assert '"rho"' in js and '"regions"' in js
