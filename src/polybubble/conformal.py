@@ -3,8 +3,8 @@
 identity, critical-norm and derivative-norm invariance, and the conjugation
 of iterated Laplacians.
 
-Every derivative is exact up to rounding: the map, its Jacobian factor and
-the profiles take Taylor coordinates (jets.Taylor) through the code that
+Every derivative is exact up to rounding: the map, the transform and the
+profiles take Taylor coordinates (jets.Taylor) through the code that
 evaluates them at points, and Laplacian powers and their gradients come
 from the Taylor coefficients of t -> f(x + t theta) averaged over a finite
 set of directions theta (_taylor_derivative).
@@ -20,6 +20,7 @@ import numpy as np
 from .jets import Taylor, as_points
 from .quadrature import (Ball, HalfBall, _sphere_rule, integrate_axisymmetric,
                          row_sq_norms)
+from .radial import critical_exponent
 
 __all__ = [
     "SingularPointError",
@@ -44,8 +45,8 @@ class CayleyMap:
     """phi(y) = (y+e_1)/|y+e_1|^2 - e_1/2 maps B(0,1) onto {x_1 > 0}.
 
     phi(0) = e_1/2 and the boundary sphere minus {-e_1} goes to {x_1 = 0}.
-    phi, jacobian_factor and cayley_transform take an (m, n) batch of points
-    or Taylor coordinates of one.
+    phi and cayley_transform take an (m, n) batch of points or Taylor
+    coordinates of one.
     """
 
     n: int
@@ -57,7 +58,7 @@ class CayleyMap:
         return e
 
     def _shifted(self, y):
-        """w = y + e_1 and |w|^2, shared by phi and the Jacobian factor."""
+        """w = y + e_1 and |w|^2, shared by phi and cayley_transform."""
         w = as_points(y) + self.e1
         return w, row_sq_norms(w)
 
@@ -76,10 +77,6 @@ class CayleyMap:
         if np.any(nw2 < 1e-28):
             raise SingularPointError("phi_inv is singular at x = -e_1/2")
         return w / nw2[:, None] - self.e1
-
-    def jacobian_factor(self, y):
-        """|y + e_1|; |det D phi| = this to the power -2n."""
-        return np.sqrt(self._shifted(y)[1])
 
     def cayley_transform(self, u, k: int, y):
         """u*(y) = |y+e_1|^{2k-n} u(phi(y)) for a provider u on the half-space."""
@@ -211,7 +208,7 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
     stack.
     """
     cm = CayleyMap(n)
-    two_sharp = 2.0 * n / (n - 2 * k)
+    two_sharp = critical_exponent(n, k)
     e1 = cm.e1
 
     def ustar(y):

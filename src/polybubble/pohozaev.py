@@ -1,21 +1,24 @@
 """Polyharmonic Pohozaev identity on balls and annuli.
 
 The identity couples a bulk pairing of E(u) = (-Delta)^k u - f |u|^{p-2} u
-with the dilation generator against a boundary functional P_k built from
-iterated Laplacians.  For Dirichlet data P_k collapses, for either parity of
-k, to -1/2 * int (x-xi, nu) |(-Delta)^{k/2} u|^2, where (-Delta)^{k/2}
-means grad (-Delta)^{(k-1)/2} when k is odd.
+with the dilation generator against a boundary functional P_k.  With
+v_i = (-Delta)^i u, D_i = (-Delta)^i ((x-xi).grad u) = (x-xi).grad v_i
++ 2i v_i and j = k-1-i, its density on a sphere with normal nu is
+sum_{i<k/2} [(n-2k)/2 (d_nu v_i v_j - v_i d_nu v_j) + d_nu D_i v_j
+- D_i d_nu v_j], plus 1/2 (x-xi, nu) v_{k/2}^2 for even k, or for k = 2m+1
+1/2 (x-xi, nu) v_{m+1} v_m + 1/2 (v_m d_nu w - w d_nu v_m), w = (x-xi).grad v_m.
+Under Dirichlet data it collapses, for either parity of k, to the density
+-1/2 (x-xi, nu) |(-Delta)^{k/2} u|^2, with grad v_m for (-Delta)^{k/2} u
+when k is odd (the source's printed (-1)^k sign is wrong for even k, as
+the exact-path tests show).  _boundary_density writes both densities once;
+two evaluators read them:
 
-Two evaluation paths:
-
-* exact -- when u and f are polynomial jets, |u|^p is polynomial (even
-  integer p, or integer p with u certified nonnegative) and the domain is a
-  ball or annulus, every term reduces to rational sphere/ball moments and
-  the only error is final float rounding.  Data symmetric about e_1, with
-  xi and every boundary centre on that axis, are handled in the two
-  variables (x_1, |x'|^2) instead of the n Cartesian ones;
-* quadrature -- generic jet providers are integrated with the engine from
-  the quadrature module (axisymmetric rules when an axis is declared).
+* exact -- polynomial jets u and f with |u|^p polynomial (even integer p, or
+  u certified nonnegative) on a ball or annulus: every term is a rational
+  sphere/ball moment, rounded once; data symmetric about e_1, with xi and
+  every boundary centre on that axis, run in the variables (x_1, |x'|^2);
+* quadrature -- generic jet providers, at the nodes of the quadrature
+  module's rules (axisymmetric ones when an axis is declared).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -601,116 +605,100 @@ def _rule_opts(quad_opts, domain):
 # LHS: the boundary functional P_k
 # ---------------------------------------------------------------------------
 
+def _boundary_density(n: int, k: int, q, simplified: bool):
+    """The density of P_k, or with simplified=True of its Dirichlet form, on
+    one boundary sphere (module docstring), from a view q of u there:
+    _poly_views or _node_view.  Its dyadic coefficients are exact in a MultiPoly."""
+    if simplified:
+        return -0.5 * q.xnu() * q.sq()
+    acc = 0.0
+    for i in range(k // 2):
+        j = k - i - 1
+        dnu_j = q.dnu(j)
+        acc += 0.5 * (n - 2 * k) * (q.dnu(i) * q.v(j) - q.v(i) * dnu_j)
+        D, dnu_D = q.D(i)
+        acc += dnu_D * q.v(j) - D * dnu_j
+    if k % 2 == 0:
+        return acc + 0.5 * q.xnu() * q.sq()
+    m = (k - 1) // 2
+    w, dnu_w = q.w()
+    return (acc + 0.5 * q.xnu() * q.v(m + 1) * q.v(m)
+            + 0.5 * (q.v(m) * dnu_w - w * q.dnu(m)))
+
+
+def _poly_views(alg, v, xi):
+    """The exact path's views for _boundary_density: view(c, R, sign) reads
+    the polynomials of the algebra alg on the sphere of radius R about c,
+    where d_nu g = sign/R (x - c).grad g.  v lists (-Delta)^i u, i <= k;
+    D_i, w and sq, which no sphere changes, are built once, on first use."""
+    k, m = len(v) - 1, (len(v) - 2) // 2
+    kept, make = {}, {
+        "D": lambda: [alg.dot_grad(v[i], xi) + 2 * i * v[i] for i in range(k // 2)],
+        "w": lambda: alg.dot_grad(v[m], xi),
+        "sq": lambda: alg.grad_sq(v[m]) if k % 2 else v[k // 2] * v[k // 2]}
+
+    def common(name):
+        return kept[name] if name in kept else kept.setdefault(name, make[name]())
+
+    def view(c, R, sign):
+        c, s = [_exact(t) for t in c], _exact(sign / R)
+
+        def dnu(p):
+            return s * alg.dot_grad(p, c)
+
+        return SimpleNamespace(
+            v=v.__getitem__, dnu=lambda i: dnu(v[i]), sq=lambda: common("sq"),
+            D=lambda i: (common("D")[i], dnu(common("D")[i])),
+            w=lambda: (common("w"), dnu(common("w"))),
+            xnu=lambda: alg.shifted_dot(xi, c) * s)
+    return view
+
+
+def _node_view(u, k: int, xi, pts, c, R, sign):
+    """The quadrature path's view for _boundary_density: arrays at the nodes
+    pts of the sphere of radius R about c, read from u's jet of order 2k."""
+    jet, m = u.jet(pts, 2 * k), (k - 1) // 2
+    dx, nu, grads = pts - xi, sign * (pts - c) / R, {}
+
+    def grad(i):
+        return grads[i] if i in grads else grads.setdefault(i, jet.grad_lap(i))
+
+    def D(i):
+        val, grad_D = x_grad_laplacian(jet, i, xi)
+        return val, _dot(grad_D, nu)
+
+    def w():
+        return _dot(dx, grad(m)), _dot(grad(m) + _matvec(jet.hess_lap(m), dx), nu)
+
+    return SimpleNamespace(
+        v=jet.lap_iter, dnu=lambda i: _dot(grad(i), nu), D=D, w=w, xnu=lambda: _dot(dx, nu),
+        sq=lambda: _dot(grad(m), grad(m)) if k % 2 else jet.lap_iter(k // 2) ** 2)
+
+
 def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                  quad_opts: dict | None = None):
-    """The boundary functional P_k(domain; u).
-
-    simplified=True evaluates instead the Dirichlet form
-    -1/2 * int (x-xi, nu) |(-Delta)^{k/2} u|^2 (every k), valid when u carries
-    Dirichlet data on the boundary of the domain (odd k uses the gradient
-    interpretation of the half-power).
-
-    A PolynomialJet u takes the exact path.  It runs in the two axial
-    variables (x_1, |x'|^2) when xi and every boundary centre lie on the e_1
-    axis and u converts exactly to that form (see _axial_form), and in the
-    n Cartesian variables otherwise.  Any other u takes one sphere rule per
-    boundary sphere, with the options _rule_opts makes from quad_opts.
-
-    Returns (value, abs_budget).
+    """The boundary functional P_k(domain; u), or with simplified=True its
+    Dirichlet form: _boundary_density integrated over each boundary sphere,
+    exactly for a PolynomialJet u (in the axial variables when u converts,
+    see _axial_form), else by one sphere rule per boundary sphere with the
+    options _rule_opts makes from quad_opts.  Returns (value, abs_budget).
     """
     xi = np.asarray(xi, float)
-    n = u.n
     pieces = _boundary_pieces(domain)
 
     if _is_polynomial_setup(u, None):
         alg, (upoly,) = _exact_algebra([u.poly], xi, pieces)
-        xi_f = [_exact(t) for t in xi]
-        # v_i = (-Delta)^i u and the commutator fields D_i
-        v = _neg_laplacians(alg, upoly, k)
-        D = [alg.dot_grad(v[i], xi_f) + 2 * i * v[i] for i in range(k // 2)]
-        m = (k - 1) // 2
-        total, budget = 0.0, 0.0
-        for (c, R, sign) in pieces:
-            # on the sphere: nu = sign (x - c)/R, d_nu g = grad g . nu
-            c_f = [_exact(t) for t in c]
-            s = _exact(sign / R)
-
-            def dnu(poly):
-                return s * alg.dot_grad(poly, c_f)
-
-            x_minus_xi_nu = alg.shifted_dot(xi_f, c_f) * s
-
-            if simplified:
-                # Dirichlet collapse: P_k = -1/2 int (x-xi, nu) |(-D)^{k/2} u|^2
-                # for every k.  For odd k this is the (-1)^k/2 convention of
-                # the source; for even k the printed (-1)^k sign there is
-                # inconsistent with the full identity (the surviving
-                # commutator boundary term equals -2 R_k, flipping R_k's
-                # sign), as the exact-path tests demonstrate.
-                if k % 2 == 0:
-                    sq = v[k // 2] * v[k // 2]
-                else:
-                    sq = alg.grad_sq(v[m])
-                integrand = Fraction(-1, 2) * x_minus_xi_nu * sq
-            else:
-                integrand = MultiPoly(upoly.n)
-                half_nm2k = Fraction(n - 2 * k, 2)
-                for i in range(k // 2):
-                    integrand = integrand + half_nm2k * (
-                        dnu(v[i]) * v[k - i - 1] - v[i] * dnu(v[k - i - 1]))
-                    integrand = integrand + (
-                        dnu(D[i]) * v[k - i - 1] - D[i] * dnu(v[k - i - 1]))
-                if k % 2 == 0:
-                    integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[k // 2] * v[k // 2]
-                else:
-                    integrand = integrand + Fraction(1, 2) * x_minus_xi_nu * v[m + 1] * v[m]
-                    w = alg.dot_grad(v[m], xi_f)
-                    integrand = integrand + Fraction(1, 2) * (v[m] * dnu(w) - w * dnu(v[m]))
-            val, ab = alg.moment(integrand, c, R, ball=False)
-            total, budget = total + val, budget + ab
+        view = _poly_views(alg, _neg_laplacians(alg, upoly, k), [_exact(t) for t in xi])
+        total, budget = map(sum, zip(*(alg.moment(
+            _boundary_density(u.n, k, view(c, R, sign), simplified), c, R, ball=False)
+            for c, R, sign in pieces)))
         return total, 1e-12 * budget
 
-    # quadrature path for generic jet providers
     _, sphere_opts = _rule_opts(quad_opts, domain)
-    total, err = 0.0, 0.0
-    for (c, R, sign) in pieces:
-        def integrand(pts):
-            jet = u.jet(pts, 2 * k)
-            nu = sign * (pts - c) / R
-            dx = pts - xi
-            dxnu = _dot(dx, nu)
-            if simplified:
-                if k % 2 == 0:
-                    s = jet.lap_iter(k // 2) ** 2
-                else:
-                    g = jet.grad_lap((k - 1) // 2)
-                    s = _dot(g, g)
-                return -0.5 * dxnu * s
-            acc = 0.0
-            for i in range(k // 2):
-                vi = jet.lap_iter(i)
-                gi = jet.grad_lap(i)
-                vki = jet.lap_iter(k - i - 1)
-                gki = jet.grad_lap(k - i - 1)
-                acc += 0.5 * (n - 2 * k) * (_dot(gi, nu) * vki - vi * _dot(gki, nu))
-                Dval, Dgrad = x_grad_laplacian(jet, i, xi)
-                acc += _dot(Dgrad, nu) * vki - Dval * _dot(gki, nu)
-            if k % 2 == 0:
-                acc += 0.5 * dxnu * jet.lap_iter(k // 2) ** 2
-            else:
-                m = (k - 1) // 2
-                acc += 0.5 * dxnu * jet.lap_iter(m + 1) * jet.lap_iter(m)
-                gm = jet.grad_lap(m)
-                w = _dot(dx, gm)
-                grad_w = gm + _matvec(jet.hess_lap(m), dx)
-                acc += 0.5 * (jet.lap_iter(m) * _dot(grad_w, nu)
-                              - w * _dot(gm, nu))
-            return acc
-
-        res = integrate_surface(integrand, SphereSurface(tuple(c), R), **sphere_opts)
-        total += res.value
-        err += res.error_estimate
-    return total, err
+    res = [integrate_surface(lambda pts, c=c, R=R, sign=sign: _boundary_density(
+        u.n, k, _node_view(u, k, xi, pts, c, R, sign), simplified),
+        SphereSurface(tuple(c), R), **sphere_opts) for c, R, sign in pieces]
+    return sum(r.value for r in res), sum(r.error_estimate for r in res)
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +711,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     T3 volume f|u|^p, T4 grad-f volume).  Returns (terms, budget).
 
     PolynomialJets u and f take the exact path, in the axial variables
-    (x_1, |x'|^2) when xi and every boundary centre lie on the e_1 axis and
-    u and f both convert exactly to that form, in the n Cartesian variables
-    otherwise (as in pohozaev_lhs).
+    when u and f both convert exactly (as in pohozaev_lhs).
 
     On the quadrature path _rule_opts maps quad_opts onto the volume rule
     (T1, T3, T4) and onto the rule of each boundary sphere (T2)."""
@@ -775,13 +761,16 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
                 else np.asarray(f.value(pts), float))
 
     def bulk(pts):
-        """The T1, T3 and (with f) T4 integrands as one stack."""
+        """The T1, T3 and (with f) T4 integrands as one stack.  After T1's
+        comes the scale of its rounding, |mult| (|(-Delta)^k u| + |f| |u|^{p-1}),
+        with the nonlinear term read back as (-Delta)^k u - E(u)."""
         jet = u.jet(pts, 2 * k)
         fv = f_val(pts)
         dx = pts - xi
         mult = 0.5 * (n - 2 * k) * jet.value() + _dot(dx, jet.grad())
         up = np.abs(jet.value()) ** p_exp
-        rows = [mult * e_operator(jet, fv, p_exp, k), fv * up]
+        lap, Eu = jet.lap_iter(k), e_operator(jet, fv, p_exp, k)
+        rows = [mult * Eu, np.abs(mult) * (np.abs(lap) + np.abs(lap - Eu)), fv * up]
         if f is not None:
             grad_f = np.stack([f.partial((i,), pts) for i in range(n)], axis=1)
             rows.append(_dot(dx, grad_f) * up)
@@ -789,8 +778,8 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
 
     res = integrate_volume(bulk, domain, **vol_opts)
     # without f there is no T4 row, and T4 is 0
-    T1, T3v, T4v = [*res.value.tolist(), 0.0][:3]
-    e1, e3, e4 = [*res.error_estimate.tolist(), 0.0][:3]
+    T1, size, T3v, T4v = [*res.value.tolist(), 0.0][:4]
+    e1, _, e3, e4 = [*res.error_estimate.tolist(), 0.0][:4]
     T2, e2 = 0.0, 0.0
     for (c, R, sign) in pieces:
         def surf(pts, c=c, R=R, sign=sign):
@@ -801,7 +790,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
         sres = integrate_surface(surf, SphereSurface(tuple(c), R), **sphere_opts)
         T2 += sres.value
         e2 += sres.error_estimate
-    budget = e1 + e2 + abs(coef_T3) * e3 + e4 / p_exp
+    budget = e1 + e2 + abs(coef_T3) * e3 + e4 / p_exp + np.finfo(float).eps * size
     return (T1, T2, coef_T3 * T3v, -T4v / p_exp), budget
 
 
@@ -843,8 +832,7 @@ def pohozaev_residual(u, f, p_exp: float, domain, xi, k: int,
 
     residual_rel is |lhs - sum T_i| / max(|lhs|, max_i |T_i|, tiny).  With
     dirichlet=True the report also carries the gap between the full P_k and
-    its collapsed -1/2-form, which holds for every k (for odd k it is the
-    (-1)^k/2 convention; for even k that convention has the wrong sign).
+    its Dirichlet form, which holds for every k (module docstring).
     quad_opts goes unchanged to pohozaev_lhs and pohozaev_rhs.
     """
     xi = np.asarray(xi, float)

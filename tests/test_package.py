@@ -180,3 +180,49 @@ def test_modules_use_every_name_they_import():
     found = {f: _unused_imports(os.path.join(src, f))
              for f in sorted(os.listdir(src)) if f.endswith(".py")}
     assert {f: u for f, u in found.items() if u} == {}
+
+
+# -- definitions --------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _referenced_names(top):
+    """Every name the .py files under top read: as a name, an attribute, an
+    imported name or a string constant (the lazy export table's form)."""
+    names = set()
+    for dirpath, _, files in os.walk(top):
+        for f in files:
+            if not f.endswith(".py"):
+                continue
+            with open(os.path.join(dirpath, f)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update({node.name.rpartition(".")[2], node.asname})
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_every_definition_is_referenced():
+    """Each def and class of the package, dunders aside, is referenced
+    somewhere in src, tests, demos or perfbench besides its definition."""
+    used = set().union(*(_referenced_names(os.path.join(ROOT, d))
+                         for d in ("src", "tests", "demos", "perfbench")))
+    pkg = os.path.join(ROOT, "src", "polybubble")
+    dead = []
+    for f in sorted(os.listdir(pkg)):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, f)) as fh:
+            tree = ast.parse(fh.read())
+        dead += [(f, node.lineno, node.name) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__"))
+                 and node.name not in used]
+    assert dead == []
