@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import (CutoffProfile, ProductProfile, RadialTermField,
                      RationalProfile)
-from .quadrature import Ball, integrate_radial, row_sq_norms
+from .quadrature import Ball, _points, integrate_radial, sq_dist
 from .radial import (RadialFunction, bubble_constant,
                      make_bubble, radial_derivative)
 
@@ -104,20 +104,20 @@ class BubbleSpec:
 # ---------------------------------------------------------------------------
 
 def theta(spec: BubbleSpec, x) -> np.ndarray:
-    """mu + |x - center|; always >= mu > 0."""
-    x = np.atleast_2d(np.asarray(x, float))
-    return spec.mu + np.sqrt(row_sq_norms(x - spec.center))
+    """mu + |x - center| at the points x: an (m, n) array, one point or the
+    AxisNodes of an axisymmetric rule (quadrature.sq_dist); always >= mu > 0."""
+    return spec.mu + np.sqrt(sq_dist(x, spec.center))
 
 
 def positive_bubble(spec: BubbleSpec | None, x) -> np.ndarray:
     """(mu / (mu^2 + a_{n,k} |x - center|^2))^{(n-2k)/2}.
 
-    With spec=None this is the index-0 convention: identically 1.
+    x takes what theta takes.  With spec=None this is the index-0
+    convention: identically 1.
     """
-    x = np.atleast_2d(np.asarray(x, float))
     if spec is None:
-        return np.ones(len(x))
-    r2 = row_sq_norms(x - spec.center)
+        return np.ones(len(_points(x)))
+    r2 = sq_dist(x, spec.center)
     expo = 0.5 * (spec.n - 2 * spec.k)
     return (spec.mu / (spec.mu**2 + spec.a * r2)) ** expo
 

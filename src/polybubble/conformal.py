@@ -235,6 +235,7 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
     def side(f, domain, feats):
         """[critical, derivative] integrals of the profile f over domain."""
         def rows(x):
+            x = np.asarray(x)
             d = _taylor_derivative(f, x, k)
             return np.stack([np.abs(f(x)) ** two_sharp,
                              row_sq_norms(d) if k % 2 else d * d])

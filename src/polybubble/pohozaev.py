@@ -764,6 +764,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
         """The T1, T3 and (with f) T4 integrands as one stack.  After T1's
         comes the scale of its rounding, |mult| (|(-Delta)^k u| + |f| |u|^{p-1}),
         with the nonlinear term read back as (-Delta)^k u - E(u)."""
+        pts = np.asarray(pts)
         jet = u.jet(pts, 2 * k)
         fv = f_val(pts)
         dx = pts - xi

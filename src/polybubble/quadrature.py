@@ -43,6 +43,8 @@ __all__ = [
     "sphere_area",
     "ball_volume",
     "row_sq_norms",
+    "AxisNodes",
+    "sq_dist",
     "sphere_moment_ratio",
     "integrate_radial",
     "integrate_axisymmetric",
@@ -87,6 +89,60 @@ def row_sq_norms(a):
         col = a[:, j]
         out += col * col
     return out
+
+
+class AxisNodes:
+    """The nodes origin + rho * U[node] of an axisymmetric rule, as its
+    integrand receives them; U holds the unit vectors of the rule's phi
+    directions.  len() and shape are those of the (m, n) points, which
+    np.asarray builds on first use and returns as that same array on every
+    read; sq_dist reads its distances from plane() without them."""
+
+    def __init__(self, U, node, rho, origin):
+        self.U, self.node, self.rho, self.origin = U, node, rho, origin
+        self._pts = self._plane = None
+
+    def __len__(self):
+        return len(self.rho)
+
+    @property
+    def shape(self):
+        return len(self.rho), len(self.origin)
+
+    def __array__(self, dtype=None, copy=None):
+        if self._pts is None:
+            self._pts = self.U[self.node]
+            self._pts *= self.rho[:, None]
+            self._pts += self.origin
+        return self._pts.astype(float if dtype is None else dtype, copy=bool(copy))
+
+    def plane(self):
+        """(x_1, x_2 * x_2) at every node, computed once, when U lies in the
+        (x_1, x_2)-plane and the origin on the x_1 axis; else None."""
+        if self._plane is None:
+            self._plane = ()
+            if not (self.U[:, 2:].any() or self.origin[1:].any()):
+                s = self.U[self.node, 1] * self.rho
+                self._plane = (self.U[self.node, 0] * self.rho + self.origin[0], s * s)
+        return self._plane or None
+
+
+def _points(x):
+    """x itself when it is an AxisNodes, else x as an (m, n) float array."""
+    return x if isinstance(x, AxisNodes) else np.atleast_2d(np.asarray(x, float))
+
+
+def sq_dist(x, c):
+    """row_sq_norms(np.asarray(x) - c) for points x (an (m, n) array, one
+    point or an AxisNodes).  From the plane() of an AxisNodes when c lies on
+    the x_1 axis: the terms it leaves out are exact zeros, so the bits are
+    the same."""
+    x, c = _points(x), np.asarray(c, float)
+    plane = isinstance(x, AxisNodes) and not c[1:].any() and x.plane()
+    if plane:
+        dt = plane[0] - c[0]
+        return dt * dt + plane[1]
+    return row_sq_norms(np.asarray(x) - c)
 
 
 def _read_only(*arrays):
@@ -248,7 +304,8 @@ class _OnRead:
 @dataclass
 class QuadratureResult:
     """value and error_estimate are floats for a scalar integrand and arrays
-    of the stack's leading shape for a stacked one.
+    of the stack's leading shape for a stacked one.  The integrand receives
+    an array-like batch of m points: np.asarray gives the (m, n) points.
 
     integrate_axisymmetric leaves error_estimate and samples_used to its
     coarse rule, which runs on the first read of either and is dropped
@@ -410,7 +467,9 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     panels at domain cuts and refined toward the origin and peak radii.
     Each rule is built for all rays at once (_ray_panels), and its nodes are
     origin + rho * U, with the unit vector U = cos(phi) d + sin(phi) e of a
-    direction computed once and shared by that direction's rho nodes.
+    direction computed once and shared by that direction's rho nodes.  f
+    receives them as one AxisNodes batch, whose (m, n) points np.asarray
+    builds only when f asks (sq_dist does not, on an e_1 axis).
 
     The error estimate is the difference against a coarsened rule (2/3 of
     the nodes per direction).  It is conservative and can overstate the
@@ -518,10 +577,7 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
         rho = (h * (xr + 1.0) + lo[:, None]).ravel()
         wt = (h * wr * wphi[ray, None]).ravel()
         node = np.repeat(ray, mrho)
-        pts = U[node]
-        pts *= rho[:, None]
-        pts += origin
-        vals = np.asarray(f(pts), float)
+        vals = np.asarray(f(AxisNodes(U, node, rho, origin)), float)
         jac = rho ** (n - 1) * (sin_phi ** (n - 2))[node]
         return np.sum(wt * vals * jac, axis=-1), len(rho)
 
@@ -597,8 +653,9 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
                      axis=None) -> QuadratureResult:
     """Volume integral of f over the domain.
 
-    f maps an (m, n) point array to an (m,) array, or to an (r, m) stack
-    whose rows are integrated on the same rule.  Declared singularities
+    f maps an array-like batch of m points (np.asarray gives the (m, n)
+    points) to an (m,) array, or to an (r, m) stack whose rows are
+    integrated on the same rule.  Declared singularities
     must match f's actual singular set (caller contract).  axis=(point,
     direction) certifies axial symmetry: integrate_axisymmetric.  Otherwise
     scrambled-Sobol mixture importance sampling, about _VOLUME_QMC_POINTS

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from .bubbles import positive_bubble, theta
-from .quadrature import (Ball, BallMinusBalls, Singularity, integrate_volume,
-                         row_sq_norms)
+from .quadrature import (Ball, BallMinusBalls, Singularity, _points,
+                         integrate_volume, sq_dist)
 from .radial import critical_exponent
 from .tree import (TreeConfig, classify, pair_maxima, pair_sum, theta_pow_B,
                    weight_sum)
@@ -39,7 +39,7 @@ __all__ = [
 def psi_weight(cfg: TreeConfig, y) -> np.ndarray:
     """Psi(y) = sum_i theta_i^{2-2k} B_i + sum_{i != j} B_j^{2#-2} B_i with
     indices running over 0..N and the zeroth profile B^0 = 1, theta^0 = 1."""
-    y = np.atleast_2d(np.asarray(y, float))
+    y = _points(y)
     B = [positive_bubble(b, y) for b in cfg.bubbles]
     out = np.zeros(len(y))
     for b, Bb in zip(cfg.bubbles, B):
@@ -124,7 +124,7 @@ def _conv_integral(cfg: TreeConfig, x, expos, weight, peak_centers,
         dom = Ball(tuple(base.center), base.radius, singularities=tuple(sings))
 
     def f(y):
-        d = np.maximum(np.sqrt(row_sq_norms(y - x)), 1e-300)
+        d = np.maximum(np.sqrt(sq_dist(y, x)), 1e-300)
         w = weight(y)
         return np.stack([d ** expo * w for expo in expos])
 
@@ -135,12 +135,15 @@ def _conv_integral(cfg: TreeConfig, x, expos, weight, peak_centers,
 
 
 def sample_x_points(cfg: TreeConfig, i: int, count: int = 6) -> list[np.ndarray]:
-    """Evaluation points for convolution sup checks: on the configuration
-    axis at bubble-scale, influence-scale and domain-scale distances."""
+    """The first count of six evaluation points for convolution sup checks:
+    on the configuration axis at bubble-scale, influence-scale and
+    domain-scale distances.  A count above six raises ValueError."""
     b = cfg.bubbles[i]
     axis = _common_axis(cfg.domain.center, _centers(cfg))
     d = axis[1] if axis is not None else np.eye(cfg.n)[0]
     offs = [0.0, b.mu, 4.0 * b.mu, math.sqrt(b.mu), 0.45, 0.9]
+    if count > len(offs):
+        raise ValueError(f"x_count {count} exceeds the {len(offs)} sample points")
     pts = [b.center + o * d for o in offs[:count]]
     R = cfg.domain.radius
     cc = np.asarray(cfg.domain.center, float)
@@ -220,8 +223,8 @@ def giraud_verify(gamma: float, beta: float, mu: float, x, y,
     d = float(np.linalg.norm(x - y))
 
     def f(z):
-        rx = np.sqrt(row_sq_norms(z - x))
-        ry = np.maximum(np.sqrt(row_sq_norms(z - y)), 1e-300)
+        rx = np.sqrt(sq_dist(z, x))
+        ry = np.maximum(np.sqrt(sq_dist(z, y)), 1e-300)
         return (mu + rx) ** (gamma - n) * ry ** (beta - n)
 
     sings = (Singularity(tuple(x), 0.0, mu), Singularity(tuple(y), n - beta, 0.0))
@@ -250,8 +253,9 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
     """LHS/RHS ratio rows for one of the bubble-tree integral lemmas.
 
     kind: "ordre2" | "trou0" | "trou" | "BiBj" | "lem2".  params carries
-    (i, l, M, j, p) as relevant.  Each row reports lhs, rhs, their ratio and
-    the quadrature error estimate.
+    (i, l, M, j, p, part, x_count, x_points) as relevant; x_count is at most
+    six (sample_x_points) and the BiBj part 1 or 2.  Each row reports lhs,
+    rhs, their ratio and the quadrature error estimate.
     """
     n, k = cfg.n, cfg.k
     ts = critical_exponent(n, k)
@@ -297,6 +301,8 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
     if kind == "BiBj":
         j = params["j"]
         part = params.get("part", 1)
+        if part not in (1, 2):
+            raise ValueError(f"BiBj part must be 1 or 2, not {part!r}")
         bj = cfg.bubbles[j]
         pref = (b.mu * bj.mu) ** (0.5 * (n - 2 * k))
         if part == 1:

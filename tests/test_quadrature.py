@@ -18,7 +18,7 @@ from polybubble.quadrature import (AccuracyError, Ball, BallMinusBalls,
                                    integrate_axisymmetric, integrate_radial,
                                    integrate_surface, integrate_volume,
                                    row_sq_norms, sphere_area,
-                                   sphere_moment_ratio)
+                                   sphere_moment_ratio, sq_dist)
 
 
 def test_radial_constant_ball_volume():
@@ -100,7 +100,7 @@ def test_linearity():
 
 def test_axisymmetric_moment():
     dom = Ball((0.0,) * 5, 1.0)
-    r = integrate_axisymmetric(lambda x: x[:, 0] ** 2, dom, np.zeros(5),
+    r = integrate_axisymmetric(lambda x: np.asarray(x)[:, 0] ** 2, dom, np.zeros(5),
                                np.eye(5)[0])
     assert r.method == "axisymmetric"
     assert r.value == pytest.approx(ball_volume(5) / 7.0, rel=1e-9)
@@ -108,7 +108,8 @@ def test_axisymmetric_moment():
 
 def test_axisymmetric_halfball():
     hb = HalfBall((0.0,) * 5, 1.0)
-    r = integrate_axisymmetric(lambda x: x[:, 0], hb, np.zeros(5), np.eye(5)[0])
+    r = integrate_axisymmetric(lambda x: np.asarray(x)[:, 0], hb, np.zeros(5),
+                               np.eye(5)[0])
     exact = sphere_area(4) * (1.0 / 6.0) * (1.0 / 4.0)
     assert r.value == pytest.approx(exact, rel=1e-9)
     # polar origin off the centre: rays toward -e_1 are cut at the plane
@@ -116,14 +117,14 @@ def test_axisymmetric_halfball():
     for c1, o1 in ((0.0, 0.3), (0.0, 0.6), (0.0, -0.4), (0.5, 0.3), (0.5, -0.4)):
         hb3 = HalfBall((c1,) + (0.0,) * 4, 1.0,
                        singularities=(Singularity((c1 + o1,) + (0.0,) * 4, 1.0),))
-        r3 = integrate_axisymmetric(lambda x: x[:, 0] - c1, hb3, np.zeros(5),
-                                    np.eye(5)[0])
+        r3 = integrate_axisymmetric(lambda x: np.asarray(x)[:, 0] - c1, hb3,
+                                    np.zeros(5), np.eye(5)[0])
         assert r3.value == pytest.approx(exact, rel=1e-7), (c1, o1)
 
 
 def test_truncated_half_space():
     ts = HalfBall((0.0,) * 5, 2.0)
-    f = lambda x: np.exp(-np.sum(x**2, axis=1))
+    f = lambda x: np.exp(-np.sum(np.asarray(x)**2, axis=1))
     det = integrate_axisymmetric(f, ts, np.zeros(5), np.eye(5)[0])
     qmc = integrate_volume(f, ts, seed=3)
     assert qmc.value == pytest.approx(det.value,
@@ -132,7 +133,7 @@ def test_truncated_half_space():
 
 def test_volume_tol_violation_raises(monkeypatch):
     dom = Ball((0.0,) * 6, 1.0)
-    rough = lambda x: np.where(x[:, 0] > 0.17, 1.0, -1.0)
+    rough = lambda x: np.where(np.asarray(x)[:, 0] > 0.17, 1.0, -1.0)
     monkeypatch.setattr(quadrature, "_VOLUME_QMC_POINTS", 2**8)
     with pytest.raises(AccuracyError) as exc:
         integrate_volume(rough, dom, tol=1e-12, seed=0)
@@ -142,7 +143,7 @@ def test_volume_tol_violation_raises(monkeypatch):
     with pytest.raises(AccuracyError) as exc:
         integrate_volume(rough, dom, tol=1e-12, axis=axis)
     assert exc.value.result.method == "axisymmetric"
-    smooth = lambda x: x[:, 0] ** 2
+    smooth = lambda x: np.asarray(x)[:, 0] ** 2
     r = integrate_volume(smooth, dom, tol=1e-3, axis=axis)
     assert r.value == integrate_axisymmetric(smooth, dom, *axis).value
 
@@ -164,9 +165,11 @@ _STACKED_PATHS = [
     ("qmc-surface", lambda f, tol: integrate_surface(
         f, SphereSurface((0.0,) * 6, 1.0), tol=tol)),
 ]
-_SMOOTH_ROWS = [lambda x: np.exp(-row_sq_norms(x)), lambda x: x[:, 0] ** 2,
-                lambda x: np.cos(3.0 * x[:, 0]) + np.sqrt(row_sq_norms(x))]
-_ROUGH_ROW = lambda x: np.where(x[:, 0] > 0.17, 1.0, -1.0)
+_SMOOTH_ROWS = [lambda x: np.exp(-row_sq_norms(np.asarray(x))),
+                lambda x: np.asarray(x)[:, 0] ** 2,
+                lambda x: (np.cos(3.0 * np.asarray(x)[:, 0])
+                           + np.sqrt(row_sq_norms(np.asarray(x))))]
+_ROUGH_ROW = lambda x: np.where(np.asarray(x)[:, 0] > 0.17, 1.0, -1.0)
 
 
 @pytest.mark.parametrize("integrate", [p for _, p in _STACKED_PATHS],
@@ -346,6 +349,7 @@ def test_axisymmetric_nodes_match_per_node_reference(monkeypatch, domain, axis,
     seen = []
 
     def spy_f(x):
+        x = np.asarray(x)
         seen.append(x.copy())
         return g(x)
 
@@ -368,6 +372,7 @@ def test_axisymmetric_nodes_match_per_node_reference(monkeypatch, domain, axis,
 
 
 def _peaked(x):
+    x = np.asarray(x)
     return np.exp(-row_sq_norms(x - 0.3)) + np.sqrt(row_sq_norms(x))
 
 
@@ -443,7 +448,8 @@ def test_volume_tol_on_axis_refuses_and_accepts_at_the_estimate(stacked):
     attached."""
     domain, axis, features = _LAZY_CASE
     axis = (np.zeros(6), axis)
-    f = (lambda x: np.stack([_peaked(x), x[:, 0] ** 2])) if stacked else _peaked
+    f = ((lambda x: np.stack([_peaked(x), np.asarray(x)[:, 0] ** 2])) if stacked
+         else _peaked)
     ref = integrate_axisymmetric(f, domain, *axis)
     rel = np.max(np.asarray(ref.error_estimate) / np.abs(ref.value))
     calls = []
@@ -478,6 +484,45 @@ def test_row_sq_norms_match_numpy_reductions(n):
         got = row_sq_norms(x)
         assert got.tobytes() == np.sum(x * x, axis=1).tobytes()
         assert np.sqrt(got).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
+def _on_e1(n, t):
+    return np.array([t] + [0.0] * (n - 1))
+
+
+_TILTED = np.array([1.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("origin, axis, c, plane", [
+    (_on_e1(5, 0.1), np.eye(5)[0], _on_e1(5, 0.1), True),
+    (_on_e1(9, -0.2), np.eye(9)[0], _on_e1(9, 0.3), True),  # pairwise sums
+    (_on_e1(5, 0.1), -np.eye(5)[0], _on_e1(5, -0.4), True),
+    # polar origin 1e-12 off e_1, inside the axis check's tolerance
+    (np.array([0.1, 0.0, 1e-12, 0.0, 0.0]), np.eye(5)[0], _on_e1(5, 0.1), False),
+    (_on_e1(5, 0.1), np.eye(5)[0], np.array([0.3, 1e-3, 0.0, 0.0, 0.0]), False),
+    (0.1 * _TILTED, _TILTED, 0.3 * _TILTED, False),
+], ids=["e1", "e1-n9", "minus-e1", "origin-off-e1", "c-off-e1", "tilted"])
+def test_sq_dist_on_axis_nodes_matches_row_sq_norms(origin, axis, c, plane):
+    """sq_dist on the nodes of an axisymmetric rule equals row_sq_norms of
+    their (m, n) points minus c bit for bit, on both rules; it leaves the
+    points unbuilt exactly when the directions lie in the (x_1, x_2)-plane,
+    the polar origin on the x_1 axis and c on the x_1 axis.  The polar
+    origin is a singularity graded down to 1e-12, so an origin off e_1 by
+    1e-12 changes the bits of the nearest nodes' distances."""
+    seen = []
+
+    def f(x):
+        got = sq_dist(x, c)
+        unbuilt = x._pts is None
+        ref = row_sq_norms(np.asarray(x) - c)
+        assert x.shape == np.asarray(x).shape == (len(x), len(c))
+        seen.append((got.tobytes() == ref.tobytes(), unbuilt))
+        return got
+
+    domain = Ball(tuple(origin), 1.0,
+                  singularities=(Singularity(tuple(origin), 1.0, 1e-9),))
+    integrate_axisymmetric(f, domain, origin, axis).error_estimate
+    assert seen == [(True, plane)] * 2
 
 
 def test_surface_constant_and_even_moment():

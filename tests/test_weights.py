@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from polybubble import tree, weights
+from polybubble import quadrature, tree, weights
 from polybubble.bubbles import BubbleSpec, positive_bubble, theta
 from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.quadrature import Ball
@@ -314,6 +314,15 @@ def test_BiBj_part2_precondition():
                                                "part": 2})
 
 
+@pytest.mark.parametrize("part", [0, 3, "2"])
+def test_BiBj_refuses_unknown_part(part):
+    """Only parts 1 and 2 exist; any other part is refused, not computed as
+    part 2 under another label."""
+    with pytest.raises(ValueError, match="part must be 1 or 2"):
+        convolution_bound_verify("BiBj", _collinear_pair(), {"i": 0, "j": 1,
+                                                             "part": part, "p": 1})
+
+
 @pytest.mark.parametrize("kind, centers", [
     ("ordre2", [(0.0, 0.0)]), ("lem2", [(0.0, 0.0)]),
     ("lem2", [(0.3, 0.0), (0.0, 0.3)])],
@@ -350,6 +359,17 @@ def test_unknown_lemma_kind():
         convolution_bound_verify("nope", single(1e-2), {})
 
 
+def test_x_count_above_the_sample_points_is_refused():
+    """sample_x_points has six offsets: a larger count is refused, not cut
+    to six rows."""
+    cfg = single(1e-2)
+    assert len(weights.sample_x_points(cfg, 0, 6)) == 6
+    with pytest.raises(ValueError, match="x_count 9"):
+        convolution_bound_verify("ordre2", cfg, {"i": 0, "l": 0, "x_count": 9})
+    with pytest.raises(ValueError, match="x_count 7"):
+        weights.sample_x_points(cfg, 0, 7)
+
+
 def test_ratio_table_csv(tmp_path):
     cfg = single(1e-2)
     rows = convolution_bound_verify("trou0", cfg, {"i": 0, "l": 0,
@@ -361,3 +381,107 @@ def test_ratio_table_csv(tmp_path):
     assert len(text) == len(rows) + 1
     with pytest.raises(ValueError):
         ratio_table_csv([], tmp_path / "empty.csv")
+
+
+# -- the meridian-plane path of sq_dist ---------------------------------------
+
+def _collinear_pair():
+    """Two bubbles on the x_1 axis at n = 9, k = 2."""
+    c1 = [0.3] + [0.0] * 8
+    c2 = [-0.3] + [0.0] * 8
+    return TreeConfig.from_family(FamilyLaw([1.0, 0.9], [1.0, 1.0], [c1, c2]),
+                                  100.0, 9, 2)
+
+
+def _on_e1(n, *coords):
+    """Points of R^n on the x_1 axis."""
+    return [np.array([c] + [0.0] * (n - 1)) for c in coords]
+
+
+_TILT = (np.eye(5)[0] + np.eye(5)[1]) / math.sqrt(2.0)
+
+# (label, call): verifier runs on an axis through the domain centre
+_MERIDIAN_CASES = [
+    *((kind, lambda kind=kind, params=params: convolution_bound_verify(
+        kind, single(1e-2), {"i": 0, "x_count": 3, **params}, seed=0))
+      for kind, params in (("ordre2", {}), ("trou0", {}), ("trou", {"M": 4.0}),
+                           ("lem2", {}))),
+    ("BiBj1", lambda: convolution_bound_verify(
+        "BiBj", _collinear_pair(), {"i": 0, "j": 1, "part": 1}, seed=0)),
+    ("BiBj2", lambda: convolution_bound_verify(
+        "BiBj", _collinear_pair(), {"i": 0, "j": 1, "part": 2, "p": 1}, seed=0)),
+    ("giraud", lambda: [giraud_verify(gamma, 2.0, 1e-2, *_on_e1(5, 0.2, -0.1),
+                                      Ball((0.0,) * 5, 1.0))
+                        for gamma in (-0.5, 0.0, 1.0)]),
+    ("eta", lambda: eta_sequences(single(1e-2))),
+]
+_MERIDIAN_IDS = [label for label, _ in _MERIDIAN_CASES]
+_MERIDIAN_CALLS = [call for _, call in _MERIDIAN_CASES]
+
+
+def _full_vector_rows(monkeypatch, call):
+    """call() with every integrand of weights wrapped as f(np.asarray(x)), so
+    that it sees (m, n) points and never the AxisNodes of the rule."""
+    integrate_volume = weights.integrate_volume
+
+    def full(f, *args, **kwargs):
+        return integrate_volume(lambda x: f(np.asarray(x)), *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(weights, "integrate_volume", full)
+        return call()
+
+
+@pytest.mark.parametrize("call", _MERIDIAN_CALLS, ids=_MERIDIAN_IDS)
+def test_meridian_path_is_bit_identical_to_full_vectors(monkeypatch, call):
+    """Every verifier row on an e_1 axis, where sq_dist reads two node
+    coordinates, equals bit for bit the row computed on the full (m, n)
+    points."""
+    assert call() == _full_vector_rows(monkeypatch, call)
+
+
+@pytest.mark.parametrize("x, y", [
+    (0.2 * _TILT, -0.1 * _TILT),
+    (*_on_e1(5, 0.2), np.array([-0.1, 0.0, 1e-12, 0.0, 0.0])),
+], ids=["tilted-axis", "origin-off-e1"])
+def test_fallback_paths_match_full_vectors(monkeypatch, x, y):
+    """A tilted axis, and a polar origin 1e-12 off e_1 (inside the axis
+    check's tolerance), build the (m, n) points and give the full-vector
+    values bit for bit."""
+    built = []
+    array = quadrature.AxisNodes.__array__
+
+    def spy(self, *args, **kwargs):
+        built.append(len(self))
+        return array(self, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature.AxisNodes, "__array__", spy)
+
+    def call():
+        return giraud_verify(0.0, 2.0, 1e-2, x, y, Ball((0.0,) * 5, 1.0))
+
+    rep = call()
+    assert built
+    assert rep == _full_vector_rows(monkeypatch, call)
+
+
+@pytest.mark.parametrize("call", _MERIDIAN_CALLS, ids=_MERIDIAN_IDS)
+def test_e1_axis_verifiers_never_build_node_vectors(monkeypatch, call):
+    """On an e_1 axis the weighted-bound integrands read distances from the
+    nodes' two meridian coordinates: the rule's (m, n) points are never
+    built.  This is where the certify workload spends its time."""
+    planes, built = [], []
+    plane, array = quadrature.AxisNodes.plane, quadrature.AxisNodes.__array__
+
+    def spy_plane(self):
+        planes.append(len(self))
+        return plane(self)
+
+    def spy_array(self, *args, **kwargs):
+        built.append(len(self))
+        return array(self, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature.AxisNodes, "plane", spy_plane)
+    monkeypatch.setattr(quadrature.AxisNodes, "__array__", spy_array)
+    call()
+    assert planes and not built
