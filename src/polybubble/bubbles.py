@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import (CutoffProfile, ProductProfile, RadialTermField,
                      RationalProfile)
-from .quadrature import Ball, _points, integrate_radial, sq_dist
+from .quadrature import Ball, integrate_radial, sq_dist
 from .radial import (RadialFunction, bubble_constant,
                      make_bubble, radial_derivative)
 
@@ -109,36 +109,40 @@ def theta(spec: BubbleSpec, x) -> np.ndarray:
     return spec.mu + np.sqrt(sq_dist(x, spec.center))
 
 
-def positive_bubble(spec: BubbleSpec | None, x) -> np.ndarray:
+def positive_bubble(spec: BubbleSpec, x) -> np.ndarray:
     """(mu / (mu^2 + a_{n,k} |x - center|^2))^{(n-2k)/2}.
 
-    x takes what theta takes.  With spec=None this is the index-0
-    convention: identically 1.
+    x takes what theta takes.
     """
-    if spec is None:
-        return np.ones(len(_points(x)))
     r2 = sq_dist(x, spec.center)
     expo = 0.5 * (spec.n - 2 * spec.k)
     return (spec.mu / (spec.mu**2 + spec.a * r2)) ** expo
 
 
-def bubble_field(spec: BubbleSpec, domain: Ball) -> RadialTermField:
-    """The localized bubble V as an exact radial field:
-
-    V(x) = chi((x-x0)/d) mu^{-(n-2k)/2} B((x-x0)/mu),  d = dist(x0, boundary),
-
-    with chi = 1 on |z| <= 1/2 and 0 on |z| >= 1 (fields.CutoffProfile).
-    Its .value gives V at points and its .jet the exact partials of V.
-    """
+def _localized(spec: BubbleSpec, domain: Ball, unit: RadialTermField,
+               scale: float = 1.0) -> RadialTermField:
+    """The field F = unit, given at unit scale about 0, localized at spec:
+    scale chi((x-x0)/d) mu^{-(n-2k)/2} F((x-x0)/mu), d = dist(x0, boundary),
+    with the cutoff chi (fields.CutoffProfile: 1 on |z| <= 1/2, 0 on
+    |z| >= 1) wrapped around every component of F."""
     c, R = np.asarray(domain.center, float), domain.radius
     bdist = R - np.linalg.norm(spec.center - c)
     if bdist <= 0:
         raise ValueError("bubble center outside the domain")
-    prof = RationalProfile(make_bubble(spec.n, spec.k), spec.a)
-    combined = ProductProfile([(CutoffProfile(), bdist), (prof, spec.mu)])
-    amp = spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
-    return RadialTermField.radial(spec.n, spec.center, combined, mu=1.0,
-                                  amplitude=amp)
+    chi = CutoffProfile()
+    comps = [(comp.beta0, ProductProfile([(chi, bdist / spec.mu), (comp.profile, 1.0)]),
+              comp.coeff) for comp in unit.components]
+    amp = scale * spec.mu ** (-0.5 * (spec.n - 2 * spec.k))
+    return RadialTermField(spec.n, spec.center, comps, mu=spec.mu, amplitude=amp)
+
+
+def bubble_field(spec: BubbleSpec, domain: Ball) -> RadialTermField:
+    """The localized bubble V(x) = chi((x-x0)/d) mu^{-(n-2k)/2} B((x-x0)/mu)
+    as an exact radial field: _localized applied to the unit bubble B.  Its
+    .value gives V at points and its .jet the exact partials of V."""
+    unit = RadialTermField.radial(spec.n, np.zeros(spec.n),
+                                  RationalProfile(make_bubble(spec.n, spec.k), spec.a))
+    return _localized(spec, domain, unit)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:
@@ -184,7 +184,7 @@ def cmd_tree(ns: argparse.Namespace) -> int:
                      "mu_or_alpha": tree.bubbles[i].mu, "lhs": isup["lhs"],
                      "rhs": isup["bound"], "ratio": isup["ratio"],
                      "quad_error": 0.0})
-    ratio_table_csv(rows, os.path.join(ns.out, "tree_ratios.csv"))
+    _atomic_write(os.path.join(ns.out, "tree_ratios.csv"), ratio_table_csv(rows))
     try:
         etas = eta_sequences(tree, seed=ns.seed)
     except AccuracyError as e:
@@ -266,7 +266,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"continuation failed: {e}", file=sys.stderr)
         return EXIT_VERIFICATION
-    branch_csv(points, os.path.join(ns.out, "branch.csv"))
+    _atomic_write(os.path.join(ns.out, "branch.csv"), branch_csv(points))
     _atomic_write(os.path.join(ns.out, "solve_manifest.json"),
                   run_manifest(params, grid, d_seed, ns.rtol,
                                extra={"flag": flag}))

@@ -781,16 +781,11 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     # without f there is no T4 row, and T4 is 0
     T1, size, T3v, T4v = [*res.value.tolist(), 0.0][:4]
     e1, _, e3, e4 = [*res.error_estimate.tolist(), 0.0][:4]
-    T2, e2 = 0.0, 0.0
-    for (c, R, sign) in pieces:
-        def surf(pts, c=c, R=R, sign=sign):
-            nu = sign * (pts - c) / R
-            return (np.sum((pts - xi) * nu, axis=1) * f_val(pts)
-                    * np.abs(np.asarray(u.value(pts), float)) ** p_exp / p_exp)
-
-        sres = integrate_surface(surf, SphereSurface(tuple(c), R), **sphere_opts)
-        T2 += sres.value
-        e2 += sres.error_estimate
+    sres = [integrate_surface(lambda pts, c=c, R=R, sign=sign: (
+        np.sum((pts - xi) * (sign * (pts - c) / R), axis=1) * f_val(pts)
+        * np.abs(np.asarray(u.value(pts), float)) ** p_exp / p_exp),
+        SphereSurface(tuple(c), R), **sphere_opts) for c, R, sign in pieces]
+    T2, e2 = sum(r.value for r in sres), sum(r.error_estimate for r in sres)
     budget = e1 + e2 + abs(coef_T3) * e3 + e4 / p_exp + np.finfo(float).eps * size
     return (T1, T2, coef_T3 * T3v, -T4v / p_exp), budget
 

@@ -39,7 +39,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import DOP853, ODEintWarning, odeint
@@ -89,9 +89,7 @@ class IntegrationBlowUp(RuntimeError):
 
 
 class NewtonFailure(RuntimeError):
-    def __init__(self, msg, condition=None):
-        super().__init__(msg)
-        self.condition = condition
+    """Newton did not reach a shooting state that passes the verifier."""
 
 
 @dataclass
@@ -383,19 +381,8 @@ class _Run:
     y: np.ndarray     # the full state there, None after the event
     status: int       # 0 reached t_bound, 1 crossed the cap, -1 step too small
     steps: list       # ends of the accepted steps
-    nfev: int         # rhs calls
-    dense: tuple | None = None  # (fun, steps, t_eval, stride) until y_grid is read
-
-    @cached_property
-    def y_grid(self):
-        """y[::stride] at t_eval, None unless status is 0: sampled on the
-        first read from the recorded steps, whose dense-output stages are
-        added to nfev, and the record is dropped."""
-        if self.dense is None:
-            return None
-        (fun, record, t_eval, stride), self.dense = self.dense, None
-        self.nfev += len(DOP853.A_EXTRA) * len(record)
-        return _sample(fun, record, t_eval, stride)
+    nfev: int         # rhs calls of the step loop
+    record: list      # the accepted steps that hold t_eval points, for _sample
 
 
 def _dense_rows(fun, t_old, h, y_old, y, K_ext, stride):
@@ -456,11 +443,10 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     brentq root, so every value is bit-identical to scipy's.  It leaves out
     scipy's per-call wrappers, interpolant objects and event bookkeeping.
     The loop only integrates and records each accepted step that holds a
-    t_eval point: the dense output is computed after the loop, only for
-    runs whose grid (y_grid) is read, and in the loop only on the step that
-    crosses the cap, for the event's root.  t_span must be increasing
-    and t_eval nonempty and increasing within it; only the components
-    y[::stride] are output.
+    t_eval point: _sample computes the grid's dense output from that record
+    after the loop, and the loop only on the step that crosses the cap, for
+    the event's root.  t_span must be increasing and t_eval nonempty and
+    increasing within it; only the components y[::stride] are output.
     fun gets its stage states in one reused buffer, so it must not keep
     its argument y."""
     M = DOP853
@@ -503,7 +489,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return _Run(t, y, -1, steps, nfev)
+                return _Run(t, y, -1, steps, nfev, record)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -546,12 +532,12 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
                 return abs(_horner(F, base, np.asarray((s - t_old) / h))).max() - cap
 
             t = brentq(excess, t_old, t, xtol=4 * eps, rtol=4 * eps)
-            return _Run(t, None, 1, steps, nfev)
+            return _Run(t, None, 1, steps, nfev, record)
         i_new = bisect.bisect_right(points, t)
         if i_new > i_eval:
             record.append((t_old, h, y_old, y, K_ext.copy(), i_new - i_eval))
             i_eval = i_new
-    return _Run(t, y, 0, steps, nfev, (fun, record, t_eval, stride))
+    return _Run(t, y, 0, steps, nfev, record)
 
 
 def _boundary_derivatives(params: ProblemParams, y_end):
@@ -615,14 +601,15 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     scale = cols ** -0.5
     atol = np.full_like(Y0, np.inf)
     atol[:, 0] = scale * rtol * max(1.0, np.max(np.abs(d)))
-    run = solve_ivp(_rhs(params, cols), (eps, 1.0), Y0.ravel(),
-                    max(scale * rtol, _RTOL_FLOOR), atol.ravel(), rr[inside:],
-                    cap, cols)
+    fun = _rhs(params, cols)
+    run = solve_ivp(fun, (eps, 1.0), Y0.ravel(), max(scale * rtol, _RTOL_FLOOR),
+                    atol.ravel(), rr[inside:], cap, cols)
     if run.status != 0:
         raise IntegrationBlowUp(run.t)
 
     def sample():
-        return np.hstack([start(rr[:inside])[:, 0], run.y_grid])
+        return np.hstack([start(rr[:inside])[:, 0],
+                          _sample(fun, run.record, rr[inside:], cols)])
 
     B = _boundary_derivatives(params, run.y.reshape(Y0.shape))
     k = params.k
@@ -894,16 +881,18 @@ def synthetic_bubble_branch(n: int, k: int, p: int, mus) -> list[BranchPoint]:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def branch_csv(points: list[BranchPoint], path) -> None:
+def branch_csv(points: list[BranchPoint]) -> str:
+    """The branch points as the text of a CSV table."""
     import csv
+    import io
 
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mu_param", "sup_norm", "energy", "mu_fit",
-                    "fit_residual", "poho_term", "collocation_residual"])
-        for b in points:
-            w.writerow([b.mu_param, b.sup_norm, b.energy, b.mu_fit,
-                        b.fit_residual, b.poho_term, b.collocation_residual])
+    fh = io.StringIO()
+    w = csv.writer(fh)
+    w.writerow(["mu_param", "sup_norm", "energy", "mu_fit",
+                "fit_residual", "poho_term", "collocation_residual"])
+    w.writerows([b.mu_param, b.sup_norm, b.energy, b.mu_fit, b.fit_residual,
+                 b.poho_term, b.collocation_residual] for b in points)
+    return fh.getvalue()
 
 
 def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> str:

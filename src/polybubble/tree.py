@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bubbles import (BubbleSpec, _json_object, bubble_field, kernel_elements,
-                      positive_bubble, theta)
-from .fields import CutoffProfile, PointBatch, ProductProfile, RadialTermField
+from .bubbles import (BubbleSpec, _json_object, _localized, bubble_field,
+                      kernel_elements, positive_bubble, theta)
+from .fields import PointBatch
 from .quadrature import Ball, row_sq_norms
 from .radial import bubble_constant, critical_exponent
 
@@ -431,26 +431,14 @@ def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int, *,
 # ---------------------------------------------------------------------------
 
 def _tree_fields(cfg: TreeConfig):
+    """V_i and the nonzero corrections nu_ij Z_ij of each bubble i, every one
+    localized by bubbles._localized."""
     fields = []
-    dom = cfg.domain
     for idx, b in enumerate(cfg.bubbles):
-        fields.append(bubble_field(b, dom))
-        kers = None
-        for (i2, j2), nuv in cfg.nu.items():
-            if i2 != idx or nuv == 0.0:
-                continue
-            if kers is None:
-                kers = kernel_elements(b.n, b.k)
-            base = kers[j2]
-            bdist = dom.radius - float(np.linalg.norm(b.center - np.asarray(dom.center)))
-            chi = CutoffProfile()
-            comps = []
-            for comp in base.components:
-                prof = ProductProfile([(chi, bdist / b.mu), (comp.profile, 1.0)])
-                comps.append((comp.beta0, prof, comp.coeff))
-            amp = nuv * b.mu ** (-0.5 * (b.n - 2 * b.k))
-            fields.append(RadialTermField(b.n, b.center, comps, mu=b.mu,
-                                          amplitude=amp))
+        fields.append(bubble_field(b, cfg.domain))
+        nus = [(j, v) for (i, j), v in cfg.nu.items() if i == idx and v != 0.0]
+        kers = kernel_elements(b.n, b.k) if nus else []
+        fields += [_localized(b, cfg.domain, kers[j], v) for j, v in nus]
     return fields
 
 

@@ -11,6 +11,7 @@ and the tests check stability/decay, not particular values.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numpy as np
 
@@ -92,12 +93,6 @@ def _common_axis(center, points):
     return (c, d)
 
 
-def _integrate_about(f, dom, center, points, seed: int):
-    """int_dom f: axisymmetric about the common axis of the points through
-    center when there is one, QMC (2**13 points per replicate) otherwise."""
-    return integrate_volume(f, dom, seed=seed, axis=_common_axis(center, points))
-
-
 def _centers(cfg: TreeConfig):
     return [b.center for b in cfg.bubbles]
 
@@ -128,9 +123,8 @@ def _conv_integral(cfg: TreeConfig, x, expos, weight, peak_centers,
         w = weight(y)
         return np.stack([d ** expo * w for expo in expos])
 
-    res = _integrate_about(f, dom, base.center,
-                           _centers(cfg) + [x] + [c for c, _ in peak_centers],
-                           seed)
+    axis = _common_axis(base.center, _centers(cfg) + [x] + [c for c, _ in peak_centers])
+    res = integrate_volume(f, dom, seed=seed, axis=axis)
     return res.value.tolist(), res.error_estimate.tolist()
 
 
@@ -182,7 +176,8 @@ def eta_sequences(cfg: TreeConfig, *, seed: int = 0) -> dict:
     def psi_q(y):
         return psi_weight(cfg, y) ** q
 
-    r1 = _integrate_about(psi_q, dom, cfg.domain.center, _centers(cfg), seed)
+    r1 = integrate_volume(psi_q, dom, seed=seed,
+                          axis=_common_axis(cfg.domain.center, _centers(cfg)))
     eta1 = r1.value ** (1.0 / q)
 
     # eta2: the worst ratio of the lem2 convolution bound
@@ -229,7 +224,7 @@ def giraud_verify(gamma: float, beta: float, mu: float, x, y,
 
     sings = (Singularity(tuple(x), 0.0, mu), Singularity(tuple(y), n - beta, 0.0))
     dom = Ball(tuple(domain.center), domain.radius, singularities=sings)
-    res = _integrate_about(f, dom, domain.center, [x, y], seed)
+    res = integrate_volume(f, dom, seed=seed, axis=_common_axis(domain.center, [x, y]))
 
     if gamma < 0:
         bound = mu**gamma * (mu + d) ** (beta - n)
@@ -320,7 +315,8 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
         def f(y):
             return (theta(b, y) ** expo_i) * (theta(bj, y) ** expo_j)
 
-        res = _integrate_about(f, dom, cfg.domain.center, _centers(cfg), seed)
+        res = integrate_volume(f, dom, seed=seed,
+                               axis=_common_axis(cfg.domain.center, _centers(cfg)))
         lhs = pref * res.value
         rhs = 1.0 if part == 1 else (b.mu * bj.mu) ** (k - params["p"])
         return [{"kind": f"BiBj{part}", "i": i, "j": j,
@@ -330,8 +326,8 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
     raise ValueError(f"unknown lemma kind {kind!r}")
 
 
-def ratio_table_csv(rows: list[dict], path) -> None:
-    """Write verifier rows as a CSV ratio table."""
+def ratio_table_csv(rows: list[dict]) -> str:
+    """Verifier rows as the text of a CSV ratio table."""
     if not rows:
         raise ValueError("no rows to write")
     keys = sorted({k for row in rows for k in row}, key=str)
@@ -339,8 +335,8 @@ def ratio_table_csv(rows: list[dict], path) -> None:
                          "mu_or_alpha", "lhs", "rhs", "ratio", "quad_error")
              if c in keys]
     cols = front + [c for c in keys if c not in front]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols)
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    fh = io.StringIO()
+    w = csv.DictWriter(fh, fieldnames=cols)
+    w.writeheader()
+    w.writerows(rows)
+    return fh.getvalue()

@@ -9,7 +9,9 @@ from polybubble.bubbles import (BubbleSpec, DivergentIntegralError,
                                 TensorSpec, bubble_field, check_decay,
                                 check_sign_condition, compute_IA,
                                 kernel_elements, positive_bubble, theta)
-from polybubble.fields import RationalProfile, RadialTermField
+from polybubble.fields import (CutoffProfile, ProductProfile, RationalProfile,
+                               RadialTermField)
+from polybubble.jets import multisets
 from polybubble.quadrature import Ball, integrate_radial, sphere_area
 from polybubble.radial import (bubble_constant, critical_exponent, make_bubble,
                                radial_derivative)
@@ -35,11 +37,10 @@ def test_theta_examples():
     assert np.all(theta(s, pts) >= s.mu)
 
 
-def test_positive_bubble_center_and_index0():
+def test_positive_bubble_center():
     s = spec_at(0.25)
     val = positive_bubble(s, s.center[None, :])[0]
     assert val == pytest.approx(s.mu ** (-0.5 * (N - 2 * K)), rel=1e-14)
-    assert np.all(positive_bubble(None, np.zeros((3, N))) == 1.0)
 
 
 def test_positive_bubble_theta_sandwich():
@@ -182,6 +183,35 @@ def test_bubble_jet_matches_value_and_fd():
             # entries sit at the FD noise floor otherwise)
             scale = max(abs(jet.partial(alpha)), jet.tensor_norm(len(alpha)))
             assert abs(jet.partial(alpha) - fd) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (5, 2), (9, 2)])
+@pytest.mark.parametrize("mu", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_bubble_field_matches_one_profile_in_x(n, k, mu, shift):
+    """bubble_field, the unit bubble localized in z = (x - x0)/mu, equals V
+    built as one radial profile in x - x0, the product of the cutoff at
+    radius d and B at radius mu: in value and every jet entry up to order 2,
+    on the plateau, on the cutoff ramp and outside it, each to 1e-13 of the
+    larger of |entry| and the order-l tensor norm."""
+    center = np.zeros(n)
+    center[0] = shift
+    spec = spec_at(mu, center, n, k)
+    d = 1.0 - shift
+    ref = RadialTermField.radial(n, center, ProductProfile(
+        [(CutoffProfile(), d), (RationalProfile(make_bubble(n, k), spec.a), mu)]),
+        mu=1.0, amplitude=mu ** (-0.5 * (n - 2 * k)))
+    rng = np.random.default_rng(n + k)
+    radii = np.array([0.0, 0.5 * mu, 0.3 * d, 0.6 * d, 0.75 * d, 0.9 * d, 1.1 * d])
+    dirs = rng.normal(size=(len(radii), n))
+    pts = center + radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    got, want = bubble_field(spec, Ball((0.0,) * n, 1.0)).jet(pts, 2), ref.jet(pts, 2)
+    for l in range(3):
+        norm = want.tensor_norm(l)
+        for alpha in multisets(n, l):
+            entry = want.partial(alpha)
+            assert np.all(np.abs(got.partial(alpha) - entry)
+                          <= 1e-13 * np.maximum(np.abs(entry), norm))
 
 
 def test_bubble_jet_symmetry_and_order_guard():

@@ -101,6 +101,27 @@ def test_tree_fixture_tower(tmp_path):
     assert "interaction" in csv_text
 
 
+@pytest.mark.parametrize("args", [
+    ["tree", os.path.join(FIXTURES, "tower.json")],
+    ["solve", "--n", "7", "--mu-grid", "-0.5", "-0.25"],
+], ids=["tree", "solve"])
+def test_every_report_arrives_by_one_rename(tmp_path, monkeypatch, args):
+    """Each file a command leaves in its output directory, the CSV tables
+    included, was moved there by one os.replace of a finished temp file:
+    none is written in place."""
+    renamed, replace = [], os.replace
+
+    def spy(src, dst):
+        renamed.append(os.path.abspath(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    d = os.path.abspath(os.path.join(out, args[0]))
+    assert sorted(renamed) == sorted(os.path.join(d, f) for f in os.listdir(d))
+
+
 def test_tree_closes_its_config_file(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)

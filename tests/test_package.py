@@ -182,6 +182,42 @@ def test_modules_use_every_name_they_import():
     assert {f: u for f, u in found.items() if u} == {}
 
 
+# -- file writes --------------------------------------------------------------
+
+def _file_writes(path):
+    """(line, what) of each place a module writes a file itself: an open
+    call whose mode contains w, a, x or + (or is not a string constant),
+    and any use of os.fdopen or tempfile."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords
+                                      if kw.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes):
+                found.append((node.lineno, "open"))
+        elif isinstance(node, ast.Attribute) and node.attr == "fdopen":
+            found.append((node.lineno, "os.fdopen"))
+        elif ((isinstance(node, ast.Name) and node.id == "tempfile")
+              or (isinstance(node, ast.alias) and node.name.split(".")[0] == "tempfile")
+              or (isinstance(node, ast.ImportFrom) and node.module == "tempfile")):
+            found.append((node.lineno, "tempfile"))
+    return found
+
+
+def test_only_cli_writes_files():
+    """No module but cli writes a file: the others return text, and cli
+    writes every report atomically (temp file + rename)."""
+    src = os.path.dirname(polybubble.__file__)
+    found = {f: _file_writes(os.path.join(src, f)) for f in sorted(os.listdir(src))
+             if f.endswith(".py") and f != "cli.py"}
+    assert {f: w for f, w in found.items() if w} == {}
+    assert _file_writes(os.path.join(src, "cli.py"))  # the guard sees cli's writer
+
+
 # -- definitions --------------------------------------------------------------
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -10,6 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from start_oracle import closed_form_start
 
@@ -446,20 +447,25 @@ def _scipy_dop853(fun, args, **kwargs):
 def test_dop853_loop_matches_scipy(monkeypatch, n, k, p, mu, d, rtol):
     """The in-module DOP853 loop on the full variational block equals
     scipy's DOP853 bit for bit: the end block and the accepted steps of
-    solve_ivp(dense_output=True), the grid output of both its dense output
-    and solve_ivp(t_eval=...), and the rhs calls of the t_eval run, each
-    of which the loop counts."""
+    solve_ivp(dense_output=True), and the grid that _sample makes from the
+    loop's record equals the grid output of both its dense output and
+    solve_ivp(t_eval=...).  The loop's rhs calls plus the dense-output
+    stages _sample adds, 3 per recorded step, are those of the t_eval run."""
     fun, args, run = _captured_dop853(monkeypatch, ProblemParams(n, k, p, mu),
                                       np.array(d), rtol)
     stride, t_eval = args[-1], args[-3]
     assert stride == solver._block_cols(k) and run.status == 0
     dense = _scipy_dop853(fun, args, dense_output=True)
     gridded = _scipy_dop853(fun, args, t_eval=t_eval)
+    calls = fun.n
+    grid = solver._sample(fun, run.record, t_eval, stride)
+    stages = len(DOP853.A_EXTRA) * len(run.record)
+    assert fun.n == calls + stages
     np.testing.assert_array_equal(run.y, dense.y[:, -1])
     np.testing.assert_array_equal(run.steps, dense.t[1:])
-    np.testing.assert_array_equal(run.y_grid, dense.sol(t_eval)[::stride])
-    np.testing.assert_array_equal(run.y_grid, gridded.y[::stride])
-    assert run.nfev == fun.n - dense.nfev - gridded.nfev == gridded.nfev
+    np.testing.assert_array_equal(grid, dense.sol(t_eval)[::stride])
+    np.testing.assert_array_equal(grid, gridded.y[::stride])
+    assert run.nfev + stages == fun.n - dense.nfev - gridded.nfev == gridded.nfev
     assert gridded.nfev < dense.nfev  # dense stages only where the grid needs them
 
 
@@ -880,15 +886,13 @@ def test_synthetic_branch_slopes(k, p, n):
     assert abs(slope - 2 * (k - p)) < 0.05
 
 
-def test_continuation_short_branch(tmp_path):
+def test_continuation_short_branch():
     p = ProblemParams(7, 1, 0, -0.5)
     seed_sol = newton_solve(p, [1.2e4], rtol=1e-8)
     pts, flag = continuation(p, [-0.5, -0.25], seed_sol.d, rtol=1e-8)
     assert flag == "complete" and len(pts) == 2
     assert pts[1].sup_norm > pts[0].sup_norm
-    path = tmp_path / "branch.csv"
-    branch_csv(pts, path)
-    lines = path.read_text().splitlines()
+    lines = branch_csv(pts).splitlines()
     assert lines[0] == ("mu_param,sup_norm,energy,mu_fit,fit_residual,"
                         "poho_term,collocation_residual")
     assert len(lines) == 3

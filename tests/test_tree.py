@@ -258,22 +258,28 @@ def test_tree_value_center():
 
 
 def test_tree_nu_linearity():
+    """The correction nu Z_0 is the kernel field at scale mu times the
+    cutoff chi(|x - x0| / d): at a plateau point (chi = 1) and at a point on
+    the cutoff ramp (0 < chi < 1), d = 1 here."""
+    from polybubble.bubbles import kernel_elements
+    from polybubble.fields import CutoffProfile
+
     base = single(1e-2)
-    x = np.zeros((1, N))
-    x[0, 0] = 0.02
-    v0 = tree_value(base, x)[0]
     nu = 1e-3
     pert = TreeConfig([BubbleSpec("interior", N, K, np.zeros(N), 1e-2)],
                       nu={(0, 0): nu})
-    v1 = tree_value(pert, x)[0]
-    from polybubble.bubbles import kernel_elements
-
     z0 = kernel_elements(N, K)[0]
-    zval = nu * 1e-2 ** (-0.5 * (N - 2 * K)) * z0.value(x / 1e-2 - 0.0)[0]
-    # linear response: difference = nu * scaled kernel value (chi = 1 there)
-    assert v1 - v0 == pytest.approx(zval, rel=1e-10)
-    # perturbation bound: |delta| <= nu * max |Z|
-    assert abs(v1 - v0) <= nu * 1e-2 ** (-0.5 * (N - 2 * K)) * (N - 2 * K)
+    for r in (0.02, 0.7):
+        x = np.zeros((1, N))
+        x[0, 0] = r
+        v0, v1 = tree_value(base, x)[0], tree_value(pert, x)[0]
+        chi = CutoffProfile().chain(0, r**2)[0]
+        assert (chi == 1.0) == (r < 0.5) and chi > 0
+        zval = nu * 1e-2 ** (-0.5 * (N - 2 * K)) * chi * z0.value(x / 1e-2)[0]
+        # linear response: difference = nu * chi * scaled kernel value
+        assert v1 - v0 == pytest.approx(zval, rel=1e-10)
+        # perturbation bound: |delta| <= nu * max |Z|
+        assert abs(v1 - v0) <= nu * 1e-2 ** (-0.5 * (N - 2 * K)) * (N - 2 * K)
 
 
 def test_eval_tree_derivative_bound():

@@ -370,17 +370,15 @@ def test_x_count_above_the_sample_points_is_refused():
         weights.sample_x_points(cfg, 0, 7)
 
 
-def test_ratio_table_csv(tmp_path):
+def test_ratio_table_csv():
     cfg = single(1e-2)
     rows = convolution_bound_verify("trou0", cfg, {"i": 0, "l": 0,
                                                    "x_count": 2}, seed=0)
-    path = tmp_path / "ratios.csv"
-    ratio_table_csv(rows, path)
-    text = path.read_text().splitlines()
+    text = ratio_table_csv(rows).splitlines()
     assert text[0].startswith("kind,i,l")
     assert len(text) == len(rows) + 1
     with pytest.raises(ValueError):
-        ratio_table_csv([], tmp_path / "empty.csv")
+        ratio_table_csv([])
 
 
 # -- the meridian-plane path of sq_dist ---------------------------------------
