@@ -28,7 +28,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -695,9 +695,15 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
         return total, 1e-12 * budget
 
     _, sphere_opts = _rule_opts(quad_opts, domain)
-    res = [integrate_surface(lambda pts, c=c, R=R, sign=sign: _boundary_density(
-        u.n, k, _node_view(u, k, xi, pts, c, R, sign), simplified),
-        SphereSurface(tuple(c), R), **sphere_opts) for c, R, sign in pieces]
+    return _sphere_sums(lambda pts, c, R, sign: _boundary_density(
+        u.n, k, _node_view(u, k, xi, pts, c, R, sign), simplified), pieces, sphere_opts)
+
+
+def _sphere_sums(density, pieces, sphere_opts):
+    """Summed (value, error estimate) of density(pts, c, R, sign) over each
+    boundary sphere (c, R, sign) of pieces, one integrate_surface call each."""
+    res = [integrate_surface(partial(density, c=c, R=R, sign=s), SphereSurface(tuple(c), R),
+                             **sphere_opts) for c, R, s in pieces]
     return sum(r.value for r in res), sum(r.error_estimate for r in res)
 
 
@@ -781,11 +787,9 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     # without f there is no T4 row, and T4 is 0
     T1, size, T3v, T4v = [*res.value.tolist(), 0.0][:4]
     e1, _, e3, e4 = [*res.error_estimate.tolist(), 0.0][:4]
-    sres = [integrate_surface(lambda pts, c=c, R=R, sign=sign: (
+    T2, e2 = _sphere_sums(lambda pts, c, R, sign: (
         np.sum((pts - xi) * (sign * (pts - c) / R), axis=1) * f_val(pts)
-        * np.abs(np.asarray(u.value(pts), float)) ** p_exp / p_exp),
-        SphereSurface(tuple(c), R), **sphere_opts) for c, R, sign in pieces]
-    T2, e2 = sum(r.value for r in sres), sum(r.error_estimate for r in sres)
+        * np.abs(np.asarray(u.value(pts), float)) ** p_exp / p_exp), pieces, sphere_opts)
     budget = e1 + e2 + abs(coef_T3) * e3 + e4 / p_exp + np.finfo(float).eps * size
     return (T1, T2, coef_T3 * T3v, -T4v / p_exp), budget
 

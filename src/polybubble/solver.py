@@ -728,7 +728,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9) -> RadialSol
         J = sol.jac
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > 1e14:
-            raise NewtonFailure("singular shooting Jacobian", condition=cond)
+            raise NewtonFailure("singular shooting Jacobian")
         step = np.linalg.solve(J, -F)
         curv = np.einsum("mij,i,j->m", sol.hess, step, step)
         found = improve(d + step - 0.5 * np.linalg.solve(J, curv), base)

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import polybubble
@@ -351,6 +352,24 @@ def test_solve_seed_newton_failure_is_accuracy_failure(tmp_path, capsys,
     assert run_cli(["solve"], tmp_path)[0] == 3
     err = capsys.readouterr().err
     assert "damping failed" in err and "Traceback" not in err
+
+
+def test_solve_singular_jacobian_is_accuracy_failure(tmp_path, capsys,
+                                                     monkeypatch):
+    """A seed solve whose shots all carry a singular Jacobian exits 3 with
+    one line on stderr."""
+    from polybubble import solver
+    real = solver.shoot
+
+    def singular(*args, **kwargs):
+        F, sol = real(*args, **kwargs)
+        sol.jac = np.zeros_like(sol.jac)
+        return F, sol
+
+    monkeypatch.setattr(solver, "shoot", singular)
+    assert run_cli(["solve"], tmp_path)[0] == 3
+    err = capsys.readouterr().err
+    assert "singular shooting Jacobian" in err and "Traceback" not in err
 
 
 def test_solve_empty_grid_usage(tmp_path):

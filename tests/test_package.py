@@ -184,28 +184,58 @@ def test_modules_use_every_name_they_import():
 
 # -- file writes --------------------------------------------------------------
 
+_WRITER_CALLS = {"write_text", "write_bytes", "save", "savetxt", "savez",
+                 "savez_compressed", "tofile"}
+
+
 def _file_writes(path):
     """(line, what) of each place a module writes a file itself: an open
-    call whose mode contains w, a, x or + (or is not a string constant),
-    and any use of os.fdopen or tempfile."""
+    call whose mode contains w, a, x or + (or is not a string constant; for
+    x.open(...) a first argument made of mode letters is a mode too, as in
+    Path.open), a call of a method named in _WRITER_CALLS (pathlib's and
+    numpy's writers), and any use of os.fdopen, tempfile or shutil."""
     with open(path) as fh:
         tree = ast.parse(fh.read())
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(
-                node.func, "id", getattr(node.func, "attr", None)) == "open":
+        name = (getattr(node.func, "id", getattr(node.func, "attr", None))
+                if isinstance(node, ast.Call) else None)
+        if name == "open":
             modes = node.args[1:2] + [kw.value for kw in node.keywords
                                       if kw.arg == "mode"]
+            first = node.args[0] if node.args else None
+            if (isinstance(node.func, ast.Attribute) and isinstance(first, ast.Constant)
+                    and set(str(first.value)) <= set("rwaxbt+")):
+                modes.append(first)
             if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
                    or set(m.value) & set("wax+") for m in modes):
                 found.append((node.lineno, "open"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and name in _WRITER_CALLS:
+            found.append((node.lineno, name))
         elif isinstance(node, ast.Attribute) and node.attr == "fdopen":
             found.append((node.lineno, "os.fdopen"))
-        elif ((isinstance(node, ast.Name) and node.id == "tempfile")
-              or (isinstance(node, ast.alias) and node.name.split(".")[0] == "tempfile")
-              or (isinstance(node, ast.ImportFrom) and node.module == "tempfile")):
-            found.append((node.lineno, "tempfile"))
+        else:
+            for mod in ("tempfile", "shutil"):
+                if ((isinstance(node, ast.Name) and node.id == mod)
+                        or (isinstance(node, ast.alias) and node.name.split(".")[0] == mod)
+                        or (isinstance(node, ast.ImportFrom) and node.module == mod)):
+                    found.append((node.lineno, mod))
     return found
+
+
+def test_file_write_guard_sees_each_writer(tmp_path):
+    """_file_writes flags each form of a file write it names, one line
+    each, and no read."""
+    lines = ["open(p, 'w')", "open(p, mode='a')", "open(p, m)", "io.open(p, 'x')",
+             "Path(p).open('w')", "Path(p).write_text(s)", "Path(p).write_bytes(b)",
+             "np.save(p, a)", "np.savetxt(p, a)", "np.savez(p, a=a)",
+             "np.savez_compressed(p, a=a)", "a.tofile(p)", "os.fdopen(fd, 'w')",
+             "import tempfile", "from shutil import copyfile",
+             "open(p)", "open(p, 'rb')", "Path(p).open()", "Path(p).read_text()"]
+    f = tmp_path / "mod.py"
+    f.write_text("\n".join(lines) + "\n")
+    assert sorted({ln for ln, _ in _file_writes(str(f))}) == list(range(1, 16))
 
 
 def test_only_cli_writes_files():

@@ -212,6 +212,29 @@ def test_newton_damping_is_bounded(monkeypatch):
     assert len(norms) <= 33
 
 
+def _singular_shoot(monkeypatch):
+    """Patch shoot so every shot carries a zero Jacobian."""
+    real = solver.shoot
+
+    def singular(*args, **kwargs):
+        F, sol = real(*args, **kwargs)
+        sol.jac = np.zeros_like(sol.jac)
+        return F, sol
+
+    monkeypatch.setattr(solver, "shoot", singular)
+
+
+def test_singular_jacobian_is_a_newton_failure(monkeypatch):
+    """A shot with a singular Jacobian and a mismatch above rtol stops
+    Newton with NewtonFailure, and continuation ends the branch there as a
+    fold instead of propagating an error."""
+    _singular_shoot(monkeypatch)
+    p = ProblemParams(7, 1, 0, -0.5)
+    with pytest.raises(NewtonFailure, match="singular shooting Jacobian"):
+        newton_solve(p, [1.2e4])
+    assert continuation(p, [-0.5, -0.25], [1.2e4]) == ([], "fold")
+
+
 def _counting_shoot(monkeypatch):
     calls = []
     real = solver.shoot
