@@ -77,6 +77,7 @@ _VERIFY_MXSTEP = 5000  # LSODA step budget per output interval (default 500)
 _MAX_RESIDUAL = 1e-7  # collocation residual a converged Newton state must beat
 _MAX_DAMPING = 7     # Newton step halvings per iteration before NewtonFailure
 _MAX_ITER = 50       # Newton iterations before newton_solve gives up
+_MAX_COND = 1e14     # condition number above which a shooting Jacobian is singular
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's DOP853 rtol floor, kept by shoot
 _SEED_SCALE = 0.025  # bubble scale of the default seed, near mu_fit at mu = -1/2
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # DOP853 step control, as scipy's
@@ -170,18 +171,28 @@ def _rhs(params: ProblemParams, cols: int):
     Y' = A(r, v_0) Y, with A the chain linearised at the state, plus a
     forcing in the last row: column 0 takes the nonlinearity
     N(v_0) = |v_0|^{2#-2} v_0 itself instead of its linearisation, the
-    d/dmu column gets +v_p, and the (i, j) column -N''(v_0) S_i[v_0] S_j[v_0]."""
+    d/dmu column gets +v_p, and the (i, j) column -N''(v_0) S_i[v_0] S_j[v_0].
+
+    Each closure keeps one matrix A, built with the constant entries of the
+    chain; a call rewrites only the k entries A[2i+1, 2i+1] = -(n-1)/r and
+    A[-1, 0] = mu [p = 0] - (2#-1) |v_0|^{2#-2}, the values that adding
+    the 1/r part to the constant part gives entry by entry, and then takes
+    A.dot(Y), the BLAS product of A @ Y without the ufunc dispatch.  So a
+    closure is not reentrant: a call must return before the next starts."""
     n, k, p, mu = params.n, params.k, params.p, params.mu
     ts = params.two_sharp
     i = np.arange(k)
     pairs = list(enumerate(zip(*np.triu_indices(k)), start=k + 2))
     vp = 2 * p * cols  # flat index of v_p in the state column
-    A0 = np.zeros((2 * k, 2 * k))
-    A0[2 * i, 2 * i + 1] = 1.0               # v_i' = dv_i
-    A0[2 * i[:-1] + 1, 2 * i[:-1] + 2] = -1.0  # dv_i' gets -v_{i+1}
-    A0[-1, 2 * p] += mu                      # dv_{k-1}' gets mu v_p
-    A1 = np.zeros((2 * k, 2 * k))
-    A1[2 * i + 1, 2 * i + 1] = -(n - 1.0)    # dv_i' gets -(n-1)/r dv_i
+    A = np.zeros((2 * k, 2 * k))
+    A[2 * i, 2 * i + 1] = 1.0               # v_i' = dv_i
+    A[2 * i[:-1] + 1, 2 * i[:-1] + 2] = -1.0  # dv_i' gets -v_{i+1}
+    A[-1, 2 * p] += mu                      # dv_{k-1}' gets mu v_p
+    a_base = float(A[-1, 0])
+    flat = A.ravel()
+    drag = flat[2 * k + 1::4 * k + 2]  # the entries (2i+1, 2i+1): dv_i' gets -(n-1)/r dv_i
+    corner = flat.size - 2 * k  # the entry (-1, 0)
+    last = (2 * k - 1) * cols  # flat index of the last row's state entry
 
     def rhs(r, y):
         v0 = float(y[0])
@@ -189,20 +200,18 @@ def _rhs(params: ProblemParams, cols: int):
             a = abs(v0) ** (ts - 2.0)
         except OverflowError:
             raise IntegrationBlowUp(r) from None
-        A = A1 * (1.0 / r)
-        A += A0
-        A[-1, 0] -= (ts - 1.0) * a
-        out = A @ y.reshape(2 * k, cols)
-        last = out[-1]
-        last[0] += (ts - 2.0) * a * v0
+        drag.fill(-(n - 1.0) * (1.0 / r))
+        flat[corner] = a_base - (ts - 1.0) * a
+        out = A.dot(y.reshape(2 * k, cols)).ravel()
+        out[last] += (ts - 2.0) * a * v0
         if cols > 1:
-            last[k + 1] += y[vp]
+            out[last + k + 1] += y[vp]
             if v0 != 0.0:
                 S0 = y[1:k + 1].tolist()
                 c = (ts - 1.0) * (ts - 2.0) * a / v0  # N''(v_0)
                 for col, (i1, i2) in pairs:
-                    last[col] -= c * S0[i1] * S0[i2]
-        return out.ravel()
+                    out[last + col] -= c * S0[i1] * S0[i2]
+        return out
 
     return rhs
 
@@ -448,7 +457,9 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     the event's root.  t_span must be increasing and t_eval nonempty and
     increasing within it; only the components y[::stride] are output.
     fun gets its stage states in one reused buffer, so it must not keep
-    its argument y."""
+    its argument y.  The step control runs in Python floats, and the
+    squared norms of E5 and E3 are sqrt(err.dot(err)) ** 2, which is what
+    np.linalg.norm(err) ** 2 computes for a 1-D float array."""
     M = DOP853
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, float)
@@ -456,15 +467,16 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     K_ext = np.empty((len(M.C) + len(M.C_EXTRA) + 1, dim))
     K = K_ext[:n_stages + 1]
     stages = [(s, K[:s].T, a[:s], c) for s, (a, c) in
-              enumerate(zip(M.A[1:], M.C[1:]), start=1)]
-    KB, KT = K[:-1].T, K.T
+              enumerate(zip(M.A[1:], M.C[1:].tolist()), start=1)]
+    KB, KT, B, E5, E3 = K[:-1].T, K.T, M.B, M.E5, M.E3
     exponent = -1 / (M.error_estimator_order + 1)
     eps = np.finfo(float).eps
 
     # select_initial_step, direction +1, max_step inf
     f = fun(t, y)
     length = abs(t_bound - t)
-    scale = atol + np.abs(y) * rtol
+    absy = np.abs(y)
+    scale = atol + absy * rtol
     d0 = np.linalg.norm(y / scale) / dim ** 0.5
     d1 = np.linalg.norm(f / scale) / dim ** 0.5
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -475,7 +487,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (M.error_estimator_order + 1))
-    h_abs = min(100 * h0, h1, length)
+    h_abs = float(min(100 * h0, h1, length))
     nfev = 2
 
     t_eval = np.asarray(t_eval, float)
@@ -483,7 +495,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     buf = np.empty(dim)
     record, steps, i_eval, status = [], [], 0, None
     while status is None:
-        # one accepted step of RungeKutta._step_impl
+        # one accepted step of RungeKutta._step_impl, in Python floats
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -492,26 +504,27 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
                 return _Run(t, y, -1, steps, nfev, record)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s, KTs, a, c in stages:  # buf = y + dot(K[:s].T, a) * h
-                np.dot(KTs, a, out=buf)
+            for s, KTs, a, c in stages:
+                KTs.dot(a, buf)  # buf = y + dot(K[:s].T, a) * h
                 buf *= h
                 buf += y
                 K[s] = fun(t + c * h, buf)
-            y_new = y + h * np.dot(KB, M.B)
+            y_new = y + h * KB.dot(B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             nfev += n_stages
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(KT, M.E5) / scale
-            err3 = np.dot(KT, M.E3) / scale
-            e5 = np.linalg.norm(err5) ** 2
-            e3 = np.linalg.norm(err3) ** 2
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(absy, abs_new) * rtol
+            err5 = KT.dot(E5) / scale
+            err3 = KT.dot(E3) / scale
+            e5 = math.sqrt(err5.dot(err5)) ** 2
+            e3 = math.sqrt(err3.dot(err3)) ** 2
             if e5 == 0 and e3 == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * dim)
+                error_norm = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * dim)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** exponent))
@@ -519,11 +532,11 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
             rejected = True
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        t_old, y_old, t, y, f, absy = t, y, t_new, y_new, f_new, abs_new
         steps.append(t)
         if t == t_bound:
             status = 0
-        if abs(y[::stride]).max() >= cap:
+        if absy[::stride].max() >= cap:
             F = _dense_rows(fun, t_old, h, y_old, y, K_ext, stride)
             nfev += len(M.A_EXTRA)
             base = y_old[::stride]
@@ -726,8 +739,7 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9) -> RadialSol
                                     f"collocation residual {res:.3g}")
             return sol
         J = sol.jac
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > 1e14:
+        if _singular(J):
             raise NewtonFailure("singular shooting Jacobian")
         step = np.linalg.solve(J, -F)
         curv = np.einsum("mij,i,j->m", sol.hess, step, step)
@@ -741,6 +753,13 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9) -> RadialSol
         F, sol = found
         d = sol.d
     raise NewtonFailure(f"no convergence in {_MAX_ITER} iterations")
+
+
+def _singular(J) -> bool:
+    """Whether the shooting Jacobian J is singular to working precision:
+    its condition number is not finite or above _MAX_COND."""
+    cond = np.linalg.cond(J)
+    return not np.isfinite(cond) or cond > _MAX_COND
 
 
 def fit_bubble(solution: RadialSolution) -> tuple[float, float]:
@@ -797,7 +816,9 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
     dd/dmu = -J^{-1} dF/dmu, taken from each point's own last shot, then
     from the previous d.  Newton runs only at mu values of the grid.
     Returns (branch points, flag) where flag is "complete", or "fold" when
-    both starts fail at a target: the branch ends at the last point solved.
+    both starts fail at a target or a solved point's Jacobian is singular
+    (as newton_solve judges it), so that dd/dmu does not exist there: the
+    branch ends at the last point solved.
 
     d_seed is shooting data or a converged RadialSolution.  A solution at
     the first target (same n, k, p and mu) with a mismatch below rtol and a
@@ -834,6 +855,8 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
         d = sol.d.copy()
         points.append(BranchPoint(mu_target, sol.sup_norm, sol.energy, mu_fit,
                                   resid, poho, d, sol.collocation_residual))
+        if _singular(sol.jac):
+            return points, "fold"  # no tangent dd/dmu: the branch turns here
         tangent = np.linalg.solve(sol.jac, -sol.dmu)
         accepted = accepted[-1:] + [(mu_target, d, tangent)]
     return points, "complete"

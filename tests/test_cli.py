@@ -354,10 +354,8 @@ def test_solve_seed_newton_failure_is_accuracy_failure(tmp_path, capsys,
     assert "damping failed" in err and "Traceback" not in err
 
 
-def test_solve_singular_jacobian_is_accuracy_failure(tmp_path, capsys,
-                                                     monkeypatch):
-    """A seed solve whose shots all carry a singular Jacobian exits 3 with
-    one line on stderr."""
+def _singular_shoot(monkeypatch):
+    """Patch solver.shoot so every shot carries a zero Jacobian."""
     from polybubble import solver
     real = solver.shoot
 
@@ -367,9 +365,34 @@ def test_solve_singular_jacobian_is_accuracy_failure(tmp_path, capsys,
         return F, sol
 
     monkeypatch.setattr(solver, "shoot", singular)
+
+
+def test_solve_singular_jacobian_is_accuracy_failure(tmp_path, capsys,
+                                                     monkeypatch):
+    """A seed solve whose shots all carry a singular Jacobian exits 3 with
+    one line on stderr."""
+    _singular_shoot(monkeypatch)
     assert run_cli(["solve"], tmp_path)[0] == 3
     err = capsys.readouterr().err
     assert "singular shooting Jacobian" in err and "Traceback" not in err
+
+
+def test_solve_singular_jacobian_at_the_seed_point_is_a_fold(tmp_path, capsys,
+                                                             monkeypatch):
+    """Seeded with converged data, the seed solve accepts its first shot,
+    whose Jacobian is singular: continuation keeps that point and ends the
+    branch there, and solve exits 3 with one line on stderr."""
+    from polybubble import solver
+    d = solver.newton_solve(solver.ProblemParams(7, 1, 0, -0.5), [1.2e4]).d
+    _singular_shoot(monkeypatch)
+    cfg = write_config(tmp_path, {"d_seed": d.tolist()})
+    code, out = run_cli(["--config", cfg, "solve", "--n", "7",
+                         "--mu-grid", "-0.5", "-0.25"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err.splitlines() == ["continuation lost the branch after mu = -0.5"]
+    lines = open(os.path.join(out, "solve", "branch.csv")).read().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("-0.5,")
 
 
 def test_solve_empty_grid_usage(tmp_path):

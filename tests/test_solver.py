@@ -235,6 +235,23 @@ def test_singular_jacobian_is_a_newton_failure(monkeypatch):
     assert continuation(p, [-0.5, -0.25], [1.2e4]) == ([], "fold")
 
 
+@pytest.mark.parametrize("seed_form", ["data", "solution"])
+def test_singular_jacobian_at_a_solved_point_is_a_fold(monkeypatch, seed_form):
+    """A solved point whose Jacobian is singular has no tangent dd/dmu:
+    continuation keeps the point and ends the branch there as a fold, both
+    when Newton accepts its first shot (seeded with converged data) and
+    when a converged seed solution is reused without a shot."""
+    p = ProblemParams(7, 1, 0, -0.5)
+    seed = newton_solve(p, [1.2e4], rtol=1e-9)
+    seed.jac = np.zeros_like(seed.jac)
+    _singular_shoot(monkeypatch)
+    pts, flag = continuation(p, [-0.5, -0.25],
+                             seed if seed_form == "solution" else seed.d,
+                             rtol=1e-9)
+    assert flag == "fold" and [b.mu_param for b in pts] == [-0.5]
+    np.testing.assert_array_equal(pts[0].d, seed.d)
+
+
 def _counting_shoot(monkeypatch):
     calls = []
     real = solver.shoot
@@ -490,6 +507,24 @@ def test_dop853_loop_matches_scipy(monkeypatch, n, k, p, mu, d, rtol):
     np.testing.assert_array_equal(grid, gridded.y[::stride])
     assert run.nfev + stages == fun.n - dense.nfev - gridded.nfev == gridded.nfev
     assert gridded.nfev < dense.nfev  # dense stages only where the grid needs them
+    assert run.nfev > 2 + 12 * len(run.steps)  # some step was rejected
+
+
+def test_dop853_loop_zero_error_norm_matches_scipy(monkeypatch):
+    """The trivial shot d = [0] at k = 1 has a zero state and atol = inf on
+    its variational columns, so every step has error norm 0 and grows by
+    the largest factor: the loop's steps, end block and grid equal scipy's
+    DOP853 bit for bit there too."""
+    fun, args, run = _captured_dop853(monkeypatch, ProblemParams(7, 1, 0, -0.5),
+                                      np.array([0.0]), 1e-10)
+    stride, t_eval = args[-1], args[-3]
+    assert run.status == 0 and not np.any(run.y[::stride])
+    dense = _scipy_dop853(fun, args, dense_output=True)
+    np.testing.assert_array_equal(run.y, dense.y[:, -1])
+    np.testing.assert_array_equal(run.steps, dense.t[1:])
+    np.testing.assert_array_equal(solver._sample(fun, run.record, t_eval, stride),
+                                  dense.sol(t_eval)[::stride])
+    assert run.nfev == 2 + 12 * len(run.steps)  # no step was rejected
 
 
 def test_dop853_loop_blowup_radius_matches_scipy(monkeypatch):
@@ -595,7 +630,92 @@ def test_blown_up_shot_samples_nothing(monkeypatch):
     assert grids == []
 
 
-@pytest.mark.parametrize("k,p", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def _reference_rhs(params, cols):
+    """The block rhs in its first formulation, the oracle of solver._rhs: a
+    fresh chain matrix A1 / r + A0 on every call, then A @ Y and the
+    forcing of the last row."""
+    n, k, p, mu = params.n, params.k, params.p, params.mu
+    ts = params.two_sharp
+    i = np.arange(k)
+    pairs = list(enumerate(zip(*np.triu_indices(k)), start=k + 2))
+    vp = 2 * p * cols
+    A0 = np.zeros((2 * k, 2 * k))
+    A0[2 * i, 2 * i + 1] = 1.0
+    A0[2 * i[:-1] + 1, 2 * i[:-1] + 2] = -1.0
+    A0[-1, 2 * p] += mu
+    A1 = np.zeros((2 * k, 2 * k))
+    A1[2 * i + 1, 2 * i + 1] = -(n - 1.0)
+
+    def rhs(r, y):
+        v0 = float(y[0])
+        try:
+            a = abs(v0) ** (ts - 2.0)
+        except OverflowError:
+            raise IntegrationBlowUp(r) from None
+        A = A1 * (1.0 / r)
+        A += A0
+        A[-1, 0] -= (ts - 1.0) * a
+        out = A @ y.reshape(2 * k, cols)
+        last = out[-1]
+        last[0] += (ts - 2.0) * a * v0
+        if cols > 1:
+            last[k + 1] += y[vp]
+            if v0 != 0.0:
+                S0 = y[1:k + 1].tolist()
+                c = (ts - 1.0) * (ts - 2.0) * a / v0
+                for col, (i1, i2) in pairs:
+                    last[col] -= c * S0[i1] * S0[i2]
+        return out.ravel()
+
+    return rhs
+
+
+_RHS_CASES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("k,p", _RHS_CASES)
+def test_rhs_matches_reference_formulation(k, p):
+    """_rhs, which keeps one chain matrix per closure, equals the reference
+    formulation bit for bit on the state alone and on the full block, at
+    200 random (r, y) with v_0 > 0, v_0 < 0 and v_0 = 0, and raises
+    IntegrationBlowUp at the same radius when |v_0|^{2#-2} overflows."""
+    params = ProblemParams(2 * k + 3, k, p, -0.7)
+    for cols in (1, solver._block_cols(k)):
+        fun, ref = solver._rhs(params, cols), _reference_rhs(params, cols)
+        rng = np.random.default_rng(100 * k + 10 * p + cols)
+        for j in range(200):
+            y = rng.normal(size=2 * k * cols) * 10.0 ** rng.uniform(-3, 3, size=2 * k * cols)
+            y[0] = (abs(y[0]), -abs(y[0]), 0.0)[j % 3]
+            r = 10.0 ** rng.uniform(-6, 0)
+            np.testing.assert_array_equal(fun(r, y), ref(r, y))
+        y[0] = -1e300
+        for f in (fun, ref):
+            with pytest.raises(IntegrationBlowUp) as exc:
+                f(0.25, y)
+            assert exc.value.radius == 0.25
+
+
+@pytest.mark.parametrize("k,p", _RHS_CASES)
+def test_rhs_does_not_depend_on_call_history(k, p):
+    """A call's result depends on (r, y) alone: the same call repeated after
+    calls at other radii and states, interleaved with a closure at another
+    mu, gives the same bits as the reference formulation."""
+    cols = solver._block_cols(k)
+    P1, P2 = ProblemParams(2 * k + 3, k, p, -0.7), ProblemParams(2 * k + 3, k, p, 2.5)
+    f1, f2 = solver._rhs(P1, cols), solver._rhs(P2, cols)
+    ref1, ref2 = _reference_rhs(P1, cols), _reference_rhs(P2, cols)
+    rng = np.random.default_rng(k + 10 * p)
+    y1, y2 = rng.normal(size=(2, 2 * k * cols)) * 10.0
+    y2[0] = -y2[0]
+    first = f1(0.3, y1)
+    for r, y in ((0.7, y2), (1e-4, y1), (0.3, y2)):
+        np.testing.assert_array_equal(f2(r, y), ref2(r, y))
+        np.testing.assert_array_equal(f1(r, y), ref1(r, y))
+    np.testing.assert_array_equal(f1(0.3, y1), first)
+    np.testing.assert_array_equal(first, ref1(0.3, y1))
+
+
+@pytest.mark.parametrize("k,p", _RHS_CASES)
 def test_verifier_rhs_matches_block_rhs(k, p):
     """The verifier's float rhs equals the shots' _rhs(params, 1) to 1e-15
     relative to the size of each component's terms."""
