@@ -14,7 +14,7 @@ import numpy as np
 from .fields import (CutoffProfile, ProductProfile, RadialTermField,
                      RationalProfile)
 from .quadrature import Ball, integrate_radial, sq_dist
-from .radial import (RadialFunction, bubble_constant,
+from .radial import (RadialFunction, bubble_constant, critical_exponent,
                      make_bubble, radial_derivative)
 
 __all__ = [
@@ -66,13 +66,14 @@ class BubbleSpec:
         if self.kind != "interior":
             raise ValueError(f"unknown bubble kind {self.kind!r} "
                              "(only interior bubbles exist)")
-        if self.mu <= 0:
+        critical_exponent(self.n, self.k)
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
-        if self.n <= 2 * self.k:
-            raise ValueError("need n > 2k")
         if self.center.shape != (self.n,):
             raise ValueError(f"bubble center needs shape ({self.n},), "
                              f"got {self.center.shape}")
+        if not np.isfinite(self.center).all():
+            raise ValueError("bubble center entries must be finite")
 
     @property
     def a(self) -> float:
@@ -93,10 +94,6 @@ class BubbleSpec:
             raise ValueError(f"unknown bubble profile {d['profile']!r} "
                              "(only the standard profile exists)")
         return spec
-
-    @classmethod
-    def from_json(cls, text: str) -> "BubbleSpec":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

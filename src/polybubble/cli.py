@@ -49,6 +49,12 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _refuse(code: int, message: str) -> int:
+    """Print message as one line on stderr and return the exit code."""
+    print(message, file=sys.stderr)
+    return code
+
+
 def _write_manifest(ns: argparse.Namespace) -> None:
     params = {key: val for key, val in vars(ns).items()
               if val is not None and key not in ("config", "command", "out")}
@@ -65,22 +71,20 @@ def _write_manifest(ns: argparse.Namespace) -> None:
 def cmd_bubble_check(ns: argparse.Namespace) -> int:
     """Exact PDE checks plus decay slopes over an (n, k) range."""
     if (ns.n is None) != (ns.k is None):
-        print("give both --n and --k, or neither", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, "give both --n and --k, or neither")
     cases = ([(ns.n, ns.k)] if ns.n is not None
              else [(n, k) for k in range(1, ns.k_max + 1)
                    for n in range(2 * k + 1, ns.n_max + 1)])
     if not cases:
-        print(f"invalid range: no pair 1 <= k <= k_max={ns.k_max}, 2k < n <= "
-              f"n_max={ns.n_max} (an empty report otherwise)", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, f"invalid range: no pair 1 <= k <= k_max={ns.k_max}, "
+                       f"2k < n <= n_max={ns.n_max} (an empty report otherwise)")
     failures = []
     rows = []
     for (n, k) in cases:
-        if k < 1 or n <= 2 * k:
-            print(f"invalid pair: need k >= 1 and n > 2k, got n={n}, k={k}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        try:
+            critical_exponent(n, k)
+        except ValueError as e:
+            return _refuse(EXIT_USAGE, f"invalid pair: {e}")
         res = check_bubble_identity(n, k)
         slopes = [check_decay(n, k, l) for l in range(min(2 * k, 2) + 1)]
         slope_ok = all(s["deviation"] < 0.05 for s in slopes)
@@ -95,8 +99,7 @@ def cmd_bubble_check(ns: argparse.Namespace) -> int:
                   json.dumps({"cases": rows, "failures": failures}, indent=2))
     _write_manifest(ns)
     if failures:
-        print("failing cases:", failures, file=sys.stderr)
-        return EXIT_VERIFICATION
+        return _refuse(EXIT_VERIFICATION, f"failing cases: {failures}")
     return EXIT_OK
 
 
@@ -104,12 +107,13 @@ def cmd_cayley_green(ns: argparse.Namespace) -> int:
     """Conformal-map and Green-function identity suites."""
     n, k, pairs = ns.n, ns.k, ns.pairs
     if n is None or k is None:
-        print("invalid input: cayley-green needs --n and --k", file=sys.stderr)
-        return EXIT_USAGE
-    if pairs <= 0 or k < 1 or n <= 2 * k:
-        print(f"invalid input: need pairs > 0 (an empty report otherwise), "
-              f"k >= 1 and n > 2k; got pairs={pairs}, n={n}, k={k}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, "invalid input: cayley-green needs --n and --k")
+    try:
+        critical_exponent(n, k)
+        if pairs <= 0:
+            raise ValueError(f"need pairs > 0 (an empty report otherwise), got pairs={pairs}")
+    except ValueError as e:
+        return _refuse(EXIT_USAGE, f"invalid input: {e}")
     rng = np.random.default_rng(ns.seed)
 
     def ball_pt():
@@ -153,8 +157,7 @@ def cmd_tree(ns: argparse.Namespace) -> int:
     bubble-tree configuration file."""
     path = ns.config_file
     if not path or not os.path.exists(path):
-        print(f"missing tree config file: {path}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, f"missing tree config file: {path}")
     try:
         with open(path) as fh:
             tree = TreeConfig.from_json(fh.read())
@@ -163,13 +166,11 @@ def cmd_tree(ns: argparse.Namespace) -> int:
             if np.linalg.norm(b.center - c) >= R:
                 raise ValueError(f"bubble {i} center lies outside the domain")
     except (KeyError, TypeError, ValueError) as e:
-        print(f"bad tree config: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, f"bad tree config: {e}")
     try:
         data = classify(tree)
     except AmbiguousScalesError as e:
-        print(f"ambiguous configuration: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, f"ambiguous configuration: {e}")
     _atomic_write(os.path.join(ns.out, "influence.json"), data.to_json())
     rows = []
     for i in range(len(tree.bubbles)):
@@ -188,8 +189,7 @@ def cmd_tree(ns: argparse.Namespace) -> int:
     try:
         etas = eta_sequences(tree, seed=ns.seed)
     except AccuracyError as e:
-        print(f"eta quadrature failure: {e}", file=sys.stderr)
-        return EXIT_ACCURACY
+        return _refuse(EXIT_ACCURACY, f"eta quadrature failure: {e}")
     _atomic_write(os.path.join(ns.out, "eta.json"), json.dumps(etas, indent=2))
     _write_manifest(ns)
     return EXIT_OK
@@ -203,9 +203,8 @@ def cmd_pohozaev(ns: argparse.Namespace) -> int:
         ns.n = 2 * ns.k + 1
     suite, k, n = ns.suite, ns.k, ns.n
     if k < 1 or n < 1 or (suite == "bubble" and n <= 2 * k):
-        print(f"invalid parameters: need k >= 1, n >= 1, and n > 2k on the "
-              f"bubble suite; got k={k}, n={n}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, "invalid parameters: need k >= 1, n >= 1, and "
+                       f"n > 2k on the bubble suite; got k={k}, n={n}")
     reports = []
     if suite == "manufactured":
         dom = Ball((0.0,) * n, 1.0)
@@ -231,8 +230,7 @@ def cmd_pohozaev(ns: argparse.Namespace) -> int:
         reports.append(json.loads(rep.to_json()))
         ok = abs(reports[0]["terms"]["T1"]) <= 10 * reports[0]["budget"]
     else:
-        print(f"unknown suite {suite!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, f"unknown suite {suite!r}")
     _atomic_write(os.path.join(ns.out, f"pohozaev_{suite}.json"),
                   json.dumps(reports, indent=2))
     _write_manifest(ns)
@@ -242,40 +240,35 @@ def cmd_pohozaev(ns: argparse.Namespace) -> int:
 def cmd_solve(ns: argparse.Namespace) -> int:
     """Radial continuation experiment; writes the branch CSV and manifest."""
     from .solver import (IntegrationBlowUp, NewtonFailure, ProblemParams,
-                         branch_csv, bubble_seed, continuation, newton_solve,
-                         run_manifest)
+                         _check_mu, branch_csv, bubble_seed, continuation,
+                         newton_solve, run_manifest)
     grid = ns.mu_grid
     if not grid:
-        print("empty continuation grid", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, "empty continuation grid")
     if len(set(grid)) < len(grid):
-        print("invalid parameters: the mu grid repeats a value", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, "invalid parameters: the mu grid repeats a value")
     try:
+        for mu in grid:
+            _check_mu(mu)
         params = ProblemParams(ns.n, ns.k, ns.p, grid[0])
         d_seed = ns.d_seed if ns.d_seed is not None else bubble_seed(ns.n, ns.k)
         sol = newton_solve(params, d_seed, rtol=ns.rtol)
     except ValueError as e:
-        print(f"invalid parameters: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, f"invalid parameters: {e}")
     except (NewtonFailure, IntegrationBlowUp) as e:
-        print(f"seed solve failed at mu = {grid[0]:g}: {e}", file=sys.stderr)
-        return EXIT_ACCURACY
+        return _refuse(EXIT_ACCURACY, f"seed solve failed at mu = {grid[0]:g}: {e}")
     try:
         points, flag = continuation(params, grid, sol, rtol=ns.rtol)
     except ValueError as e:
-        print(f"continuation failed: {e}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return _refuse(EXIT_VERIFICATION, f"continuation failed: {e}")
     _atomic_write(os.path.join(ns.out, "branch.csv"), branch_csv(points))
     _atomic_write(os.path.join(ns.out, "solve_manifest.json"),
-                  run_manifest(params, grid, d_seed, ns.rtol,
-                               extra={"flag": flag}))
+                  run_manifest(params, grid, d_seed, ns.rtol, flag))
     _write_manifest(ns)
     if flag == "fold":
         where = (f"after mu = {points[-1].mu_param:g}" if points
                  else f"at mu = {grid[0]:g}")
-        print(f"continuation lost the branch {where}", file=sys.stderr)
-        return EXIT_ACCURACY
+        return _refuse(EXIT_ACCURACY, f"continuation lost the branch {where}")
     sups = [b.sup_norm for b in points]
     monotone = all(b > a for a, b in zip(sups, sups[1:]))
     return EXIT_OK if monotone else EXIT_VERIFICATION
@@ -370,20 +363,17 @@ def main(argv=None) -> int:
             commands[ns.command].set_defaults(
                 **_config_defaults(commands[ns.command], config))
         except (OSError, ValueError) as e:
-            print(f"bad config: {e}", file=sys.stderr)
-            return EXIT_USAGE
+            return _refuse(EXIT_USAGE, f"bad config: {e}")
         ns = ap.parse_args(argv)
     ns.out = os.path.join(ns.out, ns.command)
     try:
         os.makedirs(ns.out, exist_ok=True)
     except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _refuse(EXIT_USAGE, f"config error: {e}")
     try:
         return _COMMANDS[ns.command](ns)
     except AccuracyError as e:
-        print(f"accuracy failure: {e}", file=sys.stderr)
-        return EXIT_ACCURACY
+        return _refuse(EXIT_ACCURACY, f"accuracy failure: {e}")
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Taylor, as_points
-from .quadrature import (Ball, HalfBall, _sphere_rule, integrate_axisymmetric,
-                         row_sq_norms)
+from .jets import Taylor
+from .quadrature import (Ball, HalfBall, _sphere_rule, as_points,
+                         integrate_axisymmetric, row_sq_norms)
 from .radial import critical_exponent
 
 __all__ = [
@@ -71,7 +71,7 @@ class CayleyMap:
         return self._phi(*self._shifted(y))
 
     def phi_inv(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
+        x = as_points(x)
         w = x + 0.5 * self.e1
         nw2 = row_sq_norms(w)
         if np.any(nw2 < 1e-28):

@@ -31,7 +31,7 @@ from math import factorial
 import numpy as np
 
 from .jets import Jet, Taylor
-from .quadrature import row_sq_norms
+from .quadrature import as_points, row_sq_norms
 from .radial import RadialFunction, square_derivative
 
 __all__ = [
@@ -204,7 +204,7 @@ class PointBatch:
     """
 
     def __init__(self, field, points, order: int = 0):
-        pts = np.atleast_2d(np.asarray(points, float))
+        pts = as_points(points)
         self.field = field
         self.shape = pts.shape
         self.order = order
@@ -248,14 +248,11 @@ class RadialTermField:
         self.center = np.asarray(center, float)
         self.mu = float(mu)
         self.amplitude = float(amplitude)
-        self.components: list[_Component] = [
-            c if isinstance(c, _Component) else _Component(*c) for c in components
-        ]
+        self.components = [_Component(*c) for c in components]
 
     @classmethod
     def radial(cls, n, center, profile, mu=1.0, amplitude=1.0):
-        zero = tuple([0] * n)
-        return cls(n, center, [_Component(zero, profile)], mu, amplitude)
+        return cls(n, center, [((0,) * n, profile)], mu, amplitude)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -291,8 +288,7 @@ class RadialTermField:
 
     def tensor_norm(self, l: int, points):
         """Frobenius norm of the order-l derivative tensor, vectorized."""
-        pts = np.atleast_2d(points)
-        return Jet(self, pts, l, PointBatch(self, pts, l)).tensor_norm(l)
+        return self.jet(as_points(points), l).tensor_norm(l)
 
     def jet(self, x, order: int) -> Jet:
         """Jet at x whose entries all share one PointBatch."""

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .conformal import CayleyMap
+from .radial import critical_exponent
 
 __all__ = [
     "psi_ball",
@@ -55,8 +56,7 @@ def kernel_integral(s: float, k: int, n: int) -> float:
     """
     if s < 1.0:
         raise ValueError("need s >= 1")
-    if n <= 2 * k:
-        raise ValueError("need n > 2k")
+    critical_exponent(n, k)
     total = 0.0
     for j in range(k):
         c = math.comb(k - 1, j) * (-1.0) ** (k - 1 - j)

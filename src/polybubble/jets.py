@@ -27,9 +27,9 @@ import numpy as np
 __all__ = [
     "multisets",
     "multiset_multiplicity",
+    "tensor_norm",
     "Jet",
     "Taylor",
-    "as_points",
 ]
 
 
@@ -44,6 +44,14 @@ def multiset_multiplicity(alpha: tuple[int, ...]) -> int:
     for i in set(alpha):
         m //= factorial(alpha.count(i))
     return m
+
+
+def tensor_norm(partial, n: int, l: int):
+    """Frobenius norm of the symmetric order-l tensor alpha -> partial(alpha) on R^n."""
+    tot = 0.0
+    for alpha in multisets(n, l):
+        tot = tot + multiset_multiplicity(alpha) * partial(alpha) ** 2
+    return np.sqrt(tot)
 
 
 class Jet:
@@ -97,9 +105,6 @@ class Jet:
     def grad(self) -> np.ndarray:
         return self._vector(self.partial)
 
-    def hessian(self) -> np.ndarray:
-        return self._symmetric(self.partial)
-
     # -- Laplacian iterates --------------------------------------------------
 
     def lap_iter(self, i: int, extra=()):
@@ -114,10 +119,7 @@ class Jet:
 
     def tensor_norm(self, l: int):
         """Frobenius norm of the order-l derivative tensor."""
-        tot = 0.0
-        for alpha in multisets(self.n, l):
-            tot = tot + multiset_multiplicity(alpha) * self.partial(alpha) ** 2
-        return np.sqrt(tot)
+        return tensor_norm(self.partial, self.n, l)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +253,3 @@ class Taylor:
         a, b = inputs
         return (getattr(a, f"__{name}__")(b) if a is self
                 else getattr(b, f"__r{name}__")(a))
-
-
-def as_points(x):
-    """x as an (m, n) batch of points; Taylor coordinates pass unchanged."""
-    return x if isinstance(x, Taylor) else np.atleast_2d(np.asarray(x, float))

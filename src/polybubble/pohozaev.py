@@ -35,8 +35,8 @@ import numpy as np
 
 from .jets import Jet
 from .quadrature import (Ball, BallMinusBalls, SphereSurface, _require_on_axis,
-                         integrate_surface, integrate_volume, sphere_area,
-                         sphere_moment_ratio)
+                         as_points, integrate_surface, integrate_volume,
+                         sphere_area, sphere_moment_ratio)
 
 __all__ = [
     "MultiPoly",
@@ -237,7 +237,7 @@ class MultiPoly:
         return out
 
     def eval(self, points):
-        pts = np.atleast_2d(np.asarray(points, float))
+        pts = as_points(points)
         out = np.zeros(len(pts))
         for key, c in self.terms.items():
             mono = np.full(len(pts), c / self.den)  # one correct rounding

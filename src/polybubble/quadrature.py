@@ -32,6 +32,8 @@ import numpy as np
 import scipy.linalg  # noqa: F401
 from scipy.special import gammaln, ndtri, roots_jacobi, roots_legendre
 
+from .jets import Taylor
+
 __all__ = [
     "AccuracyError",
     "Singularity",
@@ -44,6 +46,7 @@ __all__ = [
     "ball_volume",
     "row_sq_norms",
     "AxisNodes",
+    "as_points",
     "sq_dist",
     "sphere_moment_ratio",
     "integrate_radial",
@@ -127,9 +130,10 @@ class AxisNodes:
         return self._plane or None
 
 
-def _points(x):
-    """x itself when it is an AxisNodes, else x as an (m, n) float array."""
-    return x if isinstance(x, AxisNodes) else np.atleast_2d(np.asarray(x, float))
+def as_points(x):
+    """x as an (m, n) batch of points: an AxisNodes batch or Taylor
+    coordinates unchanged, anything else as an (m, n) float array."""
+    return x if isinstance(x, (AxisNodes, Taylor)) else np.atleast_2d(np.asarray(x, float))
 
 
 def sq_dist(x, c):
@@ -137,7 +141,7 @@ def sq_dist(x, c):
     point or an AxisNodes).  From the plane() of an AxisNodes when c lies on
     the x_1 axis: the terms it leaves out are exact zeros, so the bits are
     the same."""
-    x, c = _points(x), np.asarray(c, float)
+    x, c = as_points(x), np.asarray(c, float)
     plane = isinstance(x, AxisNodes) and not c[1:].any() and x.plane()
     if plane:
         dt = plane[0] - c[0]

@@ -44,16 +44,17 @@ class RepresentationError(ValueError):
 
 
 def critical_exponent(n: int, k: int) -> float:
-    """Critical Sobolev exponent 2n/(n-2k)."""
-    if n <= 2 * k:
-        raise ValueError(f"need n > 2k, got n={n}, k={k}")
+    """Critical Sobolev exponent 2n/(n-2k): the one check of the orders, which
+    raises ValueError unless n and k are integers with 1 <= k and 2k < n."""
+    if not (isinstance(n, (int, np.integer)) and isinstance(k, (int, np.integer))
+            and 1 <= k and 2 * k < n):
+        raise ValueError(f"need integers 1 <= k and 2k < n, got n={n}, k={k}")
     return 2.0 * n / (n - 2 * k)
 
 
 def bubble_constant_product(n: int, k: int) -> int:
     """prod_{l=-k}^{k-1} (n + 2l), the k-th power of 1/a_{n,k}."""
-    if k < 1 or n <= 2 * k:
-        raise ValueError(f"need 1 <= k and n > 2k, got n={n}, k={k}")
+    critical_exponent(n, k)
     out = 1
     for l in range(-k, k):
         out *= n + 2 * l
@@ -108,9 +109,6 @@ class RadialFunction:
             clean[(int(p), int(t), int(e))] = c
         self.terms = clean
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "RadialFunction") -> "RadialFunction":
         if (self.n, self.M) != (other.n, other.M):
             raise ValueError("incompatible n or M")
@@ -144,8 +142,7 @@ class RadialFunction:
 
 def make_bubble(n: int, k: int) -> RadialFunction:
     """Flat profile (1 + a r^2)^{-(n-2k)/2}; equals the standard bubble at a=a_{n,k}."""
-    if k < 1 or n <= 2 * k:
-        raise ValueError(f"need 1 <= k and n > 2k, got n={n}, k={k}")
+    critical_exponent(n, k)
     return RadialFunction(n, n - 2 * k, {(0, 0, 0): 1})
 
 

@@ -101,10 +101,9 @@ class ProblemParams:
     mu: float  # lower-order coefficient; classical lambda corresponds to -mu
 
     def __post_init__(self):
+        critical_exponent(self.n, self.k)
         if not 0 <= self.p <= self.k - 1:
             raise ValueError("need 0 <= p <= k-1")
-        if self.n <= 2 * self.k:
-            raise ValueError("need n > 2k")
 
     @property
     def two_sharp(self):
@@ -709,9 +708,10 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9) -> RadialSol
     move u(0) across zero is not shot, so the solve stays on the sign of
     its start.  rtol must be finite and at least _RTOL_FLOOR, below which
     the shots' tolerance is clamped and the mismatch test could never
-    pass."""
+    pass; params.mu must pass _check_mu."""
     if not (math.isfinite(rtol) and rtol >= _RTOL_FLOOR):
         raise ValueError(f"rtol = {rtol:g} must be finite and >= {_RTOL_FLOOR:.3g}")
+    _check_mu(params.mu)
     d = np.asarray(d_init, float).copy()
 
     def shot(dd):
@@ -753,6 +753,14 @@ def newton_solve(params: ProblemParams, d_init, rtol: float = 1e-9) -> RadialSol
         F, sol = found
         d = sol.d
     raise NewtonFailure(f"no convergence in {_MAX_ITER} iterations")
+
+
+def _check_mu(mu: float) -> None:
+    """ValueError unless mu is finite and < 0: by the Dirichlet Pohozaev
+    identity no positive solution exists for mu >= 0 (for k >= 2 at mu = 0,
+    by Pucci-Serrin 1986)."""
+    if not (math.isfinite(mu) and mu < 0):
+        raise ValueError(f"need a finite mu < 0 (no positive solution otherwise), got {mu:g}")
 
 
 def _singular(J) -> bool:
@@ -918,7 +926,7 @@ def branch_csv(points: list[BranchPoint]) -> str:
     return fh.getvalue()
 
 
-def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> str:
+def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, flag) -> str:
     d = {"n": params.n, "k": params.k, "p": params.p,
          "mu_grid": list(map(float, mu_grid)),
          "d_seed": list(map(float, np.atleast_1d(d_seed))),
@@ -930,7 +938,6 @@ def run_manifest(params: ProblemParams, mu_grid, d_seed, rtol, extra=None) -> st
          "verifier": "lsoda",
          "verifier_rtol": _VERIFY_RTOL,
          "newton": {"max_iter": _MAX_ITER, "step": "chebyshev",
-                    "damping": "halving", "predictor": "hermite-tangent"}}
-    if extra:
-        d.update(extra)
+                    "damping": "halving", "predictor": "hermite-tangent"},
+         "flag": flag}
     return json.dumps(d, indent=2)

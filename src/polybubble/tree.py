@@ -23,7 +23,8 @@ import numpy as np
 from .bubbles import (BubbleSpec, _json_object, _localized, bubble_field,
                       kernel_elements, positive_bubble, theta)
 from .fields import PointBatch
-from .quadrature import Ball, row_sq_norms
+from .jets import tensor_norm
+from .quadrature import Ball, as_points, row_sq_norms
 from .radial import bubble_constant, critical_exponent
 
 __all__ = [
@@ -101,15 +102,19 @@ class TreeConfig:
             raise ValueError(f"domain center needs {n} entries, got {len(c)}")
         if not R > 0:
             raise ValueError(f"domain radius must be positive, got {R}")
+        if not np.isfinite([*c, R]).all():
+            raise ValueError("domain center and radius must be finite")
         N = len(self.bubbles)
         for i, j in self.nu:
             if not (0 <= i < N and 0 <= j <= n):
                 raise ValueError(f"nu key {i},{j} needs a bubble index in "
                                  f"[0, {N}) and a kernel index in [0, {n}]")
-        if self.family_law is not None and self.family_law.n_bubbles() != len(self.bubbles):
-            raise ValueError("family law size mismatch")
-        for g in (self.family_law.mu_exp if self.family_law else []):
-            if g <= 0:
+        law = self.family_law
+        if law is not None:
+            if ({len(law.mu_coeff), len(law.mu_exp), len(law.center_base)} != {N}
+                    or {len(c) for c in law.center_base} != {n}):
+                raise ValueError("family law size mismatch")
+            if any(g <= 0 for g in law.mu_exp):
                 raise ValueError("family-law scale exponents must be positive")
 
     @property
@@ -210,7 +215,7 @@ class Region:
         self.clip = clip
 
     def contains(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
+        x = as_points(x)
         mask = self.outer.contains(x) & self.clip.contains(x)
         for h in self.holes:
             c = np.asarray(h.center)
@@ -356,7 +361,7 @@ def theta_pow_B(b: BubbleSpec, l: int, pts) -> np.ndarray:
 
 def weight_sum(cfg: TreeConfig, l: int, pts) -> np.ndarray:
     """1 + sum_j theta_j^{-l} B_j at points (m, n)."""
-    pts = np.atleast_2d(np.asarray(pts, float))
+    pts = as_points(pts)
     out = np.ones(len(pts))
     for b in cfg.bubbles:
         out += theta_pow_B(b, l, pts)
@@ -444,7 +449,7 @@ def _tree_fields(cfg: TreeConfig):
 
 def tree_value(cfg: TreeConfig, x) -> np.ndarray:
     """Signed value of the tree W = sum V_i + sum nu Z_ij at points x."""
-    x = np.atleast_2d(np.asarray(x, float))
+    x = as_points(x)
     tot = np.zeros(len(x))
     for F in _tree_fields(cfg):
         tot += F.value(x)
@@ -455,15 +460,9 @@ def eval_tree(cfg: TreeConfig, x, l: int) -> np.ndarray:
     """Magnitude of the order-l derivative tensor of the tree at points x."""
     if not 0 <= l <= 2 * cfg.k - 1:
         raise ValueError("need 0 <= l <= 2k-1")
-    x = np.atleast_2d(np.asarray(x, float))
+    x = as_points(x)
     if l == 0:
         return np.abs(tree_value(cfg, x))
-    from .jets import multiset_multiplicity, multisets
     batches = [PointBatch(F, x, l) for F in _tree_fields(cfg)]
-    tot = np.zeros(len(x))
-    for alpha in multisets(cfg.n, l):
-        entry = np.zeros(len(x))
-        for b in batches:
-            entry += b.field.partial(alpha, b)
-        tot += multiset_multiplicity(alpha) * entry**2
-    return np.sqrt(tot)
+    return tensor_norm(lambda alpha: sum(b.field.partial(alpha, b) for b in batches),
+                       cfg.n, l)

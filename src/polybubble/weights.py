@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .bubbles import positive_bubble, theta
-from .quadrature import (Ball, BallMinusBalls, Singularity, _points,
+from .quadrature import (Ball, BallMinusBalls, Singularity, as_points,
                          integrate_volume, sq_dist)
 from .radial import critical_exponent
 from .tree import (TreeConfig, classify, pair_maxima, pair_sum, theta_pow_B,
@@ -40,7 +40,7 @@ __all__ = [
 def psi_weight(cfg: TreeConfig, y) -> np.ndarray:
     """Psi(y) = sum_i theta_i^{2-2k} B_i + sum_{i != j} B_j^{2#-2} B_i with
     indices running over 0..N and the zeroth profile B^0 = 1, theta^0 = 1."""
-    y = _points(y)
+    y = as_points(y)
     B = [positive_bubble(b, y) for b in cfg.bubbles]
     out = np.zeros(len(y))
     for b, Bb in zip(cfg.bubbles, B):
@@ -53,7 +53,7 @@ def star_norm(phi, cfg: TreeConfig, grid) -> float:
 
     phi must expose value(points) and tensor_norm(l, points).
     """
-    grid = np.atleast_2d(np.asarray(grid, float))
+    grid = as_points(grid)
     total = np.zeros(len(grid))
     for l in range(2 * cfg.k):
         mag = np.abs(phi.value(grid)) if l == 0 else phi.tensor_norm(l, grid)
@@ -65,7 +65,7 @@ def starstar_norm(R, cfg: TreeConfig, grid, eta: float) -> float:
     """max over the grid of |R| / (Psi + eta sum_{i=0..N} B_i^{2#-1})."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    grid = np.atleast_2d(np.asarray(grid, float))
+    grid = as_points(grid)
     ts = critical_exponent(cfg.n, cfg.k)
     den = psi_weight(cfg, grid) + eta * np.ones(len(grid))  # index-0 profile
     for b in cfg.bubbles:

@@ -2,6 +2,8 @@
 finite differences, decay slopes, kernel elements, and the coefficient
 integrals with their scale covariance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,6 @@ def test_check_sign_condition_diagonal_positive():
 
 def test_bubble_spec_json_roundtrip():
     s = spec_at(0.05, center=[0.1, 0.2] + [0.0] * (N - 2))
-    s2 = BubbleSpec.from_json(s.to_json())
+    s2 = BubbleSpec.from_dict(json.loads(s.to_json()))
     assert s2.kind == s.kind and s2.mu == s.mu
     assert np.allclose(s2.center, s.center)

@@ -168,15 +168,28 @@ def test_tree_malformed_config(tmp_path):
     ("config", "alpha", 100.0),
     ("config", "include_u0", True),
     ("family_law", "center_exp", [1, 1]),
+    ("bubble", "k", 1.5),
+    ("bubble", "n", 7.0),
+    ("bubble", "mu", float("nan")),
+    ("bubble", "center", [float("nan")] + [0.0] * 6),
+    ("domain", "center", [float("inf")] + [0.0] * 6),
+    ("domain", "radius", float("inf")),
+    ("family_law", "mu_exp", [1.0]),
+    ("family_law", "center_base", [[0.4], [-0.4]]),
 ], ids=["boundary-kind", "external-profile", "short-center", "short-domain-center",
         "negative-radius", "center-outside", "nu-bubble-index", "nu-kernel-index",
         "nu-list", "bubbles-object", "domain-list", "family-law-list",
-        "unknown-key", "unknown-bubble-key", "alpha", "include-u0", "center-exp"])
+        "unknown-key", "unknown-bubble-key", "alpha", "include-u0", "center-exp",
+        "fractional-k", "float-n", "nan-mu", "nan-center", "infinite-domain-center",
+        "infinite-radius", "short-mu-exp", "short-center-base"])
 def test_tree_refuses_configs_it_cannot_use(tmp_path, capsys, part, key, value):
-    """A bubble that is not interior and standard, a centre of the wrong
-    length, a radius <= 0, a bubble centre outside the domain, a nu key
-    outside [0, N) x [0, n], a container of the wrong JSON type and a key
-    the reader does not take each exit 2 with one line and no report."""
+    """A bubble that is not interior and standard, orders that are not
+    integers, a scale that is not positive, a centre of the wrong length or
+    with an entry that is not finite, a domain radius that is not positive
+    and finite, a bubble centre outside the domain, a nu key outside
+    [0, N) x [0, n], a family law whose lists do not have N entries or whose
+    centres do not have n, a container of the wrong JSON type and a key the
+    reader does not take each exit 2 with one line and no report."""
     with open(os.path.join(FIXTURES, "separated.json")) as fh:
         cfg = json.load(fh)
     {"bubble": cfg["bubbles"][0], "domain": cfg["domain"],
@@ -419,12 +432,16 @@ def test_solve_empty_grid_usage(tmp_path):
                                    "-0.25"],
                                   ["solve", "--n", "500"],
                                   [{"rtol": 0}, "solve"],
-                                  [{"k": 0}, "pohozaev"]])
+                                  [{"k": 0}, "pohozaev"],
+                                  ["solve", "--mu-grid", "0"],
+                                  ["solve", "--mu-grid", "nan"],
+                                  ["solve", "--mu-grid", "-0.5", "nan"]])
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
     """Parameters outside k >= 1, n > 2k, 0 <= p < k, an empty bubble-check
     range, a solver rtol below what the integrator can reach, a mu grid
-    that repeats a value (equal sups would fail the monotone check), and an
-    n whose default seed overflows, exit 2
+    that repeats a value (equal sups would fail the monotone check) or
+    holds a value that is not finite and < 0 (no positive solution exists
+    for mu >= 0), and an n whose default seed overflows, exit 2
     with a one-line message, not 0 with an empty or meaningless report, 1
     with a traceback (1 means a verification failure) or 3 after a futile
     solve.  A leading dict is given as a config file instead of flags."""

@@ -9,8 +9,7 @@ from polybubble.conformal import (CayleyMap, GaussianXPow, HalfSpaceBump,
                                   check_laplacian_conjugation,
                                   check_norm_invariance)
 from polybubble.green import psi_ball, psi_half
-from polybubble.jets import as_points
-from polybubble.quadrature import row_sq_norms
+from polybubble.quadrature import as_points, row_sq_norms
 
 
 def ball_points(n, m, seed=0, rmax=0.9):

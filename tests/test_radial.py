@@ -1,7 +1,10 @@
 """Exact radial algebra: construction, Laplacians, power reduction, and the
 symbolic bubble PDE check against closed forms and finite differences."""
 
+import argparse
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +36,51 @@ def test_make_bubble_invalid_params():
         make_bubble(5, 0)
 
 
+_ORDERS = "need integers 1 <= k and 2k < n"
+
+
+@pytest.mark.parametrize("n,k", [(7, 1.5), (7.0, 1), (4, 2), (3, 0)])
+def test_every_order_check_is_critical_exponent(tmp_path, capsys, n, k):
+    """Orders that are not integers with 1 <= k and 2k < n get the one
+    message of critical_exponent from every entry point that takes them,
+    and from bubble-check and cayley-green before either computes or writes
+    anything (non-integer orders cannot pass argparse, so those commands
+    get them in a namespace; integer ones also go through main)."""
+    from polybubble import cli
+    from polybubble.bubbles import BubbleSpec
+    from polybubble.green import kernel_integral
+    from polybubble.solver import ProblemParams
+
+    calls = [lambda: critical_exponent(n, k), lambda: make_bubble(n, k),
+             lambda: bubble_constant_product(n, k),
+             lambda: ProblemParams(n, k, 0, -0.5),
+             lambda: BubbleSpec("interior", n, k, np.zeros(7), 0.1),
+             lambda: kernel_integral(2.0, k, n)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(_ORDERS)):
+            call()
+    out = str(tmp_path / "runs")
+    ns = argparse.Namespace(n=n, k=k, n_max=12, k_max=4, pairs=5, seed=0, out=out)
+    for cmd in (cli.cmd_bubble_check, cli.cmd_cayley_green):
+        assert cmd(ns) == 2
+        err = capsys.readouterr().err
+        assert _ORDERS in err and len(err.strip().splitlines()) == 1
+    if isinstance(n, int) and isinstance(k, int):
+        for command in ("bubble-check", "cayley-green"):
+            argv = ["--out", out, command, "--n", str(n), "--k", str(k)]
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert _ORDERS in err and len(err.strip().splitlines()) == 1
+            assert os.listdir(os.path.join(out, command)) == []
+
+
+def test_integer_orders_may_be_numpy_integers():
+    n, k = np.int64(7), np.int64(1)
+    assert critical_exponent(n, k) == critical_exponent(7, 1)
+    assert make_bubble(n, k).terms == make_bubble(7, 1).terms
+    assert bubble_constant_product(n, k) == bubble_constant_product(7, 1)
+
+
 def test_eval_examples():
     b = make_bubble(3, 1)
     assert b(1.0, 1.0 / 3.0) == pytest.approx((4.0 / 3.0) ** -0.5, rel=1e-14)
@@ -49,7 +97,7 @@ def test_laplacian_of_r_squared():
 
 def test_laplacian_constant_is_zero():
     f = RadialFunction(4, 0, {(0, 0, 0): 1})
-    assert laplacian(f).is_zero()
+    assert not laplacian(f).terms
 
 
 def test_laplacian_closed_form_k1():
@@ -68,7 +116,7 @@ def test_laplacian_rejects_odd_power():
 
 def test_radial_derivative_examples():
     f = RadialFunction(3, 0, {(0, 0, 0): 1})
-    assert radial_derivative(f).is_zero()
+    assert not radial_derivative(f).terms
     # d/dr (1+ar^2)^{-q/2} = -a q r (1+ar^2)^{-(q+2)/2}
     g = RadialFunction(3, 3, {(0, 0, 0): 1})  # q = 3
     dg = radial_derivative(g)

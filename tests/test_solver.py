@@ -972,6 +972,20 @@ def test_newton_failure_modes(monkeypatch):
             newton_solve(p, [1.2e4], rtol=rtol)
 
 
+def test_newton_solve_refuses_mu_without_positive_solutions(monkeypatch):
+    """No positive solution exists for mu >= 0 (Dirichlet Pohozaev identity;
+    Pucci-Serrin at mu = 0 for k >= 2): such a mu, or one that is not
+    finite, is refused before any shot, at both orders."""
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shot taken")
+
+    monkeypatch.setattr(solver, "shoot", no_shot)
+    for n, k in ((7, 1), (9, 2)):
+        for mu in (0.0, 0.5, float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match="finite mu < 0"):
+                newton_solve(ProblemParams(n, k, 0, mu), [1.2e4] + [0.0] * (k - 1))
+
+
 def test_fit_bubble_exact_synthetic():
     """Feeding an exact rescaled profile recovers mu exactly."""
     n, k = 7, 1
@@ -1042,7 +1056,7 @@ def test_continuation_short_branch():
     assert all(b.collocation_residual < 1e-7 for b in pts)
     assert [float(line.split(",")[-1]) for line in lines[1:]] == [
         b.collocation_residual for b in pts]
-    man = json.loads(run_manifest(p, [-0.5, -0.25], seed_sol.d, 1e-8))
+    man = json.loads(run_manifest(p, [-0.5, -0.25], seed_sol.d, 1e-8, flag))
     assert "rtol" in man and "mu_grid" in man
     assert man["integrator"] == "dop853-adaptive"
     assert man["jacobian"] == "variational"

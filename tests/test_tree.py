@@ -297,6 +297,30 @@ def test_eval_tree_derivative_bound():
         assert np.all(np.isfinite(mags / den))
 
 
+def test_eval_tree_is_the_loop_over_multisets_bit_for_bit():
+    """eval_tree through jets.tensor_norm against the loop it replaced (per
+    index multiset the fields' entries added in order from zero, then the
+    weighted squares) on a k = 2 tree with nonzero nu, for l = 1, 2, 3."""
+    from polybubble.fields import PointBatch
+    from polybubble.jets import multiset_multiplicity, multisets
+    from polybubble.tree import _tree_fields
+
+    n, k = 5, 2
+    cfg = TreeConfig([BubbleSpec("interior", n, k, [0.3, 0.0, 0.0, 0.0, 0.0], 0.05),
+                      BubbleSpec("interior", n, k, [-0.2, 0.1, 0.0, 0.0, 0.0], 0.01)],
+                     nu={(0, 0): 0.02, (1, 3): -0.01})
+    x = np.random.default_rng(3).uniform(-0.4, 0.4, size=(40, n))
+    for l in (1, 2, 3):
+        batches = [PointBatch(F, x, l) for F in _tree_fields(cfg)]
+        tot = np.zeros(len(x))
+        for alpha in multisets(n, l):
+            entry = np.zeros(len(x))
+            for b in batches:
+                entry += b.field.partial(alpha, b)
+            tot += multiset_multiplicity(alpha) * entry**2
+        assert np.array_equal(eval_tree(cfg, x, l), np.sqrt(tot))
+
+
 def test_tree_json_roundtrip():
     """from_json(to_json()) writes the same record back byte for byte, for
     a family config and for a snapshot config with nu and its own domain."""
