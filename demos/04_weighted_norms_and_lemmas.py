@@ -1,7 +1,7 @@
 """The weighted-norm apparatus and its integral lemmas, measured.
 
 The linear theory controls solutions through a weight Psi built from the
-bubbles, two weighted norms, and a handful of convolution estimates
+bubbles, the eta control sequences, and a handful of convolution estimates
 (a Giraud lemma and friends).  None of the constants is explicit, so the
 honest desk check is: compute both sides by quadrature and watch the ratios
 stay bounded -- and decay where the lemma says o(1).
@@ -13,10 +13,8 @@ import numpy as np
 
 from polybubble import (Ball, BubbleSpec, Region, TreeConfig,
                         convolution_bound_verify, eta_sequences, giraud_verify,
-                        positive_bubble, psi_weight, star_norm)
+                        positive_bubble, psi_weight)
 from polybubble.tree import stratified_samples
-from polybubble.fields import RadialTermField, RationalProfile
-from polybubble.radial import bubble_constant, make_bubble
 
 n, k = 7, 1
 
@@ -25,28 +23,21 @@ def single(mu):
     return TreeConfig([BubbleSpec("interior", n, k, np.zeros(n), mu)])
 
 
-# --- the weight and the norms -----------------------------------------------
+# --- the weight -------------------------------------------------------------
 
 cfg = single(1e-2)
 grid = stratified_samples(Region(cfg.domain, [], cfg.domain), cfg, 400, seed=0)
 print(f"Psi on a {len(grid)}-point grid: min {psi_weight(cfg, grid).min():.3e}, "
       f"max {psi_weight(cfg, grid).max():.3e}")
 
-a = bubble_constant(n, k)
-B1 = RadialTermField.radial(n, np.zeros(n), RationalProfile(make_bubble(n, k), a),
-                            mu=1e-2, amplitude=1e-2 ** (-0.5 * (n - 2 * k)))
-print(f"star norm of the bubble itself: {star_norm(B1, cfg, grid):.3f}"
-      "  (each derivative is its own weight -> order one)")
-
 # --- eta control sequences decay along the concentration sweep --------------
-# (eta2 is a sup over two evaluation points on the axis; eta4 is max |nu|,
-# 0 here since the configurations carry no kernel coefficients)
+# (eta2 is a sup over two evaluation points on the axis)
 
 print("\neta sequences along mu = 1e-1, 1e-2, 1e-3:")
 for mu in (1e-1, 1e-2, 1e-3):
     es = eta_sequences(single(mu))
     print(f"  mu={mu:5.0e}: eta1={es['eta1']:9.4f} eta2={es['eta2']:9.5f} "
-          f"eta3={es['eta3']:8.4f} eta4={es['eta4']}")
+          f"eta3={es['eta3']:8.4f}")
 
 # --- Giraud's lemma: three cases, and the log factor is not optional --------
 

@@ -1,7 +1,7 @@
 """polybubble: verification toolkit for critical polyharmonic equations.
 
 Exact flat-profile algebra, Green functions of the ball and half-space, the
-Cayley transform between them, bubble-tree geometry with weighted norms, a
+Cayley transform between them, bubble-tree geometry with its weight, a
 numerical polyharmonic Pohozaev identity, and a radial shooting solver that
 reproduces the blow-up scaling mechanism at desk scale.
 
@@ -32,23 +32,21 @@ _EXPORTS = {
         "integrate_volume", "integrate_surface", "integrate_axisymmetric",
         "sphere_area", "ball_volume"),
     "bubbles": (
-        "BubbleSpec", "TensorSpec", "theta", "positive_bubble",
-        "bubble_field", "check_decay", "kernel_elements", "compute_IA",
-        "check_sign_condition", "DivergentIntegralError"),
+        "BubbleSpec", "theta", "positive_bubble", "check_decay"),
     "conformal": (
         "CayleyMap", "HalfSpaceBump", "GaussianXPow",
         "check_distance_identity", "check_norm_invariance",
-        "check_laplacian_conjugation", "SingularPointError"),
+        "SingularPointError"),
     "green": (
         "psi_ball", "psi_half", "kernel_integral", "green_ball", "green_half",
         "check_conformal_relation"),
     "tree": (
         "TreeConfig", "FamilyLaw", "InfluenceData", "Region",
         "AmbiguousScalesError", "epsilon", "classify", "check_dominance",
-        "interaction_sup", "eval_tree", "tree_value"),
+        "interaction_sup"),
     "weights": (
-        "psi_weight", "star_norm", "starstar_norm", "eta_sequences",
-        "giraud_verify", "convolution_bound_verify", "ratio_table_csv"),
+        "psi_weight", "eta_sequences", "giraud_verify",
+        "convolution_bound_verify", "ratio_table_csv"),
     "pohozaev": (
         "Jet", "MultiPoly", "PolynomialJet", "manufactured_dirichlet",
         "e_operator", "x_grad_laplacian", "pohozaev_lhs", "pohozaev_rhs",

@@ -155,16 +155,17 @@ def cmd_cayley_green(ns: argparse.Namespace) -> int:
 def cmd_tree(ns: argparse.Namespace) -> int:
     """Influence report plus dominance/interaction/eta tables for a
     bubble-tree configuration file."""
-    path = ns.config_file
-    if not path or not os.path.exists(path):
-        return _refuse(EXIT_USAGE, f"missing tree config file: {path}")
+    if ns.config_file is None:
+        return _refuse(EXIT_USAGE, "missing tree config file")
     try:
-        with open(path) as fh:
+        with open(ns.config_file) as fh:
             tree = TreeConfig.from_json(fh.read())
         c, R = np.asarray(tree.domain.center, float), tree.domain.radius
         for i, b in enumerate(tree.bubbles):
             if np.linalg.norm(b.center - c) >= R:
                 raise ValueError(f"bubble {i} center lies outside the domain")
+    except OSError as e:
+        return _refuse(EXIT_USAGE, f"cannot read tree config file: {e}")
     except (KeyError, TypeError, ValueError) as e:
         return _refuse(EXIT_USAGE, f"bad tree config: {e}")
     try:

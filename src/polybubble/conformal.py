@@ -1,7 +1,6 @@
 """Cayley transform between the unit ball and the upper half-space
 {x_1 > 0}, with numerical checks of its exact identities: the distance
-identity, critical-norm and derivative-norm invariance, and the conjugation
-of iterated Laplacians.
+identity and the critical-norm and derivative-norm invariances.
 
 Every derivative is exact up to rounding: the map, the transform and the
 profiles take Taylor coordinates (jets.Taylor) through the code that
@@ -29,7 +28,6 @@ __all__ = [
     "GaussianXPow",
     "check_distance_identity",
     "check_norm_invariance",
-    "check_laplacian_conjugation",
 ]
 
 _INVARIANCE_TOL = 1e-5  # relative difference check_norm_invariance accepts
@@ -251,27 +249,4 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
         "derivative": deriv,
         "tol": _INVARIANCE_TOL,
         "passed": (crit[2] < _INVARIANCE_TOL) and (deriv[2] < _INVARIANCE_TOL),
-    }
-
-
-def check_laplacian_conjugation(v, y, k: int) -> dict:
-    """Residual of (-Delta)^k v*(y) = |y+e_1|^{-n-2k} (-Delta)^k v(phi(y)),
-    both sides from order-2k Taylor expansions (_taylor_derivative).
-
-    Near y = -e_1 the conditioning degrades and a warning flag is set.
-    """
-    y = np.asarray(y, float)
-    n = y.size
-    cm = CayleyMap(n)
-    x = cm.phi(y[None, :])
-    fac = np.linalg.norm(y + cm.e1) ** (-(n + 2 * k))
-    sign = (-1.0) ** k
-    lhs = sign * _taylor_derivative(lambda q: cm.cayley_transform(v, k, q),
-                                    y[None, :], 2 * k)[0]
-    rhs = fac * sign * _taylor_derivative(v.value, x, 2 * k)[0]
-    return {
-        "residual": abs(lhs - rhs),
-        "lhs": lhs,
-        "rhs": rhs,
-        "conditioning_warning": bool(np.linalg.norm(y + cm.e1) < 1e-2),
     }

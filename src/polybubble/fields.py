@@ -1,43 +1,35 @@
-"""Exact derivative machinery for radial-type fields on R^n.
+"""Exact derivative machinery for radial fields on R^n.
 
-Everything a bubble computation needs is a finite sum of components
+A field is one profile about a centre,
 
-    z^{beta0} * G(s),      z = (x - center)/mu,   s = |z|^2,
+    F(x) = G(s),      z = x - center,   s = |z|^2,
 
 with G a smooth function of s.  Since d_i s = 2 z_i and Delta s = 2n, every
-mixed partial of every Laplacian iterate is again a sum of terms
+mixed partial of every Laplacian iterate is a sum of terms
 z^beta s^j G^{(m)}(s): no negative power of |z| appears, so one formula holds
 at the centre and away from it.  Delta stays in this form because z . z = s
-(see _termize), so d^alpha Delta^i of a component is one term list, not a sum
-of C(n+i-1, i) partials of order 2i.  The termization is done symbolically
+(see _termize), so d^alpha Delta^i F is one term list, not a sum of
+C(n+i-1, i) partials of order 2i.  The termization is done symbolically
 once and cached; evaluation is vectorized over point batches.  A profile's
-chain(m, s) is the list [G(s), G'(s), ..., G^{(m)}(s)]: rational profiles
-chain the exact d/d(r^2) of the radial algebra kernel; the smooth cutoff and
-products of profiles are truncated-Taylor arithmetic (jets.Taylor) over all
-points of the batch.
+chain(m, s) is the list [G(s), G'(s), ..., G^{(m)}(s)]: a rational profile
+chains the exact d/d(r^2) of the radial algebra kernel.
 
-A PointBatch holds z, s, the powers z_i^e and s^j and one chain per
-component for one set of points, each computed once: every partial taken on
-the batch (every entry of a Jet, every multiset of a tree's derivative
-tensor) reuses them.  The batch is the only cache of values, and it lives as
-long as its owner.
+A PointBatch holds z, s, the powers z_i^e and s^j and the profile's chain
+for one set of points, each computed once: every partial taken on the batch
+(every entry of a Jet, every multiset of a tensor norm) reuses them.  The
+batch is the only cache of values, and it lives as long as its owner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial
-
 import numpy as np
 
-from .jets import Jet, Taylor
+from .jets import Jet
 from .quadrature import as_points, row_sq_norms
 from .radial import RadialFunction, square_derivative
 
 __all__ = [
     "RationalProfile",
-    "ProductProfile",
-    "CutoffProfile",
     "PointBatch",
     "RadialTermField",
 ]
@@ -70,59 +62,6 @@ class RationalProfile:
         return [self._deriv(j)(r, self.a_value) for j in range(m + 1)]
 
 
-def _factorials(m: int, ndim: int):
-    """0!, 1!, ..., m! shaped (m + 1, 1, ..., 1) with ndim unit axes: the
-    factors between Taylor coefficients and derivatives."""
-    return np.array([factorial(j) for j in range(m + 1)],
-                    float).reshape((-1,) + (1,) * ndim)
-
-
-class ProductProfile:
-    """Pointwise product of profiles g_i(r / r_i), i.e. of G_i(s / r_i^2).
-
-    factors is a list of (profile, r_i).  The chain is one truncated-Taylor
-    product in h of the factors' series G_i((s + h) / r_i^2), whose j-th
-    coefficient is G_i^{(j)} / (j! r_i^{2j}).
-    """
-
-    def __init__(self, factors):
-        self.factors = list(factors)
-
-    def chain(self, m: int, s):
-        s = np.asarray(s, float)
-        facts = _factorials(m, s.ndim)
-        j = np.arange(m + 1.0).reshape(facts.shape)
-        prod = 1.0
-        for prof, r in self.factors:
-            g = np.array(prof.chain(m, s / (r * r)))
-            prod = Taylor(g / (facts * (r * r) ** j)) * prod
-        return [c[()] for c in prod.c * facts]
-
-
-# ---------------------------------------------------------------------------
-# Smooth cutoff: 1 on [0, 1/2], 0 on [1, inf)
-# ---------------------------------------------------------------------------
-
-class CutoffProfile:
-    """chi(rho) = psi(2 rho - 1) as a function of s = rho^2, with
-    psi(t) = f(1-t) / (f(1-t) + f(t)), f(u) = e^{-1/u}: exactly 1 on
-    s <= 1/4, exactly 0 on s >= 1.  On the ramp the chain is one Taylor
-    composition in h for all points: psi(2 sqrt(s + h) - 1).
-    """
-
-    def chain(self, m: int, s):
-        s = np.asarray(s, float)
-        flat = s.reshape(-1)
-        t0 = 2.0 * np.sqrt(flat) - 1.0
-        out = np.zeros((m + 1, len(flat)))
-        out[0, t0 <= 0.0] = 1.0
-        ramp = (t0 > 0.0) & (t0 < 1.0)
-        t = 2.0 * Taylor.line(flat[ramp], 1.0, m) ** 0.5 - 1.0
-        f1 = np.exp(-1.0 / (1.0 - t))
-        out[:, ramp] = (f1 / (f1 + np.exp(-1.0 / t))).c * _factorials(m, 1)
-        return [row.reshape(s.shape)[()] for row in out]
-
-
 # ---------------------------------------------------------------------------
 # Termization of partial derivatives
 # ---------------------------------------------------------------------------
@@ -135,15 +74,13 @@ def _add(terms: dict, key, c: float):
     terms[key] = terms.get(key, 0.0) + c
 
 
-def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...], lap: int = 0):
-    """Terms of d^alpha Delta^lap [z^beta0 G(s)], s = |z|^2, in z-units.
+def _termize(n: int, alpha: tuple[int, ...], lap: int = 0):
+    """Terms of d^alpha Delta^lap [G(s)], s = |z|^2.
 
     Delta acts first, lap times, by
 
-        Delta z^b s^j G^(m) = sum_i b_i (b_i - 1) z^(b - 2e_i) s^j G^(m)
-                              + j (4|b| + 2n + 4j - 4) z^b s^(j-1) G^(m)
-                              + (4|b| + 2n + 8j) z^b s^j G^(m+1)
-                              + 4 z^b s^(j+1) G^(m+2),
+        Delta s^j G^(m) = j (2n + 4j - 4) s^(j-1) G^(m)
+                          + (2n + 8j) s^j G^(m+1) + 4 s^(j+1) G^(m+2),
 
     then each index of alpha by
 
@@ -153,21 +90,17 @@ def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...], lap: int = 
     With lap = 0 every j is 0, so the last branch never fires and the terms
     are those of the d_i rule alone, in the same order.
     """
-    key = (n, beta0, alpha, lap)
+    key = (n, alpha, lap)
     if key in _TERM_CACHE:
         return _TERM_CACHE[key]
-    terms = {(beta0, 0, 0): 1.0}
+    zero = (0,) * n
+    terms = {(zero, 0, 0): 1.0}
     for _ in range(lap):
         new: dict = {}
         for (beta, j, m), c in terms.items():
-            for i, b in enumerate(beta):
-                if b > 1:
-                    down = beta[:i] + (b - 2,) + beta[i + 1:]
-                    _add(new, (down, j, m), c * b * (b - 1))
-            nb = 4 * sum(beta) + 2 * n
             if j:
-                _add(new, (beta, j - 1, m), c * j * (nb + 4 * j - 4))
-            _add(new, (beta, j, m + 1), c * (nb + 8 * j))
+                _add(new, (beta, j - 1, m), c * j * (2 * n + 4 * j - 4))
+            _add(new, (beta, j, m + 1), c * (2 * n + 8 * j))
             _add(new, (beta, j + 1, m + 2), 4.0 * c)
         terms = new
     for i in alpha:
@@ -186,17 +119,10 @@ def _termize(n: int, beta0: tuple[int, ...], alpha: tuple[int, ...], lap: int = 
     return out
 
 
-@dataclass
-class _Component:
-    beta0: tuple[int, ...]
-    profile: RationalProfile | CutoffProfile | ProductProfile
-    coeff: float = 1.0
-
-
 class PointBatch:
     """One point batch of a RadialTermField: z, s, the column powers z_i^e
-    and the powers s^j its partials use and, per component, the profile
-    chain up to the highest order any partial has asked for.
+    and the powers s^j its partials use and the profile chain up to the
+    highest order any partial has asked for.
 
     Pass it as the points of field.partial.  order is the chain length to
     compute on first use (a Jet's order), so that later partials of higher
@@ -208,9 +134,9 @@ class PointBatch:
         self.field = field
         self.shape = pts.shape
         self.order = order
-        self.z = (pts - field.center) / field.mu
+        self.z = pts - field.center
         self.s = row_sq_norms(self.z)
-        self._chains: dict[int, list] = {}
+        self._chain: list = []
         self._powers: dict[tuple[int, int], np.ndarray] = {}
         self._s_powers: dict[int, np.ndarray] = {}
 
@@ -228,38 +154,31 @@ class PointBatch:
             p = self._s_powers[j] = self.s ** j
         return p
 
-    def chain(self, i: int, m: int) -> list:
-        """[G, G', ..., G^(m')] of component i at s, for some m' >= m."""
-        ch = self._chains.get(i)
-        if ch is None or len(ch) <= m:
-            profile = self.field.components[i].profile
-            ch = self._chains[i] = profile.chain(max(m, self.order), self.s)
-        return ch
+    def chain(self, m: int) -> list:
+        """[G, G', ..., G^(m')] at s, for some m' >= m."""
+        if len(self._chain) <= m:
+            self._chain = self.field.profile.chain(max(m, self.order), self.s)
+        return self._chain
 
 
 class RadialTermField:
-    """Field F(x) = amplitude * sum_c coeff_c (z^{beta0_c}) G_c(|z|^2), with
-    z = (x - center)/mu.  Exact partial derivatives of any order.
-    """
+    """Field F(x) = G(|x - center|^2) of one profile G.  Exact partial
+    derivatives of any order."""
 
-    def __init__(self, n: int, center, components, mu: float = 1.0,
-                 amplitude: float = 1.0):
+    def __init__(self, n: int, center, profile: RationalProfile):
         self.n = n
         self.center = np.asarray(center, float)
-        self.mu = float(mu)
-        self.amplitude = float(amplitude)
-        self.components = [_Component(*c) for c in components]
+        self.profile = profile
 
     @classmethod
-    def radial(cls, n, center, profile, mu=1.0, amplitude=1.0):
-        return cls(n, center, [((0,) * n, profile)], mu, amplitude)
+    def radial(cls, n, center, profile):
+        """The field of profile about center: the constructor by name."""
+        return cls(n, center, profile)
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, points):
         return self.partial((), points)
-
-    __call__ = value
 
     def partial(self, alpha, points, lap: int = 0):
         """d^alpha Delta^lap F for the index multiset alpha, vectorized.
@@ -269,20 +188,18 @@ class RadialTermField:
             points = PointBatch(self, points)
         elif points.field is not self:
             raise ValueError("point batch belongs to another field")
+        terms = _termize(self.n, alpha, lap)
+        dchain = points.chain(max(m for *_, m in terms))
         acc = np.zeros(len(points.z))
-        for i, comp in enumerate(self.components):
-            terms = _termize(self.n, comp.beta0, alpha, lap)
-            m_max = max(m for *_, m in terms)
-            dchain = points.chain(i, m_max)
-            for cc, beta, j, m in terms:
-                v = cc * dchain[m]
-                for coord, e in enumerate(beta):
-                    if e:
-                        v = v * points.power(coord, e)
-                if j:
-                    v = v * points.s_power(j)
-                acc += comp.coeff * v
-        return self.amplitude * acc * self.mu ** (-len(alpha) - 2 * lap)
+        for cc, beta, j, m in terms:
+            v = cc * dchain[m]
+            for coord, e in enumerate(beta):
+                if e:
+                    v = v * points.power(coord, e)
+            if j:
+                v = v * points.s_power(j)
+            acc += v
+        return acc
 
     # -- tensors and jets ----------------------------------------------------
 

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "multisets",
     "multiset_multiplicity",
-    "tensor_norm",
     "Jet",
     "Taylor",
 ]
@@ -44,14 +43,6 @@ def multiset_multiplicity(alpha: tuple[int, ...]) -> int:
     for i in set(alpha):
         m //= factorial(alpha.count(i))
     return m
-
-
-def tensor_norm(partial, n: int, l: int):
-    """Frobenius norm of the symmetric order-l tensor alpha -> partial(alpha) on R^n."""
-    tot = 0.0
-    for alpha in multisets(n, l):
-        tot = tot + multiset_multiplicity(alpha) * partial(alpha) ** 2
-    return np.sqrt(tot)
 
 
 class Jet:
@@ -119,7 +110,10 @@ class Jet:
 
     def tensor_norm(self, l: int):
         """Frobenius norm of the order-l derivative tensor."""
-        return tensor_norm(self.partial, self.n, l)
+        tot = 0.0
+        for alpha in multisets(self.n, l):
+            tot = tot + multiset_multiplicity(alpha) * self.partial(alpha) ** 2
+        return np.sqrt(tot)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Bubble-tree geometry: the structure relation, slower/faster bubble sets,
-radii of influence, dominance regions, interaction estimates, and evaluation
-of a whole tree (bubbles + kernel corrections).
+radii of influence, dominance regions and interaction estimates.
 
 Asymptotic sets are limit statements about sequences, so configurations can
 carry a power-law family mu^i(alpha) = c_i alpha^{-gamma_i} with fixed
@@ -16,14 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import (BubbleSpec, _json_object, _localized, bubble_field,
-                      kernel_elements, positive_bubble, theta)
-from .fields import PointBatch
-from .jets import tensor_norm
+from .bubbles import BubbleSpec, _json_object, positive_bubble, theta
 from .quadrature import Ball, as_points, row_sq_norms
 from .radial import bubble_constant, critical_exponent
 
@@ -41,8 +37,6 @@ __all__ = [
     "check_dominance",
     "pair_maxima",
     "interaction_sup",
-    "eval_tree",
-    "tree_value",
     "stratified_samples",
 ]
 
@@ -72,14 +66,10 @@ class FamilyLaw:
 
 @dataclass
 class TreeConfig:
-    """An ordered bubble family with kernel coefficients.
-
-    bubbles must satisfy mu^{N-1} <= ... <= mu^0 < 1 (slowest first); nu maps
-    (bubble index, kernel index 0..n) to a small coefficient.
-    """
+    """An ordered bubble family: bubbles must satisfy
+    mu^{N-1} <= ... <= mu^0 < 1 (slowest first)."""
 
     bubbles: list
-    nu: dict = dc_field(default_factory=dict)
     family_law: FamilyLaw | None = None
     domain: Ball | None = None
 
@@ -104,18 +94,15 @@ class TreeConfig:
             raise ValueError(f"domain radius must be positive, got {R}")
         if not np.isfinite([*c, R]).all():
             raise ValueError("domain center and radius must be finite")
-        N = len(self.bubbles)
-        for i, j in self.nu:
-            if not (0 <= i < N and 0 <= j <= n):
-                raise ValueError(f"nu key {i},{j} needs a bubble index in "
-                                 f"[0, {N}) and a kernel index in [0, {n}]")
         law = self.family_law
         if law is not None:
+            N = len(self.bubbles)
             if ({len(law.mu_coeff), len(law.mu_exp), len(law.center_base)} != {N}
                     or {len(c) for c in law.center_base} != {n}):
                 raise ValueError("family law size mismatch")
-            if any(g <= 0 for g in law.mu_exp):
-                raise ValueError("family-law scale exponents must be positive")
+            if not all(0 < v < math.inf for v in [*law.mu_coeff, *law.mu_exp]):
+                raise ValueError("family-law scale coefficients and exponents "
+                                 "must be finite and > 0")
 
     @property
     def n(self):
@@ -127,7 +114,7 @@ class TreeConfig:
 
     @classmethod
     def from_family(cls, law: FamilyLaw, alpha: float, n: int, k: int):
-        """The family at alpha, slowest bubble first, with no kernel terms."""
+        """The family at alpha, slowest bubble first."""
         order = np.argsort([-law.mu(i, alpha) for i in range(law.n_bubbles())],
                            kind="stable")
         law = FamilyLaw(*([f[i] for i in order]
@@ -140,7 +127,6 @@ class TreeConfig:
     def to_json(self) -> str:
         d = {
             "bubbles": [json.loads(b.to_json()) for b in self.bubbles],
-            "nu": {f"{i},{j}": v for (i, j), v in self.nu.items()},
             "domain": {"center": list(map(float, self.domain.center)),
                        "radius": self.domain.radius},
         }
@@ -157,15 +143,11 @@ class TreeConfig:
         """The config of a to_json record.  Raises ValueError on a key it
         does not read and on a container of the wrong JSON type."""
         d = _json_object(json.loads(text), "tree config",
-                         ("bubbles", "nu", "domain", "family_law"))
+                         ("bubbles", "domain", "family_law"))
         if not isinstance(d["bubbles"], list):
             raise ValueError("bubbles must be a JSON list, not "
                              f"{type(d['bubbles']).__name__}")
         bubbles = [BubbleSpec.from_dict(b) for b in d["bubbles"]]
-        nu = {}
-        for key, v in _json_object(d.get("nu", {}), "nu").items():
-            i, j = key.split(",")
-            nu[(int(i), int(j))] = float(v)
         dom = law = None
         if "domain" in d:
             dd = _json_object(d["domain"], "domain", ("center", "radius"))
@@ -173,7 +155,7 @@ class TreeConfig:
         if "family_law" in d:
             law = FamilyLaw(**_json_object(d["family_law"], "family_law",
                                            ("mu_coeff", "mu_exp", "center_base")))
-        return cls(bubbles, nu, law, dom)
+        return cls(bubbles, law, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -429,40 +411,3 @@ def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int, *,
     bound = t1**expo + t2**expo + t3
     return {"i": i, "lhs": lhs, "bound": bound, "ratio": lhs / bound,
             "samples": len(pts)}
-
-
-# ---------------------------------------------------------------------------
-# Tree evaluation
-# ---------------------------------------------------------------------------
-
-def _tree_fields(cfg: TreeConfig):
-    """V_i and the nonzero corrections nu_ij Z_ij of each bubble i, every one
-    localized by bubbles._localized."""
-    fields = []
-    for idx, b in enumerate(cfg.bubbles):
-        fields.append(bubble_field(b, cfg.domain))
-        nus = [(j, v) for (i, j), v in cfg.nu.items() if i == idx and v != 0.0]
-        kers = kernel_elements(b.n, b.k) if nus else []
-        fields += [_localized(b, cfg.domain, kers[j], v) for j, v in nus]
-    return fields
-
-
-def tree_value(cfg: TreeConfig, x) -> np.ndarray:
-    """Signed value of the tree W = sum V_i + sum nu Z_ij at points x."""
-    x = as_points(x)
-    tot = np.zeros(len(x))
-    for F in _tree_fields(cfg):
-        tot += F.value(x)
-    return tot
-
-
-def eval_tree(cfg: TreeConfig, x, l: int) -> np.ndarray:
-    """Magnitude of the order-l derivative tensor of the tree at points x."""
-    if not 0 <= l <= 2 * cfg.k - 1:
-        raise ValueError("need 0 <= l <= 2k-1")
-    x = as_points(x)
-    if l == 0:
-        return np.abs(tree_value(cfg, x))
-    batches = [PointBatch(F, x, l) for F in _tree_fields(cfg)]
-    return tensor_norm(lambda alpha: sum(b.field.partial(alpha, b) for b in batches),
-                       cfg.n, l)

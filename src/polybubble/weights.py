@@ -1,7 +1,6 @@
-"""Weighted norms adapted to a bubble-tree (the Psi weight, the star and
-double-star norms, the eta control sequences) and numerical verifiers for the
-convolution-integral lemmas: Giraud's lemma and the bubble-tree estimates it
-feeds.
+"""The weight Psi of a bubble-tree, the eta control sequences, and
+numerical verifiers for the convolution-integral lemmas: Giraud's lemma and
+the bubble-tree estimates it feeds.
 
 Verification here means measured boundedness: the source bounds carry
 unspecified constants, so each verifier reports LHS/RHS ratios across sweeps
@@ -24,8 +23,6 @@ from .tree import (TreeConfig, classify, pair_maxima, pair_sum, theta_pow_B,
 
 __all__ = [
     "psi_weight",
-    "star_norm",
-    "starstar_norm",
     "eta_sequences",
     "giraud_verify",
     "convolution_bound_verify",
@@ -34,7 +31,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Weights and norms
+# The weight
 # ---------------------------------------------------------------------------
 
 def psi_weight(cfg: TreeConfig, y) -> np.ndarray:
@@ -46,32 +43,6 @@ def psi_weight(cfg: TreeConfig, y) -> np.ndarray:
     for b, Bb in zip(cfg.bubbles, B):
         out += theta(b, y) ** (2 - 2 * cfg.k) * Bb
     return pair_sum(cfg, B, out)
-
-
-def star_norm(phi, cfg: TreeConfig, grid) -> float:
-    """max over the grid of sum_{l=0}^{2k-1} |grad^l phi| / (1 + sum theta^{-l} B).
-
-    phi must expose value(points) and tensor_norm(l, points).
-    """
-    grid = as_points(grid)
-    total = np.zeros(len(grid))
-    for l in range(2 * cfg.k):
-        mag = np.abs(phi.value(grid)) if l == 0 else phi.tensor_norm(l, grid)
-        total += mag / weight_sum(cfg, l, grid)
-    return float(np.max(total))
-
-
-def starstar_norm(R, cfg: TreeConfig, grid, eta: float) -> float:
-    """max over the grid of |R| / (Psi + eta sum_{i=0..N} B_i^{2#-1})."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    grid = as_points(grid)
-    ts = critical_exponent(cfg.n, cfg.k)
-    den = psi_weight(cfg, grid) + eta * np.ones(len(grid))  # index-0 profile
-    for b in cfg.bubbles:
-        den += eta * positive_bubble(b, grid) ** (ts - 1.0)
-    vals = np.abs(np.asarray(R(grid), float))
-    return float(np.max(vals / den))
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +127,13 @@ _ETA_X_COUNT = 2  # evaluation points (sample_x_points) of eta2's sup
 
 
 def eta_sequences(cfg: TreeConfig, *, seed: int = 0) -> dict:
-    """The four control sequences of the weighted-norm machinery:
+    """The three control sequences of the weighted-norm machinery:
 
     eta1 = L^{2n/(n+2k)} norm of Psi over the domain (quadrature);
     eta2 = sup_x max_l int |x-y|^{2k-n-l} Psi(y) dy / (1 + sum theta^{-l} B),
            over the first _ETA_X_COUNT points of sample_x_points;
     eta3 = (max eps^{-1/2})^m + (max scale-ratio^{(2k-1)/(2(n-1))})^m
-           + max_i mu_i^{min((n-2k)/2, 2k, 1)},  m = min(n-2k, 4k);
-    eta4 = max |nu| over the kernel coefficients.
+           + max_i mu_i^{min((n-2k)/2, 2k, 1)},  m = min(n-2k, 4k).
     """
     n, k = cfg.n, cfg.k
     data = classify(cfg)
@@ -184,14 +154,13 @@ def eta_sequences(cfg: TreeConfig, *, seed: int = 0) -> dict:
     eta2 = max(row["ratio"] for row in convolution_bound_verify(
         "lem2", cfg, {"i": 0, "x_count": _ETA_X_COUNT}, seed=seed))
 
-    # eta3, eta4: arithmetic on the configuration
+    # eta3: arithmetic on the configuration
     m = min(n - 2 * k, 4 * k)
     t1, t2 = pair_maxima(cfg, data)
     eta3 = t1**m + t2**m + max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k, 1)
-    eta4 = max((abs(v) for v in cfg.nu.values()), default=0.0)
 
-    return {"eta1": eta1, "eta2": eta2, "eta3": eta3, "eta4": eta4,
-            "eta": max(eta1, eta2, eta3, eta4)}
+    return {"eta1": eta1, "eta2": eta2, "eta3": eta3,
+            "eta": max(eta1, eta2, eta3)}
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,18 @@ def test_tree_malformed_config(tmp_path):
     assert code2 == 2
 
 
+def test_tree_refuses_a_directory(tmp_path, capsys):
+    """A directory in place of the config file exits 2 with one line, as
+    --config does."""
+    code, out = run_cli(["tree", FIXTURES], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("cannot read tree config file: ")
+    assert not os.path.exists(os.path.join(out, "tree", "influence.json"))
+
+
 @pytest.mark.parametrize("part,key,value", [
     ("bubble", "kind", "boundary"),
     ("bubble", "profile", "external"),
@@ -160,6 +172,8 @@ def test_tree_malformed_config(tmp_path):
     ("config", "nu", {"5,0": 0.1}),
     ("config", "nu", {"0,9": 0.1}),
     ("config", "nu", []),
+    ("config", "nu", {"0,0": 0.1}),
+    ("config", "nu", {}),
     ("config", "bubbles", {}),
     ("config", "domain", [0, 1]),
     ("config", "family_law", []),
@@ -176,20 +190,27 @@ def test_tree_malformed_config(tmp_path):
     ("domain", "radius", float("inf")),
     ("family_law", "mu_exp", [1.0]),
     ("family_law", "center_base", [[0.4], [-0.4]]),
+    ("family_law", "mu_coeff", [-1.0, 0.8]),
+    ("family_law", "mu_coeff", [0.0, 0.8]),
+    ("family_law", "mu_coeff", [float("nan"), 0.8]),
+    ("family_law", "mu_exp", [float("nan"), 1.0]),
 ], ids=["boundary-kind", "external-profile", "short-center", "short-domain-center",
         "negative-radius", "center-outside", "nu-bubble-index", "nu-kernel-index",
-        "nu-list", "bubbles-object", "domain-list", "family-law-list",
+        "nu-list", "nu-in-range", "empty-nu", "bubbles-object", "domain-list", "family-law-list",
         "unknown-key", "unknown-bubble-key", "alpha", "include-u0", "center-exp",
         "fractional-k", "float-n", "nan-mu", "nan-center", "infinite-domain-center",
-        "infinite-radius", "short-mu-exp", "short-center-base"])
+        "infinite-radius", "short-mu-exp", "short-center-base",
+        "negative-mu-coeff", "zero-mu-coeff", "nan-mu-coeff", "nan-mu-exp"])
 def test_tree_refuses_configs_it_cannot_use(tmp_path, capsys, part, key, value):
     """A bubble that is not interior and standard, orders that are not
     integers, a scale that is not positive, a centre of the wrong length or
     with an entry that is not finite, a domain radius that is not positive
-    and finite, a bubble centre outside the domain, a nu key outside
-    [0, N) x [0, n], a family law whose lists do not have N entries or whose
-    centres do not have n, a container of the wrong JSON type and a key the
-    reader does not take each exit 2 with one line and no report."""
+    and finite, a bubble centre outside the domain, a family law whose lists
+    do not have N entries, whose centres do not have n or whose scale
+    coefficients or exponents are not finite and > 0, a container of the
+    wrong JSON type and a key the reader does not take (the dropped kernel
+    coefficients "nu" among them) each exit 2 with one line and no
+    report."""
     with open(os.path.join(FIXTURES, "separated.json")) as fh:
         cfg = json.load(fh)
     {"bubble": cfg["bubbles"][0], "domain": cfg["domain"],

@@ -1,15 +1,14 @@
-"""Cayley transform: map algebra, exact identities, Jacobian determinant,
-norm invariances, and the Laplacian conjugation from Taylor expansions."""
+"""Cayley transform: map algebra, exact identities, Jacobian determinant and
+norm invariances."""
 
 import numpy as np
 import pytest
 
 from polybubble.conformal import (CayleyMap, GaussianXPow, HalfSpaceBump,
                                   SingularPointError, check_distance_identity,
-                                  check_laplacian_conjugation,
                                   check_norm_invariance)
 from polybubble.green import psi_ball, psi_half
-from polybubble.quadrature import as_points, row_sq_norms
+from polybubble.quadrature import as_points
 
 
 def ball_points(n, m, seed=0, rmax=0.9):
@@ -210,65 +209,3 @@ def test_norm_invariance_derivative_rows_are_tight(n, k):
     for u in (GaussianXPow(n, k), GaussianXPow(n, k, shift=0.7)):
         rep = check_norm_invariance(u, n, k)
         assert rep["derivative"][2] <= 1e-10, (n, k, u.center[0])
-
-
-class _PolyBump:
-    """(1 - |x-c|^2/R^2)_+^m: compactly supported, C^{m-1}."""
-
-    def __init__(self, n, c, R, m=6):
-        self.c = np.asarray(c, float)
-        self.R = R
-        self.m = m
-
-    def value(self, x):
-        x = as_points(x)
-        t = 1.0 - row_sq_norms(x - self.c) / self.R**2
-        return (t * (t > 0)) ** self.m
-
-
-class _X1SqBump(_PolyBump):
-    def value(self, x):
-        x = as_points(x)
-        return x[:, 0] ** 2 * super().value(x)
-
-
-def test_laplacian_conjugation_zero():
-    rep = check_laplacian_conjugation(_Zero(), np.zeros(3), 1)
-    assert rep["residual"] == 0.0
-
-
-def _relative_residual(rep):
-    return rep["residual"] / max(abs(rep["lhs"]), abs(rep["rhs"]))
-
-
-def test_laplacian_conjugation_poly_bump():
-    """k = 1 on a C^5 bump: both sides agree to rounding."""
-    v = _PolyBump(3, [0.5, 0.0, 0.0], 0.3)
-    y = np.array([0.05, 0.02, -0.03])
-    rep = check_laplacian_conjugation(v, y, 1)
-    assert abs(rep["lhs"]) > 1.0
-    assert _relative_residual(rep) <= 1e-12
-
-
-def test_laplacian_conjugation_x1sq_bump():
-    v = _X1SqBump(3, [0.5, 0.0, 0.0], 0.3)
-    y = np.array([0.02, -0.04, 0.05])
-    rep = check_laplacian_conjugation(v, y, 1)
-    assert abs(rep["lhs"]) > 1e-2
-    assert _relative_residual(rep) <= 1e-12
-
-
-@pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (3, 3)])
-def test_laplacian_conjugation_gaussian_xpow(n, k):
-    """(-Delta)^k v* = |y+e_1|^{-n-2k} (-Delta)^k v(phi(y)) for k = 1, 2, 3
-    (direction rules of degree 3, 5 and the product Gauss rule)."""
-    v = GaussianXPow(n, k, shift=0.7)
-    for y in ball_points(n, 3, seed=8, rmax=0.6):
-        rep = check_laplacian_conjugation(v, y, k)
-        assert _relative_residual(rep) <= 1e-12, (n, k, y)
-
-
-def test_laplacian_conjugation_warns_near_singularity():
-    v = _PolyBump(3, [0.5, 0.0, 0.0], 0.3)
-    rep = check_laplacian_conjugation(v, np.array([-0.995, 0.0, 0.0]), 1)
-    assert rep["conditioning_warning"]

@@ -1,8 +1,8 @@
-"""Point batches of exact radial fields: every entry of a Jet, a tensor norm
-and a tree's derivative tensor evaluates z, s and each profile's derivative
-chain once per point batch, and gives the same bits as a one-off partial.
-Laplacian iterates, which the fields apply in closed form, match the sum of
-pure partials over multisets."""
+"""Point batches of exact radial fields: every entry of a Jet and of a
+tensor norm evaluates z, s and the profile's derivative chain once per point
+batch, and gives the same bits as a one-off partial.  Laplacian iterates,
+which the fields apply in closed form, match the sum of pure partials over
+multisets."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -11,38 +11,27 @@ import numpy as np
 import pytest
 
 from polybubble import radial
-from polybubble.bubbles import BubbleSpec, bubble_field, kernel_elements
-from polybubble.fields import (CutoffProfile, PointBatch, ProductProfile,
-                               RadialTermField, RationalProfile)
+from polybubble.fields import PointBatch, RadialTermField, RationalProfile
 from polybubble.jets import multiset_multiplicity, multisets
 from polybubble.pohozaev import MultiPoly, manufactured_dirichlet
-from polybubble.quadrature import Ball, _sphere_rule
+from polybubble.quadrature import _sphere_rule
 from polybubble.radial import bubble_constant, make_bubble
-from polybubble.tree import TreeConfig, _tree_fields, eval_tree
 
 
-def _radial_bubble(n, k, mu=1.0):
+def _radial_bubble(n, k, center=None):
     prof = RationalProfile(make_bubble(n, k), bubble_constant(n, k))
-    return RadialTermField.radial(n, np.zeros(n), prof, mu=mu)
+    return RadialTermField.radial(n, np.zeros(n) if center is None else center,
+                                  prof)
 
 
-def _cutoff_bubble():
-    """The n = 7, k = 2, mu = 0.1 bubble of the unit ball: cutoff times
-    rational profile, a two-factor ProductProfile."""
-    spec = BubbleSpec("interior", 7, 2, np.full(7, 0.05), 0.1)
-    return bubble_field(spec, Ball((0.0,) * 7, 1.0))
-
-
-def _kernel_translation():
-    F = kernel_elements(5, 2)[2]  # d_2 B: one component z_2 * h(s)
-    assert F.components[0].beta0 != (0,) * 5
-    return F
+def _off_centre_bubble():
+    """The n = 7, k = 2 bubble about a centre off the origin."""
+    return _radial_bubble(7, 2, np.full(7, 0.05))
 
 
 @pytest.mark.parametrize("make, order, npts", [
-    (lambda: _radial_bubble(9, 3, mu=0.7), 6, 3),
-    (_cutoff_bubble, 4, 6),
-    (_kernel_translation, 3, 6),
+    (lambda: _radial_bubble(9, 3), 6, 3),
+    (_off_centre_bubble, 4, 6),
 ])
 def test_jet_entries_match_one_off_partials_bitwise(make, order, npts):
     F = make()
@@ -59,66 +48,21 @@ def test_jet_entries_match_one_off_partials_bitwise(make, order, npts):
         assert one.partial(alpha) == F.partial(alpha, pts[1:2])[0]
 
 
-def test_eval_tree_matches_per_multiset_partials():
-    cfg = TreeConfig([BubbleSpec("interior", 7, 2, np.zeros(7), 0.1),
-                      BubbleSpec("interior", 7, 2, np.full(7, 0.1), 0.02)],
-                     nu={(0, 0): 0.01, (1, 3): 0.02})
-    x = 0.3 * np.random.default_rng(5).normal(size=(8, 7))
-    for l in (1, 2, 3):
-        tot = np.zeros(len(x))
-        for alpha in multisets(7, l):
-            entry = np.zeros(len(x))
-            for F in _tree_fields(cfg):
-                entry += F.partial(alpha, x)
-            tot += multiset_multiplicity(alpha) * entry**2
-        np.testing.assert_array_equal(eval_tree(cfg, x, l), np.sqrt(tot))
-
-
-def test_cutoff_chain_does_not_depend_on_its_length():
-    G = CutoffProfile()
-    s = np.linspace(0.0, 1.2, 241)
-    chains = [G.chain(m, s) for m in range(7)]
-    for m in range(7):
-        for j in range(m + 1):
-            np.testing.assert_array_equal(chains[m][j], chains[j][j])
-    assert G.chain(3, 0.5)[2] == chains[2][2][100]  # scalar in, scalar out
-
-
-def test_tensor_norm_evaluates_the_cutoff_chain_once():
-    """The cutoff factor's chain is one vectorised call per point batch, at
-    the order of the batch."""
-    F = _cutoff_bubble()
-    (chi, _), _ = F.components[0].profile.factors
+def test_tensor_norm_evaluates_the_profile_chain_once():
+    """The profile's chain is one vectorised call per point batch, at the
+    order of the batch."""
+    F = _off_centre_bubble()
     calls = []
-    chain = chi.chain
-    chi.chain = lambda m, s: calls.append((m, np.shape(s))) or chain(m, s)
+    chain = F.profile.chain
+    F.profile.chain = lambda m, s: calls.append((m, np.shape(s))) or chain(m, s)
     pts = F.center + 0.4 * np.random.default_rng(2).uniform(-1, 1, (200, 7))
     norm = F.tensor_norm(4, pts)
     assert calls == [(4, (200,))]
     assert np.all(np.isfinite(norm)) and np.any(norm > 0)
 
 
-def test_product_chain_matches_the_leibniz_rule():
-    """The Taylor product of a cutoff and a rational factor against the
-    Leibniz sum of C(m, j) G_1^(j) G_2^(m-j) over the factors' own chains,
-    to 1e-14 of max |G^(m)| (the two orders of summation round apart)."""
-    from math import comb
-
-    from polybubble.fields import ProductProfile
-
-    chi, (r1, r2) = CutoffProfile(), (0.9, 0.1)
-    rat = RationalProfile(make_bubble(7, 2), bubble_constant(7, 2))
-    s, M = np.linspace(0.0, 1.0, 201), 6
-    got = ProductProfile([(chi, r1), (rat, r2)]).chain(M, s)
-    a = [g / r1 ** (2 * j) for j, g in enumerate(chi.chain(M, s / r1**2))]
-    b = [g / r2 ** (2 * j) for j, g in enumerate(rat.chain(M, s / r2**2))]
-    for m in range(M + 1):
-        want = sum(comb(m, j) * a[j] * b[m - j] for j in range(m + 1))
-        assert np.abs(got[m] - want).max() <= 1e-14 * np.abs(want).max()
-
-
 def test_point_batch_computes_each_column_power_once():
-    F = _kernel_translation()
+    F = _radial_bubble(5, 2, np.full(5, 0.1))
     pts = np.random.default_rng(3).normal(size=(4, F.n))
     batch = PointBatch(F, pts)
     p = batch.power(2, 3)
@@ -128,8 +72,7 @@ def test_point_batch_computes_each_column_power_once():
     assert batch.power(2, 3) is p
 
 
-@pytest.mark.parametrize("make", [lambda: _radial_bubble(7, 2),
-                                  _kernel_translation])
+@pytest.mark.parametrize("make", [lambda: _radial_bubble(7, 2)])
 def test_jet_evaluates_each_rational_order_once(make, monkeypatch):
     F = make()
     calls = []
@@ -183,53 +126,24 @@ def _multiset_lap(partial, n, i, extra=()):
     return (-1.0) ** i * sum(vals), sum(np.abs(v) for v in vals)
 
 
-def _cutoff_field(n):
-    return RadialTermField.radial(n, np.full(n, 0.1), CutoffProfile(), mu=0.7)
-
-
-def _product_field(n):
-    k = 1 if n < 5 else 2
-    rat = RationalProfile(make_bubble(n, k), bubble_constant(n, k))
-    prof = ProductProfile([(CutoffProfile(), 0.9), (rat, 0.2)])
-    return RadialTermField.radial(n, np.zeros(n), prof, mu=0.8, amplitude=1.3)
-
-
-def _translation_field(n):
-    """The kernel element d_2 B of the k = 1 bubble, as bubbles.py builds
-    it: one component z_2 h(s), with beta0 = e_2."""
-    return kernel_elements(n, 1)[2]
-
-
-def _two_component_field(n):
-    """z_1^3 z_2 G(s) + 0.5 chi(s): a beta0 with an entry above 1, which
-    takes the z^(b - 2e_i) branch of the Laplacian rule."""
-    beta0 = (3, 1) + (0,) * (n - 2)
-    rat = RationalProfile(make_bubble(n, 1), bubble_constant(n, 1))
-    comps = [(beta0, rat), ((0,) * n, CutoffProfile(), 0.5)]
-    return RadialTermField(n, np.full(n, -0.1), comps, mu=0.9)
-
-
-_LAP_FIELDS = pytest.mark.parametrize("make", [
-    lambda n: _radial_bubble(n, 1, mu=0.7), _cutoff_field, _product_field,
-    _translation_field, _two_component_field],
-    ids=["rational", "cutoff", "product", "beta0-e2", "beta0-3e1+e2"])
-
-
-@_LAP_FIELDS
+@pytest.mark.parametrize("make", [
+    lambda n: _radial_bubble(n, 1),
+    lambda n: _radial_bubble(n, 1, np.full(n, -0.1))],
+    ids=["rational", "off-centre"])
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_lap_iter_matches_the_multiset_sum(make, n):
     """lap_iter, grad_lap and hess_lap (its entries on four axes) for i <= 3
     against the multiset sums of the same jet's pure partials, to 2e-14 of
     the sum of the terms' magnitudes (the two sums round apart; the worst
-    seen is 3.3e-15).  The points sit at the centre, inside the cutoff's
-    plateau and on its ramp."""
+    seen is 3.3e-15).  The points sit at the centre and at three distances
+    from it."""
     F = make(n)
     rng = np.random.default_rng(n)
     dirs = rng.normal(size=(4, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    pts = F.center + F.mu * np.array([0.0, 0.3, 0.7, 0.9])[:, None] * dirs
+    pts = F.center + np.array([0.0, 0.3, 0.7, 0.9])[:, None] * dirs
     jet = F.jet(pts, 8)
-    axes = sorted({0, 1, 2, n - 1})  # the beta0 axes 0, 1 and two others
+    axes = sorted({0, 1, 2, n - 1})
     for i in range(4):
         cases = [((), jet.lap_iter(i))]
         g, H = jet.grad_lap(i), jet.hess_lap(i)

@@ -24,20 +24,17 @@ PUBLIC = {
                    "Singularity", "QuadratureResult", "AccuracyError",
                    "integrate_radial", "integrate_volume", "integrate_surface",
                    "integrate_axisymmetric", "sphere_area", "ball_volume"],
-    "bubbles": ["BubbleSpec", "TensorSpec", "theta", "positive_bubble",
-                "bubble_field", "check_decay", "kernel_elements", "compute_IA",
-                "check_sign_condition", "DivergentIntegralError"],
+    "bubbles": ["BubbleSpec", "theta", "positive_bubble", "check_decay"],
     "conformal": ["CayleyMap", "HalfSpaceBump", "GaussianXPow",
                   "check_distance_identity", "check_norm_invariance",
-                  "check_laplacian_conjugation", "SingularPointError"],
+                  "SingularPointError"],
     "green": ["psi_ball", "psi_half", "kernel_integral", "green_ball",
               "green_half", "check_conformal_relation"],
     "tree": ["TreeConfig", "FamilyLaw", "InfluenceData", "Region",
              "AmbiguousScalesError", "epsilon", "classify", "check_dominance",
-             "interaction_sup", "eval_tree", "tree_value"],
-    "weights": ["psi_weight", "star_norm", "starstar_norm", "eta_sequences",
-                "giraud_verify", "convolution_bound_verify",
-                "ratio_table_csv"],
+             "interaction_sup"],
+    "weights": ["psi_weight", "eta_sequences", "giraud_verify",
+                "convolution_bound_verify", "ratio_table_csv"],
     "pohozaev": ["Jet", "MultiPoly", "PolynomialJet", "manufactured_dirichlet",
                  "e_operator", "x_grad_laplacian", "pohozaev_lhs",
                  "pohozaev_rhs", "pohozaev_residual", "PohozaevReport"],
@@ -253,42 +250,105 @@ def test_only_cli_writes_files():
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _referenced_names(top):
-    """Every name the .py files under top read: as a name, an attribute, an
-    imported name or a string constant (the lazy export table's form)."""
-    names = set()
-    for dirpath, _, files in os.walk(top):
-        for f in files:
-            if not f.endswith(".py"):
-                continue
-            with open(os.path.join(dirpath, f)) as fh:
-                tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.update({node.name.rpartition(".")[2], node.asname})
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+def _reads(nodes):
+    """The names the nodes read, as a name or an attribute, annotations
+    aside."""
+    out, stack = set(), list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        for field, child in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                stack += [c for c in (child if isinstance(child, list) else [child])
+                          if isinstance(c, ast.AST)]
+    return out
 
 
-def test_every_definition_is_referenced():
-    """Each def and class of the package, dunders aside, is referenced
-    somewhere in src, tests, demos or perfbench besides its definition."""
-    used = set().union(*(_referenced_names(os.path.join(ROOT, d))
-                         for d in ("src", "tests", "demos", "perfbench")))
-    pkg = os.path.join(ROOT, "src", "polybubble")
-    dead = []
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unreached(pkg, root_files):
+    """(file, line, name) of each def or class of the modules in pkg, dunders
+    aside, that no chain of def bodies reaches by name from the roots: the
+    names read in root_files and in the module-level code of pkg, imports
+    and __all__ aside.  A reached def leads on to the names its body reads;
+    a reached class to those of its class body and its dunder methods (the
+    ones Python calls), while its other methods are reached by name."""
+    roots, defs = set(), []
+    for f in root_files:
+        with open(f) as fh:
+            roots |= _reads([ast.parse(fh.read())])
     for f in sorted(os.listdir(pkg)):
         if not f.endswith(".py"):
             continue
         with open(os.path.join(pkg, f)) as fh:
             tree = ast.parse(fh.read())
-        dead += [(f, node.lineno, node.name) for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                 and not (node.name.startswith("__") and node.name.endswith("__"))
-                 and node.name not in used]
-    assert dead == []
+        for stmt in tree.body:
+            if not (isinstance(stmt, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                                      ast.AsyncFunctionDef, ast.ClassDef))
+                    or (isinstance(stmt, ast.Assign)
+                        and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"])):
+                roots |= _reads([stmt])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                body = [b for b in node.body
+                        if not isinstance(b, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or _is_dunder(b.name)]
+                reads = _reads(node.decorator_list + node.bases + node.keywords + body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads = _reads([node])
+            else:
+                continue
+            defs.append((f, node.lineno, node.name, reads))
+    reached, todo = set(), set(roots)
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for *_, defname, reads in defs:
+            if defname == name:
+                todo |= reads - reached
+    return [(f, line, name) for f, line, name, _ in defs
+            if not _is_dunder(name) and name not in reached]
+
+
+def test_reachability_flags_a_def_only_a_test_reaches(tmp_path):
+    """_unreached follows module-level code, def bodies, class bodies and
+    dunder methods from the roots, and flags the defs that only a test, an
+    import, __all__ or another unreached def reads."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "from os import path as only_imported\n"
+        "__all__ = ['tested_only', 'only_imported']\n"
+        "TABLE = {'x': from_module_code}\n"
+        "def from_module_code():\n    return Thing()\n"
+        "class Thing:\n"
+        "    def __init__(self):\n        self.v = from_init()\n"
+        "    def method(self):\n        return 1\n"
+        "def from_init():\n    return 1\n"
+        "def from_cli():\n    def nested():\n        return 2\n"
+        "    return nested() + Thing().method()\n"
+        "def tested_only():\n    return from_dead()\n"
+        "def from_dead():\n    return 3\n"
+        "def annotated_only():\n    return 4\n"
+        "def uses_annotation(x: annotated_only) -> annotated_only:\n    return x\n")
+    (pkg / "cli.py").write_text("from .mod import from_cli\nfrom_cli()\n"
+                                "print(uses_annotation(1))\n")
+    tests = tmp_path / "test_mod.py"
+    tests.write_text("from pkg.mod import tested_only\ntested_only()\n")
+    flagged = {name for _, _, name in _unreached(str(pkg), [str(pkg / "cli.py")])}
+    assert flagged == {"tested_only", "from_dead", "annotated_only"}
+
+
+def test_every_definition_is_reached():
+    """Each def and class of the package, dunders aside, is reached from a
+    command (cli.py), from an acceptance criterion or from module-level
+    code: a def that only tests, demos or the benchmark call is flagged."""
+    pkg = os.path.join(ROOT, "src", "polybubble")
+    roots = [os.path.join(pkg, "cli.py"),
+             os.path.join(ROOT, "tests", "test_acceptance.py")]
+    assert _unreached(pkg, roots) == []

@@ -348,7 +348,7 @@ def test_jet_accessor_consistency():
         assert g[j] == pytest.approx(explicit, rel=1e-12, abs=1e-14)
 
 
-def _bubble_field(n, k):
+def _radial_bubble(n, k):
     return RadialTermField.radial(
         n, np.zeros(n), RationalProfile(make_bubble(n, k), bubble_constant(n, k)))
 
@@ -359,7 +359,7 @@ def test_batch_jet_matches_single_point_jets(provider):
     (the batch includes the centre, where the radial field takes its
     Taylor-limit branch)."""
     n = 5
-    u = (_bubble_field(n, 2) if provider == "radial"
+    u = (_radial_bubble(n, 2) if provider == "radial"
          else manufactured_dirichlet(2, n, MultiPoly.coordinate(n, 0) + 2))
     pts = np.random.default_rng(4).normal(size=(6, n)) * 0.5
     pts[0] = 0.0
@@ -593,7 +593,7 @@ def test_rhs_quadrature_path_makes_one_volume_call(monkeypatch, with_f):
     """T1, the size of T1's rounding, T3 and, with f, T4 come from one
     integrate_volume call on one rule, as the rows of one stack."""
     n, k = 5, 1
-    u = _bubble_field(n, k)
+    u = _radial_bubble(n, k)
     u.n = n
     calls = []
     integrate_volume = pohozaev.integrate_volume
@@ -604,7 +604,7 @@ def test_rhs_quadrature_path_makes_one_volume_call(monkeypatch, with_f):
         return res
 
     monkeypatch.setattr(pohozaev, "integrate_volume", spy)
-    f = _bubble_field(n, k) if with_f else None
+    f = _radial_bubble(n, k) if with_f else None
     opts = None if with_f else {"axis": (np.zeros(n), np.eye(n)[0])}
     (T1, T2, T3, T4), _ = pohozaev_rhs(u, f, critical_exponent(n, k),
                                        Ball((0.0,) * n, 1.0), 0.2 * np.eye(n)[0],
@@ -620,7 +620,7 @@ def test_bubble_residual_quadrature_path(n, k):
     volume axis (point, direction) is accepted and the residual vanishes."""
     xi = np.zeros(n)
     xi[0] = 0.2
-    rep = pohozaev_residual(_bubble_field(n, k), None, critical_exponent(n, k),
+    rep = pohozaev_residual(_radial_bubble(n, k), None, critical_exponent(n, k),
                             Ball((0.0,) * n, 1.0), xi, k,
                             quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
     assert rep.residual_rel < 1e-12
@@ -634,7 +634,7 @@ _BUBBLE_CHECK_RANGE = [(n, k) for k in range(1, 5) for n in range(2 * k + 1, 13)
 def test_bubble_suite_over_the_bubble_check_range(n, k):
     """What `pohozaev --suite bubble` runs, over every (n, k) bubble-check
     covers: the residual within 1e-12 and the CLI's gate on T1."""
-    rep = pohozaev_residual(_bubble_field(n, k), None, critical_exponent(n, k),
+    rep = pohozaev_residual(_radial_bubble(n, k), None, critical_exponent(n, k),
                             Ball((0.0,) * n, 1.0), np.zeros(n), k,
                             quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
     assert rep.residual_rel <= 1e-12
@@ -650,7 +650,7 @@ def test_quadrature_path_refuses_spheres_off_the_axis(dom, axis):
     """Each sphere rule integrates about the line through its own centre, so
     a boundary sphere off the certified axis is refused on both sides."""
     n, k = 5, 1
-    u = _bubble_field(n, k)
+    u = _radial_bubble(n, k)
     with pytest.raises(ValueError, match="boundary sphere centre"):
         pohozaev_lhs(u, dom, np.zeros(n), k, quad_opts={"axis": axis})
     with pytest.raises(ValueError, match="boundary sphere centre"):
@@ -663,7 +663,7 @@ def test_both_axis_forms_reach_every_rule(monkeypatch):
     on all three functions, and every sphere rule, T2's included, receives
     the direction and the tol of quad_opts."""
     n, k = 5, 1
-    u = _bubble_field(n, k)
+    u = _radial_bubble(n, k)
     e1 = np.eye(n)[0]
     dom = Ball((0.0,) * n, 1.0)
     xi, ts = 0.2 * e1, critical_exponent(n, k)

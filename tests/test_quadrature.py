@@ -607,16 +607,14 @@ def _two_call_surface(f, sphere, axis=None):
 
 
 def _bubble_rows(x):
-    """Laplacian iterates of a cutoff bubble and their gradients: the kind of
+    """Laplacian iterates of a bubble and their gradients: the kind of
     integrand the Pohozaev boundary functional puts on a sphere."""
-    from polybubble.fields import (CutoffProfile, ProductProfile,
-                                   RadialTermField, RationalProfile)
+    from polybubble.fields import RadialTermField, RationalProfile
     from polybubble.radial import bubble_constant, make_bubble
 
     n = x.shape[1]
     rat = RationalProfile(make_bubble(n, 1), bubble_constant(n, 1))
-    F = RadialTermField.radial(n, np.full(n, 0.05),
-                               ProductProfile([(CutoffProfile(), 1.5), (rat, 0.3)]))
+    F = RadialTermField.radial(n, np.full(n, 0.05), rat)
     jet = F.jet(x, 3)
     return np.stack([jet.lap_iter(1), *jet.grad_lap(1).T, jet.value()])
 

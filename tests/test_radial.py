@@ -137,12 +137,17 @@ def test_radial_derivative_bubble_at_one():
 
 @pytest.mark.parametrize("profile", ["bubble", "Z0"])
 def test_square_derivative_is_radial_derivative_over_2r(profile):
-    from polybubble.bubbles import kernel_elements
+    """On the bubble B and on the dilation Z0 = (n-2k)/2 B + r B'."""
+    from fractions import Fraction
 
     n, k = 7, 2
     a = bubble_constant(n, k)
-    f = (make_bubble(n, k) if profile == "bubble"
-         else kernel_elements(n, k)[0].components[0].profile.rf)
+    f = make_bubble(n, k)
+    if profile == "Z0":
+        df = radial_derivative(f)
+        rdf = RadialFunction(n, df.M, {(p + 1, t, e): c
+                                       for (p, t, e), c in df.terms.items()})
+        f = f * Fraction(n - 2 * k, 2) + rdf
     df, sf = radial_derivative(f), square_derivative(f)
     for r in (1e-6, 1e-3, 0.1, 0.7, 3.0, 40.0):
         assert sf(r, a) == pytest.approx(df(r, a) / (2 * r), rel=1e-13)

@@ -1,5 +1,5 @@
 """Bubble-tree geometry: structure relation, classification, radii, regions,
-dominance/interaction sweeps, and tree evaluation."""
+and dominance/interaction sweeps."""
 
 import math
 
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from polybubble.bubbles import BubbleSpec
 from polybubble.quadrature import Ball
 from polybubble.tree import (AmbiguousScalesError, FamilyLaw, TreeConfig,
-                             check_dominance, classify, epsilon, eval_tree,
-                             interaction_sup, stratified_samples, tree_value)
+                             check_dominance, classify, epsilon,
+                             interaction_sup, stratified_samples)
 
 N, K = 7, 1
 
@@ -249,85 +249,12 @@ def test_interaction_single_bubble_orders():
         assert rep["lhs"] > 0.01 * scale
 
 
-# -- tree evaluation -----------------------------------------------------------
-
-def test_tree_value_center():
-    cfg = single(1e-2)
-    val = tree_value(cfg, cfg.bubbles[0].center[None, :])[0]
-    assert val == pytest.approx(1e-2 ** (-0.5 * (N - 2 * K)), rel=1e-12)
-
-
-def test_tree_nu_linearity():
-    """The correction nu Z_0 is the kernel field at scale mu times the
-    cutoff chi(|x - x0| / d): at a plateau point (chi = 1) and at a point on
-    the cutoff ramp (0 < chi < 1), d = 1 here."""
-    from polybubble.bubbles import kernel_elements
-    from polybubble.fields import CutoffProfile
-
-    base = single(1e-2)
-    nu = 1e-3
-    pert = TreeConfig([BubbleSpec("interior", N, K, np.zeros(N), 1e-2)],
-                      nu={(0, 0): nu})
-    z0 = kernel_elements(N, K)[0]
-    for r in (0.02, 0.7):
-        x = np.zeros((1, N))
-        x[0, 0] = r
-        v0, v1 = tree_value(base, x)[0], tree_value(pert, x)[0]
-        chi = CutoffProfile().chain(0, r**2)[0]
-        assert (chi == 1.0) == (r < 0.5) and chi > 0
-        zval = nu * 1e-2 ** (-0.5 * (N - 2 * K)) * chi * z0.value(x / 1e-2)[0]
-        # linear response: difference = nu * chi * scaled kernel value
-        assert v1 - v0 == pytest.approx(zval, rel=1e-10)
-        # perturbation bound: |delta| <= nu * max |Z|
-        assert abs(v1 - v0) <= nu * 1e-2 ** (-0.5 * (N - 2 * K)) * (N - 2 * K)
-
-
-def test_eval_tree_derivative_bound():
-    """|grad^l W| / (1 + sum theta^{-l} B) stays finite over a grid."""
-    from polybubble.bubbles import positive_bubble, theta
-
-    cfg = tower_cfg(100.0)
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-0.5, 0.5, size=(60, N))
-    for l in (0, 1):
-        mags = eval_tree(cfg, pts, l)
-        den = np.ones(len(pts))
-        for b in cfg.bubbles:
-            den += theta(b, pts) ** (-l) * positive_bubble(b, pts)
-        assert np.all(np.isfinite(mags / den))
-
-
-def test_eval_tree_is_the_loop_over_multisets_bit_for_bit():
-    """eval_tree through jets.tensor_norm against the loop it replaced (per
-    index multiset the fields' entries added in order from zero, then the
-    weighted squares) on a k = 2 tree with nonzero nu, for l = 1, 2, 3."""
-    from polybubble.fields import PointBatch
-    from polybubble.jets import multiset_multiplicity, multisets
-    from polybubble.tree import _tree_fields
-
-    n, k = 5, 2
-    cfg = TreeConfig([BubbleSpec("interior", n, k, [0.3, 0.0, 0.0, 0.0, 0.0], 0.05),
-                      BubbleSpec("interior", n, k, [-0.2, 0.1, 0.0, 0.0, 0.0], 0.01)],
-                     nu={(0, 0): 0.02, (1, 3): -0.01})
-    x = np.random.default_rng(3).uniform(-0.4, 0.4, size=(40, n))
-    for l in (1, 2, 3):
-        batches = [PointBatch(F, x, l) for F in _tree_fields(cfg)]
-        tot = np.zeros(len(x))
-        for alpha in multisets(n, l):
-            entry = np.zeros(len(x))
-            for b in batches:
-                entry += b.field.partial(alpha, b)
-            tot += multiset_multiplicity(alpha) * entry**2
-        assert np.array_equal(eval_tree(cfg, x, l), np.sqrt(tot))
-
-
 def test_tree_json_roundtrip():
     """from_json(to_json()) writes the same record back byte for byte, for
-    a family config and for a snapshot config with nu and its own domain."""
+    a family config and for a snapshot config with its own domain."""
     snapshot = TreeConfig(
         [BubbleSpec("interior", N, K, [0.1] + [0.0] * (N - 1), 0.05),
          BubbleSpec("interior", N, K, [0.0, -0.2] + [0.0] * (N - 2), 1e-3)],
-        nu={(0, 1): 0.02, (1, 0): -0.01},
         domain=Ball((0.05,) + (0.0,) * (N - 1), 1.5))
     for cfg in (tower_cfg(100.0), snapshot):
         text = cfg.to_json()

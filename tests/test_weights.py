@@ -1,6 +1,6 @@
-"""Weighted norms and the convolution-lemma verifiers: formula checks with
-independently recomputed oracles, norm properties, Giraud case behavior, and
-short ratio sweeps (the full default sweeps run in the acceptance suite).
+"""The weight Psi, the eta sequences and the convolution-lemma verifiers:
+formula checks with independently recomputed oracles, Giraud case behavior,
+and short ratio sweeps (the full default sweeps run in the acceptance suite).
 """
 
 import math
@@ -10,15 +10,12 @@ import pytest
 
 from polybubble import quadrature, tree, weights
 from polybubble.bubbles import BubbleSpec, positive_bubble, theta
-from polybubble.fields import RadialTermField, RationalProfile
 from polybubble.quadrature import Ball
-from polybubble.radial import (bubble_constant, critical_exponent,
-                               make_bubble)
+from polybubble.radial import critical_exponent
 from polybubble.tree import (FamilyLaw, Region, TreeConfig, classify,
                              epsilon, interaction_sup, stratified_samples)
 from polybubble.weights import (convolution_bound_verify, eta_sequences,
-                                giraud_verify, psi_weight, ratio_table_csv,
-                                star_norm, starstar_norm)
+                                giraud_verify, psi_weight, ratio_table_csv)
 
 N, K = 7, 1
 
@@ -93,79 +90,11 @@ def test_psi_weight_value_at_center():
     assert val == pytest.approx(expected, rel=1e-12)
 
 
-def test_star_norm_zero_and_homogeneity():
-    cfg = single(1e-2)
-    grid = domain_samples(cfg, 200, seed=2)
-
-    class Scaled:
-        def __init__(self, F, c):
-            self.F = F
-            self.c = c
-
-        def value(self, pts):
-            return self.c * self.F.value(pts)
-
-        def tensor_norm(self, l, pts):
-            return abs(self.c) * self.F.tensor_norm(l, pts)
-
-    a = bubble_constant(N, K)
-    prof = RationalProfile(make_bubble(N, K), a)
-    F = RadialTermField.radial(N, np.zeros(N), prof, mu=1e-2,
-                               amplitude=1e-2 ** (-0.5 * (N - 2 * K)))
-    zero = Scaled(F, 0.0)
-    assert star_norm(zero, cfg, grid) == 0.0
-    base = star_norm(F, cfg, grid)
-    assert star_norm(Scaled(F, -2.5), cfg, grid) == pytest.approx(2.5 * base,
-                                                                  rel=1e-12)
-
-
-def test_star_norm_of_own_bubble_is_order_one():
-    """Each derivative of B_1 is its own weight: the norm is O(1)."""
-    cfg = single(1e-2)
-    grid = domain_samples(cfg, 300, seed=3)
-    a = bubble_constant(N, K)
-    prof = RationalProfile(make_bubble(N, K), a)
-    F = RadialTermField.radial(N, np.zeros(N), prof, mu=1e-2,
-                               amplitude=1e-2 ** (-0.5 * (N - 2 * K)))
-    val = star_norm(F, cfg, grid)
-    assert 0.1 < val < 50.0
-
-
-def test_star_norm_grid_monotonicity():
-    cfg = single(1e-2)
-    a = bubble_constant(N, K)
-    prof = RationalProfile(make_bubble(N, K), a)
-    F = RadialTermField.radial(N, np.zeros(N), prof, mu=1e-2,
-                               amplitude=1e-2 ** (-0.5 * (N - 2 * K)))
-    g1 = domain_samples(cfg, 100, seed=4)
-    g2 = np.concatenate([g1, domain_samples(cfg, 100, seed=5)])
-    assert star_norm(F, cfg, g2) >= star_norm(F, cfg, g1)
-
-
-def test_starstar_norm_psi_is_at_most_one():
-    cfg = single(1e-2)
-    grid = domain_samples(cfg, 200, seed=6)
-    val = starstar_norm(lambda pts: psi_weight(cfg, pts), cfg, grid, eta=0.3)
-    assert val <= 1.0 + 1e-12
-
-
-def test_starstar_norm_monotone_in_eta():
-    cfg = single(1e-2)
-    grid = domain_samples(cfg, 200, seed=7)
-    R = lambda pts: np.ones(len(pts))
-    v1 = starstar_norm(R, cfg, grid, eta=0.1)
-    v2 = starstar_norm(R, cfg, grid, eta=1.0)
-    assert v2 <= v1
-    with pytest.raises(ValueError):
-        starstar_norm(R, cfg, grid, eta=0.0)
-
-
 def test_eta_arithmetic_against_oracle(monkeypatch):
-    """eta3/eta4 recomputed independently from the configuration."""
+    """eta3 recomputed independently from the configuration."""
     monkeypatch.setattr(weights, "_ETA_X_COUNT", 1)
     law = FamilyLaw([1.0, 1.0], [1.0, 2.0], [[0.0] * N, [0.0] * N])
     cfg = TreeConfig.from_family(law, 100.0, N, K)
-    cfg.nu[(0, 0)] = 2e-3
     es = eta_sequences(cfg)
     # oracle recomputation
     data = classify(cfg)
@@ -176,8 +105,7 @@ def test_eta_arithmetic_against_oracle(monkeypatch):
              for i in range(2) for j in data.faster[i])
     mu_term = max(b.mu for b in cfg.bubbles) ** min((N - 2 * K) / 2, 2 * K, 1)
     assert es["eta3"] == pytest.approx(t1**m + t2**m + mu_term, rel=1e-12)
-    assert es["eta4"] == pytest.approx(2e-3, rel=1e-12)
-    assert es["eta"] == max(es["eta1"], es["eta2"], es["eta3"], es["eta4"])
+    assert es["eta"] == max(es["eta1"], es["eta2"], es["eta3"])
 
 
 def test_eta3_single_bubble_formula(monkeypatch):
@@ -186,7 +114,6 @@ def test_eta3_single_bubble_formula(monkeypatch):
     es = eta_sequences(cfg)
     assert es["eta3"] == pytest.approx(1e-2 ** min((N - 2 * K) / 2, 2 * K, 1),
                                        rel=1e-12)
-    assert es["eta4"] == 0.0
 
 
 def test_eta1_eta2_decay_along_sweep():
