@@ -10,9 +10,8 @@ public name, or ``polybubble.<submodule>``, imports its submodule on first
 use, so ``from polybubble import pohozaev`` loads only what ``pohozaev``
 needs.  Only ``polybubble.solver`` and ``integrate_radial`` load
 ``scipy.integrate``.  ``quadrature`` imports ``scipy.special`` and
-``scipy.linalg`` up front, so building its first rule imports nothing.  On a
-2-core host, ``python -c "import polybubble.cli"`` takes about 0.6 s of wall
-time and ``polybubble bubble-check`` about 0.8 s.
+``scipy.linalg`` up front, so building its first rule imports nothing.
+README.md gives the measured start-up times.
 """
 
 import importlib

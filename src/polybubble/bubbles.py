@@ -4,7 +4,6 @@ bubbles and theta weights, and decay-slope measurements of the unit bubble.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +64,10 @@ class BubbleSpec:
     def a(self) -> float:
         return bubble_constant(self.n, self.k)
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "n": self.n, "k": self.k,
-                           "center": list(map(float, self.center)),
-                           "mu": self.mu, "profile": "standard"})
-
     @classmethod
     def from_dict(cls, d: dict) -> "BubbleSpec":
-        """The spec of a parsed JSON record with the keys to_json writes; its
-        optional "profile" must be "standard"."""
+        """The spec of a parsed JSON record with the keys kind, n, k, center
+        and mu; its optional "profile" must be "standard"."""
         _json_object(d, "bubble", ("kind", "n", "k", "center", "mu", "profile"))
         spec = cls(d["kind"], d["n"], d["k"], d["center"], d["mu"])
         if d.get("profile", "standard") != "standard":

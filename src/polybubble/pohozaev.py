@@ -208,11 +208,6 @@ class MultiPoly:
     def laplacian(self):
         return sum((self.diff(i).diff(i) for i in range(self.n)), MultiPoly(self.n))
 
-    def x_dot_grad(self, xi):
-        """(x - xi) . grad p as a polynomial; xi entries must be exact."""
-        return sum(((MultiPoly.coordinate(self.n, i) - Fraction(xi[i])) * self.diff(i)
-                    for i in range(self.n)), MultiPoly(self.n))
-
     def degree(self):
         return max(self.terms, default=0) >> (_BITS * self.n)
 
@@ -323,8 +318,9 @@ class _Cartesian:
         return p.laplacian()
 
     def dot_grad(self, p, a):
-        """(x - a) . grad p."""
-        return p.x_dot_grad(a)
+        """(x - a) . grad p; the entries of a must be exact."""
+        return sum(((MultiPoly.coordinate(self.n, i) - Fraction(a[i])) * p.diff(i)
+                    for i in range(self.n)), MultiPoly(self.n))
 
     def grad_sq(self, p):
         """|grad p|^2."""
@@ -568,7 +564,7 @@ def x_grad_laplacian(jet: Jet, i: int, xi):
 
 def _boundary_pieces(domain):
     """(center, radius, orientation): +1 outward sphere, -1 inner sphere."""
-    if isinstance(domain, Ball):
+    if type(domain) is Ball:  # a HalfBall, a cut Ball, has a flat face too
         return [(np.asarray(domain.center, float), domain.radius, +1.0)]
     if isinstance(domain, BallMinusBalls):
         out = [(np.asarray(domain.outer.center, float), domain.outer.radius, +1.0)]
@@ -578,8 +574,12 @@ def _boundary_pieces(domain):
     raise ValueError("Pohozaev domains are balls or balls-minus-balls")
 
 
-def _is_polynomial_setup(u, f) -> bool:
-    return isinstance(u, PolynomialJet) and (f is None or isinstance(f, PolynomialJet))
+def _is_polynomial_setup(u, f, p_exp: float = 2.0) -> bool:
+    """Whether the exact path applies: u and f (or f None) are PolynomialJets
+    and |u|^{p-2} u = u^{p-1} is a polynomial, p an even integer or an
+    integer with u certified nonneg."""
+    return (isinstance(u, PolynomialJet) and (f is None or isinstance(f, PolynomialJet))
+            and p_exp == int(p_exp) and (p_exp % 2 == 0 or u.nonneg))
 
 
 def _rule_opts(quad_opts, domain):
@@ -716,8 +716,10 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     """The four right-hand terms (T1 bulk E(u), T2 boundary f|u|^p,
     T3 volume f|u|^p, T4 grad-f volume).  Returns (terms, budget).
 
-    PolynomialJets u and f take the exact path, in the axial variables
-    when u and f both convert exactly (as in pohozaev_lhs).
+    PolynomialJets u and f take the exact path when |u|^{p-2} u is a
+    polynomial (_is_polynomial_setup), in the axial variables when u and f
+    both convert exactly (as in pohozaev_lhs); other data take the
+    quadrature path.
 
     On the quadrature path _rule_opts maps quad_opts onto the volume rule
     (T1, T3, T4) and onto the rule of each boundary sphere (T2)."""
@@ -728,10 +730,8 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     coef_T3 = 0.5 * (n - 2 * k) - n / p_exp
     pieces = _boundary_pieces(domain)
 
-    if _is_polynomial_setup(u, f):
+    if _is_polynomial_setup(u, f, p_exp):
         p = int(p_exp)
-        if p != p_exp or not (p % 2 == 0 or u.nonneg):
-            raise ValueError("non-polynomial |u|^p; use the quadrature path")
         fpoly = f.poly if f is not None else MultiPoly.const(n, 1)
         alg, (upoly, fpoly) = _exact_algebra([u.poly, fpoly], xi, pieces)
         # for even p or nonneg u: |u|^{p-2} u = u^{p-1} and |u|^p = u^p

@@ -192,13 +192,18 @@ def sphere_moment_ratio(alpha: tuple[int, ...]) -> Fraction:
 class Singularity:
     """Declared singular or sharply peaked point of an integrand.
 
-    order is the sigma in |x-x0|^{-sigma} (0 for a merely peaked point);
-    scale is the peak width used to steer importance sampling.
+    order is the sigma in |x-x0|^{-sigma} (0 for a merely peaked point),
+    below the dimension len(point) (ValueError otherwise); scale is the
+    peak width used to steer importance sampling.
     """
 
     point: tuple
     order: float = 0.0
     scale: float = 0.0
+
+    def __post_init__(self):
+        if self.order >= len(self.point):
+            raise ValueError(f"singularity order {self.order} >= dimension {len(self.point)}")
 
 
 @dataclass(frozen=True)
@@ -220,24 +225,11 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class HalfBall:
-    """{x in B(center, radius) : x_1 > center_1}."""
-
-    center: tuple
-    radius: float
-    singularities: tuple = ()
-
-    @property
-    def dim(self):
-        return len(self.center)
+class HalfBall(Ball):
+    """The Ball cut to {x_1 > center_1}."""
 
     def contains(self, x):
-        c = np.asarray(self.center)
-        inside = np.sum((x - c) ** 2, axis=-1) <= self.radius**2
-        return inside & (x[..., 0] > c[0])
-
-    def enclosing(self):
-        return np.asarray(self.center, float), self.radius
+        return super().contains(x) & (x[..., 0] > self.center[0])
 
 
 @dataclass(frozen=True)
@@ -549,11 +541,6 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     wide = edges[1:] - edges[:-1] > 1e-14
     phi_lo, phi_hi = edges[:-1][wide, None], edges[1:][wide, None]
 
-    sigma0 = max([s.order for s in sings
-                  if np.linalg.norm(np.asarray(s.point, float) - origin) <= 1e-14],
-                 default=0.0)
-    if sigma0 >= n:
-        raise ValueError("singularity order must stay below the dimension")
     floor0 = min([sc for _, sc in peak_radii], default=rho_max_global) * 1e-3
     floor0 = max(floor0, 1e-14 * rho_max_global)
 
@@ -667,10 +654,6 @@ def integrate_volume(f, domain, tol: float | None = None, seed: int = 0,
     estimate above tol * |value| raises AccuracyError.
     """
     n = domain.dim
-    for s in getattr(domain, "singularities", ()):
-        if s.order >= n:
-            raise ValueError(f"singularity order {s.order} >= dimension {n}")
-
     if axis is not None:
         return _refuse_unmet(integrate_axisymmetric(f, domain, axis[0], axis[1]), tol)
 

@@ -35,7 +35,7 @@ __all__ = [
     "weight_sum",
     "pair_sum",
     "check_dominance",
-    "pair_maxima",
+    "pair_bound",
     "interaction_sup",
     "stratified_samples",
 ]
@@ -67,7 +67,9 @@ class FamilyLaw:
 @dataclass
 class TreeConfig:
     """An ordered bubble family: bubbles must satisfy
-    mu^{N-1} <= ... <= mu^0 < 1 (slowest first)."""
+    mu^{N-1} <= ... <= mu^0 < 1 (slowest first).  With a family_law they
+    are its family at one alpha > 0: each centre is its center_base and each
+    mu^i is c_i alpha^{-gamma_i} to a relative 1e-9."""
 
     bubbles: list
     family_law: FamilyLaw | None = None
@@ -103,6 +105,13 @@ class TreeConfig:
             if not all(0 < v < math.inf for v in [*law.mu_coeff, *law.mu_exp]):
                 raise ValueError("family-law scale coefficients and exponents "
                                  "must be finite and > 0")
+            alpha = (law.mu_coeff[0] / self.bubbles[0].mu) ** (1.0 / law.mu_exp[0])
+            for i, b in enumerate(self.bubbles):
+                if (abs(law.mu(i, alpha) - b.mu) > 1e-9 * b.mu or not np.array_equal(
+                        b.center, np.asarray(law.center_base[i], float))):
+                    raise ValueError(f"bubble {i} is not the family law's at bubble 0's "
+                                     f"alpha = {alpha:g}: mu {law.mu(i, alpha):g} "
+                                     f"about center_base[{i}]")
 
     @property
     def n(self):
@@ -122,26 +131,12 @@ class TreeConfig:
         return cls([BubbleSpec("interior", n, k, law.center_base[i], law.mu(i, alpha))
                     for i in range(law.n_bubbles())], family_law=law)
 
-    # -- JSON ----------------------------------------------------------------
-
-    def to_json(self) -> str:
-        d = {
-            "bubbles": [json.loads(b.to_json()) for b in self.bubbles],
-            "domain": {"center": list(map(float, self.domain.center)),
-                       "radius": self.domain.radius},
-        }
-        if self.family_law is not None:
-            fl = self.family_law
-            d["family_law"] = {
-                "mu_coeff": list(fl.mu_coeff), "mu_exp": list(fl.mu_exp),
-                "center_base": [list(map(float, c)) for c in fl.center_base],
-            }
-        return json.dumps(d, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "TreeConfig":
-        """The config of a to_json record.  Raises ValueError on a key it
-        does not read and on a container of the wrong JSON type."""
+        """The config of a JSON record: a "bubbles" list of BubbleSpec
+        records and, optionally, a "domain" (center, radius) and a
+        "family_law" (mu_coeff, mu_exp, center_base).  Raises ValueError on a
+        key it does not read and on a container of the wrong JSON type."""
         d = _json_object(json.loads(text), "tree config",
                          ("bubbles", "domain", "family_law"))
         if not isinstance(d["bubbles"], list):
@@ -373,11 +368,12 @@ def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, l: int, *,
             "samples": len(pts)}
 
 
-def pair_maxima(cfg: TreeConfig, data: InfluenceData) -> tuple[float, float]:
-    """(max eps_ij^{-1/2} over comparable pairs j in A_i,
-    max (mu^j/mu^i)^{(2k-1)/(2(n-1))} over faster pairs j in A_i^c),
-    each 0 when there is no such pair: the first two terms of the eta3 /
-    interaction bound before raising to min(n-2k, 4k)."""
+def pair_bound(cfg: TreeConfig, data: InfluenceData, cap: float) -> float:
+    """t1^m + t2^m + max_i (mu^i)^{min((n-2k)/2, 2k, cap)}, m = min(n-2k, 4k),
+    with t1 = max eps_ij^{-1/2} over comparable pairs j in A_i and
+    t2 = max (mu^j/mu^i)^{(2k-1)/(2(n-1))} over faster pairs j in A_i^c,
+    each 0 when there is no such pair: the interaction bound with
+    cap = inf, eta3 with cap = 1."""
     n, k = cfg.n, cfg.k
     t1 = t2 = 0.0
     for i in range(len(cfg.bubbles)):
@@ -386,7 +382,9 @@ def pair_maxima(cfg: TreeConfig, data: InfluenceData) -> tuple[float, float]:
         for j in data.faster[i]:
             t2 = max(t2, (cfg.bubbles[j].mu / cfg.bubbles[i].mu)
                      ** ((2 * k - 1) / (2.0 * (n - 1))))
-    return t1, t2
+    m = min(n - 2 * k, 4 * k)
+    return (t1**m + t2**m
+            + max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k, cap))
 
 
 def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int, *,
@@ -395,19 +393,13 @@ def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int, *,
     influence region:
 
     lhs   = (mu^i)^{(n+2k)/2} sup sum_{r != s} (B^r)^{2#-2} B^s  (indices 0..N)
-    bound = (max eps^{-1/2})^{min(n-2k,4k)} over comparable pairs
-          + (max scale ratio^{(2k-1)/(2(n-1))})^{min(n-2k,4k)} over faster pairs
-          + max_i (mu^i)^{min((n-2k)/2, 2k)}   (zeroth-profile contribution)
+    bound = pair_bound(cfg, data, inf)  (its mu term: the zeroth profile)
     """
     n, k = cfg.n, cfg.k
     pts = stratified_samples(data.regions[i], cfg, _REGION_SAMPLES, seed)
     B = [positive_bubble(b, pts) for b in cfg.bubbles]
     tot = pair_sum(cfg, B, np.zeros(len(pts)))
     lhs = cfg.bubbles[i].mu ** (0.5 * (n + 2 * k)) * float(np.max(tot))
-
-    expo = min(n - 2 * k, 4 * k)
-    t1, t2 = pair_maxima(cfg, data)
-    t3 = max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k)
-    bound = t1**expo + t2**expo + t3
+    bound = pair_bound(cfg, data, math.inf)
     return {"i": i, "lhs": lhs, "bound": bound, "ratio": lhs / bound,
             "samples": len(pts)}

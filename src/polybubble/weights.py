@@ -15,10 +15,10 @@ import math
 import numpy as np
 
 from .bubbles import positive_bubble, theta
-from .quadrature import (Ball, BallMinusBalls, Singularity, as_points,
-                         integrate_volume, sq_dist)
+from .quadrature import (Ball, BallMinusBalls, Singularity, _require_on_axis,
+                         as_points, integrate_volume, sq_dist)
 from .radial import critical_exponent
-from .tree import (TreeConfig, classify, pair_maxima, pair_sum, theta_pow_B,
+from .tree import (TreeConfig, classify, pair_bound, pair_sum, theta_pow_B,
                    weight_sum)
 
 __all__ = [
@@ -51,51 +51,55 @@ def psi_weight(cfg: TreeConfig, y) -> np.ndarray:
 
 def _common_axis(center, points):
     """A symmetry axis (center, unit direction) through center covering all
-    points, or None if they are not collinear with it."""
+    points, along the first point off center, or None if they are not
+    collinear with it."""
     c = np.asarray(center, float)
-    rel = [np.asarray(p, float) - c for p in points]
-    rel = [r for r in rel if np.linalg.norm(r) > 1e-12]
-    if not rel:
-        return (c, np.eye(len(c))[0])
-    d = rel[0] / np.linalg.norm(rel[0])
-    for r in rel[1:]:
-        if np.linalg.norm(r - (r @ d) * d) > 1e-10:
-            return None
+    rel = [r for r in (np.asarray(p, float) - c for p in points)
+           if np.linalg.norm(r) > 1e-12]
+    d = rel[0] / np.linalg.norm(rel[0]) if rel else np.eye(len(c))[0]
+    try:
+        _require_on_axis(points, c, d, 1.0, "point")
+    except ValueError:
+        return None
     return (c, d)
 
 
-def _centers(cfg: TreeConfig):
-    return [b.center for b in cfg.bubbles]
+def _integrate(f, domain: Ball, sings, seed: int, hole: Ball | None = None):
+    """integrate_volume of f over the ball domain, minus hole, with the
+    singularities sings declared: on the axisymmetric rule when their points
+    and the hole centre lie on one line through the domain centre, by QMC
+    otherwise.  The axis runs along the first weight peak (order 0) off the
+    centre, else the first pole, so that a tree's integrals share the
+    direction of its sample points."""
+    sings = tuple(sings)
+    if hole is None:
+        dom = Ball(tuple(domain.center), domain.radius, singularities=sings)
+    else:
+        dom = BallMinusBalls(Ball(tuple(domain.center), domain.radius), (hole,),
+                             singularities=sings)
+    pts = [s.point for s in sorted(sings, key=lambda s: s.order > 0)]
+    axis = _common_axis(domain.center, pts + ([] if hole is None else [hole.center]))
+    return integrate_volume(f, dom, seed=seed, axis=axis)
 
 
-def _conv_integral(cfg: TreeConfig, x, expos, weight, peak_centers,
+def _conv_integral(cfg: TreeConfig, x, expos, weight, peaks,
                    hole: Ball | None = None, seed: int = 0):
     """int_domain |x-y|^{expo} * weight(y) dy for each expo < 0 in expos, all
-    on one rule.
-
-    Declares the kernel singularity at x, at the order of the most singular
-    kernel, and the weight peaks; uses the axisymmetric reduction when
-    everything is collinear, QMC otherwise.  Returns (values, error
-    estimates), one entry per expo, as lists of floats.
+    on one rule (_integrate), with the kernel singularity at x declared at
+    the order of the most singular kernel and the weight peaks (centre,
+    scale).  Returns (values, error estimates), one entry per expo, as lists
+    of floats.
     """
     x = np.asarray(x, float)
-    sings = [Singularity(tuple(x), -min(expos), 0.0)]
-    for (c, scale) in peak_centers:
-        sings.append(Singularity(tuple(np.asarray(c, float)), 0.0, scale))
-    base = cfg.domain
-    if hole is not None:
-        dom = BallMinusBalls(Ball(tuple(base.center), base.radius), (hole,),
-                             singularities=tuple(sings))
-    else:
-        dom = Ball(tuple(base.center), base.radius, singularities=tuple(sings))
 
     def f(y):
         d = np.maximum(np.sqrt(sq_dist(y, x)), 1e-300)
         w = weight(y)
         return np.stack([d ** expo * w for expo in expos])
 
-    axis = _common_axis(base.center, _centers(cfg) + [x] + [c for c, _ in peak_centers])
-    res = integrate_volume(f, dom, seed=seed, axis=axis)
+    sings = [Singularity(tuple(x), -min(expos), 0.0)]
+    sings += [Singularity(tuple(np.asarray(c, float)), 0.0, scale) for c, scale in peaks]
+    res = _integrate(f, cfg.domain, sings, seed, hole)
     return res.value.tolist(), res.error_estimate.tolist()
 
 
@@ -104,7 +108,7 @@ def sample_x_points(cfg: TreeConfig, i: int, count: int = 6) -> list[np.ndarray]
     on the configuration axis at bubble-scale, influence-scale and
     domain-scale distances.  A count above six raises ValueError."""
     b = cfg.bubbles[i]
-    axis = _common_axis(cfg.domain.center, _centers(cfg))
+    axis = _common_axis(cfg.domain.center, [bb.center for bb in cfg.bubbles])
     d = axis[1] if axis is not None else np.eye(cfg.n)[0]
     offs = [0.0, b.mu, 4.0 * b.mu, math.sqrt(b.mu), 0.45, 0.9]
     if count > len(offs):
@@ -132,22 +136,15 @@ def eta_sequences(cfg: TreeConfig, *, seed: int = 0) -> dict:
     eta1 = L^{2n/(n+2k)} norm of Psi over the domain (quadrature);
     eta2 = sup_x max_l int |x-y|^{2k-n-l} Psi(y) dy / (1 + sum theta^{-l} B),
            over the first _ETA_X_COUNT points of sample_x_points;
-    eta3 = (max eps^{-1/2})^m + (max scale-ratio^{(2k-1)/(2(n-1))})^m
-           + max_i mu_i^{min((n-2k)/2, 2k, 1)},  m = min(n-2k, 4k).
+    eta3 = tree.pair_bound at cap 1: the interaction bound with the
+           exponent of its mu term capped at 1.
     """
     n, k = cfg.n, cfg.k
-    data = classify(cfg)
 
     # eta1 by quadrature
     q = 2.0 * n / (n + 2 * k)
-    sings = tuple(Singularity(tuple(b.center), 0.0, b.mu) for b in cfg.bubbles)
-    dom = Ball(tuple(cfg.domain.center), cfg.domain.radius, singularities=sings)
-
-    def psi_q(y):
-        return psi_weight(cfg, y) ** q
-
-    r1 = integrate_volume(psi_q, dom, seed=seed,
-                          axis=_common_axis(cfg.domain.center, _centers(cfg)))
+    r1 = _integrate(lambda y: psi_weight(cfg, y) ** q, cfg.domain,
+                    [Singularity(tuple(b.center), 0.0, b.mu) for b in cfg.bubbles], seed)
     eta1 = r1.value ** (1.0 / q)
 
     # eta2: the worst ratio of the lem2 convolution bound
@@ -155,9 +152,7 @@ def eta_sequences(cfg: TreeConfig, *, seed: int = 0) -> dict:
         "lem2", cfg, {"i": 0, "x_count": _ETA_X_COUNT}, seed=seed))
 
     # eta3: arithmetic on the configuration
-    m = min(n - 2 * k, 4 * k)
-    t1, t2 = pair_maxima(cfg, data)
-    eta3 = t1**m + t2**m + max(b.mu for b in cfg.bubbles) ** min(0.5 * (n - 2 * k), 2 * k, 1)
+    eta3 = pair_bound(cfg, classify(cfg), 1)
 
     return {"eta1": eta1, "eta2": eta2, "eta3": eta3,
             "eta": max(eta1, eta2, eta3)}
@@ -191,9 +186,8 @@ def giraud_verify(gamma: float, beta: float, mu: float, x, y,
         ry = np.maximum(np.sqrt(sq_dist(z, y)), 1e-300)
         return (mu + rx) ** (gamma - n) * ry ** (beta - n)
 
-    sings = (Singularity(tuple(x), 0.0, mu), Singularity(tuple(y), n - beta, 0.0))
-    dom = Ball(tuple(domain.center), domain.radius, singularities=sings)
-    res = integrate_volume(f, dom, seed=seed, axis=_common_axis(domain.center, [x, y]))
+    res = _integrate(f, domain, (Singularity(tuple(x), 0.0, mu),
+                                 Singularity(tuple(y), n - beta, 0.0)), seed)
 
     if gamma < 0:
         bound = mu**gamma * (mu + d) ** (beta - n)
@@ -276,16 +270,12 @@ def convolution_bound_verify(kind: str, cfg: TreeConfig, params: dict,
             if n <= 4 * k - 2 * p:
                 raise ValueError(f"need n > 4k-2p = {4 * k - 2 * p}")
             expo_i = expo_j = 2 * k - p - n
-        sings = (Singularity(tuple(b.center), 0.0, b.mu),
-                 Singularity(tuple(bj.center), 0.0, bj.mu))
-        dom = Ball(tuple(cfg.domain.center), cfg.domain.radius,
-                   singularities=sings)
 
         def f(y):
             return (theta(b, y) ** expo_i) * (theta(bj, y) ** expo_j)
 
-        res = integrate_volume(f, dom, seed=seed,
-                               axis=_common_axis(cfg.domain.center, _centers(cfg)))
+        res = _integrate(f, cfg.domain, (Singularity(tuple(b.center), 0.0, b.mu),
+                                         Singularity(tuple(bj.center), 0.0, bj.mu)), seed)
         lhs = pref * res.value
         rhs = 1.0 if part == 1 else (b.mu * bj.mu) ** (k - params["p"])
         return [{"kind": f"BiBj{part}", "i": i, "j": j,

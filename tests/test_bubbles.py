@@ -1,8 +1,6 @@
 """Bubble objects: pointwise formulas, exact jets of the unit bubble vs
 finite differences and under rescaling, and decay slopes."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -158,8 +156,11 @@ def test_check_decay_preconditions():
         check_decay(7, 1, 5)
 
 
-def test_bubble_spec_json_roundtrip():
-    s = spec_at(0.05, center=[0.1, 0.2] + [0.0] * (N - 2))
-    s2 = BubbleSpec.from_dict(json.loads(s.to_json()))
-    assert s2.kind == s.kind and s2.mu == s.mu
-    assert np.allclose(s2.center, s.center)
+def test_bubble_spec_from_dict():
+    """A literal record gives its spec, with or without its "profile"."""
+    rec = {"kind": "interior", "n": N, "k": K, "center": [0.1, 0.2] + [0.0] * (N - 2),
+           "mu": 0.05, "profile": "standard"}
+    for d in (rec, {key: v for key, v in rec.items() if key != "profile"}):
+        s = BubbleSpec.from_dict(d)
+        assert (s.kind, s.n, s.k, s.mu) == ("interior", N, K, 0.05)
+        assert s.center.tolist() == rec["center"]

@@ -194,23 +194,28 @@ def test_tree_refuses_a_directory(tmp_path, capsys):
     ("family_law", "mu_coeff", [0.0, 0.8]),
     ("family_law", "mu_coeff", [float("nan"), 0.8]),
     ("family_law", "mu_exp", [float("nan"), 1.0]),
+    ("family_law", "mu_exp", [2.0, 1.0]),
+    ("bubble", "mu", 0.02),
+    ("family_law", "center_base", [[0.5] + [0.0] * 6, [-0.4] + [0.0] * 6]),
 ], ids=["boundary-kind", "external-profile", "short-center", "short-domain-center",
         "negative-radius", "center-outside", "nu-bubble-index", "nu-kernel-index",
         "nu-list", "nu-in-range", "empty-nu", "bubbles-object", "domain-list", "family-law-list",
         "unknown-key", "unknown-bubble-key", "alpha", "include-u0", "center-exp",
         "fractional-k", "float-n", "nan-mu", "nan-center", "infinite-domain-center",
         "infinite-radius", "short-mu-exp", "short-center-base",
-        "negative-mu-coeff", "zero-mu-coeff", "nan-mu-coeff", "nan-mu-exp"])
+        "negative-mu-coeff", "zero-mu-coeff", "nan-mu-coeff", "nan-mu-exp",
+        "mu-exp-off-the-scales", "mu-off-the-law", "center-off-center-base"])
 def test_tree_refuses_configs_it_cannot_use(tmp_path, capsys, part, key, value):
     """A bubble that is not interior and standard, orders that are not
     integers, a scale that is not positive, a centre of the wrong length or
     with an entry that is not finite, a domain radius that is not positive
     and finite, a bubble centre outside the domain, a family law whose lists
     do not have N entries, whose centres do not have n or whose scale
-    coefficients or exponents are not finite and > 0, a container of the
-    wrong JSON type and a key the reader does not take (the dropped kernel
-    coefficients "nu" among them) each exit 2 with one line and no
-    report."""
+    coefficients or exponents are not finite and > 0, bubbles that are not
+    the family law's at one alpha (a scale off c alpha^-gamma, a centre off
+    its center_base), a container of the wrong JSON type and a key the
+    reader does not take (the dropped kernel coefficients "nu" among them)
+    each exit 2 with one line and no report."""
     with open(os.path.join(FIXTURES, "separated.json")) as fh:
         cfg = json.load(fh)
     {"bubble": cfg["bubbles"][0], "domain": cfg["domain"],

@@ -18,7 +18,7 @@ from polybubble.pohozaev import (MultiPoly, PolynomialJet, _Axial, _axial_form,
                                  e_operator, manufactured_dirichlet,
                                  pohozaev_lhs, pohozaev_residual,
                                  pohozaev_rhs, x_grad_laplacian)
-from polybubble.quadrature import (Ball, BallMinusBalls, SphereSurface,
+from polybubble.quadrature import (Ball, BallMinusBalls, HalfBall, SphereSurface,
                                    integrate_surface, sphere_area)
 from polybubble.radial import bubble_constant, critical_exponent, make_bubble
 
@@ -128,7 +128,7 @@ def test_multipoly_matches_fraction_reference(seed):
         xmx = _ref_clean({tuple(int(j == i) for j in range(n)): Fraction(1),
                           (0,) * n: -xi[i]})
         xdg = _ref_add(xdg, _ref_mul(xmx, _ref_diff(a, i)))
-    assert dict(A.x_dot_grad(xi).coeffs) == xdg
+    assert dict(_Cartesian(n).dot_grad(A, xi).coeffs) == xdg
     shift = [Fraction(rng.randint(-7, 7), rng.choice([3, 5, 7, 9, 11]))
              for _ in range(n)]
     assert dict(A.translate(shift).coeffs) == _ref_translate(a, shift)
@@ -658,6 +658,17 @@ def test_quadrature_path_refuses_spheres_off_the_axis(dom, axis):
                      quad_opts={"axis": axis})
 
 
+def test_half_balls_are_refused():
+    """A HalfBall is a Ball cut by a plane, whose flat face is no boundary
+    sphere: both sides refuse it."""
+    n, k = 5, 1
+    u, half = manufactured_dirichlet(k, n), HalfBall((0.0,) * n, 1.0)
+    with pytest.raises(ValueError, match="Pohozaev domains"):
+        pohozaev_lhs(u, half, np.zeros(n), k)
+    with pytest.raises(ValueError, match="Pohozaev domains"):
+        pohozaev_rhs(u, None, 2.0, half, np.zeros(n), k)
+
+
 def test_both_axis_forms_reach_every_rule(monkeypatch):
     """A direction and a (point, direction) pair give bit-identical values
     on all three functions, and every sphere rule, T2's included, receives
@@ -716,6 +727,20 @@ def test_quadrature_path_matches_exact_path(k, n, shift):
                  quad_opts={"axis": (np.zeros(n), np.eye(n)[0])})
     scale = max(abs(exact[0]), *abs(exact[2:]))
     assert np.all(np.abs(quad - exact) <= scale * np.array([1e-12] * 2 + [1e-10] * 4))
+
+
+def test_polynomial_data_with_a_non_polynomial_power_take_the_quadrature_path():
+    """A PolynomialJet whose |u|^{p-2} u is no polynomial (odd p, u not
+    certified nonneg) takes the quadrature path with the caller's quad_opts,
+    as the same data behind the generic interface do, and meets the
+    identity there."""
+    n, k = 5, 1
+    u = manufactured_dirichlet(k, n, MultiPoly.coordinate(n, 0) + 1)
+    args = (3.0, Ball((0.0,) * n, 1.0), 0.3 * np.eye(n)[0], k)
+    opts = {"axis": (np.zeros(n), np.eye(n)[0])}
+    assert (pohozaev_rhs(u, None, *args, quad_opts=opts)
+            == pohozaev_rhs(_NotAPolynomialJet(u), None, *args, quad_opts=opts))
+    assert pohozaev_residual(u, None, *args, quad_opts=opts).residual_rel < 1e-10
 
 
 @pytest.mark.parametrize("hole", [False, True], ids=["ball", "annulus"])
@@ -780,7 +805,7 @@ def test_axial_form_round_trip_and_operators(n, seed):
     a = [Fraction(3, 7)] + [Fraction(0)] * (n - 1)
     grad_sq = sum((d * d for d in map(p.diff, range(n))), MultiPoly(n))
     for axial, cart in ((alg.lap(A), p.laplacian()),
-                        (alg.dot_grad(A, a), p.x_dot_grad(a)),
+                        (alg.dot_grad(A, a), _Cartesian(n).dot_grad(p, a)),
                         (alg.grad_sq(A), grad_sq)):
         assert dict(_axial_form(cart).coeffs) == dict(axial.coeffs)
 

@@ -82,6 +82,14 @@ def test_ball_minus_balls_additivity():
     assert r3.value == pytest.approx(ball_volume(5) - ball_volume(5, 0.2), rel=1e-7)
 
 
+def test_singularity_order_stays_below_the_dimension():
+    """An order at or above the dimension, where the integral diverges, is
+    refused when the singularity is built."""
+    with pytest.raises(ValueError, match="singularity order 3.0 >= dimension 3"):
+        Singularity((0.0,) * 3, 3.0)
+    assert Singularity((0.0,) * 3, 2.5).order == 2.5
+
+
 def test_inner_ball_must_fit():
     with pytest.raises(ValueError):
         BallMinusBalls(Ball((0.0,) * 3, 1.0), (Ball((0.9, 0, 0), 0.3),))

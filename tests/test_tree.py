@@ -1,13 +1,16 @@
 """Bubble-tree geometry: structure relation, classification, radii, regions,
 and dominance/interaction sweeps."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybubble
 from polybubble.bubbles import BubbleSpec
 from polybubble.quadrature import Ball
 from polybubble.tree import (AmbiguousScalesError, FamilyLaw, TreeConfig,
@@ -249,19 +252,26 @@ def test_interaction_single_bubble_orders():
         assert rep["lhs"] > 0.01 * scale
 
 
-def test_tree_json_roundtrip():
-    """from_json(to_json()) writes the same record back byte for byte, for
-    a family config and for a snapshot config with its own domain."""
-    snapshot = TreeConfig(
-        [BubbleSpec("interior", N, K, [0.1] + [0.0] * (N - 1), 0.05),
-         BubbleSpec("interior", N, K, [0.0, -0.2] + [0.0] * (N - 2), 1e-3)],
-        domain=Ball((0.05,) + (0.0,) * (N - 1), 1.5))
-    for cfg in (tower_cfg(100.0), snapshot):
-        text = cfg.to_json()
-        assert TreeConfig.from_json(text).to_json() == text
-    cfg2 = TreeConfig.from_json(tower_cfg(100.0).to_json())
-    assert len(cfg2.bubbles) == 2
-    assert cfg2.family_law.mu_exp == [1.0, 2.0]
-    data = classify(cfg2)
-    js = data.to_json()
-    assert '"rho"' in js and '"regions"' in js
+def test_tree_from_json():
+    """from_json reads a literal snapshot record with its own domain, and
+    each fixture text into the family config it records at alpha = 100."""
+    bubbles = [{"kind": "interior", "n": N, "k": K, "mu": 0.05,
+                "center": [0.1] + [0.0] * (N - 1)},
+               {"kind": "interior", "n": N, "k": K, "mu": 1e-3,
+                "center": [0.0, -0.2] + [0.0] * (N - 2)}]
+    cfg = TreeConfig.from_json(json.dumps(
+        {"bubbles": bubbles, "domain": {"center": [0.05] + [0.0] * (N - 1), "radius": 1.5}}))
+    assert [(b.mu, b.center.tolist()) for b in cfg.bubbles] == [
+        (d["mu"], d["center"]) for d in bubbles]
+    assert cfg.domain == Ball((0.05,) + (0.0,) * (N - 1), 1.5)
+    assert cfg.family_law is None
+    fixtures = os.path.join(os.path.dirname(polybubble.__file__), "fixtures")
+    for name, family in (("tower.json", tower_cfg), ("separated.json", separated_cfg)):
+        with open(os.path.join(fixtures, name)) as fh:
+            got = TreeConfig.from_json(fh.read())
+        want = family(100.0)
+        assert [(b.mu, b.center.tolist()) for b in got.bubbles] == [
+            (b.mu, b.center.tolist()) for b in want.bubbles]
+        assert (got.domain, got.family_law) == (want.domain, want.family_law)
+        js = classify(got).to_json()
+        assert js == classify(want).to_json() and '"regions"' in js

@@ -281,6 +281,28 @@ def test_every_l_at_one_x_is_one_call(monkeypatch, kind, centers):
         assert alone == [r for r in rows if r["l"] == l]
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("ordre2", {}), ("trou0", {}), ("trou", {"M": 4.0})], ids=["ordre2", "trou0", "trou"])
+def test_per_bubble_checks_read_the_axis_of_their_own_points(monkeypatch, kind, params):
+    """A per-bubble check at its own centre declares that centre alone, so
+    another bubble off its line leaves it on the axisymmetric rule."""
+    n, k = 7, 1
+    cfg = TreeConfig([BubbleSpec("interior", n, k, 0.3 * np.eye(n)[0], 1e-2),
+                      BubbleSpec("interior", n, k, 0.3 * np.eye(n)[1], 1e-3)])
+    calls = []
+    integrate_volume = weights.integrate_volume
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return integrate_volume(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "integrate_volume", spy)
+    rows = convolution_bound_verify(kind, cfg, {"i": 0, "l": 0, **params,
+                                                "x_points": [cfg.bubbles[0].center]})
+    assert len(calls) == 1 and calls[0] is not None
+    assert np.isfinite(rows[0]["ratio"])
+
+
 def test_unknown_lemma_kind():
     with pytest.raises(ValueError):
         convolution_bound_verify("nope", single(1e-2), {})
