@@ -36,7 +36,7 @@ print("  region 0:", data.regions[0].describe())
 for alpha in (1e2, 1e3, 1e4):
     cfg = TreeConfig.from_family(tower, alpha, n, k)
     data = classify(cfg)
-    dom = check_dominance(cfg, data, 0, l=0, seed=0)
+    dom = check_dominance(cfg, data, 0, seed=0)[0]  # l = 0
     inter = interaction_sup(cfg, data, 0, seed=0)
     print(f"alpha = {alpha:6.0f}: dominance constant {dom['constant']:7.2f}, "
           f"interaction lhs {inter['lhs']:.3e}, ratio to bound "

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bubbles import check_decay
-from .conformal import (GaussianXPow, HalfSpaceBump,
+from .conformal import (GaussianXPow, HalfSpaceBump, _direction_rule,
                         check_distance_identity, check_norm_invariance)
 from .green import check_conformal_relation
 from .quadrature import AccuracyError, Ball
@@ -109,6 +109,7 @@ def cmd_cayley_green(ns: argparse.Namespace) -> int:
         return _refuse(EXIT_USAGE, "invalid input: cayley-green needs --n and --k")
     try:
         critical_exponent(n, k)
+        _direction_rule(n, k)  # the derivative invariance's rule exists
         if pairs <= 0:
             raise ValueError(f"need pairs > 0 (an empty report otherwise), got pairs={pairs}")
     except ValueError as e:
@@ -173,8 +174,7 @@ def cmd_tree(ns: argparse.Namespace) -> int:
     _write(ns, "influence.json", data.to_json())
     rows = []
     for i in range(len(tree.bubbles)):
-        for l in range(2 * tree.k):
-            dom = check_dominance(tree, data, i, l, seed=ns.seed)
+        for l, dom in enumerate(check_dominance(tree, data, i, seed=ns.seed)):
             rows.append({"kind": "dominance", "i": i, "l": l,
                          "mu_or_alpha": tree.bubbles[i].mu,
                          "lhs": dom["constant"], "rhs": 1.0,

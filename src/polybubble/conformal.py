@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Taylor
-from .quadrature import (Ball, HalfBall, _sphere_rule, as_points,
-                         integrate_axisymmetric, row_sq_norms)
+from .quadrature import (Ball, HalfBall, as_points, integrate_axisymmetric,
+                         row_sq_norms)
 from .radial import critical_exponent
 
 __all__ = [
@@ -51,44 +51,36 @@ class CayleyMap:
 
     @property
     def e1(self):
-        e = np.zeros(self.n)
-        e[0] = 1.0
-        return e
+        return np.eye(self.n)[0]
 
-    def _shifted(self, y):
-        """w = y + e_1 and |w|^2, shared by phi and cayley_transform."""
-        w = as_points(y) + self.e1
-        return w, row_sq_norms(w)
-
-    def _phi(self, w, nw2):
-        if np.any(nw2 < 1e-28):
-            raise SingularPointError("phi is singular at y = -e_1")
-        return w / nw2[:, None] - 0.5 * self.e1
-
-    def phi(self, y):
-        return self._phi(*self._shifted(y))
-
-    def phi_inv(self, x):
-        x = as_points(x)
-        w = x + 0.5 * self.e1
+    def _mobius(self, x, inverse: bool = False):
+        """The image w/|w|^2 - b e_1 of w = x + a e_1, and |w|^2: phi takes
+        (a, b) = (1, 1/2), phi_inv (1/2, 1)."""
+        a, b = (0.5, 1.0) if inverse else (1.0, 0.5)
+        w = as_points(x) + a * self.e1
         nw2 = row_sq_norms(w)
         if np.any(nw2 < 1e-28):
-            raise SingularPointError("phi_inv is singular at x = -e_1/2")
-        return w / nw2[:, None] - self.e1
+            raise SingularPointError("phi_inv is singular at x = -e_1/2" if inverse
+                                     else "phi is singular at y = -e_1")
+        return w / nw2[:, None] - b * self.e1, nw2
+
+    def phi(self, y):
+        return self._mobius(y)[0]
+
+    def phi_inv(self, x):
+        return self._mobius(x, inverse=True)[0]
 
     def cayley_transform(self, u, k: int, y):
         """u*(y) = |y+e_1|^{2k-n} u(phi(y)) for a provider u on the half-space."""
-        w, nw2 = self._shifted(y)
-        return np.sqrt(nw2) ** (2 * k - self.n) * u.value(self._phi(w, nw2))
+        x, nw2 = self._mobius(y)
+        return np.sqrt(nw2) ** (2 * k - self.n) * u.value(x)
 
 
 def check_distance_identity(x, y) -> float:
     """| |phi(x)-phi(y)| * |x+e_1| * |y+e_1| - |x-y| | for interior points."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    cm = CayleyMap(x.size)
-    px = cm.phi(x[None, :])[0]
-    py = cm.phi(y[None, :])[0]
+    x, y = xy = np.array([x, y], float)
+    cm = CayleyMap(len(x))
+    px, py = cm.phi(xy)
     lhs = np.linalg.norm(px - py) * np.linalg.norm(x + cm.e1) * np.linalg.norm(y + cm.e1)
     return abs(lhs - np.linalg.norm(x - y))
 
@@ -142,25 +134,26 @@ class GaussianXPow:
 # Derivatives from directional Taylor coefficients
 # ---------------------------------------------------------------------------
 
-def _direction_rule(n: int, degree: int):
-    """Directions theta (one of each pair +-theta) and weights whose weighted
-    sum of any even polynomial of degree <= degree in theta is its mean over
-    S^{n-1}: the axes to degree 3; the axes and the (e_i +- e_j)/sqrt 2 to
-    degree 5; beyond that the product Gauss rule, with both of each pair."""
-    eye = np.eye(n)
+def _direction_rule(n: int, order: int):
+    """Directions theta (one of each pair +-theta) and weights for the
+    derivatives of an order: their weighted sum of any even polynomial of
+    degree <= order + (order odd) in theta is its mean over S^{n-1}.  The
+    axes serve to degree 3, the axes and the (e_i +- e_j)/sqrt 2 to degree 5;
+    ValueError for order >= 5, which needs degree 6 or more."""
+    degree, eye = order + order % 2, np.eye(n)
     if degree <= 3:
         return eye, np.full(n, 1.0 / n)
-    if degree <= 5:
-        i, j = np.triu_indices(n, 1)
-        diag = np.concatenate([eye[i] + eye[j], eye[i] - eye[j]]) / math.sqrt(2)
-        w = np.concatenate([np.full(n, (4.0 - n) / (n * (n + 2))),
-                            np.full(len(diag), 2.0 / (n * (n + 2)))])
-        return np.concatenate([eye, diag]), w
-    nodes, w = _sphere_rule(n, degree // 2 + 1)
-    return nodes, w / w.sum()
+    if degree > 5:
+        raise ValueError("direction rules stop at degree 5, so at derivative "
+                         f"order k <= 4; got k={order}")
+    i, j = np.triu_indices(n, 1)
+    diag = np.concatenate([eye[i] + eye[j], eye[i] - eye[j]]) / math.sqrt(2)
+    w = np.concatenate([np.full(n, (4.0 - n) / (n * (n + 2))),
+                        np.full(len(diag), 2.0 / (n * (n + 2)))])
+    return np.concatenate([eye, diag]), w
 
 
-def _taylor_derivative(f, pts, j: int):
+def _taylor_derivative(f, pts, j: int, rule):
     """Delta^m f (j = 2m, shape (N,)) or grad Delta^m f (j = 2m + 1, shape
     (N, n)) at pts (N, n), from the j-th Taylor coefficient c_j(theta) of
     t -> f(pts + t theta), through the exact identities
@@ -169,12 +162,12 @@ def _taylor_derivative(f, pts, j: int):
         mean_theta theta d_theta^{2m+1} f
             = (2m+1)!! / (n (n+2) ... (n+2m)) grad Delta^m f,
 
-    with d_theta^j f = j! c_j and the mean taken by a rule exact to degree
-    j + (j odd).  f maps Taylor coordinates of points to a series; the
-    directions are evaluated one at a time.
+    with d_theta^j f = j! c_j and the mean taken by rule, the
+    _direction_rule(n, j).  f maps Taylor coordinates of points to a series;
+    the directions are evaluated one at a time.
     """
     n = pts.shape[1]
-    dirs, weights = _direction_rule(n, j + j % 2)
+    dirs, weights = rule
     scale = math.factorial(j) * math.prod((n + 2 * i) / (2 * i + 1)
                                           for i in range((j + 1) // 2))
     line = Taylor.line(pts, 0.0, j)
@@ -196,7 +189,8 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
     critical:   int_B |u*|^{2#} = int_{R^n_+} |u|^{2#}
     derivative: int_B |(-D)^{k/2} u*|^2 = int_{R^n_+} |(-D)^{k/2} u|^2
 
-    each passing at relative difference below _INVARIANCE_TOL.
+    each passing at relative difference below _INVARIANCE_TOL.  k >= 5
+    raises ValueError before any call of u: no direction rule goes that far.
 
     (-D)^{k/2} means grad (-Delta)^{(k-1)/2} for odd k.  The integrand is
     (Delta^m u)^2 for k = 2m and |grad Delta^m u|^2 for k = 2m + 1, taken
@@ -207,14 +201,14 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
     """
     cm = CayleyMap(n)
     two_sharp = critical_exponent(n, k)
-    e1 = cm.e1
+    rule = _direction_rule(n, k)
 
     def ustar(y):
         return cm.cayley_transform(u, k, y)
 
     ball = Ball((0.0,) * n, 1.0)
     half = HalfBall((0.0,) * n, u.support_radius)
-    axis = (np.zeros(n), e1)
+    axis = (np.zeros(n), cm.e1)
 
     # feature spheres on the half-space side map to spheres on the ball side
     # (the inverse map is a Moebius transformation); both axis crossings of
@@ -222,9 +216,9 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
     feats_half = list(getattr(u, "feature_balls", ()))
     feats_ball = []
     for b in feats_half:
-        c1 = b.center[0]
-        lo = cm.phi_inv(np.array([[c1 - b.radius] + [0.0] * (n - 1)]))[0][0]
-        hi = cm.phi_inv(np.array([[c1 + b.radius] + [0.0] * (n - 1)]))[0][0]
+        ends = np.zeros((2, n))
+        ends[:, 0] = (b.center[0] - b.radius, b.center[0] + b.radius)
+        lo, hi = cm.phi_inv(ends)[:, 0]
         ctr = [0.5 * (lo + hi)] + [0.0] * (n - 1)
         rad = 0.5 * abs(hi - lo)
         if rad > 1e-12:
@@ -234,7 +228,7 @@ def check_norm_invariance(u, n: int, k: int) -> dict:
         """[critical, derivative] integrals of the profile f over domain."""
         def rows(x):
             x = np.asarray(x)
-            d = _taylor_derivative(f, x, k)
+            d = _taylor_derivative(f, x, k, rule)
             return np.stack([np.abs(f(x)) ** two_sharp,
                              row_sq_norms(d) if k % 2 else d * d])
         return integrate_axisymmetric(rows, domain, *axis, feature_balls=feats,

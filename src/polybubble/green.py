@@ -51,8 +51,8 @@ def psi_half(x, y) -> float:
 def kernel_integral(s: float, k: int, n: int) -> float:
     """int_1^s (t^2-1)^{k-1} t^{1-n} dt in closed form.
 
-    Binomial expansion gives sum_j C(k-1,j)(-1)^{k-1-j} [t^{2j+2-n}/(2j+2-n)]
-    with a log t antiderivative when 2j+2-n = 0 (even n only).
+    Binomial expansion gives sum_j C(k-1,j)(-1)^{k-1-j} [t^{2j+2-n}/(2j+2-n)],
+    where 2j+2-n <= 2k-n < 0 for every j < k.
     """
     if s < 1.0:
         raise ValueError("need s >= 1")
@@ -61,10 +61,7 @@ def kernel_integral(s: float, k: int, n: int) -> float:
     for j in range(k):
         c = math.comb(k - 1, j) * (-1.0) ** (k - 1 - j)
         e = 2 * j + 2 - n
-        if e == 0:
-            total += c * math.log(s)
-        else:
-            total += c * (s**e - 1.0) / e
+        total += c * (s**e - 1.0) / e
     return total
 
 
@@ -99,13 +96,11 @@ def check_conformal_relation(x, y, k: int) -> float:
     """Relative residual of
     G_B(x,y) = |x+e_1|^{2k-n} |y+e_1|^{2k-n} G_{R^n_+}(phi(x), phi(y)),
     n = len(x), which is independent of the kappa normalization."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    x, y = xy = np.array([x, y], float)
     n = len(x)
     cm = CayleyMap(n)
     gb = green_ball(x, y, k)
-    px = cm.phi(x[None, :])[0]
-    py = cm.phi(y[None, :])[0]
+    px, py = cm.phi(xy)
     fac = (np.linalg.norm(x + cm.e1) * np.linalg.norm(y + cm.e1)) ** (2 * k - n)
     gh = fac * green_half(px, py, k)
     return abs(gb - gh) / abs(gb)

@@ -161,9 +161,6 @@ class Taylor:
     def __lt__(self, other):
         return self.c[0] < other
 
-    def __gt__(self, other):
-        return self.c[0] > other
-
     def __neg__(self):
         return Taylor(-self.c)
 

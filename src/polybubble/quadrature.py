@@ -313,9 +313,6 @@ class QuadratureResult:
     samples_used: int = _OnRead("coarse")
     coarse: Callable | None = field(default=None, repr=False, compare=False)
 
-    def __float__(self):
-        return float(self.value)
-
     def _fill(self):
         """error_estimate and samples_used from the pending coarse rule."""
         (self.error_estimate, self.samples_used), self.coarse = self.coarse(), None

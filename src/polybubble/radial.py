@@ -109,20 +109,6 @@ class RadialFunction:
             clean[(int(p), int(t), int(e))] = c
         self.terms = clean
 
-    def __add__(self, other: "RadialFunction") -> "RadialFunction":
-        if (self.n, self.M) != (other.n, other.M):
-            raise ValueError("incompatible n or M")
-        return RadialFunction(self.n, self.M, _collect(
-            [*self.terms.items(), *other.terms.items()]))
-
-    def __mul__(self, other) -> "RadialFunction":
-        """Product with a rational scalar."""
-        other = Fraction(other)
-        return RadialFunction(self.n, self.M,
-                              {key: c * other for key, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def __call__(self, r, a_value: float):
         """Pointwise value at radius r (scalar or array) with a = a_value > 0."""
         if a_value <= 0:

@@ -200,14 +200,10 @@ class Region:
         return mask
 
     def describe(self):
-        return {
-            "outer": {"center": list(map(float, self.outer.center)),
-                      "radius": self.outer.radius},
-            "holes": [{"center": list(map(float, h.center)), "radius": h.radius}
-                      for h in self.holes],
-            "clip": {"center": list(map(float, self.clip.center)),
-                     "radius": self.clip.radius},
-        }
+        def ball(b):
+            return {"center": list(map(float, b.center)), "radius": b.radius}
+        return {"outer": ball(self.outer), "holes": [ball(h) for h in self.holes],
+                "clip": ball(self.clip)}
 
 
 @dataclass
@@ -265,7 +261,7 @@ def classify(cfg: TreeConfig) -> InfluenceData:
             bj = cfg.bubbles[j]
             d2 = float(np.sum((bi.center - bj.center) ** 2))
             base = (bi.mu / bj.mu) * (bj.mu**2 + a * d2)
-            if _faster(cfg, i, j):               # mu^i = o(mu^j): strict branch
+            if i in faster[j]:                   # mu^i = o(mu^j): strict branch
                 s2 = base / a
             else:                                # comparable bubbles
                 if cfg.family_law is not None:
@@ -309,19 +305,20 @@ def stratified_samples(region: Region, cfg: TreeConfig, count: int = 512,
     boundaries)."""
     rng = np.random.default_rng(seed)
     n = cfg.n
+
+    def directions(m):
+        dirs = rng.normal(size=(m, n))
+        return dirs / np.sqrt(row_sq_norms(dirs))[:, None]
     pts = []
     r_out = region.outer.radius
     for b in cfg.bubbles:
         radius = b.mu
         while radius < 2.0 * r_out:
-            dirs = rng.normal(size=(8, n))
-            dirs /= np.sqrt(row_sq_norms(dirs))[:, None]
-            pts.append(b.center + radius * dirs)
+            pts.append(b.center + radius * directions(8))
             radius *= 2.0
     # uniform background in the outer ball
     m = max(count, 64)
-    dirs = rng.normal(size=(m, n))
-    dirs /= np.sqrt(row_sq_norms(dirs))[:, None]
+    dirs = directions(m)
     radii = r_out * rng.uniform(0, 1, size=m) ** (1.0 / n)
     pts.append(np.asarray(region.outer.center) + radii[:, None] * dirs)
     pts = np.concatenate(pts, axis=0)
@@ -358,14 +355,16 @@ def pair_sum(cfg: TreeConfig, B: list, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, l: int, *,
-                    seed: int = 0) -> dict:
-    """Measured sup over _REGION_SAMPLES points of the influence region of
-    (1 + sum_j theta_j^{-l} B_j) / (theta_i^{-l} B_i)."""
+def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, *,
+                    seed: int = 0) -> list:
+    """For each l < 2k, the measured sup of
+    (1 + sum_j theta_j^{-l} B_j) / (theta_i^{-l} B_i) over one draw of
+    _REGION_SAMPLES points of the influence region, indexed by l."""
     pts = stratified_samples(data.regions[i], cfg, _REGION_SAMPLES, seed)
-    ratios = weight_sum(cfg, l, pts) / theta_pow_B(cfg.bubbles[i], l, pts)
-    return {"i": i, "l": l, "constant": float(np.max(ratios)),
-            "samples": len(pts)}
+    ratios = [weight_sum(cfg, l, pts) / theta_pow_B(cfg.bubbles[i], l, pts)
+              for l in range(2 * cfg.k)]
+    return [{"i": i, "l": l, "constant": float(np.max(r)), "samples": len(pts)}
+            for l, r in enumerate(ratios)]
 
 
 def pair_bound(cfg: TreeConfig, data: InfluenceData, cap: float) -> float:

@@ -91,6 +91,18 @@ def test_cayley_green_zero_pairs_usage(tmp_path):
     assert code == 2
 
 
+def test_cayley_green_refuses_orders_beyond_the_direction_rules(tmp_path):
+    """k = 5 needs a direction rule of degree 6, which no rule reaches: one
+    usage line within seconds, not hours of integrals on a product rule."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "polybubble", "--out", str(tmp_path / "proc"),
+         "cayley-green", "--n", "11", "--k", "5", "--pairs", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid input: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_tree_fixture_tower(tmp_path):
     code, out = run_cli(["tree", os.path.join(FIXTURES, "tower.json")],
                         tmp_path)
@@ -121,6 +133,55 @@ def test_every_report_arrives_by_one_rename(tmp_path, monkeypatch, args):
     assert code == 0
     d = os.path.abspath(os.path.join(out, args[0]))
     assert sorted(renamed) == sorted(os.path.join(d, f) for f in os.listdir(d))
+
+
+def test_tree_draws_one_sample_set_per_region_and_check(tmp_path, monkeypatch):
+    """The 2k dominance constants of a region share one draw of its sample
+    points, and the interaction sup takes one more: two draws per bubble."""
+    from polybubble import tree
+    regions, draw = [], tree.stratified_samples
+
+    def spy(region, *args):
+        regions.append(region)
+        return draw(region, *args)
+
+    monkeypatch.setattr(tree, "stratified_samples", spy)
+    code, out = run_cli(["tree", os.path.join(FIXTURES, "tower.json")], tmp_path)
+    assert code == 0
+    assert len(regions) == 4 and regions[0] is regions[1] is not regions[2]
+
+
+def test_tree_offaxis_fixture_takes_qmc_for_eta1(tmp_path, monkeypatch):
+    """Bubble 1 of offaxis.json sits off bubble 0's line, so eta1 (the
+    integral whose declared singularities are the bubbles' peaks, all of
+    order 0) has no common axis and runs on the QMC rule."""
+    from polybubble import weights
+    calls, integrate_volume = [], weights.integrate_volume
+
+    def spy(f, dom, **kwargs):
+        calls.append((kwargs.get("axis"), [s.order for s in dom.singularities]))
+        return integrate_volume(f, dom, **kwargs)
+
+    monkeypatch.setattr(weights, "integrate_volume", spy)
+    code, out = run_cli(["tree", os.path.join(FIXTURES, "offaxis.json")], tmp_path)
+    assert code == 0
+    assert [axis for axis, orders in calls if orders == [0.0, 0.0]] == [None]
+    eta = read_report(out, "tree", "eta.json")
+    assert np.isfinite(eta["eta1"]) and eta["eta1"] > 0
+
+
+def test_accuracy_error_exits_3(tmp_path, monkeypatch, capsys):
+    """main turns an AccuracyError from any command into exit 3 and one
+    stderr line."""
+    from polybubble import cli
+    from polybubble.quadrature import AccuracyError
+
+    def fail(ns):
+        raise AccuracyError("x")
+
+    monkeypatch.setitem(cli._COMMANDS, "bubble-check", fail)
+    assert run_cli(["bubble-check"], tmp_path)[0] == 3
+    assert capsys.readouterr().err == "accuracy failure: x\n"
 
 
 def test_tree_closes_its_config_file(tmp_path):

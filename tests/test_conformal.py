@@ -33,6 +33,21 @@ def test_phi_singular_point():
         cm.phi(np.array([[-1.0, 0.0, 0.0]]))
 
 
+def test_norm_invariance_refuses_k5_before_any_evaluation():
+    """k = 5 needs a degree-6 direction rule, which does not exist: the
+    check refuses before it evaluates the profile."""
+    calls = []
+
+    class Counted(GaussianXPow):
+        def value(self, x):
+            calls.append(x)
+            return super().value(x)
+
+    with pytest.raises(ValueError, match="degree 5, so at derivative order k <= 4"):
+        check_norm_invariance(Counted(11, 5), 11, 5)
+    assert calls == []
+
+
 def test_phi_maps_into_half_space():
     cm = CayleyMap(5)
     ys = ball_points(5, 200, seed=1)

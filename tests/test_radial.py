@@ -144,10 +144,11 @@ def test_square_derivative_is_radial_derivative_over_2r(profile):
     a = bubble_constant(n, k)
     f = make_bubble(n, k)
     if profile == "Z0":
-        df = radial_derivative(f)
-        rdf = RadialFunction(n, df.M, {(p + 1, t, e): c
-                                       for (p, t, e), c in df.terms.items()})
-        f = f * Fraction(n - 2 * k, 2) + rdf
+        # (n-2k)/2 B + r B' as one term dict
+        z0 = {key: Fraction(n - 2 * k, 2) * c for key, c in f.terms.items()}
+        for (p, t, e), c in radial_derivative(f).terms.items():
+            z0[(p + 1, t, e)] = z0.get((p + 1, t, e), 0) + c
+        f = RadialFunction(n, f.M, z0)
     df, sf = radial_derivative(f), square_derivative(f)
     for r in (1e-6, 1e-3, 0.1, 0.7, 3.0, 40.0):
         assert sf(r, a) == pytest.approx(df(r, a) / (2 * r), rel=1e-13)

@@ -36,6 +36,14 @@ def separated_cfg(alpha):
     return TreeConfig.from_family(law, alpha, N, K)
 
 
+def offaxis_cfg(alpha):
+    """separated_cfg with bubble 1 moved off bubble 0's line, to 0.4 e_2."""
+    c1 = [0.4] + [0.0] * (N - 1)
+    c2 = [0.0, 0.4] + [0.0] * (N - 2)
+    law = FamilyLaw([1.0, 0.8], [1.0, 1.0], [c1, c2])
+    return TreeConfig.from_family(law, alpha, N, K)
+
+
 # -- structure relation -------------------------------------------------------
 
 def test_epsilon_examples():
@@ -185,7 +193,7 @@ def test_dominance_measured_constant_stable():
     for mu in (1e-2, 1e-3):
         cfg = single(mu)
         data = classify(cfg)
-        rep = check_dominance(cfg, data, 0, l=0, seed=2)
+        rep = check_dominance(cfg, data, 0, seed=2)[0]
         consts.append(rep["constant"])
         assert np.isfinite(rep["constant"])
     # stable across scales (same a_{n,k}-driven constant)
@@ -198,13 +206,13 @@ def test_dominance_slower_bubble_barely_changes_constant():
     b0 = BubbleSpec("interior", N, K, np.zeros(N), 1e-3)
     cfg1 = TreeConfig([b0])
     d1 = classify(cfg1)
-    c1 = check_dominance(cfg1, d1, 0, l=0, seed=3)["constant"]
+    c1 = check_dominance(cfg1, d1, 0, seed=3)[0]["constant"]
     far = np.zeros(N)
     far[0] = 0.6
     slower = BubbleSpec("interior", N, K, far, 0.3)
     cfg2 = TreeConfig([slower, b0])  # ordering: larger scale first
     d2 = classify(cfg2)
-    c2 = check_dominance(cfg2, d2, 1, l=0, seed=3)["constant"]
+    c2 = check_dominance(cfg2, d2, 1, seed=3)[0]["constant"]
     assert c2 < 1.1 * c1 + 1e-9
 
 
@@ -216,7 +224,7 @@ def test_dominance_tower_constant_bounded_across_alpha():
     for a in (1e2, 1e3, 1e4):
         cfg = tower_cfg(a)
         data = classify(cfg)
-        consts.append(check_dominance(cfg, data, 0, l=0, seed=3)["constant"])
+        consts.append(check_dominance(cfg, data, 0, seed=3)[0]["constant"])
     assert all(np.isfinite(c) for c in consts)
     assert max(consts) < 100.0
     assert consts[-1] <= 1.5 * consts[0]
@@ -225,7 +233,7 @@ def test_dominance_tower_constant_bounded_across_alpha():
 def test_dominance_high_order_finite():
     cfg = tower_cfg(100.0)
     data = classify(cfg)
-    rep = check_dominance(cfg, data, 0, l=2 * K - 1, seed=4)
+    rep = check_dominance(cfg, data, 0, seed=4)[2 * K - 1]
     assert np.isfinite(rep["constant"])
 
 
@@ -266,7 +274,8 @@ def test_tree_from_json():
     assert cfg.domain == Ball((0.05,) + (0.0,) * (N - 1), 1.5)
     assert cfg.family_law is None
     fixtures = os.path.join(os.path.dirname(polybubble.__file__), "fixtures")
-    for name, family in (("tower.json", tower_cfg), ("separated.json", separated_cfg)):
+    for name, family in (("tower.json", tower_cfg), ("separated.json", separated_cfg),
+                         ("offaxis.json", offaxis_cfg)):
         with open(os.path.join(fixtures, name)) as fh:
             got = TreeConfig.from_json(fh.read())
         want = family(100.0)
