@@ -8,10 +8,12 @@ reproduces the blow-up scaling mechanism at desk scale.
 Start-up: ``import polybubble`` loads no submodule and no scipy module.  A
 public name, or ``polybubble.<submodule>``, imports its submodule on first
 use, so ``from polybubble import pohozaev`` loads only what ``pohozaev``
-needs.  Only ``polybubble.solver`` and ``integrate_radial`` load
-``scipy.integrate``.  ``quadrature`` imports ``scipy.special`` and
-``scipy.linalg`` up front, so building its first rule imports nothing.
-README.md gives the measured start-up times.
+needs.  Only ``polybubble.solver`` (the ``solve`` command) and
+``integrate_radial`` load scipy, ``scipy.integrate``; the QMC rules of
+``integrate_volume`` and ``integrate_surface`` load ``scipy.stats`` on their
+first call.  Every other entry point and command runs on numpy alone: the
+Gauss rules are built with numpy.  README.md gives the measured start-up
+times.
 """
 
 import importlib

@@ -27,10 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-# roots_legendre and roots_jacobi import scipy.linalg on their first call
-# (about 70 ms); importing it here keeps that cost out of the first rule built.
-import scipy.linalg  # noqa: F401
-from scipy.special import gammaln, ndtri, roots_jacobi, roots_legendre
 
 from .jets import Taylor
 
@@ -66,7 +62,7 @@ class AccuracyError(RuntimeError):
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n."""
-    return 2.0 * math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n))
+    return 2.0 * math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
 def ball_volume(n: int, radius: float = 1.0) -> float:
@@ -157,11 +153,70 @@ def _read_only(*arrays):
     return arrays
 
 
+def _newton_christoffel(x, beta):
+    """(Newton step on p_m, sum_{j<m} p_j^2) at the points x, where p_j are
+    the orthonormal polynomials of the Jacobi matrix with zero diagonal and
+    squared off-diagonal beta = (beta_1, ..., beta_{m-1}), scaled to p_0 = 1.
+
+    The monic pi_{j+1} = x pi_j - beta_j pi_{j-1} are run instead, with
+    p_j^2 = g_j pi_j^2 and g_j = 1 / (beta_1 ... beta_j).  The derivative of
+    p_m at a node is sum_{j<m} p_j^2 / (b_m p_{m-1}), b_m = sqrt(beta_m), by
+    the Christoffel-Darboux identity, so the step is -g_{m-1} pi_m pi_{m-1}
+    over the sum.
+    """
+    P = np.empty((len(beta) + 1, len(x)))
+    P[0] = 1.0
+    prev, p, c = 0.0, P[0], 0.0
+    for j, bj in enumerate(beta.tolist(), 1):
+        prev, p = p, np.subtract(x * p, c * prev, out=P[j])
+        c = bj
+    g = np.cumprod(np.concatenate([[1.0], 1.0 / beta]))
+    s = g @ (P * P)
+    return -g[-1] * (x * p - c * prev) * p / s, s
+
+
 @lru_cache(maxsize=None)
+def _gauss_jacobi(m: int, a: float):
+    """Gauss nodes and weights of order m on [-1, 1] for the weight
+    (1 - x^2)^a, a > -1, built once per (m, a) and shared between callers,
+    hence read-only.
+
+    Golub-Welsch.  The Jacobi matrix J of the orthonormal polynomials p_j
+    has a zero diagonal and the off-diagonal sqrt(beta_j), with
+    beta_j = j (j + 2a) / (4 (j + a)^2 - 1) and beta_1 = 1 / (3 + 2a) written
+    out so that a = -1/2 is exact.  The nodes are symmetric about 0 (an odd
+    order has one at 0 exactly); the squares of those > 0 are eigenvalues
+    of the even-indexed part of J^2, a tridiagonal matrix of order
+    ceil(m/2), and one Newton step dx polishes them.  The weights are the
+    Christoffel numbers mu_0 / sum_{j<m} p_j(x)^2, with p_0 = 1 and
+    mu_0 = int (1 - x^2)^a dx = Gamma(1/2) Gamma(a + 1) / Gamma(a + 3/2).
+    The sum is taken before the step and carried to x + dx, not rounded, by
+    the factor 1 + (2a + 2) x dx / (1 - x^2) that the Jacobi differential
+    equation gives at a node.  Near x = +-1 the sum changes by a relative
+    m^2 per unit of x, so a sum taken at the float node would be off by
+    about 3e-13 at m = 128; this way the weights are within about 3e-14.
+    The nodes < 0 and their weights are the mirror image.
+    """
+    j = np.arange(2.0, m)
+    beta = np.concatenate([[1.0 / (3.0 + 2.0 * a)],
+                           j * (j + 2.0 * a) / (4.0 * (j + a) ** 2 - 1.0)])[:m - 1]
+    B, h = np.concatenate([[0.0], beta, [0.0]]), (m + 1) // 2
+    even = (np.diag(B[0:2 * h:2] + B[1:2 * h:2])
+            + np.diag(np.sqrt(B[1:2 * h - 2:2] * B[2:2 * h - 1:2]), -1))
+    x = np.sqrt(np.maximum(np.linalg.eigvalsh(even), 0.0))
+    x[:m % 2] = 0.0  # an odd order's middle node, exact
+    step, s = _newton_christoffel(x, beta)
+    s *= 1.0 + (2.0 * a + 2.0) * x * step / (1.0 - x * x)
+    x += step
+    w = math.gamma(0.5) * math.gamma(a + 1.0) / math.gamma(a + 1.5) / s
+    return _read_only(np.concatenate([-x[::-1][:m // 2], x]),
+                      np.concatenate([w[::-1][:m // 2], w]))
+
+
 def _gauss_legendre(m: int):
-    """Gauss-Legendre nodes and weights of order m on [-1, 1], built once per
-    order and shared between callers, hence read-only."""
-    return _read_only(*roots_legendre(m))
+    """Gauss-Legendre nodes and weights of order m on [-1, 1]: the Jacobi
+    weight at a = 0, read-only."""
+    return _gauss_jacobi(m, 0.0)
 
 
 def sphere_moment_ratio(alpha: tuple[int, ...]) -> Fraction:
@@ -593,6 +648,7 @@ def _sobol_directions(rng, m, n, lead=0):
     """m scrambled Sobol points of dimension lead + n: the first lead
     coordinates as drawn in [0, 1), the last n mapped through ndtri and
     normalised to directions uniform on S^{n-1}."""
+    from scipy.special import ndtri
     from scipy.stats import qmc
 
     u = qmc.Sobol(d=lead + n, scramble=True, seed=rng).random(m)
@@ -709,7 +765,7 @@ def _sphere_rule(n: int, m: int, axial: bool = False):
         th = (np.arange(2 * m) + 0.5) * (math.pi / m)
         return _read_only(np.stack([np.cos(th), np.sin(th)], axis=1),
                           np.ones(2 * m))
-    x, w = roots_jacobi(m, 0.5 * (n - 3), 0.5 * (n - 3))
+    x, w = _gauss_jacobi(m, 0.5 * (n - 3))
     s = np.sqrt(1 - x**2)
     if axial:
         return _read_only(np.stack([x, s], axis=1), w)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,6 +216,19 @@ class InfluenceData:
     rho: dict             # (j, i) -> rho^{ji} for j in B_i
     m: dict               # (i, j) -> limit of scale-ratio sums, comparable pairs
     regions: dict         # i -> Region
+    draws: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def samples(self, cfg: TreeConfig, i: int, seed: int) -> np.ndarray:
+        """_REGION_SAMPLES points of region i drawn with seed
+        (stratified_samples): drawn on the first call for (i, seed), kept in
+        draws read-only, and returned as that same array by every later
+        call, so the checks of one region share one draw."""
+        if (i, seed) not in self.draws:
+            pts = stratified_samples(self.regions[i], cfg, _REGION_SAMPLES, seed)
+            pts.setflags(write=False)
+            self.draws[(i, seed)] = pts
+        return self.draws[(i, seed)]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -358,9 +371,9 @@ def pair_sum(cfg: TreeConfig, B: list, out: np.ndarray) -> np.ndarray:
 def check_dominance(cfg: TreeConfig, data: InfluenceData, i: int, *,
                     seed: int = 0) -> list:
     """For each l < 2k, the measured sup of
-    (1 + sum_j theta_j^{-l} B_j) / (theta_i^{-l} B_i) over one draw of
-    _REGION_SAMPLES points of the influence region, indexed by l."""
-    pts = stratified_samples(data.regions[i], cfg, _REGION_SAMPLES, seed)
+    (1 + sum_j theta_j^{-l} B_j) / (theta_i^{-l} B_i) over the sample
+    points data.samples(cfg, i, seed) of the influence region, indexed by l."""
+    pts = data.samples(cfg, i, seed)
     ratios = [weight_sum(cfg, l, pts) / theta_pow_B(cfg.bubbles[i], l, pts)
               for l in range(2 * cfg.k)]
     return [{"i": i, "l": l, "constant": float(np.max(r)), "samples": len(pts)}
@@ -388,14 +401,14 @@ def pair_bound(cfg: TreeConfig, data: InfluenceData, cap: float) -> float:
 
 def interaction_sup(cfg: TreeConfig, data: InfluenceData, i: int, *,
                     seed: int = 0) -> dict:
-    """Pointwise interaction estimate on _REGION_SAMPLES points of the
-    influence region:
+    """Pointwise interaction estimate on the sample points
+    data.samples(cfg, i, seed) of the influence region:
 
     lhs   = (mu^i)^{(n+2k)/2} sup sum_{r != s} (B^r)^{2#-2} B^s  (indices 0..N)
     bound = pair_bound(cfg, data, inf)  (its mu term: the zeroth profile)
     """
     n, k = cfg.n, cfg.k
-    pts = stratified_samples(data.regions[i], cfg, _REGION_SAMPLES, seed)
+    pts = data.samples(cfg, i, seed)
     B = [positive_bubble(b, pts) for b in cfg.bubbles]
     tot = pair_sum(cfg, B, np.zeros(len(pts)))
     lhs = cfg.bubbles[i].mu ** (0.5 * (n + 2 * k)) * float(np.max(tot))

@@ -136,8 +136,8 @@ def test_every_report_arrives_by_one_rename(tmp_path, monkeypatch, args):
 
 
 def test_tree_draws_one_sample_set_per_region_and_check(tmp_path, monkeypatch):
-    """The 2k dominance constants of a region share one draw of its sample
-    points, and the interaction sup takes one more: two draws per bubble."""
+    """The 2k dominance constants and the interaction sup of a region share
+    one draw of its sample points: one draw per bubble."""
     from polybubble import tree
     regions, draw = [], tree.stratified_samples
 
@@ -148,7 +148,7 @@ def test_tree_draws_one_sample_set_per_region_and_check(tmp_path, monkeypatch):
     monkeypatch.setattr(tree, "stratified_samples", spy)
     code, out = run_cli(["tree", os.path.join(FIXTURES, "tower.json")], tmp_path)
     assert code == 0
-    assert len(regions) == 4 and regions[0] is regions[1] is not regions[2]
+    assert len(regions) == 2 and regions[0] is not regions[1]
 
 
 def test_tree_offaxis_fixture_takes_qmc_for_eta1(tmp_path, monkeypatch):

@@ -45,7 +45,9 @@ PUBLIC = {
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
+# The scipy modules an interpreter has loaded, as an expression for fresh().
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+FIXTURES = os.path.join(os.path.dirname(polybubble.__file__), "fixtures")
 
 
 def fresh(code):
@@ -110,23 +112,50 @@ ENTRIES = ["cli", "pohozaev", "quadrature", "fields", "conformal", "green",
 
 
 @pytest.fixture(scope="module")
-def heavy_after_import():
-    """The HEAVY modules loaded after each entry point, imported in turn in
+def scipy_after_import():
+    """The scipy modules loaded after each entry point, imported in turn in
     one interpreter.  Imports only add modules, so an entry point that loads
     one alone shows it here at its own turn."""
     out = fresh("import importlib, json, sys\n"
                 "seen = {}\n"
                 f"for e in {ENTRIES!r}:\n"
                 "    importlib.import_module('polybubble.' + e)\n"
-                f"    seen[e] = [m for m in {HEAVY!r} if m in sys.modules]\n"
+                f"    seen[e] = {SCIPY_LOADED}\n"
                 "print(json.dumps(seen))")
     return json.loads(out)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_entry_point_leaves_integrate_optimize_and_stats_unloaded(
-        entry, heavy_after_import):
-    assert heavy_after_import[entry] == [], entry
+        entry, scipy_after_import):
+    """No entry point loads any scipy module, scipy.integrate,
+    scipy.optimize and scipy.stats among them."""
+    assert scipy_after_import[entry] == [], entry
+
+
+# Every command but solve, as the README and the benchmark run them.
+COMMANDS = [["bubble-check"], ["cayley-green", "--n", "3", "--k", "1"],
+            ["tree", os.path.join(FIXTURES, "tower.json")], ["pohozaev"]]
+
+
+@pytest.fixture(scope="module")
+def scipy_after_command(tmp_path_factory):
+    """The exit code and the scipy modules loaded after each of COMMANDS,
+    run in turn through cli.main in one interpreter."""
+    out = str(tmp_path_factory.mktemp("runs"))
+    code = ("import json, sys\n"
+            "from polybubble.cli import main\n"
+            "seen = []\n"
+            f"for argv in {COMMANDS!r}:\n"
+            f"    code = main(['--out', {out!r}] + argv)\n"
+            f"    seen.append([code, {SCIPY_LOADED}])\n"
+            "print(json.dumps(seen))")
+    return dict(zip(map(tuple, COMMANDS), json.loads(fresh(code))))
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_command_finishes_with_no_scipy_loaded(argv, scipy_after_command):
+    assert scipy_after_command[tuple(argv)] == [0, []]
 
 
 def test_solver_loads_scipy_integrate():
