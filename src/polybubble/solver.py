@@ -177,7 +177,13 @@ def _rhs(params: ProblemParams, cols: int):
     A[-1, 0] = mu [p = 0] - (2#-1) |v_0|^{2#-2}, the values that adding
     the 1/r part to the constant part gives entry by entry, and then takes
     A.dot(Y), the BLAS product of A @ Y without the ufunc dispatch.  So a
-    closure is not reentrant: a call must return before the next starts."""
+    closure is not reentrant: a call must return before the next starts.
+
+    Its attribute rows is the same rhs on a stack of R rows: rows(r, Y)
+    takes r (R,) and Y (R, 2k cols) and returns (R, 2k cols).  It sets
+    those k + 1 entries per row in a stacked copy of A and takes one
+    np.matmul, whose slices are the BLAS products that A.dot(Y) makes, so
+    each row has the bits of the point rhs at that (r, y)."""
     n, k, p, mu = params.n, params.k, params.p, params.mu
     ts = params.two_sharp
     i = np.arange(k)
@@ -212,6 +218,30 @@ def _rhs(params: ProblemParams, cols: int):
                     out[last + col] -= c * S0[i1] * S0[i2]
         return out
 
+    def rows(r, Y):
+        Y = Y.reshape(len(r), 2 * k, cols)
+        v0 = Y[:, 0, 0]
+        a = np.empty(len(r))
+        for j, v in enumerate(v0.tolist()):
+            try:  # float pow per row: np.power may round differently
+                a[j] = abs(v) ** (ts - 2.0)
+            except OverflowError:
+                raise IntegrationBlowUp(r[j]) from None
+        As = np.repeat(A[None], len(r), axis=0)
+        As[:, 2 * i + 1, 2 * i + 1] = (-(n - 1.0) * (1.0 / r))[:, None]
+        As[:, -1, 0] = a_base - (ts - 1.0) * a
+        out = np.matmul(As, Y)
+        last = out[:, -1]
+        last[:, 0] += (ts - 2.0) * a * v0
+        if cols > 1:
+            last[:, k + 1] += Y[:, 2 * p, 0]
+            nz = v0 != 0.0
+            S0, c = Y[nz, 0, 1:k + 1], (ts - 1.0) * (ts - 2.0) * a[nz] / v0[nz]
+            for col, (i1, i2) in pairs:
+                last[nz, col] -= c * S0[:, i1] * S0[:, i2]
+        return out.reshape(len(r), -1)
+
+    rhs.rows = rows
     return rhs
 
 
@@ -390,28 +420,34 @@ class _Run:
     status: int       # 0 reached t_bound, 1 crossed the cap, -1 step too small
     steps: list       # ends of the accepted steps
     nfev: int         # rhs calls of the step loop
-    record: list      # the accepted steps that hold t_eval points, for _sample
+    record: list      # (t_old, h, y_old, y, K_ext, points) of each accepted step
+                      # that holds t_eval points, for _sample to stack
 
 
-def _dense_rows(fun, t_old, h, y_old, y, K_ext, stride):
-    """The Dop853 dense output of the accepted step from (t_old, y_old) to
-    (t_old + h, y), whose stages K_ext holds in its first n_stages + 1 rows:
-    the 3 extra stages go into its last rows, and the rows of the
-    interpolant on y[::stride] are returned highest power first."""
+def _dense_rows(rows_rhs, record, stride):
+    """The Dop853 dense output of the recorded steps (t_old, h, y_old, y,
+    K_ext, points), each from (t_old, y_old) to (t_old + h, y) with its
+    stages in the first n_stages + 1 rows of K_ext, all steps at once: each
+    of the 3 extra stages is one stacked product over the steps and one
+    call of rows_rhs (the rows form of _rhs) on a row per step.  Returns
+    the rows of the interpolants on y[::stride], (powers, steps,
+    components) highest power first, and the arrays t_old, h and y_old."""
     M = DOP853
-    buf = np.empty(y.size)
+    t_old, h = np.array([step[:2] for step in record]).T
+    y_old, y, K = (np.stack([step[i] for step in record]) for i in (2, 3, 4))
+    hc = h[:, None]
     for s, (a, c) in enumerate(zip(M.A_EXTRA, M.C_EXTRA), start=M.n_stages + 1):
-        np.dot(K_ext[:s].T, a[:s], out=buf)  # buf = y_old + dot(K[:s].T, a) * h
-        buf *= h
-        buf += y_old
-        K_ext[s] = fun(t_old + c * h, buf)
-    F = np.empty((len(M.D) + 3, y.size))
+        dy = np.matmul(K[:, :s].transpose(0, 2, 1), a[:s])  # as dot(K[:s].T, a)
+        dy *= hc
+        dy += y_old
+        K[:, s] = rows_rhs(t_old + c * h, dy)
+    F = np.empty((len(M.D) + 3,) + y.shape)
     delta_y = y - y_old
     F[0] = delta_y
-    F[1] = h * K_ext[0] - delta_y
-    F[2] = 2 * delta_y - h * (K_ext[M.n_stages] + K_ext[0])
-    F[3:] = h * np.dot(M.D, K_ext)
-    return F[::-1, ::stride]
+    F[1] = hc * K[:, 0] - delta_y
+    F[2] = 2 * delta_y - hc * (K[:, M.n_stages] + K[:, 0])
+    F[3:] = (h[:, None, None] * np.matmul(M.D, K)).transpose(1, 0, 2)
+    return F[::-1, :, ::stride], t_old, h, y_old
 
 
 def _horner(F, base, x):
@@ -427,17 +463,14 @@ def _horner(F, base, x):
     return out + base
 
 
-def _sample(fun, record, t_eval, stride):
+def _sample(rows_rhs, record, t_eval, stride):
     """y[::stride] at t_eval, (components, points), from the recorded
     steps (t_old, h, y_old, y, K_ext, points), each holding the next
-    points of t_eval: the dense output of every step, then one Horner
-    evaluation over all points."""
-    F = np.stack([_dense_rows(fun, t_old, h, y_old, y, K_ext, stride)
-                  for t_old, h, y_old, y, K_ext, _ in record], axis=1)
+    points of t_eval: the dense output of all steps together
+    (_dense_rows), then one Horner evaluation over all points."""
+    F, t_old, h, y_old = _dense_rows(rows_rhs, record, stride)
     at = np.repeat(np.arange(len(record)), [m for *_, m in record])
-    t_old, h = np.array([step[:2] for step in record])[at].T
-    base = np.array([step[2][::stride] for step in record])[at]
-    return _horner(F[:, at], base, (t_eval - t_old) / h).T
+    return _horner(F[:, at], y_old[at, ::stride], (t_eval - t_old[at]) / h[at]).T
 
 
 def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
@@ -452,9 +485,11 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
     scipy's per-call wrappers, interpolant objects and event bookkeeping.
     The loop only integrates and records each accepted step that holds a
     t_eval point: _sample computes the grid's dense output from that record
-    after the loop, and the loop only on the step that crosses the cap, for
-    the event's root.  t_span must be increasing and t_eval nonempty and
-    increasing within it; only the components y[::stride] are output.
+    after the loop, all steps at once with the rows form of the rhs, and the
+    loop, with the same builder _dense_rows on one step and fun, only on the
+    step that crosses the cap, for the event's root.  t_span must be
+    increasing and t_eval nonempty and increasing within it; only the
+    components y[::stride] are output.
     fun gets its stage states in one reused buffer, so it must not keep
     its argument y.  The step control runs in Python floats, and the
     squared norms of E5 and E3 are sqrt(err.dot(err)) ** 2, which is what
@@ -536,7 +571,8 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol, t_eval, cap: float,
         if t == t_bound:
             status = 0
         if absy[::stride].max() >= cap:
-            F = _dense_rows(fun, t_old, h, y_old, y, K_ext, stride)
+            F = _dense_rows(lambda r, Y: fun(r[0], Y[0])[None],
+                            [(t_old, h, y_old, y, K_ext)], stride)[0][:, 0]
             nfev += len(M.A_EXTRA)
             base = y_old[::stride]
 
@@ -621,7 +657,7 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
 
     def sample():
         return np.hstack([start(rr[:inside])[:, 0],
-                          _sample(fun, run.record, rr[inside:], cols)])
+                          _sample(fun.rows, run.record, rr[inside:], cols)])
 
     B = _boundary_derivatives(params, run.y.reshape(Y0.shape))
     k = params.k

@@ -479,33 +479,53 @@ def _scipy_dop853(fun, args, **kwargs):
                            atol=atol, events=blow, **kwargs)
 
 
-@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
-@pytest.mark.parametrize("n,k,p,mu,d", [
+def _counted_rows(params, cols):
+    """The rows form of solver._rhs(params, cols), counting the rows it is
+    handed."""
+    rows = solver._rhs(params, cols).rows
+
+    def counted(r, Y):
+        counted.n += len(r)
+        return rows(r, Y)
+
+    counted.n = 0
+    return counted
+
+
+_SCIPY_CASES = [
     (7, 1, 0, -0.5, [1.2e4]),
     (9, 2, 0, -3000.0, [8.0, 500.0]),
-])
+    (13, 3, 0, -1e4, [3.0, 50.0, 900.0]),
+    (11, 3, 1, -200.0, [3.0, 50.0, 900.0]),
+]
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+@pytest.mark.parametrize("n,k,p,mu,d", _SCIPY_CASES)
 def test_dop853_loop_matches_scipy(monkeypatch, n, k, p, mu, d, rtol):
     """The in-module DOP853 loop on the full variational block equals
     scipy's DOP853 bit for bit: the end block and the accepted steps of
     solve_ivp(dense_output=True), and the grid that _sample makes from the
     loop's record equals the grid output of both its dense output and
-    solve_ivp(t_eval=...).  The loop's rhs calls plus the dense-output
-    stages _sample adds, 3 per recorded step, are those of the t_eval run."""
-    fun, args, run = _captured_dop853(monkeypatch, ProblemParams(n, k, p, mu),
-                                      np.array(d), rtol)
+    solve_ivp(t_eval=...).  The loop's rhs calls plus the rows of the
+    dense-output stages _sample hands to the rows rhs, 3 per recorded step,
+    are those of the t_eval run."""
+    params = ProblemParams(n, k, p, mu)
+    fun, args, run = _captured_dop853(monkeypatch, params, np.array(d), rtol)
     stride, t_eval = args[-1], args[-3]
     assert stride == solver._block_cols(k) and run.status == 0
     dense = _scipy_dop853(fun, args, dense_output=True)
     gridded = _scipy_dop853(fun, args, t_eval=t_eval)
-    calls = fun.n
-    grid = solver._sample(fun, run.record, t_eval, stride)
+    rows = _counted_rows(params, stride)
+    grid = solver._sample(rows, run.record, t_eval, stride)
     stages = len(DOP853.A_EXTRA) * len(run.record)
-    assert fun.n == calls + stages
+    assert rows.n == stages
     np.testing.assert_array_equal(run.y, dense.y[:, -1])
     np.testing.assert_array_equal(run.steps, dense.t[1:])
     np.testing.assert_array_equal(grid, dense.sol(t_eval)[::stride])
     np.testing.assert_array_equal(grid, gridded.y[::stride])
-    assert run.nfev + stages == fun.n - dense.nfev - gridded.nfev == gridded.nfev
+    assert run.nfev == fun.n - dense.nfev - gridded.nfev
+    assert run.nfev + stages == gridded.nfev
     assert gridded.nfev < dense.nfev  # dense stages only where the grid needs them
     assert run.nfev > 2 + 12 * len(run.steps)  # some step was rejected
 
@@ -515,15 +535,17 @@ def test_dop853_loop_zero_error_norm_matches_scipy(monkeypatch):
     its variational columns, so every step has error norm 0 and grows by
     the largest factor: the loop's steps, end block and grid equal scipy's
     DOP853 bit for bit there too."""
-    fun, args, run = _captured_dop853(monkeypatch, ProblemParams(7, 1, 0, -0.5),
-                                      np.array([0.0]), 1e-10)
+    params = ProblemParams(7, 1, 0, -0.5)
+    fun, args, run = _captured_dop853(monkeypatch, params, np.array([0.0]), 1e-10)
     stride, t_eval = args[-1], args[-3]
     assert run.status == 0 and not np.any(run.y[::stride])
     dense = _scipy_dop853(fun, args, dense_output=True)
     np.testing.assert_array_equal(run.y, dense.y[:, -1])
     np.testing.assert_array_equal(run.steps, dense.t[1:])
-    np.testing.assert_array_equal(solver._sample(fun, run.record, t_eval, stride),
+    rows = _counted_rows(params, stride)
+    np.testing.assert_array_equal(solver._sample(rows, run.record, t_eval, stride),
                                   dense.sol(t_eval)[::stride])
+    assert rows.n == len(DOP853.A_EXTRA) * len(run.record)
     assert run.nfev == 2 + 12 * len(run.steps)  # no step was rejected
 
 
@@ -573,10 +595,7 @@ def _spy_sample(monkeypatch):
     return grids
 
 
-@pytest.mark.parametrize("n,k,p,mu,d", [
-    (7, 1, 0, -0.5, [1.2e4]),
-    (9, 2, 0, -3000.0, [8.0, 500.0]),
-])
+@pytest.mark.parametrize("n,k,p,mu,d", _SCIPY_CASES)
 def test_shot_grid_matches_scipy_dense_output(monkeypatch, n, k, p, mu, d):
     """A shot's r, v, dv, sup_norm and energy, sampled after its step loop,
     equal bit for bit those built from scipy's DOP853 dense output on the
@@ -693,6 +712,33 @@ def test_rhs_matches_reference_formulation(k, p):
             with pytest.raises(IntegrationBlowUp) as exc:
                 f(0.25, y)
             assert exc.value.radius == 0.25
+
+
+@pytest.mark.parametrize("k,p", _RHS_CASES)
+def test_rows_rhs_matches_reference_formulation(k, p):
+    """The rows form of _rhs equals the reference formulation bit for bit,
+    row by row, on the state alone and on the full block, at 200 random
+    stacks of 3 to 9 rows (r, y) that each mix v_0 > 0, v_0 < 0 and
+    v_0 = 0; a stack with one row whose |v_0|^{2#-2} overflows raises
+    IntegrationBlowUp at that row's radius."""
+    params = ProblemParams(2 * k + 3, k, p, -0.7)
+    for cols in (1, solver._block_cols(k)):
+        rows, ref = solver._rhs(params, cols).rows, _reference_rhs(params, cols)
+        rng = np.random.default_rng(100 * k + 10 * p + cols + 7)
+        for _ in range(200):
+            R = int(rng.integers(3, 10))
+            size = (R, 2 * k * cols)
+            Y = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)
+            Y[:, 0] = np.abs(Y[:, 0]) * rng.permutation(np.arange(R) % 3 - 1)
+            r = 10.0 ** rng.uniform(-6, 0, size=R)
+            got = rows(r, Y.copy())
+            assert got.shape == Y.shape
+            for j in range(R):
+                np.testing.assert_array_equal(got[j], ref(r[j], Y[j]))
+        Y[1, 0] = -1e300
+        with pytest.raises(IntegrationBlowUp) as exc:
+            rows(r, Y)
+        assert exc.value.radius == r[1]
 
 
 @pytest.mark.parametrize("k,p", _RHS_CASES)
