@@ -193,13 +193,17 @@ def cmd_tree(ns: argparse.Namespace) -> int:
 def cmd_pohozaev(ns: argparse.Namespace) -> int:
     """Identity residual suites: manufactured Dirichlet tests or the exact
     bubble right-hand side."""
-    from .pohozaev import MultiPoly, manufactured_dirichlet, pohozaev_residual
+    from .pohozaev import _MASK, MultiPoly, manufactured_dirichlet, pohozaev_residual
     if ns.n is None:
         ns.n = 2 * ns.k + 1
     suite, k, n = ns.suite, ns.k, ns.n
-    if k < 1 or n < 1 or (suite == "bubble" and n <= 2 * k):
-        return _refuse(EXIT_USAGE, "invalid parameters: need k >= 1, n >= 1, and "
-                       f"n > 2k on the bubble suite; got k={k}, n={n}")
+    # the shifted manufactured row's T2 integrand has degree 4k + 4 <= _MASK
+    k_max = (_MASK - 4) // 4
+    if (k < 1 or n < 1 or (suite == "bubble" and n <= 2 * k)
+            or (suite == "manufactured" and k > k_max)):
+        return _refuse(EXIT_USAGE, "invalid parameters: need k >= 1, n >= 1, n > 2k on "
+                       f"the bubble suite and k <= {k_max} on the manufactured suite; "
+                       f"got k={k}, n={n}")
     reports = []
     if suite == "manufactured":
         dom = Ball((0.0,) * n, 1.0)

@@ -14,11 +14,13 @@ the exact-path tests show).  _boundary_density writes both densities once;
 two evaluators read them:
 
 * exact -- polynomial jets u and f with |u|^p polynomial (even integer p, or
-  u certified nonnegative) on a ball or annulus: every term is a rational
-  sphere/ball moment, rounded once; data symmetric about e_1, with xi and
-  every boundary centre on that axis, run in the variables (x_1, |x'|^2);
-* quadrature -- generic jet providers, at the nodes of the quadrature
-  module's rules (axisymmetric ones when an axis is declared).
+  u certified nonnegative), symmetric about e_1, with xi on that axis, on a
+  ball or annulus about the origin: they run in the variables
+  (x_1, |x'|^2), and every term is a rational sphere/ball moment, rounded
+  once;
+* quadrature -- every other jet provider, polynomial data off those
+  conditions included, at the nodes of the quadrature module's rules
+  (axisymmetric ones when an axis is declared).
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ class MultiPoly:
     monomials adds their keys.  Degrees are kept <= _MASK, hence no field
     ever carries into the next.  Instances are immutable.
 
-    The exact Pohozaev path also uses a plain two-variable MultiPoly as the
-    axial form A(t, rho) of a function on R^n symmetric about e_1,
+    A MultiPoly in n variables is the data of a PolynomialJet.  The exact
+    Pohozaev path runs on a plain two-variable MultiPoly, the axial form
+    A(t, rho) of a function on R^n symmetric about e_1,
     f(x) = A(x_1, |x'|^2); its operators, which need the ambient n, are
     those of _Axial, and _axial_form converts exactly.
     """
@@ -211,26 +214,6 @@ class MultiPoly:
     def degree(self):
         return max(self.terms, default=0) >> (_BITS * self.n)
 
-    def translate(self, c):
-        """p(x + c) with exact shift entries c, one variable at a time:
-        (x_i + a/b)^e = b^-emax sum_j C(e, j) x_i^(e-j) a^j b^(emax-j)."""
-        out = self
-        for i, ci in enumerate(c):
-            ci = Fraction(ci)
-            if not ci:
-                continue
-            a, b = ci.numerator, ci.denominator
-            unit, s = _unit(self.n, i), _BITS * i
-            emax = max(((e >> s) & _MASK for e in out.terms), default=0)
-            terms: dict = {}
-            for e, coef in out.terms.items():
-                ei = (e >> s) & _MASK
-                for j in range(ei + 1):
-                    terms[e - j * unit] = (terms.get(e - j * unit, 0) + coef
-                                           * math.comb(ei, j) * a**j * b**(emax - j))
-            out = MultiPoly._make(self.n, terms, out.den * b**emax)
-        return out
-
     def eval(self, points):
         pts = as_points(points)
         out = np.zeros(len(pts))
@@ -246,15 +229,6 @@ class MultiPoly:
 # exact moments -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _double_factorials(dmax: int):
-    """The (a - 1)!! for a <= dmax, as a tuple shared between callers."""
-    dfact = [1, 1]  # dfact[a] = (a - 1)!!
-    for a in range(2, dmax + 1):
-        dfact.append(dfact[a - 2] * (a - 1))
-    return tuple(dfact)
-
-
-@lru_cache(maxsize=None)
 def _axis_means(n: int, dmax: int):
     """The means M_m of x_1^{2m} over S^{n-1}, m <= dmax // 2, as integers
     N_m over one denominator D: (N, D).  Built once per (n, dmax) and
@@ -265,76 +239,14 @@ def _axis_means(n: int, dmax: int):
     return tuple(x.numerator * (D // x.denominator) for x in M), D
 
 
-def _moment(poly: MultiPoly, center, radius: float, n: int, ball: bool):
-    """Integral of poly over the sphere (ball=False) or the ball (ball=True)
-    of radius `radius` about `center`, with an |.|-sum for the budget.
-
-    The sphere mean of x^e is zero unless every e_i is even, and then it is
-    the mean N_{|e|/2} / D of x_1^|e| from _axis_means times
-    prod_i (e_i - 1)!! / (|e| - 1)!!.  Each term's exact rational is
-    rounded to a float once.
-    """
-    if np.linalg.norm(np.asarray(center, float)) > 0:
-        poly = poly.translate([_exact(v) for v in center])
-    dmax = poly.degree()
-    N, D = _axis_means(n, dmax)
-    dfact = _double_factorials(dmax)
-    odd = sum(1 << (_BITS * i) for i in range(n))
-    area = sphere_area(n)
-    val = 0.0
-    abs_sum = 0.0
-    for key, c in poly.terms.items():
-        if key & odd:
-            continue
-        *e, d = key.to_bytes(n + 1, "little")
-        num = c * N[d // 2]
-        den = D * dfact[d] * poly.den
-        for a in e:
-            num *= dfact[a]
-        q = d + n - (not ball)  # radius power; 1/q is the radial integral
-        contrib = num / den * area * radius**q / (q if ball else 1)
-        val += contrib
-        abs_sum += abs(contrib)
-    return val, abs_sum
-
-
 def _exact(v) -> Fraction:
-    """A float entry (a centre, shift or sign/radius) as an exact rational."""
+    """A float entry (xi_1 or sign/radius) as an exact rational."""
     return Fraction(float(v)).limit_denominator(10**12)
 
 
 # ---------------------------------------------------------------------------
-# Exact algebras: n Cartesian variables, or the axial pair (x_1, |x'|^2)
+# The exact algebra: the axial pair (x_1, |x'|^2)
 # ---------------------------------------------------------------------------
-
-class _Cartesian:
-    """The operators of the exact path on MultiPolys in x_1 ... x_n.
-    Points a, b are lists of exact rationals; moment centres are floats."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def lap(self, p):
-        return p.laplacian()
-
-    def dot_grad(self, p, a):
-        """(x - a) . grad p; the entries of a must be exact."""
-        return sum(((MultiPoly.coordinate(self.n, i) - Fraction(a[i])) * p.diff(i)
-                    for i in range(self.n)), MultiPoly(self.n))
-
-    def grad_sq(self, p):
-        """|grad p|^2."""
-        return sum((d * d for d in map(p.diff, range(self.n))), MultiPoly(self.n))
-
-    def shifted_dot(self, a, b):
-        """(x - a) . (x - b)."""
-        X = [MultiPoly.coordinate(self.n, i) for i in range(self.n)]
-        return sum(((X[i] - a[i]) * (X[i] - b[i]) for i in range(self.n)),
-                   MultiPoly(self.n))
-
-    def moment(self, p, center, radius: float, ball: bool):
-        return _moment(p, center, radius, self.n, ball)
-
 
 _T, _RHO = _unit(2, 0), _unit(2, 1)  # packed keys of t and rho
 
@@ -350,11 +262,12 @@ def _x_degree(key):
 
 
 class _Axial:
-    """The same operators on the axial form of a function on R^n symmetric
-    about e_1: the two-variable MultiPoly A(t, rho) with
-    f(x) = A(x_1, |x'|^2), x' = (x_2, ..., x_n).  Every point and centre
-    lies on the e_1 axis, so only its first entry is read.  The ambient
-    dimension n enters the Laplacian and the moments only."""
+    """The operators of the exact path on the axial form of a function on
+    R^n symmetric about e_1: the two-variable MultiPoly A(t, rho) with
+    f(x) = A(x_1, |x'|^2), x' = (x_2, ..., x_n); at n = 1 there is no x'
+    and rho is 0.  A point a e_1 enters as its coordinate a, and every
+    boundary sphere is centred at the origin.  The ambient dimension n
+    enters the Laplacian and the moments only."""
 
     def __init__(self, n: int):
         self.n = n
@@ -373,36 +286,34 @@ class _Axial:
         return MultiPoly._make(2, out, p.den)
 
     def dot_grad(self, p, a):
-        """(t - a_1) f_t + 2 rho f_rho: the Euler part t f_t + 2 rho f_rho
-        scales each term by its degree in x."""
+        """(x - a e_1).grad f = (t - a) f_t + 2 rho f_rho: the Euler part
+        t f_t + 2 rho f_rho scales each term by its degree in x."""
         euler = MultiPoly._make(2, {key: c * _x_degree(key)
                                     for key, c in p.terms.items()}, p.den)
-        return euler - p.diff(0) * a[0] if a[0] else euler
+        return euler - p.diff(0) * a if a else euler
 
     def grad_sq(self, p):
         """f_t^2 + 4 rho f_rho^2."""
         ft, fr = p.diff(0), p.diff(1)
         return ft * ft + MultiPoly.coordinate(2, 1) * fr * fr * 4
 
-    def shifted_dot(self, a, b):
-        """(t - a_1)(t - b_1) + rho."""
+    def shifted_dot(self, a):
+        """(x - a e_1).x = (t - a) t + rho."""
         t = MultiPoly.coordinate(2, 0)
-        return (t - a[0]) * (t - b[0]) + MultiPoly.coordinate(2, 1)
+        return (t - a) * t + MultiPoly.coordinate(2, 1)
 
-    def moment(self, p, center, radius: float, ball: bool):
-        """Integral over the sphere or ball of radius `radius` about
-        center = c e_1, with an |.|-sum for the budget.
+    def moment(self, p, radius: float, ball: bool):
+        """Integral over the sphere or ball of radius `radius` about the
+        origin, with an |.|-sum for the budget.
 
-        After the shift t -> t + c, t^a rho^b is homogeneous of degree
-        d = a + 2b in x, and rho = 1 - t^2 on the unit sphere.  Its sphere
-        mean is therefore sum_j (-1)^j C(b, j) M_{a+2j}, with M_m the mean
-        of x_1^m from sphere_moment_ratio (zero for odd a), kept here as
-        integers N_m over one denominator D.  The radius enters as
-        radius^(d+n-1), or radius^(d+n)/(d+n) on the ball, as in _moment.
-        Each term's exact rational is rounded to a float once.
+        t^a rho^b is homogeneous of degree d = a + 2b in x, and
+        rho = 1 - t^2 on the unit sphere.  Its sphere mean is therefore
+        sum_j (-1)^j C(b, j) M_{a+2j}, with M_m the mean of x_1^m from
+        sphere_moment_ratio (zero for odd a), kept here as integers N_m
+        over one denominator D.  The radius enters as radius^(d+n-1), or
+        radius^(d+n)/(d+n) on the ball.  Each term's exact rational is
+        rounded to a float once.
         """
-        if center[0]:
-            p = p.translate([_exact(center[0]), 0])
         n = self.n
         N, D = _axis_means(n, max(map(_x_degree, p.terms), default=0))
         area = sphere_area(n)
@@ -431,11 +342,10 @@ def _axial_form(p: MultiPoly) -> MultiPoly | None:
     (a, b) = (e_1, (e_2 + ... + e_n)/2), all C(b+n-2, n-2) monomials of that
     shape are present, each with the coefficient q_ab b!/prod (e_i/2)! for
     one q_ab.  Within one (a, b) that makes c_e prod (e_i/2)! the same
-    integer for every term, and q_ab is it over b! den.
+    integer for every term, and q_ab is it over b! den.  At n = 1 every
+    term is t^a rho^0, the one monomial of its shape.
     """
     n = p.n
-    if n < 2:
-        return None
     odd = sum(1 << (_BITS * i) for i in range(1, n))  # low bits of e_2 ... e_n
     q: dict = {}  # packed axial key -> c_e prod (e_i/2)!
     count: dict = {}
@@ -452,7 +362,7 @@ def _axial_form(p: MultiPoly) -> MultiPoly | None:
         count[ab] = count.get(ab, 0) + 1
     bmax = max((_axial_exps(ab)[1] for ab in q), default=0)
     for ab, m in count.items():
-        if m != math.comb(_axial_exps(ab)[1] + n - 2, n - 2):
+        if m != (math.comb(_axial_exps(ab)[1] + n - 2, n - 2) if n > 1 else 1):
             return None
     L = math.factorial(bmax)
     return MultiPoly._make(2, {ab: c * (L // math.factorial(_axial_exps(ab)[1]))
@@ -460,15 +370,14 @@ def _axial_form(p: MultiPoly) -> MultiPoly | None:
 
 
 def _exact_algebra(polys, xi, pieces):
-    """The axial algebra and the axial forms of polys when xi and every
-    boundary centre lie on the e_1 axis and every poly converts; else the
-    Cartesian algebra and polys unchanged."""
-    n = polys[0].n
-    if all(not np.any(x[1:]) for x in [xi] + [c for c, _, _ in pieces]):
+    """The axial algebra and the axial forms of polys when xi lies on the
+    e_1 axis, every boundary centre is the origin and every poly converts;
+    else None, and the caller takes the quadrature path."""
+    if not np.any(xi[1:]) and not any(np.any(c) for c, _, _ in pieces):
         forms = [_axial_form(p) for p in polys]
         if all(f is not None for f in forms):
-            return _Axial(n), forms
-    return _Cartesian(n), polys
+            return _Axial(polys[0].n), forms
+    return None
 
 
 def _neg_laplacians(alg, p, k: int):
@@ -627,10 +536,11 @@ def _boundary_density(n: int, k: int, q, simplified: bool):
 
 
 def _poly_views(alg, v, xi):
-    """The exact path's views for _boundary_density: view(c, R, sign) reads
-    the polynomials of the algebra alg on the sphere of radius R about c,
-    where d_nu g = sign/R (x - c).grad g.  v lists (-Delta)^i u, i <= k;
-    D_i, w and sq, which no sphere changes, are built once, on first use."""
+    """The exact path's views for _boundary_density: view(R, sign) reads
+    the axial polynomials of alg on the sphere of radius R about the
+    origin, where d_nu g = sign/R x.grad g, with xi = xi_1 e_1.  v lists
+    (-Delta)^i u, i <= k; D_i, w and sq, which no sphere changes, are built
+    once, on first use."""
     k, m = len(v) - 1, (len(v) - 2) // 2
     kept, make = {}, {
         "D": lambda: [alg.dot_grad(v[i], xi) + 2 * i * v[i] for i in range(k // 2)],
@@ -640,17 +550,17 @@ def _poly_views(alg, v, xi):
     def common(name):
         return kept[name] if name in kept else kept.setdefault(name, make[name]())
 
-    def view(c, R, sign):
-        c, s = [_exact(t) for t in c], _exact(sign / R)
+    def view(R, sign):
+        s = _exact(sign / R)
 
         def dnu(p):
-            return s * alg.dot_grad(p, c)
+            return s * alg.dot_grad(p, 0)
 
         return SimpleNamespace(
             v=v.__getitem__, dnu=lambda i: dnu(v[i]), sq=lambda: common("sq"),
             D=lambda i: (common("D")[i], dnu(common("D")[i])),
             w=lambda: (common("w"), dnu(common("w"))),
-            xnu=lambda: alg.shifted_dot(xi, c) * s)
+            xnu=lambda: alg.shifted_dot(xi) * s)
     return view
 
 
@@ -679,19 +589,21 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                  quad_opts: dict | None = None):
     """The boundary functional P_k(domain; u), or with simplified=True its
     Dirichlet form: _boundary_density integrated over each boundary sphere,
-    exactly for a PolynomialJet u (in the axial variables when u converts,
-    see _axial_form), else by one sphere rule per boundary sphere with the
-    options _rule_opts makes from quad_opts.  Returns (value, abs_budget).
+    exactly in the axial variables for a PolynomialJet u that
+    _exact_algebra accepts, else by one sphere rule per boundary sphere
+    with the options _rule_opts makes from quad_opts.  Returns
+    (value, abs_budget).
     """
     xi = np.asarray(xi, float)
     pieces = _boundary_pieces(domain)
 
-    if _is_polynomial_setup(u, None):
-        alg, (upoly,) = _exact_algebra([u.poly], xi, pieces)
-        view = _poly_views(alg, _neg_laplacians(alg, upoly, k), [_exact(t) for t in xi])
+    exact = _is_polynomial_setup(u, None) and _exact_algebra([u.poly], xi, pieces)
+    if exact:
+        alg, (upoly,) = exact
+        view = _poly_views(alg, _neg_laplacians(alg, upoly, k), _exact(xi[0]))
         total, budget = map(sum, zip(*(alg.moment(
-            _boundary_density(u.n, k, view(c, R, sign), simplified), c, R, ball=False)
-            for c, R, sign in pieces)))
+            _boundary_density(u.n, k, view(R, sign), simplified), R, ball=False)
+            for _, R, sign in pieces)))
         return total, 1e-12 * budget
 
     _, sphere_opts = _rule_opts(quad_opts, domain)
@@ -716,9 +628,9 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     """The four right-hand terms (T1 bulk E(u), T2 boundary f|u|^p,
     T3 volume f|u|^p, T4 grad-f volume).  Returns (terms, budget).
 
-    PolynomialJets u and f take the exact path when |u|^{p-2} u is a
-    polynomial (_is_polynomial_setup), in the axial variables when u and f
-    both convert exactly (as in pohozaev_lhs); other data take the
+    PolynomialJets u and f take the exact path, in the axial variables,
+    when |u|^{p-2} u is a polynomial (_is_polynomial_setup) and
+    _exact_algebra accepts them (as in pohozaev_lhs); other data take the
     quadrature path.
 
     On the quadrature path _rule_opts maps quad_opts onto the volume rule
@@ -730,32 +642,31 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     coef_T3 = 0.5 * (n - 2 * k) - n / p_exp
     pieces = _boundary_pieces(domain)
 
-    if _is_polynomial_setup(u, f, p_exp):
+    exact = _is_polynomial_setup(u, f, p_exp) and _exact_algebra(
+        [u.poly, f.poly if f is not None else MultiPoly.const(n, 1)], xi, pieces)
+    if exact:
         p = int(p_exp)
-        fpoly = f.poly if f is not None else MultiPoly.const(n, 1)
-        alg, (upoly, fpoly) = _exact_algebra([u.poly, fpoly], xi, pieces)
+        alg, (upoly, fpoly) = exact
         # for even p or nonneg u: |u|^{p-2} u = u^{p-1} and |u|^p = u^p
         upm1 = upoly ** (p - 1)
         up = upm1 * upoly
-        xi_f = [_exact(v) for v in xi]
+        xi_f = _exact(xi[0])
 
         Eu = _neg_laplacians(alg, upoly, k)[k] - fpoly * upm1
         mult = Fraction(n - 2 * k, 2) * upoly + alg.dot_grad(upoly, xi_f)
 
         def vol(poly):
             """Outer ball minus the inner ones."""
-            parts = [(sign, *alg.moment(poly, c, R, ball=True)) for c, R, sign in pieces]
+            parts = [(sign, *alg.moment(poly, R, ball=True)) for _, R, sign in pieces]
             return sum(s * v for s, v, _ in parts), sum(a for _, _, a in parts)
 
         T1, a1 = vol(mult * Eu)
         T3v, a3 = vol(fpoly * up)
         T4v, a4 = vol(alg.dot_grad(fpoly, xi_f) * up)
 
-        def surf(c, R, sign):
-            xnu = alg.shifted_dot(xi_f, [_exact(t) for t in c])
-            return alg.moment(xnu * fpoly * up * _exact(sign / (R * p_exp)), c, R, ball=False)
-
-        T2, a2 = map(sum, zip(*(surf(*piece) for piece in pieces)))
+        xnu_fup = alg.shifted_dot(xi_f) * fpoly * up
+        T2, a2 = map(sum, zip(*(alg.moment(xnu_fup * _exact(sign / (R * p_exp)), R, ball=False)
+                                for _, R, sign in pieces)))
         budget = 1e-12 * (a1 + a2 + abs(coef_T3) * a3 + a4 / p_exp)
         return (T1, T2, coef_T3 * T3v, -T4v / p_exp), budget
 

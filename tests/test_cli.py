@@ -300,10 +300,11 @@ def test_pohozaev_manufactured_suite(tmp_path):
                                                  rel=1e-6)
 
 
-@pytest.mark.parametrize("k,n", [(1, 3), (2, 5), (3, 7)])
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 5), (3, 7), (1, 1), (2, 1), (1, 2), (3, 2)])
 def test_pohozaev_manufactured_gate_is_absolute(tmp_path, k, n):
     """The suite passes on residual_abs within the absolute budget, the
-    gate of acceptance criterion 5."""
+    gate of acceptance criterion 5, at n > 2k and at n <= 2k, n = 1
+    included."""
     code, out = run_cli(["pohozaev", "--k", str(k), "--n", str(n)], tmp_path)
     assert code == 0
     rep = json.loads(open(os.path.join(out, "pohozaev",
@@ -515,6 +516,7 @@ def test_solve_empty_grid_usage(tmp_path):
                                   ["bubble-check", "--n", "3", "--k", "0"],
                                   ["cayley-green", "--n", "3", "--k", "0"],
                                   ["pohozaev", "--k", "1", "--n", "0"],
+                                  ["pohozaev", "--k", "63", "--n", "3"],
                                   ["solve", "--mu-grid", "-0.5", "-0.5",
                                    "-0.25"],
                                   ["solve", "--n", "500"],
@@ -524,9 +526,10 @@ def test_solve_empty_grid_usage(tmp_path):
                                   ["solve", "--mu-grid", "nan"],
                                   ["solve", "--mu-grid", "-0.5", "nan"]])
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
-    """Parameters outside k >= 1, n > 2k, 0 <= p < k, an empty bubble-check
-    range, a solver rtol below what the integrator can reach, a mu grid
-    that repeats a value (equal sups would fail the monotone check) or
+    """Parameters outside k >= 1, n > 2k, 0 <= p < k, a manufactured
+    pohozaev k whose integrands pass the polynomial degree bound, an empty
+    bubble-check range, a solver rtol below what the integrator can reach,
+    a mu grid that repeats a value (equal sups would fail the monotone check) or
     holds a value that is not finite and < 0 (no positive solution exists
     for mu >= 0), and an n whose default seed overflows, exit 2
     with a one-line message, not 0 with an empty or meaningless report, 1
