@@ -112,7 +112,7 @@ def check_decay(n: int, k: int, l: int) -> dict:
                                RationalProfile(make_bubble(n, k), bubble_constant(n, k)))
     pts = np.zeros((len(_DECAY_RADII), n))
     pts[:, 0] = _DECAY_RADII
-    mags = F.tensor_norm(l, pts) if l > 0 else np.abs(F.value(pts))
+    mags = F.jet(pts, l).tensor_norm(l) if l > 0 else np.abs(F.value(pts))
     slope = float(np.polyfit(np.log(_DECAY_RADII), np.log(mags), 1)[0])
     target = 2 * k - n - l
     return {"n": n, "k": k, "l": l, "slope": slope, "target": target,

@@ -11,8 +11,8 @@ at the centre and away from it.  Delta stays in this form because z . z = s
 (see _termize), so d^alpha Delta^i F is one term list, not a sum of
 C(n+i-1, i) partials of order 2i.  The termization is done symbolically
 once and cached; evaluation is vectorized over point batches.  A profile's
-chain(m, s) is the list [G(s), G'(s), ..., G^{(m)}(s)]: a rational profile
-chains the exact d/d(r^2) of the radial algebra kernel.
+chain(m, s) is the list [G(s), G'(s), ..., G^{(m)}(s)]: the one profile,
+the flat bubble, has each derivative as one exact radial-algebra term.
 
 A PointBatch holds z, s, the powers z_i^e and s^j and the profile's chain
 for one set of points, each computed once: every partial taken on the batch
@@ -22,11 +22,13 @@ batch is the only cache of values, and it lives as long as its owner.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .jets import Jet
 from .quadrature import as_points, row_sq_norms
-from .radial import RadialFunction, square_derivative
+from .radial import RadialFunction
 
 __all__ = [
     "RationalProfile",
@@ -41,25 +43,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class RationalProfile:
-    """G(s) = f(sqrt(s)) for a RadialFunction f at a fixed a-value.
-
-    The chain G, G', G'', ... is built by radial.square_derivative, which
-    needs every r-power of f even (it raises RepresentationError otherwise).
-    """
+    """G(s) = c (1 + a s)^{-M/2} for the flat RadialFunction rf (one term c
+    at (p, t, e) = (0, 0, 0); ValueError otherwise) at a = a_value.  Each
+    G^{(m)} is the one term c prod_{t<m} (-(M + 2t)/2) at (0, m, m)."""
 
     def __init__(self, rf: RadialFunction, a_value: float):
-        self.rf = rf
+        if set(rf.terms) != {(0, 0, 0)}:
+            raise ValueError("RationalProfile takes the flat profile only: "
+                             f"one term at (0, 0, 0), got {sorted(rf.terms)}")
         self.a_value = float(a_value)
         self._chain = [rf]
 
-    def _deriv(self, m: int) -> RadialFunction:
-        while len(self._chain) <= m:
-            self._chain.append(square_derivative(self._chain[-1]))
-        return self._chain[m]
-
     def chain(self, m: int, s):
+        n, M = self._chain[0].n, self._chain[0].M
+        while len(self._chain) <= m:
+            t = len(self._chain) - 1
+            c = self._chain[t].terms.get((0, t, t), 0) * Fraction(-(M + 2 * t), 2)
+            self._chain.append(RadialFunction(n, M, {(0, t + 1, t + 1): c}))
         r = np.sqrt(s)
-        return [self._deriv(j)(r, self.a_value) for j in range(m + 1)]
+        return [g(r, self.a_value) for g in self._chain[:m + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +202,6 @@ class RadialTermField:
                 v = v * points.s_power(j)
             acc += v
         return acc
-
-    # -- tensors and jets ----------------------------------------------------
-
-    def tensor_norm(self, l: int, points):
-        """Frobenius norm of the order-l derivative tensor, vectorized."""
-        return self.jet(as_points(points), l).tensor_norm(l)
 
     def jet(self, x, order: int) -> Jet:
         """Jet at x whose entries all share one PointBatch."""

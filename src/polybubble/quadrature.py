@@ -757,10 +757,13 @@ def _sphere_rule(n: int, m: int, axial: bool = False):
 
     Gauss-Jacobi with m nodes in the cosine of the first polar angle (weight
     (1 - x^2)^{(n-3)/2}) times the rule on S^{n-2} scaled by the sine; S^1
-    takes 2m equally spaced points.  With axial the recursion stops after
-    the first factor and the nodes are (cos, sin) pairs in an axis frame,
-    which is exact for integrands axisymmetric about that axis.
+    takes 2m equally spaced points and S^0 its two points +-1.  With axial
+    the recursion stops after the first factor and the nodes are (cos, sin)
+    pairs in an axis frame, which is exact for integrands axisymmetric
+    about that axis.
     """
+    if n == 1:
+        return _read_only(np.array([[1.0], [-1.0]]), np.ones(2))
     if n == 2 and not axial:
         th = (np.arange(2 * m) + 0.5) * (math.pi / m)
         return _read_only(np.stack([np.cos(th), np.sin(th)], axis=1),
@@ -781,9 +784,10 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None, *,
 
     axis=direction certifies f axisymmetric about the line through the
     center: the 1-D Gauss-Jacobi factor of the product rule in the polar
-    angle ("gauss-jacobi").  Otherwise the full product rule for n <= 4
-    ("product-gauss") and _SURFACE_QMC_POINTS scrambled-Sobol directions
-    per replicate for n >= 5 ("qmc", with the fixed seed 0).
+    angle ("gauss-jacobi"); S^0 takes its two points with or without one.
+    Otherwise the full product rule for n <= 4 ("product-gauss") and
+    _SURFACE_QMC_POINTS scrambled-Sobol directions per replicate for n >= 5
+    ("qmc", with the fixed seed 0).
     The product rules estimate their error against the rule with half the
     nodes per factor; f is called once, on the nodes of both rules together,
     so it must be pointwise: each value depends on its own node alone.  An
@@ -793,7 +797,7 @@ def integrate_surface(f, sphere: SphereSurface, tol: float | None = None, *,
     c = np.asarray(sphere.center, float)
     R = sphere.radius
 
-    axial = axis is not None
+    axial = axis is not None and n > 1
     if axial or n <= 4:
         (uc, wc), (uf, wf) = (_sphere_rule(n, m, axial)
                               for m in ((48, 96) if axial else (24, 48)))

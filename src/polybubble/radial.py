@@ -10,8 +10,8 @@ is stored doubled (``M``) so that half-integer decay (odd n) stays integral.
 The flat bubble profile is the single term c = 1 at (p, t, e) = (0, 0, 0)
 with M = n - 2k; substituting a = a_{n,k} recovers (1 + a_{n,k} r^2)^{-(n-2k)/2}.
 
-Everything here is exact: iterated Laplacians, derivatives in r and in r^2,
-and the power-reduction identity a r^2 (1+a r^2)^{-1} = 1 - (1+a r^2)^{-1}
+Everything here is exact: iterated Laplacians, the derivative in r, and the
+power-reduction identity a r^2 (1+a r^2)^{-1} = 1 - (1+a r^2)^{-1}
 never touch floating point.  Only calling a RadialFunction produces floats.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "make_bubble",
     "laplacian",
     "radial_derivative",
-    "square_derivative",
     "power_reduce",
     "check_bubble_identity",
 ]
@@ -163,25 +162,6 @@ def radial_derivative(f: RadialFunction) -> RadialFunction:
             if p >= 1:
                 yield (p - 1, t, e), c * p
             yield (p + 1, t + 1, e + 1), c * -(f.M + 2 * t)
-
-    return RadialFunction(f.n, f.M, _collect(parts()))
-
-
-def square_derivative(f: RadialFunction) -> RadialFunction:
-    """Exact d/d(r^2) = (1/(2r)) d/dr, for f with every r-power even.
-
-    Each term maps to  (p/2) r^{p-2}  and  -(q/2) a r^p w^{-1},  times the
-    original w-power (q = M + 2t).  An odd r-power is not a function of r^2
-    and raises RepresentationError.
-    """
-
-    def parts():
-        for (p, t, e), c in f.terms.items():
-            if p % 2:
-                raise RepresentationError(f"odd r-power p={p}: not a function of r^2")
-            if p:
-                yield (p - 2, t, e), c * Fraction(p, 2)
-            yield (p, t + 1, e + 1), c * Fraction(-(f.M + 2 * t), 2)
 
     return RadialFunction(f.n, f.M, _collect(parts()))
 

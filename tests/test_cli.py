@@ -202,6 +202,24 @@ def test_tree_fixture_separated_has_no_interacting(tmp_path):
     assert inf["interacting"]["0"] == [] and inf["interacting"]["1"] == []
 
 
+def test_tree_snapshot_fixture_classifies_from_the_scales(tmp_path):
+    """Without a family law the comparable pair's m is mu0/mu1 + mu1/mu0."""
+    with open(os.path.join(FIXTURES, "snapshot.json")) as fh:
+        mu0, mu1 = (b["mu"] for b in json.load(fh)["bubbles"])
+    code, out = run_cli(["tree", os.path.join(FIXTURES, "snapshot.json")], tmp_path)
+    assert code == 0
+    inf = read_report(out, "tree", "influence.json")
+    assert inf["m"] == {"0,1": mu0 / mu1 + mu1 / mu0, "1,0": mu1 / mu0 + mu0 / mu1}
+
+
+def test_tree_ambiguous_snapshot_exits_2(tmp_path, capsys):
+    code, _ = run_cli(["tree", os.path.join(FIXTURES, "ambiguous.json")], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("ambiguous configuration: ")
+
+
 def test_tree_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json")

@@ -15,7 +15,7 @@ from polybubble.fields import PointBatch, RadialTermField, RationalProfile
 from polybubble.jets import multiset_multiplicity, multisets
 from polybubble.pohozaev import MultiPoly, manufactured_dirichlet
 from polybubble.quadrature import _sphere_rule
-from polybubble.radial import bubble_constant, make_bubble
+from polybubble.radial import bubble_constant, laplacian, make_bubble
 
 
 def _radial_bubble(n, k, center=None):
@@ -56,9 +56,32 @@ def test_tensor_norm_evaluates_the_profile_chain_once():
     chain = F.profile.chain
     F.profile.chain = lambda m, s: calls.append((m, np.shape(s))) or chain(m, s)
     pts = F.center + 0.4 * np.random.default_rng(2).uniform(-1, 1, (200, 7))
-    norm = F.tensor_norm(4, pts)
+    norm = F.jet(pts, 4).tensor_norm(4)
     assert calls == [(4, (200,))]
     assert np.all(np.isfinite(norm)) and np.any(norm > 0)
+
+
+def test_rational_profile_refuses_a_profile_that_is_not_flat():
+    """The one profile is the flat bubble: one term at (p, t, e) = (0, 0, 0)."""
+    a = bubble_constant(7, 1)
+    for rf in (laplacian(make_bubble(7, 1)),
+               radial.RadialFunction(7, 5, {(2, 0, 0): 1}),
+               radial.RadialFunction(7, 5, {})):
+        with pytest.raises(ValueError, match="flat profile"):
+            RationalProfile(rf, a)
+
+
+def test_rational_profile_chain_is_the_closed_form():
+    """G^(m)(s) = prod_{t<m} (-(M + 2t)/2) a^m (1 + a s)^{-(M + 2m)/2}."""
+    n, k = 9, 2
+    a, M = bubble_constant(n, k), n - 2 * k
+    s = np.array([0.0, 0.3, 2.0, 50.0])
+    chain = RationalProfile(make_bubble(n, k), a).chain(2 * k + 3, s)
+    c = Fraction(1)
+    for m, g in enumerate(chain):
+        np.testing.assert_allclose(g, float(c) * a**m * (1 + a * s) ** (-(M + 2 * m) / 2),
+                                   rtol=1e-14, atol=0)
+        c *= Fraction(-(M + 2 * m), 2)
 
 
 def test_point_batch_computes_each_column_power_once():

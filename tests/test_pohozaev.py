@@ -745,6 +745,15 @@ def test_polynomial_data_the_axial_algebra_refuses_take_the_quadrature_path(case
     assert rep.residual_abs <= rep.budget
 
 
+def test_quadrature_path_on_the_line():
+    """On the line the boundary is S^0, two points: data off the axial
+    algebra (a boundary centre off the origin) meet the identity within the
+    quadrature path's budget."""
+    rep = pohozaev_residual(manufactured_dirichlet(1, 1), None, 2.0,
+                            Ball((0.5,), 1.0), np.zeros(1), 1)
+    assert rep.residual_abs <= rep.budget
+
+
 def test_report_json_schema():
     k, n = 1, 3
     u = manufactured_dirichlet(k, n)

@@ -543,6 +543,16 @@ def test_surface_constant_and_even_moment():
     assert r2.value == pytest.approx(4 * math.pi / 3, rel=1e-10)
 
 
+def test_surface_of_s0_is_the_sum_at_its_two_points():
+    """S^0 about c of radius R is the two points c +- R."""
+    c, R = 0.3, 1.5
+    r = integrate_surface(lambda x: np.exp(x[:, 0]), SphereSurface((c,), R))
+    assert r.value == pytest.approx(math.exp(c + R) + math.exp(c - R), rel=1e-15, abs=0)
+    assert r.error_estimate == 0.0
+    assert integrate_surface(lambda x: np.exp(x[:, 0]), SphereSurface((c,), R),
+                             axis=np.ones(1)).value == r.value
+
+
 def test_surface_odd_function_vanishes():
     sph = SphereSurface((0.0,) * 4, 2.0)
     r = integrate_surface(lambda x: x[:, 1] ** 3, sph)

@@ -15,7 +15,7 @@ from polybubble.radial import (RadialFunction, RepresentationError,
                                bubble_constant, bubble_constant_product,
                                check_bubble_identity, critical_exponent,
                                laplacian, make_bubble, power_reduce,
-                               radial_derivative, square_derivative)
+                               radial_derivative)
 
 
 def test_make_bubble_structure():
@@ -133,31 +133,6 @@ def test_radial_derivative_bubble_at_one():
     h = 1e-5
     fd = (b(1.0 + h, a) - b(1.0 - h, a)) / (2 * h)
     assert db(1.0, a) == pytest.approx(fd, abs=1e-10)
-
-
-@pytest.mark.parametrize("profile", ["bubble", "Z0"])
-def test_square_derivative_is_radial_derivative_over_2r(profile):
-    """On the bubble B and on the dilation Z0 = (n-2k)/2 B + r B'."""
-    from fractions import Fraction
-
-    n, k = 7, 2
-    a = bubble_constant(n, k)
-    f = make_bubble(n, k)
-    if profile == "Z0":
-        # (n-2k)/2 B + r B' as one term dict
-        z0 = {key: Fraction(n - 2 * k, 2) * c for key, c in f.terms.items()}
-        for (p, t, e), c in radial_derivative(f).terms.items():
-            z0[(p + 1, t, e)] = z0.get((p + 1, t, e), 0) + c
-        f = RadialFunction(n, f.M, z0)
-    df, sf = radial_derivative(f), square_derivative(f)
-    for r in (1e-6, 1e-3, 0.1, 0.7, 3.0, 40.0):
-        assert sf(r, a) == pytest.approx(df(r, a) / (2 * r), rel=1e-13)
-
-
-def test_square_derivative_rejects_odd_powers():
-    for p in (1, 3):
-        with pytest.raises(RepresentationError):
-            square_derivative(RadialFunction(3, 1, {(p, 0, 0): 1}))
 
 
 def test_power_reduce_defining_identity():
