@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -310,6 +311,10 @@ def _build_parser():
     po.add_argument("--n", type=int, help="default 2k + 1")
     po.add_argument("--suite", default="manufactured")
     so = sub.add_parser("solve")
+    # argparse takes only "-5" and "-.5" for negative numbers, and "-5e-3"
+    # or "-inf" for unknown options: here each is a value of --mu-grid
+    so._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
     so.add_argument("--n", type=int, default=7)
     so.add_argument("--k", type=int, default=1)
     so.add_argument("--p", type=int, default=0)
@@ -362,6 +367,8 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as e:
             return _refuse(EXIT_USAGE, f"bad config: {e}")
         ns = ap.parse_args(argv)
+    if ns.seed < 0:
+        return _refuse(EXIT_USAGE, f"invalid seed: need seed >= 0, got {ns.seed}")
     ns.out = os.path.join(ns.out, ns.command)
     try:
         os.makedirs(ns.out, exist_ok=True)

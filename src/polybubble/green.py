@@ -67,10 +67,8 @@ def kernel_integral(s: float, k: int, n: int) -> float:
 
 def _green(x, y, k, psi) -> float:
     n = len(x)
+    s = math.sqrt(1.0 + psi(x, y))  # psi refuses the diagonal x = y
     d = float(np.linalg.norm(x - y))
-    if d == 0.0:
-        raise ValueError("Green function evaluated on the diagonal")
-    s = math.sqrt(1.0 + psi(x, y))
     return d ** (2 * k - n) * kernel_integral(s, k, n)
 
 

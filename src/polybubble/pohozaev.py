@@ -369,17 +369,6 @@ def _axial_form(p: MultiPoly) -> MultiPoly | None:
                                for ab, c in q.items()}, L * p.den)
 
 
-def _exact_algebra(polys, xi, pieces):
-    """The axial algebra and the axial forms of polys when xi lies on the
-    e_1 axis, every boundary centre is the origin and every poly converts;
-    else None, and the caller takes the quadrature path."""
-    if not np.any(xi[1:]) and not any(np.any(c) for c, _, _ in pieces):
-        forms = [_axial_form(p) for p in polys]
-        if all(f is not None for f in forms):
-            return _Axial(polys[0].n), forms
-    return None
-
-
 def _neg_laplacians(alg, p, k: int):
     """[p, -Delta p, ..., (-Delta)^k p] in the algebra alg."""
     out = [p]
@@ -396,13 +385,14 @@ class PolynomialJet:
     """Jet provider backed by an exact polynomial.
 
     nonneg certifies u >= 0 on the domain of interest, enabling the exact
-    |u|^p path for odd integer p as well.
-    """
+    |u|^p path for odd integer p as well.  axial, the poly's _axial_form
+    (None when it has none), is converted once, here."""
 
     def __init__(self, poly: MultiPoly, nonneg: bool = False):
         self.poly = poly
         self.n = poly.n
         self.nonneg = nonneg
+        self.axial = _axial_form(poly)
         self._dcache: dict = {(0, ()): poly}
 
     def _dpoly(self, alpha, lap: int = 0) -> MultiPoly:
@@ -483,24 +473,32 @@ def _boundary_pieces(domain):
     raise ValueError("Pohozaev domains are balls or balls-minus-balls")
 
 
-def _is_polynomial_setup(u, f, p_exp: float = 2.0) -> bool:
-    """Whether the exact path applies: u and f (or f None) are PolynomialJets
-    and |u|^{p-2} u = u^{p-1} is a polynomial, p an even integer or an
-    integer with u certified nonneg."""
-    return (isinstance(u, PolynomialJet) and (f is None or isinstance(f, PolynomialJet))
-            and p_exp == int(p_exp) and (p_exp % 2 == 0 or u.nonneg))
+def _exact_forms(u, f, p_exp: float, xi, pieces):
+    """The axial algebra and the axial forms of u and f (1 for f None) when
+    both are PolynomialJets with axial forms, |u|^{p-2} u = u^{p-1} is a
+    polynomial (p an even integer, or an integer with u certified nonneg),
+    xi lies on e_1 and every boundary centre is the origin; else None, and
+    the caller takes the quadrature path."""
+    if (isinstance(u, PolynomialJet) and u.axial is not None
+            and (f is None or isinstance(f, PolynomialJet) and f.axial is not None)
+            and p_exp == int(p_exp) and (p_exp % 2 == 0 or u.nonneg)
+            and not np.any(xi[1:]) and not any(np.any(c) for c, _, _ in pieces)):
+        return _Axial(u.n), u.axial, MultiPoly.const(2, 1) if f is None else f.axial
+    return None
 
 
 def _rule_opts(quad_opts, domain):
     """The keyword arguments of the volume rule and of every sphere rule for
-    one quad_opts.  Its axis, a direction or a (point, direction) pair, goes
-    to the volume rule as a pair (through the domain's centre for a
-    direction) and to each sphere, integrated about its own centre, as the
-    direction; tol goes to every rule, seed to the volume rule only.  A
-    sphere whose centre is off the axis line would be integrated about
-    another line, so that is a ValueError."""
+    one quad_opts, whose keys are axis and tol (any other is a ValueError).
+    Its axis, a direction or a (point, direction) pair, goes to the volume
+    rule as a pair (through the domain's centre for a direction) and to
+    each sphere, integrated about its own centre, as the direction; tol goes
+    to every rule.  A sphere whose centre is off the axis line would be
+    integrated about another line, so that is a ValueError."""
     vol = dict(quad_opts or {})
-    sphere = {key: v for key, v in vol.items() if key != "seed"}
+    if unknown := sorted(vol.keys() - {"axis", "tol"}):
+        raise ValueError(f"quad_opts takes axis and tol only, not {unknown}")
+    sphere = dict(vol)
     if vol.get("axis") is not None:
         if np.ndim(vol["axis"]) == 1:
             vol["axis"] = (domain.enclosing()[0], vol["axis"])
@@ -568,10 +566,7 @@ def _node_view(u, k: int, xi, pts, c, R, sign):
     """The quadrature path's view for _boundary_density: arrays at the nodes
     pts of the sphere of radius R about c, read from u's jet of order 2k."""
     jet, m = u.jet(pts, 2 * k), (k - 1) // 2
-    dx, nu, grads = pts - xi, sign * (pts - c) / R, {}
-
-    def grad(i):
-        return grads[i] if i in grads else grads.setdefault(i, jet.grad_lap(i))
+    dx, nu, grad = pts - xi, sign * (pts - c) / R, jet.grad_lap
 
     def D(i):
         val, grad_D = x_grad_laplacian(jet, i, xi)
@@ -589,17 +584,16 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                  quad_opts: dict | None = None):
     """The boundary functional P_k(domain; u), or with simplified=True its
     Dirichlet form: _boundary_density integrated over each boundary sphere,
-    exactly in the axial variables for a PolynomialJet u that
-    _exact_algebra accepts, else by one sphere rule per boundary sphere
-    with the options _rule_opts makes from quad_opts.  Returns
-    (value, abs_budget).
+    exactly in the axial variables for data that _exact_forms accepts, else
+    by one sphere rule per boundary sphere with the options _rule_opts makes
+    from quad_opts.  Returns (value, abs_budget).
     """
     xi = np.asarray(xi, float)
     pieces = _boundary_pieces(domain)
 
-    exact = _is_polynomial_setup(u, None) and _exact_algebra([u.poly], xi, pieces)
+    exact = _exact_forms(u, None, 2.0, xi, pieces)
     if exact:
-        alg, (upoly,) = exact
+        alg, upoly, _ = exact
         view = _poly_views(alg, _neg_laplacians(alg, upoly, k), _exact(xi[0]))
         total, budget = map(sum, zip(*(alg.moment(
             _boundary_density(u.n, k, view(R, sign), simplified), R, ball=False)
@@ -628,10 +622,8 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     """The four right-hand terms (T1 bulk E(u), T2 boundary f|u|^p,
     T3 volume f|u|^p, T4 grad-f volume).  Returns (terms, budget).
 
-    PolynomialJets u and f take the exact path, in the axial variables,
-    when |u|^{p-2} u is a polynomial (_is_polynomial_setup) and
-    _exact_algebra accepts them (as in pohozaev_lhs); other data take the
-    quadrature path.
+    Data that _exact_forms accepts take the exact path, in the axial
+    variables (as in pohozaev_lhs); other data take the quadrature path.
 
     On the quadrature path _rule_opts maps quad_opts onto the volume rule
     (T1, T3, T4) and onto the rule of each boundary sphere (T2)."""
@@ -642,11 +634,10 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     coef_T3 = 0.5 * (n - 2 * k) - n / p_exp
     pieces = _boundary_pieces(domain)
 
-    exact = _is_polynomial_setup(u, f, p_exp) and _exact_algebra(
-        [u.poly, f.poly if f is not None else MultiPoly.const(n, 1)], xi, pieces)
+    exact = _exact_forms(u, f, p_exp, xi, pieces)
     if exact:
         p = int(p_exp)
-        alg, (upoly, fpoly) = exact
+        alg, upoly, fpoly = exact
         # for even p or nonneg u: |u|^{p-2} u = u^{p-1} and |u|^p = u^p
         upm1 = upoly ** (p - 1)
         up = upm1 * upoly

@@ -213,12 +213,6 @@ def _gauss_jacobi(m: int, a: float):
                       np.concatenate([w[::-1][:m // 2], w]))
 
 
-def _gauss_legendre(m: int):
-    """Gauss-Legendre nodes and weights of order m on [-1, 1]: the Jacobi
-    weight at a = 0, read-only."""
-    return _gauss_jacobi(m, 0.0)
-
-
 def sphere_moment_ratio(alpha: tuple[int, ...]) -> Fraction:
     """Exact mean of the monomial x^alpha over the unit sphere S^{n-1}.
 
@@ -608,8 +602,8 @@ def integrate_axisymmetric(f, domain, axis_point, axis_dir, n_phi: int = 14,
     plane = c_enc[0] - origin[0] if half else None
 
     def build(mphi, mrho):
-        xg, wg = _gauss_legendre(mphi)
-        xr, wr = _gauss_legendre(mrho)
+        xg, wg = _gauss_jacobi(mphi, 0.0)
+        xr, wr = _gauss_jacobi(mrho, 0.0)
         phi = (0.5 * (phi_hi - phi_lo) * (xg + 1.0) + phi_lo).ravel()
         wphi = (0.5 * (phi_hi - phi_lo) * wg).ravel()
         sin_phi = np.sin(phi)

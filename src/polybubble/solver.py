@@ -113,10 +113,10 @@ class ProblemParams:
 @dataclass
 class RadialSolution:
     """A radial solution on its grid r.  A shot's solution holds a sampler
-    of its grid values instead: v, dv, sup_norm and energy are filled
-    together on the first read of any of them, and the sampler, with the
-    shot's recorded steps, is dropped then.  A solution built from arrays
-    holds them as given."""
+    of its grid values instead: v, dv and sup_norm are filled together on
+    the first read of any of them, and the sampler, with the shot's
+    recorded steps, is dropped then.  A solution built from arrays holds
+    them as given."""
     params: ProblemParams
     d: np.ndarray              # shooting data v_i(0)
     r: np.ndarray              # dense grid on [0, 1]
@@ -124,7 +124,6 @@ class RadialSolution:
     dv: np.ndarray = _OnRead("sample")  # (k, m) radial derivatives
     mismatch: np.ndarray       # (u(1), u'(1), ..., u^{(k-1)}(1))
     sup_norm: float = _OnRead("sample")
-    energy: float = _OnRead("sample")
     collocation_residual: float = float("nan")
     jac: np.ndarray | None = None  # (k, k) derivative of mismatch in d
     dmu: np.ndarray | None = None  # (k,) derivative of mismatch in mu
@@ -132,12 +131,10 @@ class RadialSolution:
     sample: Callable | None = field(default=None, repr=False, compare=False)
 
     def _fill(self):
-        """v, dv, sup_norm and energy from the sampled state (2k, m)."""
+        """v, dv and sup_norm from the sampled state (2k, m)."""
         Y, self.sample = self.sample(), None
         self.v, self.dv = Y[0::2], Y[1::2]
         self.sup_norm = float(np.max(np.abs(self.v[0])))
-        self.energy = _square_integral(self.params.n, self.r, self.v, self.dv,
-                                       self.params.k)
 
 
 @dataclass
@@ -666,8 +663,7 @@ def shoot(params: ProblemParams, d, rtol: float = 1e-10):
     hess = np.empty((k, k, k))
     hess[:, I, J] = hess[:, J, I] = B[:, k + 2:]
     return mismatch, RadialSolution(params, d, rr, None, None, mismatch, None,
-                                    None, jac=jac, dmu=dmu, hess=hess,
-                                    sample=sample)
+                                    jac=jac, dmu=dmu, hess=hess, sample=sample)
 
 
 def _square_integral(n: int, rr, v, dv, m: int) -> float:
@@ -895,9 +891,10 @@ def continuation(params: ProblemParams, mu_grid, d_seed, rtol: float = 1e-9):
         if sol is None:
             return points, "fold"
         mu_fit, resid = fit_bubble(sol)
-        poho = _square_integral(pars.n, sol.r, sol.v, sol.dv, pars.p)
+        energy, poho = (_square_integral(pars.n, sol.r, sol.v, sol.dv, m)
+                        for m in (pars.k, pars.p))
         d = sol.d.copy()
-        points.append(BranchPoint(mu_target, sol.sup_norm, sol.energy, mu_fit,
+        points.append(BranchPoint(mu_target, sol.sup_norm, energy, mu_fit,
                                   resid, poho, d, sol.collocation_residual))
         if _singular(sol.jac):
             return points, "fold"  # no tangent dd/dmu: the branch turns here
@@ -940,7 +937,8 @@ def synthetic_bubble_branch(n: int, k: int, p: int, mus) -> list[BranchPoint]:
         amp = mu ** (-0.5 * (n - 2 * k))
         val = integrate_radial(lambda t: y(t, a) ** 2, 1.0 / mu, n).value
         poho = mu ** (2 * (k - p)) * val
-        out.append(BranchPoint(float("nan"), amp, float("nan"), mu, 0.0, poho))
+        out.append(BranchPoint(mu_param=float("nan"), sup_norm=amp, energy=float("nan"),
+                               mu_fit=mu, fit_residual=0.0, poho_term=poho))
     return out
 
 
@@ -954,11 +952,11 @@ def branch_csv(points: list[BranchPoint]) -> str:
     import io
 
     fh = io.StringIO()
+    cols = ("mu_param", "sup_norm", "energy", "mu_fit", "fit_residual",
+            "poho_term", "collocation_residual")
     w = csv.writer(fh)
-    w.writerow(["mu_param", "sup_norm", "energy", "mu_fit",
-                "fit_residual", "poho_term", "collocation_residual"])
-    w.writerows([b.mu_param, b.sup_norm, b.energy, b.mu_fit, b.fit_residual,
-                 b.poho_term, b.collocation_residual] for b in points)
+    w.writerow(cols)
+    w.writerows([getattr(b, c) for c in cols] for b in points)
     return fh.getvalue()
 
 

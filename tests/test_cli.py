@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import polybubble
-from polybubble.cli import main
+from polybubble.cli import _build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(polybubble.__file__), "fixtures")
 
@@ -542,7 +542,8 @@ def test_solve_empty_grid_usage(tmp_path):
                                   [{"k": 0}, "pohozaev"],
                                   ["solve", "--mu-grid", "0"],
                                   ["solve", "--mu-grid", "nan"],
-                                  ["solve", "--mu-grid", "-0.5", "nan"]])
+                                  ["solve", "--mu-grid", "-0.5", "nan"],
+                                  ["solve", "--mu-grid", "-inf"]])
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
     """Parameters outside k >= 1, n > 2k, 0 <= p < k, a manufactured
     pohozaev k whose integrands pass the polynomial degree bound, an empty
@@ -559,6 +560,29 @@ def test_invalid_parameters_are_usage_errors(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "invalid" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_solve_mu_grid_takes_negative_values_in_exponent_notation():
+    """argparse alone reads "-5e-1" as an unknown option; --mu-grid takes it
+    as a value, as it takes "-0.5"."""
+    ap, _ = _build_parser()
+    assert ap.parse_args(["solve", "--mu-grid", "-5e-1", "-2.5E-1"]).mu_grid == [-0.5, -0.25]
+    assert ap.parse_args(["solve", "--mu-grid", "-inf"]).mu_grid == [-np.inf]
+
+
+@pytest.mark.parametrize("args", [
+    ["--seed", "-1", "tree", os.path.join(FIXTURES, "tower.json")],
+    ["--seed", "-1", "cayley-green", "--n", "3", "--k", "1", "--pairs", "2"],
+    [{"seed": -1}, "tree", os.path.join(FIXTURES, "tower.json")]])
+def test_negative_seed_is_refused_before_any_command_runs(tmp_path, capsys, args):
+    """numpy's generators take no negative seed: a negative --seed, or
+    config seed, exits 2 with one line and writes no report."""
+    if isinstance(args[0], dict):
+        args = ["--config", write_config(tmp_path, args[0])] + args[1:]
+    code, out = run_cli(args, tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["invalid seed: need seed >= 0, got -1"]
+    assert not os.path.exists(out)
 
 
 def test_config_file_and_flag_override(tmp_path):

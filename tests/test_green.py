@@ -84,8 +84,9 @@ def test_green_vanishes_at_boundary():
 
 def test_green_coincident_and_exterior_errors():
     x = np.array([0.1, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        green_ball(x, x, 1)
+    for green in (green_ball, green_half):  # refused by psi
+        with pytest.raises(ValueError, match="psi is singular on the diagonal"):
+            green(x, x, 1)
     with pytest.raises(ValueError):
         green_ball(x, np.array([1.5, 0, 0]), 1)
     with pytest.raises(ValueError):

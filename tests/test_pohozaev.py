@@ -658,6 +658,36 @@ def test_both_axis_forms_reach_every_rule(monkeypatch):
     assert calls == [["axis", "tol"]] * 2  # the P_k sphere, then T2's
 
 
+@pytest.mark.parametrize("opts", [{"seed": 0}, {"axes": np.eye(5)[0]},
+                                  {"axis": np.eye(5)[0], "seed": 0}])
+def test_quad_opts_refuses_keys_other_than_axis_and_tol(opts):
+    """quad_opts takes axis and tol only: any other key, a misspelling or
+    the volume rule's seed, is a ValueError that names it on either side."""
+    n, k = 5, 1
+    u, dom = _radial_bubble(n, k), Ball((0.0,) * n, 1.0)
+    key = next(key for key in opts if key != "axis")
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        pohozaev_lhs(u, dom, np.zeros(n), k, quad_opts=opts)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        pohozaev_rhs(u, None, critical_exponent(n, k), dom, np.zeros(n), k, quad_opts=opts)
+
+
+def test_the_axial_form_is_converted_once_per_jet(monkeypatch):
+    """A PolynomialJet converts its polynomial to the axial form when it is
+    built; a Dirichlet residual on it, whose three evaluations take the
+    exact path, converts nothing more."""
+    calls, convert = [], pohozaev._axial_form
+    monkeypatch.setattr(pohozaev, "_axial_form", lambda p: calls.append(p) or convert(p))
+    n, k = 5, 2
+    u = manufactured_dirichlet(k, n, MultiPoly.coordinate(n, 0) + 1)
+    assert calls == [u.poly] and u.axial is not None
+    moments, moment = [], _Axial.moment
+    monkeypatch.setattr(_Axial, "moment", lambda *a, **kw: moments.append(a) or moment(*a, **kw))
+    rep = pohozaev_residual(u, None, 2.0, Ball((0.0,) * n, 1.0), 0.3 * np.eye(n)[0], k,
+                            dirichlet=True)
+    assert len(calls) == 1 and moments and rep.residual_rel < 1e-12
+
+
 class _NotAPolynomialJet:
     """A PolynomialJet's jets behind the generic provider interface: its
     data take the quadrature path."""
@@ -878,8 +908,8 @@ def test_axial_path_matches_cartesian_path(monkeypatch, label, u, f, dom, xi, k)
     the Cartesian coordinates x_1 and x_2 exchanged: P_k and its Dirichlet
     form within 1e-12, T1-T4 within 1e-11, of max(|lhs|, max_i |T_i|).
     Exchanged data that are not radial are no longer e_1-axial; radial data
-    are unchanged by the exchange, so the conversion is switched off for
-    them."""
+    are unchanged by the exchange, so the exchanged jet's axial form is
+    dropped."""
     axial_moments = []
     moment = _Axial.moment
 
@@ -895,8 +925,7 @@ def test_axial_path_matches_cartesian_path(monkeypatch, label, u, f, dom, xi, k)
     su = PolynomialJet(_swap12(u.poly), nonneg=u.nonneg)
     sf = None if f is None else PolynomialJet(_swap12(f.poly))
     sxi = xi[[1, 0, *range(2, len(xi))]]
-    if _axial_form(su.poly) is not None:
-        monkeypatch.setattr(pohozaev, "_axial_form", lambda p: None)
+    su.axial = None
     quad = _terms(su, sf, dom, sxi, k, quad_opts={"axis": np.eye(len(xi))[1]})
     assert not axial_moments
     scale = max(abs(axial[0]), *np.abs(axial[2:]))

@@ -597,7 +597,7 @@ def _spy_sample(monkeypatch):
 
 @pytest.mark.parametrize("n,k,p,mu,d", _SCIPY_CASES)
 def test_shot_grid_matches_scipy_dense_output(monkeypatch, n, k, p, mu, d):
-    """A shot's r, v, dv, sup_norm and energy, sampled after its step loop,
+    """A shot's r, v, dv and sup_norm, sampled after its step loop,
     equal bit for bit those built from scipy's DOP853 dense output on the
     same rhs, with the start series at the grid points below the start
     radius."""
@@ -623,7 +623,6 @@ def test_shot_grid_matches_scipy_dense_output(monkeypatch, n, k, p, mu, d):
     np.testing.assert_array_equal(sol.v, v)
     np.testing.assert_array_equal(sol.dv, dv)
     assert sol.sup_norm == float(np.max(np.abs(v[0])))
-    assert sol.energy == solver._square_integral(n, rr, v, dv, k)
 
 
 def test_newton_samples_only_the_accepted_grid(monkeypatch):
@@ -635,7 +634,7 @@ def test_newton_samples_only_the_accepted_grid(monkeypatch):
     grids = _spy_sample(monkeypatch)
     sol = newton_solve(ProblemParams(7, 1, 0, -0.25), start.d, rtol=1e-9)
     assert len(shots) >= 2 and len(grids) == 1
-    assert sol.sup_norm > 0 and sol.energy > 0 and sol.dv.shape == sol.v.shape
+    assert sol.sup_norm > 0 and sol.dv.shape == sol.v.shape
     assert len(grids) == 1
     np.testing.assert_array_equal(grids[0][0], sol.v[0][-grids[0].shape[1]:])
 
@@ -928,7 +927,7 @@ def _bubble_solution(params, scale):
     vals = (scale / (scale**2 + bubble_constant(n, k) * rr**2)) ** (0.5 * (n - 2 * k))
     return RadialSolution(params, np.array([vals[0]]), rr, vals[None, :],
                           np.gradient(vals, rr)[None, :], np.array([0.0]),
-                          float(vals.max()), 1.0, collocation_residual=0.0,
+                          float(vals.max()), collocation_residual=0.0,
                           jac=np.eye(1), dmu=np.zeros(1))
 
 
@@ -1042,7 +1041,7 @@ def test_fit_bubble_exact_synthetic():
     params = ProblemParams(n, k, 0, 0.0)
     sol = RadialSolution(params, np.array([vals[0]]), rr, vals[None, :],
                          np.gradient(vals, rr)[None, :], np.array([vals[-1]]),
-                         float(vals.max()), 0.0)
+                         float(vals.max()))
     mu_fit, resid = fit_bubble(sol)
     assert mu_fit == pytest.approx(mu, rel=1e-9)
     assert resid < 1e-9
@@ -1058,7 +1057,7 @@ def test_fit_bubble_perturbed():
     params = ProblemParams(n, k, 0, 0.0)
     sol = RadialSolution(params, np.array([pert[0]]), rr, pert[None, :],
                          np.gradient(pert, rr)[None, :], np.array([pert[-1]]),
-                         float(pert.max()), 0.0)
+                         float(pert.max()))
     _, resid = fit_bubble(sol)
     assert 1e-4 < resid < 1e-2
 
@@ -1068,7 +1067,7 @@ def test_fit_bubble_rejects_off_center_max():
     rr = np.linspace(1e-6, 1.0, 100)
     vals = rr.copy()  # max at the boundary
     sol = RadialSolution(params, np.array([0.0]), rr, vals[None, :],
-                         np.ones((1, 100)), np.array([1.0]), 1.0, 0.0)
+                         np.ones((1, 100)), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         fit_bubble(sol)
 
@@ -1089,11 +1088,20 @@ def test_synthetic_branch_slopes(k, p, n):
     assert abs(slope - 2 * (k - p)) < 0.05
 
 
-def test_continuation_short_branch():
+def test_continuation_short_branch(monkeypatch):
     p = ProblemParams(7, 1, 0, -0.5)
     seed_sol = newton_solve(p, [1.2e4], rtol=1e-8)
+    integrals, square_integral = [], solver._square_integral
+
+    def spy(n, rr, v, dv, m):
+        integrals.append((m, square_integral(n, rr, v, dv, m)))
+        return integrals[-1][1]
+
+    monkeypatch.setattr(solver, "_square_integral", spy)
     pts, flag = continuation(p, [-0.5, -0.25], seed_sol.d, rtol=1e-8)
     assert flag == "complete" and len(pts) == 2
+    # each point's energy and lower-order integral: the state's y_k and y_p
+    assert integrals == [(m, val) for b in pts for m, val in ((1, b.energy), (0, b.poho_term))]
     assert pts[1].sup_norm > pts[0].sup_norm
     lines = branch_csv(pts).splitlines()
     assert lines[0] == ("mu_param,sup_norm,energy,mu_fit,fit_residual,"
