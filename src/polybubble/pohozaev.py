@@ -239,6 +239,15 @@ def _axis_means(n: int, dmax: int):
     return tuple(x.numerator * (D // x.denominator) for x in M), D
 
 
+@lru_cache(maxsize=None)
+def _signed_mean(n: int, dmax: int, a: int, b: int) -> int:
+    """sum_j (-1)^j C(b, j) N_{a/2+j}: the sphere mean of t^a rho^b (a even)
+    over the denominator D of _axis_means(n, dmax).  Kept per monomial, on
+    first use, since n = 1 data reach b = 0 only."""
+    N, _ = _axis_means(n, dmax)
+    return sum((-1) ** j * math.comb(b, j) * N[a // 2 + j] for j in range(b + 1))
+
+
 def _exact(v) -> Fraction:
     """A float entry (xi_1 or sign/radius) as an exact rational."""
     return Fraction(float(v)).limit_denominator(10**12)
@@ -310,12 +319,17 @@ class _Axial:
         rho = 1 - t^2 on the unit sphere.  Its sphere mean is therefore
         sum_j (-1)^j C(b, j) M_{a+2j}, with M_m the mean of x_1^m from
         sphere_moment_ratio (zero for odd a), kept here as integers N_m
-        over one denominator D.  The radius enters as radius^(d+n-1), or
-        radius^(d+n)/(d+n) on the ball.  Each term's exact rational is
-        rounded to a float once.
+        over one denominator D; _signed_mean computes each such sum once.
+        The radius enters as radius^(d+n-1), or radius^(d+n)/(d+n) on the
+        ball.  Each term's exact rational is rounded to a float once.
+
+        A boundary density carries exactly one factor s = sign/R, so
+        pohozaev_lhs builds it once, on the unit sphere outward, and hands
+        this method that polynomial times s for each sphere.
         """
         n = self.n
-        N, D = _axis_means(n, max(map(_x_degree, p.terms), default=0))
+        dmax = max(map(_x_degree, p.terms), default=0)
+        D = _axis_means(n, dmax)[1]
         area = sphere_area(n)
         val = 0.0
         abs_sum = 0.0
@@ -323,10 +337,8 @@ class _Axial:
             a, b = _axial_exps(key)
             if a % 2:
                 continue
-            num = sum((-1) ** j * math.comb(b, j) * N[a // 2 + j]
-                      for j in range(b + 1))
             q = a + 2 * b + n - (not ball)
-            contrib = (c * num / (D * p.den)
+            contrib = (c * _signed_mean(n, dmax, a, b) / (D * p.den)
                        * area * radius**q / (q if ball else 1))
             val += contrib
             abs_sum += abs(contrib)
@@ -487,17 +499,22 @@ def _exact_forms(u, f, p_exp: float, xi, pieces):
     return None
 
 
+def _check_opt_keys(quad_opts):
+    """quad_opts takes axis and tol only; any other key is a ValueError on
+    either path, checked before the path is chosen."""
+    if unknown := sorted((quad_opts or {}).keys() - {"axis", "tol"}):
+        raise ValueError(f"quad_opts takes axis and tol only, not {unknown}")
+
+
 def _rule_opts(quad_opts, domain):
     """The keyword arguments of the volume rule and of every sphere rule for
-    one quad_opts, whose keys are axis and tol (any other is a ValueError).
-    Its axis, a direction or a (point, direction) pair, goes to the volume
-    rule as a pair (through the domain's centre for a direction) and to
-    each sphere, integrated about its own centre, as the direction; tol goes
-    to every rule.  A sphere whose centre is off the axis line would be
-    integrated about another line, so that is a ValueError."""
+    one quad_opts, whose keys _check_opt_keys has checked.  Its axis, a
+    direction or a (point, direction) pair, goes to the volume rule as a
+    pair (through the domain's centre for a direction) and to each sphere,
+    integrated about its own centre, as the direction; tol goes to every
+    rule.  A sphere whose centre is off the axis line would be integrated
+    about another line, so that is a ValueError."""
     vol = dict(quad_opts or {})
-    if unknown := sorted(vol.keys() - {"axis", "tol"}):
-        raise ValueError(f"quad_opts takes axis and tol only, not {unknown}")
     sphere = dict(vol)
     if vol.get("axis") is not None:
         if np.ndim(vol["axis"]) == 1:
@@ -515,7 +532,7 @@ def _rule_opts(quad_opts, domain):
 def _boundary_density(n: int, k: int, q, simplified: bool):
     """The density of P_k, or with simplified=True of its Dirichlet form, on
     one boundary sphere (module docstring), from a view q of u there:
-    _poly_views or _node_view.  Its dyadic coefficients are exact in a MultiPoly."""
+    _poly_view or _node_view.  Its dyadic coefficients are exact in a MultiPoly."""
     if simplified:
         return -0.5 * q.xnu() * q.sq()
     acc = 0.0
@@ -533,33 +550,28 @@ def _boundary_density(n: int, k: int, q, simplified: bool):
             + 0.5 * (q.v(m) * dnu_w - w * q.dnu(m)))
 
 
-def _poly_views(alg, v, xi):
-    """The exact path's views for _boundary_density: view(R, sign) reads
-    the axial polynomials of alg on the sphere of radius R about the
-    origin, where d_nu g = sign/R x.grad g, with xi = xi_1 e_1.  v lists
-    (-Delta)^i u, i <= k; D_i, w and sq, which no sphere changes, are built
-    once, on first use."""
+def _poly_view(alg, v, xi):
+    """The exact path's view for _boundary_density: the axial polynomials
+    of alg on the unit sphere about the origin, outward, where
+    d_nu g = x.grad g and (x - xi).nu = (x - xi).x, with xi = xi_1 e_1.
+    v lists (-Delta)^i u, i <= k.  Every term of the density carries
+    exactly one factor s = sign/R, one d_nu or one (x - xi).nu, so on the
+    sphere of radius R with orientation sign the density is this view's
+    times s, exactly and with the same key order."""
     k, m = len(v) - 1, (len(v) - 2) // 2
-    kept, make = {}, {
-        "D": lambda: [alg.dot_grad(v[i], xi) + 2 * i * v[i] for i in range(k // 2)],
-        "w": lambda: alg.dot_grad(v[m], xi),
-        "sq": lambda: alg.grad_sq(v[m]) if k % 2 else v[k // 2] * v[k // 2]}
 
-    def common(name):
-        return kept[name] if name in kept else kept.setdefault(name, make[name]())
+    def D(i):
+        Di = alg.dot_grad(v[i], xi) + 2 * i * v[i]
+        return Di, alg.dot_grad(Di, 0)
 
-    def view(R, sign):
-        s = _exact(sign / R)
+    def w():
+        wm = alg.dot_grad(v[m], xi)
+        return wm, alg.dot_grad(wm, 0)
 
-        def dnu(p):
-            return s * alg.dot_grad(p, 0)
-
-        return SimpleNamespace(
-            v=v.__getitem__, dnu=lambda i: dnu(v[i]), sq=lambda: common("sq"),
-            D=lambda i: (common("D")[i], dnu(common("D")[i])),
-            w=lambda: (common("w"), dnu(common("w"))),
-            xnu=lambda: alg.shifted_dot(xi) * s)
-    return view
+    return SimpleNamespace(
+        v=v.__getitem__, dnu=lambda i: alg.dot_grad(v[i], 0), D=D, w=w,
+        xnu=lambda: alg.shifted_dot(xi),
+        sq=lambda: alg.grad_sq(v[m]) if k % 2 else v[k // 2] * v[k // 2])
 
 
 def _node_view(u, k: int, xi, pts, c, R, sign):
@@ -584,20 +596,22 @@ def pohozaev_lhs(u, domain, xi, k: int, simplified: bool = False,
                  quad_opts: dict | None = None):
     """The boundary functional P_k(domain; u), or with simplified=True its
     Dirichlet form: _boundary_density integrated over each boundary sphere,
-    exactly in the axial variables for data that _exact_forms accepts, else
+    exactly in the axial variables for data that _exact_forms accepts (one
+    density, on the unit sphere outward, times sign/R on each sphere), else
     by one sphere rule per boundary sphere with the options _rule_opts makes
     from quad_opts.  Returns (value, abs_budget).
     """
     xi = np.asarray(xi, float)
     pieces = _boundary_pieces(domain)
+    _check_opt_keys(quad_opts)
 
     exact = _exact_forms(u, None, 2.0, xi, pieces)
     if exact:
         alg, upoly, _ = exact
-        view = _poly_views(alg, _neg_laplacians(alg, upoly, k), _exact(xi[0]))
-        total, budget = map(sum, zip(*(alg.moment(
-            _boundary_density(u.n, k, view(R, sign), simplified), R, ball=False)
-            for _, R, sign in pieces)))
+        unit = _boundary_density(u.n, k, _poly_view(
+            alg, _neg_laplacians(alg, upoly, k), _exact(xi[0])), simplified)
+        total, budget = map(sum, zip(*(alg.moment(unit * _exact(sign / R), R, ball=False)
+                                       for _, R, sign in pieces)))
         return total, 1e-12 * budget
 
     _, sphere_opts = _rule_opts(quad_opts, domain)
@@ -633,6 +647,7 @@ def pohozaev_rhs(u, f, p_exp: float, domain, xi, k: int,
     n = u.n
     coef_T3 = 0.5 * (n - 2 * k) - n / p_exp
     pieces = _boundary_pieces(domain)
+    _check_opt_keys(quad_opts)
 
     exact = _exact_forms(u, f, p_exp, xi, pieces)
     if exact:

@@ -7,6 +7,7 @@ axial (x_1, |x'|^2) exact path against the quadrature path."""
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -659,17 +660,21 @@ def test_both_axis_forms_reach_every_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("opts", [{"seed": 0}, {"axes": np.eye(5)[0]},
-                                  {"axis": np.eye(5)[0], "seed": 0}])
+                                  {"axis": np.eye(5)[0], "seed": 0},
+                                  {"seed": 0, "bogus": 1}])
 def test_quad_opts_refuses_keys_other_than_axis_and_tol(opts):
     """quad_opts takes axis and tol only: any other key, a misspelling or
-    the volume rule's seed, is a ValueError that names it on either side."""
+    the volume rule's seed, is a ValueError that names it on either side,
+    on the quadrature path and on the exact path, which reads no quad_opts."""
     n, k = 5, 1
-    u, dom = _radial_bubble(n, k), Ball((0.0,) * n, 1.0)
+    dom = Ball((0.0,) * n, 1.0)
     key = next(key for key in opts if key != "axis")
-    with pytest.raises(ValueError, match=f"'{key}'"):
-        pohozaev_lhs(u, dom, np.zeros(n), k, quad_opts=opts)
-    with pytest.raises(ValueError, match=f"'{key}'"):
-        pohozaev_rhs(u, None, critical_exponent(n, k), dom, np.zeros(n), k, quad_opts=opts)
+    for u in (_radial_bubble(n, k), manufactured_dirichlet(k, n)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            pohozaev_lhs(u, dom, np.zeros(n), k, quad_opts=opts)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            pohozaev_rhs(u, None, critical_exponent(n, k), dom, np.zeros(n), k,
+                         quad_opts=opts)
 
 
 def test_the_axial_form_is_converted_once_per_jet(monkeypatch):
@@ -832,6 +837,78 @@ def test_axial_form_round_trip_and_operators(n, seed):
                         (alg.dot_grad(A, a), dot_grad),
                         (alg.grad_sq(A), grad_sq)):
         assert dict(_axial_form(cart).coeffs) == dict(axial.coeffs)
+
+
+def _reference_moment(n, p, radius, ball):
+    """_Axial.moment as a per-term loop that sums each sphere mean afresh."""
+    N, D = pohozaev._axis_means(n, max(map(pohozaev._x_degree, p.terms), default=0))
+    area = sphere_area(n)
+    val = 0.0
+    abs_sum = 0.0
+    for key, c in p.terms.items():
+        a, b = pohozaev._axial_exps(key)
+        if a % 2:
+            continue
+        num = sum((-1) ** j * math.comb(b, j) * N[a // 2 + j]
+                  for j in range(b + 1))
+        q = a + 2 * b + n - (not ball)
+        contrib = (c * num / (D * p.den)
+                   * area * radius**q / (q if ball else 1))
+        val += contrib
+        abs_sum += abs(contrib)
+    return val, abs_sum
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("seed", range(4))
+def test_moment_matches_the_per_term_reference_bit_for_bit(n, seed):
+    """The memoised sphere means change no bit of a moment or its |.|-sum:
+    random axial polynomials of x-degree up to 40 (no rho at n = 1), odd
+    and even t powers, on balls and spheres of three radii."""
+    rng = random.Random(1000 * n + seed)
+    for _ in range(5):
+        terms = {}
+        for _ in range(rng.randint(1, 30)):
+            b = 0 if n == 1 else rng.randint(0, 20)
+            terms[(rng.randint(0, 40 - 2 * b), b)] = Fraction(
+                rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        A = MultiPoly(2, terms)
+        for radius in (1.0, 0.5, 0.3):
+            for ball in (False, True):
+                assert (_Axial(n).moment(A, radius, ball)
+                        == _reference_moment(n, A, radius, ball))
+
+
+def _sphere_view(q, s):
+    """The unit outward view q on a sphere where d_nu and (x - xi).nu carry
+    the factor s = sign/R."""
+    return SimpleNamespace(
+        v=q.v, sq=q.sq, dnu=lambda i: s * q.dnu(i), xnu=lambda: q.xnu() * s,
+        D=lambda i: (q.D(i)[0], s * q.D(i)[1]), w=lambda: (q.w()[0], s * q.w()[1]))
+
+
+@pytest.mark.parametrize("simplified", [False, True])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_exact_lhs_builds_one_density_per_datum(monkeypatch, k, shift, simplified):
+    """On an annulus the exact P_k builds its boundary density once and
+    scales it by sign/R per sphere, bit for bit the sum over spheres of a
+    density built at each (R, sign)."""
+    n = 7
+    u = manufactured_dirichlet(k, n, MultiPoly.coordinate(n, 0) + 1)
+    dom = BallMinusBalls(Ball((0.0,) * n, 1.0), (Ball((0.0,) * n, 0.5),))
+    xi = shift * np.eye(n)[0]
+    calls, density = [], pohozaev._boundary_density
+    monkeypatch.setattr(pohozaev, "_boundary_density",
+                        lambda *a: calls.append(a) or density(*a))
+    got = pohozaev_lhs(u, dom, xi, k, simplified=simplified)
+    assert len(calls) == 1
+    alg = _Axial(n)
+    q = pohozaev._poly_view(alg, pohozaev._neg_laplacians(alg, u.axial, k),
+                            pohozaev._exact(shift))
+    parts = [alg.moment(density(n, k, _sphere_view(q, pohozaev._exact(sign / R)), simplified),
+                        R, ball=False) for R, sign in ((1.0, 1.0), (0.5, -1.0))]
+    assert got == (parts[0][0] + parts[1][0], 1e-12 * (parts[0][1] + parts[1][1]))
 
 
 def test_axial_form_refuses_non_axial_polys():
